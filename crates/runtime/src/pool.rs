@@ -302,8 +302,15 @@ impl Drop for WorkStealingPool {
             let _g = self.shared.sleep_lock.lock();
             self.shared.wake.notify_all();
         }
+        // The last owner may be one of the pool's own tasks (a job that
+        // holds an `Arc` of the pool): a thread cannot join itself, so
+        // that worker's handle is dropped — detached — instead. It sees
+        // `shutdown` and exits as soon as the dropping task returns.
+        let me = std::thread::current().id();
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -412,6 +419,32 @@ impl Latch {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn last_arc_dropped_inside_a_task_joins_every_other_worker() {
+        use std::sync::mpsc::channel;
+        let pool = Arc::new(WorkStealingPool::new(3));
+        let shared = Arc::downgrade(&pool.shared);
+        let (go_tx, go_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel::<usize>();
+        let held = pool.clone();
+        // Not `spawn`: its promise would outlive the drop below.
+        pool.inject(Box::new(move || {
+            // Wait until the test thread has given up its reference, so
+            // this drop is the one that runs `Drop for WorkStealingPool`.
+            go_rx.recv().expect("test thread went away");
+            drop(held);
+            // Every worker owns one `Arc<Shared>` until it exits: after
+            // the drop only the worker running this task may be left.
+            done_tx.send(shared.strong_count()).ok();
+        }));
+        drop(pool);
+        go_tx.send(()).expect("task went away");
+        let live = done_rx
+            .recv_timeout(pool_timeout())
+            .expect("dropping the pool from its own worker panicked or hung");
+        assert_eq!(live, 1, "the other workers were not joined");
+    }
 
     #[test]
     fn spawn_returns_results() {

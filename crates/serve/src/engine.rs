@@ -743,18 +743,9 @@ fn execute_spec(
                 shared.reg.counter("serve.faults.stalls").inc();
             }
         }
-        let mut dt = solver
-            .stable_dt(&mut u, spec.cfl)
+        let dt = solver
+            .step_cfl(&mut u, t, t_end, spec.cfl, None)
             .map_err(ExecStop::Solver)?;
-        // Negated form deliberately catches NaN as a collapse.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(dt > 1e-14) {
-            return Err(ExecStop::Solver(SolverError::TimestepCollapse { dt }));
-        }
-        if t + dt > t_end {
-            dt = t_end - t;
-        }
-        solver.step(&mut u, dt, None).map_err(ExecStop::Solver)?;
         t += dt;
         steps += 1;
     }

@@ -9,7 +9,8 @@
 //! cost model reproduces the offload performance envelope (T3).
 
 use crate::integrate::{PatchSolver, RkOrder};
-use crate::scheme::{max_dt, recover_prims, Scheme};
+use crate::scheme::Scheme;
+use parking_lot::Mutex;
 use rhrsc_grid::{BcSet, Field, PatchGeom};
 use rhrsc_runtime::trace::{Tracer, Track};
 use rhrsc_runtime::{Accelerator, AcceleratorConfig, BufId, Future, Registry};
@@ -112,13 +113,16 @@ impl Breaker {
 /// A patch solver that executes on a simulated accelerator.
 pub struct DevicePatchSolver {
     dev: Accelerator,
-    scheme: Scheme,
-    bcs: BcSet,
-    rk: RkOrder,
     geom: PatchGeom,
     buf_u: BufId,
-    /// Device-resident Δt scalar fed by the fused step+scan kernel.
+    /// Device-resident Δt scalar fed by the Δt and fused step+scan
+    /// kernels.
     buf_dt: BufId,
+    /// Device-resident integrator scratch (primitives, residual, stage
+    /// buffer), shared by every kernel. Kernels run one at a time on the
+    /// queue thread, and the host only touches it while the breaker has
+    /// the device quarantined, so the lock is never contended.
+    solver: Arc<Mutex<PatchSolver>>,
     breaker: Option<RefCell<Breaker>>,
     metrics: RefCell<Option<Arc<Registry>>>,
     trace: RefCell<Option<(Arc<Tracer>, Arc<Track>)>>,
@@ -140,12 +144,10 @@ impl DevicePatchSolver {
         let buf_dt = dev.alloc(1);
         DevicePatchSolver {
             dev,
-            scheme,
-            bcs,
-            rk,
             geom,
             buf_u,
             buf_dt,
+            solver: Arc::new(Mutex::new(PatchSolver::new(scheme, bcs, rk, geom))),
             breaker: None,
             metrics: RefCell::new(None),
             trace: RefCell::new(None),
@@ -238,14 +240,12 @@ impl DevicePatchSolver {
     /// completion future; steps enqueued back-to-back pipeline on the
     /// device queue without host round-trips.
     pub fn enqueue_step(&self, dt: f64) -> Future<()> {
-        let (scheme, bcs, rk, geom, buf) = (self.scheme, self.bcs, self.rk, self.geom, self.buf_u);
+        let (solver, geom, buf) = (self.solver.clone(), self.geom, self.buf_u);
         self.dev.launch(move |ctx| {
-            let data = ctx.take(buf);
-            let mut u = Field::from_vec(geom, NCOMP, data);
-            let mut solver = PatchSolver::new(scheme, bcs, rk, geom);
-            let gang = ctx.gang();
+            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
             solver
-                .step(&mut u, dt, Some(gang))
+                .lock()
+                .step(&mut u, dt, Some(ctx.gang()))
                 .expect("device step failed");
             ctx.put(buf, u.into_vec());
         })
@@ -256,63 +256,50 @@ impl DevicePatchSolver {
     /// next [`stable_dt`] call would return — in the device-resident Δt
     /// scalar (read it back with [`next_dt`]). Halves the per-step launch
     /// count of the two-kernel `stable_dt` + [`enqueue_step`] flow; the
-    /// scan runs on a ghost-filled working copy so the staged bytes stay
-    /// exactly the host path's post-step state, ghosts included.
+    /// scan fills ghosts on a copy in the solver's stage buffer, so the
+    /// staged bytes stay exactly the host path's post-step state, ghosts
+    /// included.
     ///
     /// [`stable_dt`]: DevicePatchSolver::stable_dt
     /// [`next_dt`]: DevicePatchSolver::next_dt
     /// [`enqueue_step`]: DevicePatchSolver::enqueue_step
     pub fn enqueue_step_scan(&self, dt: f64, cfl: f64) -> Future<()> {
-        let (scheme, bcs, rk, geom, buf, out) = (
-            self.scheme,
-            self.bcs,
-            self.rk,
-            self.geom,
-            self.buf_u,
-            self.buf_dt,
-        );
+        let (solver, geom, buf, out) = (self.solver.clone(), self.geom, self.buf_u, self.buf_dt);
         self.dev.launch(move |ctx| {
-            let data = ctx.take(buf);
-            let mut u = Field::from_vec(geom, NCOMP, data);
-            let mut solver = PatchSolver::new(scheme, bcs, rk, geom);
-            let gang = ctx.gang();
+            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
+            let mut solver = solver.lock();
             solver
-                .step(&mut u, dt, Some(gang))
+                .step(&mut u, dt, Some(ctx.gang()))
                 .expect("device step failed");
-            let mut v = u.clone();
-            rhrsc_grid::fill_ghosts(&mut v, &bcs);
-            let mut prim = Field::new(geom, 5);
-            recover_prims(&scheme, &v, &mut prim).expect("device recovery failed");
-            ctx.buf_mut(out)[0] = max_dt(&scheme, &prim, cfl);
+            ctx.buf_mut(out)[0] = solver
+                .stable_dt_of(&u, cfl)
+                .expect("device recovery failed");
             ctx.put(buf, u.into_vec());
         })
     }
 
-    /// Read back the Δt scalar left by the last [`enqueue_step_scan`]
+    /// Read back the device-resident Δt scalar: the stable Δt of the
+    /// staged state as of the last [`enqueue_step_scan`] or [`stable_dt`]
     /// launch (one scalar copy; drains the queue up to that kernel).
     ///
     /// [`enqueue_step_scan`]: DevicePatchSolver::enqueue_step_scan
+    /// [`stable_dt`]: DevicePatchSolver::stable_dt
     pub fn next_dt(&self) -> f64 {
         self.dev.copy_to_host(self.buf_dt).get()[0]
     }
 
     /// Compute the stable Δt on the device (one kernel + a scalar copy).
     pub fn stable_dt(&self, cfl: f64) -> f64 {
-        let (scheme, bcs, geom, buf) = (self.scheme, self.bcs, self.geom, self.buf_u);
-        let out = self.dev.alloc(1);
+        let (solver, geom, buf, out) = (self.solver.clone(), self.geom, self.buf_u, self.buf_dt);
         self.dev.launch(move |ctx| {
-            let data = ctx.take(buf);
-            let mut u = Field::from_vec(geom, NCOMP, data);
-            rhrsc_grid::fill_ghosts(&mut u, &bcs);
-            let mut prim = Field::new(geom, 5);
-            recover_prims(&scheme, &u, &mut prim).expect("device recovery failed");
-            let dt = max_dt(&scheme, &prim, cfl);
+            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
+            ctx.buf_mut(out)[0] = solver
+                .lock()
+                .stable_dt(&mut u, cfl)
+                .expect("device recovery failed");
             ctx.put(buf, u.into_vec());
-            ctx.buf_mut(out)[0] = dt;
         });
-        let dt = self.dev.copy_to_host(out).get()[0];
-        self.dev.free(out);
-        dt
+        self.next_dt()
     }
 
     /// Advance the device-resident state to `t_end` under CFL control;
@@ -359,21 +346,16 @@ impl DevicePatchSolver {
         // the step would blur which operation faulted.
         // Host-side quarantine state: populated on trip, drained on probe.
         let mut host_u: Option<Field> = None;
-        let mut host_solver: Option<PatchSolver> = None;
         while t < t_end - 1e-14 {
             let state = breaker.borrow().state;
             match state {
                 BreakerState::Open => {
                     let u = host_u.get_or_insert_with(|| self.download_after_sync());
-                    let solver = host_solver.get_or_insert_with(|| {
-                        PatchSolver::new(self.scheme, self.bcs, self.rk, self.geom)
-                    });
-                    let mut dt = self.host_stable_dt(u, cfl);
-                    assert!(dt > 1e-14, "time step collapsed on host fallback: {dt}");
-                    if t + dt > t_end {
-                        dt = t_end - t;
-                    }
-                    solver.step(u, dt, None).expect("host fallback step failed");
+                    let dt = self
+                        .solver
+                        .lock()
+                        .step_cfl(u, t, t_end, cfl, None)
+                        .expect("host fallback step failed");
                     t += dt;
                     steps += 1;
                     let mut b = breaker.borrow_mut();
@@ -458,16 +440,6 @@ impl DevicePatchSolver {
     fn download_after_sync(&self) -> Field {
         self.dev.sync();
         self.download()
-    }
-
-    /// Host replica of the `stable_dt` kernel (ghost fill + primitive
-    /// recovery + CFL reduction), applied to the quarantine copy so the dt
-    /// sequence is identical to the device path.
-    fn host_stable_dt(&self, u: &mut Field, cfl: f64) -> f64 {
-        rhrsc_grid::fill_ghosts(u, &self.bcs);
-        let mut prim = Field::new(self.geom, 5);
-        recover_prims(&self.scheme, u, &mut prim).expect("host recovery failed");
-        max_dt(&self.scheme, &prim, cfl)
     }
 
     /// Launch + copy fault count drawn so far (injector deltas around an

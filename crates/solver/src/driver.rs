@@ -17,11 +17,11 @@
 //! messages per stage and makes them bit-identical to the serial solver.
 
 use crate::health::{HealthConfig, HealthMonitor};
-use crate::integrate::RkOrder;
+use crate::integrate::{lincomb, RkOrder};
 use crate::scheme::{
-    dt_from_rates, init_cons, max_dt, recover_cell_metered, recover_cells_resilient_metered,
+    init_cons, max_dt, recover_cell_metered, recover_cells_resilient_metered,
     recover_prims_metered, recover_prims_resilient_metered, RecoveryPolicy, RecoveryStats, Scheme,
-    SolverError,
+    SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_comm::{
@@ -270,9 +270,11 @@ pub struct BlockSolver {
     /// Optional physics-health monitor (strictly rank-local reads; never
     /// communicates, never changes the numbers).
     health: Option<HealthMonitor>,
-    /// Per-cell CFL rates from the fused wave-speed scan of the most
-    /// recent stage-0 residual sweep (`geom.len()` slots).
-    rate: Vec<f64>,
+    /// Running maximum of the CFL rate from the fused wave-speed scan of
+    /// the most recent stage-0 residual sweep.
+    scan: WaveScan,
+    /// Reusable halo pack buffer (one face at a time).
+    halo_buf: Vec<f64>,
     /// Cached global Δt with its guarded refresh cadence.
     dt_cache: DtCache,
     /// Optional cadenced telemetry: shared hub + per-rank sampler state.
@@ -447,7 +449,8 @@ impl BlockSolver {
                 metrics: None,
                 c2p_hist: None,
                 health: None,
-                rate: vec![0.0; geom.len()],
+                scan: WaveScan::new(),
+                halo_buf: Vec::new(),
                 dt_cache: DtCache::new(),
                 telemetry: None,
             },
@@ -707,12 +710,14 @@ impl BlockSolver {
 
     /// Pack the `ng` interior layers adjacent to face (`d`, `side`)
     /// (transverse interior only — corners are never exchanged).
-    fn pack_face(&self, u: &Field, d: usize, side: usize) -> Vec<f64> {
+    /// `buf` is overwritten; its allocation is reused.
+    fn pack_face(&self, u: &Field, d: usize, side: usize, buf: &mut Vec<f64>) {
         let geom = &self.geom;
         let ng = geom.ng_of(d);
         let n = geom.n[d];
         let range = if side == 0 { ng..2 * ng } else { n..n + ng };
-        let mut buf = Vec::with_capacity(NCOMP * ng * transverse_len(geom, d));
+        buf.clear();
+        buf.reserve(NCOMP * ng * transverse_len(geom, d));
         for c in 0..NCOMP {
             for l in range.clone() {
                 for_each_transverse(geom, d, |t1, t2| {
@@ -721,7 +726,6 @@ impl BlockSolver {
                 });
             }
         }
-        buf
     }
 
     /// Unpack a received halo into the ghost layers of face (`d`, `side`).
@@ -760,7 +764,9 @@ impl BlockSolver {
     }
 
     /// Post all halo sends for the current state.
-    fn post_sends(&self, rank: &mut Rank, u: &Field) {
+    fn post_sends(&mut self, rank: &mut Rank, u: &Field) {
+        // `send` copies the payload, so one buffer serves every face.
+        let mut buf = std::mem::take(&mut self.halo_buf);
         for d in 0..3 {
             if !self.geom.active(d) || self.cfg.decomp.dims[d] == 1 {
                 continue;
@@ -771,7 +777,7 @@ impl BlockSolver {
                         continue; // handled as local periodic wrap
                     }
                     let s = self.pstart(rank);
-                    let buf = rank.work(|| self.pack_face(u, d, side));
+                    rank.work(|| self.pack_face(u, d, side, &mut buf));
                     self.pend("phase.halo.pack", rank, s);
                     let s = self.pstart(rank);
                     rank.send(self.comm_of(nb), (d * 2 + side) as u64, &buf);
@@ -779,6 +785,7 @@ impl BlockSolver {
                 }
             }
         }
+        self.halo_buf = buf;
     }
 
     /// Receive all halos and fill physical faces.
@@ -947,14 +954,14 @@ impl BlockSolver {
     /// One residual evaluation with halo exchange, honoring the mode.
     ///
     /// With `scan` set, the sweeps also run the fused wave-speed scan:
-    /// afterwards `self.rate` holds each interior cell's CFL rate (the
+    /// afterwards `self.scan` holds the largest interior CFL rate (the
     /// quantity [`max_dt`] maximizes), for free — the pencils are already
     /// resident in scratch. The stage-0 evaluation of every step scans,
     /// which is what lets Δt be decided without a separate local pass.
     fn eval_rhs(&mut self, rank: &mut Rank, u: &mut Field, scan: bool) -> Result<(), SolverError> {
         self.rhs.raw_mut().fill(0.0);
         if scan {
-            self.rate.fill(0.0);
+            self.scan.reset();
         }
         // Wall time inside a `rank.work` closure equals the virtual-clock
         // charge (the closure runs while holding the CPU token), so the
@@ -998,7 +1005,7 @@ impl BlockSolver {
                         &self.prim,
                         &mut self.rhs,
                         &region,
-                        scan.then(|| &mut self.rate[..]),
+                        scan.then_some(&self.scan),
                         self.gang.as_ref(),
                     );
                     Ok(())
@@ -1022,7 +1029,7 @@ impl BlockSolver {
                         &self.prim,
                         &mut self.rhs,
                         &deep,
-                        scan.then(|| &mut self.rate[..]),
+                        scan.then_some(&self.scan),
                         self.gang.as_ref(),
                     );
                     Ok(())
@@ -1042,7 +1049,7 @@ impl BlockSolver {
                             &self.prim,
                             &mut self.rhs,
                             sh,
-                            scan.then(|| &mut self.rate[..]),
+                            scan.then_some(&self.scan),
                             self.gang.as_ref(),
                         );
                     }
@@ -1238,7 +1245,7 @@ impl BlockSolver {
         if self.cfg.rk.stages() > 1 {
             self.u_stage.raw_mut().copy_from_slice(u.raw());
         }
-        let local_bound = dt_from_rates(self.cfg.cfl, &self.rate);
+        let local_bound = self.scan.dt(self.cfg.cfl);
         let (dt_raw, coasted) = self.decide_dt(rank, local_bound);
         let mut dt = dt_raw * scale;
         // Negated form deliberately catches NaN as a collapse. The
@@ -1381,7 +1388,7 @@ impl BlockSolver {
         let dt = self.step_auto(rank, u, Some((t, t_end)), scale, true)?;
         if self.dt_cache.violations > v0 {
             self.dt_cache.invalidate();
-            let bound = dt_from_rates(self.cfg.cfl, &self.rate);
+            let bound = self.scan.dt(self.cfg.cfl);
             return Err(SolverError::CflViolation { dt, bound });
         }
         Ok(dt)
@@ -1466,9 +1473,7 @@ impl BlockSolver {
         self.prim = Field::new(self.geom, 5);
         self.rhs = Field::cons(self.geom);
         self.u_stage = Field::cons(self.geom);
-        // New block geometry and a restored (older) state: the scan
-        // buffer must match the new patch and the cached Δt is stale.
-        self.rate = vec![0.0; self.geom.len()];
+        // A restored (older) state on a new block: the cached Δt is stale.
         self.dt_cache.invalidate();
         Ok(())
     }
@@ -2591,44 +2596,6 @@ pub(crate) fn comm_err(e: CommError) -> SolverError {
         CommError::PeerSuspect { rank, .. } => SolverError::PeerSuspect { rank },
         CommError::CorruptPayload { from, .. } => SolverError::HaloCorrupt { from },
         CommError::Evicted { .. } => SolverError::RankFailed { step: 0 },
-    }
-}
-
-/// `u[int] = b*u0[int] + a*u[int] + c*r[int]`, with the summation order
-/// chosen to match [`crate::integrate`]'s serial combiner exactly —
-/// floating-point addition is not associative, and the distributed solver
-/// guarantees bit-identity with the serial one.
-fn lincomb(u: &mut Field, a: f64, u0: Option<(&Field, f64)>, r: &Field, c: f64) {
-    // Component-major over contiguous interior x-runs: per element the
-    // expression is `(f0*b) + (u*a) + (r*c)` with left-associated adds,
-    // exactly the per-component parse of the historical `Cons`-vector
-    // form (scalar·vector then componentwise adds).
-    let geom = *u.geom();
-    let n = geom.len();
-    let (ngx, ngy, ngz) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
-    let nx = geom.n[0];
-    let ur = u.raw_mut();
-    let rr = r.raw();
-    for k in ngz..ngz + geom.n[2] {
-        for j in ngy..ngy + geom.n[1] {
-            let base = geom.idx(ngx, j, k);
-            for comp in 0..NCOMP {
-                let o = comp * n + base;
-                match u0 {
-                    Some((f0, b)) => {
-                        let fr = f0.raw();
-                        for x in 0..nx {
-                            ur[o + x] = fr[o + x] * b + ur[o + x] * a + rr[o + x] * c;
-                        }
-                    }
-                    None => {
-                        for x in 0..nx {
-                            ur[o + x] = ur[o + x] * a + rr[o + x] * c;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 

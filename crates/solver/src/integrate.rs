@@ -1,11 +1,13 @@
 //! SSP Runge–Kutta time integration on a single patch.
 
+use crate::refine::rk_tables;
 use crate::scheme::{
-    apply_conserved_floors, max_dt, recover_prims, recover_prims_par, Scheme, SolverError,
+    apply_conserved_floors, max_dt, recover_prims, recover_prims_par, Scheme, SolverError, WaveScan,
 };
-use crate::step::compute_rhs;
+use crate::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
 use rhrsc_runtime::WorkStealingPool;
+use rhrsc_srhd::NCOMP;
 
 /// Strong-stability-preserving Runge–Kutta order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +48,17 @@ pub struct StepStats {
     pub floored_cells: u64,
 }
 
+/// Where a step's Δt comes from.
+#[derive(Clone, Copy)]
+enum StepSize {
+    /// Given by the caller.
+    Fixed(f64),
+    /// The CFL bound of the state being stepped, read from the wave-speed
+    /// scan fused into the stage-0 sweep, clamped so `t + Δt` does not
+    /// pass `t_end`.
+    Cfl { cfl: f64, t: f64, t_end: f64 },
+}
+
 /// Serial/gang single-patch integrator with owned scratch storage.
 pub struct PatchSolver {
     /// Numerical scheme.
@@ -57,6 +70,7 @@ pub struct PatchSolver {
     prim: Field,
     rhs: Field,
     u_stage: Field,
+    scan: WaveScan,
     stats: StepStats,
 }
 
@@ -76,6 +90,7 @@ impl PatchSolver {
             prim: Field::new(geom, 5),
             rhs: Field::cons(geom),
             u_stage: Field::cons(geom),
+            scan: WaveScan::new(),
             stats: StepStats::default(),
         }
     }
@@ -86,24 +101,97 @@ impl PatchSolver {
     }
 
     /// Largest stable Δt for the current state at `cfl`.
+    ///
+    /// This is the *unfused* reference: a ghost fill, a primitive
+    /// recovery and a [`max_dt`] pass of their own. The advance loop does
+    /// not call it — [`PatchSolver::step_cfl`] reads the same Δt, bitwise,
+    /// from the scan riding on the stage-0 sweep — but it stays public as
+    /// the independent cross-check the fused scan is tested against, and
+    /// for callers that need a Δt without taking a step.
     pub fn stable_dt(&mut self, u: &mut Field, cfl: f64) -> Result<f64, SolverError> {
         fill_ghosts(u, &self.bcs);
         recover_prims(&self.scheme, u, &mut self.prim)?;
         Ok(max_dt(&self.scheme, &self.prim, cfl))
     }
 
-    /// Evaluate `rhs = L(u)` (ghost fill + recovery + residual).
+    /// [`PatchSolver::stable_dt`] of a state that must keep its bytes
+    /// (ghosts included): the ghost fill runs on a copy in the stage
+    /// buffer, which is free between steps.
+    pub fn stable_dt_of(&mut self, u: &Field, cfl: f64) -> Result<f64, SolverError> {
+        self.u_stage.raw_mut().copy_from_slice(u.raw());
+        fill_ghosts(&mut self.u_stage, &self.bcs);
+        recover_prims(&self.scheme, &self.u_stage, &mut self.prim)?;
+        Ok(max_dt(&self.scheme, &self.prim, cfl))
+    }
+
+    /// Evaluate `rhs = L(u)` (ghost fill + recovery + residual), with the
+    /// wave-speed scan riding on the sweep when `scan` is set.
     fn eval_rhs(
         &mut self,
         u: &mut Field,
+        scan: bool,
         pool: Option<&WorkStealingPool>,
     ) -> Result<(), SolverError> {
         fill_ghosts(u, &self.bcs);
         recover_prims_par(&self.scheme, u, &mut self.prim, pool)?;
-        compute_rhs(&self.scheme, &self.prim, &mut self.rhs, pool);
-        self.stats.stages += 1;
-        self.stats.zone_updates += u.geom().interior_len() as u64;
+        self.rhs.raw_mut().fill(0.0);
+        if scan {
+            self.scan.reset();
+        }
+        accumulate_rhs_region_scan(
+            &self.scheme,
+            &self.prim,
+            &mut self.rhs,
+            &Region::interior(u.geom()),
+            scan.then_some(&self.scan),
+            pool,
+        );
         Ok(())
+    }
+
+    /// The one stage loop. Stage 0's residual does not depend on Δt, so
+    /// deciding Δt after it is bitwise the "Δt first, then step" order.
+    fn step_sized(
+        &mut self,
+        u: &mut Field,
+        size: StepSize,
+        pool: Option<&WorkStealingPool>,
+    ) -> Result<f64, SolverError> {
+        let (stages, _, _) = rk_tables(self.rk);
+        if stages.len() > 1 {
+            self.u_stage.raw_mut().copy_from_slice(u.raw());
+        }
+        self.eval_rhs(u, matches!(size, StepSize::Cfl { .. }), pool)?;
+        let dt = match size {
+            StepSize::Fixed(dt) => dt,
+            StepSize::Cfl { cfl, t, t_end } => {
+                let dt = self.scan.dt(cfl);
+                // Negated form deliberately catches NaN as a collapse.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                if !(dt > 1e-14) {
+                    return Err(SolverError::TimestepCollapse { dt });
+                }
+                if t + dt > t_end {
+                    t_end - t
+                } else {
+                    dt
+                }
+            }
+        };
+        // Shu–Osher form: u <- a u0 + b u + c Δt L(u); stage 0 has no u0
+        // term.
+        for (si, &(a, b, c)) in stages.iter().enumerate() {
+            if si > 0 {
+                self.eval_rhs(u, false, pool)?;
+            }
+            let u0 = (si > 0).then_some((&self.u_stage, a));
+            lincomb(u, b, u0, &self.rhs, c * dt);
+            self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
+            self.stats.stages += 1;
+            self.stats.zone_updates += u.geom().interior_len() as u64;
+        }
+        self.stats.steps += 1;
+        Ok(dt)
     }
 
     /// Advance `u` by one step of size `dt`.
@@ -113,48 +201,24 @@ impl PatchSolver {
         dt: f64,
         pool: Option<&WorkStealingPool>,
     ) -> Result<(), SolverError> {
-        match self.rk {
-            RkOrder::Rk1 => {
-                self.eval_rhs(u, pool)?;
-                axpy_interior(u, 1.0, &self.rhs, dt);
-                self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
-            }
-            RkOrder::Rk2 => {
-                // u1 = u0 + dt L(u0); u = 1/2 u0 + 1/2 (u1 + dt L(u1)).
-                self.u_stage.raw_mut().copy_from_slice(u.raw());
-                self.eval_rhs(u, pool)?;
-                axpy_interior(u, 1.0, &self.rhs, dt);
-                self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
-                self.eval_rhs(u, pool)?;
-                combine_interior(u, 0.5, &self.u_stage, 0.5, &self.rhs, 0.5 * dt);
-                self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
-            }
-            RkOrder::Rk3 => {
-                // Shu–Osher SSP-RK3.
-                self.u_stage.raw_mut().copy_from_slice(u.raw());
-                self.eval_rhs(u, pool)?;
-                // u <- u0 + dt L(u0)
-                axpy_interior(u, 1.0, &self.rhs, dt);
-                self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
-                self.eval_rhs(u, pool)?;
-                // u <- 3/4 u0 + 1/4 (u + dt L(u))
-                combine_interior(u, 0.25, &self.u_stage, 0.75, &self.rhs, 0.25 * dt);
-                self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
-                self.eval_rhs(u, pool)?;
-                // u <- 1/3 u0 + 2/3 (u + dt L(u))
-                combine_interior(
-                    u,
-                    2.0 / 3.0,
-                    &self.u_stage,
-                    1.0 / 3.0,
-                    &self.rhs,
-                    2.0 / 3.0 * dt,
-                );
-                self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
-            }
-        }
-        self.stats.steps += 1;
-        Ok(())
+        self.step_sized(u, StepSize::Fixed(dt), pool).map(|_| ())
+    }
+
+    /// Advance `u`, at time `t`, by one step at its own CFL bound —
+    /// bitwise the Δt [`PatchSolver::stable_dt`] returns, without that
+    /// call's extra recovery pass — shortened to land on `t_end` instead
+    /// of passing it. Returns the Δt taken; fails with
+    /// [`SolverError::TimestepCollapse`], leaving the interior of `u`
+    /// untouched, when the bound is not above `1e-14`.
+    pub fn step_cfl(
+        &mut self,
+        u: &mut Field,
+        t: f64,
+        t_end: f64,
+        cfl: f64,
+        pool: Option<&WorkStealingPool>,
+    ) -> Result<f64, SolverError> {
+        self.step_sized(u, StepSize::Cfl { cfl, t, t_end }, pool)
     }
 
     /// Advance `u` from `t` to `t_end` under CFL control; returns the
@@ -170,38 +234,48 @@ impl PatchSolver {
         let mut t = t;
         let mut steps = 0;
         while t < t_end - 1e-14 {
-            let mut dt = self.stable_dt(u, cfl)?;
-            // Negated form deliberately catches NaN as a collapse.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(dt > 1e-14) {
-                return Err(SolverError::TimestepCollapse { dt });
-            }
-            if t + dt > t_end {
-                dt = t_end - t;
-            }
-            self.step(u, dt, pool)?;
-            t += dt;
+            t += self.step_cfl(u, t, t_end, cfl, pool)?;
             steps += 1;
         }
         Ok(steps)
     }
 }
 
-/// `u[int] = scale_u * u[int] + k * r[int]` over interior cells.
-fn axpy_interior(u: &mut Field, scale_u: f64, r: &Field, k: f64) {
+/// RK stage combine over interior cells: `u = b*u0 + a*u + c*r`, or
+/// `u = a*u + c*r` without a `u0`. Shared by [`PatchSolver`] and the
+/// distributed [`crate::driver::BlockSolver`], which guarantees
+/// bit-identity with it — floating-point addition is not associative.
+pub(crate) fn lincomb(u: &mut Field, a: f64, u0: Option<(&Field, f64)>, r: &Field, c: f64) {
+    // Component-major over contiguous interior x-runs: per element the
+    // expression is `(f0*b) + (u*a) + (r*c)` with left-associated adds,
+    // exactly the per-component parse of the historical `Cons`-vector
+    // form (scalar·vector then componentwise adds).
     let geom = *u.geom();
-    for (i, j, k3) in geom.interior_iter() {
-        let v = u.get_cons(i, j, k3) * scale_u + r.get_cons(i, j, k3) * k;
-        u.set_cons(i, j, k3, v);
-    }
-}
-
-/// `u[int] = a*u0[int] + b*u[int] + c*r[int]` over interior cells.
-fn combine_interior(u: &mut Field, b: f64, u0: &Field, a: f64, r: &Field, c: f64) {
-    let geom = *u.geom();
-    for (i, j, k3) in geom.interior_iter() {
-        let v = u0.get_cons(i, j, k3) * a + u.get_cons(i, j, k3) * b + r.get_cons(i, j, k3) * c;
-        u.set_cons(i, j, k3, v);
+    let n = geom.len();
+    let (ngx, ngy, ngz) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
+    let nx = geom.n[0];
+    let ur = u.raw_mut();
+    let rr = r.raw();
+    for k in ngz..ngz + geom.n[2] {
+        for j in ngy..ngy + geom.n[1] {
+            let base = geom.idx(ngx, j, k);
+            for comp in 0..NCOMP {
+                let o = comp * n + base;
+                match u0 {
+                    Some((f0, b)) => {
+                        let fr = f0.raw();
+                        for x in 0..nx {
+                            ur[o + x] = fr[o + x] * b + ur[o + x] * a + rr[o + x] * c;
+                        }
+                    }
+                    None => {
+                        for x in 0..nx {
+                            ur[o + x] = ur[o + x] * a + rr[o + x] * c;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -210,7 +284,7 @@ mod tests {
     use super::*;
     use crate::scheme::init_cons;
     use rhrsc_grid::{bc::uniform, Bc, PatchGeom};
-    use rhrsc_srhd::{Prim, NCOMP};
+    use rhrsc_srhd::Prim;
 
     fn scheme() -> Scheme {
         Scheme::default_with_gamma(5.0 / 3.0)

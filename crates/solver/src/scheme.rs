@@ -4,7 +4,10 @@ use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::metrics::Histogram;
 use rhrsc_srhd::recon::Recon;
 use rhrsc_srhd::riemann::RiemannSolver;
-use rhrsc_srhd::{cons_to_prim, cons_to_prim_counted, Con2PrimError, Con2PrimParams, Eos, Prim};
+use rhrsc_srhd::{
+    cons_to_prim, cons_to_prim_counted, Con2PrimError, Con2PrimParams, Cons, Eos, Prim,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Coordinate geometry of the (first) grid dimension.
 ///
@@ -330,16 +333,51 @@ pub fn recover_prims_par(
             err.into_inner().map_or(Ok(()), Err)
         }
         _ => {
+            // Contiguous x-rows of the raw component slices: one index
+            // per cell instead of five strided `at`/`set` lookups.
+            let n = geom.len();
+            let ur = u.raw();
+            let pr = prim.raw_mut();
             for k in 0..n2 {
                 for j in 0..n1 {
+                    let base = geom.idx(0, j, k);
                     for i in 0..n0 {
-                        recover_cell(scheme, u, prim, i, j, k)?;
+                        let ix = base + i;
+                        let cons = cons_at(ur, n, ix);
+                        let w = match cons_to_prim_counted(&scheme.eos, &cons, None, &scheme.c2p) {
+                            Ok((w, _)) => w,
+                            Err(err) => {
+                                return Err(SolverError::Con2Prim {
+                                    cell: (i, j, k),
+                                    err,
+                                })
+                            }
+                        };
+                        pr[PRIM_RHO * n + ix] = w.rho;
+                        pr[PRIM_VX * n + ix] = w.vel[0];
+                        pr[PRIM_VY * n + ix] = w.vel[1];
+                        pr[PRIM_VZ * n + ix] = w.vel[2];
+                        pr[PRIM_P * n + ix] = w.p;
                     }
                 }
             }
             Ok(())
         }
     }
+}
+
+/// The conserved 5-vector at flat cell index `ix` of a component-major
+/// raw slice with `n` cells per component ([`Field::get_cons`] without
+/// the index arithmetic, for loops that walk contiguous rows).
+#[inline]
+fn cons_at(raw: &[f64], n: usize, ix: usize) -> Cons {
+    Cons::from_array([
+        raw[ix],
+        raw[n + ix],
+        raw[2 * n + ix],
+        raw[3 * n + ix],
+        raw[4 * n + ix],
+    ])
 }
 
 /// Raw pointer to primitive storage for row-disjoint parallel recovery.
@@ -606,42 +644,54 @@ fn neighbor_average(
 /// locally violated by the floors).
 pub fn apply_conserved_floors(u: &mut Field, params: &Con2PrimParams) -> usize {
     let geom = *u.geom();
+    let n = geom.len();
+    let (ngx, ngy, ngz) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
+    let nx = geom.n[0];
+    // Admissibility (p ≥ 0, |v| < 1) requires |S|² ≤ τ(τ+2D); but
+    // rescaling exactly onto that boundary leaves |v| → 1 states
+    // (W can reach (τ+D)/D ≫ 1) that destabilize their neighbors.
+    // Cap the recovered Lorentz factor instead: with p ≥ 0,
+    // |v| = |S|/(τ+D+p) ≤ |S|/(τ+D), so |S| ≤ v_cap (τ+D) bounds W.
+    let v_cap2 = 1.0 - 1.0 / (params.w_cap * params.w_cap);
+    let ur = u.raw_mut();
     let mut touched = 0;
-    for (i, j, k) in geom.interior_iter() {
-        let mut c = u.get_cons(i, j, k);
-        let mut dirty = false;
-        if !c.is_finite() {
-            // Let the recovery report non-finite states; flooring NaNs
-            // would mask genuine scheme failures.
-            continue;
-        }
-        if c.d < params.rho_floor {
-            c.d = params.rho_floor;
-            dirty = true;
-        }
-        if c.tau < params.p_floor {
-            c.tau = params.p_floor;
-            dirty = true;
-        }
-        // Admissibility (p ≥ 0, |v| < 1) requires |S|² ≤ τ(τ+2D); but
-        // rescaling exactly onto that boundary leaves |v| → 1 states
-        // (W can reach (τ+D)/D ≫ 1) that destabilize their neighbors.
-        // Cap the recovered Lorentz factor instead: with p ≥ 0,
-        // |v| = |S|/(τ+D+p) ≤ |S|/(τ+D), so |S| ≤ v_cap (τ+D) bounds W.
-        let v_cap2 = 1.0 - 1.0 / (params.w_cap * params.w_cap);
-        let e0 = c.tau + c.d;
-        let s2_max = ((1.0 - 1e-12) * c.tau * (c.tau + 2.0 * c.d)).min(v_cap2 * e0 * e0);
-        let s2 = c.ssq();
-        if s2 > s2_max {
-            let scale = (s2_max / s2).sqrt();
-            for sc in &mut c.s {
-                *sc *= scale;
+    // Contiguous interior x-rows of the raw component slices.
+    for k in ngz..ngz + geom.n[2] {
+        for j in ngy..ngy + geom.n[1] {
+            let base = geom.idx(ngx, j, k);
+            for ix in base..base + nx {
+                let mut c = cons_at(ur, n, ix);
+                if !c.is_finite() {
+                    // Let the recovery report non-finite states; flooring
+                    // NaNs would mask genuine scheme failures.
+                    continue;
+                }
+                let mut dirty = false;
+                if c.d < params.rho_floor {
+                    c.d = params.rho_floor;
+                    dirty = true;
+                }
+                if c.tau < params.p_floor {
+                    c.tau = params.p_floor;
+                    dirty = true;
+                }
+                let e0 = c.tau + c.d;
+                let s2_max = ((1.0 - 1e-12) * c.tau * (c.tau + 2.0 * c.d)).min(v_cap2 * e0 * e0);
+                let s2 = c.ssq();
+                if s2 > s2_max {
+                    let scale = (s2_max / s2).sqrt();
+                    for sc in &mut c.s {
+                        *sc *= scale;
+                    }
+                    dirty = true;
+                }
+                if dirty {
+                    for (comp, v) in c.to_array().into_iter().enumerate() {
+                        ur[comp * n + ix] = v;
+                    }
+                    touched += 1;
+                }
             }
-            dirty = true;
-        }
-        if dirty {
-            u.set_cons(i, j, k, c);
-            touched += 1;
         }
     }
     touched
@@ -659,34 +709,74 @@ pub fn max_dt(scheme: &Scheme, prim: &Field, cfl: f64) -> f64 {
     let geom = prim.geom();
     let mut max_rate = 0.0f64;
     for (i, j, k) in geom.interior_iter() {
-        let w = prim_at(prim, i, j, k);
-        let mut rate = 0.0;
-        for d in 0..3 {
-            if !geom.active(d) {
-                continue;
-            }
-            let dir = rhrsc_srhd::Dir::ALL[d];
-            let (lm, lp) = rhrsc_srhd::flux::signal_speeds(&scheme.eos, &w, dir);
-            rate += lm.abs().max(lp.abs()) / geom.dx[d];
-        }
-        max_rate = max_rate.max(rate);
+        max_rate = max_rate.max(cell_rate(scheme, geom, &prim_at(prim, i, j, k)));
     }
     cfl / max_rate.max(1e-30)
 }
 
-/// Δt from a per-cell wave-rate bank filled by the fused RHS scan
-/// ([`crate::step::accumulate_rhs_region_scan`]).
+/// Running maximum of the per-cell CFL rate `Σ_d max(|λ−|,|λ+|)/Δx_d`,
+/// fed by the fused wave-speed scan of a residual sweep
+/// ([`crate::step::accumulate_rhs_region_scan`]) — the quantity
+/// [`max_dt`] maximizes, gathered while the cell pencils are already
+/// resident instead of in a pass of its own.
 ///
-/// The bank holds `Σ_d max(|λ−|,|λ+|)/Δx_d` per interior cell (ghost
-/// slots stay zero), so the fold and the final `cfl / max(rate, 1e-30)`
-/// reproduce [`max_dt`] bitwise: `f64::max` is insensitive to the extra
-/// zeros and to fold order for the non-NaN rates both paths produce.
-pub fn dt_from_rates(cfl: f64, rates: &[f64]) -> f64 {
-    let mut max_rate = 0.0f64;
-    for &r in rates {
-        max_rate = max_rate.max(r);
+/// Rates are non-negative (or NaN, which is skipped exactly as
+/// `f64::max` skips it in [`max_dt`]), so their IEEE bit patterns order
+/// like the values and one atomic integer max reduces the gang's pencil
+/// tasks. A maximum does not depend on the order of its operands:
+/// [`WaveScan::dt`] reproduces [`max_dt`] bitwise however the sweep is
+/// tiled or scheduled.
+#[derive(Debug, Default)]
+pub struct WaveScan(AtomicU64);
+
+impl WaveScan {
+    /// An empty scan (maximum rate 0).
+    pub fn new() -> Self {
+        Self::default()
     }
-    cfl / max_rate.max(1e-30)
+
+    /// Forget every rate seen; call before the first region of a scan.
+    pub fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+
+    /// Fold one rate, or the maximum over any subset of cells, in.
+    #[inline]
+    pub fn observe(&self, rate: f64) {
+        // The NaN-skipping max against +0.0 leaves a non-negative,
+        // non-NaN value, for which bit order is numeric order.
+        // `Relaxed`: the maximum publishes no other data, and readers
+        // are ordered after the sweep by the pool's join.
+        self.0
+            .fetch_max(0.0f64.max(rate).to_bits(), Ordering::Relaxed);
+    }
+
+    /// Largest rate observed since the last [`WaveScan::reset`].
+    pub fn max_rate(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+
+    /// The stable Δt at `cfl`: [`max_dt`]'s `cfl / max(rate, 1e-30)`.
+    pub fn dt(&self, cfl: f64) -> f64 {
+        cfl / self.max_rate().max(1e-30)
+    }
+}
+
+/// The CFL rate of one cell, `Σ_d max(|λ−|,|λ+|)/Δx_d` over the active
+/// dimensions in ascending order — the one expression both [`max_dt`]
+/// and the fused scan evaluate, so the two agree bitwise.
+#[inline]
+pub(crate) fn cell_rate(scheme: &Scheme, geom: &PatchGeom, w: &Prim) -> f64 {
+    let mut rate = 0.0;
+    for d in 0..3 {
+        if !geom.active(d) {
+            continue;
+        }
+        let dir = rhrsc_srhd::Dir::ALL[d];
+        let (lm, lp) = rhrsc_srhd::flux::signal_speeds(&scheme.eos, w, dir);
+        rate += lm.abs().max(lp.abs()) / geom.dx[d];
+    }
+    rate
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //! region (cells whose stencils never touch ghost zones) is computed while
 //! halos are in flight, and the remaining boundary *shell* afterwards.
 
-use crate::scheme::{prim_at, Geometry, Scheme, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ};
+use crate::scheme::{
+    cell_rate, prim_at, Geometry, Scheme, WaveScan, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
+};
 use rhrsc_eos::Eos;
 use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::WorkStealingPool;
@@ -138,21 +140,20 @@ pub fn accumulate_rhs_region(
 
 /// [`accumulate_rhs_region`] with an optional fused wave-speed scan.
 ///
-/// When `rates` is given (one slot per ghost-inclusive cell,
-/// `geom.len()` long) the sweep also accumulates the per-cell CFL rate
-/// `Σ_d max(|λ−|, |λ+|) / Δx_d` into it, reusing the cell pencils
-/// already resident in scratch. Accumulating over regions that tile the
-/// interior leaves `rates` holding exactly the quantity
-/// [`crate::scheme::max_dt`] maximizes — same expression tree, same
-/// per-cell summation order — so `cfl / rates.max()` reproduces the
+/// When `scan` is given, the sweep along the first active dimension also
+/// folds every region cell's CFL rate `Σ_d max(|λ−|, |λ+|) / Δx_d` into
+/// the running maximum, from the five primitives already resident in
+/// the pencil scratch. It is the expression [`crate::scheme::max_dt`]
+/// maximizes, and a maximum does not depend on visiting order, so after
+/// scanning regions that tile the interior `scan.dt(cfl)` reproduces the
 /// two-pass Δt bitwise while `phase.dt.local` disappears as a separate
-/// pass. The caller must zero `rates` before the first region of a scan.
+/// pass. The caller must [`WaveScan::reset`] before the first region.
 pub fn accumulate_rhs_region_scan(
     scheme: &Scheme,
     prim: &Field,
     rhs: &mut Field,
     region: &Region,
-    rates: Option<&mut [f64]>,
+    scan: Option<&WaveScan>,
     pool: Option<&WorkStealingPool>,
 ) {
     if region.is_empty() {
@@ -169,16 +170,14 @@ pub fn accumulate_rhs_region_scan(
         ptr: rhs.raw_mut().as_mut_ptr(),
         comp_stride: geom.len(),
     };
-    let rate_raw = rates.map(|r| {
-        assert_eq!(r.len(), geom.len(), "rate bank / geometry mismatch");
-        RawRate {
-            ptr: r.as_mut_ptr(),
-        }
-    });
+    // Each cell is scanned once: in the sweep along the first active
+    // dimension.
+    let mut scan = scan;
     for d in 0..3 {
         if !geom.active(d) {
             continue;
         }
+        let scan = scan.take();
         // Transverse dims in ascending order.
         let (a, b) = match d {
             0 => (1, 2),
@@ -190,9 +189,9 @@ pub fn accumulate_rhs_region_scan(
         let task = |p: usize| {
             let ta = region.lo[a] + p % na;
             let tb = region.lo[b] + p / na;
-            // SAFETY: each pencil writes only the rhs/rate cells on its
-            // own (d, ta, tb) line; pencils within one sweep are disjoint.
-            unsafe { sweep_pencil(scheme, prim, &geom, d, a, b, ta, tb, region, &raw, rate_raw) };
+            // SAFETY: each pencil writes only the rhs cells on its own
+            // (d, ta, tb) line; pencils within one sweep are disjoint.
+            unsafe { sweep_pencil(scheme, prim, &geom, d, a, b, ta, tb, region, &raw, scan) };
         };
         match pool {
             Some(pool) if npencils > 1 => pool.par_for(npencils, 1, &task),
@@ -249,16 +248,6 @@ struct RawRhs {
 
 unsafe impl Send for RawRhs {}
 unsafe impl Sync for RawRhs {}
-
-/// Raw pointer to the per-cell wave-rate bank (fused Δt scan). Same
-/// disjointness argument as [`RawRhs`].
-#[derive(Clone, Copy)]
-struct RawRate {
-    ptr: *mut f64,
-}
-
-unsafe impl Send for RawRate {}
-unsafe impl Sync for RawRate {}
 
 /// Reusable structure-of-arrays pencil workspace, one per worker thread.
 ///
@@ -615,11 +604,11 @@ pub(crate) fn reconstruct_and_flux(
 
 /// Process one pencil: reconstruct, solve Riemann problems, accumulate
 /// flux differences along direction `d` at transverse coordinates
-/// `(ta, tb)` (dims `a`, `b`), plus the optional fused wave-rate scan.
+/// `(ta, tb)` (dims `a`, `b`), plus the optional fused wave-speed scan.
 ///
 /// # Safety
 /// The caller must guarantee that no other thread concurrently accesses
-/// the rhs (or rate) cells on this pencil.
+/// the rhs cells on this pencil.
 #[allow(clippy::too_many_arguments)]
 unsafe fn sweep_pencil(
     scheme: &Scheme,
@@ -632,7 +621,7 @@ unsafe fn sweep_pencil(
     tb: usize,
     region: &Region,
     raw: &RawRhs,
-    rate: Option<RawRate>,
+    scan: Option<&WaveScan>,
 ) {
     let nt = geom.ntot(d);
     let dir = Dir::ALL[d];
@@ -684,21 +673,20 @@ unsafe fn sweep_pencil(
             }
         }
 
-        // Fused Δt scan: cell-centered characteristic rates from the
-        // unsanitized cell pencil, exactly as `max_dt` computes them.
-        if let Some(rate) = rate {
-            let rbase = unsafe { rate.ptr.add(base) };
-            for (step, i) in (lo..hi).enumerate() {
+        // Fused Δt scan: cell-centered CFL rates from the unsanitized
+        // cell pencil, exactly as `max_dt` computes them; one atomic
+        // fold per pencil.
+        if let Some(scan) = scan {
+            let mut max_rate = 0.0f64;
+            for i in lo..hi {
                 let w = Prim {
                     rho: s.q[0][i],
                     vel: [s.q[1][i], s.q[2][i], s.q[3][i]],
                     p: s.q[4][i],
                 };
-                let (lm, lp) = rhrsc_srhd::flux::signal_speeds(&scheme.eos, &w, dir);
-                unsafe {
-                    *rbase.add(step * stride) += lm.abs().max(lp.abs()) / geom.dx[d];
-                }
+                max_rate = max_rate.max(cell_rate(scheme, geom, &w));
             }
+            scan.observe(max_rate);
         }
     });
 }

@@ -1,19 +1,23 @@
 //! The fused wave-speed scan must reproduce the two-pass Δt *bitwise*.
 //!
-//! The driver's hot loop no longer runs a dedicated primitive-recovery +
-//! `max_dt` pass: the stage-0 residual sweep accumulates each cell's CFL
-//! rate `Σ_d max(|λ−|, |λ+|) / Δx_d` into a rate bank as a side effect
-//! ([`accumulate_rhs_region_scan`]), and [`dt_from_rates`] folds it into
-//! the step. These tests pin the fused scan to the historical two-pass
-//! [`max_dt`] down to the last bit, including when the interior is
-//! tiled into multiple regions (the gang-parallel decomposition).
+//! No stage loop runs a dedicated primitive-recovery + `max_dt` pass: the
+//! stage-0 residual sweep folds each cell's CFL rate
+//! `Σ_d max(|λ−|, |λ+|) / Δx_d` into a running maximum as a side effect
+//! ([`accumulate_rhs_region_scan`] with a [`WaveScan`]), and
+//! [`WaveScan::dt`] turns it into the step. These tests pin the fused
+//! scan to the two-pass [`max_dt`] down to the last bit — monolithic,
+//! tiled into the deep core and boundary shells the overlapping exchange
+//! sweeps, and with the pencils spread over a gang.
 
 use rhrsc_grid::{bc, fill_ghosts, Bc, Field, PatchGeom};
-use rhrsc_solver::scheme::{dt_from_rates, init_cons, max_dt, recover_prims};
+use rhrsc_runtime::WorkStealingPool;
+use rhrsc_solver::scheme::{init_cons, max_dt, recover_prims, WaveScan};
 use rhrsc_solver::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_solver::Scheme;
 use rhrsc_srhd::recon::Recon;
 use rhrsc_srhd::Prim;
+
+const CFL: f64 = 0.4;
 
 fn prepared(s: &Scheme, geom: PatchGeom, ic: &dyn Fn([f64; 3]) -> Prim) -> Field {
     let mut u = init_cons(geom, &s.eos, ic);
@@ -23,27 +27,54 @@ fn prepared(s: &Scheme, geom: PatchGeom, ic: &dyn Fn([f64; 3]) -> Prim) -> Field
     prim
 }
 
-fn scanned_rates(s: &Scheme, prim: &Field, regions: &[Region]) -> Vec<f64> {
-    let geom = *prim.geom();
-    let mut rhs = Field::cons(geom);
-    let mut rates = vec![0.0; geom.len()];
+/// Δt from the scan riding on sweeps over `regions`.
+fn scanned_dt(
+    s: &Scheme,
+    prim: &Field,
+    regions: &[Region],
+    pool: Option<&WorkStealingPool>,
+) -> f64 {
+    let mut rhs = Field::cons(*prim.geom());
+    let scan = WaveScan::new();
     for r in regions {
-        accumulate_rhs_region_scan(s, prim, &mut rhs, r, Some(&mut rates[..]), None);
+        accumulate_rhs_region_scan(s, prim, &mut rhs, r, Some(&scan), pool);
     }
-    rates
+    scan.dt(CFL)
+}
+
+/// The deep core plus boundary shells: the tiling of the overlap mode.
+fn deep_and_shells(s: &Scheme, geom: &PatchGeom) -> Vec<Region> {
+    let (deep, mut regions) = Region::split_deep_shell(geom, s.required_ghosts());
+    regions.insert(0, deep);
+    regions
 }
 
 fn check_bitwise(s: &Scheme, geom: PatchGeom, ic: &dyn Fn([f64; 3]) -> Prim) {
-    let cfl = 0.4;
     let prim = prepared(s, geom, ic);
-    let two_pass = max_dt(s, &prim, cfl);
-    let rates = scanned_rates(s, &prim, &[Region::interior(&geom)]);
-    let fused = dt_from_rates(cfl, &rates);
-    assert_eq!(
-        fused.to_bits(),
-        two_pass.to_bits(),
-        "fused {fused:e} vs two-pass {two_pass:e}"
-    );
+    let two_pass = max_dt(s, &prim, CFL);
+    let pool = WorkStealingPool::new(3);
+    let tiled = deep_and_shells(s, &geom);
+    for (what, fused) in [
+        (
+            "monolithic",
+            scanned_dt(s, &prim, &[Region::interior(&geom)], None),
+        ),
+        ("deep + shells", scanned_dt(s, &prim, &tiled, None)),
+        (
+            "monolithic, gang",
+            scanned_dt(s, &prim, &[Region::interior(&geom)], Some(&pool)),
+        ),
+        (
+            "deep + shells, gang",
+            scanned_dt(s, &prim, &tiled, Some(&pool)),
+        ),
+    ] {
+        assert_eq!(
+            fused.to_bits(),
+            two_pass.to_bits(),
+            "{what}: fused {fused:e} vs two-pass {two_pass:e}"
+        );
+    }
 }
 
 fn wavy(x: [f64; 3]) -> Prim {
@@ -91,30 +122,27 @@ fn fused_scan_matches_two_pass_weno5_hll() {
 }
 
 #[test]
-fn region_tiling_leaves_rates_intact() {
-    // Tiling the interior (as the work-stealing gang does) must leave the
-    // rate bank bitwise identical to the single-region sweep: every
-    // cell's dimension-sum completes inside its own tile.
+fn scan_skips_nan_rates_like_max_dt() {
+    // A NaN primitive makes that cell's rate NaN; `f64::max` drops it in
+    // `max_dt`, and the running maximum must drop it the same way.
     let s = Scheme::default_with_gamma(5.0 / 3.0);
-    let geom = PatchGeom::rect([20, 14], [0.0; 2], [1.0; 2], 3);
-    let prim = prepared(&s, geom, &wavy);
-    let whole = Region::interior(&geom);
-    let single = scanned_rates(&s, &prim, &[whole]);
-    let mid = whole.lo[0] + (whole.hi[0] - whole.lo[0]) / 2;
-    let left = Region {
-        lo: whole.lo,
-        hi: [mid, whole.hi[1], whole.hi[2]],
-    };
-    let right = Region {
-        lo: [mid, whole.lo[1], whole.lo[2]],
-        hi: whole.hi,
-    };
-    let tiled = scanned_rates(&s, &prim, &[left, right]);
-    for (i, (a, b)) in single.iter().zip(&tiled).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "rate mismatch at flat index {i}");
-    }
-    assert_eq!(
-        dt_from_rates(0.4, &single).to_bits(),
-        dt_from_rates(0.4, &tiled).to_bits()
-    );
+    let geom = PatchGeom::rect([12, 10], [0.0; 2], [1.0; 2], 3);
+    let mut prim = prepared(&s, geom, &wavy);
+    prim.set(0, 7, 6, 0, f64::NAN);
+    let two_pass = max_dt(&s, &prim, CFL);
+    assert!(two_pass.is_finite());
+    let fused = scanned_dt(&s, &prim, &deep_and_shells(&s, &geom), None);
+    assert_eq!(fused.to_bits(), two_pass.to_bits());
+}
+
+#[test]
+fn reset_forgets_the_previous_scan() {
+    let scan = WaveScan::new();
+    scan.observe(3.0);
+    scan.observe(f64::NAN);
+    scan.observe(2.0);
+    assert_eq!(scan.max_rate(), 3.0);
+    scan.reset();
+    assert_eq!(scan.max_rate(), 0.0);
+    assert_eq!(scan.dt(CFL), CFL / 1e-30);
 }
