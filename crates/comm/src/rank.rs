@@ -522,11 +522,6 @@ impl Rank {
         &self.live
     }
 
-    /// Bitmask of ranks confirmed dead by consensus.
-    pub fn dead_mask(&self) -> u64 {
-        self.dead
-    }
-
     /// Bitmask of ranks currently suspected (deadline missed, not yet
     /// confirmed by consensus).
     pub fn suspected_mask(&self) -> u64 {
@@ -542,11 +537,6 @@ impl Rank {
     /// shrank the universe without this rank.
     pub fn evicted(&self) -> Option<u64> {
         self.evicted
-    }
-
-    /// Latest piggy-backed heartbeat sequence seen from `peer`.
-    pub fn peer_heartbeat(&self, peer: usize) -> u64 {
-        self.peer_seq[peer]
     }
 
     /// Eagerly send `data` to rank `to` with `tag`. Never blocks; the

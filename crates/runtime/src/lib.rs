@@ -12,8 +12,6 @@
 //!   latency, and an internal compute gang. It executes real kernels, so
 //!   results are bit-identical to the host path while the performance
 //!   envelope (launch overhead vs. throughput) matches an offload device,
-//! * [`executor`] — a uniform tile-parallel execution abstraction over
-//!   serial, pooled-CPU, rayon and device backends,
 //! * [`sched`] — load-balancing policies (static, throughput-weighted,
 //!   dynamic work-stealing) across heterogeneous executors,
 //! * [`metrics`] — dependency-free counters, log-bucketed histograms and
@@ -28,7 +26,6 @@
 //!   "Telemetry & regression sentinel").
 
 pub mod device;
-pub mod executor;
 pub mod fault;
 pub mod future;
 pub mod metrics;
@@ -38,7 +35,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use device::{Accelerator, AcceleratorConfig, BufId};
-pub use executor::{CpuExecutor, Executor, RayonExecutor, SerialExecutor};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, RankSite, SnapshotTarget};
 pub use future::{promise, Future, Promise};
 pub use metrics::{Counter, HistSnapshot, Histogram, PhaseTimer, Registry, Snapshot};

@@ -836,15 +836,6 @@ impl Telemetry {
         verdict
     }
 
-    /// Record a lifecycle event directly (driver escalation paths).
-    pub fn push_event(&self, ev: TelemetryEvent) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.events.len() >= self.cfg.capacity {
-            inner.events.pop_front();
-        }
-        inner.events.push_back(ev);
-    }
-
     /// Copy of the retained sample ring, oldest first.
     pub fn samples(&self) -> Vec<SeriesSample> {
         self.inner.lock().unwrap().ring.iter().cloned().collect()

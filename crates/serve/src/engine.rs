@@ -158,18 +158,16 @@ impl std::fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Engine tuning; every knob has an `RHRSC_SERVE_*` env override.
+/// Engine tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Max queued-or-running jobs per tenant (`RHRSC_SERVE_TENANT_QUEUE`).
+    /// Max queued-or-running jobs per tenant.
     pub tenant_queue_cap: usize,
-    /// Max queued-or-running jobs engine-wide (`RHRSC_SERVE_MAX_PENDING`).
+    /// Max queued-or-running jobs engine-wide.
     pub max_pending: usize,
-    /// Result-cache capacity in entries (`RHRSC_SERVE_CACHE_CAP`;
-    /// 0 disables caching).
+    /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Attempts after the first failure before a job is Failed
-    /// (`RHRSC_SERVE_MAX_RETRIES`).
+    /// Attempts after the first failure before a job is Failed.
     pub max_retries: u32,
     /// Base per-step busy-wait a stalled job multiplies by its plan's
     /// `stall_factor − 1` — models a slow worker without slowing real
@@ -187,27 +185,6 @@ impl Default for EngineConfig {
             stall_slice: Duration::from_micros(200),
         }
     }
-}
-
-impl EngineConfig {
-    /// Defaults overridden by `RHRSC_SERVE_*` environment variables.
-    pub fn from_env() -> Self {
-        let d = EngineConfig::default();
-        EngineConfig {
-            tenant_queue_cap: env_usize("RHRSC_SERVE_TENANT_QUEUE", d.tenant_queue_cap).max(1),
-            max_pending: env_usize("RHRSC_SERVE_MAX_PENDING", d.max_pending).max(1),
-            cache_capacity: env_usize("RHRSC_SERVE_CACHE_CAP", d.cache_capacity),
-            max_retries: env_usize("RHRSC_SERVE_MAX_RETRIES", d.max_retries as usize) as u32,
-            stall_slice: d.stall_slice,
-        }
-    }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
 }
 
 /// A submission: who, how urgent, what to run, and under what budget.
@@ -359,11 +336,6 @@ impl EnsembleEngine {
                 inflight: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// [`new`](Self::new) with [`EngineConfig::from_env`].
-    pub fn with_env(pool: Arc<WorkStealingPool>, reg: Arc<Registry>) -> Self {
-        EnsembleEngine::new(pool, reg, EngineConfig::from_env())
     }
 
     /// The engine's metrics registry.

@@ -120,6 +120,44 @@ pub(crate) struct Patch {
     pub(crate) acc_parent: [Cons; 2],
 }
 
+/// How a level step reaches the patches this process does not compute.
+///
+/// [`AmrSolver::step_level`] and the sync pass walk every level the same
+/// way whether a patch is local or remote: they compute the patches they
+/// [`own`](Self::owns) and call the three exchange hooks at the points
+/// where off-process data is needed (by default: nowhere). The serial
+/// solver's [`Serial`] coupling owns everything and exchanges nothing;
+/// the distributed driver's link ([`crate::amr_dist`]) ships interiors
+/// between owners.
+pub(crate) trait LevelCoupling {
+    /// Whether this process computes `levels[l][i]`.
+    fn owns(&self, l: usize, i: usize) -> bool;
+    /// Before level `l`'s children substep: make `l`'s step-start and
+    /// current interiors available to the owners of its descendants.
+    fn descend(&mut self, _amr: &mut AmrSolver, _l: usize) -> Result<(), SolverError> {
+        Ok(())
+    }
+    /// After level `l`'s two substeps: make its interiors and boundary
+    /// flux accumulators available to the owners of its parents.
+    fn reflux(&mut self, _amr: &mut AmrSolver, _l: usize) -> Result<(), SolverError> {
+        Ok(())
+    }
+    /// At a sync point: make level `l`'s current interiors available to
+    /// the owners of its descendants.
+    fn sync(&mut self, _amr: &mut AmrSolver, _l: usize) -> Result<(), SolverError> {
+        Ok(())
+    }
+}
+
+/// The single-process coupling: every patch is local.
+pub(crate) struct Serial;
+
+impl LevelCoupling for Serial {
+    fn owns(&self, _l: usize, _i: usize) -> bool {
+        true
+    }
+}
+
 /// Multi-level adaptive-mesh solver for 1D Cartesian problems.
 pub struct AmrSolver {
     pub(crate) scheme: Scheme,
@@ -345,15 +383,21 @@ impl AmrSolver {
         }
     }
 
-    /// Fill all levels' ghosts at a sync point and recover primitives.
-    fn sync_all(&mut self) -> Result<(), SolverError> {
+    /// Fill all levels' ghosts at a sync point and recover the owned
+    /// patches' primitives. Ghost prolongation is pure local arithmetic
+    /// over the ancestor interiors `sync` made available; ghost bands of
+    /// patches owned elsewhere come out garbage but are never read.
+    fn sync_all<C: LevelCoupling>(&mut self, c: &mut C) -> Result<(), SolverError> {
         for m in 0..self.levels.len() {
             if m > 0 && self.levels[m].is_empty() {
                 break;
             }
+            c.sync(self, m)?;
             self.fill_ghosts_sync_level(m);
-            for p in &mut self.levels[m] {
-                recover_prims(&self.scheme, &p.u, &mut p.prim)?;
+            for (i, p) in self.levels[m].iter_mut().enumerate() {
+                if c.owns(m, i) {
+                    recover_prims(&self.scheme, &p.u, &mut p.prim)?;
+                }
             }
         }
         Ok(())
@@ -434,24 +478,29 @@ impl AmrSolver {
 
     // ----- residual evaluation -------------------------------------------
 
-    /// Residual + interface fluxes for every patch of level `l`.
-    fn eval_level_rhs(&mut self, l: usize) {
+    /// Residual + interface fluxes for every owned patch of level `l`.
+    fn eval_level_rhs<C: LevelCoupling>(&mut self, c: &C, l: usize) {
         if l >= 1 && self.device.is_some() {
-            self.eval_level_rhs_device(l);
+            self.eval_level_rhs_device(c, l);
             return;
         }
         let scheme = self.scheme;
-        for p in &mut self.levels[l] {
-            rhs_1d_with_fluxes(&scheme, &p.prim, &mut p.rhs, &mut p.flux);
+        for (i, p) in self.levels[l].iter_mut().enumerate() {
+            if c.owns(l, i) {
+                rhs_1d_with_fluxes(&scheme, &p.prim, &mut p.rhs, &mut p.flux);
+            }
         }
     }
 
     /// Device-staged residual: upload primitives, launch the kernel on the
     /// accelerator queue, download residual + fluxes. Same host functions
     /// inside the kernel, so results are bit-identical.
-    fn eval_level_rhs_device(&mut self, l: usize) {
+    fn eval_level_rhs_device<C: LevelCoupling>(&mut self, c: &C, l: usize) {
         let scheme = self.scheme;
-        for p in &mut self.levels[l] {
+        for (i, p) in self.levels[l].iter_mut().enumerate() {
+            if !c.owns(l, i) {
+                continue;
+            }
             let dev = self.device.as_ref().unwrap();
             let geom = *p.prim.geom();
             let nt = geom.ntot(0);
@@ -497,12 +546,24 @@ impl AmrSolver {
     /// Largest stable Δt for the whole hierarchy: each level's CFL limit
     /// scaled by its subcycling factor `2^ℓ`.
     pub fn stable_dt(&mut self, cfl: f64) -> Result<f64, SolverError> {
-        self.sync_all()?;
+        self.stable_dt_with(&mut Serial, cfl)
+    }
+
+    /// [`stable_dt`](Self::stable_dt) over the patches `c` owns (∞ when
+    /// it owns none); the min over all processes is the hierarchy's Δt.
+    pub(crate) fn stable_dt_with<C: LevelCoupling>(
+        &mut self,
+        c: &mut C,
+        cfl: f64,
+    ) -> Result<f64, SolverError> {
+        self.sync_all(c)?;
         let mut dt = f64::INFINITY;
         for (l, patches) in self.levels.iter().enumerate() {
             let scale = (1u64 << l) as f64;
-            for p in patches {
-                dt = dt.min(scale * max_dt(&self.scheme, &p.prim, cfl));
+            for (i, p) in patches.iter().enumerate() {
+                if c.owns(l, i) {
+                    dt = dt.min(scale * max_dt(&self.scheme, &p.prim, cfl));
+                }
             }
         }
         Ok(dt)
@@ -517,7 +578,7 @@ impl AmrSolver {
         {
             self.regrid()?;
         }
-        self.step_level(0, dt, 0.0)?;
+        self.step_level(&mut Serial, 0, dt, 0.0)?;
         self.steps += 1;
         self.flush_metrics();
         Ok(())
@@ -547,13 +608,24 @@ impl AmrSolver {
     /// One Berger–Oliger step of level `l` with size `dt`, starting at
     /// intra-parent-step position `frac` (0.0 or 0.5). Recursively
     /// advances child levels with two `dt/2` substeps, then restricts and
-    /// refluxes.
-    fn step_level(&mut self, l: usize, dt: f64, frac: f64) -> Result<(), SolverError> {
+    /// refluxes. Every process walks the same recursion tree (the
+    /// coupling's exchanges are cooperative) and computes only the
+    /// patches `c` owns; a reflux runs on the parent's owner.
+    pub(crate) fn step_level<C: LevelCoupling>(
+        &mut self,
+        c: &mut C,
+        l: usize,
+        dt: f64,
+        frac: f64,
+    ) -> Result<(), SolverError> {
         self.frac[l] = frac;
         let (stages, weights, ctimes) = rk_tables(self.rk);
-        for p in &mut self.levels[l] {
-            p.base.raw_mut().copy_from_slice(p.u.raw());
-            p.stage.raw_mut().copy_from_slice(p.u.raw());
+        let ng = self.ng;
+        for (i, p) in self.levels[l].iter_mut().enumerate() {
+            if c.owns(l, i) {
+                p.base.raw_mut().copy_from_slice(p.u.raw());
+                p.stage.raw_mut().copy_from_slice(p.u.raw());
+            }
         }
         // Zero the flux accumulators of this step's coarse–fine
         // interfaces (both sides); they are consumed by the reflux below.
@@ -563,41 +635,45 @@ impl AmrSolver {
                 ch.acc_parent = [Cons::ZERO; 2];
             }
         }
-        for (si, &(a, b, c)) in stages.iter().enumerate() {
+        for (si, &(a, b, cw)) in stages.iter().enumerate() {
             self.fill_ghosts_lerp(l, ctimes[si]);
-            for p in &mut self.levels[l] {
-                recover_prims(&self.scheme, &p.u, &mut p.prim)?;
+            for (i, p) in self.levels[l].iter_mut().enumerate() {
+                if c.owns(l, i) {
+                    recover_prims(&self.scheme, &p.u, &mut p.prim)?;
+                }
             }
-            self.eval_level_rhs(l);
+            self.eval_level_rhs(c, l);
             // Parent-side interface fluxes for the children of l.
             if l + 1 < self.levels.len() {
                 let w = weights[si];
-                let ng = self.ng;
                 let (left, right) = self.levels.split_at_mut(l + 1);
                 let parents = &left[l];
                 for ch in right[0].iter_mut() {
+                    if !c.owns(l, ch.parent_idx) {
+                        continue;
+                    }
                     let par = &parents[ch.parent_idx];
                     ch.acc_parent[0] += par.flux[ng + ch.lo / 2 - par.lo] * w;
                     ch.acc_parent[1] += par.flux[ng + (ch.lo + ch.n) / 2 - par.lo] * w;
                 }
             }
-            // Own boundary fluxes toward our parent (half weight: this
-            // step is one of two substeps of the parent's step).
-            if l > 0 {
-                let w = 0.5 * weights[si];
-                let ng = self.ng;
-                for p in &mut self.levels[l] {
+            for (i, p) in self.levels[l].iter_mut().enumerate() {
+                if !c.owns(l, i) {
+                    continue;
+                }
+                // Own boundary fluxes toward our parent (half weight:
+                // this step is one of two substeps of the parent's step).
+                if l > 0 {
+                    let w = 0.5 * weights[si];
                     p.acc[0] += p.flux[ng] * w;
                     p.acc[1] += p.flux[ng + p.n] * w;
                 }
-            }
-            // Stage combine + floors.
-            for p in &mut self.levels[l] {
-                for i in self.ng..self.ng + p.n {
-                    let v = p.stage.get_cons(i, 0, 0) * a
-                        + p.u.get_cons(i, 0, 0) * b
-                        + p.rhs.get_cons(i, 0, 0) * (c * dt);
-                    p.u.set_cons(i, 0, 0, v);
+                // Stage combine + floors.
+                for gi in ng..ng + p.n {
+                    let v = p.stage.get_cons(gi, 0, 0) * a
+                        + p.u.get_cons(gi, 0, 0) * b
+                        + p.rhs.get_cons(gi, 0, 0) * (cw * dt);
+                    p.u.set_cons(gi, 0, 0, v);
                 }
                 apply_conserved_floors(&mut p.u, &self.scheme.c2p);
                 self.updates[l] += p.n as u64;
@@ -605,15 +681,20 @@ impl AmrSolver {
         }
         // Children: two substeps, restriction, deferred reflux.
         if l + 1 < self.levels.len() && !self.levels[l + 1].is_empty() {
-            self.step_level(l + 1, 0.5 * dt, 0.0)?;
-            self.step_level(l + 1, 0.5 * dt, 0.5)?;
+            c.descend(self, l)?;
+            self.step_level(c, l + 1, 0.5 * dt, 0.0)?;
+            self.step_level(c, l + 1, 0.5 * dt, 0.5)?;
+            c.reflux(self, l + 1)?;
             let t0 = self.trace.as_ref().map(|(tr, _)| tr.now_ns());
-            self.restrict_level(l + 1);
+            self.restrict_level(l + 1, |pi| c.owns(l, pi));
             let k = dt / self.level_dx(l);
-            let ng = self.ng;
+            let mut corrections = 0u64;
             let (left, right) = self.levels.split_at_mut(l + 1);
             let parents = &mut left[l];
             for ch in right[0].iter() {
+                if !c.owns(l, ch.parent_idx) {
+                    continue;
+                }
                 let par = &mut parents[ch.parent_idx];
                 // Left-uncovered neighbor used the parent flux as its
                 // right face; swap in the accumulated fine flux.
@@ -624,28 +705,31 @@ impl AmrSolver {
                 let ir = ng + (ch.lo + ch.n) / 2 - par.lo;
                 let v = par.u.get_cons(ir, 0, 0) + (ch.acc[1] - ch.acc_parent[1]) * k;
                 par.u.set_cons(ir, 0, 0, v);
-                self.reflux_corrections += 2;
+                corrections += 2;
             }
-            for p in parents.iter_mut() {
-                apply_conserved_floors(&mut p.u, &self.scheme.c2p);
+            for (i, p) in parents.iter_mut().enumerate() {
+                if c.owns(l, i) {
+                    apply_conserved_floors(&mut p.u, &self.scheme.c2p);
+                }
             }
+            self.reflux_corrections += corrections;
             if let (Some((tr, track)), Some(t0)) = (self.trace.as_ref(), t0) {
                 track.span("amr.reflux", t0, tr.now_ns());
             }
             if let Some(m) = &self.metrics {
-                m.counter("amr.reflux.corrections")
-                    .add(2 * self.levels[l + 1].len() as u64);
+                m.counter("amr.reflux.corrections").add(corrections);
             }
         }
         Ok(())
     }
 
-    /// Restrict level `m` onto the covered cells of level `m−1`.
-    fn restrict_level(&mut self, m: usize) {
+    /// Restrict level `m` onto the covered cells of those level-`m−1`
+    /// patches `owned` selects (by parent index).
+    fn restrict_level(&mut self, m: usize, owned: impl Fn(usize) -> bool) {
         let ng = self.ng;
         let (left, right) = self.levels.split_at_mut(m);
         let parents = &mut left[m - 1];
-        for ch in right[0].iter() {
+        for ch in right[0].iter().filter(|ch| owned(ch.parent_idx)) {
             let par = &mut parents[ch.parent_idx];
             restrict_onto(&ch.u, &mut par.u, ng, ng, ch.n, ch.lo / 2 - par.lo);
         }
@@ -754,7 +838,7 @@ impl AmrSolver {
         }
         self.levels[m] = newp;
         if !self.levels[m].is_empty() {
-            self.restrict_level(m);
+            self.restrict_level(m, |_| true);
         }
     }
 
@@ -824,7 +908,7 @@ impl AmrSolver {
         exact: &dyn Fn([f64; 3], f64) -> Prim,
         t: f64,
     ) -> Result<f64, SolverError> {
-        self.sync_all()?;
+        self.sync_all(&mut Serial)?;
         let mut l1 = 0.0;
         for (l, patches) in self.levels.iter().enumerate() {
             let dxl = self.level_dx(l);

@@ -35,34 +35,35 @@
 //! receivers drop blobs from older (rolled-back) attempts and refuse blobs
 //! from the future, so retried steps never consume stale in-flight data.
 //!
-//! **Determinism.** Owned-patch arithmetic is copied verbatim from the
-//! serial [`AmrSolver`]; ghost fills are recomputed locally from replicated
-//! ancestor interiors; the Δt reduction is an exact min; and regrids run on
-//! the fully-replicated state. A no-fault distributed run is therefore
-//! bit-identical to the serial solver (pinned by tests).
+//! **Determinism.** Owned patches are advanced by the serial solver's own
+//! level step ([`AmrSolver::step_level`]) through the [`LevelCoupling`]
+//! this module implements; ghost fills are recomputed locally from
+//! replicated ancestor interiors; the Δt reduction is an exact min; and
+//! regrids run on the fully-replicated state. A no-fault distributed run
+//! is therefore bit-identical to the serial solver (pinned by tests).
 //!
-//! **Fault tolerance.** The advance loop reuses the resilient-driver tiers
-//! (retry → checkpoint restore → shrinking recovery): per attempt every
-//! rank reaches the Δt reduction and the agreement round even if its local
-//! work failed (keeping collective tags aligned), a `≥ SUSPECT_FLAG`
-//! agreement triggers the two-round suspicion consensus, and a confirmed
-//! death restores every survivor from the shared rank-count-independent
-//! checkpoint, re-partitions the SFC segment map over the shrunken live
-//! set, and resumes with a degraded-CFL ramp. Regrids are *comm-atomic*: a
+//! **Fault tolerance.** [`DistAmrSolver::advance_to`] climbs the shared
+//! recovery ladder ([`crate::ladder`]: retry → restore → shrinking
+//! recovery): per attempt every rank reaches the Δt reduction and the
+//! agreement round even if its local work failed (keeping collective tags
+//! aligned), and a confirmed death restores every survivor from the memory
+//! tier or the shared rank-count-independent checkpoint and re-partitions
+//! the SFC segment map over the shrunken live set. Regrids are *comm-atomic*: a
 //! pre-mutation agreement barrier after the allgather ensures either every
 //! rank rebuilds the hierarchy or none does, so a rank killed mid-regrid
 //! (the [`RankSite::Regrid`] fault site) can never leave survivors with
 //! divergent hierarchies.
 
-use crate::amr::AmrSolver;
-use crate::driver::comm_err;
+use crate::amr::{AmrSolver, LevelCoupling};
+use crate::driver::{agree_capture_round, comm_err};
 use crate::integrate::RkOrder;
-use crate::refine::{restrict_onto, rhs_1d_with_fluxes, rk_tables};
-use crate::scheme::{apply_conserved_floors, max_dt, recover_prims, Scheme, SolverError};
+use crate::ladder::{
+    outcome_flag, resilient_advance, Budget, LadderEvent, Recoverable, RestoreCause,
+};
+use crate::scheme::{Scheme, SolverError};
 use crate::AmrConfig;
 use rhrsc_comm::{
     Rank, AMR_DESCEND_TAG_BASE, AMR_REFLUX_TAG_BASE, AMR_REGRID_TAG, AMR_SYNC_TAG_BASE,
-    SUSPECT_FLAG,
 };
 use rhrsc_grid::{BcSet, Field};
 use rhrsc_io::checkpoint::{
@@ -266,31 +267,60 @@ impl ExKind {
 }
 
 /// [`AmrSolver`] sharded across ranks with owner-computes semantics and
-/// the resilient-driver recovery tiers. See the module docs for the
+/// the recovery ladder's tiers. See the module docs for the
 /// decomposition, communication, and recovery design.
 pub struct DistAmrSolver {
     inner: AmrSolver,
     cfg: DistAmrConfig,
-    /// Owner rank of `levels[l][i]`.
-    owners: Vec<Vec<usize>>,
-    /// Attempt sequence number stamped into every blob (lockstep across
-    /// ranks: bumped once per step attempt).
-    seq: u64,
+    link: DistLink,
     /// Base step at which the last successful regrid ran (so retried
     /// attempts of the same step do not regrid twice).
     last_regrid_step: Option<u64>,
     /// Pre-step interior snapshot for attempt rollback.
     snapshot: Vec<Vec<Vec<f64>>>,
     snapshot_ok: bool,
-    cur_step: u64,
-    injector: Option<Arc<FaultInjector>>,
-    metrics: Option<Arc<Registry>>,
-    stats: DistAmrStats,
     /// Frozen diskless checkpoint (the L1 memory tier). Identical bytes
     /// on every rank at freeze time — the allgathered hierarchy is fully
     /// replicated — so restore only needs a validity agreement, no
     /// buddy transfer.
     mem_ckp: Option<MemorySnapshot>,
+}
+
+/// What makes the hierarchy distributed: who owns which patch, and the
+/// bookkeeping of the exchanges between owners.
+struct DistLink {
+    /// Owner rank of `levels[l][i]`.
+    owners: Vec<Vec<usize>>,
+    /// Attempt sequence number stamped into every blob (lockstep across
+    /// ranks: bumped once per step attempt).
+    seq: u64,
+    /// Base step of the attempt in flight (keys the crash fault sites).
+    cur_step: u64,
+    injector: Option<Arc<FaultInjector>>,
+    metrics: Option<Arc<Registry>>,
+    stats: DistAmrStats,
+}
+
+/// A [`DistLink`] bound to this process's rank: the coupling through
+/// which the serial level step reaches patches owned elsewhere.
+struct RankLink<'a> {
+    link: &'a mut DistLink,
+    rank: &'a mut Rank,
+}
+
+impl LevelCoupling for RankLink<'_> {
+    fn owns(&self, l: usize, i: usize) -> bool {
+        self.link.owners[l][i] == self.rank.rank()
+    }
+    fn descend(&mut self, amr: &mut AmrSolver, l: usize) -> Result<(), SolverError> {
+        self.link.exchange_down(self.rank, amr, l, ExKind::Descend)
+    }
+    fn reflux(&mut self, amr: &mut AmrSolver, l: usize) -> Result<(), SolverError> {
+        self.link.exchange_reflux(self.rank, amr, l)
+    }
+    fn sync(&mut self, amr: &mut AmrSolver, l: usize) -> Result<(), SolverError> {
+        self.link.exchange_down(self.rank, amr, l, ExKind::Sync)
+    }
 }
 
 fn ck_err(e: CheckpointError) -> SolverError {
@@ -316,96 +346,13 @@ fn read_field_interior(src: &[f64], f: &mut Field, ng: usize, n: usize) {
     }
 }
 
-impl DistAmrSolver {
-    /// Create a solver over `[x0, x1]` with `n0` base cells. Call
-    /// [`DistAmrSolver::init`] (or [`DistAmrSolver::restore`]) before
-    /// stepping. Fine-level device offload is not routed through the
-    /// distributed path; residuals evaluate on the host.
-    pub fn new(
-        scheme: Scheme,
-        bcs: BcSet,
-        rk: RkOrder,
-        n0: usize,
-        x0: f64,
-        x1: f64,
-        cfg: DistAmrConfig,
-    ) -> Self {
-        assert!(
-            cfg.amr.max_levels <= 8,
-            "the AMR halo tag blocks hold 8 levels"
-        );
-        let inner = AmrSolver::new(scheme, bcs, rk, n0, x0, x1, cfg.amr.clone());
-        let max_levels = cfg.amr.max_levels;
-        DistAmrSolver {
-            inner,
-            cfg,
-            owners: vec![Vec::new(); max_levels],
-            seq: 0,
-            last_regrid_step: None,
-            snapshot: Vec::new(),
-            snapshot_ok: false,
-            cur_step: 0,
-            injector: None,
-            metrics: None,
-            stats: DistAmrStats::default(),
-            mem_ckp: None,
+impl DistLink {
+    /// Add `n` to counter `name` when a registry is attached.
+    fn count(&self, name: &str, n: u64) {
+        if let Some(m) = &self.metrics {
+            m.counter(name).add(n);
         }
     }
-
-    /// Attach a metrics registry (`amr.dist.*` counters, plus the serial
-    /// solver's `amr.*` family).
-    pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
-        self.inner.set_metrics(Arc::clone(&metrics));
-        self.metrics = Some(metrics);
-    }
-
-    /// Initialize the hierarchy from a pointwise primitive IC (identical
-    /// on every rank) and partition ownership over the live ranks.
-    pub fn init(&mut self, rank: &Rank, ic: &dyn Fn([f64; 3]) -> Prim) {
-        self.inner.init(ic);
-        self.owners = assign_owners(&self.inner, rank.live_ranks());
-        self.last_regrid_step = None;
-        self.snapshot_ok = false;
-    }
-
-    /// Restore from a rank-count-independent v4 AMR checkpoint and
-    /// re-partition ownership over the current live set. The checkpoint
-    /// may come from a run with any rank count.
-    pub fn restore(&mut self, rank: &Rank, ck: &AmrCheckpoint) -> Result<(), SolverError> {
-        self.inner
-            .restore(ck)
-            .map_err(|msg| SolverError::Checkpoint { msg })?;
-        self.owners = assign_owners(&self.inner, rank.live_ranks());
-        self.last_regrid_step = None;
-        self.snapshot_ok = false;
-        Ok(())
-    }
-
-    /// The replicated serial solver (valid everywhere only right after an
-    /// allgather — see [`DistAmrSolver::to_checkpoint_gathered`]).
-    pub fn inner(&self) -> &AmrSolver {
-        &self.inner
-    }
-
-    /// Per-rank driver counters.
-    pub fn stats(&self) -> DistAmrStats {
-        self.stats
-    }
-
-    /// Owner rank of a patch (test/diagnostic hook).
-    pub fn owner_of(&self, level: usize, idx: usize) -> usize {
-        self.owners[level][idx]
-    }
-
-    /// Number of patches this rank owns.
-    pub fn owned_patches(&self, rank_id: usize) -> usize {
-        self.owners
-            .iter()
-            .map(|l| l.iter().filter(|&&o| o == rank_id).count())
-            .sum()
-    }
-
-    // ----- exchange machinery --------------------------------------------
 
     fn check_crash(&self, rank: &Rank, site: RankSite) -> Result<(), SolverError> {
         if let Some(inj) = &self.injector {
@@ -459,20 +406,17 @@ impl DistAmrSolver {
                 break;
             }
         }
-        match kind {
-            ExKind::Descend | ExKind::Sync => self.stats.halo_msgs += nmsgs,
-            ExKind::Reflux => self.stats.reflux_msgs += nmsgs,
-            ExKind::Regrid | ExKind::Gather => self.stats.regrid_msgs += nmsgs,
-        }
-        self.stats.halo_bytes += bytes;
-        if let Some(m) = &self.metrics {
-            match kind {
-                ExKind::Descend | ExKind::Sync => m.counter("amr.dist.halo_msgs").add(nmsgs),
-                ExKind::Reflux => m.counter("amr.dist.reflux_msgs").add(nmsgs),
-                ExKind::Regrid | ExKind::Gather => m.counter("amr.dist.regrid_msgs").add(nmsgs),
+        let (slot, counter) = match kind {
+            ExKind::Descend | ExKind::Sync => (&mut self.stats.halo_msgs, "amr.dist.halo_msgs"),
+            ExKind::Reflux => (&mut self.stats.reflux_msgs, "amr.dist.reflux_msgs"),
+            ExKind::Regrid | ExKind::Gather => {
+                (&mut self.stats.regrid_msgs, "amr.dist.regrid_msgs")
             }
-            m.counter("amr.dist.halo_bytes").add(bytes);
-        }
+        };
+        *slot += nmsgs;
+        self.stats.halo_bytes += bytes;
+        self.count(counter, nmsgs);
+        self.count("amr.dist.halo_bytes", bytes);
         // Straggler injection inside this window: real wall-clock lag so
         // peer liveness deadlines genuinely see it.
         if let Some(inj) = &self.injector {
@@ -489,14 +433,14 @@ impl DistAmrSolver {
     }
 
     /// Owner set of every strict descendant of each level-`l` patch.
-    fn descendant_owner_sets(&self, l: usize) -> Vec<Vec<usize>> {
-        let mut sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.inner.levels[l].len()];
-        for m in (l + 1)..self.inner.levels.len() {
-            for (j, _) in self.inner.levels[m].iter().enumerate() {
+    fn descendant_owner_sets(&self, amr: &AmrSolver, l: usize) -> Vec<Vec<usize>> {
+        let mut sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); amr.levels[l].len()];
+        for m in (l + 1)..amr.levels.len() {
+            for (j, _) in amr.levels[m].iter().enumerate() {
                 let mut lev = m;
                 let mut idx = j;
                 while lev > l {
-                    idx = self.inner.levels[lev][idx].parent_idx;
+                    idx = amr.levels[lev][idx].parent_idx;
                     lev -= 1;
                 }
                 sets[idx].insert(self.owners[m][j]);
@@ -510,14 +454,15 @@ impl DistAmrSolver {
     fn exchange_down(
         &mut self,
         rank: &mut Rank,
+        amr: &mut AmrSolver,
         l: usize,
         kind: ExKind,
     ) -> Result<(), SolverError> {
         let me = rank.rank();
         let with_base = kind == ExKind::Descend;
         let fields = if with_base { 2 } else { 1 };
-        let sets = self.descendant_owner_sets(l);
-        let ng = self.inner.ng;
+        let sets = self.descendant_owner_sets(amr, l);
+        let ng = amr.ng;
         let mut sends: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         let mut recv_patches: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, set) in sets.iter().enumerate() {
@@ -528,7 +473,7 @@ impl DistAmrSolver {
                 }
                 if o == me {
                     let blob = sends.entry(d).or_insert_with(|| vec![self.seq as f64]);
-                    let p = &self.inner.levels[l][i];
+                    let p = &amr.levels[l][i];
                     if with_base {
                         push_field_interior(blob, &p.base, ng, p.n);
                     }
@@ -546,7 +491,7 @@ impl DistAmrSolver {
             .map(|(&src, list)| {
                 let len: usize = list
                     .iter()
-                    .map(|&i| fields * NCOMP * self.inner.levels[l][i].n)
+                    .map(|&i| fields * NCOMP * amr.levels[l][i].n)
                     .sum();
                 (src, len)
             })
@@ -560,7 +505,7 @@ impl DistAmrSolver {
         for (src, msg) in got {
             let mut off = 1;
             for &i in &recv_patches[&src] {
-                let p = &mut self.inner.levels[l][i];
+                let p = &mut amr.levels[l][i];
                 let n = p.n;
                 if with_base {
                     read_field_interior(&msg[off..off + NCOMP * n], &mut p.base, ng, n);
@@ -576,12 +521,17 @@ impl DistAmrSolver {
     /// Ship level-`l` children's `u` interiors and boundary-flux
     /// accumulators from child owners to off-rank parent owners (the
     /// restriction + reflux inputs).
-    fn exchange_reflux(&mut self, rank: &mut Rank, l: usize) -> Result<(), SolverError> {
+    fn exchange_reflux(
+        &mut self,
+        rank: &mut Rank,
+        amr: &mut AmrSolver,
+        l: usize,
+    ) -> Result<(), SolverError> {
         let me = rank.rank();
-        let ng = self.inner.ng;
+        let ng = amr.ng;
         let mut sends: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         let mut recv_patches: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, ch) in self.inner.levels[l].iter().enumerate() {
+        for (i, ch) in amr.levels[l].iter().enumerate() {
             let o = self.owners[l][i];
             let po = self.owners[l - 1][ch.parent_idx];
             if o == po {
@@ -604,7 +554,7 @@ impl DistAmrSolver {
             .map(|(&src, list)| {
                 let len: usize = list
                     .iter()
-                    .map(|&i| NCOMP * self.inner.levels[l][i].n + 2 * NCOMP)
+                    .map(|&i| NCOMP * amr.levels[l][i].n + 2 * NCOMP)
                     .sum();
                 (src, len)
             })
@@ -619,7 +569,7 @@ impl DistAmrSolver {
         for (src, msg) in got {
             let mut off = 1;
             for &i in &recv_patches[&src] {
-                let p = &mut self.inner.levels[l][i];
+                let p = &mut amr.levels[l][i];
                 let n = p.n;
                 read_field_interior(&msg[off..off + NCOMP * n], &mut p.u, ng, n);
                 off += NCOMP * n;
@@ -637,12 +587,17 @@ impl DistAmrSolver {
 
     /// Fully replicate the composite state: every owner ships all its `u`
     /// interiors to every other live rank.
-    fn allgather_state(&mut self, rank: &mut Rank, kind: ExKind) -> Result<(), SolverError> {
+    fn allgather_state(
+        &mut self,
+        rank: &mut Rank,
+        amr: &mut AmrSolver,
+        kind: ExKind,
+    ) -> Result<(), SolverError> {
         let live: Vec<usize> = rank.live_ranks().to_vec();
         let me = rank.rank();
-        let ng = self.inner.ng;
+        let ng = amr.ng;
         let mut plan: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-        for (l, ps) in self.inner.levels.iter().enumerate() {
+        for (l, ps) in amr.levels.iter().enumerate() {
             for i in 0..ps.len() {
                 plan.entry(self.owners[l][i]).or_default().push((l, i));
             }
@@ -650,15 +605,12 @@ impl DistAmrSolver {
         let mut sends: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
         let mut recvs: BTreeMap<usize, usize> = BTreeMap::new();
         for (&src, list) in &plan {
-            let payload: usize = list
-                .iter()
-                .map(|&(l, i)| NCOMP * self.inner.levels[l][i].n)
-                .sum();
+            let payload: usize = list.iter().map(|&(l, i)| NCOMP * amr.levels[l][i].n).sum();
             if src == me {
                 let mut blob = Vec::with_capacity(payload + 1);
                 blob.push(self.seq as f64);
                 for &(l, i) in list {
-                    let p = &self.inner.levels[l][i];
+                    let p = &amr.levels[l][i];
                     push_field_interior(&mut blob, &p.u, ng, p.n);
                 }
                 for &d in &live {
@@ -674,7 +626,7 @@ impl DistAmrSolver {
         for (src, msg) in got {
             let mut off = 1;
             for &(l, i) in &plan[&src] {
-                let p = &mut self.inner.levels[l][i];
+                let p = &mut amr.levels[l][i];
                 let n = p.n;
                 read_field_interior(&msg[off..off + NCOMP * n], &mut p.u, ng, n);
                 off += NCOMP * n;
@@ -682,176 +634,97 @@ impl DistAmrSolver {
         }
         Ok(())
     }
+}
 
-    // ----- owner-computes stepping ---------------------------------------
+impl DistAmrSolver {
+    /// Create a solver over `[x0, x1]` with `n0` base cells. Call
+    /// [`DistAmrSolver::init`] (or [`DistAmrSolver::restore`]) before
+    /// stepping. Fine-level device offload is not routed through the
+    /// distributed path; residuals evaluate on the host.
+    pub fn new(
+        scheme: Scheme,
+        bcs: BcSet,
+        rk: RkOrder,
+        n0: usize,
+        x0: f64,
+        x1: f64,
+        cfg: DistAmrConfig,
+    ) -> Self {
+        assert!(
+            cfg.amr.max_levels <= 8,
+            "the AMR halo tag blocks hold 8 levels"
+        );
+        let inner = AmrSolver::new(scheme, bcs, rk, n0, x0, x1, cfg.amr.clone());
+        let max_levels = cfg.amr.max_levels;
+        DistAmrSolver {
+            inner,
+            cfg,
+            link: DistLink {
+                owners: vec![Vec::new(); max_levels],
+                seq: 0,
+                cur_step: 0,
+                injector: None,
+                metrics: None,
+                stats: DistAmrStats::default(),
+            },
+            last_regrid_step: None,
+            snapshot: Vec::new(),
+            snapshot_ok: false,
+            mem_ckp: None,
+        }
+    }
 
-    /// One Berger–Oliger step of level `l`: the serial
-    /// `AmrSolver::step_level` arithmetic verbatim, restricted to owned
-    /// patches, with descend/reflux exchanges splicing in the off-rank
-    /// coupling. Every rank walks the same recursion tree (exchanges are
-    /// cooperative); non-owners skip the per-patch compute.
-    fn dist_step_level(
-        &mut self,
-        rank: &mut Rank,
-        l: usize,
-        dt: f64,
-        frac: f64,
-    ) -> Result<(), SolverError> {
-        let me = rank.rank();
-        self.inner.frac[l] = frac;
-        let (stages, weights, ctimes) = rk_tables(self.inner.rk);
-        let ng = self.inner.ng;
-        let scheme = self.inner.scheme;
-        for (i, p) in self.inner.levels[l].iter_mut().enumerate() {
-            if self.owners[l][i] != me {
-                continue;
-            }
-            p.base.raw_mut().copy_from_slice(p.u.raw());
-            p.stage.raw_mut().copy_from_slice(p.u.raw());
-        }
-        if l + 1 < self.inner.levels.len() {
-            for ch in &mut self.inner.levels[l + 1] {
-                ch.acc = [Cons::ZERO; 2];
-                ch.acc_parent = [Cons::ZERO; 2];
-            }
-        }
-        for (si, &(a, b, c)) in stages.iter().enumerate() {
-            // Ghost prolongation is pure local arithmetic over replicated
-            // ancestor interiors; ghost bands of shadow patches come out
-            // garbage but are never read by owned compute.
-            self.inner.fill_ghosts_lerp(l, ctimes[si]);
-            for (i, p) in self.inner.levels[l].iter_mut().enumerate() {
-                if self.owners[l][i] != me {
-                    continue;
-                }
-                recover_prims(&scheme, &p.u, &mut p.prim)?;
-                rhs_1d_with_fluxes(&scheme, &p.prim, &mut p.rhs, &mut p.flux);
-            }
-            // Parent-side interface fluxes for children whose parent this
-            // rank owns (the reflux runs on the parent owner).
-            if l + 1 < self.inner.levels.len() {
-                let w = weights[si];
-                let (left, right) = self.inner.levels.split_at_mut(l + 1);
-                let parents = &left[l];
-                for ch in right[0].iter_mut() {
-                    if self.owners[l][ch.parent_idx] != me {
-                        continue;
-                    }
-                    let par = &parents[ch.parent_idx];
-                    ch.acc_parent[0] += par.flux[ng + ch.lo / 2 - par.lo] * w;
-                    ch.acc_parent[1] += par.flux[ng + (ch.lo + ch.n) / 2 - par.lo] * w;
-                }
-            }
-            if l > 0 {
-                let w = 0.5 * weights[si];
-                for (i, p) in self.inner.levels[l].iter_mut().enumerate() {
-                    if self.owners[l][i] != me {
-                        continue;
-                    }
-                    p.acc[0] += p.flux[ng] * w;
-                    p.acc[1] += p.flux[ng + p.n] * w;
-                }
-            }
-            for (i, p) in self.inner.levels[l].iter_mut().enumerate() {
-                if self.owners[l][i] != me {
-                    continue;
-                }
-                for gi in ng..ng + p.n {
-                    let v = p.stage.get_cons(gi, 0, 0) * a
-                        + p.u.get_cons(gi, 0, 0) * b
-                        + p.rhs.get_cons(gi, 0, 0) * (c * dt);
-                    p.u.set_cons(gi, 0, 0, v);
-                }
-                apply_conserved_floors(&mut p.u, &scheme.c2p);
-                self.inner.updates[l] += p.n as u64;
-            }
-        }
-        if l + 1 < self.inner.levels.len() && !self.inner.levels[l + 1].is_empty() {
-            self.exchange_down(rank, l, ExKind::Descend)?;
-            self.dist_step_level(rank, l + 1, 0.5 * dt, 0.0)?;
-            self.dist_step_level(rank, l + 1, 0.5 * dt, 0.5)?;
-            self.exchange_reflux(rank, l + 1)?;
-            let t0 = Instant::now();
-            let k = dt / self.inner.level_dx(l);
-            let mut corrections = 0u64;
-            {
-                let (left, right) = self.inner.levels.split_at_mut(l + 1);
-                let parents = &mut left[l];
-                for ch in right[0].iter() {
-                    if self.owners[l][ch.parent_idx] != me {
-                        continue;
-                    }
-                    let par = &mut parents[ch.parent_idx];
-                    restrict_onto(&ch.u, &mut par.u, ng, ng, ch.n, ch.lo / 2 - par.lo);
-                }
-                for ch in right[0].iter() {
-                    if self.owners[l][ch.parent_idx] != me {
-                        continue;
-                    }
-                    let par = &mut parents[ch.parent_idx];
-                    let il = ng + ch.lo / 2 - par.lo - 1;
-                    let v = par.u.get_cons(il, 0, 0) + (ch.acc_parent[0] - ch.acc[0]) * k;
-                    par.u.set_cons(il, 0, 0, v);
-                    let ir = ng + (ch.lo + ch.n) / 2 - par.lo;
-                    let v = par.u.get_cons(ir, 0, 0) + (ch.acc[1] - ch.acc_parent[1]) * k;
-                    par.u.set_cons(ir, 0, 0, v);
-                    corrections += 2;
-                }
-                for (i, p) in parents.iter_mut().enumerate() {
-                    if self.owners[l][i] != me {
-                        continue;
-                    }
-                    apply_conserved_floors(&mut p.u, &scheme.c2p);
-                }
-            }
-            self.inner.reflux_corrections += corrections;
-            rank.trace_span("amr.dist.reflux", t0.elapsed().as_nanos() as u64);
-            if let Some(m) = &self.metrics {
-                m.counter("amr.reflux.corrections").add(corrections);
-            }
-        }
+    /// Attach a metrics registry (`amr.dist.*` counters, plus the serial
+    /// solver's `amr.*` family).
+    pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
+        self.inner.set_metrics(Arc::clone(&metrics));
+        self.link.metrics = Some(metrics);
+    }
+
+    /// Initialize the hierarchy from a pointwise primitive IC (identical
+    /// on every rank) and partition ownership over the live ranks.
+    pub fn init(&mut self, rank: &Rank, ic: &dyn Fn([f64; 3]) -> Prim) {
+        self.inner.init(ic);
+        self.link.owners = assign_owners(&self.inner, rank.live_ranks());
+        self.last_regrid_step = None;
+        self.snapshot_ok = false;
+    }
+
+    /// Restore from a rank-count-independent v4 AMR checkpoint and
+    /// re-partition ownership over the current live set. The checkpoint
+    /// may come from a run with any rank count.
+    pub fn restore(&mut self, rank: &Rank, ck: &AmrCheckpoint) -> Result<(), SolverError> {
+        self.inner
+            .restore(ck)
+            .map_err(|msg| SolverError::Checkpoint { msg })?;
+        self.link.owners = assign_owners(&self.inner, rank.live_ranks());
+        self.last_regrid_step = None;
+        self.snapshot_ok = false;
         Ok(())
     }
 
-    /// Sync the hierarchy (exchange ancestors, fill ghosts, recover owned
-    /// primitives) and reduce the globally stable Δt. The reduction is an
-    /// exact min, so the result is bit-identical to the serial
-    /// `AmrSolver::stable_dt`. Errors are deferred past the reduction —
-    /// every rank contributes (∞ on failure) so collective tags stay
-    /// aligned across ranks.
-    fn dist_stable_dt(&mut self, rank: &mut Rank, cfl: f64) -> Result<f64, SolverError> {
-        let local = self.local_dt(rank, cfl);
-        let global = rank.allreduce_min(*local.as_ref().unwrap_or(&f64::INFINITY));
-        local.map(|_| global)
+    /// The replicated serial solver (valid everywhere only right after an
+    /// allgather — see [`DistAmrSolver::to_checkpoint_gathered`]).
+    pub fn inner(&self) -> &AmrSolver {
+        &self.inner
     }
 
-    fn local_dt(&mut self, rank: &mut Rank, cfl: f64) -> Result<f64, SolverError> {
-        let me = rank.rank();
-        let scheme = self.inner.scheme;
-        for m in 0..self.inner.levels.len() {
-            if m > 0 && self.inner.levels[m].is_empty() {
-                break;
-            }
-            self.exchange_down(rank, m, ExKind::Sync)?;
-            self.inner.fill_ghosts_sync_level(m);
-            for (i, p) in self.inner.levels[m].iter_mut().enumerate() {
-                if self.owners[m][i] != me {
-                    continue;
-                }
-                recover_prims(&scheme, &p.u, &mut p.prim)?;
-            }
-        }
-        let mut dt = f64::INFINITY;
-        for (l, ps) in self.inner.levels.iter().enumerate() {
-            let scale = (1u64 << l) as f64;
-            for (i, p) in ps.iter().enumerate() {
-                if self.owners[l][i] != me {
-                    continue;
-                }
-                dt = dt.min(scale * max_dt(&scheme, &p.prim, cfl));
-            }
-        }
-        Ok(dt)
+    /// Per-rank driver counters.
+    pub fn stats(&self) -> DistAmrStats {
+        self.link.stats
+    }
+
+    /// Number of patches this rank owns.
+    pub fn owned_patches(&self, rank_id: usize) -> usize {
+        self.link
+            .owners
+            .iter()
+            .map(|l| l.iter().filter(|&&o| o == rank_id).count())
+            .sum()
+    }
+
+    fn allgather_state(&mut self, rank: &mut Rank, kind: ExKind) -> Result<(), SolverError> {
+        self.link.allgather_state(rank, &mut self.inner, kind)
     }
 
     // ----- regridding and migration --------------------------------------
@@ -869,17 +742,7 @@ impl DistAmrSolver {
             // Own injected crash: go silent, skip the barrier.
             return res.map(|()| false);
         }
-        let flag = if rank.evicted().is_some()
-            || rank.suspected_mask() != 0
-            || matches!(res, Err(SolverError::PeerSuspect { .. }))
-        {
-            SUSPECT_FLAG
-        } else if res.is_err() {
-            1.0
-        } else {
-            0.0
-        };
-        if rank.agree_max(flag) >= 1.0 {
+        if rank.agree_max(outcome_flag(rank, &res)) >= 1.0 {
             // Someone is missing data: nobody mutates. Surface the local
             // error (or a stand-in for a peer's) to the attempt loop.
             return Err(res.err().unwrap_or(SolverError::HaloMismatch {
@@ -893,7 +756,7 @@ impl DistAmrSolver {
             .iter()
             .enumerate()
             .flat_map(|(l, ps)| {
-                let owners = &self.owners[l];
+                let owners = &self.link.owners[l];
                 ps.iter()
                     .enumerate()
                     .map(move |(i, p)| ((l, p.lo, p.n), owners[i]))
@@ -943,10 +806,8 @@ impl DistAmrSolver {
         let maxc = cost_of.values().cloned().fold(0.0, f64::max);
         let imbalance = if ideal > 0.0 { maxc / ideal } else { 1.0 };
         let chosen = if imbalance > self.cfg.rebalance_threshold {
-            self.stats.rebalances += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("amr.dist.rebalances").inc();
-            }
+            self.link.stats.rebalances += 1;
+            self.link.count("amr.dist.rebalances", 1);
             assign_owners(&self.inner, live)
         } else {
             inherited.clone()
@@ -956,11 +817,9 @@ impl DistAmrSolver {
             .zip(&inherited)
             .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x != y).count() as u64)
             .sum();
-        self.stats.migrations += moved;
-        if let Some(m) = &self.metrics {
-            m.counter("amr.dist.migrations").add(moved);
-        }
-        self.owners = chosen;
+        self.link.stats.migrations += moved;
+        self.link.count("amr.dist.migrations", moved);
+        self.link.owners = chosen;
     }
 
     // ----- checkpointing and gathered views -------------------------------
@@ -1000,11 +859,9 @@ impl DistAmrSolver {
                 .save_amr(&self.inner.to_checkpoint(t))
                 .map_err(ck_err)?;
         }
-        self.stats.checkpoints_saved += 1;
-        if let Some(m) = &self.metrics {
-            m.counter("amr.dist.checkpoints").inc();
-            m.counter("ckp.tier.disk.save").inc();
-        }
+        self.link.stats.checkpoints_saved += 1;
+        self.link.count("amr.dist.checkpoints", 1);
+        self.link.count("ckp.tier.disk.save", 1);
         // The state is already fully replicated: refreshing the memory
         // tier here costs only the serialization, no extra messages.
         self.freeze_memory(rank, t);
@@ -1028,33 +885,27 @@ impl DistAmrSolver {
             t,
             encode_amr(&self.inner.to_checkpoint(t)),
         );
-        if let Some(inj) = &self.injector {
+        if let Some(inj) = &self.link.injector {
             if let Some(sel) = inj.should_flip_snapshot_bit(SnapshotTarget::Local) {
                 snap.flip_bit(sel);
                 rank.trace_instant("amr.dist.snapshot_rot_injected", 0.0);
             }
         }
         self.mem_ckp = Some(snap);
-        self.stats.local_snapshots += 1;
-        if let Some(m) = &self.metrics {
-            m.counter("ckp.tier.local.save").inc();
-        }
+        self.link.stats.local_snapshots += 1;
+        self.link.count("ckp.tier.local.save", 1);
     }
 
     /// Verify the frozen snapshot against its stamped FNV hash, dropping
     /// it if the bits have rotted (so a later restore round never offers
     /// a corrupt copy).
     fn scrub_memory(&mut self, rank: &Rank) {
-        if let Some(m) = &self.metrics {
-            m.counter("sdc.scrubs").inc();
-        }
+        self.link.count("sdc.scrubs", 1);
         if self.mem_ckp.as_ref().is_some_and(|s| !s.verify()) {
             self.mem_ckp = None;
-            self.stats.snapshots_rotted += 1;
+            self.link.stats.snapshots_rotted += 1;
             rank.trace_instant("amr.dist.snapshot_rot_detected", 0.0);
-            if let Some(m) = &self.metrics {
-                m.counter("sdc.snapshot_rot").inc();
-            }
+            self.link.count("sdc.snapshot_rot", 1);
         }
     }
 
@@ -1066,13 +917,10 @@ impl DistAmrSolver {
     /// recoveries: survivors restore and re-partition with zero disk I/O.
     fn restore_memory(&mut self, rank: &mut Rank) -> Result<Option<f64>, SolverError> {
         let valid = self.mem_ckp.as_ref().is_some_and(|s| s.verify());
-        let contrib = match &self.mem_ckp {
-            Some(s) if valid => [s.step as f64, -(s.step as f64)],
-            _ => [f64::INFINITY, f64::INFINITY],
-        };
-        let steps = rank.allreduce(&contrib, f64::min);
+        let my_step = self.mem_ckp.as_ref().filter(|_| valid).map(|s| s.step);
+        let round = agree_capture_round(rank, my_step);
         let all_valid = rank.allreduce_min(if valid { 1.0 } else { 0.0 }) > 0.5;
-        if !all_valid || !steps[0].is_finite() || steps[0] != -steps[1] {
+        if !all_valid || round.is_none() {
             return Ok(None);
         }
         let snap = self.mem_ckp.take().expect("validated above");
@@ -1085,11 +933,9 @@ impl DistAmrSolver {
             return Ok(None);
         };
         self.restore(rank, &ck)?;
-        self.stats.local_restores += 1;
+        self.link.stats.local_restores += 1;
         rank.trace_instant("amr.dist.memory_restore", ck.step as f64);
-        if let Some(m) = &self.metrics {
-            m.counter("ckp.tier.local.restore").inc();
-        }
+        self.link.count("ckp.tier.local.restore", 1);
         Ok(Some(ck.time))
     }
 
@@ -1114,13 +960,13 @@ impl DistAmrSolver {
             }
         };
         if fell_back {
-            self.stats.ckpt_fallbacks += 1;
+            self.link.stats.ckpt_fallbacks += 1;
         }
         self.restore(rank, &ck)?;
         Ok(ck.time)
     }
 
-    // ----- the resilient advance loop ------------------------------------
+    // ----- the ladder's rungs ---------------------------------------------
 
     /// One attempt of a resilient step: sync + Δt reduction on the
     /// pre-regrid hierarchy (matching the serial solver's order), the
@@ -1133,7 +979,17 @@ impl DistAmrSolver {
         t_end: f64,
         cfl_eff: f64,
     ) -> Result<f64, SolverError> {
-        let dt_res = self.dist_stable_dt(rank, cfl_eff);
+        // The Δt reduction is an exact min, so the result is
+        // bit-identical to the serial `AmrSolver::stable_dt`. Errors are
+        // deferred past it — every rank contributes (∞ on failure) so
+        // collective tags stay aligned across ranks.
+        let mut coupling = RankLink {
+            link: &mut self.link,
+            rank,
+        };
+        let local = self.inner.stable_dt_with(&mut coupling, cfl_eff);
+        let global = rank.allreduce_min(*local.as_ref().unwrap_or(&f64::INFINITY));
+        let dt_res = local.map(|_| global);
         if matches!(dt_res, Err(SolverError::RankFailed { .. })) && rank.evicted().is_none() {
             return dt_res;
         }
@@ -1162,7 +1018,11 @@ impl DistAmrSolver {
             dt = t_end - t;
         }
         self.snapshot_u();
-        self.dist_step_level(rank, 0, dt, 0.0)?;
+        let mut coupling = RankLink {
+            link: &mut self.link,
+            rank,
+        };
+        self.inner.step_level(&mut coupling, 0, dt, 0.0)?;
         Ok(dt)
     }
 
@@ -1203,11 +1063,10 @@ impl DistAmrSolver {
         }
     }
 
-    /// Advance to `t_end` under CFL control with the full recovery ladder:
-    /// in-place retries with halved CFL, checkpoint restores, and — on a
-    /// confirmed rank death — a shrinking recovery that re-partitions the
-    /// hierarchy over the survivors. Mirrors the block driver's
-    /// `advance_to_with_restart` control flow.
+    /// Advance to `t_end` under CFL control up the recovery ladder
+    /// ([`resilient_advance`]): in-place retries with halved CFL,
+    /// checkpoint restores, and — on a confirmed rank death — a shrinking
+    /// recovery that re-partitions the hierarchy over the survivors.
     pub fn advance_to(
         &mut self,
         rank: &mut Rank,
@@ -1215,193 +1074,165 @@ impl DistAmrSolver {
         t_end: f64,
         cfl: f64,
     ) -> Result<DistAmrStats, SolverError> {
-        self.injector = rank.fault_injector().cloned();
-        let slots = match &self.cfg.checkpoint_dir {
-            Some(dir) => Some(CheckpointSlots::new(dir.clone()).map_err(ck_err)?),
-            None => None,
+        let mut ladder = AmrLadder {
+            d: self,
+            slots: None,
+            cfl,
         };
-        let mut t = t0;
-        let mut cfl_scale = 1.0f64;
-        let mut restores_left = self.cfg.max_restores;
-        self.cur_step = self.inner.steps;
-        if let Some(slots) = &slots {
+        resilient_advance(&mut ladder, rank, t0, t_end)?;
+        Ok(self.link.stats)
+    }
+}
+
+/// One `advance_to` call seen from the recovery ladder.
+struct AmrLadder<'a> {
+    d: &'a mut DistAmrSolver,
+    /// Shared rank-count-independent disk slots, when configured.
+    slots: Option<CheckpointSlots>,
+    cfl: f64,
+}
+
+impl AmrLadder<'_> {
+    /// Memory tier first — every rank holds a full replicated checkpoint,
+    /// so neither a restore nor a shrink needs disk while it is valid;
+    /// whether it can serve is agreed inside `restore_memory` itself.
+    fn tier_restore(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
+        let t = match self.d.restore_memory(rank)? {
+            Some(t) => t,
+            None => {
+                let slots = self.slots.as_ref().ok_or_else(|| SolverError::Checkpoint {
+                    msg: "the memory tier cannot serve a restore and no checkpoint \
+                          directory is configured"
+                        .into(),
+                })?;
+                self.d.link.count("ckp.tier.disk.restore", 1);
+                self.d.restore_newest(rank, slots)?
+            }
+        };
+        self.d.link.cur_step = self.d.inner.steps;
+        Ok(t)
+    }
+}
+
+impl Recoverable for AmrLadder<'_> {
+    fn budget(&self) -> Budget {
+        Budget {
+            max_step_retries: self.d.cfg.max_step_retries,
+            max_restores: self.d.cfg.max_restores,
+        }
+    }
+
+    fn step_no(&self) -> u64 {
+        self.d.link.cur_step
+    }
+
+    fn arm(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
+        let d = &mut *self.d;
+        d.link.injector = rank.fault_injector().cloned();
+        d.link.cur_step = d.inner.steps;
+        if let Some(dir) = &d.cfg.checkpoint_dir {
             // Always write an initial checkpoint so a shrink/restore
             // target exists from the very first step (this also freezes
             // the initial memory-tier snapshot).
-            self.save_gathered(rank, slots, t)?;
-        } else if self.cfg.local_interval > 0 {
+            let slots = CheckpointSlots::new(dir.clone()).map_err(ck_err)?;
+            d.save_gathered(rank, &slots, t)?;
+            self.slots = Some(slots);
+        } else if d.cfg.local_interval > 0 {
             // Diskless runs still arm the memory tier from step 0.
-            self.save_memory(rank, t)?;
+            d.save_memory(rank, t)?;
         }
-        while t < t_end - 1e-14 {
-            self.cur_step = self.inner.steps;
-            // Rank-level crash injection at the classic step site: the
-            // victim stops participating with no farewell message.
-            self.check_crash(rank, RankSite::Step)?;
-            let mut attempt = 0usize;
-            'attempts: loop {
-                self.seq += 1;
-                let scale = cfl_scale * 0.5f64.powi(attempt as i32);
-                let outcome = self.try_step(rank, t, t_end, cfl * scale);
-                if matches!(outcome, Err(SolverError::RankFailed { .. }))
-                    && rank.evicted().is_none()
-                {
-                    // Own injected crash inside the step: go silent.
-                    return Err(outcome.unwrap_err());
-                }
-                // 0 = clean, 1 = step failure (retry/restore tier),
-                // ≥ SUSPECT_FLAG = a peer looks dead (consensus tier).
-                let flag = if rank.evicted().is_some()
-                    || rank.suspected_mask() != 0
-                    || matches!(outcome, Err(SolverError::PeerSuspect { .. }))
-                {
-                    SUSPECT_FLAG
-                } else if outcome.is_err() {
-                    1.0
-                } else {
-                    0.0
-                };
-                let agreed = rank.agree_max(flag);
-                if agreed >= SUSPECT_FLAG {
-                    self.rollback();
-                    let newly_dead =
-                        rank.suspicion_consensus()
-                            .map_err(|_| SolverError::RankFailed {
-                                step: self.cur_step,
-                            })?;
-                    if newly_dead != 0 {
-                        self.stats.shrinks += 1;
-                        self.stats.ranks_lost += u64::from(newly_dead.count_ones());
-                        // Memory tier first: every survivor holds a full
-                        // replicated checkpoint, so a shrink needs no disk.
-                        t = match self.restore_memory(rank)? {
-                            Some(t) => t,
-                            None => {
-                                let slots_ref =
-                                    slots.as_ref().ok_or_else(|| SolverError::Checkpoint {
-                                        msg: "rank death confirmed but neither the memory \
-                                              tier nor a checkpoint directory can serve a \
-                                              shrinking recovery"
-                                            .into(),
-                                    })?;
-                                if let Some(m) = &self.metrics {
-                                    m.counter("ckp.tier.disk.restore").inc();
-                                }
-                                self.restore_newest(rank, slots_ref)?
-                            }
-                        };
-                        self.cur_step = self.inner.steps;
-                        cfl_scale = 0.25;
-                        rank.trace_instant("amr.dist.shrink", newly_dead.count_ones() as f64);
-                        if let Some(m) = &self.metrics {
-                            m.counter("amr.dist.shrinks").inc();
-                            m.counter("amr.dist.ranks_lost")
-                                .add(u64::from(newly_dead.count_ones()));
-                        }
-                        break 'attempts;
-                    }
-                    self.stats.false_suspicions += 1;
-                    rank.trace_instant("amr.dist.false_suspicion", self.cur_step as f64);
-                    if let Some(m) = &self.metrics {
-                        m.counter("amr.dist.false_suspicions").inc();
-                    }
-                }
-                let failed = agreed >= 1.0;
-                match outcome {
-                    Ok(dt) if !failed => {
-                        t += dt;
-                        self.inner.steps += 1;
-                        self.stats.steps += 1;
-                        self.snapshot_ok = false;
-                        self.inner.flush_metrics();
-                        // A reduced CFL ramps back up as steps succeed.
-                        cfl_scale = if attempt > 0 { scale } else { cfl_scale };
-                        cfl_scale = (cfl_scale * 2.0).min(1.0);
-                        let iv = self.cfg.checkpoint_interval as u64;
-                        let liv = self.cfg.local_interval as u64;
-                        let disk_due =
-                            iv > 0 && self.inner.steps.is_multiple_of(iv) && slots.is_some();
-                        let mem_due = liv > 0 && self.inner.steps.is_multiple_of(liv);
-                        // A disk save refreshes the memory tier for free
-                        // (the allgather already replicated the state), so
-                        // the standalone memory save runs only when the
-                        // slower disk cadence is not also due.
-                        let saved = if disk_due {
-                            self.save_gathered(rank, slots.as_ref().expect("disk_due"), t)
-                        } else if mem_due {
-                            self.save_memory(rank, t)
-                        } else {
-                            Ok(())
-                        };
-                        match saved {
-                            Ok(()) => {}
-                            // A peer died mid-gather: the latched
-                            // suspicion routes into the next
-                            // step's consensus tier.
-                            Err(SolverError::PeerSuspect { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                        let sv = self.cfg.scrub_interval as u64;
-                        if sv > 0 && self.inner.steps.is_multiple_of(sv) {
-                            self.scrub_memory(rank);
-                        }
-                        break 'attempts;
-                    }
-                    outcome => {
-                        self.rollback();
-                        if attempt < self.cfg.max_step_retries {
-                            attempt += 1;
-                            self.stats.retries += 1;
-                            rank.trace_instant("amr.dist.retry", attempt as f64);
-                            if let Some(m) = &self.metrics {
-                                m.counter("amr.dist.retries").inc();
-                            }
-                            continue;
-                        }
-                        // Retries exhausted: restore, memory tier first.
-                        // The restore counter marches in lockstep on every
-                        // rank, so this decision is collective; whether the
-                        // memory tier can serve is agreed inside
-                        // `restore_memory` itself.
-                        if restores_left == 0 {
-                            return Err(outcome.err().unwrap_or(SolverError::Checkpoint {
-                                msg: "step failed on a peer rank; retries and restores \
-                                      exhausted"
-                                    .into(),
-                            }));
-                        }
-                        restores_left -= 1;
-                        t = match self.restore_memory(rank)? {
-                            Some(t) => t,
-                            None => {
-                                let slots_ref = match &slots {
-                                    Some(s) => s,
-                                    None => {
-                                        return Err(SolverError::Checkpoint {
-                                            msg: "memory tier rotted and no checkpoint \
-                                                  directory is configured"
-                                                .into(),
-                                        })
-                                    }
-                                };
-                                if let Some(m) = &self.metrics {
-                                    m.counter("ckp.tier.disk.restore").inc();
-                                }
-                                self.restore_newest(rank, slots_ref)?
-                            }
-                        };
-                        self.cur_step = self.inner.steps;
-                        self.stats.restores += 1;
-                        cfl_scale = 0.25;
-                        if let Some(m) = &self.metrics {
-                            m.counter("amr.dist.restores").inc();
-                        }
-                        break 'attempts;
-                    }
-                }
+        Ok(())
+    }
+
+    fn pre_step(&mut self, rank: &mut Rank, _t: f64) -> Result<bool, SolverError> {
+        self.d.link.cur_step = self.d.inner.steps;
+        // Rank-level crash injection at the classic step site: the
+        // victim stops participating with no farewell message.
+        self.d.link.check_crash(rank, RankSite::Step)?;
+        Ok(false)
+    }
+
+    fn try_step(
+        &mut self,
+        rank: &mut Rank,
+        t: f64,
+        t_end: f64,
+        cfl_scale: f64,
+    ) -> Result<f64, SolverError> {
+        self.d.link.seq += 1;
+        self.d.try_step(rank, t, t_end, self.cfl * cfl_scale)
+    }
+
+    fn rollback(&mut self) {
+        self.d.rollback();
+    }
+
+    fn commit(&mut self, rank: &mut Rank, t: f64, _dt: f64) -> Result<(), SolverError> {
+        let d = &mut *self.d;
+        d.inner.steps += 1;
+        d.link.stats.steps += 1;
+        d.snapshot_ok = false;
+        d.inner.flush_metrics();
+        let steps = d.inner.steps;
+        let due = |interval: usize| interval > 0 && steps.is_multiple_of(interval as u64);
+        // A disk save refreshes the memory tier for free (the allgather
+        // already replicated the state), so the standalone memory save
+        // runs only when the slower disk cadence is not also due.
+        let saved = match &self.slots {
+            Some(slots) if due(d.cfg.checkpoint_interval) => d.save_gathered(rank, slots, t),
+            _ if due(d.cfg.local_interval) => d.save_memory(rank, t),
+            _ => Ok(()),
+        };
+        match saved {
+            // A peer died mid-gather: the latched suspicion routes into
+            // the next step's consensus rung.
+            Ok(()) | Err(SolverError::PeerSuspect { .. }) => {}
+            Err(e) => return Err(e),
+        }
+        if due(d.cfg.scrub_interval) {
+            d.scrub_memory(rank);
+        }
+        Ok(())
+    }
+
+    fn can_restore(&self) -> bool {
+        self.slots.is_some() || self.d.cfg.local_interval > 0
+    }
+
+    fn restore(&mut self, rank: &mut Rank, _cause: RestoreCause) -> Result<f64, SolverError> {
+        self.tier_restore(rank)
+    }
+
+    fn shrink(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
+        self.tier_restore(rank)
+    }
+
+    fn note(&mut self, rank: &Rank, ev: LadderEvent) {
+        let link = &mut self.d.link;
+        match ev {
+            LadderEvent::Agreed { .. } => {}
+            LadderEvent::Retry { attempt } => {
+                link.stats.retries += 1;
+                rank.trace_instant("amr.dist.retry", attempt as f64);
+                link.count("amr.dist.retries", 1);
+            }
+            LadderEvent::FalseSuspicion => {
+                link.stats.false_suspicions += 1;
+                rank.trace_instant("amr.dist.false_suspicion", link.cur_step as f64);
+                link.count("amr.dist.false_suspicions", 1);
+            }
+            LadderEvent::Shrink { ranks_lost } => {
+                link.stats.shrinks += 1;
+                link.stats.ranks_lost += u64::from(ranks_lost);
+                rank.trace_instant("amr.dist.shrink", f64::from(ranks_lost));
+                link.count("amr.dist.shrinks", 1);
+                link.count("amr.dist.ranks_lost", u64::from(ranks_lost));
+            }
+            LadderEvent::Restored(_) => {
+                link.stats.restores += 1;
+                link.count("amr.dist.restores", 1);
             }
         }
-        Ok(self.stats)
     }
 }
 
@@ -1633,6 +1464,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A run driven past its restore budget must leave a flight-recorder
+    /// dump behind, like the block driver's. CFL 0 collapses Δt on every
+    /// attempt, deterministically and on every rank: each step burns its
+    /// retries, the memory tier serves restores until the budget is
+    /// spent, and the step's own error comes back.
+    #[test]
+    fn exhausted_restore_budget_dumps_the_flight_recorder() {
+        let dir = std::env::temp_dir().join("rhrsc-amr-dist-terminal-dump");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("trace.json");
+        let tracer = Arc::new(rhrsc_runtime::Tracer::new(256));
+        tracer.set_dump_path(Some(path.clone()));
+        let cfg = DistAmrConfig {
+            amr: AmrConfig {
+                max_levels: 2,
+                ..AmrConfig::default()
+            },
+            local_interval: 1,
+            max_step_retries: 2,
+            max_restores: 3,
+            ..DistAmrConfig::default()
+        };
+        let prob = Problem::sod();
+        let outs = run(2, NetworkModel::ideal(), |rank| {
+            rank.set_trace(Arc::clone(&tracer));
+            let mut d =
+                DistAmrSolver::new(scheme(), prob.bcs, RkOrder::Rk3, 64, 0.0, 1.0, cfg.clone());
+            d.init(rank, &|x| (prob.ic)(x));
+            (d.advance_to(rank, 0.0, 0.1, 0.0), d.stats())
+        });
+        for (out, stats) in outs {
+            assert!(
+                matches!(out, Err(SolverError::TimestepCollapse { .. })),
+                "expected the step's own error, got {out:?}"
+            );
+            assert_eq!(stats.restores, 3, "every unit of budget is spent first");
+            assert_eq!(stats.retries, 2 * 4, "two retries before each escalation");
+            assert_eq!(stats.local_restores, 3, "served diskless");
+        }
+        let dump = std::fs::read_to_string(&path).expect("terminal error must dump the trace");
+        assert!(dump.contains("fault.dump"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Satellite: a v4 checkpoint written by a 4-rank run restores onto a

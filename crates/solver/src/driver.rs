@@ -18,6 +18,8 @@
 
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::integrate::{lincomb, RkOrder};
+use crate::ladder::{resilient_advance, Budget, LadderEvent, Recoverable, RestoreCause, Stopwatch};
+use crate::refine::rk_tables;
 use crate::scheme::{
     init_cons, max_dt, recover_cell_metered, recover_cells_resilient_metered,
     recover_prims_metered, recover_prims_resilient_metered, RecoveryPolicy, RecoveryStats, Scheme,
@@ -25,7 +27,7 @@ use crate::scheme::{
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_comm::{
-    CommError, Rank, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG, SUSPECT_FLAG,
+    CommError, FaultInjector, Rank, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG,
     TELEMETRY_TAG,
 };
 use rhrsc_grid::{fill_face, BcSet, CartDecomp, Field, PatchGeom};
@@ -94,12 +96,8 @@ impl DistConfig {
     /// Local patch geometry for `rank`.
     pub fn local_geom(&self, rank: usize) -> PatchGeom {
         let (off, size) = self.decomp.local_span(self.global_n, rank);
-        let (lo, hi) = self.domain;
-        let dx = [
-            (hi[0] - lo[0]) / self.global_n[0] as f64,
-            (hi[1] - lo[1]) / self.global_n[1] as f64,
-            (hi[2] - lo[2]) / self.global_n[2] as f64,
-        ];
+        let (lo, _) = self.domain;
+        let dx = self.cell_size();
         PatchGeom {
             n: size,
             ng: self.scheme.required_ghosts(),
@@ -110,6 +108,51 @@ impl DistConfig {
             ],
             dx,
         }
+    }
+
+    fn cell_size(&self) -> [f64; 3] {
+        let (lo, hi) = self.domain;
+        [
+            (hi[0] - lo[0]) / self.global_n[0] as f64,
+            (hi[1] - lo[1]) / self.global_n[1] as f64,
+            (hi[2] - lo[2]) / self.global_n[2] as f64,
+        ]
+    }
+
+    /// An empty ghost-free conserved field over the whole domain.
+    fn global_field(&self) -> Field {
+        Field::cons(PatchGeom {
+            n: self.global_n,
+            ng: 0,
+            origin: self.domain.0,
+            dx: self.cell_size(),
+        })
+    }
+
+    /// Copy block `b`'s flattened interior (component-major,
+    /// `interior_iter` order) into its span of `global`. A wrong-length
+    /// contribution is reported as [`SolverError::HaloMismatch`].
+    fn place_block(&self, global: &mut Field, b: usize, data: &[f64]) -> Result<(), SolverError> {
+        let (off, size) = self.decomp.local_span(self.global_n, b);
+        let expected = NCOMP * size[0] * size[1] * size[2];
+        if data.len() != expected {
+            return Err(SolverError::HaloMismatch {
+                expected,
+                got: data.len(),
+            });
+        }
+        let mut idx = 0;
+        for c in 0..NCOMP {
+            for k in 0..size[2] {
+                for j in 0..size[1] {
+                    for i in 0..size[0] {
+                        global.set(c, off[0] + i, off[1] + j, off[2] + k, data[idx]);
+                        idx += 1;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -342,14 +385,6 @@ impl DtCache {
     }
 }
 
-/// Agreement value signaling "this rank detected silent data corruption
-/// in its live state". Sits between the ordinary step-failure flag (1.0,
-/// retry tier) and [`SUSPECT_FLAG`] (2.0, consensus tier): an SDC hit
-/// cannot be retried — the rollback backup is corrupt too — so the agreed
-/// response is a collective restore from the cheapest valid snapshot
-/// tier, but nobody is suspected dead.
-pub const SDC_FLAG: f64 = 1.5;
-
 /// The in-memory checkpoint tiers one rank holds: its own L1 snapshot
 /// and (optionally) the L2 replica it guards for its *ward*. Pairing is
 /// a fixed ring: block `b` ships its snapshot to guardian
@@ -373,6 +408,38 @@ impl CkpTiers {
             replica: None,
         }
     }
+
+    /// Verify both tiers and agree (max-reduce) on who still holds a
+    /// valid copy of which of the `n` blocks: `[own_ok(n), rep_ok(n)]`,
+    /// where the guardian speaks for its ward's replica slot. Returns
+    /// this rank's `(own_ok, rep_ok)` and the agreed flags.
+    fn coverage(&self, rank: &mut Rank, n: usize, my_block: usize) -> (bool, bool, Vec<f64>) {
+        let own_ok = self.local.as_ref().is_some_and(|s| s.verify());
+        let rep_ok = self.replica.as_ref().is_some_and(|(_, r)| r.verify());
+        let mut flags = vec![0.0; 2 * n];
+        if own_ok {
+            flags[my_block] = 1.0;
+        }
+        if let Some((ward, _)) = &self.replica {
+            if rep_ok {
+                flags[n + ward] = 1.0;
+            }
+        }
+        (own_ok, rep_ok, rank.allreduce(&flags, f64::max))
+    }
+}
+
+/// Agree (one min-reduce of `[s, -s]`, which yields both the min and the
+/// max) on the capture round of the snapshots about to serve a restore.
+/// Ranks without a valid snapshot pass `None` and contribute neutrally.
+/// `Some(step)` only when every contributed step is the same one.
+pub(crate) fn agree_capture_round(rank: &mut Rank, my_step: Option<u64>) -> Option<u64> {
+    let contrib = match my_step {
+        Some(s) => [s as f64, -(s as f64)],
+        None => [f64::INFINITY, f64::INFINITY],
+    };
+    let steps = rank.allreduce(&contrib, f64::min);
+    (steps[0].is_finite() && steps[0] == -steps[1]).then_some(steps[0] as u64)
 }
 
 /// Wire format of a snapshot shipped between buddies (data-class tags,
@@ -422,10 +489,23 @@ fn unpack_snapshot_msg(msg: &[f64]) -> Result<MemorySnapshot, SolverError> {
     Ok(MemorySnapshot::from_parts(step, time, bytes, fnv))
 }
 
-/// Start marker of an instrumented phase: wall clock plus the rank's
-/// virtual clock. `None` when neither a registry nor a tracer is
-/// attached, so the disabled path costs one `Option` check per phase.
-type PhaseStart = Option<(Instant, f64)>;
+/// Start marker of an instrumented phase. `None` when neither a registry
+/// nor a tracer is attached, so the disabled path costs one `Option`
+/// check per phase.
+type PhaseStart = Option<Stopwatch>;
+
+/// How a step gets its Δt.
+#[derive(Clone, Copy)]
+enum StepSize {
+    /// The caller's Δt.
+    Fixed(f64),
+    /// `scale` × the global Δt decided from the stage-0 wave-speed scan,
+    /// clamped so that `t + dt` does not pass `limit = (t, t_end)`.
+    Scanned {
+        limit: Option<(f64, f64)>,
+        scale: f64,
+    },
+}
 
 impl BlockSolver {
     /// Build the solver for `rank`'s block and initialize the conserved
@@ -518,24 +598,26 @@ impl BlockSolver {
     }
 
     fn pstart(&self, rank: &Rank) -> PhaseStart {
-        if self.metrics.is_some() || rank.has_trace() {
-            Some((Instant::now(), rank.vtime()))
-        } else {
-            None
-        }
+        (self.metrics.is_some() || rank.has_trace()).then(|| Stopwatch::start(rank))
     }
 
     fn pend(&self, name: &'static str, rank: &Rank, s: PhaseStart) {
-        if let Some((t0, v0)) = s {
-            let ns = if rank.is_virtual() {
-                ((rank.vtime() - v0).max(0.0) * 1e9) as u64
-            } else {
-                t0.elapsed().as_nanos() as u64
-            };
-            if let Some(m) = &self.metrics {
-                m.histogram(name).record(ns);
-            }
-            rank.trace_span(name, ns);
+        if let Some(s) = s {
+            self.record_span(name, rank, s.ns(rank));
+        }
+    }
+
+    fn record_span(&self, name: &'static str, rank: &Rank, ns: u64) {
+        if let Some(m) = &self.metrics {
+            m.histogram(name).record(ns);
+        }
+        rank.trace_span(name, ns);
+    }
+
+    /// Add `n` to counter `name` when a registry is attached.
+    fn count(&self, name: &str, n: u64) {
+        if let Some(m) = &self.metrics {
+            m.counter(name).add(n);
         }
     }
 
@@ -565,14 +647,12 @@ impl BlockSolver {
         if floor_alarm {
             rank.trace_instant("health.alarm.floor", record.atmo_frac);
         }
-        if let Some(m) = &self.metrics {
-            m.counter("health.records").inc();
-            if drift_alarm {
-                m.counter("health.drift_alarms").inc();
-            }
-            if floor_alarm {
-                m.counter("health.floor_alarms").inc();
-            }
+        self.count("health.records", 1);
+        if drift_alarm {
+            self.count("health.drift_alarms", 1);
+        }
+        if floor_alarm {
+            self.count("health.floor_alarms", 1);
         }
     }
 
@@ -668,12 +748,9 @@ impl BlockSolver {
         if stats.total() == 0 {
             return;
         }
-        if let Some(m) = &self.metrics {
-            m.counter("c2p.cascade.relaxed_tol").add(stats.relaxed_tol);
-            m.counter("c2p.cascade.neighbor_avg")
-                .add(stats.neighbor_avg);
-            m.counter("c2p.cascade.atmosphere").add(stats.atmosphere);
-        }
+        self.count("c2p.cascade.relaxed_tol", stats.relaxed_tol);
+        self.count("c2p.cascade.neighbor_avg", stats.neighbor_avg);
+        self.count("c2p.cascade.atmosphere", stats.atmosphere);
     }
 
     /// The local patch geometry.
@@ -687,25 +764,9 @@ impl BlockSolver {
         &self.cfg
     }
 
-    /// This solver's block rank in the current decomposition.
-    pub fn block_rank(&self) -> usize {
-        self.my_rank
-    }
-
     /// Communicator rank of block rank `block`.
     fn comm_of(&self, block: usize) -> usize {
         self.comm_ranks[block]
-    }
-
-    /// Set how primitive-recovery failures are handled (default:
-    /// [`RecoveryPolicy::Strict`], the seed behavior).
-    pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
-        self.recovery = policy;
-    }
-
-    /// Cascade-tier counters accumulated so far on this rank.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.rec_stats
     }
 
     /// Pack the `ng` interior layers adjacent to face (`d`, `side`)
@@ -1069,75 +1130,70 @@ impl BlockSolver {
         self.pend("phase.rk.combine", rank, s);
     }
 
-    /// One RK step of size `dt`.
+    /// One RK step of size `dt`; the first stage error aborts the step.
     pub fn step(&mut self, rank: &mut Rank, u: &mut Field, dt: f64) -> Result<(), SolverError> {
-        match self.cfg.rk {
-            RkOrder::Rk1 => {
-                self.eval_rhs(rank, u, false)?;
-                self.combine(rank, u, 1.0, None, dt);
-            }
-            RkOrder::Rk2 => {
-                self.u_stage.raw_mut().copy_from_slice(u.raw());
-                self.eval_rhs(rank, u, false)?;
-                self.combine(rank, u, 1.0, None, dt);
-                self.eval_rhs(rank, u, false)?;
-                self.combine(rank, u, 0.5, Some(0.5), 0.5 * dt);
-            }
-            RkOrder::Rk3 => {
-                self.u_stage.raw_mut().copy_from_slice(u.raw());
-                self.eval_rhs(rank, u, false)?;
-                self.combine(rank, u, 1.0, None, dt);
-                self.eval_rhs(rank, u, false)?;
-                self.combine(rank, u, 0.25, Some(0.75), 0.25 * dt);
-                self.eval_rhs(rank, u, false)?;
-                self.combine(rank, u, 2.0 / 3.0, Some(1.0 / 3.0), 2.0 / 3.0 * dt);
-            }
-        }
-        Ok(())
+        self.run_stages(rank, u, StepSize::Fixed(dt), false)
+            .map(|_| ())
     }
 
-    /// Like [`BlockSolver::step`], but every RK stage runs even after an
-    /// error. Under [`RecoveryPolicy::Cascade`] the only in-step failure
-    /// mode is a halo mismatch, and by then the neighbor ranks are
-    /// already committed to the full per-step communication pattern —
-    /// aborting mid-step would leave them blocked in `recv`. Instead the
-    /// remaining stages keep exchanging (possibly stale) data, the first
-    /// error is reported at the end, and the caller rolls the state back.
-    pub fn step_resilient(
+    /// The one stage loop, driven by [`rk_tables`]. Returns the Δt taken.
+    ///
+    /// With [`StepSize::Scanned`] Δt is decided *inside* the step: the
+    /// stage-0 residual evaluation runs the fused wave-speed scan, the
+    /// cadenced refresh (or the cached coast) turns this rank's bound
+    /// into the global Δt, and only then do the stage combines apply it.
+    /// The stage-0 residual does not depend on Δt, so with a refresh
+    /// every step this is bitwise the "Δt first, then step" ordering —
+    /// minus the separate `phase.dt.local` primitive-recovery pass, which
+    /// the fusion makes redundant.
+    ///
+    /// With `keep_going`, every stage runs even after an error. Under
+    /// [`RecoveryPolicy::Cascade`] the only in-step failure mode is a
+    /// halo mismatch, and by then the neighbor ranks are already
+    /// committed to the full per-step communication pattern — aborting
+    /// mid-step would leave them blocked in `recv`. Instead the remaining
+    /// stages keep exchanging (possibly stale) data, the first error is
+    /// reported at the end, and the caller rolls the state back. A Δt
+    /// collapse still returns at once: that decision is identical on
+    /// every rank.
+    fn run_stages(
         &mut self,
         rank: &mut Rank,
         u: &mut Field,
-        dt: f64,
-    ) -> Result<(), SolverError> {
-        fn note(slot: &mut Option<SolverError>, r: Result<(), SolverError>) {
-            if let Err(e) = r {
-                slot.get_or_insert(e);
-            }
-        }
+        size: StepSize,
+        keep_going: bool,
+    ) -> Result<f64, SolverError> {
+        let (stages, _, _) = rk_tables(self.cfg.rk);
+        let scanned = matches!(size, StepSize::Scanned { .. });
         let mut first = None;
-        match self.cfg.rk {
-            RkOrder::Rk1 => {
-                note(&mut first, self.eval_rhs(rank, u, false));
-                self.combine(rank, u, 1.0, None, dt);
+        let mut dt = 0.0;
+        for (si, &(a, b, c)) in stages.iter().enumerate() {
+            if let Err(e) = self.eval_rhs(rank, u, scanned && si == 0) {
+                if !keep_going {
+                    return Err(e);
+                }
+                first.get_or_insert(e);
             }
-            RkOrder::Rk2 => {
-                self.u_stage.raw_mut().copy_from_slice(u.raw());
-                note(&mut first, self.eval_rhs(rank, u, false));
-                self.combine(rank, u, 1.0, None, dt);
-                note(&mut first, self.eval_rhs(rank, u, false));
-                self.combine(rank, u, 0.5, Some(0.5), 0.5 * dt);
+            if si == 0 {
+                // Snapshot u^n *after* the stage-0 evaluation: the
+                // recovery cascade may have repaired poisoned cells in
+                // `u` during it, and those repairs must be part of the
+                // state the later combines reconstruct from. Without
+                // repairs the evaluation leaves `u` untouched, so this is
+                // bit-identical to snapshotting first.
+                if stages.len() > 1 {
+                    self.u_stage.raw_mut().copy_from_slice(u.raw());
+                }
+                dt = match size {
+                    StepSize::Fixed(dt) => dt,
+                    StepSize::Scanned { limit, scale } => self.scanned_dt(rank, limit, scale)?,
+                };
             }
-            RkOrder::Rk3 => {
-                self.u_stage.raw_mut().copy_from_slice(u.raw());
-                note(&mut first, self.eval_rhs(rank, u, false));
-                self.combine(rank, u, 1.0, None, dt);
-                note(&mut first, self.eval_rhs(rank, u, false));
-                self.combine(rank, u, 0.25, Some(0.75), 0.25 * dt);
-                note(&mut first, self.eval_rhs(rank, u, false));
-                self.combine(rank, u, 2.0 / 3.0, Some(1.0 / 3.0), 2.0 / 3.0 * dt);
-            }
+            // Shu–Osher form: u <- a u0 + b u + c Δt L(u); stage 0 has no
+            // u0 term.
+            self.combine(rank, u, b, (si > 0).then_some(a), c * dt);
         }
-        first.map_or(Ok(()), Err)
+        first.map_or(Ok(dt), Err)
     }
 
     /// Globally stable Δt: local CFL bound reduced with allreduce-min.
@@ -1146,7 +1202,7 @@ impl BlockSolver {
     /// primitive-recovery pass plus [`max_dt`], timed as
     /// `phase.dt.local`). The advance loops no longer call it — they get
     /// the local bound for free from the fused wave-speed scan of the
-    /// stage-0 residual sweep (see [`BlockSolver::step_auto`]) — but it
+    /// stage-0 residual sweep — but it
     /// is kept public as the independent cross-check the fused scan is
     /// tested against, and for callers that need a Δt without taking a
     /// step.
@@ -1197,54 +1253,19 @@ impl BlockSolver {
         (dt_g, false)
     }
 
-    /// One RK step where Δt is decided *inside* the step: the stage-0
-    /// residual evaluation runs the fused wave-speed scan, the cadenced
-    /// refresh (or the cached coast) turns this rank's bound into the
-    /// global Δt, and only then do the stage combines apply it. The
-    /// stage-0 residual does not depend on Δt, so with a refresh every
-    /// step this is bitwise the historical "Δt first, then step"
-    /// ordering — minus the separate `phase.dt.local`
-    /// primitive-recovery pass, which the fusion makes redundant.
-    ///
-    /// `limit` clamps `t + dt` to an end time; `scale` multiplies the
-    /// decided Δt (the resilient retry backoff). With `resilient`, stage
-    /// errors are noted and every stage still runs (the
-    /// [`BlockSolver::step_resilient`] contract); otherwise the first
-    /// error aborts. When a *coasted* Δt overruns this rank's freshly
+    /// This step's Δt from the stage-0 scan: `scale` × the decided global
+    /// Δt (the resilient retry backoff), with `limit` clamping `t + dt` to
+    /// an end time. When a *coasted* Δt overruns this rank's freshly
     /// scanned CFL bound, `dt.cadence.violation` is counted and the
-    /// violation is reported at the next refresh (collapsing the
-    /// window); the Δt itself is not adjusted locally — it must stay
-    /// identical across ranks. Returns the committed Δt.
-    fn step_auto(
+    /// violation is reported at the next refresh (collapsing the window);
+    /// the Δt itself is not adjusted locally — it must stay identical
+    /// across ranks.
+    fn scanned_dt(
         &mut self,
         rank: &mut Rank,
-        u: &mut Field,
         limit: Option<(f64, f64)>,
         scale: f64,
-        resilient: bool,
     ) -> Result<f64, SolverError> {
-        fn note(slot: &mut Option<SolverError>, r: Result<(), SolverError>) {
-            if let Err(e) = r {
-                slot.get_or_insert(e);
-            }
-        }
-        let mut first = None;
-        let r0 = self.eval_rhs(rank, u, true);
-        if resilient {
-            note(&mut first, r0);
-        } else {
-            r0?;
-        }
-        // Snapshot u^n *after* the stage-0 evaluation: the recovery
-        // cascade may have repaired poisoned cells in `u` during it, and
-        // those repairs must be part of the state the later combines
-        // reconstruct from (the historical ordering repaired in the
-        // pre-step Δt pass, before the snapshot). Without repairs the
-        // evaluation leaves `u` untouched, so this is bit-identical to
-        // snapshotting first.
-        if self.cfg.rk.stages() > 1 {
-            self.u_stage.raw_mut().copy_from_slice(u.raw());
-        }
         let local_bound = self.scan.dt(self.cfg.cfl);
         let (dt_raw, coasted) = self.decide_dt(rank, local_bound);
         let mut dt = dt_raw * scale;
@@ -1263,47 +1284,10 @@ impl BlockSolver {
         }
         if coasted && dt > local_bound {
             self.dt_cache.violations += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("dt.cadence.violation").add(1);
-            }
+            self.count("dt.cadence.violation", 1);
             rank.trace_instant("driver.dt_violation", dt / local_bound);
         }
-        match self.cfg.rk {
-            RkOrder::Rk1 => {
-                self.combine(rank, u, 1.0, None, dt);
-            }
-            RkOrder::Rk2 => {
-                self.combine(rank, u, 1.0, None, dt);
-                let r = self.eval_rhs(rank, u, false);
-                if resilient {
-                    note(&mut first, r);
-                } else {
-                    r?;
-                }
-                self.combine(rank, u, 0.5, Some(0.5), 0.5 * dt);
-            }
-            RkOrder::Rk3 => {
-                self.combine(rank, u, 1.0, None, dt);
-                let r = self.eval_rhs(rank, u, false);
-                if resilient {
-                    note(&mut first, r);
-                } else {
-                    r?;
-                }
-                self.combine(rank, u, 0.25, Some(0.75), 0.25 * dt);
-                let r = self.eval_rhs(rank, u, false);
-                if resilient {
-                    note(&mut first, r);
-                } else {
-                    r?;
-                }
-                self.combine(rank, u, 2.0 / 3.0, Some(1.0 / 3.0), 2.0 / 3.0 * dt);
-            }
-        }
-        match first {
-            Some(e) => Err(e),
-            None => Ok(dt),
-        }
+        Ok(dt)
     }
 
     /// Advance a fixed number of steps (each at the CFL-stable Δt);
@@ -1315,27 +1299,7 @@ impl BlockSolver {
         u: &mut Field,
         nsteps: usize,
     ) -> Result<DistStats, SolverError> {
-        let start = Instant::now();
-        let bytes0 = rank.bytes_sent();
-        let vtime0 = rank.vtime();
-        let mut stats = DistStats::default();
-        self.dt_cache = DtCache::new();
-        if let Some(mon) = &mut self.health {
-            mon.ensure_baseline(u);
-        }
-        let mut t = 0.0;
-        for _ in 0..nsteps {
-            let dt = self.step_auto(rank, u, None, 1.0, false)?;
-            t += dt;
-            stats.steps += 1;
-            stats.zone_updates += (self.geom.interior_len() * self.cfg.rk.stages()) as u64;
-            self.health_observe(rank, u, t, stats.steps as u64);
-            self.telemetry_observe(rank, t, stats.steps as u64, dt);
-        }
-        stats.elapsed = start.elapsed();
-        stats.bytes_sent = rank.bytes_sent() - bytes0;
-        stats.vtime = rank.vtime() - vtime0;
-        Ok(stats)
+        self.advance_plain(rank, u, 0.0, None, nsteps)
     }
 
     /// Advance to `t_end`; returns final state statistics.
@@ -1346,6 +1310,19 @@ impl BlockSolver {
         t0: f64,
         t_end: f64,
     ) -> Result<DistStats, SolverError> {
+        self.advance_plain(rank, u, t0, Some(t_end), usize::MAX)
+    }
+
+    /// The fail-fast advance loop: from `t0`, at most `max_steps` steps
+    /// and not past `t_end`.
+    fn advance_plain(
+        &mut self,
+        rank: &mut Rank,
+        u: &mut Field,
+        t0: f64,
+        t_end: Option<f64>,
+        max_steps: usize,
+    ) -> Result<DistStats, SolverError> {
         let start = Instant::now();
         let bytes0 = rank.bytes_sent();
         let vtime0 = rank.vtime();
@@ -1355,8 +1332,12 @@ impl BlockSolver {
         if let Some(mon) = &mut self.health {
             mon.ensure_baseline(u);
         }
-        while t < t_end - 1e-14 {
-            let dt = self.step_auto(rank, u, Some((t, t_end)), 1.0, false)?;
+        while stats.steps < max_steps && t_end.is_none_or(|end| t < end - 1e-14) {
+            let size = StepSize::Scanned {
+                limit: t_end.map(|end| (t, end)),
+                scale: 1.0,
+            };
+            let dt = self.run_stages(rank, u, size, false)?;
             t += dt;
             stats.steps += 1;
             stats.zone_updates += (self.geom.interior_len() * self.cfg.rk.stages()) as u64;
@@ -1385,25 +1366,17 @@ impl BlockSolver {
         scale: f64,
     ) -> Result<f64, SolverError> {
         let v0 = self.dt_cache.violations;
-        let dt = self.step_auto(rank, u, Some((t, t_end)), scale, true)?;
+        let size = StepSize::Scanned {
+            limit: Some((t, t_end)),
+            scale,
+        };
+        let dt = self.run_stages(rank, u, size, true)?;
         if self.dt_cache.violations > v0 {
             self.dt_cache.invalidate();
             let bound = self.scan.dt(self.cfg.cfl);
             return Err(SolverError::CflViolation { dt, bound });
         }
         Ok(dt)
-    }
-
-    /// Flatten this block's interior, component-major in
-    /// `interior_iter` order (matches [`BlockRecord`]'s layout).
-    fn pack_interior(&self, u: &Field) -> Vec<f64> {
-        let mut buf = Vec::with_capacity(NCOMP * self.geom.interior_len());
-        for c in 0..NCOMP {
-            for (i, j, k) in self.geom.interior_iter() {
-                buf.push(u.at(c, i, j, k));
-            }
-        }
-        buf
     }
 
     /// Collectively write a rank-count-independent global checkpoint:
@@ -1420,7 +1393,7 @@ impl BlockSolver {
         step: u64,
     ) -> Result<(), SolverError> {
         const GCKP_TAG: u64 = 1001;
-        let buf = self.pack_interior(u);
+        let buf = pack_interior(&self.geom, u);
         if self.my_rank != 0 {
             rank.send(self.comm_of(0), GCKP_TAG, &buf);
             return Ok(());
@@ -1485,27 +1458,15 @@ impl BlockSolver {
         u: &mut Field,
         gckp: &GlobalCheckpoint,
     ) -> Result<(f64, u64), SolverError> {
-        if gckp.global_n != self.cfg.global_n || gckp.ncomp != NCOMP {
-            return Err(SolverError::Checkpoint {
-                msg: "global checkpoint does not match this run's grid".into(),
-            });
-        }
-        let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, self.my_rank);
-        let data = gckp
-            .extract_span(offset, size)
-            .ok_or_else(|| SolverError::Checkpoint {
-                msg: "global checkpoint does not cover this block's span".into(),
-            })?;
-        let mut restored = Field::cons(self.geom);
-        let mut idx = 0;
-        for c in 0..NCOMP {
-            for (i, j, k) in self.geom.interior_iter() {
-                restored.set(c, i, j, k, data[idx]);
-                idx += 1;
-            }
-        }
-        *u = restored;
-        Ok((gckp.time, gckp.step))
+        let (data, time, step) =
+            self.fill_global_span(gckp)
+                .ok_or_else(|| SolverError::Checkpoint {
+                    msg: "global checkpoint does not match this run's grid or does not \
+                          cover this block's span"
+                        .into(),
+                })?;
+        *u = unpack_interior(self.geom, &data);
+        Ok((time, step))
     }
 
     /// Shrink onto the survivors after a confirmed rank death: re-run the
@@ -1519,9 +1480,6 @@ impl BlockSolver {
         gslots: &CheckpointSlots,
     ) -> Result<(f64, u64), SolverError> {
         self.rebuild_for_survivors(rank)?;
-        let ck_err = |e: rhrsc_io::checkpoint::CheckpointError| SolverError::Checkpoint {
-            msg: e.to_string(),
-        };
         // The filesystem is shared (ranks are threads): every survivor
         // loads the global state directly and cuts out its own span.
         let (gckp, _fell_back) = gslots.load_newest_global().map_err(ck_err)?;
@@ -1544,7 +1502,7 @@ impl BlockSolver {
                 id: self.my_rank as u64,
                 offset,
                 size,
-                data: self.pack_interior(u),
+                data: pack_interior(&self.geom, u),
             }],
         };
         MemorySnapshot::new(step, t, encode_global(&gckp))
@@ -1593,40 +1551,16 @@ impl BlockSolver {
         rstats: &mut ResilienceStats,
     ) -> Result<Option<(f64, u64)>, SolverError> {
         let n = self.cfg.decomp.nranks();
-        let own_ok = tiers.local.as_ref().is_some_and(|s| s.verify());
-        let rep_ok = tiers.replica.as_ref().is_some_and(|(_, r)| r.verify());
-        // Round 1 (max-reduce): who still holds a valid copy of which
-        // block — `[own_ok(n), rep_ok(n)]`, where the guardian speaks for
-        // its ward's replica slot.
-        let mut flags = vec![0.0; 2 * n];
-        if own_ok {
-            flags[self.my_rank] = 1.0;
-        }
-        if let Some((ward, _)) = &tiers.replica {
-            if rep_ok {
-                flags[n + ward] = 1.0;
-            }
-        }
-        let flags = rank.allreduce(&flags, f64::max);
+        let (own_ok, rep_ok, flags) = tiers.coverage(rank, n, self.my_rank);
         let covered = (0..n).all(|b| flags[b] > 0.5 || flags[n + b] > 0.5);
-        // Round 2 (min-reduce): agree on one capture round. Ranks with no
-        // valid snapshot of their own contribute neutrally; `[s, -s]`
-        // yields both the min and the max in one reduce.
         let my_step = match (&tiers.local, &tiers.replica) {
-            (Some(s), _) if own_ok => s.step as f64,
-            (_, Some((_, r))) if rep_ok => r.step as f64,
-            _ => f64::INFINITY,
+            (Some(s), _) if own_ok => Some(s.step),
+            (_, Some((_, r))) if rep_ok => Some(r.step),
+            _ => None,
         };
-        let contrib = if my_step.is_finite() {
-            [my_step, -my_step]
-        } else {
-            [f64::INFINITY, f64::INFINITY]
-        };
-        let steps = rank.allreduce(&contrib, f64::min);
-        let consistent = steps[0].is_finite() && steps[0] == -steps[1];
-        if !covered || !consistent {
+        let (true, Some(round)) = (covered, agree_capture_round(rank, my_step)) else {
             return Ok(None);
-        }
+        };
         // Guardians ship replicas back to wards whose own snapshot died.
         if let Some((ward, rep)) = &tiers.replica {
             if rep_ok && flags[*ward] < 0.5 {
@@ -1649,7 +1583,7 @@ impl BlockSolver {
         // Decode and cut the span, but do not touch `u` until every rank
         // has confirmed success — a half-restored universe is worse than
         // falling through to disk with clean state.
-        let restored = (snap.verify() && snap.step == steps[0] as u64)
+        let restored = (snap.verify() && snap.step == round)
             .then(|| decode_global_trusted(snap.bytes()).ok())
             .flatten()
             .and_then(|gckp| self.fill_global_span(&gckp));
@@ -1659,25 +1593,14 @@ impl BlockSolver {
         };
         // Rebuild from a fresh field so ghosts are zeroed exactly like the
         // disk-restore path — keeps no-fault and restored runs bit-identical.
-        let mut restored_f = Field::cons(self.geom);
-        let mut idx = 0;
-        for c in 0..NCOMP {
-            for (i, j, k) in self.geom.interior_iter() {
-                restored_f.set(c, i, j, k, data[idx]);
-                idx += 1;
-            }
-        }
-        u.raw_mut().copy_from_slice(restored_f.raw());
+        u.raw_mut()
+            .copy_from_slice(unpack_interior(self.geom, &data).raw());
         if from_buddy {
             rstats.buddy_restores += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("ckp.tier.buddy.restore").add(1);
-            }
+            self.count("ckp.tier.buddy.restore", 1);
         } else {
             rstats.local_restores += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("ckp.tier.local.restore").add(1);
-            }
+            self.count("ckp.tier.local.restore", 1);
         }
         Ok(Some((time, step)))
     }
@@ -1719,41 +1642,14 @@ impl BlockSolver {
         }
         let live = rank.live_ranks().to_vec();
         let alive = |b: usize| live.contains(&self.comm_ranks[b]);
-        let own_ok = tiers.local.as_ref().is_some_and(|s| s.verify());
-        let rep_ok = tiers.replica.as_ref().is_some_and(|(_, r)| r.verify());
         // Coverage agreement over the old blocks: survivors need their own
         // snapshot, dead blocks need a live guardian with a valid replica.
-        let mut flags = vec![0.0; 2 * n];
-        if own_ok {
-            flags[self.my_rank] = 1.0;
-        }
-        if let Some((ward, _)) = &tiers.replica {
-            if rep_ok {
-                flags[n + ward] = 1.0;
-            }
-        }
-        let flags = rank.allreduce(&flags, f64::max);
-        let covered = (0..n).all(|b| {
-            if alive(b) {
-                flags[b] > 0.5
-            } else {
-                flags[n + b] > 0.5
-            }
-        });
-        let my_step = if own_ok {
-            tiers.local.as_ref().unwrap().step as f64
-        } else {
-            f64::INFINITY
-        };
-        let contrib = if my_step.is_finite() {
-            [my_step, -my_step]
-        } else {
-            [f64::INFINITY, f64::INFINITY]
-        };
-        let steps = rank.allreduce(&contrib, f64::min);
-        if !covered || !steps[0].is_finite() || steps[0] != -steps[1] {
+        let (own_ok, rep_ok, flags) = tiers.coverage(rank, n, self.my_rank);
+        let covered = (0..n).all(|b| flags[if alive(b) { b } else { n + b }] > 0.5);
+        let my_step = tiers.local.as_ref().filter(|_| own_ok).map(|s| s.step);
+        let (true, Some(round)) = (covered, agree_capture_round(rank, my_step)) else {
             return Ok(None);
-        }
+        };
         // Collect at the root survivor: every survivor ships its own
         // block, then (if its ward died) the ward's replica — a
         // deterministic per-sender order, so the root can receive by
@@ -1820,7 +1716,7 @@ impl BlockSolver {
                     .as_ref()
                     .map(|s| s.time)
                     .unwrap_or(f64::INFINITY),
-                step: steps[0] as u64,
+                step: round,
                 global_n: self.cfg.global_n,
                 ncomp: NCOMP,
                 blocks: records,
@@ -1850,9 +1746,7 @@ impl BlockSolver {
         self.rebuild_for_survivors(rank)?;
         let restored = self.fill_from_global(u, &gckp)?;
         rstats.buddy_shrinks += 1;
-        if let Some(m) = &self.metrics {
-            m.counter("ckp.tier.buddy.shrink").add(1);
-        }
+        self.count("ckp.tier.buddy.shrink", 1);
         Ok(Some(restored))
     }
 
@@ -1886,9 +1780,7 @@ impl BlockSolver {
         let restored = self.disk_restore(rank, u, slots_ref)?;
         self.pend("driver.tier_restore.disk", rank, s);
         rstats.disk_restores += 1;
-        if let Some(m) = &self.metrics {
-            m.counter("ckp.tier.disk.restore").add(1);
-        }
+        self.count("ckp.tier.disk.restore", 1);
         Ok(restored)
     }
 
@@ -1902,9 +1794,6 @@ impl BlockSolver {
         u: &mut Field,
         slots: &CheckpointSlots,
     ) -> Result<(f64, u64), SolverError> {
-        let ck_err = |e: rhrsc_io::checkpoint::CheckpointError| SolverError::Checkpoint {
-            msg: e.to_string(),
-        };
         let loaded = slots.load_newest();
         let all_loaded = rank.allreduce_min(if loaded.is_ok() { 1.0 } else { 0.0 }) > 0.5;
         let ckp = match (loaded, all_loaded) {
@@ -1958,9 +1847,7 @@ impl BlockSolver {
     ) -> Result<(), SolverError> {
         let mut snap = self.capture_local_snapshot(u, t, step);
         rstats.local_snapshots += 1;
-        if let Some(m) = &self.metrics {
-            m.counter("ckp.tier.local.save").add(1);
-        }
+        self.count("ckp.tier.local.save", 1);
         let rep = self.exchange_buddy(rank, tiers, &snap)?;
         if let Some(inj) = injector {
             if let Some(sel) = inj.should_flip_snapshot_bit(SnapshotTarget::Local) {
@@ -1977,9 +1864,7 @@ impl BlockSolver {
                 }
             }
             rstats.buddy_exchanges += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("ckp.tier.buddy.save").add(1);
-            }
+            self.count("ckp.tier.buddy.save", 1);
             tiers.replica = Some((ward, rep));
         }
         Ok(())
@@ -1991,24 +1876,18 @@ impl BlockSolver {
     /// just finds out *early*, while the disk tier is still fresh).
     fn scrub_tiers(&self, rank: &Rank, tiers: &mut CkpTiers, rstats: &mut ResilienceStats) {
         rstats.scrubs += 1;
-        if let Some(m) = &self.metrics {
-            m.counter("sdc.scrubs").add(1);
-        }
+        self.count("sdc.scrubs", 1);
         if tiers.local.as_ref().is_some_and(|s| !s.verify()) {
             tiers.local = None;
             rstats.snapshots_rotted += 1;
             rank.trace_instant("driver.snapshot_rot_detected", 0.0);
-            if let Some(m) = &self.metrics {
-                m.counter("sdc.snapshot_rot").add(1);
-            }
+            self.count("sdc.snapshot_rot", 1);
         }
         if tiers.replica.as_ref().is_some_and(|(_, r)| !r.verify()) {
             tiers.replica = None;
             rstats.snapshots_rotted += 1;
             rank.trace_instant("driver.snapshot_rot_detected", 1.0);
-            if let Some(m) = &self.metrics {
-                m.counter("sdc.snapshot_rot").add(1);
-            }
+            self.count("sdc.snapshot_rot", 1);
         }
     }
 
@@ -2021,49 +1900,18 @@ impl BlockSolver {
         u: &Field,
     ) -> Result<Option<Field>, SolverError> {
         const GATHER_TAG: u64 = 1000;
-        let buf = self.pack_interior(u);
+        let buf = pack_interior(&self.geom, u);
         if self.my_rank != 0 {
             rank.send(self.comm_of(0), GATHER_TAG, &buf);
             return Ok(None);
         }
-        let (lo, hi) = self.cfg.domain;
-        let global_geom = PatchGeom {
-            n: self.cfg.global_n,
-            ng: 0,
-            origin: lo,
-            dx: [
-                (hi[0] - lo[0]) / self.cfg.global_n[0] as f64,
-                (hi[1] - lo[1]) / self.cfg.global_n[1] as f64,
-                (hi[2] - lo[2]) / self.cfg.global_n[2] as f64,
-            ],
-        };
-        let mut global = Field::cons(global_geom);
-        for b in 0..self.cfg.decomp.nranks() {
-            let data = if b == 0 {
-                buf.clone()
-            } else {
-                rank.recv_deadline(self.comm_of(b), GATHER_TAG)
-                    .map_err(comm_err)?
-            };
-            let (off, size) = self.cfg.decomp.local_span(self.cfg.global_n, b);
-            let expected = NCOMP * size[0] * size[1] * size[2];
-            if data.len() != expected {
-                return Err(SolverError::HaloMismatch {
-                    expected,
-                    got: data.len(),
-                });
-            }
-            let mut idx = 0;
-            for c in 0..NCOMP {
-                for k in 0..size[2] {
-                    for j in 0..size[1] {
-                        for i in 0..size[0] {
-                            global.set(c, off[0] + i, off[1] + j, off[2] + k, data[idx]);
-                            idx += 1;
-                        }
-                    }
-                }
-            }
+        let mut global = self.cfg.global_field();
+        self.cfg.place_block(&mut global, 0, &buf)?;
+        for b in 1..self.cfg.decomp.nranks() {
+            let data = rank
+                .recv_deadline(self.comm_of(b), GATHER_TAG)
+                .map_err(comm_err)?;
+            self.cfg.place_block(&mut global, b, &data)?;
         }
         Ok(Some(global))
     }
@@ -2103,478 +1951,32 @@ impl BlockSolver {
         t_end: f64,
         res: &ResilienceConfig,
     ) -> Result<(DistStats, ResilienceStats), SolverError> {
-        let out = self.advance_with_restart_inner(rank, u, t0, t_end, res);
-        if let Err(e) = &out {
-            // Terminal failure (fault escalation past every recovery
-            // tier, or this rank's own injected death): flush the flight
-            // recorder so the last seconds before the fault survive for
-            // post-mortem, even though the caller is about to unwind.
-            let reason = match e {
-                SolverError::RankFailed { .. } => "rank_failed",
-                SolverError::PeerSuspect { .. } => "peer_suspect",
-                SolverError::Checkpoint { .. } => "checkpoint",
-                SolverError::TimestepCollapse { .. } => "timestep_collapse",
-                SolverError::CflViolation { .. } => "cfl_violation",
-                SolverError::Con2Prim { .. } => "con2prim",
-                SolverError::HaloMismatch { .. } => "halo_mismatch",
-                SolverError::HaloCorrupt { .. } => "halo_corrupt",
-            };
-            if let Some(tracer) = rank.tracer() {
-                let t_ns = tracer.stamp(rank.is_virtual().then(|| rank.vtime()));
-                tracer.dump_on_fault(rank.rank() as u32, reason, t_ns);
-            }
-        }
-        out
-    }
-
-    fn advance_with_restart_inner(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        t0: f64,
-        t_end: f64,
-        res: &ResilienceConfig,
-    ) -> Result<(DistStats, ResilienceStats), SolverError> {
-        fn ck_err(e: rhrsc_io::checkpoint::CheckpointError) -> SolverError {
-            SolverError::Checkpoint { msg: e.to_string() }
-        }
         self.recovery = res.recovery;
         let start = Instant::now();
         let bytes0 = rank.bytes_sent();
         let vtime0 = rank.vtime();
         let rec0 = self.rec_stats;
-        let mut stats = DistStats::default();
-        let mut rstats = ResilienceStats::default();
-        let mut slots = match &res.checkpoint_dir {
-            Some(dir) => Some(
-                CheckpointSlots::new(dir.join(format!("rank{}", self.my_rank))).map_err(ck_err)?,
-            ),
-            None => None,
-        };
-        // Global (rank-count-independent) slots live in a shared
-        // subdirectory: block rank 0 writes, every survivor reads.
-        let gslots = match &res.checkpoint_dir {
-            Some(dir) => Some(CheckpointSlots::new(dir.join("global")).map_err(ck_err)?),
-            None => None,
-        };
-        let mut t = t0;
-        let mut step_no: u64 = 0;
-        let mut cfl_scale = 1.0f64;
-        let mut restarts_left = res.max_restarts;
-        let mut backup = Field::cons(self.geom);
         self.dt_cache = DtCache::new();
-        if let Some(slots) = &slots {
-            // Always write an initial checkpoint so a restore target
-            // exists from the very first step.
-            let s = self.pstart(rank);
-            let ckp = Checkpoint {
-                time: t,
-                step: step_no,
-                field: u.clone(),
-            };
-            slots.save(&ckp).map_err(ck_err)?;
-            self.pend("phase.ckp.save", rank, s);
-            rstats.checkpoints_saved += 1;
-        }
-        if let Some(g) = &gslots {
-            let s = self.pstart(rank);
-            self.save_global_distributed(rank, g, u, t, step_no)?;
-            self.pend("phase.ckp.global", rank, s);
-            rstats.global_checkpoints_saved += 1;
-        }
-        if let Some(mon) = &mut self.health {
-            mon.ensure_baseline(u);
-        }
-        let injector = rank.fault_injector().cloned();
-        // Arm the diskless tiers and the live-state ABFT stamp. The
-        // initial snapshot (and its buddy replica) is captured up front,
-        // mirroring the initial disk checkpoint: a memory restore target
-        // exists from the very first step.
-        let arm_stamp = res.local_interval > 0 || res.scrub_interval > 0;
-        let mut tiers = (res.local_interval > 0 && self.cfg.decomp.nranks() >= 1)
-            .then(|| CkpTiers::new(res.buddy_offset, self.cfg.decomp.nranks()));
-        if let Some(tz) = &mut tiers {
-            let s = self.pstart(rank);
-            self.refresh_memory_tiers(rank, tz, u, t, step_no, &injector, &mut rstats)?;
-            self.pend("phase.ckp.memory", rank, s);
-        }
-        let mut stamp = arm_stamp.then(|| StateChecksum::stamp(u.raw(), NCOMP));
-        if arm_stamp {
-            if let Some(m) = &self.metrics {
-                // Materialize the undetected-corruption counter at zero:
-                // its *presence* (and staying zero) is the acceptance
-                // signal the report validator checks.
-                m.counter("sdc.undetected").add(0);
-            }
-        }
-        while t < t_end - 1e-14 {
-            // Rank-level crash injection: the victim stops participating
-            // entirely (no farewell message — the survivors must detect
-            // the silence, agree, and shrink without it).
-            if let Some(inj) = &injector {
-                if inj.should_crash_rank(rank.rank(), step_no) {
-                    rank.trace_instant("driver.rank_failed", step_no as f64);
-                    return Err(SolverError::RankFailed { step: step_no });
-                }
-            }
-            // Silent bit-flip injection (SDC): unlike poisoning below,
-            // the flipped value generally stays finite and physical-
-            // looking, so con2prim sails right through it — only the
-            // ABFT stamp comparison can catch it.
-            if let Some(inj) = &injector {
-                if let Some(sel) = inj.should_flip_bit() {
-                    let cells: Vec<_> = self.geom.interior_iter().collect();
-                    let pick = sel as usize % (NCOMP * cells.len());
-                    let (i, j, k) = cells[pick % cells.len()];
-                    let c = pick / cells.len();
-                    let bit = ((sel >> 33) % 64) as u32;
-                    let v = u.at(c, i, j, k);
-                    u.set(c, i, j, k, f64::from_bits(v.to_bits() ^ (1u64 << bit)));
-                    rank.trace_instant("driver.bitflip_injected", step_no as f64);
-                    if let Some(m) = &self.metrics {
-                        m.counter("sdc.injected").add(1);
-                    }
-                }
-            }
-            // Live-state scrub against the last committed stamp — every
-            // step, so a flip can never survive into a checkpoint write
-            // (every write this iteration happens after this check, and
-            // nothing else mutates the state in between except the step
-            // itself). The detecting rank still runs the step to keep
-            // the collectives aligned, then escalates via the agreement.
-            let mut sdc_hit = false;
-            if let Some(st) = &stamp {
-                if !st.verify(u.raw()) {
-                    sdc_hit = true;
-                    rstats.sdc_detected += 1;
-                    let comp = st.corrupted_component(u.raw());
-                    rank.trace_instant(
-                        "driver.sdc_detected",
-                        comp.map(|c| c as f64).unwrap_or(-1.0),
-                    );
-                    if let Some(m) = &self.metrics {
-                        m.counter("sdc.detected").add(1);
-                    }
-                }
-            }
-            // Frozen-buffer scrub on its own (slower) cadence: re-hash
-            // the idle local snapshot and buddy replica, dropping any
-            // that rotted so a restore never trusts them.
-            if res.scrub_interval > 0 && step_no.is_multiple_of(res.scrub_interval as u64) {
-                if let Some(tz) = &mut tiers {
-                    self.scrub_tiers(rank, tz, &mut rstats);
-                }
-            }
-            // Deterministic state corruption, if the fault plan asks for
-            // it: one interior conserved value becomes NaN, which the
-            // recovery cascade must repair in-flight.
-            if let Some(inj) = &injector {
-                if let Some(victim) = inj.should_poison_cell() {
-                    let cells: Vec<_> = self.geom.interior_iter().collect();
-                    let (i, j, k) = cells[victim as usize % cells.len()];
-                    u.set(0, i, j, k, f64::NAN);
-                    rank.trace_instant("driver.poison_injected", step_no as f64);
-                }
-            }
-            let mut attempt = 0usize;
-            'attempts: loop {
-                backup.raw_mut().copy_from_slice(u.raw());
-                let scale = cfl_scale * 0.5f64.powi(attempt as i32);
-                let attempt_t0 = Instant::now();
-                let outcome = self.try_step(rank, u, t, t_end, scale);
-                // Straggler injection: this rank runs `f`× slower. The
-                // extra latency is real wall time, so the peers' liveness
-                // deadlines genuinely see the lag.
-                if let Some(inj) = &injector {
-                    if let Some(f) = inj.should_stall_rank(rank.rank()) {
-                        let extra = attempt_t0.elapsed().mul_f64((f - 1.0).max(0.0));
-                        std::thread::sleep(extra);
-                        if rank.is_virtual() {
-                            rank.advance_vtime(extra.as_secs_f64());
-                        }
-                        rstats.stalls += 1;
-                    }
-                }
-                // Every rank must agree on the outcome. The armored max
-                // treats collective timeouts as the suspicion flag, so a
-                // dead rank surfaces here even for the ranks that never
-                // exchanged a halo with it: 0 = clean, 1 = step failure
-                // (retry/restore tier), 1.5 = silent corruption detected
-                // (snapshot-restore tier — retrying is useless, the
-                // rollback backup is corrupt too), ≥2 = a peer looks
-                // dead (consensus tier).
-                let flag = if rank.evicted().is_some()
-                    || rank.suspected_mask() != 0
-                    || matches!(outcome, Err(SolverError::PeerSuspect { .. }))
-                {
-                    SUSPECT_FLAG
-                } else if sdc_hit {
-                    SDC_FLAG
-                } else if outcome.is_err() {
-                    1.0
-                } else {
-                    0.0
-                };
-                let s = self.pstart(rank);
-                let agreed = rank.agree_max(flag);
-                self.pend("sub.liveness.agree", rank, s);
-                if agreed >= SUSPECT_FLAG {
-                    // Roll back first — the attempt may have half-updated
-                    // the state — then let the consensus round decide
-                    // between a false alarm and a shrink.
-                    u.raw_mut().copy_from_slice(backup.raw());
-                    let newly_dead = rank
-                        .suspicion_consensus()
-                        .map_err(|_| SolverError::RankFailed { step: step_no })?;
-                    if newly_dead != 0 {
-                        rstats.shrinks += 1;
-                        rstats.ranks_lost += u64::from(newly_dead.count_ones());
-                        let s = self.pstart(rank);
-                        // Cheapest rung first: reassemble the dead blocks
-                        // from their guardians' buddy replicas, entirely
-                        // in memory. Only if the replicas cannot cover
-                        // every lost block does the shrink touch disk.
-                        let from_buddies = match &tiers {
-                            Some(tz) => self.shrink_from_buddies(rank, u, tz, &mut rstats)?,
-                            None => None,
-                        };
-                        let (t_r, s_r) = match from_buddies {
-                            Some(restored) => restored,
-                            None => {
-                                let gslots_ref =
-                                    gslots.as_ref().ok_or_else(|| SolverError::Checkpoint {
-                                        msg: "rank death confirmed but neither buddy \
-                                              replicas nor a checkpoint directory can \
-                                              serve a shrinking recovery"
-                                            .into(),
-                                    })?;
-                                let restored = self.shrink_and_restore(rank, u, gslots_ref)?;
-                                rstats.disk_restores += 1;
-                                if let Some(m) = &self.metrics {
-                                    m.counter("ckp.tier.disk.restore").add(1);
-                                }
-                                restored
-                            }
-                        };
-                        self.pend("driver.shrink_restore", rank, s);
-                        t = t_r;
-                        step_no = s_r;
-                        // The local domain just changed: old conservation
-                        // baselines are meaningless.
-                        if let Some(mon) = &mut self.health {
-                            mon.rebaseline();
-                            mon.ensure_baseline(u);
-                        }
-                        // Resume cautiously on the smaller machine.
-                        cfl_scale = 0.25;
-                        backup = Field::cons(self.geom);
-                        // The per-rank slots are keyed by block rank, which
-                        // just changed: rebind and reseed them so the
-                        // retry/restore tier stays armed after the shrink.
-                        if let Some(dir) = &res.checkpoint_dir {
-                            let s = CheckpointSlots::new(dir.join(format!("rank{}", self.my_rank)))
-                                .map_err(ck_err)?;
-                            s.save(&Checkpoint {
-                                time: t,
-                                step: step_no,
-                                field: u.clone(),
-                            })
-                            .map_err(ck_err)?;
-                            rstats.checkpoints_saved += 1;
-                            slots = Some(s);
-                        }
-                        // The decomposition changed: pre-shrink snapshots
-                        // must never serve another restore. Rebuild the
-                        // tier state for the new world and re-seed it
-                        // immediately so the memory rungs stay armed.
-                        if tiers.is_some() {
-                            let mut tz = CkpTiers::new(res.buddy_offset, self.cfg.decomp.nranks());
-                            match self.refresh_memory_tiers(
-                                rank,
-                                &mut tz,
-                                u,
-                                t,
-                                step_no,
-                                &injector,
-                                &mut rstats,
-                            ) {
-                                Ok(()) | Err(SolverError::PeerSuspect { .. }) => {}
-                                Err(e) => return Err(e),
-                            }
-                            tiers = Some(tz);
-                        }
-                        stamp = arm_stamp.then(|| StateChecksum::stamp(u.raw(), NCOMP));
-                        if let Some(m) = &self.metrics {
-                            m.counter("driver.shrinks").add(1);
-                            m.counter("driver.ranks_lost")
-                                .add(u64::from(newly_dead.count_ones()));
-                        }
-                        break 'attempts;
-                    }
-                    // False alarm: every suspect defended itself in the
-                    // consensus. Fall through to the ordinary retry path.
-                    rstats.false_suspicions += 1;
-                    rank.trace_instant("driver.false_suspicion", step_no as f64);
-                    if let Some(m) = &self.metrics {
-                        m.counter("driver.false_suspicions").add(1);
-                    }
-                } else if agreed >= SDC_FLAG {
-                    // Somebody's live state silently rotted — and so did
-                    // its rollback backup (copied *after* the flip), so
-                    // the retry tier cannot help. Restore collectively
-                    // from the cheapest valid snapshot tier. This does
-                    // not consume the restart budget: the numerics were
-                    // never at fault, and the deterministic fault streams
-                    // cannot replay the same flip after the rollback.
-                    let s = self.pstart(rank);
-                    let (t_r, s_r) =
-                        self.tier_restore(rank, u, &tiers, slots.as_ref(), &mut rstats)?;
-                    self.pend("driver.sdc_restore", rank, s);
-                    t = t_r;
-                    step_no = s_r;
-                    stamp = arm_stamp.then(|| StateChecksum::stamp(u.raw(), NCOMP));
-                    self.dt_cache.invalidate();
-                    if let Some(m) = &self.metrics {
-                        m.counter("sdc.restores").add(1);
-                    }
-                    break 'attempts;
-                }
-                let failed = agreed >= 1.0;
-                match outcome {
-                    Ok(dt) if !failed => {
-                        t += dt;
-                        step_no += 1;
-                        stats.steps += 1;
-                        stats.zone_updates +=
-                            (self.geom.interior_len() * self.cfg.rk.stages()) as u64;
-                        // A reduced CFL (from retries or a restart) ramps
-                        // back up as steps succeed.
-                        cfl_scale = if attempt > 0 { scale } else { cfl_scale };
-                        cfl_scale = (cfl_scale * 2.0).min(1.0);
-                        let interval = res.checkpoint_interval;
-                        let due = interval > 0 && step_no.is_multiple_of(interval as u64);
-                        if due {
-                            if let Some(slots) = &slots {
-                                let s = self.pstart(rank);
-                                let ckp = Checkpoint {
-                                    time: t,
-                                    step: step_no,
-                                    field: u.clone(),
-                                };
-                                slots.save(&ckp).map_err(ck_err)?;
-                                self.pend("phase.ckp.save", rank, s);
-                                rstats.checkpoints_saved += 1;
-                            }
-                        }
-                        if let Some(g) = &gslots {
-                            if due {
-                                let s = self.pstart(rank);
-                                match self.save_global_distributed(rank, g, u, t, step_no) {
-                                    Ok(()) => rstats.global_checkpoints_saved += 1,
-                                    // A peer died mid-gather: the suspicion
-                                    // is latched in the communicator, and
-                                    // the next step's agreement round will
-                                    // route it into the consensus tier.
-                                    Err(SolverError::PeerSuspect { .. }) => {}
-                                    Err(e) => return Err(e),
-                                }
-                                self.pend("phase.ckp.global", rank, s);
-                            }
-                        }
-                        // Re-stamp the committed state (the reference the
-                        // next iteration's live scrub verifies against)
-                        // and, on the faster memory cadence, freeze it
-                        // into the L1 snapshot + ship the buddy replica.
-                        if arm_stamp {
-                            stamp = Some(StateChecksum::stamp(u.raw(), NCOMP));
-                        }
-                        if res.local_interval > 0
-                            && step_no.is_multiple_of(res.local_interval as u64)
-                        {
-                            if let Some(tz) = &mut tiers {
-                                let s = self.pstart(rank);
-                                match self.refresh_memory_tiers(
-                                    rank,
-                                    tz,
-                                    u,
-                                    t,
-                                    step_no,
-                                    &injector,
-                                    &mut rstats,
-                                ) {
-                                    Ok(()) => {}
-                                    // A peer died mid-exchange: latched,
-                                    // handled by the next agreement round.
-                                    Err(SolverError::PeerSuspect { .. }) => {}
-                                    Err(e) => return Err(e),
-                                }
-                                self.pend("phase.ckp.memory", rank, s);
-                            }
-                        }
-                        self.health_observe(rank, u, t, step_no);
-                        // The success arm is collective (the outcome flag
-                        // is allreduced), so the sampling cadence stays
-                        // in lockstep across ranks even through retries
-                        // and restores.
-                        self.telemetry_observe(rank, t, step_no, dt);
-                        break;
-                    }
-                    outcome => {
-                        // Roll back; the backup state is untouched by the
-                        // failed attempt. The cached Δt was computed from
-                        // (or aged against) the discarded trajectory, so
-                        // it must not survive the rollback — every rank
-                        // reaches this arm together (the outcome flag is
-                        // allreduced), so the invalidation stays in
-                        // lockstep.
-                        u.raw_mut().copy_from_slice(backup.raw());
-                        self.dt_cache.invalidate();
-                        if attempt < res.max_step_retries {
-                            if attempt == 0 {
-                                rstats.retried_steps += 1;
-                            }
-                            rstats.retries += 1;
-                            rank.trace_instant("driver.retry", (attempt + 1) as f64);
-                            if let Some(m) = &self.metrics {
-                                m.counter("driver.retries").add(1);
-                            }
-                            attempt += 1;
-                            continue;
-                        }
-                        // Retries exhausted: walk the checkpoint
-                        // hierarchy — memory tiers first, disk last. The
-                        // attempt/restart counters march in lockstep on
-                        // every rank, so this decision is collective.
-                        if restarts_left == 0 || (tiers.is_none() && slots.is_none()) {
-                            return Err(outcome.err().unwrap_or(SolverError::Checkpoint {
-                                msg: "step failed on a peer rank; retries and \
-                                          restarts exhausted"
-                                    .into(),
-                            }));
-                        }
-                        let s = self.pstart(rank);
-                        let (t_r, s_r) =
-                            self.tier_restore(rank, u, &tiers, slots.as_ref(), &mut rstats)?;
-                        t = t_r;
-                        step_no = s_r;
-                        stamp = arm_stamp.then(|| StateChecksum::stamp(u.raw(), NCOMP));
-                        // The state just jumped back in time: a Δt cached
-                        // on the abandoned trajectory is stale.
-                        self.dt_cache.invalidate();
-                        rstats.restarts += 1;
-                        restarts_left -= 1;
-                        self.pend("driver.restart_restore", rank, s);
-                        if let Some(m) = &self.metrics {
-                            m.counter("driver.restarts").add(1);
-                        }
-                        // Resume cautiously; successful steps double the
-                        // scale back toward 1.
-                        cfl_scale = 0.25;
-                        break;
-                    }
-                }
-            }
-        }
+        let mut ladder = BlockLadder {
+            backup: Field::cons(self.geom),
+            injector: rank.fault_injector().cloned(),
+            s: self,
+            u,
+            res,
+            stats: DistStats::default(),
+            rstats: ResilienceStats::default(),
+            slots: None,
+            gslots: None,
+            tiers: None,
+            stamp: None,
+            step_no: 0,
+        };
+        resilient_advance(&mut ladder, rank, t0, t_end)?;
+        let BlockLadder {
+            mut stats,
+            mut rstats,
+            ..
+        } = ladder;
         rstats.recovery = RecoveryStats {
             relaxed_tol: self.rec_stats.relaxed_tol - rec0.relaxed_tol,
             neighbor_avg: self.rec_stats.neighbor_avg - rec0.neighbor_avg,
@@ -2584,6 +1986,395 @@ impl BlockSolver {
         stats.bytes_sent = rank.bytes_sent() - bytes0;
         stats.vtime = rank.vtime() - vtime0;
         Ok((stats, rstats))
+    }
+}
+
+fn ck_err(e: rhrsc_io::checkpoint::CheckpointError) -> SolverError {
+    SolverError::Checkpoint { msg: e.to_string() }
+}
+
+/// One `advance_to_with_restart` call seen from the recovery ladder: the
+/// solver and its state plus everything the rungs keep between steps.
+struct BlockLadder<'a> {
+    s: &'a mut BlockSolver,
+    u: &'a mut Field,
+    res: &'a ResilienceConfig,
+    stats: DistStats,
+    rstats: ResilienceStats,
+    /// Per-rank rotating disk slots (`<dir>/rank<block>/`).
+    slots: Option<CheckpointSlots>,
+    /// Global (rank-count-independent) slots in a shared subdirectory:
+    /// block rank 0 writes, every survivor reads.
+    gslots: Option<CheckpointSlots>,
+    tiers: Option<CkpTiers>,
+    /// ABFT stamp of the last committed state.
+    stamp: Option<StateChecksum>,
+    /// Pre-attempt copy of the state for rollback.
+    backup: Field,
+    injector: Option<Arc<FaultInjector>>,
+    step_no: u64,
+}
+
+impl BlockLadder<'_> {
+    /// Write the current state into this block's rotating disk slot.
+    fn save_slot(&mut self, t: f64) -> Result<(), SolverError> {
+        if let Some(slots) = &self.slots {
+            let ckp = Checkpoint {
+                time: t,
+                step: self.step_no,
+                field: self.u.clone(),
+            };
+            slots.save(&ckp).map_err(ck_err)?;
+            self.rstats.checkpoints_saved += 1;
+        }
+        Ok(())
+    }
+
+    /// Freeze the state into the memory tiers, if armed.
+    fn save_tiers(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
+        match &mut self.tiers {
+            Some(tz) => self.s.refresh_memory_tiers(
+                rank,
+                tz,
+                self.u,
+                t,
+                self.step_no,
+                &self.injector,
+                &mut self.rstats,
+            ),
+            None => Ok(()),
+        }
+    }
+
+    /// Re-stamp the state as the reference the next live scrub verifies
+    /// against (armed together with either memory-tier cadence).
+    fn restamp(&mut self) {
+        if self.res.local_interval > 0 || self.res.scrub_interval > 0 {
+            self.stamp = Some(StateChecksum::stamp(self.u.raw(), NCOMP));
+        }
+    }
+}
+
+/// A peer that died mid-collective leaves its suspicion latched in the
+/// communicator; the next step's agreement round routes it into the
+/// consensus rung, so the save itself only has to not fail the run.
+fn unless_peer_suspect(r: Result<(), SolverError>) -> Result<bool, SolverError> {
+    match r {
+        Ok(()) => Ok(true),
+        Err(SolverError::PeerSuspect { .. }) => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+impl Recoverable for BlockLadder<'_> {
+    fn budget(&self) -> Budget {
+        Budget {
+            max_step_retries: self.res.max_step_retries,
+            max_restores: self.res.max_restarts,
+        }
+    }
+
+    fn step_no(&self) -> u64 {
+        self.step_no
+    }
+
+    fn arm(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
+        if let Some(dir) = &self.res.checkpoint_dir {
+            let mine = dir.join(format!("rank{}", self.s.my_rank));
+            self.slots = Some(CheckpointSlots::new(mine).map_err(ck_err)?);
+            self.gslots = Some(CheckpointSlots::new(dir.join("global")).map_err(ck_err)?);
+        }
+        // Always write an initial checkpoint so a restore target exists
+        // from the very first step.
+        if self.slots.is_some() {
+            let s = self.s.pstart(rank);
+            self.save_slot(t)?;
+            self.s.pend("phase.ckp.save", rank, s);
+        }
+        if let Some(g) = &self.gslots {
+            let s = self.s.pstart(rank);
+            self.s
+                .save_global_distributed(rank, g, self.u, t, self.step_no)?;
+            self.s.pend("phase.ckp.global", rank, s);
+            self.rstats.global_checkpoints_saved += 1;
+        }
+        if let Some(mon) = &mut self.s.health {
+            mon.ensure_baseline(self.u);
+        }
+        // Arm the diskless tiers and the live-state ABFT stamp. The
+        // initial snapshot (and its buddy replica) is captured up front,
+        // mirroring the initial disk checkpoint.
+        if self.res.local_interval > 0 {
+            let nblocks = self.s.cfg.decomp.nranks();
+            self.tiers = Some(CkpTiers::new(self.res.buddy_offset, nblocks));
+            let s = self.s.pstart(rank);
+            self.save_tiers(rank, t)?;
+            self.s.pend("phase.ckp.memory", rank, s);
+        }
+        self.restamp();
+        if self.stamp.is_some() {
+            // Materialize the undetected-corruption counter at zero: its
+            // *presence* (and staying zero) is the acceptance signal the
+            // report validator checks.
+            self.s.count("sdc.undetected", 0);
+        }
+        Ok(())
+    }
+
+    fn pre_step(&mut self, rank: &mut Rank, _t: f64) -> Result<bool, SolverError> {
+        let (s, u, step_no) = (&mut *self.s, &mut *self.u, self.step_no);
+        if let Some(inj) = &self.injector {
+            // Rank-level crash injection: the victim stops participating
+            // entirely (no farewell message — the survivors must detect
+            // the silence, agree, and shrink without it).
+            if inj.should_crash_rank(rank.rank(), step_no) {
+                rank.trace_instant("driver.rank_failed", step_no as f64);
+                return Err(SolverError::RankFailed { step: step_no });
+            }
+            // Silent bit-flip injection (SDC): unlike poisoning below,
+            // the flipped value generally stays finite and physical-
+            // looking, so con2prim sails right through it — only the
+            // ABFT stamp comparison can catch it.
+            if let Some(sel) = inj.should_flip_bit() {
+                let cells: Vec<_> = s.geom.interior_iter().collect();
+                let pick = sel as usize % (NCOMP * cells.len());
+                let (i, j, k) = cells[pick % cells.len()];
+                let c = pick / cells.len();
+                let bit = ((sel >> 33) % 64) as u32;
+                let v = u.at(c, i, j, k);
+                u.set(c, i, j, k, f64::from_bits(v.to_bits() ^ (1u64 << bit)));
+                rank.trace_instant("driver.bitflip_injected", step_no as f64);
+                s.count("sdc.injected", 1);
+            }
+        }
+        // Live-state scrub against the last committed stamp — every
+        // step, so a flip can never survive into a checkpoint write
+        // (every write this iteration happens after this check, and
+        // nothing else mutates the state in between except the step
+        // itself). The detecting rank still runs the step to keep the
+        // collectives aligned, then escalates via the agreement.
+        let corrupt = self.stamp.as_ref().filter(|st| !st.verify(u.raw()));
+        let sdc_hit = corrupt.is_some();
+        if let Some(st) = corrupt {
+            self.rstats.sdc_detected += 1;
+            let comp = st.corrupted_component(u.raw());
+            rank.trace_instant(
+                "driver.sdc_detected",
+                comp.map(|c| c as f64).unwrap_or(-1.0),
+            );
+            s.count("sdc.detected", 1);
+        }
+        // Frozen-buffer scrub on its own (slower) cadence: re-hash the
+        // idle local snapshot and buddy replica, dropping any that
+        // rotted so a restore never trusts them.
+        let scrub = self.res.scrub_interval as u64;
+        if scrub > 0 && step_no.is_multiple_of(scrub) {
+            if let Some(tz) = &mut self.tiers {
+                s.scrub_tiers(rank, tz, &mut self.rstats);
+            }
+        }
+        // Deterministic state corruption, if the fault plan asks for it:
+        // one interior conserved value becomes NaN, which the recovery
+        // cascade must repair in-flight.
+        if let Some(victim) = self.injector.as_ref().and_then(|i| i.should_poison_cell()) {
+            let cells: Vec<_> = s.geom.interior_iter().collect();
+            let (i, j, k) = cells[victim as usize % cells.len()];
+            u.set(0, i, j, k, f64::NAN);
+            rank.trace_instant("driver.poison_injected", step_no as f64);
+        }
+        Ok(sdc_hit)
+    }
+
+    fn try_step(
+        &mut self,
+        rank: &mut Rank,
+        t: f64,
+        t_end: f64,
+        cfl_scale: f64,
+    ) -> Result<f64, SolverError> {
+        self.backup.raw_mut().copy_from_slice(self.u.raw());
+        let attempt_t0 = Instant::now();
+        let outcome = self.s.try_step(rank, self.u, t, t_end, cfl_scale);
+        // Straggler injection: this rank runs `f`× slower. The extra
+        // latency is real wall time, so the peers' liveness deadlines
+        // genuinely see the lag.
+        if let Some(f) = self
+            .injector
+            .as_ref()
+            .and_then(|inj| inj.should_stall_rank(rank.rank()))
+        {
+            let extra = attempt_t0.elapsed().mul_f64((f - 1.0).max(0.0));
+            std::thread::sleep(extra);
+            if rank.is_virtual() {
+                rank.advance_vtime(extra.as_secs_f64());
+            }
+            self.rstats.stalls += 1;
+        }
+        outcome
+    }
+
+    fn rollback(&mut self) {
+        // The backup is untouched by the failed attempt. The cached Δt
+        // was computed from (or aged against) the discarded trajectory,
+        // so it must not survive the rollback — every rank rolls back
+        // together, so the invalidation stays in lockstep.
+        self.u.raw_mut().copy_from_slice(self.backup.raw());
+        self.s.dt_cache.invalidate();
+    }
+
+    fn commit(&mut self, rank: &mut Rank, t: f64, dt: f64) -> Result<(), SolverError> {
+        self.step_no += 1;
+        self.stats.steps += 1;
+        self.stats.zone_updates += (self.s.geom.interior_len() * self.s.cfg.rk.stages()) as u64;
+        let interval = self.res.checkpoint_interval as u64;
+        if interval > 0 && self.step_no.is_multiple_of(interval) {
+            if self.slots.is_some() {
+                let s = self.s.pstart(rank);
+                self.save_slot(t)?;
+                self.s.pend("phase.ckp.save", rank, s);
+            }
+            if let Some(g) = &self.gslots {
+                let s = self.s.pstart(rank);
+                let saved = self
+                    .s
+                    .save_global_distributed(rank, g, self.u, t, self.step_no);
+                if unless_peer_suspect(saved)? {
+                    self.rstats.global_checkpoints_saved += 1;
+                }
+                self.s.pend("phase.ckp.global", rank, s);
+            }
+        }
+        // Re-stamp the committed state and, on the faster memory
+        // cadence, freeze it into the L1 snapshot + ship the buddy
+        // replica.
+        self.restamp();
+        let local = self.res.local_interval as u64;
+        if self.tiers.is_some() && self.step_no.is_multiple_of(local) {
+            let s = self.s.pstart(rank);
+            unless_peer_suspect(self.save_tiers(rank, t))?;
+            self.s.pend("phase.ckp.memory", rank, s);
+        }
+        self.s.health_observe(rank, self.u, t, self.step_no);
+        // Commits are collective (the outcome flag is agreed), so the
+        // sampling cadence stays in lockstep across ranks even through
+        // retries and restores.
+        self.s.telemetry_observe(rank, t, self.step_no, dt);
+        Ok(())
+    }
+
+    fn can_restore(&self) -> bool {
+        self.tiers.is_some() || self.slots.is_some()
+    }
+
+    fn restore(&mut self, rank: &mut Rank, cause: RestoreCause) -> Result<f64, SolverError> {
+        let s = self.s.pstart(rank);
+        let (t, step) = self.s.tier_restore(
+            rank,
+            self.u,
+            &self.tiers,
+            self.slots.as_ref(),
+            &mut self.rstats,
+        )?;
+        self.step_no = step;
+        self.restamp();
+        // The state just jumped back in time: a Δt cached on the
+        // abandoned trajectory is stale.
+        self.s.dt_cache.invalidate();
+        let span = match cause {
+            RestoreCause::Sdc => "driver.sdc_restore",
+            RestoreCause::RetriesExhausted => "driver.restart_restore",
+        };
+        self.s.pend(span, rank, s);
+        Ok(t)
+    }
+
+    fn shrink(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
+        let s = self.s.pstart(rank);
+        // Cheapest rung first: reassemble the dead blocks from their
+        // guardians' buddy replicas, entirely in memory. Only if the
+        // replicas cannot cover every lost block does the shrink touch
+        // disk.
+        let from_buddies = match &self.tiers {
+            Some(tz) => self
+                .s
+                .shrink_from_buddies(rank, self.u, tz, &mut self.rstats)?,
+            None => None,
+        };
+        let (t, step) = match from_buddies {
+            Some(restored) => restored,
+            None => {
+                let gslots = self
+                    .gslots
+                    .as_ref()
+                    .ok_or_else(|| SolverError::Checkpoint {
+                        msg: "rank death confirmed but neither buddy replicas nor a \
+                          checkpoint directory can serve a shrinking recovery"
+                            .into(),
+                    })?;
+                let restored = self.s.shrink_and_restore(rank, self.u, gslots)?;
+                self.rstats.disk_restores += 1;
+                self.s.count("ckp.tier.disk.restore", 1);
+                restored
+            }
+        };
+        self.s.pend("driver.shrink_restore", rank, s);
+        self.step_no = step;
+        // The local domain just changed: old conservation baselines are
+        // meaningless.
+        if let Some(mon) = &mut self.s.health {
+            mon.rebaseline();
+            mon.ensure_baseline(self.u);
+        }
+        self.backup = Field::cons(self.s.geom);
+        // The per-rank slots are keyed by block rank, which just
+        // changed: rebind and reseed them so the retry/restore rung
+        // stays armed after the shrink.
+        if let Some(dir) = &self.res.checkpoint_dir {
+            let mine = dir.join(format!("rank{}", self.s.my_rank));
+            self.slots = Some(CheckpointSlots::new(mine).map_err(ck_err)?);
+            self.save_slot(t)?;
+        }
+        // The decomposition changed: pre-shrink snapshots must never
+        // serve another restore. Rebuild the tier state for the new
+        // world and re-seed it immediately so the memory rungs stay
+        // armed.
+        if self.tiers.is_some() {
+            let nblocks = self.s.cfg.decomp.nranks();
+            self.tiers = Some(CkpTiers::new(self.res.buddy_offset, nblocks));
+            unless_peer_suspect(self.save_tiers(rank, t))?;
+        }
+        self.restamp();
+        Ok(t)
+    }
+
+    fn note(&mut self, rank: &Rank, ev: LadderEvent) {
+        match ev {
+            LadderEvent::Agreed { ns } => self.s.record_span("sub.liveness.agree", rank, ns),
+            LadderEvent::Retry { attempt } => {
+                if attempt == 1 {
+                    self.rstats.retried_steps += 1;
+                }
+                self.rstats.retries += 1;
+                rank.trace_instant("driver.retry", attempt as f64);
+                self.s.count("driver.retries", 1);
+            }
+            LadderEvent::FalseSuspicion => {
+                self.rstats.false_suspicions += 1;
+                rank.trace_instant("driver.false_suspicion", self.step_no as f64);
+                self.s.count("driver.false_suspicions", 1);
+            }
+            LadderEvent::Shrink { ranks_lost } => {
+                self.rstats.shrinks += 1;
+                self.rstats.ranks_lost += u64::from(ranks_lost);
+                self.s.count("driver.shrinks", 1);
+                self.s.count("driver.ranks_lost", u64::from(ranks_lost));
+            }
+            LadderEvent::Restored(RestoreCause::Sdc) => self.s.count("sdc.restores", 1),
+            LadderEvent::Restored(RestoreCause::RetriesExhausted) => {
+                self.rstats.restarts += 1;
+                self.s.count("driver.restarts", 1);
+            }
+        }
     }
 }
 
@@ -2597,6 +2388,31 @@ pub(crate) fn comm_err(e: CommError) -> SolverError {
         CommError::CorruptPayload { from, .. } => SolverError::HaloCorrupt { from },
         CommError::Evicted { .. } => SolverError::RankFailed { step: 0 },
     }
+}
+
+/// Flatten a block's interior, component-major in `interior_iter` order
+/// (matches [`BlockRecord`]'s layout).
+fn pack_interior(geom: &PatchGeom, u: &Field) -> Vec<f64> {
+    let mut buf = Vec::with_capacity(NCOMP * geom.interior_len());
+    for c in 0..NCOMP {
+        for (i, j, k) in geom.interior_iter() {
+            buf.push(u.at(c, i, j, k));
+        }
+    }
+    buf
+}
+
+/// Inverse of [`pack_interior`], into a fresh field (ghosts zeroed).
+fn unpack_interior(geom: PatchGeom, data: &[f64]) -> Field {
+    let mut u = Field::cons(geom);
+    let mut idx = 0;
+    for c in 0..NCOMP {
+        for (i, j, k) in geom.interior_iter() {
+            u.set(c, i, j, k, data[idx]);
+            idx += 1;
+        }
+    }
+    u
 }
 
 fn transverse_len(geom: &PatchGeom, d: usize) -> usize {
@@ -2645,56 +2461,17 @@ pub fn gather_global(
 ) -> Result<Option<Field>, SolverError> {
     const GATHER_TAG: u64 = 1000;
     let geom = cfg.local_geom(rank.rank());
-    // Flatten the interior, component-major.
-    let mut buf = Vec::with_capacity(NCOMP * geom.interior_len());
-    for c in 0..NCOMP {
-        for (i, j, k) in geom.interior_iter() {
-            buf.push(local.at(c, i, j, k));
-        }
-    }
+    let buf = pack_interior(&geom, local);
     if rank.rank() != 0 {
         rank.send(0, GATHER_TAG, &buf);
         return Ok(None);
     }
     // Drain every contribution before validating any of them.
     let rbufs: Vec<Vec<f64>> = (1..rank.size()).map(|r| rank.recv(r, GATHER_TAG)).collect();
-    let (lo, hi) = cfg.domain;
-    let global_geom = PatchGeom {
-        n: cfg.global_n,
-        ng: 0,
-        origin: lo,
-        dx: [
-            (hi[0] - lo[0]) / cfg.global_n[0] as f64,
-            (hi[1] - lo[1]) / cfg.global_n[1] as f64,
-            (hi[2] - lo[2]) / cfg.global_n[2] as f64,
-        ],
-    };
-    let mut global = Field::cons(global_geom);
-    let mut place = |r: usize, buf: &[f64]| -> Result<(), SolverError> {
-        let (off, size) = cfg.decomp.local_span(cfg.global_n, r);
-        let expected = NCOMP * size[0] * size[1] * size[2];
-        if buf.len() != expected {
-            return Err(SolverError::HaloMismatch {
-                expected,
-                got: buf.len(),
-            });
-        }
-        let mut idx = 0;
-        for c in 0..NCOMP {
-            for k in 0..size[2] {
-                for j in 0..size[1] {
-                    for i in 0..size[0] {
-                        global.set(c, off[0] + i, off[1] + j, off[2] + k, buf[idx]);
-                        idx += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    place(0, &buf)?;
+    let mut global = cfg.global_field();
+    cfg.place_block(&mut global, 0, &buf)?;
     for (r, rbuf) in rbufs.iter().enumerate() {
-        place(r + 1, rbuf)?;
+        cfg.place_block(&mut global, r + 1, rbuf)?;
     }
     Ok(Some(global))
 }
@@ -3267,17 +3044,21 @@ mod tests {
             run(1, NetworkModel::ideal(), move |rank| {
                 let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
                 solver.set_metrics(reg.clone());
+                let free = StepSize::Scanned {
+                    limit: None,
+                    scale: 1.0,
+                };
 
                 // Step 1: the cache starts invalid, so this refreshes and
                 // the clean window doubles (1 → 2).
-                let dt0 = solver.step_auto(rank, &mut u, None, 1.0, false).unwrap();
+                let dt0 = solver.run_stages(rank, &mut u, free, false).unwrap();
                 assert!(solver.dt_cache.valid);
                 assert_eq!((solver.dt_cache.age, solver.dt_cache.window), (1, 2));
                 assert_eq!(dt0.to_bits(), solver.dt_cache.dt.to_bits());
 
                 // Step 2: coasts on 0.9× the cached value; the safety
                 // margin keeps the smooth evolution inside the bound.
-                let dt1 = solver.step_auto(rank, &mut u, None, 1.0, false).unwrap();
+                let dt1 = solver.run_stages(rank, &mut u, free, false).unwrap();
                 assert_eq!(dt1.to_bits(), (0.9 * solver.dt_cache.dt).to_bits());
                 assert_eq!(solver.dt_cache.age, 2);
                 assert_eq!(solver.dt_cache.violations, 0);
@@ -3292,7 +3073,7 @@ mod tests {
                 solver.dt_cache.dt = stale;
                 solver.dt_cache.age = 1;
                 solver.dt_cache.window = 8;
-                let dt2 = solver.step_auto(rank, &mut u, None, 1.0, false).unwrap();
+                let dt2 = solver.run_stages(rank, &mut u, free, false).unwrap();
                 assert_eq!(dt2.to_bits(), (0.9 * stale).to_bits());
                 assert_eq!(solver.dt_cache.violations, 1, "stale coast not detected");
 
@@ -3300,7 +3081,7 @@ mod tests {
                 // the violation on the piggybacked allreduce component
                 // and collapses the window to every-step refreshes.
                 solver.dt_cache.age = solver.dt_cache.window;
-                solver.step_auto(rank, &mut u, None, 1.0, false).unwrap();
+                solver.run_stages(rank, &mut u, free, false).unwrap();
                 assert_eq!(solver.dt_cache.window, 1, "violation must collapse window");
                 assert_eq!(solver.dt_cache.violations, 0);
                 assert!(u.raw().iter().all(|v| v.is_finite()));

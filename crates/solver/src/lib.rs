@@ -17,6 +17,9 @@
 //! * [`driver`] — the distributed heterogeneous driver: block-decomposed
 //!   domains over simulated ranks with bulk-synchronous or futurized
 //!   (overlapped) halo exchange,
+//! * [`ladder`] — the recovery ladder: the one resilient advance loop
+//!   (agreement, retry backoff, restore budget, shrink) both distributed
+//!   drivers climb through their [`ladder::Recoverable`] hooks,
 //! * [`smr`] — two-level static mesh refinement with conservative reflux
 //!   (1D), the structured-adaptivity core of the authors' AMR codes,
 //! * [`problems`] — standard SRHD test problems (Sod, Martí–Müller blast
@@ -35,6 +38,7 @@ pub mod diag;
 pub mod driver;
 pub mod health;
 pub mod integrate;
+pub mod ladder;
 pub mod problems;
 pub mod refine;
 pub mod scheme;

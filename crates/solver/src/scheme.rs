@@ -150,6 +150,22 @@ pub enum SolverError {
     },
 }
 
+impl SolverError {
+    /// Short machine-readable class name (flight-recorder dump reasons).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SolverError::Con2Prim { .. } => "con2prim",
+            SolverError::TimestepCollapse { .. } => "timestep_collapse",
+            SolverError::CflViolation { .. } => "cfl_violation",
+            SolverError::HaloMismatch { .. } => "halo_mismatch",
+            SolverError::Checkpoint { .. } => "checkpoint",
+            SolverError::HaloCorrupt { .. } => "halo_corrupt",
+            SolverError::PeerSuspect { .. } => "peer_suspect",
+            SolverError::RankFailed { .. } => "rank_failed",
+        }
+    }
+}
+
 impl std::fmt::Display for SolverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

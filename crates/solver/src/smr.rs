@@ -24,7 +24,7 @@
 //!   energy integrals are preserved to round-off (asserted by tests).
 
 use crate::integrate::RkOrder;
-use crate::refine::{prolong_ghosts_from, restrict_onto, rhs_1d_with_fluxes, rk_tables, RkTables};
+use crate::refine::{prolong_ghosts_from, restrict_onto, rhs_1d_with_fluxes, rk_tables};
 use crate::scheme::{
     apply_conserved_floors, max_dt, prim_at, recover_prims, Geometry, Scheme, SolverError,
 };
@@ -289,35 +289,12 @@ impl SmrSolver {
         }
         self.stage_c.raw_mut().copy_from_slice(self.u_c.raw());
         self.stage_f.raw_mut().copy_from_slice(self.u_f.raw());
-        match self.rk {
-            RkOrder::Rk1 => {
-                self.eval_rhs()?;
-                self.combine(0.0, 1.0, 1.0, dt);
-            }
-            RkOrder::Rk2 => {
-                self.eval_rhs()?;
-                self.combine(0.0, 1.0, 1.0, dt);
-                self.eval_rhs()?;
-                self.combine(0.5, 0.5, 0.5, dt);
-            }
-            RkOrder::Rk3 => {
-                self.eval_rhs()?;
-                self.combine(0.0, 1.0, 1.0, dt);
-                self.eval_rhs()?;
-                self.combine(0.75, 0.25, 0.25, dt);
-                self.eval_rhs()?;
-                self.combine(1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0, dt);
-            }
+        let (stages, _, _) = rk_tables(self.rk);
+        for &(a, b, c) in stages {
+            self.eval_rhs()?;
+            self.combine(a, b, c, dt);
         }
         Ok(())
-    }
-
-    /// Effective flux weights `b_i` and stage times `c_i` of the SSP-RK
-    /// forms used here (the final update equals
-    /// `u^{n+1} = u^n − Δt/Δx Σ_i b_i ΔF_i`). Shared with the AMR solver
-    /// via [`crate::refine::rk_tables`].
-    fn rk_tables(&self) -> RkTables {
-        rk_tables(self.rk)
     }
 
     /// Single-level stage combine: `u = a·u0 + b·u + c·dt·rhs` + floors.
@@ -339,7 +316,7 @@ impl SmrSolver {
     /// Berger–Oliger subcycled step: coarse at Δt, fine at 2×Δt/2, then
     /// restriction and deferred reflux.
     fn step_subcycled(&mut self, dt: f64) -> Result<(), SolverError> {
-        let (stages, weights, ctimes) = self.rk_tables();
+        let (stages, weights, ctimes) = rk_tables(self.rk);
         let ng_c = self.geom_c.ng;
         let ng_f = self.geom_f.ng;
         let (lo, hi) = self.refine;
