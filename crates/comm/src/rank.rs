@@ -548,12 +548,21 @@ impl Rank {
     /// before the truncated payload — still carrying the original CRC, so
     /// the receiver detects the mismatch — escalates to the caller.
     pub fn send(&mut self, to: usize, tag: u64, data: &[f64]) {
+        self.send_vec(to, tag, data.to_vec());
+    }
+
+    /// [`Rank::send`] of a buffer the caller gives up: it becomes the
+    /// message instead of being copied into one, and the receiver's
+    /// [`Rank::recv`] hands back that same allocation. A caller that
+    /// packs into the buffers it receives (a halo exchange sends as many
+    /// faces as it gets) allocates nothing in steady state.
+    pub fn send_vec(&mut self, to: usize, tag: u64, mut data: Vec<f64>) {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved");
         if tag >= FAULT_TAG_LIMIT {
             self.send_impl(to, tag, data, Duration::ZERO, None);
             return;
         }
-        let crc = Some(crc32_f64s(data));
+        let crc = Some(crc32_f64s(&data));
         let Some(inj) = self.injector.clone() else {
             self.send_impl(to, tag, data, Duration::ZERO, crc);
             return;
@@ -579,28 +588,32 @@ impl Rank {
                 // Deterministic truncation: drop the trailing half. The
                 // CRC trailer is of the *original* payload, so the
                 // receiver detects the damage before unpacking.
-                let keep = data.len() / 2;
-                let short = data[..keep].to_vec();
-                self.send_impl(to, tag, &short, extra, crc);
-                return;
+                data.truncate(data.len() / 2);
             }
         }
         self.send_impl(to, tag, data, extra, crc);
     }
 
     fn send_raw(&mut self, to: usize, tag: u64, data: &[f64]) {
-        self.send_impl(to, tag, data, Duration::ZERO, None);
+        self.send_impl(to, tag, data.to_vec(), Duration::ZERO, None);
     }
 
-    fn send_impl(&mut self, to: usize, tag: u64, data: &[f64], extra: Duration, crc: Option<u32>) {
+    fn send_impl(
+        &mut self,
+        to: usize,
+        tag: u64,
+        data: Vec<f64>,
+        extra: Duration,
+        crc: Option<u32>,
+    ) {
         assert!(to < self.size, "send to invalid rank {to}");
         assert_ne!(to, self.rank, "self-send is not supported");
-        self.bytes_sent += std::mem::size_of_val(data) as u64;
+        let bytes = std::mem::size_of_val(data.as_slice()) as u64;
+        self.bytes_sent += bytes;
         if let Some(m) = &self.metrics {
             let class = tag_class(tag);
             m.counter(&format!("comm.msgs.{class}")).inc();
-            m.counter(&format!("comm.bytes.{class}"))
-                .add(std::mem::size_of_val(data) as u64);
+            m.counter(&format!("comm.bytes.{class}")).add(bytes);
         }
         self.send_seq += 1;
         // Halo sends double as heartbeats: record them so a victim's
@@ -611,7 +624,6 @@ impl Rank {
         let env = Envelope {
             from: self.rank,
             tag,
-            data: data.to_vec(),
             deliverable_at: if self.model.virtual_time {
                 // No physical wait in virtual mode.
                 Instant::now()
@@ -619,6 +631,7 @@ impl Rank {
                 self.model.deliverable_at(data.len()) + extra
             },
             v_deliver: self.vtime + self.model.cost_secs(data.len()) + extra.as_secs_f64(),
+            data,
             seq: self.send_seq,
             epoch: self.epoch,
             crc,

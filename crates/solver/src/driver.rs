@@ -2,13 +2,19 @@
 //!
 //! Each rank owns one block of a Cartesian decomposition of the global
 //! grid. A step comprises a Δt allreduce, per-stage halo exchanges and
-//! residual evaluation, in one of two modes:
+//! residual evaluation. A cell's primitives are computed by its owner,
+//! once per stage: every stage recovers the block interior, ships the
+//! *primitive* face layers, and fills the faces no message serves
+//! (physical boundaries, periodic self-wrap) from its own primitives —
+//! a ghost is a copy of a cell somebody has just recovered, and the
+//! recovery of a copy is the copy of the recovery. The two modes differ
+//! in what happens while the messages fly:
 //!
 //! * **bulk-synchronous** — exchange every halo, then compute the full
 //!   residual (the classic MPI pattern),
 //! * **futurized overlap** — post all halo sends eagerly, compute the
-//!   *deep* residual region (whose stencils never read ghosts) while the
-//!   messages are in flight, then receive halos and finish the boundary
+//!   *deep* residual region (whose stencils read no ghost that is still
+//!   in flight) meanwhile, then receive halos and finish the boundary
 //!   shell. Against the latency-modeling network of [`rhrsc_comm`] this
 //!   genuinely hides communication time (experiment F7).
 //!
@@ -21,9 +27,8 @@ use crate::integrate::{lincomb, RkOrder};
 use crate::ladder::{resilient_advance, Budget, LadderEvent, Recoverable, RestoreCause, Stopwatch};
 use crate::refine::rk_tables;
 use crate::scheme::{
-    init_cons, max_dt, recover_cell_metered, recover_cells_resilient_metered,
-    recover_prims_metered, recover_prims_resilient_metered, RecoveryPolicy, RecoveryStats, Scheme,
-    SolverError, WaveScan,
+    init_cons, max_dt, recover_region, recover_region_resilient, RecoveryPolicy, RecoveryStats,
+    Scheme, SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_comm::{
@@ -300,9 +305,16 @@ pub struct BlockSolver {
     /// Block-rank → communicator-rank translation (identity until a
     /// shrinking recovery remaps the survivors).
     comm_ranks: Vec<usize>,
+    /// Primitives of the interior (recovered here) and of the face
+    /// ghosts (copied from their owners). The ghosts of the conserved
+    /// state are never written or read by the stage loop.
     prim: Field,
     rhs: Field,
     u_stage: Field,
+    /// Residual sweep regions of this block. Overlap mode: the deep core
+    /// first, then the shell slabs beside the faces that wait on a
+    /// message; bulk-synchronous mode: the interior alone.
+    tiles: Vec<Region>,
     gang: Option<WorkStealingPool>,
     recovery: RecoveryPolicy,
     rec_stats: RecoveryStats,
@@ -316,8 +328,9 @@ pub struct BlockSolver {
     /// Running maximum of the CFL rate from the fused wave-speed scan of
     /// the most recent stage-0 residual sweep.
     scan: WaveScan,
-    /// Reusable halo pack buffer (one face at a time).
-    halo_buf: Vec<f64>,
+    /// Spare halo buffers: a send moves one into its message, a receive
+    /// hands the peer's back, so a steady-state exchange allocates none.
+    halo_bufs: Vec<Vec<f64>>,
     /// Cached global Δt with its guarded refresh cadence.
     dt_cache: DtCache,
     /// Optional cadenced telemetry: shared hub + per-rank sampler state.
@@ -517,6 +530,7 @@ impl BlockSolver {
         (
             BlockSolver {
                 comm_ranks: (0..cfg.decomp.nranks()).collect(),
+                tiles: sweep_tiles(&cfg, &geom, rank),
                 cfg,
                 geom,
                 my_rank: rank,
@@ -530,7 +544,7 @@ impl BlockSolver {
                 c2p_hist: None,
                 health: None,
                 scan: WaveScan::new(),
-                halo_buf: Vec::new(),
+                halo_bufs: Vec::new(),
                 dt_cache: DtCache::new(),
                 telemetry: None,
             },
@@ -769,10 +783,18 @@ impl BlockSolver {
         self.comm_ranks[block]
     }
 
-    /// Pack the `ng` interior layers adjacent to face (`d`, `side`)
-    /// (transverse interior only — corners are never exchanged).
-    /// `buf` is overwritten; its allocation is reused.
-    fn pack_face(&self, u: &Field, d: usize, side: usize, buf: &mut Vec<f64>) {
+    /// Communicator rank of the block that owns the cells behind face
+    /// (`d`, `side`); `None` for a face no message serves — a physical
+    /// boundary, or the periodic wrap of a dimension this block owns
+    /// whole.
+    fn face_peer(&self, d: usize, side: usize) -> Option<usize> {
+        face_neighbor(&self.cfg, self.my_rank, d, side).map(|nb| self.comm_of(nb))
+    }
+
+    /// Pack the primitives of the `ng` interior layers adjacent to face
+    /// (`d`, `side`) (transverse interior only — corners are never
+    /// exchanged). `buf` is overwritten; its allocation is reused.
+    fn pack_face(&self, d: usize, side: usize, buf: &mut Vec<f64>) {
         let geom = &self.geom;
         let ng = geom.ng_of(d);
         let n = geom.n[d];
@@ -783,26 +805,20 @@ impl BlockSolver {
             for l in range.clone() {
                 for_each_transverse(geom, d, |t1, t2| {
                     let (i, j, k) = cell_of(d, l, t1, t2);
-                    buf.push(u.at(c, i, j, k));
+                    buf.push(self.prim.at(c, i, j, k));
                 });
             }
         }
     }
 
-    /// Unpack a received halo into the ghost layers of face (`d`, `side`).
-    /// A wrong-length buffer (truncated in flight) leaves the ghosts
-    /// untouched and reports [`SolverError::HaloMismatch`].
-    fn unpack_face(
-        &self,
-        u: &mut Field,
-        d: usize,
-        side: usize,
-        buf: &[f64],
-    ) -> Result<(), SolverError> {
-        let geom = &self.geom;
+    /// Unpack a received halo into the primitive ghost layers of face
+    /// (`d`, `side`). A wrong-length buffer (truncated in flight) leaves
+    /// the ghosts untouched and reports [`SolverError::HaloMismatch`].
+    fn unpack_face(&mut self, d: usize, side: usize, buf: &[f64]) -> Result<(), SolverError> {
+        let geom = self.geom;
         let ng = geom.ng_of(d);
         let n = geom.n[d];
-        let expected = NCOMP * ng * transverse_len(geom, d);
+        let expected = NCOMP * ng * transverse_len(&geom, d);
         if buf.len() != expected {
             return Err(SolverError::HaloMismatch {
                 expected,
@@ -813,9 +829,9 @@ impl BlockSolver {
         let mut idx = 0;
         for c in 0..NCOMP {
             for l in range.clone() {
-                for_each_transverse(geom, d, |t1, t2| {
+                for_each_transverse(&geom, d, |t1, t2| {
                     let (i, j, k) = cell_of(d, l, t1, t2);
-                    u.set(c, i, j, k, buf[idx]);
+                    self.prim.set(c, i, j, k, buf[idx]);
                     idx += 1;
                 });
             }
@@ -824,81 +840,78 @@ impl BlockSolver {
         Ok(())
     }
 
-    /// Post all halo sends for the current state.
-    fn post_sends(&mut self, rank: &mut Rank, u: &Field) {
-        // `send` copies the payload, so one buffer serves every face.
-        let mut buf = std::mem::take(&mut self.halo_buf);
-        for d in 0..3 {
-            if !self.geom.active(d) || self.cfg.decomp.dims[d] == 1 {
-                continue;
-            }
+    /// Post the halo sends of the freshly recovered interior primitives.
+    fn post_sends(&mut self, rank: &mut Rank) {
+        let geom = self.geom;
+        for d in (0..3).filter(|&d| geom.active(d)) {
             for side in 0..2 {
-                if let Some(nb) = self.cfg.decomp.neighbor(self.my_rank, d, side) {
-                    if nb == self.my_rank {
-                        continue; // handled as local periodic wrap
-                    }
+                let Some(peer) = self.face_peer(d, side) else {
+                    continue;
+                };
+                let mut buf = self.halo_bufs.pop().unwrap_or_default();
+                let s = self.pstart(rank);
+                rank.work(|| self.pack_face(d, side, &mut buf));
+                self.pend("phase.halo.pack", rank, s);
+                let s = self.pstart(rank);
+                rank.send_vec(peer, (d * 2 + side) as u64, buf);
+                self.pend("phase.halo.send", rank, s);
+            }
+        }
+    }
+
+    /// Fill the primitive ghosts of every face no message serves:
+    /// physical boundary conditions and the periodic self-wrap. The
+    /// primitive layout has the normal velocity where the conserved one
+    /// has the normal momentum, so [`fill_face`] mirrors it correctly.
+    fn fill_local_faces(&mut self, rank: &mut Rank) {
+        let geom = self.geom;
+        for d in (0..3).filter(|&d| geom.active(d)) {
+            for side in 0..2 {
+                if self.face_peer(d, side).is_none() {
                     let s = self.pstart(rank);
-                    rank.work(|| self.pack_face(u, d, side, &mut buf));
-                    self.pend("phase.halo.pack", rank, s);
-                    let s = self.pstart(rank);
-                    rank.send(self.comm_of(nb), (d * 2 + side) as u64, &buf);
-                    self.pend("phase.halo.send", rank, s);
+                    rank.work(|| fill_face(&mut self.prim, d, side, self.cfg.bcs[d][side]));
+                    self.pend("phase.halo.unpack", rank, s);
                 }
             }
         }
-        self.halo_buf = buf;
     }
 
-    /// Receive all halos and fill physical faces.
+    /// Receive the primitive halos of every face a peer serves.
     ///
     /// Every expected message is received even after an unpack failure —
     /// bailing out early would leave messages queued and desynchronize
     /// this rank's communication pattern from its neighbors'. The first
     /// error is reported after the exchange is fully drained.
-    fn recv_halos(&self, rank: &mut Rank, u: &mut Field) -> Result<(), SolverError> {
+    fn recv_halos(&mut self, rank: &mut Rank) -> Result<(), SolverError> {
         let mut first_err = None;
-        for d in 0..3 {
-            if !self.geom.active(d) {
-                continue;
-            }
+        let geom = self.geom;
+        for d in (0..3).filter(|&d| geom.active(d)) {
             for side in 0..2 {
-                let nb = if self.cfg.decomp.dims[d] == 1 {
-                    None
-                } else {
-                    self.cfg.decomp.neighbor(self.my_rank, d, side)
+                let Some(peer) = self.face_peer(d, side) else {
+                    continue;
                 };
-                match nb {
-                    Some(nb) if nb != self.my_rank => {
-                        // Neighbor's opposite face arrives tagged with its
-                        // (d, 1-side). The deadline receive bounds the wait
-                        // on a dead neighbor: a silent peer becomes a typed
-                        // suspicion instead of a hang.
+                // Neighbor's opposite face arrives tagged with its
+                // (d, 1-side). The deadline receive bounds the wait on a
+                // dead neighbor: a silent peer becomes a typed suspicion
+                // instead of a hang.
+                let s = self.pstart(rank);
+                let buf = rank.recv_deadline(peer, (d * 2 + (1 - side)) as u64);
+                self.pend("phase.halo.wait", rank, s);
+                match buf {
+                    Ok(buf) => {
                         let s = self.pstart(rank);
-                        let buf = rank.recv_deadline(self.comm_of(nb), (d * 2 + (1 - side)) as u64);
-                        self.pend("phase.halo.wait", rank, s);
-                        match buf {
-                            Ok(buf) => {
-                                let s = self.pstart(rank);
-                                if let Err(e) = rank.work(|| self.unpack_face(u, d, side, &buf)) {
-                                    first_err.get_or_insert(e);
-                                }
-                                self.pend("phase.halo.unpack", rank, s);
-                            }
-                            Err(e) => {
-                                // Ghosts stay untouched; the step is rolled
-                                // back. Keep draining the remaining faces so
-                                // this rank's pattern stays aligned with the
-                                // neighbors that are still alive.
-                                first_err.get_or_insert(comm_err(e));
-                            }
+                        if let Err(e) = rank.work(|| self.unpack_face(d, side, &buf)) {
+                            first_err.get_or_insert(e);
                         }
-                    }
-                    _ => {
-                        // Physical boundary, or periodic self-wrap when the
-                        // rank owns the whole dimension.
-                        let s = self.pstart(rank);
-                        rank.work(|| fill_face(u, d, side, self.cfg.bcs[d][side]));
                         self.pend("phase.halo.unpack", rank, s);
+                        self.halo_bufs.push(buf);
+                    }
+                    // Ghosts stay untouched; the step is rolled back. Keep
+                    // draining the remaining faces so this rank's pattern
+                    // stays aligned with the neighbors that are still
+                    // alive.
+                    Err(e) => {
+                        first_err.get_or_insert(comm_err(e));
                     }
                 }
             }
@@ -906,110 +919,51 @@ impl BlockSolver {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// Recover primitives over the ghost-face slabs only (after halos
-    /// arrive in overlap mode; the interior was recovered earlier).
-    fn recover_ghost_faces(&mut self, u: &mut Field) -> Result<(), SolverError> {
-        let geom = self.geom;
-        if self.recovery == RecoveryPolicy::Cascade {
-            let mut cells = Vec::new();
-            for d in 0..3 {
-                let ng = geom.ng_of(d);
-                if ng == 0 {
-                    continue;
-                }
-                let n = geom.n[d];
-                for side in 0..2 {
-                    let range = if side == 0 { 0..ng } else { ng + n..2 * ng + n };
-                    for l in range {
-                        for_each_transverse(&geom, d, |t1, t2| {
-                            cells.push(cell_of(d, l, t1, t2));
-                        });
-                    }
-                }
-            }
-            let mut stats = RecoveryStats::default();
-            recover_cells_resilient_metered(
-                &self.cfg.scheme,
-                u,
-                &mut self.prim,
-                cells,
-                &mut stats,
-                self.c2p_hist.as_deref(),
-            );
-            self.rec_stats.merge(&stats);
-            self.note_cascade(&stats);
-            return Ok(());
+    /// Recover primitives over the interior — the cells this block owns.
+    /// Under [`RecoveryPolicy::Cascade`] the repairs of the whole batch
+    /// finish here, before any primitive ships.
+    fn recover_interior(&mut self, u: &mut Field) -> Result<(), SolverError> {
+        let interior = Region::interior(&self.geom);
+        let iters = self.c2p_hist.as_deref();
+        if self.recovery == RecoveryPolicy::Strict {
+            return recover_region(&self.cfg.scheme, u, &mut self.prim, &interior, iters, None);
         }
-        for d in 0..3 {
-            let ng = geom.ng_of(d);
-            if ng == 0 {
-                continue;
-            }
-            let n = geom.n[d];
-            for side in 0..2 {
-                let range = if side == 0 { 0..ng } else { ng + n..2 * ng + n };
-                for l in range {
-                    let mut err = None;
-                    for_each_transverse(&geom, d, |t1, t2| {
-                        if err.is_some() {
-                            return;
-                        }
-                        let (i, j, k) = cell_of(d, l, t1, t2);
-                        if let Err(e) = recover_cell_metered(
-                            &self.cfg.scheme,
-                            u,
-                            &mut self.prim,
-                            i,
-                            j,
-                            k,
-                            self.c2p_hist.as_deref(),
-                        ) {
-                            err = Some(e);
-                        }
-                    });
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        let mut stats = RecoveryStats::default();
+        recover_region_resilient(
+            &self.cfg.scheme,
+            u,
+            &mut self.prim,
+            &interior,
+            &mut stats,
+            iters,
+        );
+        self.rec_stats.merge(&stats);
+        self.note_cascade(&stats);
         Ok(())
     }
 
-    /// Recover primitives over interior cells only.
-    fn recover_interior(&mut self, u: &mut Field) -> Result<(), SolverError> {
-        let geom = self.geom;
-        if self.recovery == RecoveryPolicy::Cascade {
-            let mut stats = RecoveryStats::default();
-            let cells: Vec<_> = geom.interior_iter().collect();
-            recover_cells_resilient_metered(
-                &self.cfg.scheme,
-                u,
-                &mut self.prim,
-                cells,
-                &mut stats,
-                self.c2p_hist.as_deref(),
-            );
-            self.rec_stats.merge(&stats);
-            self.note_cascade(&stats);
-            return Ok(());
-        }
-        let mut err = None;
-        for (i, j, k) in geom.interior_iter() {
-            if let Err(e) = recover_cell_metered(
-                &self.cfg.scheme,
-                u,
-                &mut self.prim,
-                i,
-                j,
-                k,
-                self.c2p_hist.as_deref(),
-            ) {
-                err = Some(e);
-                break;
+    /// Accumulate the residual over `self.tiles[tiles]`, timed as `phase`.
+    fn sweep(
+        &mut self,
+        rank: &mut Rank,
+        phase: &'static str,
+        tiles: std::ops::Range<usize>,
+        scan: bool,
+    ) {
+        let s = self.pstart(rank);
+        rank.work(|| {
+            for tile in &self.tiles[tiles] {
+                accumulate_rhs_region_scan(
+                    &self.cfg.scheme,
+                    &self.prim,
+                    &mut self.rhs,
+                    tile,
+                    scan.then_some(&self.scan),
+                    self.gang.as_ref(),
+                );
             }
-        }
-        err.map_or(Ok(()), Err)
+        });
+        self.pend(phase, rank, s);
     }
 
     /// One residual evaluation with halo exchange, honoring the mode.
@@ -1024,101 +978,39 @@ impl BlockSolver {
         if scan {
             self.scan.reset();
         }
+        // Phase names of the compute before and after the receives.
+        let overlap = self.cfg.mode == ExchangeMode::Overlap;
+        let (before, after) = if overlap {
+            ("phase.rhs.deep", "phase.rhs.shell")
+        } else {
+            ("phase.rhs.interior", "phase.rhs.interior")
+        };
         // Wall time inside a `rank.work` closure equals the virtual-clock
         // charge (the closure runs while holding the CPU token), so the
         // nested con2prim sub-phase can use plain `Instant` timing.
         let sub_c2p = self.metrics.as_ref().map(|m| m.histogram("sub.c2p"));
-        match self.cfg.mode {
-            ExchangeMode::BulkSynchronous => {
-                self.post_sends(rank, u);
-                self.recv_halos(rank, u)?;
-                let scheme = self.cfg.scheme;
-                let geom = self.geom;
-                let policy = self.recovery;
-                let s = self.pstart(rank);
-                rank.work(|| -> Result<(), SolverError> {
-                    let t0 = sub_c2p.as_ref().map(|_| Instant::now());
-                    if policy == RecoveryPolicy::Cascade {
-                        let mut stats = RecoveryStats::default();
-                        recover_prims_resilient_metered(
-                            &scheme,
-                            u,
-                            &mut self.prim,
-                            &mut stats,
-                            self.c2p_hist.as_deref(),
-                        );
-                        self.rec_stats.merge(&stats);
-                        self.note_cascade(&stats);
-                    } else {
-                        recover_prims_metered(
-                            &scheme,
-                            u,
-                            &mut self.prim,
-                            self.c2p_hist.as_deref(),
-                        )?;
-                    }
-                    if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
-                        h.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    let region = Region::interior(&geom);
-                    accumulate_rhs_region_scan(
-                        &scheme,
-                        &self.prim,
-                        &mut self.rhs,
-                        &region,
-                        scan.then_some(&self.scan),
-                        self.gang.as_ref(),
-                    );
-                    Ok(())
-                })?;
-                self.pend("phase.rhs.interior", rank, s);
+        let s = self.pstart(rank);
+        let recovered = rank.work(|| {
+            let t0 = sub_c2p.as_ref().map(|_| Instant::now());
+            let out = self.recover_interior(u);
+            if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
+                h.record(t0.elapsed().as_nanos() as u64);
             }
-            ExchangeMode::Overlap => {
-                self.post_sends(rank, u);
-                let scheme = self.cfg.scheme;
-                let depth = scheme.required_ghosts();
-                let (deep, shells) = Region::split_deep_shell(&self.geom, depth);
-                let s = self.pstart(rank);
-                rank.work(|| -> Result<(), SolverError> {
-                    let t0 = sub_c2p.as_ref().map(|_| Instant::now());
-                    self.recover_interior(u)?;
-                    if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
-                        h.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    accumulate_rhs_region_scan(
-                        &scheme,
-                        &self.prim,
-                        &mut self.rhs,
-                        &deep,
-                        scan.then_some(&self.scan),
-                        self.gang.as_ref(),
-                    );
-                    Ok(())
-                })?;
-                self.pend("phase.rhs.deep", rank, s);
-                self.recv_halos(rank, u)?;
-                let s = self.pstart(rank);
-                rank.work(|| -> Result<(), SolverError> {
-                    let t0 = sub_c2p.as_ref().map(|_| Instant::now());
-                    self.recover_ghost_faces(u)?;
-                    if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
-                        h.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    for sh in &shells {
-                        accumulate_rhs_region_scan(
-                            &scheme,
-                            &self.prim,
-                            &mut self.rhs,
-                            sh,
-                            scan.then_some(&self.scan),
-                            self.gang.as_ref(),
-                        );
-                    }
-                    Ok(())
-                })?;
-                self.pend("phase.rhs.shell", rank, s);
-            }
+            out
+        });
+        self.pend(before, rank, s);
+        // The exchange runs even when the recovery failed: the neighbors
+        // are committed to this stage's messages, and skipping them would
+        // shift every later receive by one.
+        self.post_sends(rank);
+        self.fill_local_faces(rank);
+        if overlap && recovered.is_ok() {
+            self.sweep(rank, before, 0..1, scan);
         }
+        let received = self.recv_halos(rank);
+        recovered?;
+        received?;
+        self.sweep(rank, after, overlap as usize..self.tiles.len(), scan);
         Ok(())
     }
 
@@ -1443,6 +1335,7 @@ impl BlockSolver {
         self.my_rank = my_block;
         self.comm_ranks = survivors;
         self.geom = self.cfg.local_geom(my_block);
+        self.tiles = sweep_tiles(&self.cfg, &self.geom, my_block);
         self.prim = Field::new(self.geom, 5);
         self.rhs = Field::cons(self.geom);
         self.u_stage = Field::cons(self.geom);
@@ -2390,6 +2283,31 @@ pub(crate) fn comm_err(e: CommError) -> SolverError {
     }
 }
 
+/// Block rank of the neighbor behind face (`d`, `side`) of `block`, or
+/// `None` when the face is a physical boundary or wraps onto the block
+/// itself.
+fn face_neighbor(cfg: &DistConfig, block: usize, d: usize, side: usize) -> Option<usize> {
+    if cfg.decomp.dims[d] == 1 {
+        return None;
+    }
+    cfg.decomp
+        .neighbor(block, d, side)
+        .filter(|&nb| nb != block)
+}
+
+/// The residual sweep regions of `block` (see [`BlockSolver::tiles`]).
+/// The deep core retreats only from dimensions that wait on a message:
+/// local faces are filled before the deep sweep, so on a 2×1×1 split
+/// every y/z pencil stays whole.
+fn sweep_tiles(cfg: &DistConfig, geom: &PatchGeom, block: usize) -> Vec<Region> {
+    if cfg.mode == ExchangeMode::BulkSynchronous {
+        return vec![Region::interior(geom)];
+    }
+    let waits = [0, 1, 2].map(|d| (0..2).any(|side| face_neighbor(cfg, block, d, side).is_some()));
+    let (deep, shells) = Region::split_deep_shell(geom, cfg.scheme.required_ghosts(), waits);
+    std::iter::once(deep).chain(shells).collect()
+}
+
 /// Flatten a block's interior, component-major in `interior_iter` order
 /// (matches [`BlockRecord`]'s layout).
 fn pack_interior(geom: &PatchGeom, u: &Field) -> Vec<f64> {
@@ -2882,6 +2800,47 @@ mod tests {
             repaired > 0,
             "expected the cascade to repair poisoned cells"
         );
+    }
+
+    #[test]
+    fn cascade_repair_is_made_once_by_the_owner_and_shipped() {
+        // Block 0's last interior cell — the layer block 1 mirrors in its
+        // low-x ghosts — is poisoned. Its owner repairs it before the
+        // primitives ship, so the receiver's ghost is bitwise the owner's
+        // repaired interior cell, and exactly one repair is counted: the
+        // receiver never sees the poisoned state, let alone repairs it a
+        // second time from a different neighborhood.
+        for mode in [ExchangeMode::BulkSynchronous, ExchangeMode::Overlap] {
+            let cfg = sod_cfg(2, mode);
+            let ic = |x: [f64; 3]| Prim::new_1d(1.0 + 0.3 * (9.0 * x[0]).sin(), 0.2, 1.0);
+            let outs = run(2, NetworkModel::ideal(), |rank| {
+                let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+                solver.recovery = RecoveryPolicy::Cascade;
+                let g = *solver.geom();
+                let (ng, n) = (g.ng_of(0), g.n[0]);
+                if rank.rank() == 0 {
+                    u.set(0, ng + n - 1, 0, 0, f64::NAN);
+                }
+                solver.eval_rhs(rank, &mut u, false).unwrap();
+                // Owner: its last interior layers; receiver: its low ghosts.
+                let at = if rank.rank() == 0 { n } else { 0 };
+                let layers: Vec<[u64; 5]> = (at..at + ng)
+                    .map(|i| [0, 1, 2, 3, 4].map(|c| solver.prim.at(c, i, 0, 0).to_bits()))
+                    .collect();
+                (layers, solver.rec_stats, u.at(0, ng + n - 1, 0, 0))
+            });
+            let (owner, receiver) = (&outs[0], &outs[1]);
+            assert_eq!(receiver.0, owner.0, "{mode:?}: ghost = owner's repair");
+            let repaired = owner.0.last().unwrap().map(f64::from_bits);
+            assert!(repaired.iter().all(|v| v.is_finite()), "{mode:?}");
+            assert!(
+                owner.2.is_finite(),
+                "{mode:?}: the owner's `u` was repaired"
+            );
+            assert_eq!(owner.1.total(), 1, "{mode:?}: one repair, by the owner");
+            assert_eq!(owner.1.neighbor_avg, 1, "{mode:?}");
+            assert_eq!(receiver.1.total(), 0, "{mode:?}: none by the receiver");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::refine::rk_tables;
 use crate::scheme::{
-    apply_conserved_floors, max_dt, recover_prims, recover_prims_par, Scheme, SolverError, WaveScan,
+    apply_conserved_floors, max_dt, recover_prims, recover_region, Scheme, SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
@@ -126,14 +126,23 @@ impl PatchSolver {
 
     /// Evaluate `rhs = L(u)` (ghost fill + recovery + residual), with the
     /// wave-speed scan riding on the sweep when `scan` is set.
+    ///
+    /// Every ghost is a copy (or mirror image) of an interior cell, and
+    /// the recovery of a copied conserved state is the copy of the
+    /// recovered primitives — so only the interior is recovered and the
+    /// boundary conditions are applied to the primitives, whose component
+    /// `1 + d` is the normal velocity just as it is the normal momentum
+    /// of `u`. The ghosts of `u` are still filled: callers see them.
     fn eval_rhs(
         &mut self,
         u: &mut Field,
         scan: bool,
         pool: Option<&WorkStealingPool>,
     ) -> Result<(), SolverError> {
+        let interior = Region::interior(u.geom());
         fill_ghosts(u, &self.bcs);
-        recover_prims_par(&self.scheme, u, &mut self.prim, pool)?;
+        recover_region(&self.scheme, u, &mut self.prim, &interior, None, pool)?;
+        fill_ghosts(&mut self.prim, &self.bcs);
         self.rhs.raw_mut().fill(0.0);
         if scan {
             self.scan.reset();
@@ -142,7 +151,7 @@ impl PatchSolver {
             &self.scheme,
             &self.prim,
             &mut self.rhs,
-            &Region::interior(u.geom()),
+            &interior,
             scan.then_some(&self.scan),
             pool,
         );

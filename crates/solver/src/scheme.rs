@@ -1,5 +1,6 @@
 //! The numerical scheme bundle and field-level primitive recovery.
 
+use crate::step::Region;
 use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::metrics::Histogram;
 use rhrsc_srhd::recon::Recon;
@@ -292,94 +293,138 @@ pub fn init_cons(geom: PatchGeom, eos: &Eos, ic: &dyn Fn([f64; 3]) -> Prim) -> F
 }
 
 /// Recover primitives over every cell (interior + ghosts) of a conserved
-/// field.
+/// field. For fields whose ghosts are *interpolated* (AMR prolongation)
+/// and for reference paths; solvers whose ghosts are copies of interior
+/// cells recover the interior only and copy the primitives instead
+/// ([`recover_region`]).
 pub fn recover_prims(scheme: &Scheme, u: &Field, prim: &mut Field) -> Result<(), SolverError> {
-    recover_prims_par(scheme, u, prim, None)
+    recover_region(scheme, u, prim, &Region::whole(u.geom()), None, None)
 }
 
-/// Recover primitives over every cell, optionally gang-parallel over
-/// z-slabs (or y-rows in 2D). Results are bit-identical to the serial
-/// path: every cell's root solve is independent and deterministic.
-pub fn recover_prims_par(
+/// Recover primitives over the cells of `region`, failing on the first
+/// cell that has no primitive state; optionally gang-parallel over its
+/// x-rows and optionally histogramming every root solve's residual
+/// evaluations into `iters`. Cells outside `region` keep their bytes.
+///
+/// Results are bit-identical however the rows are scheduled: every
+/// cell's root solve is independent and deterministic. The reported cell
+/// is the first failing one in row-major order (with a pool: of
+/// whichever failing row finished first).
+pub fn recover_region(
     scheme: &Scheme,
     u: &Field,
     prim: &mut Field,
+    region: &Region,
+    iters: Option<&Histogram>,
     pool: Option<&rhrsc_runtime::WorkStealingPool>,
 ) -> Result<(), SolverError> {
-    let geom = *u.geom();
-    let (n0, n1, n2) = (geom.ntot(0), geom.ntot(1), geom.ntot(2));
-    match pool {
-        Some(pool) if n1 * n2 > 1 => {
-            // Parallelize over (j, k) rows; each row writes disjoint prim
-            // cells, so shared mutable access through a raw pointer is
-            // sound. The first error (if any) is captured.
-            let err = parking_lot::Mutex::new(None::<SolverError>);
-            let raw = RawPrim {
-                ptr: prim.raw_mut().as_mut_ptr(),
-                comp_stride: geom.len(),
-            };
-            // Capture the wrapper (not its raw-pointer field) so the
-            // closure is Sync via `unsafe impl Sync for RawPrim`.
-            let raw = &raw;
-            pool.par_for(n1 * n2, 1, &|row| {
-                let j = row % n1;
-                let k = row / n1;
-                for i in 0..n0 {
-                    let cons = u.get_cons(i, j, k);
-                    match cons_to_prim(&scheme.eos, &cons, None, &scheme.c2p) {
-                        Ok(w) => {
-                            let ix = geom.idx(i, j, k);
-                            let vals = [w.rho, w.vel[0], w.vel[1], w.vel[2], w.p];
-                            for (c, v) in vals.into_iter().enumerate() {
-                                // SAFETY: rows are disjoint across tasks.
-                                unsafe { *raw.ptr.add(c * raw.comp_stride + ix) = v };
-                            }
-                        }
-                        Err(e) => {
-                            let mut g = err.lock();
-                            g.get_or_insert(SolverError::Con2Prim {
-                                cell: (i, j, k),
-                                err: e,
-                            });
-                            return;
-                        }
-                    }
-                }
+    let raw = RawPrim::new(u, prim, region);
+    let first = parking_lot::Mutex::new(None::<SolverError>);
+    let (nj, nk) = (region.hi[1] - region.lo[1], region.hi[2] - region.lo[2]);
+    // Rows write disjoint prim cells, so sharing `raw` across tasks is
+    // sound.
+    let task = |row: usize| {
+        let (j, k) = (region.lo[1] + row % nj, region.lo[2] + row / nj);
+        if let Err((i, err)) = recover_row(scheme, u, &raw, region.lo[0], region.hi[0], j, k, iters)
+        {
+            first.lock().get_or_insert(SolverError::Con2Prim {
+                cell: (i, j, k),
+                err,
             });
-            err.into_inner().map_or(Ok(()), Err)
         }
-        _ => {
-            // Contiguous x-rows of the raw component slices: one index
-            // per cell instead of five strided `at`/`set` lookups.
-            let n = geom.len();
-            let ur = u.raw();
-            let pr = prim.raw_mut();
-            for k in 0..n2 {
-                for j in 0..n1 {
-                    let base = geom.idx(0, j, k);
-                    for i in 0..n0 {
-                        let ix = base + i;
-                        let cons = cons_at(ur, n, ix);
-                        let w = match cons_to_prim_counted(&scheme.eos, &cons, None, &scheme.c2p) {
-                            Ok((w, _)) => w,
-                            Err(err) => {
-                                return Err(SolverError::Con2Prim {
-                                    cell: (i, j, k),
-                                    err,
-                                })
-                            }
-                        };
-                        pr[PRIM_RHO * n + ix] = w.rho;
-                        pr[PRIM_VX * n + ix] = w.vel[0];
-                        pr[PRIM_VY * n + ix] = w.vel[1];
-                        pr[PRIM_VZ * n + ix] = w.vel[2];
-                        pr[PRIM_P * n + ix] = w.p;
-                    }
-                }
+    };
+    match pool {
+        Some(pool) if nj * nk > 1 => pool.par_for(nj * nk, 1, &task),
+        _ => (0..nj * nk).for_each(task),
+    }
+    first.into_inner().map_or(Ok(()), Err)
+}
+
+/// [`recover_region`] that repairs instead of failing: cells whose strict
+/// recovery fails are collected and repaired by the cascade in a second
+/// pass (so tier 2 can read the successfully recovered neighbors), and
+/// nothing aborts the run. Tier 2 averages neighbors inside `region`
+/// only — cells outside it were not recovered by this call. Repairs that
+/// synthesize a new state (tiers 2–3) also rewrite the conserved field to
+/// keep `u` and `prim` consistent.
+pub fn recover_region_resilient(
+    scheme: &Scheme,
+    u: &mut Field,
+    prim: &mut Field,
+    region: &Region,
+    stats: &mut RecoveryStats,
+    iters: Option<&Histogram>,
+) {
+    let raw = RawPrim::new(u, prim, region);
+    let mut failed = Vec::new();
+    for k in region.lo[2]..region.hi[2] {
+        for j in region.lo[1]..region.hi[1] {
+            let mut i = region.lo[0];
+            while let Err((bad, _)) = recover_row(scheme, u, &raw, i, region.hi[0], j, k, iters) {
+                failed.push((bad, j, k));
+                i = bad + 1;
             }
-            Ok(())
         }
     }
+    if failed.is_empty() {
+        return;
+    }
+    let bad: std::collections::HashSet<(usize, usize, usize)> = failed.iter().copied().collect();
+    for &(i, j, k) in &failed {
+        cascade_cell(scheme, u, prim, region, i, j, k, &bad, stats);
+    }
+}
+
+/// The one recovery loop: cells `[i0, i1)` of the x-row at `(j, k)`,
+/// walked as one flat index over the raw component slices. Stops at the
+/// first cell whose strict root solve fails and returns it.
+///
+/// Every root solve is *cold-started* from a deterministic seed derived
+/// from the conserved state alone (never from the previous pressure):
+/// warm starts land on slightly different iterates, which would break
+/// the bit-identity guarantees between the serial, gang-parallel,
+/// distributed, and device execution paths — and it is what makes the
+/// primitives of a copied conserved state the copy of the primitives, so
+/// that ghost zones can carry primitives instead of being recovered.
+///
+/// `inline(never)`: whole-field and interior recovery, strict and
+/// cascading, serial and gang all run this one body. A prototype with a
+/// second copy of the loop compiled the solve differently and slowed the
+/// AMR workload, which runs only the whole-field recovery, by 2–3 %
+/// (DESIGN "Hot-loop data layout").
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn recover_row(
+    scheme: &Scheme,
+    u: &Field,
+    prim: &RawPrim,
+    i0: usize,
+    i1: usize,
+    j: usize,
+    k: usize,
+    iters: Option<&Histogram>,
+) -> Result<(), (usize, Con2PrimError)> {
+    let n = prim.comp_stride;
+    let ur = u.raw();
+    let row = u.geom().idx(0, j, k);
+    for i in i0..i1 {
+        let ix = row + i;
+        let (w, evals) = cons_to_prim_counted(&scheme.eos, &cons_at(ur, n, ix), None, &scheme.c2p)
+            .map_err(|err| (i, err))?;
+        if let Some(h) = iters {
+            h.record(evals as u64);
+        }
+        for (c, v) in [w.rho, w.vel[0], w.vel[1], w.vel[2], w.p]
+            .into_iter()
+            .enumerate()
+        {
+            // SAFETY: `RawPrim::new` checked that the region's cells lie
+            // inside the five-component storage; concurrent callers hold
+            // disjoint rows.
+            unsafe { *prim.ptr.add(c * n + ix) = v };
+        }
+    }
+    Ok(())
 }
 
 /// The conserved 5-vector at flat cell index `ix` of a component-major
@@ -396,152 +441,38 @@ fn cons_at(raw: &[f64], n: usize, ix: usize) -> Cons {
     ])
 }
 
-/// Raw pointer to primitive storage for row-disjoint parallel recovery.
-#[derive(Clone, Copy)]
+/// Raw pointer to primitive storage for row-disjoint recovery.
 struct RawPrim {
     ptr: *mut f64,
     comp_stride: usize,
 }
 
+impl RawPrim {
+    /// Borrow `prim`'s storage for a recovery of `u` over `region`.
+    ///
+    /// # Panics
+    /// Panics unless `prim` has `u`'s geometry and five components and
+    /// `region` lies inside it — the conditions [`recover_row`]'s
+    /// unchecked writes rely on.
+    fn new(u: &Field, prim: &mut Field, region: &Region) -> RawPrim {
+        let geom = u.geom();
+        assert_eq!(geom, prim.geom(), "prim and cons geometries differ");
+        assert!(prim.ncomp() >= 5, "primitive field needs five components");
+        assert!(
+            (0..3).all(|d| region.lo[d] <= region.hi[d] && region.hi[d] <= geom.ntot(d)),
+            "region {region:?} outside the patch"
+        );
+        RawPrim {
+            ptr: prim.raw_mut().as_mut_ptr(),
+            comp_stride: geom.len(),
+        }
+    }
+}
+
+// SAFETY: the pointer is only written through `recover_row`, whose
+// callers hand each thread disjoint rows of storage that outlives them.
 unsafe impl Send for RawPrim {}
 unsafe impl Sync for RawPrim {}
-
-/// Recover a single cell's primitives (shared by full-field and region
-/// recovery paths).
-///
-/// Deliberately *cold-starts* the root solve from a deterministic seed
-/// derived from the conserved state alone (never from the previous
-/// pressure): warm starts land on slightly different iterates, which would
-/// break the bit-identity guarantees between the serial, gang-parallel,
-/// distributed, and device execution paths.
-#[inline]
-pub fn recover_cell(
-    scheme: &Scheme,
-    u: &Field,
-    prim: &mut Field,
-    i: usize,
-    j: usize,
-    k: usize,
-) -> Result<(), SolverError> {
-    recover_cell_metered(scheme, u, prim, i, j, k, None)
-}
-
-/// [`recover_cell`] that also histograms the root-solve iteration count
-/// (`iters`, when profiling is on). The metered path calls the counted
-/// con2prim variant, whose iterates — and therefore whose result — are
-/// bit-identical to the plain one.
-#[inline]
-pub fn recover_cell_metered(
-    scheme: &Scheme,
-    u: &Field,
-    prim: &mut Field,
-    i: usize,
-    j: usize,
-    k: usize,
-    iters: Option<&Histogram>,
-) -> Result<(), SolverError> {
-    let cons = u.get_cons(i, j, k);
-    match cons_to_prim_counted(&scheme.eos, &cons, None, &scheme.c2p) {
-        Ok((w, n)) => {
-            if let Some(h) = iters {
-                h.record(n as u64);
-            }
-            set_prim(prim, i, j, k, &w);
-            Ok(())
-        }
-        Err(err) => Err(SolverError::Con2Prim {
-            cell: (i, j, k),
-            err,
-        }),
-    }
-}
-
-/// Recover primitives over an explicit cell set with cascade repair: cells
-/// whose strict recovery fails are repaired in a second pass (so tier 2
-/// can read the successfully recovered neighbors) and never abort the
-/// run. Repairs that synthesize a new state (tiers 2–3) also rewrite the
-/// conserved field to keep `u` and `prim` consistent.
-pub fn recover_cells_resilient(
-    scheme: &Scheme,
-    u: &mut Field,
-    prim: &mut Field,
-    cells: impl IntoIterator<Item = (usize, usize, usize)>,
-    stats: &mut RecoveryStats,
-) {
-    recover_cells_resilient_metered(scheme, u, prim, cells, stats, None)
-}
-
-/// [`recover_cells_resilient`] with optional iteration-count metering of
-/// the strict first pass.
-pub fn recover_cells_resilient_metered(
-    scheme: &Scheme,
-    u: &mut Field,
-    prim: &mut Field,
-    cells: impl IntoIterator<Item = (usize, usize, usize)>,
-    stats: &mut RecoveryStats,
-    iters: Option<&Histogram>,
-) {
-    let mut failed = Vec::new();
-    for (i, j, k) in cells {
-        if recover_cell_metered(scheme, u, prim, i, j, k, iters).is_err() {
-            failed.push((i, j, k));
-        }
-    }
-    if failed.is_empty() {
-        return;
-    }
-    let bad: std::collections::HashSet<(usize, usize, usize)> = failed.iter().copied().collect();
-    for &(i, j, k) in &failed {
-        cascade_cell(scheme, u, prim, i, j, k, &bad, stats);
-    }
-}
-
-/// Resilient variant of [`recover_prims`]: every cell (interior + ghosts),
-/// cascade repair instead of failure.
-pub fn recover_prims_resilient(
-    scheme: &Scheme,
-    u: &mut Field,
-    prim: &mut Field,
-    stats: &mut RecoveryStats,
-) {
-    recover_prims_resilient_metered(scheme, u, prim, stats, None)
-}
-
-/// [`recover_prims_resilient`] with optional iteration-count metering.
-pub fn recover_prims_resilient_metered(
-    scheme: &Scheme,
-    u: &mut Field,
-    prim: &mut Field,
-    stats: &mut RecoveryStats,
-    iters: Option<&Histogram>,
-) {
-    let geom = *u.geom();
-    let (n0, n1, n2) = (geom.ntot(0), geom.ntot(1), geom.ntot(2));
-    let cells =
-        (0..n2).flat_map(move |k| (0..n1).flat_map(move |j| (0..n0).map(move |i| (i, j, k))));
-    recover_cells_resilient_metered(scheme, u, prim, cells, stats, iters);
-}
-
-/// Serial [`recover_prims`] with optional iteration-count metering
-/// (the distributed driver's strict path; bit-identical to the plain
-/// recovery).
-pub fn recover_prims_metered(
-    scheme: &Scheme,
-    u: &Field,
-    prim: &mut Field,
-    iters: Option<&Histogram>,
-) -> Result<(), SolverError> {
-    let geom = *u.geom();
-    let (n0, n1, n2) = (geom.ntot(0), geom.ntot(1), geom.ntot(2));
-    for k in 0..n2 {
-        for j in 0..n1 {
-            for i in 0..n0 {
-                recover_cell_metered(scheme, u, prim, i, j, k, iters)?;
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Repair one unrecoverable cell through the cascade tiers.
 #[allow(clippy::too_many_arguments)]
@@ -549,6 +480,7 @@ fn cascade_cell(
     scheme: &Scheme,
     u: &mut Field,
     prim: &mut Field,
+    region: &Region,
     i: usize,
     j: usize,
     k: usize,
@@ -569,7 +501,7 @@ fn cascade_cell(
     // Tier 2: synthesize the cell from the average of its recoverable
     // face neighbors, then overwrite both prim and cons so the repair
     // persists (locally non-conservative, like any floor).
-    if let Some(w) = neighbor_average(u.geom(), prim, i, j, k, bad) {
+    if let Some(w) = neighbor_average(region, prim, i, j, k, bad) {
         let w = scheme.sanitize(w);
         set_prim(prim, i, j, k, &w);
         u.set_cons(i, j, k, w.to_cons(&scheme.eos));
@@ -586,10 +518,11 @@ fn cascade_cell(
     stats.atmosphere += 1;
 }
 
-/// Average of the physical primitives among a cell's face neighbors,
-/// skipping neighbors that themselves failed recovery this pass.
+/// Average of the physical primitives among a cell's face neighbors
+/// inside `region`, skipping neighbors that themselves failed recovery
+/// this pass.
 fn neighbor_average(
-    geom: &PatchGeom,
+    region: &Region,
     prim: &Field,
     i: usize,
     j: usize,
@@ -604,16 +537,12 @@ fn neighbor_average(
     };
     let mut count = 0usize;
     for d in 0..3 {
-        if !geom.active(d) {
-            continue;
-        }
-        for delta in [-1isize, 1] {
-            let c = cell[d] as isize + delta;
-            if c < 0 || c as usize >= geom.ntot(d) {
+        for c in [cell[d].wrapping_sub(1), cell[d] + 1] {
+            if c < region.lo[d] || c >= region.hi[d] {
                 continue;
             }
             let mut nb = cell;
-            nb[d] = c as usize;
+            nb[d] = c;
             if bad.contains(&(nb[0], nb[1], nb[2])) {
                 continue;
             }
@@ -914,10 +843,8 @@ mod tests {
         assert_eq!(touched, 2);
         // Every interior state must now recover.
         let mut prim = Field::new(geom, 5);
-        for (i, j, k) in geom.interior_iter() {
-            recover_cell(&s, &u, &mut prim, i, j, k)
-                .unwrap_or_else(|e| panic!("cell ({i},{j},{k}) still bad: {e}"));
-        }
+        recover_region(&s, &u, &mut prim, &Region::interior(&geom), None, None)
+            .unwrap_or_else(|e| panic!("interior still bad: {e}"));
     }
 
     #[test]
@@ -962,7 +889,14 @@ mod tests {
         let mut prim = Field::new(geom, 5);
         assert!(recover_prims(&s, &u, &mut prim).is_err());
         let mut stats = RecoveryStats::default();
-        recover_prims_resilient(&s, &mut u, &mut prim, &mut stats);
+        recover_region_resilient(
+            &s,
+            &mut u,
+            &mut prim,
+            &Region::whole(&geom),
+            &mut stats,
+            None,
+        );
         assert_eq!(stats.relaxed_tol, geom.len() as u64);
         assert_eq!(stats.neighbor_avg, 0);
         assert_eq!(stats.atmosphere, 0);
@@ -983,7 +917,14 @@ mod tests {
         u.set(0, 5, 0, 0, f64::NAN);
         let mut prim = Field::new(geom, 5);
         let mut stats = RecoveryStats::default();
-        recover_prims_resilient(&s, &mut u, &mut prim, &mut stats);
+        recover_region_resilient(
+            &s,
+            &mut u,
+            &mut prim,
+            &Region::whole(&geom),
+            &mut stats,
+            None,
+        );
         assert_eq!(stats.neighbor_avg, 1);
         assert_eq!(stats.relaxed_tol, 0);
         assert_eq!(stats.atmosphere, 0);
@@ -994,7 +935,11 @@ mod tests {
         let wr = prim_at(&prim, 6, 0, 0);
         assert!((w.rho - 0.5 * (wl.rho + wr.rho)).abs() < 1e-12);
         assert!(u.get_cons(5, 0, 0).is_finite());
-        assert!(recover_cell(&s, &u, &mut prim, 5, 0, 0).is_ok());
+        let cell = Region {
+            lo: [5, 0, 0],
+            hi: [6, 1, 1],
+        };
+        assert!(recover_region(&s, &u, &mut prim, &cell, None, None).is_ok());
     }
 
     #[test]
@@ -1009,7 +954,14 @@ mod tests {
         }
         let mut prim = Field::new(geom, 5);
         let mut stats = RecoveryStats::default();
-        recover_prims_resilient(&s, &mut u, &mut prim, &mut stats);
+        recover_region_resilient(
+            &s,
+            &mut u,
+            &mut prim,
+            &Region::whole(&geom),
+            &mut stats,
+            None,
+        );
         assert_eq!(stats.atmosphere, geom.len() as u64);
         for (i, j, k) in geom.interior_iter() {
             let w = prim_at(&prim, i, j, k);
@@ -1031,7 +983,14 @@ mod tests {
         let before = u.clone();
         let mut prim = Field::new(geom, 5);
         let mut stats = RecoveryStats::default();
-        recover_prims_resilient(&s, &mut u, &mut prim, &mut stats);
+        recover_region_resilient(
+            &s,
+            &mut u,
+            &mut prim,
+            &Region::whole(&geom),
+            &mut stats,
+            None,
+        );
         assert_eq!(stats, RecoveryStats::default());
         assert_eq!(u.raw(), before.raw());
         assert_eq!(

@@ -11,8 +11,9 @@
 //!
 //! The residual can be evaluated on a sub-[`Region`] of the patch. That is
 //! the mechanism behind communication/computation overlap: the *deep*
-//! region (cells whose stencils never touch ghost zones) is computed while
-//! halos are in flight, and the remaining boundary *shell* afterwards.
+//! region (cells whose stencils touch no ghost zone that still waits on a
+//! message) is computed while halos are in flight, and the remaining
+//! boundary *shell* afterwards.
 
 use crate::scheme::{
     cell_rate, prim_at, Geometry, Scheme, WaveScan, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
@@ -73,26 +74,38 @@ impl Region {
         (0..3).any(|d| self.hi[d] <= self.lo[d])
     }
 
+    /// Every cell of a patch, ghosts included.
+    pub fn whole(geom: &PatchGeom) -> Region {
+        Region {
+            lo: [0; 3],
+            hi: [geom.ntot(0), geom.ntot(1), geom.ntot(2)],
+        }
+    }
+
     /// Split the interior into a *deep* core (cells at distance `>= depth`
-    /// from every active block face) and boundary *shell* slabs. The deep
-    /// core's stencils (width `depth`) never read ghost cells, so it can
-    /// be computed before halos arrive. Returns `(deep, shells)`; the
-    /// shells and the deep core are disjoint and cover the interior.
-    pub fn split_deep_shell(geom: &PatchGeom, depth: usize) -> (Region, Vec<Region>) {
+    /// from every block face of a dimension marked in `waits`) and the
+    /// boundary *shell* slabs beside those faces. `waits[d]` says that the
+    /// ghosts of dimension `d` are not valid yet (a halo message is still
+    /// in flight); the deep core's stencils (width `depth`) read no ghost
+    /// of such a dimension, so it can be computed before the halos arrive.
+    /// Dimensions whose ghosts are already filled keep their full extent:
+    /// their pencils stay whole instead of being cut into shell stubs.
+    /// Returns `(deep, shells)`; the shells and the deep core are disjoint
+    /// and cover the interior.
+    pub fn split_deep_shell(
+        geom: &PatchGeom,
+        depth: usize,
+        waits: [bool; 3],
+    ) -> (Region, Vec<Region>) {
         let interior = Region::interior(geom);
         let mut deep = interior;
-        for d in 0..3 {
-            if geom.active(d) {
-                deep.lo[d] = (deep.lo[d] + depth).min(interior.hi[d]);
-                deep.hi[d] = deep.hi[d].saturating_sub(depth).max(deep.lo[d]);
-            }
+        for d in (0..3).filter(|&d| geom.active(d) && waits[d]) {
+            deep.lo[d] = (deep.lo[d] + depth).min(interior.hi[d]);
+            deep.hi[d] = deep.hi[d].saturating_sub(depth).max(deep.lo[d]);
         }
         let mut shells = Vec::new();
         let mut cur = interior;
         for d in 0..3 {
-            if !geom.active(d) {
-                continue;
-            }
             if cur.lo[d] < deep.lo[d] {
                 let mut s = cur;
                 s.hi[d] = deep.lo[d];
@@ -763,14 +776,25 @@ mod tests {
         let mut full = Field::cons(geom);
         compute_rhs(&s, &prim, &mut full, None);
 
-        let (deep, shells) = Region::split_deep_shell(&geom, 3);
-        let mut tiled = Field::cons(geom);
-        tiled.raw_mut().fill(0.0);
-        accumulate_rhs_region(&s, &prim, &mut tiled, &deep, None);
-        for sh in &shells {
-            accumulate_rhs_region(&s, &prim, &mut tiled, sh, None);
+        for waits in wait_masks() {
+            let (deep, shells) = Region::split_deep_shell(&geom, 3, waits);
+            let mut tiled = Field::cons(geom);
+            tiled.raw_mut().fill(0.0);
+            accumulate_rhs_region(&s, &prim, &mut tiled, &deep, None);
+            for sh in &shells {
+                accumulate_rhs_region(&s, &prim, &mut tiled, sh, None);
+            }
+            assert_eq!(
+                full.raw(),
+                tiled.raw(),
+                "deep+shell must be bit-identical (waits {waits:?})"
+            );
         }
-        assert_eq!(full.raw(), tiled.raw(), "deep+shell must be bit-identical");
+    }
+
+    /// Every combination of dimensions that wait on a message.
+    fn wait_masks() -> impl Iterator<Item = [bool; 3]> {
+        (0..8).map(|m| [m & 1 != 0, m & 2 != 0, m & 4 != 0])
     }
 
     #[test]
@@ -780,36 +804,50 @@ mod tests {
             PatchGeom::rect([10, 8], [0.0; 2], [1.0; 2], 3),
             PatchGeom::cube([6, 7, 8], [0.0; 3], [1.0; 3], 3),
         ] {
-            let (deep, shells) = Region::split_deep_shell(&geom, 3);
-            let mut count = vec![0u8; geom.len()];
-            let mut mark = |r: &Region| {
-                for k in r.lo[2]..r.hi[2] {
-                    for j in r.lo[1]..r.hi[1] {
-                        for i in r.lo[0]..r.hi[0] {
-                            count[geom.idx(i, j, k)] += 1;
+            for waits in wait_masks() {
+                let (deep, shells) = Region::split_deep_shell(&geom, 3, waits);
+                let mut count = vec![0u8; geom.len()];
+                let mut mark = |r: &Region| {
+                    for k in r.lo[2]..r.hi[2] {
+                        for j in r.lo[1]..r.hi[1] {
+                            for i in r.lo[0]..r.hi[0] {
+                                count[geom.idx(i, j, k)] += 1;
+                            }
                         }
                     }
+                };
+                mark(&deep);
+                for s in &shells {
+                    mark(s);
                 }
-            };
-            mark(&deep);
-            for s in &shells {
-                mark(s);
+                for (i, j, k) in geom.interior_iter() {
+                    assert_eq!(count[geom.idx(i, j, k)], 1, "cell ({i},{j},{k})");
+                }
+                assert_eq!(
+                    count.iter().map(|&c| c as usize).sum::<usize>(),
+                    geom.interior_len(),
+                    "no coverage outside interior"
+                );
+                // The deep core keeps the full extent of every dimension
+                // that does not wait, and stays `depth` cells clear of
+                // both faces of every dimension that does.
+                let interior = Region::interior(&geom);
+                for (d, &waits) in waits.iter().enumerate() {
+                    if geom.active(d) && waits {
+                        assert!(deep.is_empty() || deep.lo[d] >= interior.lo[d] + 3);
+                        assert!(deep.is_empty() || deep.hi[d] + 3 <= interior.hi[d]);
+                    } else {
+                        assert_eq!((deep.lo[d], deep.hi[d]), (interior.lo[d], interior.hi[d]));
+                    }
+                }
             }
-            for (i, j, k) in geom.interior_iter() {
-                assert_eq!(count[geom.idx(i, j, k)], 1, "cell ({i},{j},{k})");
-            }
-            assert_eq!(
-                count.iter().map(|&c| c as usize).sum::<usize>(),
-                geom.interior_len(),
-                "no coverage outside interior"
-            );
         }
     }
 
     #[test]
     fn deep_region_empty_for_small_patches() {
         let geom = PatchGeom::line(4, 0.0, 1.0, 3);
-        let (deep, shells) = Region::split_deep_shell(&geom, 3);
+        let (deep, shells) = Region::split_deep_shell(&geom, 3, [true; 3]);
         assert!(deep.is_empty() || deep.len() < 4);
         // Shells still cover everything deep doesn't.
         let covered: usize = shells.iter().map(Region::len).sum::<usize>() + deep.len();

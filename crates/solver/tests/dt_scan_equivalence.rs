@@ -42,9 +42,11 @@ fn scanned_dt(
     scan.dt(CFL)
 }
 
-/// The deep core plus boundary shells: the tiling of the overlap mode.
-fn deep_and_shells(s: &Scheme, geom: &PatchGeom) -> Vec<Region> {
-    let (deep, mut regions) = Region::split_deep_shell(geom, s.required_ghosts());
+/// The deep core plus the shells beside the faces of the dimensions in
+/// `waits`: the tiling of the overlap mode on a block whose other
+/// dimensions are filled locally.
+fn deep_and_shells(s: &Scheme, geom: &PatchGeom, waits: [bool; 3]) -> Vec<Region> {
+    let (deep, mut regions) = Region::split_deep_shell(geom, s.required_ghosts(), waits);
     regions.insert(0, deep);
     regions
 }
@@ -53,13 +55,21 @@ fn check_bitwise(s: &Scheme, geom: PatchGeom, ic: &dyn Fn([f64; 3]) -> Prim) {
     let prim = prepared(s, geom, ic);
     let two_pass = max_dt(s, &prim, CFL);
     let pool = WorkStealingPool::new(3);
-    let tiled = deep_and_shells(s, &geom);
+    for mask in 0..8 {
+        let waits = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+        let fused = scanned_dt(s, &prim, &deep_and_shells(s, &geom, waits), None);
+        assert_eq!(
+            fused.to_bits(),
+            two_pass.to_bits(),
+            "deep + shells, waits {waits:?}: fused {fused:e} vs two-pass {two_pass:e}"
+        );
+    }
+    let tiled = deep_and_shells(s, &geom, [true; 3]);
     for (what, fused) in [
         (
             "monolithic",
             scanned_dt(s, &prim, &[Region::interior(&geom)], None),
         ),
-        ("deep + shells", scanned_dt(s, &prim, &tiled, None)),
         (
             "monolithic, gang",
             scanned_dt(s, &prim, &[Region::interior(&geom)], Some(&pool)),
@@ -131,7 +141,7 @@ fn scan_skips_nan_rates_like_max_dt() {
     prim.set(0, 7, 6, 0, f64::NAN);
     let two_pass = max_dt(&s, &prim, CFL);
     assert!(two_pass.is_finite());
-    let fused = scanned_dt(&s, &prim, &deep_and_shells(&s, &geom), None);
+    let fused = scanned_dt(&s, &prim, &deep_and_shells(&s, &geom, [true; 3]), None);
     assert_eq!(fused.to_bits(), two_pass.to_bits());
 }
 
