@@ -1,13 +1,17 @@
 //! A5 — Mesh-refinement efficiency.
 //!
 //! The classic AMR payoff table: Sod at uniform N=100, uniform N=200,
-//! SMR (coarse 100 + a ratio-2 fine level over the Riemann fan), and
-//! fully adaptive AMR at the same finest resolution, with L1(ρ) error,
-//! zone-update counts (∝ cost), and error·cost efficiency.
+//! static refinement (coarse 100 + a fixed ratio-2 fine window over the
+//! Riemann fan, Berger–Oliger subcycled), and fully adaptive AMR at the
+//! same finest resolution, with L1(ρ) error, zone-update counts
+//! (∝ cost), and error·cost efficiency. Both refined rows run on the one
+//! `AmrSolver`: the static one is handed its layout and never regrids.
 //!
-//! Expected shape: SMR reaches close to the uniform-fine error at a
-//! fraction of the fine zone-updates — the argument for adaptivity that
-//! the authors' production codes are built on.
+//! Expected shape: the static window reaches close to the uniform-fine
+//! error at about the uniform-fine zone-updates with half the base
+//! steps, and the adaptive hierarchy at a fraction of them — the
+//! argument for adaptivity that the authors' production codes are built
+//! on.
 
 use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
 use rhrsc_grid::PatchGeom;
@@ -16,7 +20,6 @@ use rhrsc_solver::amr::{AmrConfig, AmrSolver};
 use rhrsc_solver::diag::l1_density_error;
 use rhrsc_solver::problems::Problem;
 use rhrsc_solver::scheme::init_cons;
-use rhrsc_solver::smr::SmrSolver;
 use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
 use std::time::Instant;
 
@@ -50,75 +53,38 @@ fn main() {
     let (e_coarse, z_coarse) = uniform(100);
     let (e_fine, z_fine) = uniform(200);
 
-    // SMR: refine coarse cells 20..95 (the Riemann fan at t = 0.4),
-    // lock-step and Berger-Oliger subcycled.
-    let (refine_lo, refine_hi) = (20usize, 95usize);
-    let run_smr = |subcycled: bool| -> (f64, u64) {
-        let mut smr = SmrSolver::new(
-            scheme,
-            prob.bcs,
-            RkOrder::Rk3,
-            100,
-            0.0,
-            1.0,
-            refine_lo,
-            refine_hi,
-        );
-        if subcycled {
-            smr = smr.with_subcycling();
+    // Both refined rows: same base grid and finest resolution. The
+    // static one is handed coarse cells 20..95 (the Riemann fan at
+    // t = 0.4) and keeps them; the adaptive one *finds* the fan itself
+    // (flag + cluster + regrid).
+    let two_levels = AmrConfig {
+        max_levels: 2,
+        ..AmrConfig::default()
+    };
+    let run_amr = |cfg: AmrConfig, window: Option<(usize, usize)>| -> (f64, u64) {
+        let mut amr = AmrSolver::new(scheme, prob.bcs, RkOrder::Rk3, 100, 0.0, 1.0, cfg);
+        let ic = |x| (prob.ic)(x);
+        match window {
+            Some(window) => amr.init_static(&ic, &[&[window]]).unwrap(),
+            None => amr.init(&ic),
         }
-        smr.init(&|x| (prob.ic)(x));
         let t0 = Instant::now();
-        let n_c = 100u64;
-        let n_f = 2 * (refine_hi - refine_lo) as u64;
-        // Zone-updates per step: coarse once per stage, fine once (lock-
-        // step) or twice (subcycled substeps) per stage.
-        let cells_per_step = (n_c + if subcycled { 2 * n_f } else { n_f }) * 3;
-        let mut t = 0.0;
-        let mut z: u64 = 0;
-        while t < prob.t_end - 1e-14 {
-            let mut dt = smr.stable_dt(0.4).unwrap();
-            if t + dt > prob.t_end {
-                dt = prob.t_end - t;
-            }
-            smr.step(dt).unwrap();
-            z += cells_per_step;
-            t += dt;
-        }
+        amr.advance_to(0.0, prob.t_end, 0.4).unwrap();
         reg.histogram("phase.advance")
             .record(t0.elapsed().as_nanos() as u64);
-        (smr.l1_density_error(&*exact, prob.t_end).unwrap(), z)
+        let l1 = amr.l1_density_error(&*exact, prob.t_end).unwrap();
+        (l1, amr.cell_updates())
     };
-    let (e_smr, z_smr) = run_smr(false);
-    let (e_sub, z_sub) = run_smr(true);
-
-    // AMR: same base grid and finest resolution, but the solver *finds*
-    // the Riemann fan itself (flag + cluster + regrid) instead of being
-    // handed a static window — the dynamic counterpart of the SMR rows.
-    let mut amr = AmrSolver::new(
-        scheme,
-        prob.bcs,
-        RkOrder::Rk3,
-        100,
-        0.0,
-        1.0,
-        AmrConfig {
-            max_levels: 2,
-            ..AmrConfig::default()
-        },
-    );
-    amr.init(&|x| (prob.ic)(x));
-    let t0 = Instant::now();
-    amr.advance_to(0.0, prob.t_end, 0.4).unwrap();
-    reg.histogram("phase.advance")
-        .record(t0.elapsed().as_nanos() as u64);
-    let e_amr = amr.l1_density_error(&*exact, prob.t_end).unwrap();
-    let z_amr = amr.cell_updates();
+    let static_cfg = AmrConfig {
+        regrid_interval: 0,
+        ..two_levels.clone()
+    };
+    let (e_sub, z_sub) = run_amr(static_cfg, Some((20, 95)));
+    let (e_amr, z_amr) = run_amr(two_levels, None);
 
     for (name, e, z) in [
         ("uniform-100", e_coarse, z_coarse),
         ("uniform-200", e_fine, z_fine),
-        ("smr-100+2x", e_smr, z_smr),
         ("smr+subcycle", e_sub, z_sub),
         ("amr-100+2lvl", e_amr, z_amr),
     ] {
@@ -126,7 +92,10 @@ fn main() {
     }
     table.print();
     table.save_csv("a5_smr_efficiency");
-    assert!(e_smr < e_coarse, "SMR must beat uniform-coarse");
+    assert!(
+        e_sub < e_coarse,
+        "static refinement must beat uniform-coarse"
+    );
     assert!(e_amr < e_coarse, "AMR must beat uniform-coarse");
     assert!(
         z_amr < z_sub,
@@ -139,13 +108,13 @@ fn main() {
     RunReport::new("a5_smr_efficiency")
         .config_str(
             "problem",
-            "sod, uniform 100/200 vs smr 100+2x vs amr 100+2lvl",
+            "sod, uniform 100/200 vs static amr 100+2x vs amr 100+2lvl",
         )
         .config_num("n_coarse", 100.0)
         .config_num("n_fine", 200.0)
         .config_num("l1_amr", e_amr)
         .wall_time(bench_t0.elapsed().as_secs_f64())
         .parallelism(1.0)
-        .zone_updates((z_coarse + z_fine + z_smr + z_sub + z_amr) as f64)
+        .zone_updates((z_coarse + z_fine + z_sub + z_amr) as f64)
         .write(&snap);
 }

@@ -147,8 +147,6 @@ pub fn encode(ckp: &Checkpoint) -> Vec<u8> {
 ///
 /// * [`Checks::Full`] — bitwise whole-file CRC-32 plus the payload FNV:
 ///   the disk tier, where torn writes and media rot are real.
-/// * [`Checks::SkipCrc`] — payload FNV only: buffers that never crossed
-///   a device boundary but whose provenance is not re-verified.
 /// * [`Checks::Trusted`] — pure parsing: the caller has just re-hashed
 ///   the *entire* buffer against an external stamp (e.g.
 ///   [`crate::MemorySnapshot::verify`], which covers every byte
@@ -157,7 +155,6 @@ pub fn encode(ckp: &Checkpoint) -> Vec<u8> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Checks {
     Full,
-    SkipCrc,
     Trusted,
 }
 
@@ -178,20 +175,6 @@ fn get_f64_payload(bytes: &mut &[u8], len: usize) -> Vec<f64> {
 
 /// Deserialize a checkpoint from bytes.
 pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    decode_with(bytes, true)
-}
-
-/// Deserialize a checkpoint from bytes, skipping the bitwise whole-file
-/// CRC-32 (the FNV data checksum still runs). For buffers that never
-/// crossed a device boundary: the CRC is the disk tier's armor against
-/// torn writes and media rot, and by far the slowest part of a decode.
-/// The in-memory checkpoint tiers go one step further — see the
-/// `decode_*_trusted` variants.
-pub fn decode_fast(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    decode_with(bytes, false)
-}
-
-fn decode_with(bytes: &[u8], check_crc: bool) -> Result<Checkpoint, CheckpointError> {
     let orig = bytes;
     let mut bytes = bytes;
     if bytes.len() < 8 + 4 || &bytes[..8] != MAGIC {
@@ -234,17 +217,15 @@ fn decode_with(bytes: &[u8], check_crc: bool) -> Result<Checkpoint, CheckpointEr
     }
     // Whole-file CRC first: catches header corruption the per-section FNV
     // checksum cannot see.
-    if check_crc {
-        let footer_off = orig.len() - 4;
-        let stored = u32::from_le_bytes([
-            orig[footer_off],
-            orig[footer_off + 1],
-            orig[footer_off + 2],
-            orig[footer_off + 3],
-        ]);
-        if crc32(&orig[..footer_off]) != stored {
-            return Err(CheckpointError::Corrupt);
-        }
+    let footer_off = orig.len() - 4;
+    let stored = u32::from_le_bytes([
+        orig[footer_off],
+        orig[footer_off + 1],
+        orig[footer_off + 2],
+        orig[footer_off + 3],
+    ]);
+    if crc32(&orig[..footer_off]) != stored {
+        return Err(CheckpointError::Corrupt);
     }
     let data_bytes = &bytes[..len * 8];
     let crc_expected = fnv1a(data_bytes);
@@ -382,12 +363,6 @@ pub fn decode_global(bytes: &[u8]) -> Result<GlobalCheckpoint, CheckpointError> 
     decode_global_with(bytes, Checks::Full)
 }
 
-/// Like [`decode_global`] but without the bitwise whole-file CRC-32 —
-/// see [`decode_fast`] for when that is sound.
-pub fn decode_global_fast(bytes: &[u8]) -> Result<GlobalCheckpoint, CheckpointError> {
-    decode_global_with(bytes, Checks::SkipCrc)
-}
-
 /// Like [`decode_global`] but with *both* integrity passes (CRC-32 and
 /// the payload FNV) skipped: pure parsing. Sound **only** when the caller
 /// has just re-hashed the entire byte buffer against an external stamp —
@@ -438,7 +413,7 @@ fn decode_global_with(bytes: &[u8], checks: Checks) -> Result<GlobalCheckpoint, 
     let ncomp = bytes.get_u64_le() as usize;
     let nblocks = bytes.get_u64_le() as usize;
     let data_len = bytes.remaining().saturating_sub(8 + 4);
-    let fnv_expected = (checks != Checks::Trusted).then(|| fnv1a(&bytes[..data_len]));
+    let fnv_expected = (checks == Checks::Full).then(|| fnv1a(&bytes[..data_len]));
     let mut blocks = Vec::with_capacity(nblocks.min(4096));
     for _ in 0..nblocks {
         if bytes.remaining() < 56 + 8 + 4 {
@@ -550,12 +525,6 @@ pub fn decode_amr(bytes: &[u8]) -> Result<AmrCheckpoint, CheckpointError> {
     decode_amr_with(bytes, Checks::Full)
 }
 
-/// Like [`decode_amr`] but without the bitwise whole-file CRC-32 —
-/// see [`decode_fast`] for when that is sound.
-pub fn decode_amr_fast(bytes: &[u8]) -> Result<AmrCheckpoint, CheckpointError> {
-    decode_amr_with(bytes, Checks::SkipCrc)
-}
-
 /// Like [`decode_amr`] but with no integrity passes at all — sound only
 /// when the caller has *just* verified the whole buffer against an
 /// external stamp; see [`decode_global_trusted`].
@@ -598,7 +567,7 @@ fn decode_amr_with(bytes: &[u8], checks: Checks) -> Result<AmrCheckpoint, Checkp
     let ncomp = bytes.get_u64_le() as usize;
     let npatches = bytes.get_u64_le() as usize;
     let data_len = bytes.remaining().saturating_sub(8 + 4);
-    let fnv_expected = (checks != Checks::Trusted).then(|| fnv1a(&bytes[..data_len]));
+    let fnv_expected = (checks == Checks::Full).then(|| fnv1a(&bytes[..data_len]));
     let mut patches = Vec::with_capacity(npatches.min(4096));
     for _ in 0..npatches {
         if bytes.remaining() < 20 + 8 + 4 {
@@ -1305,47 +1274,6 @@ mod tests {
             other => panic!("expected Slots error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fast_decoders_match_full_decoders_on_clean_bytes() {
-        let ckp = sample();
-        let bytes = encode(&ckp);
-        assert_eq!(decode_fast(&bytes).unwrap(), decode(&bytes).unwrap());
-
-        let g = sample_global();
-        let gb = encode_global(&g);
-        assert_eq!(
-            decode_global_fast(&gb).unwrap(),
-            decode_global(&gb).unwrap()
-        );
-
-        let a = sample_amr();
-        let ab = encode_amr(&a);
-        assert_eq!(decode_amr_fast(&ab).unwrap(), decode_amr(&ab).unwrap());
-    }
-
-    #[test]
-    fn fast_decoders_still_reject_payload_corruption_via_fnv() {
-        // decode_fast skips only the whole-file CRC-32; the per-section
-        // FNV still guards the payload, so a flipped data byte is caught.
-        let g = sample_global();
-        let mut gb = encode_global(&g);
-        let mid = gb.len() / 2;
-        gb[mid] ^= 0x01;
-        assert!(matches!(
-            decode_global_fast(&gb),
-            Err(CheckpointError::Corrupt)
-        ));
-
-        let a = sample_amr();
-        let mut ab = encode_amr(&a);
-        let mid = ab.len() / 2;
-        ab[mid] ^= 0x01;
-        assert!(matches!(
-            decode_amr_fast(&ab),
-            Err(CheckpointError::Corrupt)
-        ));
     }
 
     #[test]

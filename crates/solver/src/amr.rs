@@ -2,12 +2,14 @@
 //! multiple refinement levels at ratio 2 with Berger–Oliger time
 //! subcycling, conservative refluxing, and dynamic regridding.
 //!
-//! This generalizes the two-level static [`crate::smr::SmrSolver`] to a
-//! *hierarchy*: level 0 is a single patch covering the domain; every
+//! The *hierarchy*: level 0 is a single patch covering the domain; every
 //! level `ℓ ≥ 1` is a set of disjoint rectangular patches at cell size
 //! `Δx₀/2^ℓ`, **properly nested** inside level `ℓ−1` with at least
-//! [`AmrConfig::nest_margin`] parent cells of clearance. Both solvers are
-//! built from the shared [`crate::refine`] operators.
+//! [`AmrConfig::nest_margin`] parent cells of clearance, built from the
+//! [`crate::refine`] operators. This is the one refinement solver: static
+//! refinement (a fixed window of fine cells) is the same hierarchy handed
+//! its layout by [`AmrSolver::init_static`] and never regridded
+//! ([`AmrConfig::regrid_interval`] `= 0`).
 //!
 //! The moving parts:
 //!
@@ -47,8 +49,10 @@
 //! (`amr.regrid`, `amr.reflux`) thread through the PR 2/PR 4 layers via
 //! [`AmrSolver::set_metrics`] / [`AmrSolver::set_trace`].
 
-use crate::integrate::RkOrder;
-use crate::refine::{prolong_span, restrict_onto, rhs_1d_with_fluxes, rk_tables};
+use crate::integrate::{lincomb, RkOrder};
+use crate::refine::{
+    prolong_ghosts_from, prolong_span, restrict_onto, rhs_1d_with_fluxes, rk_tables,
+};
 use crate::scheme::{
     apply_conserved_floors, init_cons, max_dt, prim_at, recover_prims, Geometry, Scheme,
     SolverError,
@@ -181,7 +185,6 @@ pub struct AmrSolver {
     flushed: Vec<u64>,
     regrids: u64,
     pub(crate) reflux_corrections: u64,
-    dev_launches: u64,
     metrics: Option<Arc<Registry>>,
     trace: Option<(Arc<Tracer>, Arc<Track>)>,
     device: Option<Accelerator>,
@@ -230,7 +233,6 @@ impl AmrSolver {
             flushed: vec![0; max_levels],
             regrids: 0,
             reflux_corrections: 0,
-            dev_launches: 0,
             metrics: None,
             trace: None,
             device: None,
@@ -312,6 +314,101 @@ impl AmrSolver {
         }
     }
 
+    /// Initialize a *static* hierarchy from a pointwise primitive IC:
+    /// level `m ≥ 1` holds exactly the patches covering the level-`m−1`
+    /// cell ranges `layout[m-1]` (`lo..hi` each), every level is sampled
+    /// from the IC and restricted down, and no error flag is evaluated.
+    /// The layout stays fixed for as long as nothing regrids it
+    /// ([`AmrConfig::regrid_interval`] `= 0`). Rejects a layout that is
+    /// not properly nested (see [`AmrSolver::restore`]).
+    pub fn init_static(
+        &mut self,
+        ic: &dyn Fn([f64; 3]) -> Prim,
+        layout: &[&[(usize, usize)]],
+    ) -> Result<(), String> {
+        let mut spans = vec![(0, 0, self.n0, ())];
+        for (m, ranges) in layout.iter().enumerate() {
+            // A saturated value is odd and an empty range has no cells:
+            // both fail validation.
+            spans.extend(ranges.iter().map(|&(lo, hi)| {
+                let n = hi.saturating_sub(lo).saturating_mul(2);
+                (m + 1, lo.saturating_mul(2), n, ())
+            }));
+        }
+        let eos = self.scheme.eos;
+        self.install_levels(spans, |p, ()| p.u = init_cons(*p.u.geom(), &eos, ic))?;
+        for m in (1..self.levels.len()).rev() {
+            self.restrict_level(m, |_| true);
+        }
+        self.steps = 0;
+        Ok(())
+    }
+
+    /// Validate a hierarchy layout and install it. `spans` lists the
+    /// patches as `(level, lo, n, payload)` with `lo`, `n` in that level's
+    /// cells, in any order; `fill` writes each new patch's interior from
+    /// its payload. No patch is allocated and the current hierarchy stays
+    /// unless the whole layout is admissible, which is what every level
+    /// step relies on:
+    ///
+    /// * level 0 is the single patch `0..n0`;
+    /// * a finer patch is non-empty, covers whole parent cells (even
+    ///   `lo`, `n`) and sits at least two parent cells inside one parent
+    ///   patch, so both reflux targets are uncovered interior cells and
+    ///   the ghost-prolongation stencil stays within the parent's ghosts;
+    /// * siblings are disjoint with at least one uncovered parent cell
+    ///   between them, so restriction and the composite sums visit every
+    ///   cell once and no reflux lands in a cell a sibling covers
+    ///   (siblings exchange no ghosts).
+    fn install_levels<T>(
+        &mut self,
+        mut spans: Vec<(usize, usize, usize, T)>,
+        mut fill: impl FnMut(&mut Patch, T),
+    ) -> Result<(), String> {
+        spans.sort_by_key(|s| (s.0, s.1));
+        if !matches!(spans.first(), Some(&(0, 0, n, _)) if n == self.n0)
+            || spans.get(1).is_some_and(|s| s.0 == 0)
+        {
+            return Err("level 0 must be a single domain-covering patch".into());
+        }
+        let mut parent_idx = vec![0; spans.len()];
+        for i in 1..spans.len() {
+            let (m, lo, n) = (spans[i].0, spans[i].1, spans[i].2);
+            if m >= self.cfg.max_levels {
+                return Err(format!(
+                    "level {m} exceeds max_levels {}",
+                    self.cfg.max_levels
+                ));
+            }
+            let whole = n > 0 && lo % 2 == 0 && n % 2 == 0;
+            let Some(hi) = lo.checked_add(n).filter(|_| whole) else {
+                return Err(format!(
+                    "level {m} patch at {lo} with {n} cells is empty or splits a parent cell"
+                ));
+            };
+            let (pm, plo, pn, _) = spans[i - 1];
+            if pm == m && lo <= plo + pn {
+                return Err(format!(
+                    "level {m} patch [{lo}, {hi}) overlaps or abuts its sibling [{plo}, {})",
+                    plo + pn
+                ));
+            }
+            let parents = spans.iter().filter(|s| s.0 == m - 1).map(|s| (s.1, s.2));
+            parent_idx[i] = Self::find_parent(parents, lo, n).ok_or_else(|| {
+                format!("level {m} patch [{lo}, {hi}) is not nested two cells inside a parent")
+            })?;
+        }
+        let mut levels: Vec<Vec<Patch>> = (0..self.cfg.max_levels).map(|_| Vec::new()).collect();
+        for ((l, lo, n, payload), parent_idx) in spans.into_iter().zip(parent_idx) {
+            let mut p = self.make_patch(l, lo, n);
+            p.parent_idx = parent_idx;
+            fill(&mut p, payload);
+            levels[l].push(p);
+        }
+        self.levels = levels;
+        Ok(())
+    }
+
     /// Number of levels with at least one patch.
     pub fn n_levels(&self) -> usize {
         self.levels.iter().take_while(|l| !l.is_empty()).count()
@@ -344,14 +441,18 @@ impl AmrSolver {
 
     // ----- ghost filling -------------------------------------------------
 
-    /// Find the parent-patch index for a child span `lo..lo+n` (level-`m`
-    /// cells) among `parents` (level-`m−1` patches).
-    fn find_parent(parents: &[Patch], lo: usize, n: usize) -> Option<usize> {
+    /// Find the parent index for a child span `lo..lo+n` (level-`m`
+    /// cells) among `parents` (`(lo, n)` of the level-`m−1` patches): the
+    /// one that holds it with the structural minimum of two cells of
+    /// clearance on each side.
+    fn find_parent(
+        mut parents: impl Iterator<Item = (usize, usize)>,
+        lo: usize,
+        n: usize,
+    ) -> Option<usize> {
         let plo = lo / 2;
         let phi = (lo + n) / 2;
-        parents
-            .iter()
-            .position(|p| p.lo <= plo && phi <= p.lo + p.n)
+        parents.position(|(p_lo, p_n)| p_lo + 2 <= plo && phi + 2 <= p_lo + p_n)
     }
 
     /// Fill ghosts of level `m`'s conserved state from the parent's
@@ -369,17 +470,7 @@ impl AmrSolver {
         let parents = &left[m - 1];
         for ch in right[0].iter_mut() {
             let par = &parents[ch.parent_idx];
-            let lo = ch.lo / 2 - par.lo;
-            prolong_span(&par.u, &mut ch.u, ng, ng, lo, -(ng as i64), 0);
-            prolong_span(
-                &par.u,
-                &mut ch.u,
-                ng,
-                ng,
-                lo,
-                ch.n as i64,
-                (ch.n + ng) as i64,
-            );
+            prolong_ghosts_from(&par.u, &mut ch.u, ng, ng, ch.n, ch.lo / 2 - par.lo);
         }
     }
 
@@ -436,25 +527,8 @@ impl AmrSolver {
             let parents = &left[m - 1];
             for ch in right[0].iter_mut() {
                 lerp_into(&mut ch.lerp, &ch.base, &ch.u, theta[m]);
-                let lo = ch.lo / 2 - parents[ch.parent_idx].lo;
-                prolong_span(
-                    &parents[ch.parent_idx].lerp,
-                    &mut ch.lerp,
-                    ng,
-                    ng,
-                    lo,
-                    -(ng as i64),
-                    0,
-                );
-                prolong_span(
-                    &parents[ch.parent_idx].lerp,
-                    &mut ch.lerp,
-                    ng,
-                    ng,
-                    lo,
-                    ch.n as i64,
-                    (ch.n + ng) as i64,
-                );
+                let par = &parents[ch.parent_idx];
+                prolong_ghosts_from(&par.lerp, &mut ch.lerp, ng, ng, ch.n, ch.lo / 2 - par.lo);
             }
         }
         // The advancing level's own ghosts.
@@ -462,17 +536,7 @@ impl AmrSolver {
         let parents = &left[l - 1];
         for ch in right[0].iter_mut() {
             let par = &parents[ch.parent_idx];
-            let lo = ch.lo / 2 - par.lo;
-            prolong_span(&par.lerp, &mut ch.u, ng, ng, lo, -(ng as i64), 0);
-            prolong_span(
-                &par.lerp,
-                &mut ch.u,
-                ng,
-                ng,
-                lo,
-                ch.n as i64,
-                (ch.n + ng) as i64,
-            );
+            prolong_ghosts_from(&par.lerp, &mut ch.u, ng, ng, ch.n, ch.lo / 2 - par.lo);
         }
     }
 
@@ -534,7 +598,6 @@ impl AmrSolver {
             dev.free(b_prim);
             dev.free(b_rhs);
             dev.free(b_flux);
-            self.dev_launches += 1;
             if let Some(m) = &self.metrics {
                 m.counter("amr.dev.launches").inc();
             }
@@ -668,13 +731,9 @@ impl AmrSolver {
                     p.acc[0] += p.flux[ng] * w;
                     p.acc[1] += p.flux[ng + p.n] * w;
                 }
-                // Stage combine + floors.
-                for gi in ng..ng + p.n {
-                    let v = p.stage.get_cons(gi, 0, 0) * a
-                        + p.u.get_cons(gi, 0, 0) * b
-                        + p.rhs.get_cons(gi, 0, 0) * (cw * dt);
-                    p.u.set_cons(gi, 0, 0, v);
-                }
+                // Stage combine + floors. The `a = 0` stage term is passed
+                // at stage 0 too: one expression tree for every stage.
+                lincomb(&mut p.u, b, Some((&p.stage, a)), &p.rhs, cw * dt);
                 apply_conserved_floors(&mut p.u, &self.scheme.c2p);
                 self.updates[l] += p.n as u64;
             }
@@ -798,8 +857,9 @@ impl AmrSolver {
         let ng = self.ng;
         for (rlo, rhi) in runs {
             let mut p = self.make_patch(m, 2 * rlo, 2 * (rhi - rlo));
-            p.parent_idx = Self::find_parent(&self.levels[m - 1], p.lo, p.n)
-                .expect("clustering violated proper nesting");
+            let parents = self.levels[m - 1].iter().map(|q| (q.lo, q.n));
+            p.parent_idx =
+                Self::find_parent(parents, p.lo, p.n).expect("clustering violated proper nesting");
             if let Some(ic) = ic {
                 p.u = init_cons(*p.u.geom(), &self.scheme.eos, ic);
             } else {
@@ -869,34 +929,37 @@ impl AmrSolver {
 
     // ----- diagnostics ---------------------------------------------------
 
+    /// Visit every cell no finer level covers, coarse to fine and left to
+    /// right: `f(patch, ghost-inclusive index, cell size)`.
+    fn for_each_uncovered(&self, mut f: impl FnMut(&Patch, usize, f64)) {
+        for (l, patches) in self.levels.iter().enumerate() {
+            let dxl = self.level_dx(l);
+            let children = self.levels.get(l + 1).map_or(&[][..], Vec::as_slice);
+            for p in patches {
+                for i in 0..p.n {
+                    let g = p.lo + i;
+                    if !children
+                        .iter()
+                        .any(|c| (c.lo / 2..(c.lo + c.n) / 2).contains(&g))
+                    {
+                        f(p, self.ng + i, dxl);
+                    }
+                }
+            }
+        }
+    }
+
     /// Composite conserved totals: every level's cells not covered by a
     /// finer level, weighted by that level's cell size. This is the
     /// quantity the reflux construction conserves to round-off.
     pub fn composite_totals(&self) -> [f64; NCOMP] {
         let mut out = [0.0; NCOMP];
-        for (l, patches) in self.levels.iter().enumerate() {
-            let dxl = self.level_dx(l);
-            let covered: Vec<(usize, usize)> = if l + 1 < self.levels.len() {
-                self.levels[l + 1]
-                    .iter()
-                    .map(|c| (c.lo / 2, (c.lo + c.n) / 2))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for p in patches {
-                for i in 0..p.n {
-                    let g = p.lo + i;
-                    if covered.iter().any(|&(a, b)| (a..b).contains(&g)) {
-                        continue;
-                    }
-                    let u = p.u.get_cons(self.ng + i, 0, 0).to_array();
-                    for c in 0..NCOMP {
-                        out[c] += u[c] * dxl;
-                    }
-                }
+        self.for_each_uncovered(|p, gi, dxl| {
+            let u = p.u.get_cons(gi, 0, 0).to_array();
+            for c in 0..NCOMP {
+                out[c] += u[c] * dxl;
             }
-        }
+        });
         out
     }
 
@@ -910,27 +973,10 @@ impl AmrSolver {
     ) -> Result<f64, SolverError> {
         self.sync_all(&mut Serial)?;
         let mut l1 = 0.0;
-        for (l, patches) in self.levels.iter().enumerate() {
-            let dxl = self.level_dx(l);
-            let covered: Vec<(usize, usize)> = if l + 1 < self.levels.len() {
-                self.levels[l + 1]
-                    .iter()
-                    .map(|c| (c.lo / 2, (c.lo + c.n) / 2))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for p in patches {
-                for i in 0..p.n {
-                    let g = p.lo + i;
-                    if covered.iter().any(|&(a, b)| (a..b).contains(&g)) {
-                        continue;
-                    }
-                    let x = p.u.geom().center(self.ng + i, 0, 0);
-                    l1 += (prim_at(&p.prim, self.ng + i, 0, 0).rho - exact(x, t).rho).abs() * dxl;
-                }
-            }
-        }
+        self.for_each_uncovered(|p, gi, dxl| {
+            let x = p.u.geom().center(gi, 0, 0);
+            l1 += (prim_at(&p.prim, gi, 0, 0).rho - exact(x, t).rho).abs() * dxl;
+        });
         Ok(l1 / (self.n0 as f64 * self.dx0))
     }
 
@@ -969,7 +1015,11 @@ impl AmrSolver {
     /// Restore the hierarchy from an AMR checkpoint. The solver must have
     /// been constructed with the same base grid and a `max_levels` that
     /// accommodates every stored level. Restores bit-identically: the
-    /// subsequent trajectory matches an uninterrupted run.
+    /// subsequent trajectory matches an uninterrupted run. A checkpoint
+    /// whose patches are not a properly nested hierarchy (overlapping or
+    /// abutting siblings, a patch splitting a parent cell or closer than
+    /// two cells to its parent's edge) is rejected and leaves the solver
+    /// as it was.
     pub fn restore(&mut self, ck: &AmrCheckpoint) -> Result<(), String> {
         if ck.n0 as usize != self.n0 {
             return Err(format!("base-grid mismatch: {} vs {}", ck.n0, self.n0));
@@ -977,49 +1027,27 @@ impl AmrSolver {
         if ck.ncomp != NCOMP {
             return Err(format!("component mismatch: {} vs {NCOMP}", ck.ncomp));
         }
-        let mut levels: Vec<Vec<Patch>> = (0..self.cfg.max_levels).map(|_| Vec::new()).collect();
+        let mut spans = Vec::with_capacity(ck.patches.len());
         for r in &ck.patches {
-            let l = r.level as usize;
-            if l >= self.cfg.max_levels {
+            // The stored length bounds `n` before anything is sized by it.
+            if r.n.checked_mul(NCOMP as u64) != Some(r.data.len() as u64) {
                 return Err(format!(
-                    "level {l} exceeds max_levels {}",
-                    self.cfg.max_levels
-                ));
-            }
-            let (lo, n) = (r.lo as usize, r.n as usize);
-            if r.data.len() != NCOMP * n {
-                return Err(format!(
-                    "patch data length {} != {}",
+                    "patch data length {} != {NCOMP} x {}",
                     r.data.len(),
-                    NCOMP * n
+                    r.n
                 ));
             }
-            if lo + n > self.level_cells(l) || (l > 0 && (lo % 2 != 0 || n % 2 != 0)) {
-                return Err(format!("patch [{lo}, {}) invalid at level {l}", lo + n));
-            }
-            let mut p = self.make_patch(l, lo, n);
+            let lo = usize::try_from(r.lo).map_err(|_| format!("patch offset {}", r.lo))?;
+            spans.push((r.level as usize, lo, r.n as usize, &r.data[..]));
+        }
+        let ng = self.ng;
+        self.install_levels(spans, |p, data| {
             for c in 0..NCOMP {
-                for i in 0..n {
-                    p.u.set(c, self.ng + i, 0, 0, r.data[c * n + i]);
+                for i in 0..p.n {
+                    p.u.set(c, ng + i, 0, 0, data[c * p.n + i]);
                 }
             }
-            levels[l].push(p);
-        }
-        if levels[0].len() != 1 || levels[0][0].lo != 0 || levels[0][0].n != self.n0 {
-            return Err("level 0 must be a single domain-covering patch".into());
-        }
-        for m in 1..levels.len() {
-            levels[m].sort_by_key(|p| p.lo);
-            let (parents, children) = {
-                let (a, b) = levels.split_at_mut(m);
-                (&a[m - 1], &mut b[0])
-            };
-            for ch in children.iter_mut() {
-                ch.parent_idx = Self::find_parent(parents, ch.lo, ch.n)
-                    .ok_or_else(|| format!("level {m} patch at {} is not nested", ch.lo))?;
-            }
-        }
-        self.levels = levels;
+        })?;
         self.steps = ck.step;
         Ok(())
     }
@@ -1182,20 +1210,8 @@ mod tests {
     fn sod_amr_beats_uniform_coarse_and_approaches_fine() {
         let prob = Problem::sod();
         let exact = prob.exact.clone().unwrap();
-        let err_uniform = |n: usize| -> f64 {
-            let s = scheme();
-            let geom = PatchGeom::line(n, 0.0, 1.0, s.required_ghosts());
-            let mut u = init_cons(geom, &s.eos, &|x| (prob.ic)(x));
-            let mut solver = crate::PatchSolver::new(s, prob.bcs, RkOrder::Rk3, geom);
-            solver
-                .advance_to(&mut u, 0.0, prob.t_end, 0.4, None)
-                .unwrap();
-            crate::diag::l1_density_error(&s, &u, &exact, prob.t_end)
-                .unwrap()
-                .0
-        };
-        let e_coarse = err_uniform(100);
-        let e_fine = err_uniform(200);
+        let (e_coarse, _) = uniform_run(&prob, 100, prob.t_end);
+        let (e_fine, _) = uniform_run(&prob, 200, prob.t_end);
 
         let cfg = AmrConfig {
             max_levels: 2,
@@ -1345,6 +1361,264 @@ mod tests {
         let mut other = solver(100, AmrConfig::default(), prob.bcs);
         other.init(&|x| (prob.ic)(x));
         assert!(other.restore(&ck).is_err());
+    }
+
+    // ----- static layouts (`init_static`, `regrid_interval: 0`) ------------
+
+    fn static_cfg(max_levels: usize) -> AmrConfig {
+        AmrConfig {
+            max_levels,
+            regrid_interval: 0,
+            ..AmrConfig::default()
+        }
+    }
+
+    /// Two levels: `n0` base cells with a fixed fine window over `lo..hi`.
+    fn static_window(
+        n0: usize,
+        bcs: BcSet,
+        (lo, hi): (usize, usize),
+        ic: &dyn Fn([f64; 3]) -> Prim,
+    ) -> AmrSolver {
+        let mut amr = solver(n0, static_cfg(2), bcs);
+        amr.init_static(ic, &[&[(lo, hi)]]).unwrap();
+        amr
+    }
+
+    /// `prob` on a uniform `n`-cell grid to `t_end`: L1(ρ) and step count.
+    fn uniform_run(prob: &Problem, n: usize, t_end: f64) -> (f64, usize) {
+        let s = scheme();
+        let geom = PatchGeom::line(n, 0.0, 1.0, s.required_ghosts());
+        let mut u = init_cons(geom, &s.eos, &|x| (prob.ic)(x));
+        let mut solver = crate::PatchSolver::new(s, prob.bcs, RkOrder::Rk3, geom);
+        let steps = solver.advance_to(&mut u, 0.0, t_end, 0.4, None).unwrap();
+        let exact = prob.exact.clone().unwrap();
+        let (l1, _) = crate::diag::l1_density_error(&s, &u, &exact, t_end).unwrap();
+        (l1, steps)
+    }
+
+    fn sine_ic(x: [f64; 3]) -> Prim {
+        Prim::new_1d(
+            1.0 + 0.4 * (2.0 * std::f64::consts::PI * x[0]).sin(),
+            0.5,
+            1.0,
+        )
+    }
+
+    #[test]
+    fn subcycled_conservation_to_roundoff() {
+        // Periodic advection through a fixed central window: the deferred
+        // reflux must conserve the composite integrals exactly.
+        let mut amr = static_window(64, bc::uniform(Bc::Periodic), (20, 44), &sine_ic);
+        let before = amr.composite_totals();
+        amr.advance_to(0.0, 0.5, 0.4).unwrap();
+        assert_eq!((amr.patch_count(1), amr.regrids()), (1, 0));
+        let after = amr.composite_totals();
+        for c in 0..NCOMP {
+            assert!(
+                (after[c] - before[c]).abs() <= 1e-12 * before[c].abs().max(1.0),
+                "component {c}: {} -> {}",
+                before[c],
+                after[c]
+            );
+        }
+    }
+
+    #[test]
+    fn wave_crosses_refinement_boundary_cleanly() {
+        // Advect a density pulse through the fine window and back out; the
+        // final error against the exact advected profile must be at the
+        // coarse-grid level (no spurious reflections at the c/f boundary).
+        let prob = Problem::density_wave(0.5, 0.3);
+        let exact = prob.exact.clone().unwrap();
+        let mut amr = static_window(64, prob.bcs, (24, 40), &|x| (prob.ic)(x));
+        amr.advance_to(0.0, 2.0, 0.4).unwrap(); // one full period
+        let l1 = amr.l1_density_error(&*exact, 2.0).unwrap();
+
+        let (l1_coarse, _) = uniform_run(&prob, 64, 2.0);
+        assert!(
+            l1 < 1.5 * l1_coarse,
+            "static-window error {l1} should not exceed the coarse error {l1_coarse}"
+        );
+    }
+
+    #[test]
+    fn subcycled_sod_accuracy() {
+        // Shock crossing the refinement boundary under subcycling.
+        let prob = Problem::sod();
+        let exact = prob.exact.clone().unwrap();
+        let mut amr = static_window(100, prob.bcs, (20, 95), &|x| (prob.ic)(x));
+        amr.advance_to(0.0, prob.t_end, 0.4).unwrap();
+        let e = amr.l1_density_error(&*exact, prob.t_end).unwrap();
+        // Uniform-coarse reference error is ~5.7e-3 (A5); the static
+        // window must clearly beat it.
+        assert!(e < 4.5e-3, "static-window Sod error {e}");
+    }
+
+    #[test]
+    fn coarse_level_steps_at_its_own_cfl() {
+        // Subcycling lets the base level run at its own CFL limit: a run
+        // needs about half the base steps of a grid that is fine
+        // everywhere (or of any scheme that steps both levels together).
+        let prob = Problem::density_wave(0.5, 0.3);
+        let mut amr = static_window(64, prob.bcs, (24, 40), &|x| (prob.ic)(x));
+        let steps = amr.advance_to(0.0, 1.0, 0.4).unwrap();
+
+        let (_, steps_fine) = uniform_run(&prob, 128, 1.0);
+        assert!(
+            (steps as f64) < 0.65 * steps_fine as f64,
+            "static window took {steps} base steps vs uniform-128 {steps_fine}"
+        );
+    }
+
+    // ----- layout validation (`install_levels`) ----------------------------
+
+    /// A valid three-level checkpoint on 64 base cells: level 1 over
+    /// base cells 10..30 and 40..50, level 2 over level-1 cells 24..40.
+    fn nested_checkpoint() -> AmrCheckpoint {
+        let mut amr = solver(64, static_cfg(3), bc::uniform(Bc::Periodic));
+        amr.init_static(&sine_ic, &[&[(40, 50), (10, 30)], &[(24, 40)]])
+            .unwrap();
+        assert_eq!((amr.patch_count(1), amr.patch_count(2)), (2, 1));
+        amr.to_checkpoint(0.0)
+    }
+
+    /// `restore` must reject `ck` with a message containing `what`, and
+    /// leave the hierarchy it had untouched.
+    fn assert_restore_rejects(ck: &AmrCheckpoint, what: &str) {
+        let mut amr = solver(64, static_cfg(3), bc::uniform(Bc::Periodic));
+        amr.init_static(&sine_ic, &[&[(20, 44)]]).unwrap();
+        let err = amr.restore(ck).unwrap_err();
+        assert!(err.contains(what), "expected '{what}' in: {err}");
+        assert_eq!((amr.patch_count(1), amr.levels[1][0].lo), (1, 40));
+    }
+
+    /// `init_static` must reject `layout` with a message containing `what`.
+    fn assert_layout_rejected(layout: &[&[(usize, usize)]], what: &str) {
+        let mut amr = solver(64, static_cfg(3), bc::uniform(Bc::Periodic));
+        let err = amr.init_static(&sine_ic, layout).unwrap_err();
+        assert!(err.contains(what), "expected '{what}' in: {err}");
+    }
+
+    /// Resize record `i` of `ck` to level-cell span `lo..lo+n`.
+    fn respan(ck: &mut AmrCheckpoint, i: usize, lo: u64, n: u64) {
+        ck.patches[i].lo = lo;
+        ck.patches[i].n = n;
+        ck.patches[i].data = vec![1.0; NCOMP * n as usize];
+    }
+
+    #[test]
+    fn valid_nested_checkpoint_restores_in_any_record_order() {
+        let mut ck = nested_checkpoint();
+        ck.patches.reverse();
+        let mut amr = solver(64, static_cfg(3), bc::uniform(Bc::Periodic));
+        amr.restore(&ck).unwrap();
+        assert_eq!(amr.to_checkpoint(0.0), nested_checkpoint());
+        amr.advance_to(0.0, 0.05, 0.4).unwrap();
+    }
+
+    #[test]
+    fn rejects_overlapping_siblings() {
+        let mut ck = nested_checkpoint();
+        respan(&mut ck, 2, 56, 44); // level 1: [20, 60) then [56, 100)
+        assert_restore_rejects(&ck, "overlaps or abuts");
+        assert_layout_rejected(&[&[(10, 30), (28, 50)]], "overlaps or abuts");
+    }
+
+    #[test]
+    fn rejects_abutting_siblings() {
+        let mut ck = nested_checkpoint();
+        respan(&mut ck, 2, 60, 40); // level 1: [20, 60) then [60, 100)
+        assert_restore_rejects(&ck, "overlaps or abuts");
+        assert_layout_rejected(&[&[(10, 30), (30, 50)]], "overlaps or abuts");
+    }
+
+    #[test]
+    fn rejects_patch_that_splits_a_parent_cell_or_is_empty() {
+        for (lo, n) in [(81, 20), (80, 19), (80, 0), (u64::MAX - 1, 20)] {
+            let mut ck = nested_checkpoint();
+            respan(&mut ck, 2, lo, n);
+            assert_restore_rejects(&ck, "empty or splits a parent cell");
+        }
+        assert_layout_rejected(&[&[(30, 30)]], "empty or splits a parent cell");
+        assert_layout_rejected(&[&[(30, 10)]], "empty or splits a parent cell");
+    }
+
+    #[test]
+    fn rejects_child_within_two_cells_of_its_parents_edge() {
+        // Level 1 against the domain edge, level 2 against level 1's edge
+        // (its reflux target would be a ghost cell), and a level-2 patch
+        // over base cells no level-1 patch covers.
+        for (i, lo, n) in [(1, 2, 58), (3, 42, 40), (3, 48, 70), (3, 140, 8)] {
+            let mut ck = nested_checkpoint();
+            respan(&mut ck, i, lo, n);
+            assert_restore_rejects(&ck, "not nested");
+        }
+        assert_layout_rejected(&[&[(1, 30)]], "not nested");
+        assert_layout_rejected(&[&[(40, 63)]], "not nested");
+        assert_layout_rejected(&[&[(10, 30)], &[(21, 40)]], "not nested");
+        // Two cells of clearance are enough.
+        let mut amr = solver(64, static_cfg(3), bc::uniform(Bc::Periodic));
+        amr.init_static(&sine_ic, &[&[(2, 62)], &[(6, 118)]])
+            .unwrap();
+    }
+
+    #[test]
+    fn rejects_level_beyond_max_levels() {
+        let mut ck = nested_checkpoint();
+        ck.patches[3].level = 3;
+        assert_restore_rejects(&ck, "exceeds max_levels");
+        assert_layout_rejected(
+            &[&[(10, 30)], &[(24, 40)], &[(52, 60)]],
+            "exceeds max_levels",
+        );
+    }
+
+    #[test]
+    fn rejects_level_zero_that_is_not_the_domain_patch() {
+        let mut missing = nested_checkpoint();
+        missing.patches.remove(0);
+        let mut twice = nested_checkpoint();
+        twice.patches.push(twice.patches[0].clone());
+        let mut short = nested_checkpoint();
+        respan(&mut short, 0, 0, 62);
+        let mut shifted = nested_checkpoint();
+        respan(&mut shifted, 0, 2, 64);
+        for ck in [missing, twice, short, shifted] {
+            assert_restore_rejects(&ck, "level 0 must be");
+        }
+        let mut truncated = nested_checkpoint();
+        truncated.patches[1].data.pop();
+        assert_restore_rejects(&truncated, "data length");
+    }
+
+    #[test]
+    fn every_regridded_hierarchy_passes_layout_validation() {
+        // The generator (flag, cluster, regrid) never produces what the
+        // validator rejects: a checkpoint taken at any step of the
+        // three-level blast run restores.
+        let prob = Problem::blast_wave_1();
+        let cfg = AmrConfig {
+            threshold: 0.25,
+            buffer: 3,
+            regrid_interval: 2,
+            ..AmrConfig::default()
+        };
+        let mut amr = solver(100, cfg.clone(), prob.bcs);
+        amr.init(&|x| (prob.ic)(x));
+        let mut scratch = solver(100, cfg, prob.bcs);
+        let mut t = 0.0;
+        while t < prob.t_end - 1e-14 {
+            let ck = amr.to_checkpoint(t);
+            scratch
+                .restore(&ck)
+                .unwrap_or_else(|e| panic!("step {}: {e}", amr.steps()));
+            assert_eq!(scratch.to_checkpoint(t), ck);
+            let dt = amr.stable_dt(0.4).unwrap().min(prob.t_end - t);
+            amr.step(dt).unwrap();
+            t += dt;
+        }
+        assert!(amr.regrids() > 40 && amr.patch_count(2) > 0);
     }
 
     #[test]

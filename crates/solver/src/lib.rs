@@ -20,8 +20,10 @@
 //! * [`ladder`] — the recovery ladder: the one resilient advance loop
 //!   (agreement, retry backoff, restore budget, shrink) both distributed
 //!   drivers climb through their [`ladder::Recoverable`] hooks,
-//! * [`smr`] — two-level static mesh refinement with conservative reflux
-//!   (1D), the structured-adaptivity core of the authors' AMR codes,
+//! * [`amr`] — block-structured mesh refinement with Berger–Oliger
+//!   subcycling and conservative reflux (1D), adaptive or with a static
+//!   layout — the structured-adaptivity core of the authors' AMR codes,
+//!   on the [`refine`] operators; [`amr_dist`] runs it across ranks,
 //! * [`problems`] — standard SRHD test problems (Sod, Martí–Müller blast
 //!   waves, density-wave advection, 2D Riemann, Kelvin–Helmholtz, boosted
 //!   tubes),
@@ -42,7 +44,6 @@ pub mod ladder;
 pub mod problems;
 pub mod refine;
 pub mod scheme;
-pub mod smr;
 pub mod step;
 
 pub use amr::{AmrConfig, AmrSolver};

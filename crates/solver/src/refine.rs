@@ -2,9 +2,9 @@
 //! restriction, interface-flux-capturing residuals, and the SSP-RK
 //! effective-weight tables.
 //!
-//! Both refinement solvers — the two-level static [`crate::smr::SmrSolver`]
-//! and the multi-level adaptive [`crate::amr::AmrSolver`] — are built from
-//! the same four operators, so they live here once:
+//! The refinement solver [`crate::amr::AmrSolver`] — adaptive, or with the
+//! static layout of [`crate::amr::AmrSolver::init_static`] — is built from
+//! four operators:
 //!
 //! * **prolongation** ([`prolong_span`] / [`prolong_ghosts_from`]) —
 //!   conservative, minmod-limited linear interpolation from a coarse field
@@ -23,9 +23,9 @@
 //!   at an interface yields the exact time-integrated flux the reflux
 //!   correction needs.
 //!
-//! The arithmetic here is bit-for-bit the pre-refactor `SmrSolver`
-//! internals (guarded by `tests/smr_bit_identity.rs`); do not "simplify"
-//! the floating-point expressions.
+//! The arithmetic here is pinned bit for bit by
+//! `tests/static_amr_bit_identity.rs`; do not "simplify" the
+//! floating-point expressions.
 
 use crate::integrate::RkOrder;
 use crate::scheme::{Scheme, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ};
@@ -110,9 +110,8 @@ pub fn prolong_span(
     }
 }
 
-/// Prolong coarse data into *both ghost bands* of a fine level: fine
-/// global indices `-ng_f..0` and `n_f..n_f+ng_f` (the historical
-/// `SmrSolver` entry point, kept as the common case).
+/// Prolong coarse data into *both ghost bands* of a fine patch: fine
+/// global indices `-ng_f..0` and `n_f..n_f+ng_f`.
 pub fn prolong_ghosts_from(
     src_c: &Field,
     dst_f: &mut Field,

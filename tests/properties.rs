@@ -325,8 +325,9 @@ proptest! {
     }
 }
 
-// SMR cases are expensive (full solver advances); a small dedicated case
-// budget keeps the suite fast while still fuzzing the refinement layout.
+// Refinement cases are expensive (full solver advances); a small
+// dedicated case budget keeps the suite fast while still fuzzing the
+// refinement layout.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -337,25 +338,24 @@ proptest! {
         amp in 0.05f64..0.45,
         v in -0.7f64..0.7,
     ) {
-        use rhrsc::solver::smr::SmrSolver;
+        // Static refinement: a two-level hierarchy handed a fixed window
+        // `lo..hi` of the base grid and never regridded.
+        use rhrsc::solver::amr::{AmrConfig, AmrSolver};
         use rhrsc::solver::{RkOrder, Scheme};
         let n = 64;
         let hi = (lo + width).min(n - 2);
         prop_assume!(hi > lo);
         let scheme = Scheme::default_with_gamma(5.0 / 3.0);
-        let mut smr = SmrSolver::new(
-            scheme,
-            bc::uniform(Bc::Periodic),
-            RkOrder::Rk2,
-            n,
-            0.0,
-            1.0,
-            lo,
-            hi,
+        let cfg = AmrConfig { max_levels: 2, regrid_interval: 0, ..AmrConfig::default() };
+        let mut smr = AmrSolver::new(
+            scheme, bc::uniform(Bc::Periodic), RkOrder::Rk2, n, 0.0, 1.0, cfg,
         );
-        smr.init(&move |x: [f64; 3]| {
-            Prim::new_1d(1.0 + amp * (2.0 * std::f64::consts::PI * x[0]).sin(), v, 1.0)
-        });
+        smr.init_static(
+            &move |x: [f64; 3]| {
+                Prim::new_1d(1.0 + amp * (2.0 * std::f64::consts::PI * x[0]).sin(), v, 1.0)
+            },
+            &[&[(lo, hi)]],
+        ).map_err(TestCaseError::fail)?;
         let before = smr.composite_totals();
         smr.advance_to(0.0, 0.05, 0.4).map_err(|e| {
             TestCaseError::fail(format!("solver failed: {e}"))
