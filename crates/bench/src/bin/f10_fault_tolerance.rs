@@ -33,7 +33,7 @@ use rhrsc_runtime::trace::Tracer;
 use rhrsc_runtime::{AcceleratorConfig, FaultInjector, Registry};
 use rhrsc_solver::device_backend::{BreakerConfig, DevicePatchSolver};
 use rhrsc_solver::driver::{
-    gather_global, BlockSolver, DistConfig, ExchangeMode, ResilienceConfig, ResilienceStats,
+    BlockSolver, DistConfig, ExchangeMode, ResilienceConfig, ResilienceStats,
 };
 use rhrsc_solver::scheme::init_cons;
 use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
@@ -94,7 +94,7 @@ fn resilient_run(
             .map(|s| s.msgs_truncated + s.msgs_delayed)
             .unwrap_or(0);
         (
-            gather_global(rank, cfg, &u).expect("gather failed"),
+            solver.gather_interior(rank, &u).expect("gather failed"),
             rstats,
             truncated,
         )
@@ -127,7 +127,7 @@ fn main() {
         solver
             .advance_to(rank, &mut u, 0.0, t_end)
             .expect("reference advance failed");
-        gather_global(rank, &cfg, &u).expect("gather failed")
+        solver.gather_interior(rank, &u).expect("gather failed")
     });
     let reference = outs
         .into_iter()

@@ -21,7 +21,7 @@
 
 use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
 use rhrsc_grid::PatchGeom;
-use rhrsc_io::checkpoint::{load_amr_checkpoint, save_amr_checkpoint};
+use rhrsc_io::checkpoint::{load_checkpoint, save_checkpoint};
 use rhrsc_runtime::trace::Tracer;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::amr::{AmrConfig, AmrSolver};
@@ -211,14 +211,12 @@ fn main() {
     let dir = std::env::temp_dir().join("rhrsc-f12-restart");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("amr.ckp");
-    save_amr_checkpoint(&path, &ckp).unwrap();
+    save_checkpoint(&path, &ckp).unwrap();
     gold.advance_to(t_half, prob.t_end, 0.4).unwrap();
     let e_gold = gold.l1_density_error(&*exact, prob.t_end).unwrap();
 
     let mut restarted = mk();
-    restarted
-        .restore(&load_amr_checkpoint(&path).unwrap())
-        .unwrap();
+    restarted.restore(&load_checkpoint(&path).unwrap()).unwrap();
     restarted.advance_to(t_half, prob.t_end, 0.4).unwrap();
     let e_restart = restarted.l1_density_error(&*exact, prob.t_end).unwrap();
     reg.histogram("phase.advance")

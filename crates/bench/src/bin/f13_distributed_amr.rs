@@ -23,8 +23,7 @@
 //! prints the pooled phase table. A report with the `amr.dist.*`
 //! counters lands in `results/BENCH_f13_distributed_amr.json`.
 //!
-//! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix),
-//! `RHRSC_AMR_REBALANCE_THRESH` (regrid-time re-partition trigger).
+//! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix).
 
 use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
 use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};

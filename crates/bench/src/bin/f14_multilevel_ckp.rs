@@ -30,16 +30,14 @@
 //! report with the tier/SDC counters is always written to
 //! `results/BENCH_f14_multilevel_ckp.json`.
 //!
-//! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix),
-//! `RHRSC_CKP_LOCAL_INTERVAL`, `RHRSC_CKP_DISK_INTERVAL`,
-//! `RHRSC_SDC_SCRUB_INTERVAL`, `RHRSC_BUDDY_OFFSET` (tier cadences for
-//! runs built on the config defaults).
+//! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix). The tier cadences are
+//! the `ResilienceConfig` fields each arm sets.
 
 use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
 use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp, Field};
 use rhrsc_io::checkpoint::{
-    decode_global_trusted, encode_global, BlockRecord, CheckpointSlots, GlobalCheckpoint,
+    decode_trusted, encode, BlockRecord, CheckpointSlots, GlobalCheckpoint,
 };
 use rhrsc_io::MemorySnapshot;
 use rhrsc_runtime::fault::SnapshotTarget;
@@ -118,7 +116,7 @@ fn resilient_run(
 
 /// Time the two restore paths over the same realistic-size global
 /// checkpoint: the memory tier (stamped-FNV verify + trusted decode +
-/// span extraction — exactly what `memory_restore` runs) against the
+/// span extraction — exactly what a memory-tier restore runs) against the
 /// disk tier (slot read + full CRC-armored decode + extraction). Returns
 /// `(mem_secs, disk_secs)` per restore.
 fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
@@ -138,26 +136,26 @@ fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
             data,
         }],
     };
-    let snap = MemorySnapshot::new(gckp.step, gckp.time, encode_global(&gckp));
+    let snap = MemorySnapshot::new(gckp.step, gckp.time, encode(&gckp));
     let dir = std::env::temp_dir().join("rhrsc-f14-latency");
     let _ = std::fs::remove_dir_all(&dir);
     let slots = CheckpointSlots::new(&dir).expect("slot dir");
-    slots.save_global(&gckp).expect("slot write");
+    slots.save(&gckp).expect("slot write");
     let span = ([0usize, 0, 0], [n, n / 2, 1]);
     // One untimed rep of each path first: page in the snapshot buffer and
     // the slot file so neither timed loop pays cold-cache costs.
-    std::hint::black_box(decode_global_trusted(snap.bytes()).expect("trusted decode"));
-    std::hint::black_box(slots.load_newest_global().expect("slot read"));
+    std::hint::black_box(decode_trusted::<GlobalCheckpoint>(snap.bytes()).expect("trusted decode"));
+    std::hint::black_box(slots.load_newest::<GlobalCheckpoint>().expect("slot read"));
     let t0 = Instant::now();
     for _ in 0..reps {
         assert!(snap.verify(), "clean snapshot must verify");
-        let g = decode_global_trusted(snap.bytes()).expect("trusted decode");
+        let g: GlobalCheckpoint = decode_trusted(snap.bytes()).expect("trusted decode");
         std::hint::black_box(g.extract_span(span.0, span.1).expect("span"));
     }
     let mem = t0.elapsed().as_secs_f64() / reps as f64;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let (g, _) = slots.load_newest_global().expect("slot read");
+        let (g, _) = slots.load_newest::<GlobalCheckpoint>().expect("slot read");
         std::hint::black_box(g.extract_span(span.0, span.1).expect("span"));
     }
     let disk = t0.elapsed().as_secs_f64() / reps as f64;

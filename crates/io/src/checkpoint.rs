@@ -1,17 +1,32 @@
 //! Binary checkpoint/restart.
 //!
-//! Format (little-endian, version 2):
+//! Three formats share one little-endian envelope; the version tag says
+//! which header and record section sit inside it:
 //!
 //! ```text
-//! magic  "RHRSCCKP"           8 bytes
-//! version u32                 4
-//! time    f64, step u64       12
-//! geometry: n[3] u64, ng u64, origin[3] f64, dx[3] f64
-//! ncomp  u64
-//! data   ncomp * len f64      (ghost-inclusive, component-major)
-//! fnv    u64 (FNV-1a over the data section)
-//! crc32  u32 (CRC-32 over every preceding byte, header included)
+//! magic   "RHRSCCKP"   8 bytes
+//! version u32          4
+//! header  fixed size, per format (below)
+//! records variable, per format (below)
+//! fnv     u64          FNV-1a over the record section
+//! crc32   u32          CRC-32 over every preceding byte, header included
 //! ```
+//!
+//! | version | type | slot files | header | record section |
+//! |---|---|---|---|---|
+//! | 2 | [`Checkpoint`] | `*.ckp` | time f64, step u64, n\[3\] u64, ng u64, origin\[3\] f64, dx\[3\] f64, ncomp u64 | the ghost-inclusive field, component-major |
+//! | 3 | [`GlobalCheckpoint`] | `*.gckp` | time f64, step u64, global_n\[3\] u64, ncomp u64, nblocks u64 | per block: id u64, offset\[3\] u64, size\[3\] u64, interior data |
+//! | 4 | [`AmrCheckpoint`] | `*.ackp` | time f64, step u64, n0 u64, ncomp u64, npatches u64 | per patch: level u32, lo u64, n u64, interior data |
+//!
+//! [`encode`], [`decode`], [`save_checkpoint`], [`load_checkpoint`] and
+//! [`CheckpointSlots`] are generic over [`CheckpointFormat`], which is
+//! what a format owns: its version tag, slot extension, header and
+//! records. A decoder checks, in this order: magic, version and minimum
+//! length ([`CheckpointError::Format`]), the whole-file CRC
+//! ([`CheckpointError::Corrupt`]), the structure of header and records
+//! (`Format` — every size read from the file is multiplied checked and
+//! bounded by the bytes that are left before anything is allocated), the
+//! record FNV (`Corrupt`).
 //!
 //! Writes are atomic: the payload goes to a sibling temp file which is
 //! fsynced and renamed into place, so a crash mid-write can never leave a
@@ -20,20 +35,36 @@
 //! rotation on top, so one torn or corrupted checkpoint still leaves a
 //! valid restart point.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use rhrsc_grid::{Field, PatchGeom};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"RHRSCCKP";
-const VERSION: u32 = 2;
-/// Version tag of the rank-count-independent global format (see
-/// [`GlobalCheckpoint`]).
-const GLOBAL_VERSION: u32 = 3;
-/// Version tag of the AMR hierarchy format (see [`AmrCheckpoint`]).
-const AMR_VERSION: u32 = 4;
+/// Bytes ahead of a format's header: magic and version.
+const PREFIX_LEN: usize = 12;
+/// Bytes behind a format's records: FNV and CRC-32.
+const FOOTER_LEN: usize = 12;
 
-/// A restartable solver state.
+/// What one checkpoint format owns inside the shared envelope.
+pub trait CheckpointFormat: Sized {
+    /// Version tag written after the magic.
+    const VERSION: u32;
+    /// File extension of this format's rotating slots.
+    const EXT: &'static str;
+    /// Size of the fixed header in bytes.
+    const HEADER_LEN: usize;
+    /// Size of the record section in bytes (sizes the encode buffer).
+    fn records_len(&self) -> usize;
+    /// Append the header, then the records.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Parse the header and consume the records from the front of
+    /// `bytes`, which holds at least [`Self::HEADER_LEN`] bytes. Anything
+    /// left over is the envelope's to reject.
+    fn parse(bytes: &mut &[u8]) -> Result<Self, CheckpointError>;
+}
+
+/// A restartable solver state (format version 2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Simulation time.
@@ -49,9 +80,10 @@ pub struct Checkpoint {
 pub enum CheckpointError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Not a checkpoint file, or an unsupported version.
+    /// Not a checkpoint file, an unsupported version, or a header or
+    /// record whose sizes do not fit the file.
     Format(String),
-    /// Data-section checksum mismatch (truncated/corrupted file).
+    /// Checksum mismatch (truncated/corrupted file).
     Corrupt,
     /// Both slots of a rotating store were unusable. Carries each slot's
     /// own failure so the operator can tell "no checkpoint was ever
@@ -113,44 +145,28 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Serialize a checkpoint to bytes.
-pub fn encode(ckp: &Checkpoint) -> Vec<u8> {
-    let geom = ckp.field.geom();
-    let mut buf = BytesMut::with_capacity(64 + ckp.field.raw().len() * 8);
+/// Serialize a checkpoint of any format to bytes.
+pub fn encode<R: CheckpointFormat>(ckp: &R) -> Vec<u8> {
+    let records_at = PREFIX_LEN + R::HEADER_LEN;
+    let mut buf = Vec::with_capacity(records_at + ckp.records_len() + FOOTER_LEN);
     buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_f64_le(ckp.time);
-    buf.put_u64_le(ckp.step);
-    for d in 0..3 {
-        buf.put_u64_le(geom.n[d] as u64);
-    }
-    buf.put_u64_le(geom.ng as u64);
-    for d in 0..3 {
-        buf.put_f64_le(geom.origin[d]);
-    }
-    for d in 0..3 {
-        buf.put_f64_le(geom.dx[d]);
-    }
-    buf.put_u64_le(ckp.field.ncomp() as u64);
-    let data_start = buf.len();
-    for &v in ckp.field.raw() {
-        buf.put_f64_le(v);
-    }
-    let crc = fnv1a(&buf[data_start..]);
-    buf.put_u64_le(crc);
-    let footer = crc32(&buf[..]);
-    buf.put_u32_le(footer);
-    buf.to_vec()
+    buf.put_u32_le(R::VERSION);
+    ckp.put(&mut buf);
+    let fnv = fnv1a(&buf[records_at..]);
+    buf.put_u64_le(fnv);
+    let crc = crc32(&buf);
+    buf.put_u32_le(crc);
+    buf
 }
 
 /// Integrity passes a decoder runs before trusting the bytes.
 ///
-/// * [`Checks::Full`] — bitwise whole-file CRC-32 plus the payload FNV:
+/// * [`Checks::Full`] — bitwise whole-file CRC-32 plus the record FNV:
 ///   the disk tier, where torn writes and media rot are real.
 /// * [`Checks::Trusted`] — pure parsing: the caller has just re-hashed
 ///   the *entire* buffer against an external stamp (e.g.
 ///   [`crate::MemorySnapshot::verify`], which covers every byte
-///   including the header — strictly stronger than the payload FNV), so
+///   including the header — strictly stronger than the record FNV), so
 ///   either armor pass would verify the same bits twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Checks {
@@ -158,87 +174,153 @@ enum Checks {
     Trusted,
 }
 
-/// Parse `len` little-endian f64s in one pass. `chunks_exact` lets the
-/// compiler hoist the per-element bounds checks out of the loop — this is
-/// the bulk of a decode once the CRC is skipped, so the memory-restore
-/// tier's latency is essentially this loop plus one FNV pass. The caller
-/// must have length-checked `bytes` already.
-fn get_f64_payload(bytes: &mut &[u8], len: usize) -> Vec<f64> {
-    let (head, rest) = bytes.split_at(len * 8);
-    let data = head
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    *bytes = rest;
-    data
+/// Deserialize a checkpoint from bytes, with every integrity pass.
+pub fn decode<R: CheckpointFormat>(bytes: &[u8]) -> Result<R, CheckpointError> {
+    decode_with(bytes, Checks::Full)
 }
 
-/// Deserialize a checkpoint from bytes.
-pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    let orig = bytes;
-    let mut bytes = bytes;
-    if bytes.len() < 8 + 4 || &bytes[..8] != MAGIC {
+/// Like [`decode`] but with *both* integrity passes (CRC-32 and the
+/// record FNV) skipped: pure parsing, with every structural check still
+/// in force. Sound **only** when the caller has just re-hashed the entire
+/// byte buffer against an external stamp —
+/// [`crate::MemorySnapshot::verify`] covers every byte including the
+/// header, which is strictly stronger than the record FNV — so running
+/// either armor pass again would verify the same bits twice. This is
+/// what makes the diskless restore tier cheap: one FNV pass plus
+/// parsing, against the disk tier's read + FNV + bitwise CRC.
+pub fn decode_trusted<R: CheckpointFormat>(bytes: &[u8]) -> Result<R, CheckpointError> {
+    decode_with(bytes, Checks::Trusted)
+}
+
+fn decode_with<R: CheckpointFormat>(bytes: &[u8], checks: Checks) -> Result<R, CheckpointError> {
+    if bytes.len() < PREFIX_LEN || &bytes[..8] != MAGIC {
         return Err(CheckpointError::Format("missing magic".into()));
     }
-    bytes.advance(8);
-    let version = bytes.get_u32_le();
-    if version != VERSION {
+    let version = (&bytes[8..]).get_u32_le();
+    if version != R::VERSION {
         return Err(CheckpointError::Format(format!(
-            "unsupported version {version}"
+            "unsupported version {version} (this is the v{} decoder)",
+            R::VERSION
         )));
     }
-    if bytes.remaining() < 12 + 4 * 8 + 6 * 8 + 8 {
+    if bytes.len() < PREFIX_LEN + R::HEADER_LEN + FOOTER_LEN {
         return Err(CheckpointError::Format("truncated header".into()));
     }
-    let time = bytes.get_f64_le();
-    let step = bytes.get_u64_le();
-    let mut n = [0usize; 3];
-    for d in &mut n {
-        *d = bytes.get_u64_le() as usize;
-    }
-    let ng = bytes.get_u64_le() as usize;
-    let mut origin = [0.0; 3];
-    for o in &mut origin {
-        *o = bytes.get_f64_le();
-    }
-    let mut dx = [0.0; 3];
-    for d in &mut dx {
-        *d = bytes.get_f64_le();
-    }
-    let geom = PatchGeom { n, ng, origin, dx };
-    let ncomp = bytes.get_u64_le() as usize;
-    let len = ncomp * geom.len();
-    if bytes.remaining() != len * 8 + 8 + 4 {
-        return Err(CheckpointError::Format(format!(
-            "data section: expected {} bytes, have {}",
-            len * 8 + 8 + 4,
-            bytes.remaining()
-        )));
-    }
-    // Whole-file CRC first: catches header corruption the per-section FNV
-    // checksum cannot see.
-    let footer_off = orig.len() - 4;
-    let stored = u32::from_le_bytes([
-        orig[footer_off],
-        orig[footer_off + 1],
-        orig[footer_off + 2],
-        orig[footer_off + 3],
-    ]);
-    if crc32(&orig[..footer_off]) != stored {
+    // Whole-file CRC first: a bit flip anywhere is fatal to a restart,
+    // and the record FNV cannot see the header.
+    let (armored, mut crc) = bytes.split_at(bytes.len() - 4);
+    if checks == Checks::Full && crc32(armored) != crc.get_u32_le() {
         return Err(CheckpointError::Corrupt);
     }
-    let data_bytes = &bytes[..len * 8];
-    let crc_expected = fnv1a(data_bytes);
-    let data = get_f64_payload(&mut bytes, len);
-    let crc = bytes.get_u64_le();
-    if crc != crc_expected {
+    let (mut body, mut fnv) = armored[PREFIX_LEN..].split_at(armored.len() - PREFIX_LEN - 8);
+    let records = &body[R::HEADER_LEN..];
+    let ckp = R::parse(&mut body)?;
+    if !body.is_empty() {
+        return Err(CheckpointError::Format("trailing bytes".into()));
+    }
+    if checks == Checks::Full && fnv1a(records) != fnv.get_u64_le() {
         return Err(CheckpointError::Corrupt);
     }
-    Ok(Checkpoint {
-        time,
-        step,
-        field: Field::from_vec(geom, ncomp, data),
-    })
+    Ok(ckp)
+}
+
+fn put_usize3(buf: &mut Vec<u8>, v: [usize; 3]) {
+    for x in v {
+        buf.put_u64_le(x as u64);
+    }
+}
+
+fn put_f64s(buf: &mut Vec<u8>, v: &[f64]) {
+    for &x in v {
+        buf.put_f64_le(x);
+    }
+}
+
+fn get_usize3(bytes: &mut &[u8]) -> [usize; 3] {
+    [(); 3].map(|()| bytes.get_u64_le() as usize)
+}
+
+fn get_f64x3(bytes: &mut &[u8]) -> [f64; 3] {
+    [(); 3].map(|()| bytes.get_f64_le())
+}
+
+fn oversized() -> CheckpointError {
+    CheckpointError::Format("record size exceeds the file".into())
+}
+
+/// Take the `ncomp × extent[0] × extent[1] × extent[2]` f64s of one
+/// record off the front of `bytes`. All four factors come from the file:
+/// the product is formed checked and must fit the bytes that are left
+/// (the footer was split off already) before anything is allocated, so a
+/// lying size is a [`CheckpointError::Format`], never an overflow, an
+/// out-of-bounds slice or a record that claims cells it does not hold.
+/// `chunks_exact` lets the compiler hoist the per-element bounds checks
+/// out of the loop — this is the bulk of a trusted decode.
+fn get_f64_payload(
+    bytes: &mut &[u8],
+    ncomp: usize,
+    extent: [usize; 3],
+) -> Result<Vec<f64>, CheckpointError> {
+    let nbytes = extent
+        .iter()
+        .try_fold(1usize, |len, &n| len.checked_mul(n))
+        .and_then(|cells| cells.checked_mul(ncomp))
+        .and_then(|len| len.checked_mul(8))
+        .filter(|&nbytes| nbytes <= bytes.len())
+        .ok_or_else(oversized)?;
+    let (head, rest) = bytes.split_at(nbytes);
+    *bytes = rest;
+    Ok(head
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks of 8")))
+        .collect())
+}
+
+impl CheckpointFormat for Checkpoint {
+    const VERSION: u32 = 2;
+    const EXT: &'static str = "ckp";
+    const HEADER_LEN: usize = 13 * 8;
+
+    fn records_len(&self) -> usize {
+        self.field.raw().len() * 8
+    }
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        let geom = self.field.geom();
+        buf.put_f64_le(self.time);
+        buf.put_u64_le(self.step);
+        put_usize3(buf, geom.n);
+        buf.put_u64_le(geom.ng as u64);
+        put_f64s(buf, &geom.origin);
+        put_f64s(buf, &geom.dx);
+        buf.put_u64_le(self.field.ncomp() as u64);
+        put_f64s(buf, self.field.raw());
+    }
+
+    fn parse(bytes: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let time = bytes.get_f64_le();
+        let step = bytes.get_u64_le();
+        let n = get_usize3(bytes);
+        let ng = bytes.get_u64_le() as usize;
+        let origin = get_f64x3(bytes);
+        let dx = get_f64x3(bytes);
+        let ncomp = bytes.get_u64_le() as usize;
+        // The ghost-inclusive extents of `PatchGeom::ntot`, formed checked.
+        let mut ntot = n;
+        for nd in ntot.iter_mut().filter(|nd| **nd > 1) {
+            *nd = ng
+                .checked_mul(2)
+                .and_then(|g| g.checked_add(*nd))
+                .ok_or_else(oversized)?;
+        }
+        let data = get_f64_payload(bytes, ncomp, ntot)?;
+        let geom = PatchGeom { n, ng, origin, dx };
+        Ok(Checkpoint {
+            time,
+            step,
+            field: Field::from_vec(geom, ncomp, data),
+        })
+    }
 }
 
 /// One block of a [`GlobalCheckpoint`]: an axis-aligned box of the global
@@ -324,140 +406,59 @@ impl GlobalCheckpoint {
     }
 }
 
-/// Serialize a global checkpoint to bytes (format version 3; same
-/// magic/FNV/CRC armor as the per-rank format).
-pub fn encode_global(ckp: &GlobalCheckpoint) -> Vec<u8> {
-    let payload: usize = ckp.blocks.iter().map(|b| 56 + b.data.len() * 8).sum();
-    let mut buf = BytesMut::with_capacity(80 + payload);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(GLOBAL_VERSION);
-    buf.put_f64_le(ckp.time);
-    buf.put_u64_le(ckp.step);
-    for d in 0..3 {
-        buf.put_u64_le(ckp.global_n[d] as u64);
-    }
-    buf.put_u64_le(ckp.ncomp as u64);
-    buf.put_u64_le(ckp.blocks.len() as u64);
-    let data_start = buf.len();
-    for b in &ckp.blocks {
-        buf.put_u64_le(b.id);
-        for d in 0..3 {
-            buf.put_u64_le(b.offset[d] as u64);
-        }
-        for d in 0..3 {
-            buf.put_u64_le(b.size[d] as u64);
-        }
-        for &v in &b.data {
-            buf.put_f64_le(v);
-        }
-    }
-    let fnv = fnv1a(&buf[data_start..]);
-    buf.put_u64_le(fnv);
-    let footer = crc32(&buf[..]);
-    buf.put_u32_le(footer);
-    buf.to_vec()
-}
+impl CheckpointFormat for GlobalCheckpoint {
+    const VERSION: u32 = 3;
+    const EXT: &'static str = "gckp";
+    const HEADER_LEN: usize = 7 * 8;
 
-/// Deserialize a global checkpoint from bytes.
-pub fn decode_global(bytes: &[u8]) -> Result<GlobalCheckpoint, CheckpointError> {
-    decode_global_with(bytes, Checks::Full)
-}
+    fn records_len(&self) -> usize {
+        self.blocks.iter().map(|b| 56 + b.data.len() * 8).sum()
+    }
 
-/// Like [`decode_global`] but with *both* integrity passes (CRC-32 and
-/// the payload FNV) skipped: pure parsing. Sound **only** when the caller
-/// has just re-hashed the entire byte buffer against an external stamp —
-/// [`crate::MemorySnapshot::verify`] covers every byte including the
-/// header, which is strictly stronger than the payload FNV — so running
-/// either armor pass again would verify the same bits twice. This is
-/// what makes the diskless restore tier cheap: one FNV pass plus
-/// parsing, against the disk tier's read + FNV + bitwise CRC.
-pub fn decode_global_trusted(bytes: &[u8]) -> Result<GlobalCheckpoint, CheckpointError> {
-    decode_global_with(bytes, Checks::Trusted)
-}
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_f64_le(self.time);
+        buf.put_u64_le(self.step);
+        put_usize3(buf, self.global_n);
+        buf.put_u64_le(self.ncomp as u64);
+        buf.put_u64_le(self.blocks.len() as u64);
+        for b in &self.blocks {
+            buf.put_u64_le(b.id);
+            put_usize3(buf, b.offset);
+            put_usize3(buf, b.size);
+            put_f64s(buf, &b.data);
+        }
+    }
 
-fn decode_global_with(bytes: &[u8], checks: Checks) -> Result<GlobalCheckpoint, CheckpointError> {
-    let orig = bytes;
-    let mut bytes = bytes;
-    if bytes.len() < 8 + 4 || &bytes[..8] != MAGIC {
-        return Err(CheckpointError::Format("missing magic".into()));
-    }
-    bytes.advance(8);
-    let version = bytes.get_u32_le();
-    if version != GLOBAL_VERSION {
-        return Err(CheckpointError::Format(format!(
-            "unsupported global version {version}"
-        )));
-    }
-    if bytes.remaining() < 12 + 3 * 8 + 2 * 8 + 12 {
-        return Err(CheckpointError::Format("truncated header".into()));
-    }
-    // Whole-file CRC first: a bit flip anywhere is fatal to a restart.
-    if checks == Checks::Full {
-        let footer_off = orig.len() - 4;
-        let stored = u32::from_le_bytes([
-            orig[footer_off],
-            orig[footer_off + 1],
-            orig[footer_off + 2],
-            orig[footer_off + 3],
-        ]);
-        if crc32(&orig[..footer_off]) != stored {
-            return Err(CheckpointError::Corrupt);
+    fn parse(bytes: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let time = bytes.get_f64_le();
+        let step = bytes.get_u64_le();
+        let global_n = get_usize3(bytes);
+        let ncomp = bytes.get_u64_le() as usize;
+        let nblocks = bytes.get_u64_le() as usize;
+        let mut blocks = Vec::with_capacity(nblocks.min(4096));
+        for _ in 0..nblocks {
+            if bytes.remaining() < 56 {
+                return Err(CheckpointError::Format("truncated block header".into()));
+            }
+            let id = bytes.get_u64_le();
+            let offset = get_usize3(bytes);
+            let size = get_usize3(bytes);
+            let data = get_f64_payload(bytes, ncomp, size)?;
+            blocks.push(BlockRecord {
+                id,
+                offset,
+                size,
+                data,
+            });
         }
+        Ok(GlobalCheckpoint {
+            time,
+            step,
+            global_n,
+            ncomp,
+            blocks,
+        })
     }
-    let time = bytes.get_f64_le();
-    let step = bytes.get_u64_le();
-    let mut global_n = [0usize; 3];
-    for d in &mut global_n {
-        *d = bytes.get_u64_le() as usize;
-    }
-    let ncomp = bytes.get_u64_le() as usize;
-    let nblocks = bytes.get_u64_le() as usize;
-    let data_len = bytes.remaining().saturating_sub(8 + 4);
-    let fnv_expected = (checks == Checks::Full).then(|| fnv1a(&bytes[..data_len]));
-    let mut blocks = Vec::with_capacity(nblocks.min(4096));
-    for _ in 0..nblocks {
-        if bytes.remaining() < 56 + 8 + 4 {
-            return Err(CheckpointError::Format("truncated block header".into()));
-        }
-        let id = bytes.get_u64_le();
-        let mut offset = [0usize; 3];
-        for d in &mut offset {
-            *d = bytes.get_u64_le() as usize;
-        }
-        let mut size = [0usize; 3];
-        for d in &mut size {
-            *d = bytes.get_u64_le() as usize;
-        }
-        let len = ncomp
-            .checked_mul(size[0])
-            .and_then(|v| v.checked_mul(size[1]))
-            .and_then(|v| v.checked_mul(size[2]))
-            .ok_or_else(|| CheckpointError::Format("block size overflow".into()))?;
-        if bytes.remaining() < len * 8 + 8 + 4 {
-            return Err(CheckpointError::Format("truncated block data".into()));
-        }
-        let data = get_f64_payload(&mut bytes, len);
-        blocks.push(BlockRecord {
-            id,
-            offset,
-            size,
-            data,
-        });
-    }
-    if bytes.remaining() != 8 + 4 {
-        return Err(CheckpointError::Format("trailing bytes".into()));
-    }
-    let fnv_stored = bytes.get_u64_le();
-    if fnv_expected.is_some_and(|f| f != fnv_stored) {
-        return Err(CheckpointError::Corrupt);
-    }
-    Ok(GlobalCheckpoint {
-        time,
-        step,
-        global_n,
-        ncomp,
-        blocks,
-    })
 }
 
 /// One patch of an [`AmrCheckpoint`]: a 1D interval of its level's global
@@ -492,155 +493,54 @@ pub struct AmrCheckpoint {
     pub patches: Vec<AmrPatchRecord>,
 }
 
-/// Serialize an AMR checkpoint to bytes (format version 4; same
-/// magic/FNV/CRC armor as the other formats).
-pub fn encode_amr(ckp: &AmrCheckpoint) -> Vec<u8> {
-    let payload: usize = ckp.patches.iter().map(|p| 24 + p.data.len() * 8).sum();
-    let mut buf = BytesMut::with_capacity(64 + payload);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(AMR_VERSION);
-    buf.put_f64_le(ckp.time);
-    buf.put_u64_le(ckp.step);
-    buf.put_u64_le(ckp.n0);
-    buf.put_u64_le(ckp.ncomp as u64);
-    buf.put_u64_le(ckp.patches.len() as u64);
-    let data_start = buf.len();
-    for p in &ckp.patches {
-        buf.put_u32_le(p.level);
-        buf.put_u64_le(p.lo);
-        buf.put_u64_le(p.n);
-        for &v in &p.data {
-            buf.put_f64_le(v);
+impl CheckpointFormat for AmrCheckpoint {
+    const VERSION: u32 = 4;
+    const EXT: &'static str = "ackp";
+    const HEADER_LEN: usize = 5 * 8;
+
+    fn records_len(&self) -> usize {
+        self.patches.iter().map(|p| 20 + p.data.len() * 8).sum()
+    }
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.put_f64_le(self.time);
+        buf.put_u64_le(self.step);
+        buf.put_u64_le(self.n0);
+        buf.put_u64_le(self.ncomp as u64);
+        buf.put_u64_le(self.patches.len() as u64);
+        for p in &self.patches {
+            buf.put_u32_le(p.level);
+            buf.put_u64_le(p.lo);
+            buf.put_u64_le(p.n);
+            put_f64s(buf, &p.data);
         }
     }
-    let fnv = fnv1a(&buf[data_start..]);
-    buf.put_u64_le(fnv);
-    let footer = crc32(&buf[..]);
-    buf.put_u32_le(footer);
-    buf.to_vec()
-}
 
-/// Deserialize an AMR checkpoint from bytes.
-pub fn decode_amr(bytes: &[u8]) -> Result<AmrCheckpoint, CheckpointError> {
-    decode_amr_with(bytes, Checks::Full)
-}
-
-/// Like [`decode_amr`] but with no integrity passes at all — sound only
-/// when the caller has *just* verified the whole buffer against an
-/// external stamp; see [`decode_global_trusted`].
-pub fn decode_amr_trusted(bytes: &[u8]) -> Result<AmrCheckpoint, CheckpointError> {
-    decode_amr_with(bytes, Checks::Trusted)
-}
-
-fn decode_amr_with(bytes: &[u8], checks: Checks) -> Result<AmrCheckpoint, CheckpointError> {
-    let orig = bytes;
-    let mut bytes = bytes;
-    if bytes.len() < 8 + 4 || &bytes[..8] != MAGIC {
-        return Err(CheckpointError::Format("missing magic".into()));
-    }
-    bytes.advance(8);
-    let version = bytes.get_u32_le();
-    if version != AMR_VERSION {
-        return Err(CheckpointError::Format(format!(
-            "unsupported AMR version {version}"
-        )));
-    }
-    if bytes.remaining() < 8 + 8 + 8 + 8 + 8 + 12 {
-        return Err(CheckpointError::Format("truncated header".into()));
-    }
-    // Whole-file CRC first: a bit flip anywhere is fatal to a restart.
-    if checks == Checks::Full {
-        let footer_off = orig.len() - 4;
-        let stored = u32::from_le_bytes([
-            orig[footer_off],
-            orig[footer_off + 1],
-            orig[footer_off + 2],
-            orig[footer_off + 3],
-        ]);
-        if crc32(&orig[..footer_off]) != stored {
-            return Err(CheckpointError::Corrupt);
+    fn parse(bytes: &mut &[u8]) -> Result<Self, CheckpointError> {
+        let time = bytes.get_f64_le();
+        let step = bytes.get_u64_le();
+        let n0 = bytes.get_u64_le();
+        let ncomp = bytes.get_u64_le() as usize;
+        let npatches = bytes.get_u64_le() as usize;
+        let mut patches = Vec::with_capacity(npatches.min(4096));
+        for _ in 0..npatches {
+            if bytes.remaining() < 20 {
+                return Err(CheckpointError::Format("truncated patch header".into()));
+            }
+            let level = bytes.get_u32_le();
+            let lo = bytes.get_u64_le();
+            let n = bytes.get_u64_le();
+            let data = get_f64_payload(bytes, ncomp, [n as usize, 1, 1])?;
+            patches.push(AmrPatchRecord { level, lo, n, data });
         }
+        Ok(AmrCheckpoint {
+            time,
+            step,
+            n0,
+            ncomp,
+            patches,
+        })
     }
-    let time = bytes.get_f64_le();
-    let step = bytes.get_u64_le();
-    let n0 = bytes.get_u64_le();
-    let ncomp = bytes.get_u64_le() as usize;
-    let npatches = bytes.get_u64_le() as usize;
-    let data_len = bytes.remaining().saturating_sub(8 + 4);
-    let fnv_expected = (checks == Checks::Full).then(|| fnv1a(&bytes[..data_len]));
-    let mut patches = Vec::with_capacity(npatches.min(4096));
-    for _ in 0..npatches {
-        if bytes.remaining() < 20 + 8 + 4 {
-            return Err(CheckpointError::Format("truncated patch header".into()));
-        }
-        let level = bytes.get_u32_le();
-        let lo = bytes.get_u64_le();
-        let n = bytes.get_u64_le();
-        let len = ncomp
-            .checked_mul(n as usize)
-            .ok_or_else(|| CheckpointError::Format("patch size overflow".into()))?;
-        if bytes.remaining() < len * 8 + 8 + 4 {
-            return Err(CheckpointError::Format("truncated patch data".into()));
-        }
-        let data = get_f64_payload(&mut bytes, len);
-        patches.push(AmrPatchRecord { level, lo, n, data });
-    }
-    if bytes.remaining() != 8 + 4 {
-        return Err(CheckpointError::Format("trailing bytes".into()));
-    }
-    let fnv_stored = bytes.get_u64_le();
-    if fnv_expected.is_some_and(|f| f != fnv_stored) {
-        return Err(CheckpointError::Corrupt);
-    }
-    Ok(AmrCheckpoint {
-        time,
-        step,
-        n0,
-        ncomp,
-        patches,
-    })
-}
-
-/// Write an AMR checkpoint file atomically (tmp + fsync + rename).
-pub fn save_amr_checkpoint(path: &Path, ckp: &AmrCheckpoint) -> Result<(), CheckpointError> {
-    let bytes = encode_amr(ckp);
-    let tmp = tmp_path(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent_dir(path)?;
-    Ok(())
-}
-
-/// Read an AMR checkpoint file.
-pub fn load_amr_checkpoint(path: &Path) -> Result<AmrCheckpoint, CheckpointError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode_amr(&bytes)
-}
-
-/// Write a global checkpoint file atomically (tmp + fsync + rename).
-pub fn save_global_checkpoint(path: &Path, ckp: &GlobalCheckpoint) -> Result<(), CheckpointError> {
-    let bytes = encode_global(ckp);
-    let tmp = tmp_path(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent_dir(path)?;
-    Ok(())
-}
-
-/// Read a global checkpoint file.
-pub fn load_global_checkpoint(path: &Path) -> Result<GlobalCheckpoint, CheckpointError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode_global(&bytes)
 }
 
 /// Sibling temp path used for atomic writes (`state.ckp` → `state.ckp.tmp`).
@@ -675,7 +575,7 @@ fn fsync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
 /// The payload goes to a sibling `<path>.tmp`, is fsynced, and renamed
 /// into place. A crash at any point leaves either the old file or the new
 /// one — never a torn write under `path` itself.
-pub fn save_checkpoint(path: &Path, ckp: &Checkpoint) -> Result<(), CheckpointError> {
+pub fn save_checkpoint<R: CheckpointFormat>(path: &Path, ckp: &R) -> Result<(), CheckpointError> {
     let bytes = encode(ckp);
     let tmp = tmp_path(path);
     {
@@ -689,17 +589,18 @@ pub fn save_checkpoint(path: &Path, ckp: &Checkpoint) -> Result<(), CheckpointEr
 }
 
 /// Read a checkpoint file.
-pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
+pub fn load_checkpoint<R: CheckpointFormat>(path: &Path) -> Result<R, CheckpointError> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
     decode(&bytes)
 }
 
-/// Rotating two-slot checkpoint store: `latest.ckp` and `prev.ckp` in one
-/// directory. Saving demotes the current `latest` to `prev` before the
-/// atomic rename, so even if the new checkpoint is later found corrupted
-/// (e.g. media failure after the write), the previous generation is still
-/// on disk and [`CheckpointSlots::load_newest`] falls back to it.
+/// Rotating two-slot checkpoint store: `latest.<ext>` and `prev.<ext>` in
+/// one directory, one pair per format ([`CheckpointFormat::EXT`]). Saving
+/// demotes the current `latest` to `prev` before the atomic rename, so
+/// even if the new checkpoint is later found corrupted (e.g. media
+/// failure after the write), the previous generation is still on disk
+/// and [`CheckpointSlots::load_newest`] falls back to it.
 #[derive(Debug, Clone)]
 pub struct CheckpointSlots {
     dir: PathBuf,
@@ -713,132 +614,49 @@ impl CheckpointSlots {
         Ok(CheckpointSlots { dir })
     }
 
-    /// Path of the most recent checkpoint slot.
-    pub fn latest_path(&self) -> PathBuf {
-        self.dir.join("latest.ckp")
+    /// Path of format `R`'s most recent checkpoint slot.
+    pub fn latest_path<R: CheckpointFormat>(&self) -> PathBuf {
+        self.dir.join(format!("latest.{}", R::EXT))
     }
 
-    /// Path of the previous-generation checkpoint slot.
-    pub fn prev_path(&self) -> PathBuf {
-        self.dir.join("prev.ckp")
+    /// Path of format `R`'s previous-generation checkpoint slot.
+    pub fn prev_path<R: CheckpointFormat>(&self) -> PathBuf {
+        self.dir.join(format!("prev.{}", R::EXT))
     }
 
     /// Save a checkpoint, rotating `latest` → `prev` first.
-    pub fn save(&self, ckp: &Checkpoint) -> Result<(), CheckpointError> {
-        let latest = self.latest_path();
+    pub fn save<R: CheckpointFormat>(&self, ckp: &R) -> Result<(), CheckpointError> {
+        let latest = self.latest_path::<R>();
         if latest.exists() {
-            std::fs::rename(&latest, self.prev_path())?;
+            std::fs::rename(&latest, self.prev_path::<R>())?;
         }
         save_checkpoint(&latest, ckp)
     }
 
     /// Load the newest valid checkpoint: `latest` if it decodes cleanly,
-    /// otherwise `prev`. When both slots are missing or corrupt the
-    /// returned [`CheckpointError::Slots`] carries *both* per-slot errors.
-    pub fn load_newest(&self) -> Result<Checkpoint, CheckpointError> {
-        self.load_newest_with_fallback().map(|(ckp, _)| ckp)
-    }
-
-    /// Like [`load_newest`](Self::load_newest), but also reports whether
-    /// the `prev` slot had to be used because `latest` was missing, torn,
-    /// or corrupt — so callers can count the event in their metrics.
-    pub fn load_newest_with_fallback(&self) -> Result<(Checkpoint, bool), CheckpointError> {
-        match load_checkpoint(&self.latest_path()) {
-            Ok(ckp) => Ok((ckp, false)),
-            Err(latest_err) => match load_checkpoint(&self.prev_path()) {
-                Ok(ckp) => {
-                    eprintln!(
-                        "checkpoint: latest slot unusable ({latest_err}), fell back to {}",
-                        self.prev_path().display()
-                    );
-                    Ok((ckp, true))
-                }
-                Err(prev_err) => Err(CheckpointError::Slots {
-                    latest: Box::new(latest_err),
-                    prev: Box::new(prev_err),
-                }),
-            },
-        }
-    }
-
-    /// Path of the most recent *global* (rank-count-independent) slot.
-    pub fn global_latest_path(&self) -> PathBuf {
-        self.dir.join("latest.gckp")
-    }
-
-    /// Path of the previous-generation global slot.
-    pub fn global_prev_path(&self) -> PathBuf {
-        self.dir.join("prev.gckp")
-    }
-
-    /// Save a global checkpoint, rotating `latest.gckp` → `prev.gckp`.
-    pub fn save_global(&self, ckp: &GlobalCheckpoint) -> Result<(), CheckpointError> {
-        let latest = self.global_latest_path();
-        if latest.exists() {
-            std::fs::rename(&latest, self.global_prev_path())?;
-        }
-        save_global_checkpoint(&latest, ckp)
-    }
-
-    /// Load the newest valid global checkpoint, reporting whether the
-    /// `prev` slot was used.
-    pub fn load_newest_global(&self) -> Result<(GlobalCheckpoint, bool), CheckpointError> {
-        match load_global_checkpoint(&self.global_latest_path()) {
-            Ok(ckp) => Ok((ckp, false)),
-            Err(latest_err) => match load_global_checkpoint(&self.global_prev_path()) {
-                Ok(ckp) => {
-                    eprintln!(
-                        "checkpoint: global latest slot unusable ({latest_err}), fell back to {}",
-                        self.global_prev_path().display()
-                    );
-                    Ok((ckp, true))
-                }
-                Err(prev_err) => Err(CheckpointError::Slots {
-                    latest: Box::new(latest_err),
-                    prev: Box::new(prev_err),
-                }),
-            },
-        }
-    }
-
-    /// Path of the most recent *AMR hierarchy* (format v4,
-    /// rank-count-independent) slot.
-    pub fn amr_latest_path(&self) -> PathBuf {
-        self.dir.join("latest.ackp")
-    }
-
-    /// Path of the previous-generation AMR slot.
-    pub fn amr_prev_path(&self) -> PathBuf {
-        self.dir.join("prev.ackp")
-    }
-
-    /// Save an AMR checkpoint, rotating `latest.ackp` → `prev.ackp`.
-    pub fn save_amr(&self, ckp: &AmrCheckpoint) -> Result<(), CheckpointError> {
-        let latest = self.amr_latest_path();
-        if latest.exists() {
-            std::fs::rename(&latest, self.amr_prev_path())?;
-        }
-        save_amr_checkpoint(&latest, ckp)
-    }
-
-    /// Load the newest valid AMR checkpoint, reporting whether the `prev`
-    /// slot was used because `latest` was missing, torn, or corrupt.
-    pub fn load_newest_amr(&self) -> Result<(AmrCheckpoint, bool), CheckpointError> {
-        match load_amr_checkpoint(&self.amr_latest_path()) {
-            Ok(ckp) => Ok((ckp, false)),
-            Err(latest_err) => match load_amr_checkpoint(&self.amr_prev_path()) {
-                Ok(ckp) => {
-                    eprintln!(
-                        "checkpoint: AMR latest slot unusable ({latest_err}), fell back to {}",
-                        self.amr_prev_path().display()
-                    );
-                    Ok((ckp, true))
-                }
-                Err(prev_err) => Err(CheckpointError::Slots {
-                    latest: Box::new(latest_err),
-                    prev: Box::new(prev_err),
-                }),
-            },
+    /// otherwise `prev`. Also reports whether the `prev` slot had to be
+    /// used because `latest` was missing, torn, or corrupt — so callers
+    /// can count the event in their metrics. When both slots are missing
+    /// or corrupt the returned [`CheckpointError::Slots`] carries *both*
+    /// per-slot errors.
+    pub fn load_newest<R: CheckpointFormat>(&self) -> Result<(R, bool), CheckpointError> {
+        let latest_err = match load_checkpoint(&self.latest_path::<R>()) {
+            Ok(ckp) => return Ok((ckp, false)),
+            Err(e) => e,
+        };
+        let prev = self.prev_path::<R>();
+        match load_checkpoint(&prev) {
+            Ok(ckp) => {
+                eprintln!(
+                    "checkpoint: latest slot unusable ({latest_err}), fell back to {}",
+                    prev.display()
+                );
+                Ok((ckp, true))
+            }
+            Err(prev_err) => Err(CheckpointError::Slots {
+                latest: Box::new(latest_err),
+                prev: Box::new(prev_err),
+            }),
         }
     }
 }
@@ -846,134 +664,308 @@ impl CheckpointSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::fnv1a_bytes;
+    use std::fmt::Debug;
 
-    fn sample() -> Checkpoint {
-        let geom = PatchGeom::rect([6, 4], [0.0, -1.0], [2.0, 1.0], 3);
-        let mut field = Field::cons(geom);
-        for (i, v) in field.raw_mut().iter_mut().enumerate() {
-            *v = (i as f64).sin() * 1e3;
+    /// A format's in-file sample, so one test body runs over all three.
+    trait Sample: CheckpointFormat + Clone + PartialEq + Debug {
+        fn sample() -> Self;
+        fn step_mut(&mut self) -> &mut u64;
+
+        fn at_step(step: u64) -> Self {
+            let mut ckp = Self::sample();
+            *ckp.step_mut() = step;
+            ckp
         }
-        Checkpoint {
-            time: 0.7251,
-            step: 1234,
-            field,
+    }
+
+    /// Run `$body::<R>()` for the three formats.
+    macro_rules! for_each_format {
+        ($body:ident) => {
+            $body::<Checkpoint>();
+            $body::<GlobalCheckpoint>();
+            $body::<AmrCheckpoint>();
+        };
+    }
+
+    /// A fresh slot directory for one format of one test.
+    fn scratch_dir<R: CheckpointFormat>(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rhrsc-ckp-{test}-{}", R::EXT));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    impl Sample for Checkpoint {
+        fn sample() -> Self {
+            let geom = PatchGeom::rect([6, 4], [0.0, -1.0], [2.0, 1.0], 3);
+            let mut field = Field::cons(geom);
+            for (i, v) in field.raw_mut().iter_mut().enumerate() {
+                *v = (i as f64).sin() * 1e3;
+            }
+            Checkpoint {
+                time: 0.7251,
+                step: 1234,
+                field,
+            }
         }
+
+        fn step_mut(&mut self) -> &mut u64 {
+            &mut self.step
+        }
+    }
+
+    /// A 2x2-block global checkpoint over a 6x4 interior, 3 components,
+    /// with data encoding the global cell coordinate so any re-tiling can
+    /// be verified cell by cell.
+    impl Sample for GlobalCheckpoint {
+        fn sample() -> Self {
+            let global_n = [6usize, 4, 1];
+            let ncomp = 3usize;
+            let val = |c: usize, x: usize, y: usize| (c * 1000 + y * 10 + x) as f64;
+            let mut blocks = Vec::new();
+            let xs = [(0usize, 3usize), (3, 3)];
+            let ys = [(0usize, 2usize), (2, 2)];
+            let mut id = 0u64;
+            for &(y0, ny) in &ys {
+                for &(x0, nx) in &xs {
+                    let mut data = Vec::with_capacity(ncomp * nx * ny);
+                    for c in 0..ncomp {
+                        for y in y0..y0 + ny {
+                            for x in x0..x0 + nx {
+                                data.push(val(c, x, y));
+                            }
+                        }
+                    }
+                    blocks.push(BlockRecord {
+                        id,
+                        offset: [x0, y0, 0],
+                        size: [nx, ny, 1],
+                        data,
+                    });
+                    id += 1;
+                }
+            }
+            GlobalCheckpoint {
+                time: 0.375,
+                step: 42,
+                global_n,
+                ncomp,
+                blocks,
+            }
+        }
+
+        fn step_mut(&mut self) -> &mut u64 {
+            &mut self.step
+        }
+    }
+
+    /// A three-level AMR hierarchy with recognizable per-patch data.
+    impl Sample for AmrCheckpoint {
+        fn sample() -> Self {
+            let mk = |level: u32, lo: u64, n: u64| {
+                let data = (0..5 * n)
+                    .map(|i| (level as u64 * 100_000 + lo * 1000 + i) as f64 * 0.5)
+                    .collect();
+                AmrPatchRecord { level, lo, n, data }
+            };
+            AmrCheckpoint {
+                time: 0.125,
+                step: 17,
+                n0: 64,
+                ncomp: 5,
+                patches: vec![mk(0, 0, 64), mk(1, 20, 24), mk(1, 80, 16), mk(2, 56, 24)],
+            }
+        }
+
+        fn step_mut(&mut self) -> &mut u64 {
+            &mut self.step
+        }
+    }
+
+    /// The bytes each format wrote before the envelope was shared (hash
+    /// and length of the three samples, taken on the three-encoder code),
+    /// and a committed v2 file: the refactor moved no byte.
+    #[test]
+    fn encoded_bytes_match_the_pre_envelope_goldens() {
+        fn check<R: Sample>(fnv: u64, len: usize) {
+            let bytes = encode(&R::sample());
+            assert_eq!(
+                (fnv1a_bytes(&bytes), bytes.len()),
+                (fnv, len),
+                "v{}",
+                R::VERSION
+            );
+        }
+        check::<Checkpoint>(0x4d8f81612718f2cf, 4928);
+        check::<GlobalCheckpoint>(0x00f179f02956a380, 880);
+        check::<AmrCheckpoint>(0x7b153763a3d2d57a, 5264);
+
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/blast1_mid.ckp");
+        let file = std::fs::read(path).unwrap();
+        let ckp: Checkpoint = decode(&file).unwrap();
+        assert_eq!((file.len(), ckp.step), (16368, 186));
+        assert_eq!(encode(&ckp), file);
     }
 
     #[test]
     fn roundtrip_is_exact() {
-        let ckp = sample();
-        let out = decode(&encode(&ckp)).unwrap();
-        assert_eq!(out, ckp);
+        fn body<R: Sample>() {
+            let ckp = R::sample();
+            assert_eq!(decode::<R>(&encode(&ckp)).unwrap(), ckp);
+        }
+        for_each_format!(body);
     }
 
     #[test]
-    fn file_roundtrip() {
-        let ckp = sample();
-        let dir = std::env::temp_dir().join("rhrsc-ckp-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.ckp");
-        save_checkpoint(&path, &ckp).unwrap();
-        let out = load_checkpoint(&path).unwrap();
-        assert_eq!(out, ckp);
-        std::fs::remove_file(&path).unwrap();
+    fn file_roundtrip_is_atomic_over_stale_tmp() {
+        // A crash mid-write leaves a garbage `<path>.tmp`. A later save
+        // must still succeed, the result must load cleanly, and no tmp
+        // file may survive.
+        fn body<R: Sample>() {
+            let dir = scratch_dir::<R>("atomic");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("state.ckp");
+            let tmp = tmp_path(&path);
+            std::fs::write(&tmp, b"torn write from a crashed run").unwrap();
+            let ckp = R::sample();
+            save_checkpoint(&path, &ckp).unwrap();
+            assert!(!tmp.exists(), "tmp file must be renamed away");
+            assert_eq!(load_checkpoint::<R>(&path).unwrap(), ckp);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        for_each_format!(body);
     }
 
     #[test]
     fn detects_corruption() {
-        let ckp = sample();
-        let mut bytes = encode(&ckp);
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        assert!(matches!(decode(&bytes), Err(CheckpointError::Corrupt)));
+        fn body<R: Sample>() {
+            let mut bytes = encode(&R::sample());
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            assert!(matches!(decode::<R>(&bytes), Err(CheckpointError::Corrupt)));
+        }
+        for_each_format!(body);
     }
 
     #[test]
     fn detects_truncation() {
-        let ckp = sample();
-        let bytes = encode(&ckp);
-        assert!(matches!(
-            decode(&bytes[..bytes.len() - 9]),
-            Err(CheckpointError::Format(_))
-        ));
+        // A cut anywhere behind the fixed header fails the whole-file
+        // CRC — the error class whose doc names truncation.
+        fn body<R: Sample>() {
+            let bytes = encode(&R::sample());
+            for cut in [1, 3, 5, 9] {
+                assert!(matches!(
+                    decode::<R>(&bytes[..bytes.len() - cut]),
+                    Err(CheckpointError::Corrupt)
+                ));
+            }
+        }
+        for_each_format!(body);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(matches!(
-            decode(b"not a checkpoint at all"),
-            Err(CheckpointError::Format(_))
-        ));
+        fn body<R: Sample>() {
+            assert!(matches!(
+                decode::<R>(b"not a checkpoint at all"),
+                Err(CheckpointError::Format(_))
+            ));
+        }
+        for_each_format!(body);
     }
 
     #[test]
     fn rejects_wrong_version() {
-        let ckp = sample();
-        let mut bytes = encode(&ckp);
-        bytes[8] = 99; // version field LE low byte
-        assert!(matches!(decode(&bytes), Err(CheckpointError::Format(_))));
+        fn body<R: Sample>() {
+            let mut bytes = encode(&R::sample());
+            bytes[8] = 99; // version field LE low byte
+            assert!(matches!(
+                decode::<R>(&bytes),
+                Err(CheckpointError::Format(_))
+            ));
+        }
+        for_each_format!(body);
+        // The version field tells the formats apart: no decoder accepts
+        // another format's file.
+        let (rank, global, amr) = (
+            encode(&Checkpoint::sample()),
+            encode(&GlobalCheckpoint::sample()),
+            encode(&AmrCheckpoint::sample()),
+        );
+        for foreign in [&global, &amr] {
+            assert!(matches!(
+                decode::<Checkpoint>(foreign),
+                Err(CheckpointError::Format(_))
+            ));
+        }
+        for foreign in [&rank, &amr] {
+            assert!(matches!(
+                decode::<GlobalCheckpoint>(foreign),
+                Err(CheckpointError::Format(_))
+            ));
+        }
+        for foreign in [&rank, &global] {
+            assert!(matches!(
+                decode::<AmrCheckpoint>(foreign),
+                Err(CheckpointError::Format(_))
+            ));
+        }
     }
 
     #[test]
     fn detects_header_corruption() {
-        // A bit flip in the `time` field is invisible to the data-section
-        // FNV checksum; the whole-file CRC must catch it.
-        let ckp = sample();
-        let mut bytes = encode(&ckp);
-        bytes[12] ^= 0x01; // low byte of `time`
-        assert!(matches!(decode(&bytes), Err(CheckpointError::Corrupt)));
-    }
-
-    #[test]
-    fn save_is_atomic_over_stale_tmp() {
-        // A crash mid-write leaves a garbage `<path>.tmp`. A later save
-        // must still succeed, the result must load cleanly, and no tmp
-        // file may survive.
-        let dir = std::env::temp_dir().join("rhrsc-ckp-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("state.ckp");
-        let tmp = tmp_path(&path);
-        std::fs::write(&tmp, b"torn write from a crashed run").unwrap();
-        let ckp = sample();
-        save_checkpoint(&path, &ckp).unwrap();
-        assert!(!tmp.exists(), "tmp file must be renamed away");
-        assert_eq!(load_checkpoint(&path).unwrap(), ckp);
-        std::fs::remove_dir_all(&dir).unwrap();
+        // A bit flip in the `time` field is invisible to the record FNV;
+        // the whole-file CRC must catch it.
+        fn body<R: Sample>() {
+            let mut bytes = encode(&R::sample());
+            bytes[12] ^= 0x01; // low byte of `time`
+            assert!(matches!(decode::<R>(&bytes), Err(CheckpointError::Corrupt)));
+        }
+        for_each_format!(body);
     }
 
     #[test]
     fn slots_rotate_and_fall_back() {
-        let dir = std::env::temp_dir().join("rhrsc-ckp-slots-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let slots = CheckpointSlots::new(&dir).unwrap();
+        fn body<R: Sample>() {
+            let dir = scratch_dir::<R>("slots");
+            let slots = CheckpointSlots::new(&dir).unwrap();
+            let (latest, prev) = (slots.latest_path::<R>(), slots.prev_path::<R>());
+            assert_eq!(
+                latest.file_name().unwrap().to_str().unwrap(),
+                format!("latest.{}", R::EXT)
+            );
+            assert_eq!(
+                prev.file_name().unwrap().to_str().unwrap(),
+                format!("prev.{}", R::EXT)
+            );
 
-        // Nothing saved yet: load must fail.
-        assert!(slots.load_newest().is_err());
+            // Nothing saved yet: load must fail.
+            assert!(slots.load_newest::<R>().is_err());
 
-        let mut a = sample();
-        a.step = 1;
-        slots.save(&a).unwrap();
-        assert_eq!(slots.load_newest().unwrap().step, 1);
-        assert!(!slots.prev_path().exists());
+            let a = R::at_step(1);
+            slots.save(&a).unwrap();
+            assert_eq!(slots.load_newest::<R>().unwrap(), (a.clone(), false));
+            assert!(!prev.exists());
 
-        let mut b = sample();
-        b.step = 2;
-        slots.save(&b).unwrap();
-        assert_eq!(slots.load_newest().unwrap().step, 2);
-        // First generation rotated into prev.
-        assert_eq!(load_checkpoint(&slots.prev_path()).unwrap().step, 1);
+            let b = R::at_step(2);
+            slots.save(&b).unwrap();
+            assert_eq!(slots.load_newest::<R>().unwrap(), (b, false));
+            // First generation rotated into prev.
+            assert_eq!(load_checkpoint::<R>(&prev).unwrap(), a);
 
-        // Corrupt latest: load_newest must fall back to prev.
-        let mut bytes = std::fs::read(slots.latest_path()).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(slots.latest_path(), &bytes).unwrap();
-        assert_eq!(slots.load_newest().unwrap().step, 1);
+            // Corrupt latest: load_newest must fall back to prev.
+            let mut bytes = std::fs::read(&latest).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            std::fs::write(&latest, &bytes).unwrap();
+            assert_eq!(slots.load_newest::<R>().unwrap(), (a, true));
 
-        // Corrupt prev too: now everything is gone.
-        std::fs::write(slots.prev_path(), b"junk").unwrap();
-        assert!(slots.load_newest().is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+            // Corrupt prev too: now everything is gone.
+            std::fs::write(&prev, b"junk").unwrap();
+            assert!(slots.load_newest::<R>().is_err());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        for_each_format!(body);
     }
 
     #[test]
@@ -989,118 +981,66 @@ mod tests {
             step: 0,
             field,
         };
-        let out = decode(&encode(&ckp)).unwrap();
+        let out: Checkpoint = decode(&encode(&ckp)).unwrap();
         assert_eq!(out.field.raw(), ckp.field.raw());
         assert!(out.field.raw()[1].is_sign_negative());
     }
 
     #[test]
-    fn torn_write_mid_footer_falls_back_to_prev() {
+    fn torn_write_falls_back_to_prev() {
         // Simulate a crash that tore the write mid-footer: `latest` ends
-        // up truncated inside its CRC trailer. The fallback loader must
-        // recover `prev` and report that it did so.
-        let dir = std::env::temp_dir().join("rhrsc-ckp-torn-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let slots = CheckpointSlots::new(&dir).unwrap();
-        let mut a = sample();
-        a.step = 10;
-        slots.save(&a).unwrap();
-        let mut b = sample();
-        b.step = 11;
-        slots.save(&b).unwrap();
+        // up truncated inside its CRC trailer (by one byte, as a crash
+        // during a media flush would leave it, or by two). The loader
+        // must recover `prev` and report that it did so.
+        fn body<R: Sample>() {
+            for cut in [1, 2] {
+                let dir = scratch_dir::<R>("torn");
+                let slots = CheckpointSlots::new(&dir).unwrap();
+                let a = R::at_step(10);
+                slots.save(&a).unwrap();
+                slots.save(&R::at_step(11)).unwrap();
 
-        let bytes = std::fs::read(slots.latest_path()).unwrap();
-        std::fs::write(slots.latest_path(), &bytes[..bytes.len() - 2]).unwrap();
+                let latest = slots.latest_path::<R>();
+                let bytes = std::fs::read(&latest).unwrap();
+                std::fs::write(&latest, &bytes[..bytes.len() - cut]).unwrap();
 
-        let (ckp, fell_back) = slots.load_newest_with_fallback().unwrap();
-        assert!(fell_back, "truncated latest must trigger prev fallback");
-        assert_eq!(ckp.step, 10);
-        std::fs::remove_dir_all(&dir).unwrap();
+                let (ckp, fell_back) = slots.load_newest::<R>().unwrap();
+                assert!(fell_back, "truncated latest must trigger prev fallback");
+                assert_eq!(ckp, a);
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+        for_each_format!(body);
     }
 
     #[test]
     fn crc_corruption_falls_back_to_prev() {
         // Distinct failure mode from truncation: the file has the right
         // length but a flipped bit in the payload, caught by the CRC.
-        let dir = std::env::temp_dir().join("rhrsc-ckp-crcfall-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let slots = CheckpointSlots::new(&dir).unwrap();
-        let mut a = sample();
-        a.step = 20;
-        slots.save(&a).unwrap();
-        let mut b = sample();
-        b.step = 21;
-        slots.save(&b).unwrap();
+        fn body<R: Sample>() {
+            let dir = scratch_dir::<R>("crcfall");
+            let slots = CheckpointSlots::new(&dir).unwrap();
+            let a = R::at_step(20);
+            slots.save(&a).unwrap();
+            let b = R::at_step(21);
+            slots.save(&b).unwrap();
 
-        let mut bytes = std::fs::read(slots.latest_path()).unwrap();
-        let mid = bytes.len() / 3;
-        bytes[mid] ^= 0x40;
-        std::fs::write(slots.latest_path(), &bytes).unwrap();
+            let latest = slots.latest_path::<R>();
+            let mut bytes = std::fs::read(&latest).unwrap();
+            let mid = bytes.len() / 3;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&latest, &bytes).unwrap();
 
-        let (ckp, fell_back) = slots.load_newest_with_fallback().unwrap();
-        assert!(fell_back, "corrupt latest must trigger prev fallback");
-        assert_eq!(ckp.step, 20);
-        // The intact path must NOT report a fallback.
-        slots.save(&b).unwrap(); // rotates the corrupt file away
-        let (_, fell_back) = slots.load_newest_with_fallback().unwrap();
-        assert!(!fell_back);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A 2x2-block global checkpoint over a 6x4 interior, 3 components,
-    /// with data encoding the global cell coordinate so any re-tiling can
-    /// be verified cell by cell.
-    fn sample_global() -> GlobalCheckpoint {
-        let global_n = [6usize, 4, 1];
-        let ncomp = 3usize;
-        let val = |c: usize, x: usize, y: usize| (c * 1000 + y * 10 + x) as f64;
-        let mut blocks = Vec::new();
-        let xs = [(0usize, 3usize), (3, 3)];
-        let ys = [(0usize, 2usize), (2, 2)];
-        let mut id = 0u64;
-        for &(y0, ny) in &ys {
-            for &(x0, nx) in &xs {
-                let mut data = Vec::with_capacity(ncomp * nx * ny);
-                for c in 0..ncomp {
-                    for y in y0..y0 + ny {
-                        for x in x0..x0 + nx {
-                            data.push(val(c, x, y));
-                        }
-                    }
-                }
-                blocks.push(BlockRecord {
-                    id,
-                    offset: [x0, y0, 0],
-                    size: [nx, ny, 1],
-                    data,
-                });
-                id += 1;
-            }
+            let (ckp, fell_back) = slots.load_newest::<R>().unwrap();
+            assert!(fell_back, "corrupt latest must trigger prev fallback");
+            assert_eq!(ckp, a);
+            // The intact path must NOT report a fallback.
+            slots.save(&b).unwrap(); // rotates the corrupt file away
+            let (_, fell_back) = slots.load_newest::<R>().unwrap();
+            assert!(!fell_back);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        GlobalCheckpoint {
-            time: 0.375,
-            step: 42,
-            global_n,
-            ncomp,
-            blocks,
-        }
-    }
-
-    #[test]
-    fn global_roundtrip_is_exact() {
-        let ckp = sample_global();
-        let out = decode_global(&encode_global(&ckp)).unwrap();
-        assert_eq!(out, ckp);
-    }
-
-    #[test]
-    fn global_detects_corruption_and_truncation() {
-        let ckp = sample_global();
-        let bytes = encode_global(&ckp);
-        let mut bad = bytes.clone();
-        bad[bytes.len() / 2] ^= 0xff;
-        assert!(matches!(decode_global(&bad), Err(CheckpointError::Corrupt)));
-        assert!(decode_global(&bytes[..bytes.len() - 3]).is_err());
+        for_each_format!(body);
     }
 
     #[test]
@@ -1109,8 +1049,7 @@ mod tests {
         // (3x1) decomposition whose spans cut straight across the old
         // block boundaries. Every cell must land where the global
         // coordinate says it belongs.
-        let ckp = sample_global();
-        let ckp = decode_global(&encode_global(&ckp)).unwrap();
+        let ckp: GlobalCheckpoint = decode(&encode(&GlobalCheckpoint::sample())).unwrap();
         let val = |c: usize, x: usize, y: usize| (c * 1000 + y * 10 + x) as f64;
         let spans = [
             ([0usize, 0, 0], [2usize, 4, 1]),
@@ -1133,160 +1072,117 @@ mod tests {
         assert!(ckp.extract_span([4, 0, 0], [3, 4, 1]).is_none());
     }
 
-    /// A three-level AMR hierarchy with recognizable per-patch data.
-    fn sample_amr() -> AmrCheckpoint {
-        let mk = |level: u32, lo: u64, n: u64| {
-            let data = (0..5 * n)
-                .map(|i| (level as u64 * 100_000 + lo * 1000 + i) as f64 * 0.5)
-                .collect();
-            AmrPatchRecord { level, lo, n, data }
-        };
-        AmrCheckpoint {
-            time: 0.125,
-            step: 17,
-            n0: 64,
-            ncomp: 5,
-            patches: vec![mk(0, 0, 64), mk(1, 20, 24), mk(1, 80, 16), mk(2, 56, 24)],
-        }
-    }
-
-    #[test]
-    fn amr_roundtrip_is_exact() {
-        let ckp = sample_amr();
-        let out = decode_amr(&encode_amr(&ckp)).unwrap();
-        assert_eq!(out, ckp);
-    }
-
-    #[test]
-    fn amr_detects_corruption_truncation_and_wrong_version() {
-        let ckp = sample_amr();
-        let bytes = encode_amr(&ckp);
-        let mut bad = bytes.clone();
-        bad[bytes.len() / 2] ^= 0xff;
-        assert!(matches!(decode_amr(&bad), Err(CheckpointError::Corrupt)));
-        assert!(decode_amr(&bytes[..bytes.len() - 5]).is_err());
-        // The per-rank (v2) decoder must refuse an AMR (v4) file and vice
-        // versa — the version field distinguishes the formats.
-        assert!(matches!(decode(&bytes), Err(CheckpointError::Format(_))));
-        let rank = encode(&sample());
-        assert!(matches!(decode_amr(&rank), Err(CheckpointError::Format(_))));
-    }
-
-    #[test]
-    fn amr_file_roundtrip_is_atomic() {
-        let dir = std::env::temp_dir().join("rhrsc-amr-ckp-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("amr.ckp");
-        let tmp = tmp_path(&path);
-        std::fs::write(&tmp, b"stale torn write").unwrap();
-        let ckp = sample_amr();
-        save_amr_checkpoint(&path, &ckp).unwrap();
-        assert!(!tmp.exists(), "tmp file must be renamed away");
-        assert_eq!(load_amr_checkpoint(&path).unwrap(), ckp);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn global_slots_rotate_and_fall_back() {
-        let dir = std::env::temp_dir().join("rhrsc-gckp-slots-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let slots = CheckpointSlots::new(&dir).unwrap();
-        assert!(slots.load_newest_global().is_err());
-
-        let mut a = sample_global();
-        a.step = 1;
-        slots.save_global(&a).unwrap();
-        let mut b = sample_global();
-        b.step = 2;
-        slots.save_global(&b).unwrap();
-        let (got, fell_back) = slots.load_newest_global().unwrap();
-        assert_eq!((got.step, fell_back), (2, false));
-
-        // Torn latest → prev generation with a fallback report.
-        let bytes = std::fs::read(slots.global_latest_path()).unwrap();
-        std::fs::write(slots.global_latest_path(), &bytes[..bytes.len() - 1]).unwrap();
-        let (got, fell_back) = slots.load_newest_global().unwrap();
-        assert_eq!((got.step, fell_back), (1, true));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn amr_slots_rotate_and_fall_back_on_torn_write() {
-        let dir = std::env::temp_dir().join("rhrsc-ackp-slots-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let slots = CheckpointSlots::new(&dir).unwrap();
-        assert!(slots.load_newest_amr().is_err());
-
-        let mut a = sample_amr();
-        a.step = 1;
-        slots.save_amr(&a).unwrap();
-        let mut b = sample_amr();
-        b.step = 2;
-        slots.save_amr(&b).unwrap();
-        let (got, fell_back) = slots.load_newest_amr().unwrap();
-        assert_eq!((got.step, fell_back), (2, false));
-        assert_eq!(got, b);
-
-        // Torn latest (truncated inside the CRC footer, as a crash during
-        // a media flush would leave it) → prev generation, reported.
-        let bytes = std::fs::read(slots.amr_latest_path()).unwrap();
-        std::fs::write(slots.amr_latest_path(), &bytes[..bytes.len() - 1]).unwrap();
-        let (got, fell_back) = slots.load_newest_amr().unwrap();
-        assert_eq!((got.step, fell_back), (1, true));
-        assert_eq!(got, a);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn both_slots_failing_surfaces_both_errors() {
-        let dir = std::env::temp_dir().join("rhrsc-ckp-both-slots-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let slots = CheckpointSlots::new(&dir).unwrap();
+        fn body<R: Sample>() {
+            let dir = scratch_dir::<R>("both-slots");
+            let slots = CheckpointSlots::new(&dir).unwrap();
 
-        // Empty directory: both slots are missing → two Io errors, each
-        // attributed to its slot.
-        match slots.load_newest() {
-            Err(CheckpointError::Slots { latest, prev }) => {
-                assert!(matches!(*latest, CheckpointError::Io(_)));
-                assert!(matches!(*prev, CheckpointError::Io(_)));
-            }
-            other => panic!("expected Slots error, got {other:?}"),
-        }
-
-        // Corrupt latest + missing prev: the error classes differ and both
-        // must survive into the combined error (and its message).
-        let ckp = sample();
-        slots.save(&ckp).unwrap();
-        let mut bytes = std::fs::read(slots.latest_path()).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(slots.latest_path(), &bytes).unwrap();
-        match slots.load_newest() {
-            Err(err @ CheckpointError::Slots { .. }) => {
-                let msg = format!("{err}");
-                assert!(msg.contains("latest slot"), "message was: {msg}");
-                assert!(msg.contains("prev slot"), "message was: {msg}");
-                if let CheckpointError::Slots { latest, prev } = err {
-                    assert!(matches!(*latest, CheckpointError::Corrupt));
+            // Empty directory: both slots are missing → two Io errors,
+            // each attributed to its slot.
+            match slots.load_newest::<R>() {
+                Err(CheckpointError::Slots { latest, prev }) => {
+                    assert!(matches!(*latest, CheckpointError::Io(_)));
                     assert!(matches!(*prev, CheckpointError::Io(_)));
                 }
+                other => panic!("expected Slots error, got {other:?}"),
             }
-            other => panic!("expected Slots error, got {other:?}"),
+
+            // Corrupt latest + missing prev: the error classes differ and
+            // both must survive into the combined error (and its message).
+            slots.save(&R::sample()).unwrap();
+            let latest = slots.latest_path::<R>();
+            let mut bytes = std::fs::read(&latest).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+            std::fs::write(&latest, &bytes).unwrap();
+            match slots.load_newest::<R>() {
+                Err(err @ CheckpointError::Slots { .. }) => {
+                    let msg = format!("{err}");
+                    assert!(msg.contains("latest slot"), "message was: {msg}");
+                    assert!(msg.contains("prev slot"), "message was: {msg}");
+                    if let CheckpointError::Slots { latest, prev } = err {
+                        assert!(matches!(*latest, CheckpointError::Corrupt));
+                        assert!(matches!(*prev, CheckpointError::Io(_)));
+                    }
+                }
+                other => panic!("expected Slots error, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
+        for_each_format!(body);
     }
 
     #[test]
-    fn trusted_decoders_match_full_decoders_on_clean_bytes() {
-        let g = sample_global();
-        let gb = encode_global(&g);
-        assert_eq!(
-            decode_global_trusted(&gb).unwrap(),
-            decode_global(&gb).unwrap()
-        );
+    fn trusted_decoder_matches_full_decoder_on_clean_bytes() {
+        fn body<R: Sample>() {
+            let bytes = encode(&R::sample());
+            assert_eq!(
+                decode_trusted::<R>(&bytes).unwrap(),
+                decode::<R>(&bytes).unwrap()
+            );
+        }
+        for_each_format!(body);
+    }
 
-        let a = sample_amr();
-        let ab = encode_amr(&a);
-        assert_eq!(decode_amr_trusted(&ab).unwrap(), decode_amr(&ab).unwrap());
+    /// Recompute the whole-file CRC of a hand-edited image (the record
+    /// FNV does not cover the header, so header edits need only this).
+    fn restamp_crc(bytes: &mut [u8]) {
+        let at = bytes.len() - 4;
+        let crc = crc32(&bytes[..at]);
+        bytes[at..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Both decoders must refuse `bytes` — a file whose armor is valid
+    /// but whose sizes lie — as malformed, in debug and release builds.
+    fn assert_oversized<R: Sample>(bytes: &[u8]) {
+        for decoded in [decode::<R>(bytes), decode_trusted::<R>(bytes)] {
+            assert!(
+                matches!(&decoded, Err(CheckpointError::Format(m)) if m.contains("exceeds")),
+                "v{}: got {decoded:?}",
+                R::VERSION
+            );
+        }
+    }
+
+    #[test]
+    fn rank_geometry_whose_cell_count_overflows_is_a_format_error() {
+        // n = [2^32, 2^32, 1]: the ghost-inclusive cell count wraps.
+        let mut bytes = encode(&Checkpoint::sample());
+        let n_at = PREFIX_LEN + 16;
+        bytes[n_at..n_at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        bytes[n_at + 8..n_at + 16].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        restamp_crc(&mut bytes);
+        assert_oversized::<Checkpoint>(&bytes);
+        // A ghost width that overflows `n + 2 ng` on its own.
+        let mut bytes = encode(&Checkpoint::sample());
+        let ng_at = PREFIX_LEN + 16 + 24;
+        bytes[ng_at..ng_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        restamp_crc(&mut bytes);
+        assert_oversized::<Checkpoint>(&bytes);
+    }
+
+    #[test]
+    fn global_block_whose_byte_count_overflows_is_a_format_error() {
+        // 2^61 cells × 8 bytes wraps to zero, which "fits" an empty
+        // record: the unchecked decoder returned a block claiming 2^61
+        // cells over no data.
+        let mut ckp = GlobalCheckpoint::sample();
+        ckp.blocks.truncate(1);
+        ckp.blocks[0].size = [1 << 61, 1, 1];
+        ckp.blocks[0].data.clear();
+        assert_oversized::<GlobalCheckpoint>(&encode(&ckp));
+        // Honest arithmetic, but more cells than the file holds.
+        ckp.blocks[0].size = [1 << 20, 1, 1];
+        assert_oversized::<GlobalCheckpoint>(&encode(&ckp));
+    }
+
+    #[test]
+    fn amr_patch_whose_byte_count_overflows_is_a_format_error() {
+        let mut ckp = AmrCheckpoint::sample();
+        ckp.patches.truncate(1);
+        ckp.patches[0].n = 1 << 61;
+        ckp.patches[0].data.clear();
+        assert_oversized::<AmrCheckpoint>(&encode(&ckp));
     }
 }

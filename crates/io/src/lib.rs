@@ -5,9 +5,10 @@
 //! * [`image`] — PGM (grayscale) and PPM (false-color) images of 2D field
 //!   slices, for quick looks without a plotting stack,
 //! * [`checkpoint`] — versioned little-endian binary checkpoints of the
-//!   solver state (time, step, conserved field) with exact round-trip:
-//!   a restarted run continues **bit-identically** (asserted by the
-//!   integration tests),
+//!   solver state (per-rank field, global blocks, AMR hierarchy — three
+//!   formats in one armored envelope) with exact round-trip: a restarted
+//!   run continues **bit-identically** (asserted by the integration
+//!   tests),
 //! * [`snapshot`] — the diskless checkpoint tiers: FNV-stamped in-memory
 //!   snapshot buffers (local + buddy replica) and ABFT state checksums
 //!   for silent-data-corruption scrubbing,
@@ -22,8 +23,8 @@ pub mod telemetry;
 pub mod vtk;
 
 pub use checkpoint::{
-    load_amr_checkpoint, load_checkpoint, save_amr_checkpoint, save_checkpoint, AmrCheckpoint,
-    AmrPatchRecord, Checkpoint, CheckpointError, CheckpointSlots,
+    load_checkpoint, save_checkpoint, AmrCheckpoint, AmrPatchRecord, Checkpoint, CheckpointError,
+    CheckpointFormat, CheckpointSlots,
 };
 pub use snapshot::{MemorySnapshot, StateChecksum};
 pub use telemetry::FileSinks;

@@ -20,10 +20,10 @@
 //!   pass can re-verify the idle buffer long after it was written and a
 //!   restore can refuse a rotted replica.
 //!
-//! The `decode_*_trusted` variants in [`crate::checkpoint`] skip every
-//! integrity pass — the bitwise whole-file CRC-32 (the disk tier's armor
-//! against torn writes and media rot, and by far the slowest part of a
-//! decode) *and* the payload FNV: an in-memory snapshot that just passed
+//! [`crate::checkpoint::decode_trusted`] skips every integrity pass —
+//! the bitwise whole-file CRC-32 (the disk tier's armor against torn
+//! writes and media rot, and by far the slowest part of a decode) *and*
+//! the record FNV: an in-memory snapshot that just passed
 //! [`MemorySnapshot::verify`] has already had every byte re-hashed
 //! against its capture stamp, which is what makes memory-tier restores an
 //! order of magnitude cheaper than disk restores of the same state.

@@ -1347,8 +1347,8 @@ mod tests {
         amr.init(&|x| (prob.ic)(x));
         amr.advance_to(0.0, 0.1, 0.4).unwrap();
         let ck = amr.to_checkpoint(0.1);
-        let bytes = rhrsc_io::checkpoint::encode_amr(&ck);
-        let back = rhrsc_io::checkpoint::decode_amr(&bytes).unwrap();
+        let bytes = rhrsc_io::checkpoint::encode(&ck);
+        let back: AmrCheckpoint = rhrsc_io::checkpoint::decode(&bytes).unwrap();
         assert_eq!(ck, back);
     }
 

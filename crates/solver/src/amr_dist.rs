@@ -55,22 +55,20 @@
 //! divergent hierarchies.
 
 use crate::amr::{AmrSolver, LevelCoupling};
-use crate::driver::{agree_capture_round, comm_err};
+use crate::driver::comm_err;
 use crate::integrate::RkOrder;
 use crate::ladder::{
     outcome_flag, resilient_advance, Budget, LadderEvent, Recoverable, RestoreCause,
 };
 use crate::scheme::{Scheme, SolverError};
+use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
 use crate::AmrConfig;
 use rhrsc_comm::{
     Rank, AMR_DESCEND_TAG_BASE, AMR_REFLUX_TAG_BASE, AMR_REGRID_TAG, AMR_SYNC_TAG_BASE,
 };
 use rhrsc_grid::{BcSet, Field};
-use rhrsc_io::checkpoint::{
-    decode_amr_trusted, encode_amr, AmrCheckpoint, CheckpointError, CheckpointSlots,
-};
-use rhrsc_io::snapshot::MemorySnapshot;
-use rhrsc_runtime::fault::{FaultInjector, RankSite, SnapshotTarget};
+use rhrsc_io::checkpoint::{decode_trusted, encode, AmrCheckpoint, CheckpointSlots};
+use rhrsc_runtime::fault::{FaultInjector, RankSite};
 use rhrsc_runtime::Registry;
 use rhrsc_srhd::{Cons, Prim, NCOMP};
 use std::collections::{BTreeMap, BTreeSet};
@@ -159,11 +157,10 @@ pub struct DistAmrConfig {
     /// Base steps between diskless in-memory checkpoints (0 disables the
     /// memory tier). The hierarchy is fully replicated after the
     /// allgather, so the memory tier is trivially n-way redundant: every
-    /// rank freezes the identical serialized checkpoint. Overridable via
-    /// `RHRSC_CKP_LOCAL_INTERVAL`.
+    /// rank freezes the identical serialized checkpoint.
     pub local_interval: usize,
     /// Base steps between FNV scrubs of the frozen memory snapshot (0
-    /// disables scrubbing). Overridable via `RHRSC_SDC_SCRUB_INTERVAL`.
+    /// disables scrubbing).
     pub scrub_interval: usize,
     /// In-place retries (with halved CFL) before the restore tier.
     pub max_step_retries: usize,
@@ -171,27 +168,21 @@ pub struct DistAmrConfig {
     pub max_restores: usize,
     /// Regrid-time rebalance trigger: when the inherited ownership's
     /// max-rank cost exceeds this multiple of the ideal (total/live), the
-    /// SFC partition is recomputed from scratch. Overridable via the
-    /// `RHRSC_AMR_REBALANCE_THRESH` environment variable.
+    /// SFC partition is recomputed from scratch.
     pub rebalance_threshold: f64,
 }
 
 impl Default for DistAmrConfig {
     fn default() -> Self {
-        let thresh = std::env::var("RHRSC_AMR_REBALANCE_THRESH")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|t| *t >= 1.0)
-            .unwrap_or(1.25);
         DistAmrConfig {
             amr: AmrConfig::default(),
             checkpoint_dir: None,
             checkpoint_interval: 4,
-            local_interval: crate::driver::env_usize("RHRSC_CKP_LOCAL_INTERVAL", 2),
-            scrub_interval: crate::driver::env_usize("RHRSC_SDC_SCRUB_INTERVAL", 5),
+            local_interval: 2,
+            scrub_interval: 5,
             max_step_retries: 2,
             max_restores: 4,
-            rebalance_threshold: thresh,
+            rebalance_threshold: 1.25,
         }
     }
 }
@@ -279,11 +270,6 @@ pub struct DistAmrSolver {
     /// Pre-step interior snapshot for attempt rollback.
     snapshot: Vec<Vec<Vec<f64>>>,
     snapshot_ok: bool,
-    /// Frozen diskless checkpoint (the L1 memory tier). Identical bytes
-    /// on every rank at freeze time — the allgathered hierarchy is fully
-    /// replicated — so restore only needs a validity agreement, no
-    /// buddy transfer.
-    mem_ckp: Option<MemorySnapshot>,
 }
 
 /// What makes the hierarchy distributed: who owns which patch, and the
@@ -321,10 +307,6 @@ impl LevelCoupling for RankLink<'_> {
     fn sync(&mut self, amr: &mut AmrSolver, l: usize) -> Result<(), SolverError> {
         self.link.exchange_down(self.rank, amr, l, ExKind::Sync)
     }
-}
-
-fn ck_err(e: CheckpointError) -> SolverError {
-    SolverError::Checkpoint { msg: e.to_string() }
 }
 
 /// Append a field's interior, component-major, to a blob.
@@ -670,7 +652,6 @@ impl DistAmrSolver {
             last_regrid_step: None,
             snapshot: Vec::new(),
             snapshot_ok: false,
-            mem_ckp: None,
         }
     }
 
@@ -845,127 +826,6 @@ impl DistAmrSolver {
         Ok(self.inner.composite_totals())
     }
 
-    /// Allgather and have the first live rank write the shared v4 AMR
-    /// checkpoint slot (rotating `latest` → `prev`).
-    fn save_gathered(
-        &mut self,
-        rank: &mut Rank,
-        slots: &CheckpointSlots,
-        t: f64,
-    ) -> Result<(), SolverError> {
-        self.allgather_state(rank, ExKind::Gather)?;
-        if rank.rank() == rank.live_ranks()[0] {
-            slots
-                .save_amr(&self.inner.to_checkpoint(t))
-                .map_err(ck_err)?;
-        }
-        self.link.stats.checkpoints_saved += 1;
-        self.link.count("amr.dist.checkpoints", 1);
-        self.link.count("ckp.tier.disk.save", 1);
-        // The state is already fully replicated: refreshing the memory
-        // tier here costs only the serialization, no extra messages.
-        self.freeze_memory(rank, t);
-        Ok(())
-    }
-
-    /// Allgather and freeze the diskless memory tier (no disk I/O) — the
-    /// faster-cadence L1 save.
-    fn save_memory(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
-        self.allgather_state(rank, ExKind::Gather)?;
-        self.freeze_memory(rank, t);
-        Ok(())
-    }
-
-    /// Serialize the (replicated) hierarchy into the frozen memory slot,
-    /// applying any injected snapshot rot *after* the FNV stamp so the
-    /// scrub/restore verifies can catch it.
-    fn freeze_memory(&mut self, rank: &Rank, t: f64) {
-        let mut snap = MemorySnapshot::new(
-            self.inner.steps,
-            t,
-            encode_amr(&self.inner.to_checkpoint(t)),
-        );
-        if let Some(inj) = &self.link.injector {
-            if let Some(sel) = inj.should_flip_snapshot_bit(SnapshotTarget::Local) {
-                snap.flip_bit(sel);
-                rank.trace_instant("amr.dist.snapshot_rot_injected", 0.0);
-            }
-        }
-        self.mem_ckp = Some(snap);
-        self.link.stats.local_snapshots += 1;
-        self.link.count("ckp.tier.local.save", 1);
-    }
-
-    /// Verify the frozen snapshot against its stamped FNV hash, dropping
-    /// it if the bits have rotted (so a later restore round never offers
-    /// a corrupt copy).
-    fn scrub_memory(&mut self, rank: &Rank) {
-        self.link.count("sdc.scrubs", 1);
-        if self.mem_ckp.as_ref().is_some_and(|s| !s.verify()) {
-            self.mem_ckp = None;
-            self.link.stats.snapshots_rotted += 1;
-            rank.trace_instant("amr.dist.snapshot_rot_detected", 0.0);
-            self.link.count("sdc.snapshot_rot", 1);
-        }
-    }
-
-    /// Collective memory-tier restore. Returns `Ok(None)` when the tier
-    /// cannot serve a globally consistent state — a rank's copy is
-    /// missing, rotted, or from a different capture round — in which case
-    /// the caller falls through to the shared disk slot. Every snapshot is
-    /// a full-hierarchy checkpoint, so this also serves shrinking
-    /// recoveries: survivors restore and re-partition with zero disk I/O.
-    fn restore_memory(&mut self, rank: &mut Rank) -> Result<Option<f64>, SolverError> {
-        let valid = self.mem_ckp.as_ref().is_some_and(|s| s.verify());
-        let my_step = self.mem_ckp.as_ref().filter(|_| valid).map(|s| s.step);
-        let round = agree_capture_round(rank, my_step);
-        let all_valid = rank.allreduce_min(if valid { 1.0 } else { 0.0 }) > 0.5;
-        if !all_valid || round.is_none() {
-            return Ok(None);
-        }
-        let snap = self.mem_ckp.take().expect("validated above");
-        let decoded = decode_amr_trusted(snap.bytes()).ok();
-        self.mem_ckp = Some(snap);
-        // Decode before committing anywhere; a half-restored universe is
-        // worse than falling through to disk on every rank.
-        let all_decoded = rank.allreduce_min(if decoded.is_some() { 1.0 } else { 0.0 }) > 0.5;
-        let Some(ck) = decoded.filter(|_| all_decoded) else {
-            return Ok(None);
-        };
-        self.restore(rank, &ck)?;
-        self.link.stats.local_restores += 1;
-        rank.trace_instant("amr.dist.memory_restore", ck.step as f64);
-        self.link.count("ckp.tier.local.restore", 1);
-        Ok(Some(ck.time))
-    }
-
-    /// Load the newest readable shared slot (falling back past a torn
-    /// `latest`) and restore + re-partition over the current live set.
-    /// Returns the restored time.
-    fn restore_newest(
-        &mut self,
-        rank: &mut Rank,
-        slots: &CheckpointSlots,
-    ) -> Result<f64, SolverError> {
-        let loaded = slots.load_newest_amr();
-        // Everyone reads the same shared file, but agree anyway so a
-        // one-rank I/O failure cannot desynchronize the tiers.
-        let all_ok = rank.allreduce_min(if loaded.is_ok() { 1.0 } else { 0.0 }) > 0.5;
-        let (ck, fell_back) = match (loaded, all_ok) {
-            (Ok(v), true) => v,
-            (loaded, _) => {
-                return Err(loaded.err().map(ck_err).unwrap_or(SolverError::Checkpoint {
-                    msg: "AMR checkpoint restore failed on a peer rank".into(),
-                }))
-            }
-        };
-        if fell_back {
-            self.link.stats.ckpt_fallbacks += 1;
-        }
-        self.restore(rank, &ck)?;
-        Ok(ck.time)
-    }
-
     // ----- the ladder's rungs ---------------------------------------------
 
     /// One attempt of a resilient step: sync + Δt reduction on the
@@ -1075,6 +935,12 @@ impl DistAmrSolver {
         cfl: f64,
     ) -> Result<DistAmrStats, SolverError> {
         let mut ladder = AmrLadder {
+            tiers: MemoryTiers::new(
+                0,
+                rank.live_ranks().len(),
+                rank.fault_injector().cloned(),
+                self.link.metrics.clone(),
+            ),
             d: self,
             slots: None,
             cfl,
@@ -1089,28 +955,78 @@ struct AmrLadder<'a> {
     d: &'a mut DistAmrSolver,
     /// Shared rank-count-independent disk slots, when configured.
     slots: Option<CheckpointSlots>,
+    /// The diskless tier, with buddy offset 0: every rank freezes the
+    /// identical serialized hierarchy — the allgathered state is fully
+    /// replicated — so the tier is n-way redundant without a buddy
+    /// transfer, and a restore needs only the store's agreement rounds.
+    tiers: MemoryTiers,
     cfl: f64,
 }
 
+/// The memory tier's block space: one block per live rank, in live order.
+fn live_blocks(rank: &Rank) -> Result<(Vec<usize>, usize), SolverError> {
+    let live = rank.live_ranks().to_vec();
+    let me = live.iter().position(|&r| r == rank.rank());
+    me.map(|me| (live, me))
+        .ok_or(SolverError::RankFailed { step: 0 })
+}
+
 impl AmrLadder<'_> {
+    /// Allgather, have the first live rank write the shared v4 slot when
+    /// `to_disk` (rotating `latest` → `prev`), and freeze the memory tier
+    /// from the same replicated state — which, the gather done, costs
+    /// only the serialization, no extra messages.
+    fn save(&mut self, rank: &mut Rank, t: f64, to_disk: bool) -> Result<(), SolverError> {
+        let d = &mut *self.d;
+        d.allgather_state(rank, ExKind::Gather)?;
+        let ck = d.inner.to_checkpoint(t);
+        if let Some(slots) = self.slots.as_ref().filter(|_| to_disk) {
+            if rank.rank() == rank.live_ranks()[0] {
+                slots.save(&ck).map_err(ck_err)?;
+            }
+            d.link.stats.checkpoints_saved += 1;
+            d.link.count("amr.dist.checkpoints", 1);
+            d.link.count("ckp.tier.disk.save", 1);
+        }
+        let (live, me) = live_blocks(rank)?;
+        self.tiers
+            .refresh(rank, &live, me, d.inner.steps, t, encode(&ck))?;
+        d.link.stats.local_snapshots += 1;
+        Ok(())
+    }
+
     /// Memory tier first — every rank holds a full replicated checkpoint,
-    /// so neither a restore nor a shrink needs disk while it is valid;
-    /// whether it can serve is agreed inside `restore_memory` itself.
+    /// so neither a restore nor a shrink needs disk while it is valid
+    /// (whether it can serve is agreed inside [`MemoryTiers::fetch`]) —
+    /// then the shared disk slot; restore and re-partition over the
+    /// current live set either way.
     fn tier_restore(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
-        let t = match self.d.restore_memory(rank)? {
-            Some(t) => t,
+        let (live, me) = live_blocks(rank)?;
+        let link = &mut self.d.link;
+        let served = self.tiers.fetch(rank, &live, me, |bytes| {
+            decode_trusted::<AmrCheckpoint>(bytes).ok()
+        })?;
+        let ck = match served {
+            Some((ck, _)) => {
+                link.stats.local_restores += 1;
+                rank.trace_instant("amr.dist.memory_restore", ck.step as f64);
+                ck
+            }
             None => {
                 let slots = self.slots.as_ref().ok_or_else(|| SolverError::Checkpoint {
                     msg: "the memory tier cannot serve a restore and no checkpoint \
                           directory is configured"
                         .into(),
                 })?;
-                self.d.link.count("ckp.tier.disk.restore", 1);
-                self.d.restore_newest(rank, slots)?
+                link.count("ckp.tier.disk.restore", 1);
+                let (ck, fell_back) = load_newest_agreed::<AmrCheckpoint>(rank, slots)?;
+                link.stats.ckpt_fallbacks += u64::from(fell_back);
+                ck
             }
         };
+        self.d.restore(rank, &ck)?;
         self.d.link.cur_step = self.d.inner.steps;
-        Ok(t)
+        Ok(ck.time)
     }
 }
 
@@ -1134,12 +1050,11 @@ impl Recoverable for AmrLadder<'_> {
             // Always write an initial checkpoint so a shrink/restore
             // target exists from the very first step (this also freezes
             // the initial memory-tier snapshot).
-            let slots = CheckpointSlots::new(dir.clone()).map_err(ck_err)?;
-            d.save_gathered(rank, &slots, t)?;
-            self.slots = Some(slots);
+            self.slots = Some(CheckpointSlots::new(dir.clone()).map_err(ck_err)?);
+            self.save(rank, t, true)?;
         } else if d.cfg.local_interval > 0 {
             // Diskless runs still arm the memory tier from step 0.
-            d.save_memory(rank, t)?;
+            self.save(rank, t, false)?;
         }
         Ok(())
     }
@@ -1175,22 +1090,24 @@ impl Recoverable for AmrLadder<'_> {
         d.inner.flush_metrics();
         let steps = d.inner.steps;
         let due = |interval: usize| interval > 0 && steps.is_multiple_of(interval as u64);
+        let (to_disk, to_memory, scrub) = (
+            self.slots.is_some() && due(d.cfg.checkpoint_interval),
+            due(d.cfg.local_interval),
+            due(d.cfg.scrub_interval),
+        );
         // A disk save refreshes the memory tier for free (the allgather
         // already replicated the state), so the standalone memory save
         // runs only when the slower disk cadence is not also due.
-        let saved = match &self.slots {
-            Some(slots) if due(d.cfg.checkpoint_interval) => d.save_gathered(rank, slots, t),
-            _ if due(d.cfg.local_interval) => d.save_memory(rank, t),
-            _ => Ok(()),
-        };
-        match saved {
-            // A peer died mid-gather: the latched suspicion routes into
-            // the next step's consensus rung.
-            Ok(()) | Err(SolverError::PeerSuspect { .. }) => {}
-            Err(e) => return Err(e),
+        if to_disk || to_memory {
+            match self.save(rank, t, to_disk) {
+                // A peer died mid-gather: the latched suspicion routes
+                // into the next step's consensus rung.
+                Ok(()) | Err(SolverError::PeerSuspect { .. }) => {}
+                Err(e) => return Err(e),
+            }
         }
-        if due(d.cfg.scrub_interval) {
-            d.scrub_memory(rank);
+        if scrub {
+            self.d.link.stats.snapshots_rotted += self.tiers.scrub(rank);
         }
         Ok(())
     }
@@ -1546,15 +1463,18 @@ mod tests {
         }
         // Tear the newest slot: truncate its last byte.
         let slots = CheckpointSlots::new(dir.clone()).unwrap();
-        let latest = slots.amr_latest_path();
+        let latest = slots.latest_path::<AmrCheckpoint>();
         let bytes = std::fs::read(&latest).unwrap();
         std::fs::write(&latest, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(slots.amr_prev_path().exists(), "prev slot must exist");
+        assert!(
+            slots.prev_path::<AmrCheckpoint>().exists(),
+            "prev slot must exist"
+        );
         // Phase 2: a 2-rank run restores (falling back to prev) and
         // continues; the redistributed hierarchy must keep conserving.
         let outs = run(2, NetworkModel::ideal(), |rank| {
             let slots = CheckpointSlots::new(dir.clone()).unwrap();
-            let (ck, fell_back) = slots.load_newest_amr().unwrap();
+            let (ck, fell_back) = slots.load_newest::<AmrCheckpoint>().unwrap();
             assert!(fell_back, "torn latest must fall back to prev");
             let mut d = DistAmrSolver::new(
                 scheme(),

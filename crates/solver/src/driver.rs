@@ -31,17 +31,14 @@ use crate::scheme::{
     Scheme, SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
-use rhrsc_comm::{
-    CommError, FaultInjector, Rank, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG,
-    TELEMETRY_TAG,
-};
+use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
+use rhrsc_comm::{CommError, FaultInjector, Rank, TELEMETRY_TAG};
 use rhrsc_grid::{fill_face, BcSet, CartDecomp, Field, PatchGeom};
 use rhrsc_io::checkpoint::{
-    decode_global_trusted, encode_global, load_checkpoint, BlockRecord, Checkpoint,
-    CheckpointSlots, GlobalCheckpoint,
+    decode_trusted, encode, load_checkpoint, BlockRecord, Checkpoint, CheckpointSlots,
+    GlobalCheckpoint,
 };
-use rhrsc_io::snapshot::{MemorySnapshot, StateChecksum};
-use rhrsc_runtime::fault::SnapshotTarget;
+use rhrsc_io::snapshot::StateChecksum;
 use rhrsc_runtime::metrics::{Histogram, Registry};
 use rhrsc_runtime::telemetry::{SampleInputs, SeriesSample, Telemetry, TelemetrySampler};
 use rhrsc_runtime::WorkStealingPool;
@@ -204,28 +201,19 @@ pub struct ResilienceConfig {
     /// steps: the L1 tier each rank keeps of its own state, plus the L2
     /// buddy replica it ships to its guardian. `0` disables the memory
     /// tiers entirely (pre-hierarchy behaviour). Unlike the disk tier the
-    /// memory tiers need no `checkpoint_dir`. Env: `RHRSC_CKP_LOCAL_INTERVAL`.
+    /// memory tiers need no `checkpoint_dir`.
     pub local_interval: usize,
     /// Buddy pairing stride: block `b`'s replica is guarded by block
     /// `(b + offset) mod nblocks`. An offset of `0` (or a single-block
     /// run) disables the replica exchange, leaving only the L1 local
-    /// tier. Env: `RHRSC_BUDDY_OFFSET`.
+    /// tier.
     pub buddy_offset: usize,
     /// Scrub the *frozen* snapshot buffers (re-hash local + replica
     /// against their capture-time stamps) every this many committed
     /// steps; `0` leaves rot to be caught at restore time. The *live*
     /// state is ABFT-verified every step regardless — that check is what
-    /// keeps a silent flip out of every checkpoint write. Env:
-    /// `RHRSC_SDC_SCRUB_INTERVAL`.
+    /// keeps a silent flip out of every checkpoint write.
     pub scrub_interval: usize,
-}
-
-/// Read a `usize` knob from the environment, with a default.
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 impl Default for ResilienceConfig {
@@ -234,11 +222,11 @@ impl Default for ResilienceConfig {
             recovery: RecoveryPolicy::Cascade,
             max_step_retries: 3,
             max_restarts: 2,
-            checkpoint_interval: env_usize("RHRSC_CKP_DISK_INTERVAL", 10),
+            checkpoint_interval: 10,
             checkpoint_dir: None,
-            local_interval: env_usize("RHRSC_CKP_LOCAL_INTERVAL", 5),
-            buddy_offset: env_usize("RHRSC_BUDDY_OFFSET", 1),
-            scrub_interval: env_usize("RHRSC_SDC_SCRUB_INTERVAL", 5),
+            local_interval: 5,
+            buddy_offset: 1,
+            scrub_interval: 5,
         }
     }
 }
@@ -396,110 +384,6 @@ impl DtCache {
         self.valid = false;
         self.window = 1;
     }
-}
-
-/// The in-memory checkpoint tiers one rank holds: its own L1 snapshot
-/// and (optionally) the L2 replica it guards for its *ward*. Pairing is
-/// a fixed ring: block `b` ships its snapshot to guardian
-/// `(b + offset) % n` and guards the ward `(b + n - offset) % n`, so one
-/// dead or rotted rank never takes both copies of any block with it
-/// (for `0 < offset < n`).
-struct CkpTiers {
-    /// Buddy pairing stride (already reduced mod the block count).
-    offset: usize,
-    /// This rank's own snapshot (a single-block [`GlobalCheckpoint`]).
-    local: Option<MemorySnapshot>,
-    /// `(ward_block, replica)` — the partner snapshot this rank guards.
-    replica: Option<(usize, MemorySnapshot)>,
-}
-
-impl CkpTiers {
-    fn new(offset: usize, nblocks: usize) -> Self {
-        CkpTiers {
-            offset: if nblocks > 1 { offset % nblocks } else { 0 },
-            local: None,
-            replica: None,
-        }
-    }
-
-    /// Verify both tiers and agree (max-reduce) on who still holds a
-    /// valid copy of which of the `n` blocks: `[own_ok(n), rep_ok(n)]`,
-    /// where the guardian speaks for its ward's replica slot. Returns
-    /// this rank's `(own_ok, rep_ok)` and the agreed flags.
-    fn coverage(&self, rank: &mut Rank, n: usize, my_block: usize) -> (bool, bool, Vec<f64>) {
-        let own_ok = self.local.as_ref().is_some_and(|s| s.verify());
-        let rep_ok = self.replica.as_ref().is_some_and(|(_, r)| r.verify());
-        let mut flags = vec![0.0; 2 * n];
-        if own_ok {
-            flags[my_block] = 1.0;
-        }
-        if let Some((ward, _)) = &self.replica {
-            if rep_ok {
-                flags[n + ward] = 1.0;
-            }
-        }
-        (own_ok, rep_ok, rank.allreduce(&flags, f64::max))
-    }
-}
-
-/// Agree (one min-reduce of `[s, -s]`, which yields both the min and the
-/// max) on the capture round of the snapshots about to serve a restore.
-/// Ranks without a valid snapshot pass `None` and contribute neutrally.
-/// `Some(step)` only when every contributed step is the same one.
-pub(crate) fn agree_capture_round(rank: &mut Rank, my_step: Option<u64>) -> Option<u64> {
-    let contrib = match my_step {
-        Some(s) => [s as f64, -(s as f64)],
-        None => [f64::INFINITY, f64::INFINITY],
-    };
-    let steps = rank.allreduce(&contrib, f64::min);
-    (steps[0].is_finite() && steps[0] == -steps[1]).then_some(steps[0] as u64)
-}
-
-/// Wire format of a snapshot shipped between buddies (data-class tags,
-/// so the payload rides the reliable path; integrity is the snapshot's
-/// own end-to-end FNV stamp): `[len_bytes, fnv_hi32, fnv_lo32, step,
-/// time, word0, word1, ...]` with the byte buffer packed little-endian
-/// into f64 bit patterns, 8 bytes per word.
-fn pack_snapshot_msg(snap: &MemorySnapshot) -> Vec<f64> {
-    let bytes = snap.bytes();
-    let nwords = bytes.len().div_ceil(8);
-    let mut msg = Vec::with_capacity(5 + nwords);
-    msg.push(bytes.len() as f64);
-    msg.push((snap.fnv() >> 32) as f64);
-    msg.push((snap.fnv() & 0xffff_ffff) as f64);
-    msg.push(snap.step as f64);
-    msg.push(snap.time);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        msg.push(f64::from_bits(u64::from_le_bytes(w)));
-    }
-    msg
-}
-
-/// Inverse of [`pack_snapshot_msg`]. The rebuilt snapshot carries the
-/// *sender's* stamp, so any damage in flight or in the replica buffer is
-/// caught by [`MemorySnapshot::verify`] at scrub or restore time.
-fn unpack_snapshot_msg(msg: &[f64]) -> Result<MemorySnapshot, SolverError> {
-    let bad = |why: &str| SolverError::Checkpoint {
-        msg: format!("malformed buddy snapshot message: {why}"),
-    };
-    if msg.len() < 5 {
-        return Err(bad("truncated header"));
-    }
-    let len = msg[0] as usize;
-    let fnv = ((msg[1] as u64) << 32) | (msg[2] as u64);
-    let step = msg[3] as u64;
-    let time = msg[4];
-    if msg.len() != 5 + len.div_ceil(8) {
-        return Err(bad("payload length mismatch"));
-    }
-    let mut bytes = Vec::with_capacity(len);
-    for w in &msg[5..] {
-        bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
-    bytes.truncate(len);
-    Ok(MemorySnapshot::from_parts(step, time, bytes, fnv))
 }
 
 /// Start marker of an instrumented phase. `None` when neither a registry
@@ -1315,9 +1199,7 @@ impl BlockSolver {
             ncomp: NCOMP,
             blocks,
         };
-        gslots
-            .save_global(&ckp)
-            .map_err(|e| SolverError::Checkpoint { msg: e.to_string() })
+        gslots.save(&ckp).map_err(ck_err)
     }
 
     /// Re-run the decomposition over the live communicator ranks and
@@ -1375,18 +1257,18 @@ impl BlockSolver {
         self.rebuild_for_survivors(rank)?;
         // The filesystem is shared (ranks are threads): every survivor
         // loads the global state directly and cuts out its own span.
-        let (gckp, _fell_back) = gslots.load_newest_global().map_err(ck_err)?;
+        let (gckp, _fell_back) = gslots.load_newest::<GlobalCheckpoint>().map_err(ck_err)?;
         self.fill_from_global(u, &gckp)
     }
 
-    /// Freeze this block's interior as a single-block global checkpoint
-    /// (the L1 diskless tier). Using the v3 global format means any
-    /// collection of snapshots can later be merged into a full
+    /// Serialize this block's interior as a single-block global checkpoint
+    /// (what the L1 diskless tier freezes). Using the v3 global format
+    /// means any collection of snapshots can later be merged into a full
     /// [`GlobalCheckpoint`] and re-tiled onto a *different* decomposition
     /// — which is exactly what the buddy-shrink path does.
-    fn capture_local_snapshot(&self, u: &Field, t: f64, step: u64) -> MemorySnapshot {
+    fn snapshot_bytes(&self, u: &Field, t: f64, step: u64) -> Vec<u8> {
         let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, self.my_rank);
-        let gckp = GlobalCheckpoint {
+        encode(&GlobalCheckpoint {
             time: t,
             step,
             global_n: self.cfg.global_n,
@@ -1397,105 +1279,7 @@ impl BlockSolver {
                 size,
                 data: pack_interior(&self.geom, u),
             }],
-        };
-        MemorySnapshot::new(step, t, encode_global(&gckp))
-    }
-
-    /// Ship this rank's fresh snapshot to its guardian and receive the
-    /// ward's snapshot in return (both on the reliable data-class
-    /// [`BUDDY_CKP_TAG`]). Returns the `(ward_block, replica)` pair, or
-    /// `None` when the pairing is degenerate (single block / zero
-    /// offset). Sends are asynchronous, so the symmetric send-then-recv
-    /// cannot deadlock.
-    fn exchange_buddy(
-        &self,
-        rank: &mut Rank,
-        tiers: &CkpTiers,
-        snap: &MemorySnapshot,
-    ) -> Result<Option<(usize, MemorySnapshot)>, SolverError> {
-        let n = self.cfg.decomp.nranks();
-        if n < 2 || tiers.offset == 0 {
-            return Ok(None);
-        }
-        let guardian = (self.my_rank + tiers.offset) % n;
-        let ward = (self.my_rank + n - tiers.offset) % n;
-        rank.send(
-            self.comm_of(guardian),
-            BUDDY_CKP_TAG,
-            &pack_snapshot_msg(snap),
-        );
-        let raw = rank
-            .recv_deadline(self.comm_of(ward), BUDDY_CKP_TAG)
-            .map_err(comm_err)?;
-        Ok(Some((ward, unpack_snapshot_msg(&raw)?)))
-    }
-
-    /// Collective memory-tier restore (L1 local + L2 buddy). Returns
-    /// `Ok(None)` — with `u` untouched on every rank — when the memory
-    /// tiers cannot serve a consistent global state (missing/rotted
-    /// snapshots with no valid replica, or a capture-round mismatch), so
-    /// the caller falls through to the disk tier. On success every rank's
-    /// interior is overwritten and the common `(time, step)` returned.
-    fn memory_restore(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        tiers: &CkpTiers,
-        rstats: &mut ResilienceStats,
-    ) -> Result<Option<(f64, u64)>, SolverError> {
-        let n = self.cfg.decomp.nranks();
-        let (own_ok, rep_ok, flags) = tiers.coverage(rank, n, self.my_rank);
-        let covered = (0..n).all(|b| flags[b] > 0.5 || flags[n + b] > 0.5);
-        let my_step = match (&tiers.local, &tiers.replica) {
-            (Some(s), _) if own_ok => Some(s.step),
-            (_, Some((_, r))) if rep_ok => Some(r.step),
-            _ => None,
-        };
-        let (true, Some(round)) = (covered, agree_capture_round(rank, my_step)) else {
-            return Ok(None);
-        };
-        // Guardians ship replicas back to wards whose own snapshot died.
-        if let Some((ward, rep)) = &tiers.replica {
-            if rep_ok && flags[*ward] < 0.5 {
-                rank.send(
-                    self.comm_of(*ward),
-                    BUDDY_RESTORE_TAG,
-                    &pack_snapshot_msg(rep),
-                );
-            }
-        }
-        let (snap, from_buddy) = if own_ok {
-            (tiers.local.clone().unwrap(), false)
-        } else {
-            let guardian = (self.my_rank + tiers.offset) % n;
-            let raw = rank
-                .recv_deadline(self.comm_of(guardian), BUDDY_RESTORE_TAG)
-                .map_err(comm_err)?;
-            (unpack_snapshot_msg(&raw)?, true)
-        };
-        // Decode and cut the span, but do not touch `u` until every rank
-        // has confirmed success — a half-restored universe is worse than
-        // falling through to disk with clean state.
-        let restored = (snap.verify() && snap.step == round)
-            .then(|| decode_global_trusted(snap.bytes()).ok())
-            .flatten()
-            .and_then(|gckp| self.fill_global_span(&gckp));
-        let all_ok = rank.allreduce_min(if restored.is_some() { 1.0 } else { 0.0 }) > 0.5;
-        let Some((data, time, step)) = restored.filter(|_| all_ok) else {
-            return Ok(None);
-        };
-        // Rebuild from a fresh field so ghosts are zeroed exactly like the
-        // disk-restore path — keeps no-fault and restored runs bit-identical.
-        u.raw_mut()
-            .copy_from_slice(unpack_interior(self.geom, &data).raw());
-        if from_buddy {
-            rstats.buddy_restores += 1;
-            self.count("ckp.tier.buddy.restore", 1);
-        } else {
-            rstats.local_restores += 1;
-            self.count("ckp.tier.local.restore", 1);
-        }
-        Ok(Some((time, step)))
+        })
     }
 
     /// Extract this block's span (and the checkpoint's time/step) without
@@ -1511,127 +1295,41 @@ impl BlockSolver {
     }
 
     /// Collective shrink onto the survivors with the lost blocks restored
-    /// from buddy replicas — no disk involved. Returns `Ok(None)` (state
-    /// and decomposition untouched) when the replicas cannot cover every
-    /// dead block, so the caller falls back to the disk shrink path.
-    ///
-    /// Protocol (all in the *old* block space, before the rebuild): the
-    /// survivors agree which blocks are covered and at which capture
-    /// round, ship their snapshots — own blocks plus dead wards' replicas
-    /// — to a root survivor, the root merges the single-block snapshots
-    /// into one full [`GlobalCheckpoint`] and redistributes it, and only
-    /// then does every survivor re-run the decomposition and cut its new
-    /// span out of the merged state.
+    /// from buddy replicas ([`MemoryTiers::gather_for_shrink`]) — no disk
+    /// involved. Returns `Ok(None)` (state and decomposition untouched)
+    /// when the replicas cannot cover every dead block, so the caller
+    /// falls back to the disk shrink path. The first survivor merges the
+    /// single-block snapshots into one full [`GlobalCheckpoint`]; only
+    /// once every survivor holds it does each re-run the decomposition
+    /// and cut its new span out of the merged state.
     fn shrink_from_buddies(
         &mut self,
         rank: &mut Rank,
         u: &mut Field,
-        tiers: &CkpTiers,
+        tiers: &MemoryTiers,
         rstats: &mut ResilienceStats,
     ) -> Result<Option<(f64, u64)>, SolverError> {
-        let n = self.comm_ranks.len();
-        if tiers.offset == 0 {
-            return Ok(None);
-        }
-        let live = rank.live_ranks().to_vec();
-        let alive = |b: usize| live.contains(&self.comm_ranks[b]);
-        // Coverage agreement over the old blocks: survivors need their own
-        // snapshot, dead blocks need a live guardian with a valid replica.
-        let (own_ok, rep_ok, flags) = tiers.coverage(rank, n, self.my_rank);
-        let covered = (0..n).all(|b| flags[if alive(b) { b } else { n + b }] > 0.5);
-        let my_step = tiers.local.as_ref().filter(|_| own_ok).map(|s| s.step);
-        let (true, Some(round)) = (covered, agree_capture_round(rank, my_step)) else {
-            return Ok(None);
-        };
-        // Collect at the root survivor: every survivor ships its own
-        // block, then (if its ward died) the ward's replica — a
-        // deterministic per-sender order, so the root can receive by
-        // walking the old block list.
-        let root_comm = live[0];
-        let dead_ward = tiers
-            .replica
-            .as_ref()
-            .filter(|(w, _)| !alive(*w) && rep_ok)
-            .map(|(w, r)| (*w, r.clone()));
-        let merged_bytes = if rank.rank() != root_comm {
-            if let Some(s) = tiers.local.as_ref().filter(|_| own_ok) {
-                rank.send(root_comm, BUDDY_SHRINK_TAG, &pack_snapshot_msg(s));
-            }
-            if let Some((_, rep)) = &dead_ward {
-                rank.send(root_comm, BUDDY_SHRINK_TAG, &pack_snapshot_msg(rep));
-            }
-            rank.recv_deadline(root_comm, BUDDY_SHRINK_TAG)
-                .map_err(comm_err)?
-        } else {
-            // The root knows exactly which snapshots each survivor holds
-            // (the coverage flags are global state), so the receive
-            // pattern is deterministic: per sender, own block first, dead
-            // ward second.
-            let mut records = Vec::new();
-            let take = |snap: MemorySnapshot, records: &mut Vec<BlockRecord>| {
-                if snap.verify() {
-                    if let Ok(g) = decode_global_trusted(snap.bytes()) {
-                        records.extend(g.blocks);
-                    }
-                }
-            };
-            if let Some(s) = tiers.local.as_ref().filter(|_| own_ok) {
-                take(s.clone(), &mut records);
-            }
-            if let Some((_, rep)) = &dead_ward {
-                take(rep.clone(), &mut records);
-            }
-            for b in 0..n {
-                let from = self.comm_ranks[b];
-                if from == root_comm || !alive(b) {
-                    continue;
-                }
-                // Own block (guaranteed by coverage)...
-                let raw = rank
-                    .recv_deadline(from, BUDDY_SHRINK_TAG)
-                    .map_err(comm_err)?;
-                take(unpack_snapshot_msg(&raw)?, &mut records);
-                // ...then the dead ward's replica, if this sender guards
-                // one (readable off the coverage flags).
-                let ward = (b + n - tiers.offset) % n;
-                if !alive(ward) && flags[n + ward] > 0.5 {
-                    let raw = rank
-                        .recv_deadline(from, BUDDY_SHRINK_TAG)
-                        .map_err(comm_err)?;
-                    take(unpack_snapshot_msg(&raw)?, &mut records);
-                }
-            }
-            records.sort_by_key(|r| r.id);
-            records.dedup_by_key(|r| r.id);
-            let merged = GlobalCheckpoint {
-                time: tiers
-                    .local
-                    .as_ref()
-                    .map(|s| s.time)
-                    .unwrap_or(f64::INFINITY),
+        let global_n = self.cfg.global_n;
+        let merge = |round, time, snapshots: &[&[u8]]| {
+            let mut blocks: Vec<BlockRecord> = snapshots
+                .iter()
+                .filter_map(|bytes| decode_trusted::<GlobalCheckpoint>(bytes).ok())
+                .flat_map(|g| g.blocks)
+                .collect();
+            blocks.sort_by_key(|r| r.id);
+            blocks.dedup_by_key(|r| r.id);
+            encode(&GlobalCheckpoint {
+                time,
                 step: round,
-                global_n: self.cfg.global_n,
+                global_n,
                 ncomp: NCOMP,
-                blocks: records,
-            };
-            let msg = pack_snapshot_msg(&MemorySnapshot::new(
-                merged.step,
-                merged.time,
-                encode_global(&merged),
-            ));
-            for &r in &live {
-                if r != root_comm {
-                    rank.send(r, BUDDY_SHRINK_TAG, &msg);
-                }
-            }
-            msg
+                blocks,
+            })
         };
-        let snap = unpack_snapshot_msg(&merged_bytes)?;
-        let gckp = (snap.verify())
-            .then(|| decode_global_trusted(snap.bytes()).ok())
-            .flatten();
-        let all_ok = rank.allreduce_min(if gckp.is_some() { 1.0 } else { 0.0 }) > 0.5;
-        let Some(gckp) = gckp.filter(|_| all_ok) else {
+        let merged = tiers.gather_for_shrink(rank, &self.comm_ranks, self.my_rank, merge, |b| {
+            decode_trusted::<GlobalCheckpoint>(b).ok()
+        })?;
+        let Some(gckp) = merged else {
             return Ok(None);
         };
         // Everyone holds the merged pre-shrink state: now it is safe to
@@ -1639,26 +1337,41 @@ impl BlockSolver {
         self.rebuild_for_survivors(rank)?;
         let restored = self.fill_from_global(u, &gckp)?;
         rstats.buddy_shrinks += 1;
-        self.count("ckp.tier.buddy.shrink", 1);
         Ok(Some(restored))
     }
 
     /// The recovery ladder's restore rung: try the memory tiers (own L1
-    /// snapshot, then a buddy replica), and only if they cannot serve a
-    /// consistent state fall through to the per-rank disk slots. Every
-    /// branch decision is collectively agreed, so all ranks walk the same
-    /// rungs.
+    /// snapshot, then a buddy replica — [`MemoryTiers::fetch`]), and only
+    /// if they cannot serve a consistent state fall through to the
+    /// per-rank disk slots. Every branch decision is collectively agreed,
+    /// so all ranks walk the same rungs.
     fn tier_restore(
         &mut self,
         rank: &mut Rank,
         u: &mut Field,
-        tiers: &Option<CkpTiers>,
+        tiers: &Option<MemoryTiers>,
         slots: Option<&CheckpointSlots>,
         rstats: &mut ResilienceStats,
     ) -> Result<(f64, u64), SolverError> {
         if let Some(tz) = tiers {
             let s = self.pstart(rank);
-            let served = self.memory_restore(rank, u, tz, rstats)?;
+            let fetched = tz.fetch(rank, &self.comm_ranks, self.my_rank, |bytes| {
+                let gckp = decode_trusted::<GlobalCheckpoint>(bytes).ok()?;
+                self.fill_global_span(&gckp)
+            })?;
+            let served = fetched.map(|((data, time, step), from_buddy)| {
+                // Rebuild from a fresh field so ghosts are zeroed exactly
+                // like the disk-restore path — keeps no-fault and
+                // restored runs bit-identical.
+                u.raw_mut()
+                    .copy_from_slice(unpack_interior(self.geom, &data).raw());
+                if from_buddy {
+                    rstats.buddy_restores += 1;
+                } else {
+                    rstats.local_restores += 1;
+                }
+                (time, step)
+            });
             self.pend("driver.tier_restore.memory", rank, s);
             if let Some(restored) = served {
                 return Ok(restored);
@@ -1687,19 +1400,10 @@ impl BlockSolver {
         u: &mut Field,
         slots: &CheckpointSlots,
     ) -> Result<(f64, u64), SolverError> {
-        let loaded = slots.load_newest();
-        let all_loaded = rank.allreduce_min(if loaded.is_ok() { 1.0 } else { 0.0 }) > 0.5;
-        let ckp = match (loaded, all_loaded) {
-            (Ok(c), true) => c,
-            (loaded, _) => {
-                return Err(loaded.err().map(ck_err).unwrap_or(SolverError::Checkpoint {
-                    msg: "checkpoint restore failed on a peer rank".into(),
-                }))
-            }
-        };
+        let (ckp, _fell_back) = load_newest_agreed::<Checkpoint>(rank, slots)?;
         let agreed = rank.allreduce_min(ckp.step as f64);
         let ckp = if (ckp.step as f64) > agreed {
-            load_checkpoint(&slots.prev_path())
+            load_checkpoint::<Checkpoint>(&slots.prev_path::<Checkpoint>())
                 .ok()
                 .filter(|c| (c.step as f64) == agreed)
         } else {
@@ -1723,70 +1427,12 @@ impl BlockSolver {
         Ok((ckp.time, ckp.step))
     }
 
-    /// Capture a fresh L1 snapshot, ship the *clean* copy to the guardian
-    /// (so rot injected into the local tier never contaminates the
-    /// replica), then apply any injected snapshot rot and install both
-    /// tiers.
-    #[allow(clippy::too_many_arguments)]
-    fn refresh_memory_tiers(
-        &self,
-        rank: &mut Rank,
-        tiers: &mut CkpTiers,
-        u: &Field,
-        t: f64,
-        step: u64,
-        injector: &Option<Arc<rhrsc_comm::FaultInjector>>,
-        rstats: &mut ResilienceStats,
-    ) -> Result<(), SolverError> {
-        let mut snap = self.capture_local_snapshot(u, t, step);
-        rstats.local_snapshots += 1;
-        self.count("ckp.tier.local.save", 1);
-        let rep = self.exchange_buddy(rank, tiers, &snap)?;
-        if let Some(inj) = injector {
-            if let Some(sel) = inj.should_flip_snapshot_bit(SnapshotTarget::Local) {
-                snap.flip_bit(sel);
-                rank.trace_instant("driver.snapshot_rot_injected", 0.0);
-            }
-        }
-        tiers.local = Some(snap);
-        if let Some((ward, mut rep)) = rep {
-            if let Some(inj) = injector {
-                if let Some(sel) = inj.should_flip_snapshot_bit(SnapshotTarget::Buddy) {
-                    rep.flip_bit(sel);
-                    rank.trace_instant("driver.snapshot_rot_injected", 1.0);
-                }
-            }
-            rstats.buddy_exchanges += 1;
-            self.count("ckp.tier.buddy.save", 1);
-            tiers.replica = Some((ward, rep));
-        }
-        Ok(())
-    }
-
-    /// Verify the frozen memory tiers against their stamped FNV hashes,
-    /// dropping any snapshot whose bits have rotted so a later restore
-    /// never trusts it (it would fail its own verify anyway — scrubbing
-    /// just finds out *early*, while the disk tier is still fresh).
-    fn scrub_tiers(&self, rank: &Rank, tiers: &mut CkpTiers, rstats: &mut ResilienceStats) {
-        rstats.scrubs += 1;
-        self.count("sdc.scrubs", 1);
-        if tiers.local.as_ref().is_some_and(|s| !s.verify()) {
-            tiers.local = None;
-            rstats.snapshots_rotted += 1;
-            rank.trace_instant("driver.snapshot_rot_detected", 0.0);
-            self.count("sdc.snapshot_rot", 1);
-        }
-        if tiers.replica.as_ref().is_some_and(|(_, r)| !r.verify()) {
-            tiers.replica = None;
-            rstats.snapshots_rotted += 1;
-            rank.trace_instant("driver.snapshot_rot_detected", 1.0);
-            self.count("sdc.snapshot_rot", 1);
-        }
-    }
-
-    /// Gather the interiors onto block rank 0 through the current
-    /// (possibly shrunken) block→communicator translation; the free
-    /// [`gather_global`] assumes the identity mapping.
+    /// Gather the interior of every block onto block rank 0 as a global,
+    /// ghost-free field (for validation and output), through the current
+    /// (possibly shrunken) block→communicator translation. Other ranks
+    /// get `Ok(None)`. A wrong-length contribution (which a reliable
+    /// transport never produces, but a corrupted one might) is reported
+    /// as [`SolverError::HaloMismatch`].
     pub fn gather_interior(
         &self,
         rank: &mut Rank,
@@ -1882,10 +1528,6 @@ impl BlockSolver {
     }
 }
 
-fn ck_err(e: rhrsc_io::checkpoint::CheckpointError) -> SolverError {
-    SolverError::Checkpoint { msg: e.to_string() }
-}
-
 /// One `advance_to_with_restart` call seen from the recovery ladder: the
 /// solver and its state plus everything the rungs keep between steps.
 struct BlockLadder<'a> {
@@ -1899,7 +1541,7 @@ struct BlockLadder<'a> {
     /// Global (rank-count-independent) slots in a shared subdirectory:
     /// block rank 0 writes, every survivor reads.
     gslots: Option<CheckpointSlots>,
-    tiers: Option<CkpTiers>,
+    tiers: Option<MemoryTiers>,
     /// ABFT stamp of the last committed state.
     stamp: Option<StateChecksum>,
     /// Pre-attempt copy of the state for rollback.
@@ -1925,18 +1567,26 @@ impl BlockLadder<'_> {
 
     /// Freeze the state into the memory tiers, if armed.
     fn save_tiers(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
-        match &mut self.tiers {
-            Some(tz) => self.s.refresh_memory_tiers(
-                rank,
-                tz,
-                self.u,
-                t,
-                self.step_no,
-                &self.injector,
-                &mut self.rstats,
-            ),
-            None => Ok(()),
+        let Some(tz) = &mut self.tiers else {
+            return Ok(());
+        };
+        let s = &*self.s;
+        let bytes = s.snapshot_bytes(self.u, t, self.step_no);
+        self.rstats.local_snapshots += 1;
+        if tz.refresh(rank, &s.comm_ranks, s.my_rank, self.step_no, t, bytes)? {
+            self.rstats.buddy_exchanges += 1;
         }
+        Ok(())
+    }
+
+    /// Fresh (empty) memory tiers over the current decomposition.
+    fn new_tiers(&self) -> MemoryTiers {
+        MemoryTiers::new(
+            self.res.buddy_offset,
+            self.s.comm_ranks.len(),
+            self.injector.clone(),
+            self.s.metrics.clone(),
+        )
     }
 
     /// Re-stamp the state as the reference the next live scrub verifies
@@ -1998,8 +1648,7 @@ impl Recoverable for BlockLadder<'_> {
         // initial snapshot (and its buddy replica) is captured up front,
         // mirroring the initial disk checkpoint.
         if self.res.local_interval > 0 {
-            let nblocks = self.s.cfg.decomp.nranks();
-            self.tiers = Some(CkpTiers::new(self.res.buddy_offset, nblocks));
+            self.tiers = Some(self.new_tiers());
             let s = self.s.pstart(rank);
             self.save_tiers(rank, t)?;
             self.s.pend("phase.ckp.memory", rank, s);
@@ -2063,7 +1712,8 @@ impl Recoverable for BlockLadder<'_> {
         let scrub = self.res.scrub_interval as u64;
         if scrub > 0 && step_no.is_multiple_of(scrub) {
             if let Some(tz) = &mut self.tiers {
-                s.scrub_tiers(rank, tz, &mut self.rstats);
+                self.rstats.scrubs += 1;
+                self.rstats.snapshots_rotted += tz.scrub(rank);
             }
         }
         // Deterministic state corruption, if the fault plan asks for it:
@@ -2232,8 +1882,7 @@ impl Recoverable for BlockLadder<'_> {
         // world and re-seed it immediately so the memory rungs stay
         // armed.
         if self.tiers.is_some() {
-            let nblocks = self.s.cfg.decomp.nranks();
-            self.tiers = Some(CkpTiers::new(self.res.buddy_offset, nblocks));
+            self.tiers = Some(self.new_tiers());
             unless_peer_suspect(self.save_tiers(rank, t))?;
         }
         self.restamp();
@@ -2366,34 +2015,6 @@ fn cell_of(d: usize, l: usize, t1: usize, t2: usize) -> (usize, usize, usize) {
     }
 }
 
-/// Gather the interior of every rank's block onto rank 0 as a global,
-/// ghost-free field (for validation and output). Other ranks get
-/// `Ok(None)`. A wrong-length contribution (which a reliable transport
-/// never produces, but a corrupted one might) is reported as
-/// [`SolverError::HaloMismatch`] after all contributions have been
-/// drained.
-pub fn gather_global(
-    rank: &mut Rank,
-    cfg: &DistConfig,
-    local: &Field,
-) -> Result<Option<Field>, SolverError> {
-    const GATHER_TAG: u64 = 1000;
-    let geom = cfg.local_geom(rank.rank());
-    let buf = pack_interior(&geom, local);
-    if rank.rank() != 0 {
-        rank.send(0, GATHER_TAG, &buf);
-        return Ok(None);
-    }
-    // Drain every contribution before validating any of them.
-    let rbufs: Vec<Vec<f64>> = (1..rank.size()).map(|r| rank.recv(r, GATHER_TAG)).collect();
-    let mut global = cfg.global_field();
-    cfg.place_block(&mut global, 0, &buf)?;
-    for (r, rbuf) in rbufs.iter().enumerate() {
-        cfg.place_block(&mut global, r + 1, rbuf)?;
-    }
-    Ok(Some(global))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2442,7 +2063,7 @@ mod tests {
         let outs = run(cfg.decomp.nranks(), NetworkModel::ideal(), |rank| {
             let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
             solver.advance_to(rank, &mut u, 0.0, t_end).unwrap();
-            gather_global(rank, cfg, &u).unwrap()
+            solver.gather_interior(rank, &u).unwrap()
         });
         outs.into_iter().next().unwrap().unwrap()
     }
@@ -2545,7 +2166,7 @@ mod tests {
             |rank| {
                 let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
                 solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap();
-                gather_global(rank, &cfg, &u).unwrap()
+                solver.gather_interior(rank, &u).unwrap()
             },
         );
         let global = outs.into_iter().next().unwrap().unwrap();
@@ -2598,7 +2219,7 @@ mod tests {
             let outs = run(p, model, |rank| {
                 let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
                 let st = solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap();
-                (st, gather_global(rank, &cfg, &u).unwrap())
+                (st, solver.gather_interior(rank, &u).unwrap())
             });
             let makespan = outs.iter().map(|(st, _)| st.vtime).fold(0.0, f64::max);
             makespans.push(makespan);
@@ -2643,7 +2264,7 @@ mod tests {
             let (_, rstats) = solver
                 .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res)
                 .unwrap();
-            (rstats, gather_global(rank, &cfg, &u).unwrap())
+            (rstats, solver.gather_interior(rank, &u).unwrap())
         });
         for (rstats, _) in &outs {
             assert_eq!(rstats.retries, 0);
@@ -2674,7 +2295,7 @@ mod tests {
             solver
                 .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res_traced)
                 .unwrap();
-            gather_global(rank, &cfg, &u).unwrap()
+            solver.gather_interior(rank, &u).unwrap()
         });
         let traced = outs.into_iter().next().unwrap().unwrap();
         assert_eq!(
@@ -2869,7 +2490,7 @@ mod tests {
                     let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
                     solver.set_metrics(reg.clone());
                     solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap();
-                    gather_global(rank, cfg, &u).unwrap()
+                    solver.gather_interior(rank, &u).unwrap()
                 },
             )
         };

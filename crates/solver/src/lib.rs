@@ -19,7 +19,10 @@
 //!   (overlapped) halo exchange,
 //! * [`ladder`] — the recovery ladder: the one resilient advance loop
 //!   (agreement, retry backoff, restore budget, shrink) both distributed
-//!   drivers climb through their [`ladder::Recoverable`] hooks,
+//!   drivers climb through their [`ladder::Recoverable`] hooks, over the
+//!   one memory-tier store (`tiers`: L1 snapshot + L2 buddy replica,
+//!   their wire format, scrub, collective fetch-for-restore and
+//!   buddy-shrink gather) both of them keep their diskless checkpoints in,
 //! * [`amr`] — block-structured mesh refinement with Berger–Oliger
 //!   subcycling and conservative reflux (1D), adaptive or with a static
 //!   layout — the structured-adaptivity core of the authors' AMR codes,
@@ -45,6 +48,7 @@ pub mod problems;
 pub mod refine;
 pub mod scheme;
 pub mod step;
+mod tiers;
 
 pub use amr::{AmrConfig, AmrSolver};
 pub use amr_dist::{DistAmrConfig, DistAmrSolver, DistAmrStats};

@@ -1,0 +1,143 @@
+//! Recovery-ladder tier ordering for the distributed AMR driver.
+//!
+//! `ckp_tiers.rs` pins the block driver's cheapest-tier-first restores;
+//! these are the same pins for [`DistAmrSolver`], whose memory tier is a
+//! full replicated hierarchy snapshot on every rank (no buddy transfer)
+//! over one shared disk slot. Message corruption with no in-place retries
+//! forces restores; targeted snapshot rot then takes the memory tier away.
+//!
+//! The fault seed is one whose damaged messages all fall inside steps: a
+//! corrupted checkpoint *gather* is a terminal error of the AMR driver
+//! today, not a restore, and these tests are about the restore order.
+
+use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
+use rhrsc_grid::{bc, Bc};
+use rhrsc_runtime::fault::SnapshotTarget;
+use rhrsc_runtime::Registry;
+use rhrsc_solver::{AmrConfig, DistAmrConfig, DistAmrSolver, DistAmrStats, RkOrder, Scheme};
+use rhrsc_srhd::{Prim, NCOMP};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+fn pulse_ic(x: [f64; 3]) -> Prim {
+    let g = (-((x[0] - 0.5) / 0.08).powi(2)).exp();
+    Prim::new_1d(1.0 + 2.0 * g, 0.0, 1.0 + 20.0 * g)
+}
+
+/// Both tiers armed on a fast cadence, no in-place retries: every failed
+/// step escalates straight to the restore rung.
+fn tiered_cfg(dir: PathBuf) -> DistAmrConfig {
+    DistAmrConfig {
+        amr: AmrConfig {
+            threshold: 0.08,
+            ..AmrConfig::default()
+        },
+        checkpoint_dir: Some(dir),
+        checkpoint_interval: 1,
+        local_interval: 1,
+        scrub_interval: 1,
+        max_step_retries: 0,
+        max_restores: 200,
+        ..DistAmrConfig::default()
+    }
+}
+
+type Totals = [f64; NCOMP];
+
+/// Run the periodic pulse on 2 ranks under `plan`; per rank the driver
+/// counters and the composite totals before and after.
+fn run_pulse(
+    cfg: &DistAmrConfig,
+    plan: FaultPlan,
+    reg: &Arc<Registry>,
+) -> Vec<(DistAmrStats, Totals, Totals)> {
+    run_with_faults(2, NetworkModel::ideal(), Some(plan), |rank| {
+        let mut d = DistAmrSolver::new(
+            Scheme::default_with_gamma(5.0 / 3.0),
+            bc::uniform(Bc::Periodic),
+            RkOrder::Rk3,
+            64,
+            0.0,
+            1.0,
+            cfg.clone(),
+        );
+        d.set_metrics(Arc::clone(reg));
+        d.init(rank, &pulse_ic);
+        let before = d.composite_totals_gathered(rank).unwrap();
+        let stats = d.advance_to(rank, 0.0, 0.1, 0.4).unwrap();
+        let after = d.composite_totals_gathered(rank).unwrap();
+        (stats, before, after)
+    })
+}
+
+/// With a healthy memory tier every retry-exhaustion restore is served
+/// from the replicated snapshot: the shared disk slot is written but
+/// never read.
+#[test]
+fn healthy_memory_tier_serves_every_restore() {
+    let dir = std::env::temp_dir().join("rhrsc-amr-tiers-memory-first");
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan {
+        seed: 7,
+        msg_truncate_prob: 0.02,
+        ..FaultPlan::disabled()
+    };
+    let reg = Arc::new(Registry::new());
+    let outs = run_pulse(&tiered_cfg(dir.clone()), plan, &reg);
+    for (stats, _, _) in &outs {
+        assert!(stats.restores > 0, "faults must force a restore: {stats:?}");
+        assert_eq!(
+            stats.restores, stats.local_restores,
+            "every restore must come from memory: {stats:?}"
+        );
+        assert_eq!(stats.ckpt_fallbacks, 0, "{stats:?}");
+    }
+    assert_eq!(
+        reg.counter("ckp.tier.disk.restore").get(),
+        0,
+        "the disk tier must stay cold"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rot every frozen snapshot at capture time: the scrub drops it, the
+/// memory tier serves nothing, every rank falls through to the shared
+/// disk slot — and the run still conserves.
+#[test]
+fn rotted_memory_tier_falls_through_to_disk() {
+    let dir = std::env::temp_dir().join("rhrsc-amr-tiers-disk-fallback");
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan {
+        seed: 7,
+        msg_truncate_prob: 0.02,
+        snapshot_bitflip_prob: 1.0,
+        snapshot_flip_target: SnapshotTarget::Local,
+        ..FaultPlan::disabled()
+    };
+    let reg = Arc::new(Registry::new());
+    let outs = run_pulse(&tiered_cfg(dir.clone()), plan, &reg);
+    let mut restores = 0;
+    for (stats, before, after) in &outs {
+        assert!(stats.restores > 0, "faults must force a restore: {stats:?}");
+        assert!(
+            stats.snapshots_rotted > 0,
+            "the scrub must catch the injected rot: {stats:?}"
+        );
+        assert_eq!(stats.local_restores, 0, "every copy is rotted: {stats:?}");
+        restores += stats.restores;
+        for c in 0..NCOMP {
+            assert!(
+                (after[c] - before[c]).abs() <= 1e-11 * before[c].abs().max(1.0),
+                "component {c}: {} -> {}",
+                before[c],
+                after[c]
+            );
+        }
+    }
+    assert_eq!(
+        reg.counter("ckp.tier.disk.restore").get(),
+        restores,
+        "every restore on every rank must be served from disk"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -57,7 +57,7 @@ fn main() {
     );
 
     // Fresh process-equivalent restart.
-    let ckp = load_checkpoint(path).unwrap();
+    let ckp: Checkpoint = load_checkpoint(path).unwrap();
     println!("# restored t = {}, step = {}", ckp.time, ckp.step);
     let mut u = ckp.field;
     let mut solver = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);

@@ -14,7 +14,7 @@ use rhrsc::comm::{run, NetworkModel};
 use rhrsc::grid::{bc, Bc, CartDecomp, PatchGeom};
 use rhrsc::runtime::AcceleratorConfig;
 use rhrsc::solver::device_backend::DevicePatchSolver;
-use rhrsc::solver::driver::{gather_global, BlockSolver, DistConfig, ExchangeMode};
+use rhrsc::solver::driver::{BlockSolver, DistConfig, ExchangeMode};
 use rhrsc::solver::scheme::{init_cons, Scheme};
 use rhrsc::solver::{PatchSolver, RkOrder};
 use rhrsc::srhd::Prim;
@@ -60,7 +60,7 @@ fn main() {
         let stats = run(4, model, |rank| {
             let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
             let st = solver.advance_to(rank, &mut u, 0.0, t_end).unwrap();
-            let _ = gather_global(rank, &cfg, &u).unwrap();
+            let _ = solver.gather_interior(rank, &u).unwrap();
             st
         });
         let max_t = stats.iter().map(|s| s.elapsed).max().unwrap();

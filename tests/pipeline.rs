@@ -7,7 +7,7 @@ use rhrsc::grid::{bc, Bc, CartDecomp, Field, PatchGeom};
 use rhrsc::runtime::{AcceleratorConfig, WorkStealingPool};
 use rhrsc::solver::device_backend::DevicePatchSolver;
 use rhrsc::solver::diag::{conservation_drift, conserved_totals, l1_density_error, observed_order};
-use rhrsc::solver::driver::{gather_global, BlockSolver, DistConfig, ExchangeMode};
+use rhrsc::solver::driver::{BlockSolver, DistConfig, ExchangeMode};
 use rhrsc::solver::problems::Problem;
 use rhrsc::solver::scheme::init_cons;
 use rhrsc::solver::{PatchSolver, RkOrder, Scheme};
@@ -175,7 +175,7 @@ fn distributed_heterogeneous_pipeline_end_to_end() {
         |rank| {
             let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
             solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap();
-            gather_global(rank, &cfg, &u).unwrap()
+            solver.gather_interior(rank, &u).unwrap()
         },
     );
     let global = outs.into_iter().next().unwrap().unwrap();
@@ -346,7 +346,7 @@ fn checkpoint_restart_is_bit_identical() {
     s_full.advance_to(&mut u_full, 0.2, 0.4, 0.4, None).unwrap();
 
     // Restarted run (fresh solver, loaded state).
-    let loaded = rhrsc::io::load_checkpoint(&path).unwrap();
+    let loaded: rhrsc::io::Checkpoint = rhrsc::io::load_checkpoint(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(loaded.time, 0.2);
     let mut u_restart = loaded.field;

@@ -291,7 +291,8 @@ proptest! {
             *v = f64::from_bits((state >> 12) | 0x3ff0000000000000);
         }
         let ckp = rhrsc::io::Checkpoint { time, step, field };
-        let out = decode(&encode(&ckp)).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let out: rhrsc::io::Checkpoint =
+            decode(&encode(&ckp)).map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(out, ckp);
     }
 
