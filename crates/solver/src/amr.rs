@@ -506,18 +506,20 @@ impl AmrSolver {
             fill_ghosts(&mut p0.u, &self.bcs);
             return;
         }
-        // theta[m]: lerp position between level m's base and current state.
-        let mut theta = vec![0.0; l];
-        let mut th = self.frac[l] + 0.5 * c;
-        theta[l - 1] = th;
-        for m in (1..l).rev() {
-            th = self.frac[m] + 0.5 * th;
-            theta[m - 1] = th;
-        }
+        // theta(m): lerp position between level m's base and current
+        // state, pushed up the chain from the advancing level. Recomputed
+        // per ancestor rather than stored: this runs every stage of every
+        // fine level and must not allocate.
+        let frac = &self.frac;
+        let theta = |m: usize| {
+            (m + 1..l)
+                .rev()
+                .fold(frac[l] + 0.5 * c, |th, k| frac[k] + 0.5 * th)
+        };
         // Level 0 lerp with physical BCs.
         {
             let p0 = &mut self.levels[0][0];
-            lerp_into(&mut p0.lerp, &p0.base, &p0.u, theta[0]);
+            lerp_into(&mut p0.lerp, &p0.base, &p0.u, theta(0));
             fill_ghosts(&mut p0.lerp, &self.bcs);
         }
         // Intermediate ancestors: lerp interiors, prolong lerp ghosts.
@@ -526,7 +528,7 @@ impl AmrSolver {
             let (left, right) = self.levels.split_at_mut(m);
             let parents = &left[m - 1];
             for ch in right[0].iter_mut() {
-                lerp_into(&mut ch.lerp, &ch.base, &ch.u, theta[m]);
+                lerp_into(&mut ch.lerp, &ch.base, &ch.u, theta(m));
                 let par = &parents[ch.parent_idx];
                 prolong_ghosts_from(&par.lerp, &mut ch.lerp, ng, ng, ch.n, ch.lo / 2 - par.lo);
             }
@@ -1138,7 +1140,6 @@ fn cluster_runs(
                 fin.push((s, e));
             }
         }
-        out.retain(|_: &(usize, usize)| true);
         out.extend(fin.into_iter().filter(|&(s, e)| e - s >= min_size));
     }
     out

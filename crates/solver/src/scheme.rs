@@ -6,7 +6,8 @@ use rhrsc_runtime::metrics::Histogram;
 use rhrsc_srhd::recon::Recon;
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{
-    cons_to_prim, cons_to_prim_counted, Con2PrimError, Con2PrimParams, Cons, Eos, Prim,
+    cons_to_prim, cons_to_prim_counted, cons_to_prim_lanes, Con2PrimError, Con2PrimParams, Cons,
+    Eos, Prim, C2P_LANES,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -375,9 +376,13 @@ pub fn recover_region_resilient(
     }
 }
 
-/// The one recovery loop: cells `[i0, i1)` of the x-row at `(j, k)`,
-/// walked as one flat index over the raw component slices. Stops at the
-/// first cell whose strict root solve fails and returns it.
+/// The one recovery loop: cells `[i0, i1)` of the x-row at `(j, k)`, in
+/// blocks of [`C2P_LANES`]. A block is gathered from the component-major
+/// row, iterated in lock-step by [`cons_to_prim_lanes`], then walked in
+/// cell order: a lane the main line retired takes its result, any other
+/// is solved by the scalar [`cons_to_prim_counted`] from the gathered
+/// copy. Stops at the first cell whose strict root solve fails and
+/// returns it; every cell before it is written, none after it.
 ///
 /// Every root solve is *cold-started* from a deterministic seed derived
 /// from the conserved state alone (never from the previous pressure):
@@ -385,13 +390,16 @@ pub fn recover_region_resilient(
 /// the bit-identity guarantees between the serial, gang-parallel,
 /// distributed, and device execution paths — and it is what makes the
 /// primitives of a copied conserved state the copy of the primitives, so
-/// that ghost zones can carry primitives instead of being recovered.
+/// that ghost zones can carry primitives instead of being recovered. It
+/// is also why a straggler's scalar re-solve, and so the whole row, does
+/// not depend on where the blocks fall.
 ///
 /// `inline(never)`: whole-field and interior recovery, strict and
-/// cascading, serial and gang all run this one body. A prototype with a
-/// second copy of the loop compiled the solve differently and slowed the
-/// AMR workload, which runs only the whole-field recovery, by 2–3 %
-/// (DESIGN "Hot-loop data layout").
+/// cascading, serial and gang all run this one body, and the solve reads
+/// its state from the gathered block, never from a `Cons` assembled on
+/// the stack the instruction before (a 16-byte load over two 8-byte
+/// stores cannot be store-forwarded and serialises consecutive solves;
+/// DESIGN "Hot-loop data layout").
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn recover_row(
@@ -407,21 +415,51 @@ fn recover_row(
     let n = prim.comp_stride;
     let ur = u.raw();
     let row = u.geom().idx(0, j, k);
-    for i in i0..i1 {
-        let ix = row + i;
-        let (w, evals) = cons_to_prim_counted(&scheme.eos, &cons_at(ur, n, ix), None, &scheme.c2p)
-            .map_err(|err| (i, err))?;
-        if let Some(h) = iters {
-            h.record(evals as u64);
+    let mut us = [Cons::ZERO; C2P_LANES];
+    let mut fast = [None; C2P_LANES];
+    let mut evals = [0u32; C2P_LANES];
+    for b0 in (i0..i1).step_by(C2P_LANES) {
+        let len = (i1 - b0).min(C2P_LANES);
+        for (l, c) in us[..len].iter_mut().enumerate() {
+            *c = cons_at(ur, n, row + b0 + l);
         }
-        for (c, v) in [w.rho, w.vel[0], w.vel[1], w.vel[2], w.p]
-            .into_iter()
-            .enumerate()
-        {
-            // SAFETY: `RawPrim::new` checked that the region's cells lie
-            // inside the five-component storage; concurrent callers hold
-            // disjoint rows.
-            unsafe { *prim.ptr.add(c * n + ix) = v };
+        cons_to_prim_lanes(&scheme.eos, &scheme.c2p, &us[..len], &mut fast[..len]);
+        let mut failed = None;
+        for (l, lane) in fast[..len].iter().enumerate() {
+            // A cold start is a function of `U` alone: the scalar solve of
+            // a lane the main line left is that lane's answer.
+            let scalar = || cons_to_prim_counted(&scheme.eos, &us[l], None, &scheme.c2p);
+            match lane.map_or_else(scalar, Ok) {
+                Ok((w, e)) => {
+                    evals[l] = e;
+                    let ix = row + b0 + l;
+                    for (c, v) in [w.rho, w.vel[0], w.vel[1], w.vel[2], w.p]
+                        .into_iter()
+                        .enumerate()
+                    {
+                        // SAFETY: `RawPrim::new` checked that the region's
+                        // cells lie inside the five-component storage;
+                        // concurrent callers hold disjoint rows.
+                        unsafe { *prim.ptr.add(c * n + ix) = v };
+                    }
+                }
+                Err(err) => {
+                    failed = Some((b0 + l, err));
+                    break;
+                }
+            }
+        }
+        if let Some(h) = iters {
+            // One atomic triple per distinct count, not per cell.
+            let solved = &mut evals[..failed.map_or(len, |(i, _)| i - b0)];
+            solved.sort_unstable();
+            for run in solved.chunk_by(|a, b| a == b) {
+                let (e, cells) = (run[0] as u64, run.len() as u64);
+                h.record_batch(cells, e * cells, e);
+            }
+        }
+        if let Some(bad) = failed {
+            return Err(bad);
         }
     }
     Ok(())

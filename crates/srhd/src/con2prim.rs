@@ -138,12 +138,55 @@ fn p_min_bound(u: &Cons) -> f64 {
     (s - u.tau - u.d + slack).max(0.0)
 }
 
+/// Where the Newton iteration starts: the admissibility bound `p_lo` and
+/// the first trial pressure (the guess, or the bound for a cold start,
+/// lifted to the floor).
+#[inline]
+fn newton_start(u: &Cons, p_guess: Option<f64>, params: &Con2PrimParams) -> (f64, f64) {
+    let p_lo = p_min_bound(u);
+    // A guess below the admissibility bound would start with v >= 1.
+    let mut p = p_guess.unwrap_or(0.0).max(p_lo).max(params.p_floor);
+    if p == 0.0 {
+        p = params.p_floor;
+    }
+    (p_lo, p)
+}
+
+/// One Newton evaluation at trial pressure `p` — the only spelling of it:
+/// the inverted state, the relative residual `|f(p)| / max(p, p_floor)`
+/// and the proposed next pressure `p − f / (v² c_s² − 1)`. The proposal
+/// comes back unevaluated, so that the scalar loop of
+/// [`cons_to_prim_counted`] pays for the slope only on the steps it
+/// takes; the lock-step loop of [`cons_to_prim_lanes`] evaluates it at
+/// once. Pure arithmetic (no branch once the EOS variant is known): both
+/// compute the same bits from the same inputs.
+#[inline(always)]
+fn newton_eval<'a>(
+    eos: &'a Eos,
+    params: &'a Con2PrimParams,
+    u: &Cons,
+    p: f64,
+) -> (Prim, f64, impl FnOnce() -> f64 + 'a) {
+    let (f, prim, _w) = residual(eos, u, p);
+    let scale = p.max(params.p_floor);
+    let p_next = move || {
+        let cs2 = eos.sound_speed_sq(prim.rho.max(params.rho_floor), scale);
+        let df = prim.vsq() * cs2 - 1.0; // strictly negative
+        p - f / df
+    };
+    (prim, (f / scale).abs(), p_next)
+}
+
 /// Recover primitives from a conserved state.
 ///
-/// `p_guess` seeds the Newton iteration (pass the previous time level's
-/// pressure when available; pass `None` for a cold start). On success
-/// returns the primitive state with `prim.p ≥ params.p_floor` and
-/// `prim.rho ≥ params.rho_floor`.
+/// `p_guess` seeds the Newton iteration; `None` is the cold start from
+/// the admissibility bound, a function of `u` alone. The solvers always
+/// pass `None`: a warm start lands on slightly different iterates, and
+/// every bit-identity guarantee between execution paths — and ghost
+/// zones that carry primitives instead of being recovered — rests on
+/// `con2prim(copy of U) ≡ copy of con2prim(U)` (see `recover_row` in
+/// `rhrsc-solver`). On success returns the primitive state with
+/// `prim.p ≥ params.p_floor` and `prim.rho ≥ params.rho_floor`.
 pub fn cons_to_prim(
     eos: &Eos,
     u: &Cons,
@@ -172,27 +215,18 @@ pub fn cons_to_prim_counted(
         return Ok((Prim::at_rest(params.rho_floor, params.p_floor), 0));
     }
 
-    let p_lo = p_min_bound(u);
-    // A guess below the admissibility bound would start with v >= 1.
-    let mut p = p_guess.unwrap_or(0.0).max(p_lo).max(params.p_floor);
-    if p == 0.0 {
-        p = params.p_floor;
-    }
+    let (p_lo, mut p) = newton_start(u, p_guess, params);
 
     // --- Newton phase -----------------------------------------------------
     let mut last_res = f64::INFINITY;
     for _ in 0..params.max_newton {
         iters += 1;
-        let (f, prim, _w) = residual(eos, u, p);
-        let scale = p.max(params.p_floor);
-        last_res = (f / scale).abs();
+        let (prim, res, step) = newton_eval(eos, params, u, p);
+        last_res = res;
         if last_res < params.tol {
             return finish(prim, params).map(|prim| (prim, iters));
         }
-        let cs2 = eos.sound_speed_sq(prim.rho.max(params.rho_floor), p.max(params.p_floor));
-        let vsq = prim.vsq();
-        let df = vsq * cs2 - 1.0; // strictly negative
-        let mut p_next = p - f / df;
+        let mut p_next = step();
         if !p_next.is_finite() || p_next <= p_lo {
             // Newton left the admissible region; damp toward the bound.
             p_next = 0.5 * (p + p_lo.max(params.p_floor));
@@ -250,6 +284,108 @@ pub fn cons_to_prim_counted(
         }
     }
     Err(Con2PrimError::NoConvergence { residual: last_res })
+}
+
+/// Widest block of states [`cons_to_prim_lanes`] iterates in lock-step.
+pub const C2P_LANES: usize = 32;
+/// Newton rounds of the lock-step main line; a lane that has not
+/// converged by then is a straggler.
+const LANE_ROUNDS: usize = 8;
+/// Lanes per step of the arithmetic loop: occupied lanes are rounded up
+/// to this so the vector body never leaves a scalar remainder.
+const LANE_VEC: usize = 4;
+
+/// The Newton main line of [`cons_to_prim_counted`] (cold start) over
+/// many states at once: `out[l]` is `Some((prim, evals))` — bit for bit
+/// the scalar solver's answer and work count — when state `l` converges
+/// under the strict residual test within [`LANE_ROUNDS`] plain Newton
+/// steps, and `None` whenever the scalar algorithm would do anything
+/// else (non-finite input, the atmosphere short-circuit, a step leaving
+/// the admissible region, the tiny-step confirm exit, a velocity
+/// `finish` repairs or rejects, budget spent). A `None` is not a
+/// failure: the caller runs [`cons_to_prim_counted`] on that state.
+///
+/// # Panics
+/// Panics when `us` and `out` differ in length.
+pub fn cons_to_prim_lanes(
+    eos: &Eos,
+    params: &Con2PrimParams,
+    us: &[Cons],
+    out: &mut [Option<(Prim, u32)>],
+) {
+    assert_eq!(us.len(), out.len(), "one result slot per state");
+    for (us, out) in us.chunks(C2P_LANES).zip(out.chunks_mut(C2P_LANES)) {
+        // Matched once per block: each arm inlines a kernel whose EOS
+        // variant is a constant, so its arithmetic loop has no `match`.
+        match *eos {
+            Eos::IdealGas { gamma } => lane_block(Eos::IdealGas { gamma }, params, us, out),
+            Eos::TaubMathews => lane_block(Eos::TaubMathews, params, us, out),
+        }
+    }
+}
+
+/// One block of [`cons_to_prim_lanes`], at most [`C2P_LANES`] states.
+#[inline(always)]
+fn lane_block(eos: Eos, params: &Con2PrimParams, us: &[Cons], out: &mut [Option<(Prim, u32)>]) {
+    const L: usize = C2P_LANES;
+    // Lanes without a state to iterate (padding, non-finite, atmosphere)
+    // hold D = τ = p = 1, S = 0: finite arithmetic nobody reads.
+    let (mut d, mut tau, mut p, mut p_lo) = ([1.0; L], [1.0; L], [1.0; L], [0.0; L]);
+    let [mut sx, mut sy, mut sz] = [[0.0; L]; 3];
+    let [mut rho, mut vx, mut vy, mut vz, mut res, mut p_next] = [[0.0; L]; 6];
+    let (mut live, mut nlive) = ([0usize; L], 0);
+    for (l, u) in us.iter().enumerate() {
+        out[l] = None;
+        if u.is_finite() && u.d > params.rho_floor {
+            (p_lo[l], p[l]) = newton_start(u, None, params);
+            [d[l], sx[l], sy[l], sz[l], tau[l]] = u.to_array();
+            live[nlive] = l;
+            nlive += 1;
+        }
+    }
+    let nv = us.len().next_multiple_of(LANE_VEC).min(L);
+    for round in 1..=LANE_ROUNDS.min(params.max_newton) {
+        if nlive == 0 {
+            return;
+        }
+        // (1) Arithmetic only — no `if`, no `match`, no lane state — so
+        // the divide/sqrt chain vectorises. Retired lanes keep computing
+        // at their last pressure; nothing reads them.
+        for l in 0..nv {
+            let u = Cons {
+                d: d[l],
+                s: [sx[l], sy[l], sz[l]],
+                tau: tau[l],
+            };
+            let (w, r, step) = newton_eval(&eos, params, &u, p[l]);
+            (rho[l], vx[l], vy[l], vz[l]) = (w.rho, w.vel[0], w.vel[1], w.vel[2]);
+            (res[l], p_next[l]) = (r, step());
+        }
+        // (2) Bookkeeping: retire converged lanes, drop the ones whose
+        // next step the scalar loop would not take as it stands.
+        let mut keep = 0;
+        for a in 0..nlive {
+            let l = live[a];
+            if res[l] < params.tol {
+                let w = Prim {
+                    rho: rho[l],
+                    vel: [vx[l], vy[l], vz[l]],
+                    p: p[l],
+                };
+                if w.vsq() < 1.0 {
+                    out[l] = finish(w, params).ok().map(|w| (w, round as u32));
+                }
+            } else if p_next[l].is_finite()
+                && p_next[l] > p_lo[l]
+                && (p_next[l] - p[l]).abs() > params.tol * p[l].max(params.p_floor)
+            {
+                p[l] = p_next[l];
+                live[keep] = l;
+                keep += 1;
+            }
+        }
+        nlive = keep;
+    }
 }
 
 /// Apply floors and final physicality checks.

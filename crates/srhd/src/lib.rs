@@ -31,7 +31,10 @@ pub mod recon;
 pub mod riemann;
 pub mod state;
 
-pub use con2prim::{cons_to_prim, cons_to_prim_counted, Con2PrimError, Con2PrimParams};
+pub use con2prim::{
+    cons_to_prim, cons_to_prim_counted, cons_to_prim_lanes, Con2PrimError, Con2PrimParams,
+    C2P_LANES,
+};
 pub use state::{Cons, Dir, Prim, NCOMP};
 
 /// Re-export of the EOS crate for convenience.
