@@ -18,7 +18,9 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued job; the worker that runs it hands it the pool's `executed`
+/// counter (see [`WorkStealingPool::inject`]).
+type Job = Box<dyn FnOnce(&AtomicU64) + Send + 'static>;
 
 /// Stuck-job watchdog fires across every pool in the process: one per
 /// [`await_job_for`] deadline expiry. Process-global because the waiter
@@ -160,10 +162,10 @@ impl WorkStealingPool {
         F: FnOnce() -> T + Send + 'static,
     {
         let (p, fut) = promise();
-        self.inject(Box::new(move || match catch_unwind(AssertUnwindSafe(f)) {
+        self.inject(f, move |r| match r {
             Ok(v) => p.set(v),
             Err(e) => p.poison(format!("pool task panicked: {}", panic_msg(e))),
-        }));
+        });
         fut
     }
 
@@ -175,15 +177,24 @@ impl WorkStealingPool {
         F: FnOnce() -> T + Send + 'static,
     {
         let (p, fut) = promise();
-        self.inject(Box::new(move || {
-            let r = catch_unwind(AssertUnwindSafe(f)).map_err(panic_msg);
-            p.set(r);
-        }));
+        self.inject(f, move |r| p.set(r.map_err(panic_msg)));
         fut
     }
 
-    fn inject(&self, job: Job) {
-        self.shared.injector.push(job);
+    /// Queue `work`, then `finish` with its result (or its panic). The job
+    /// is counted as executed between the two, so a thread that `finish`
+    /// releases — by resolving a promise, by opening a latch — finds the
+    /// job it waited for in [`executed`](Self::executed).
+    fn inject<R: 'static>(
+        &self,
+        work: impl FnOnce() -> R + Send + 'static,
+        finish: impl FnOnce(std::thread::Result<R>) + Send + 'static,
+    ) {
+        self.shared.injector.push(Box::new(move |executed| {
+            let r = catch_unwind(AssertUnwindSafe(work));
+            executed.fetch_add(1, Ordering::Relaxed);
+            finish(r);
+        }));
         // Publish-then-notify under the sleep lock so parked workers
         // cannot miss the wakeup. One job needs one worker: notify_one
         // avoids the O(threads²) wakeup storm par_for's helper fan-out
@@ -236,10 +247,10 @@ impl WorkStealingPool {
             let latch = latch.clone();
             let cursor = cursor.clone();
             let fr = SendPtr(fr.0);
-            self.inject(Box::new(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| run_chunks(&fr, &cursor)));
-                latch.count_down(r.err().map(panic_msg));
-            }));
+            self.inject(
+                move || run_chunks(&fr, &cursor),
+                move |r| latch.count_down(r.err().map(panic_msg)),
+            );
         }
         // Caller participates.
         let own = catch_unwind(AssertUnwindSafe(|| run_chunks(&fr, &cursor)));
@@ -328,8 +339,7 @@ fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
 fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<Shared>) {
     loop {
         if let Some(job) = next_job(idx, &local, &shared) {
-            let _ = catch_unwind(AssertUnwindSafe(job));
-            shared.executed.fetch_add(1, Ordering::Relaxed);
+            let _ = catch_unwind(AssertUnwindSafe(|| job(&shared.executed)));
             continue;
         }
         // Park. Re-check under the lock to avoid lost wakeups; a timed
@@ -429,7 +439,7 @@ mod tests {
         let (done_tx, done_rx) = channel::<usize>();
         let held = pool.clone();
         // Not `spawn`: its promise would outlive the drop below.
-        pool.inject(Box::new(move || {
+        let task = move || {
             // Wait until the test thread has given up its reference, so
             // this drop is the one that runs `Drop for WorkStealingPool`.
             go_rx.recv().expect("test thread went away");
@@ -437,7 +447,8 @@ mod tests {
             // Every worker owns one `Arc<Shared>` until it exits: after
             // the drop only the worker running this task may be left.
             done_tx.send(shared.strong_count()).ok();
-        }));
+        };
+        pool.inject(task, |_| ());
         drop(pool);
         go_tx.send(()).expect("task went away");
         let live = done_rx

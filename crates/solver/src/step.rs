@@ -24,23 +24,6 @@ use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{Cons, Dir, Prim, NCOMP};
 use std::cell::RefCell;
-use std::sync::OnceLock;
-
-/// Lane-chunk width for the structure-of-arrays interface kernels, read
-/// once from `RHRSC_SIMD_LANES`. The inner loops process interfaces in
-/// chunks of this many lanes so the autovectorizer sees short,
-/// fixed-bound trip counts; the arithmetic (and therefore the result
-/// bits) is independent of the chunk width.
-pub fn simd_lanes() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::env::var("RHRSC_SIMD_LANES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| (1..=4096).contains(&v))
-            .unwrap_or(64)
-    })
-}
 
 /// A rectangular sub-region of a patch, in ghost-inclusive cell indices
 /// (`lo` inclusive, `hi` exclusive).
@@ -204,7 +187,7 @@ pub fn accumulate_rhs_region_scan(
             let tb = region.lo[b] + p / na;
             // SAFETY: each pencil writes only the rhs cells on its own
             // (d, ta, tb) line; pencils within one sweep are disjoint.
-            unsafe { sweep_pencil(scheme, prim, &geom, d, a, b, ta, tb, region, &raw, scan) };
+            unsafe { sweep_pencil(scheme, prim, &geom, d, ta, tb, region, &raw, scan) };
         };
         match pool {
             Some(pool) if npencils > 1 => pool.par_for(npencils, 1, &task),
@@ -262,36 +245,38 @@ struct RawRhs {
 unsafe impl Send for RawRhs {}
 unsafe impl Sync for RawRhs {}
 
+/// One side (left or right) of every interface of a pencil: the
+/// reconstructed primitives `w` and what [`prepare_side`] derives from
+/// them.
+#[derive(Default)]
+struct SideBanks {
+    /// Reconstructed interface primitives `(ρ, vx, vy, vz, p)`.
+    w: [Vec<f64>; NCOMP],
+    /// Interface conserved state `(D, Sx, Sy, Sz, τ)`.
+    u: [Vec<f64>; NCOMP],
+    /// Physical flux.
+    f: [Vec<f64>; NCOMP],
+    /// Characteristic speeds λ∓.
+    lm: Vec<f64>,
+    lp: Vec<f64>,
+    /// Sanitized normal velocity and pressure (HLLC star state).
+    vn: Vec<f64>,
+    p: Vec<f64>,
+}
+
 /// Reusable structure-of-arrays pencil workspace, one per worker thread.
 ///
-/// Holds the cell pencils (`q`), reconstructed interface states
-/// (`wl`/`wr`), the per-side conserved/flux/speed banks produced by
-/// [`prepare_side`], and the interface flux bank. Reuse is stale-safe:
-/// every slot that a kernel reads is written earlier in the same pencil
-/// (`read_pencil` fills `q` completely; `Recon::pencil` writes exactly
-/// `[lo, hi1)`; the banks and fluxes are written over `[lo, hi1)` before
-/// the divergence loop reads them).
+/// Holds the cell pencils (`q`), the two sides' interface banks and the
+/// interface flux bank. Reuse is stale-safe: every slot that a kernel
+/// reads is written earlier in the same pencil (`read_pencil` fills `q`
+/// completely; `Recon::pencil` writes exactly `[lo, hi1)`; the banks and
+/// fluxes are written over `[lo, hi1)` before the divergence loop reads
+/// them).
 #[derive(Default)]
 pub(crate) struct PencilScratch {
     q: [Vec<f64>; NCOMP],
-    wl: [Vec<f64>; NCOMP],
-    wr: [Vec<f64>; NCOMP],
-    /// Left/right interface conserved states `(D, Sx, Sy, Sz, τ)`.
-    ul: [Vec<f64>; NCOMP],
-    ur: [Vec<f64>; NCOMP],
-    /// Left/right physical fluxes.
-    fl: [Vec<f64>; NCOMP],
-    fr: [Vec<f64>; NCOMP],
-    /// Per-side characteristic speeds λ∓.
-    lm_l: Vec<f64>,
-    lp_l: Vec<f64>,
-    lm_r: Vec<f64>,
-    lp_r: Vec<f64>,
-    /// Sanitized normal velocity and pressure per side (HLLC star state).
-    vn_l: Vec<f64>,
-    p_l: Vec<f64>,
-    vn_r: Vec<f64>,
-    p_r: Vec<f64>,
+    l: SideBanks,
+    r: SideBanks,
     /// Interface flux bank.
     flux: [Vec<f64>; NCOMP],
 }
@@ -310,28 +295,13 @@ impl PencilScratch {
 
     fn ensure(&mut self, nt: usize) {
         let n1 = nt + 1;
-        for c in 0..NCOMP {
-            self.q[c].resize(nt, 0.0);
-            self.wl[c].resize(n1, 0.0);
-            self.wr[c].resize(n1, 0.0);
-            self.ul[c].resize(n1, 0.0);
-            self.ur[c].resize(n1, 0.0);
-            self.fl[c].resize(n1, 0.0);
-            self.fr[c].resize(n1, 0.0);
-            self.flux[c].resize(n1, 0.0);
+        self.q.iter_mut().for_each(|v| v.resize(nt, 0.0));
+        for s in [&mut self.l, &mut self.r] {
+            let per_comp = s.w.iter_mut().chain(&mut s.u).chain(&mut s.f);
+            let banks = per_comp.chain([&mut s.lm, &mut s.lp, &mut s.vn, &mut s.p]);
+            banks.for_each(|v| v.resize(n1, 0.0));
         }
-        for v in [
-            &mut self.lm_l,
-            &mut self.lp_l,
-            &mut self.lm_r,
-            &mut self.lp_r,
-            &mut self.vn_l,
-            &mut self.p_l,
-            &mut self.vn_r,
-            &mut self.p_r,
-        ] {
-            v.resize(n1, 0.0);
-        }
+        self.flux.iter_mut().for_each(|v| v.resize(n1, 0.0));
     }
 }
 
@@ -354,84 +324,126 @@ pub(crate) fn with_pencil_scratch<R>(nt: usize, f: impl FnOnce(&mut PencilScratc
 /// conserved state, physical flux, characteristic speeds, and the
 /// sanitized `(v_n, p)` pair over `[lo, hi1)`.
 ///
+/// The sweep direction and the EOS variant are matched here, once per
+/// call: each arm inlines a [`side_lanes`] in which both are constants,
+/// so its lane loop holds no `match` and no runtime index.
+fn prepare_side(scheme: &Scheme, n: usize, side: &mut SideBanks, lo: usize, hi1: usize) {
+    let floors = (scheme.c2p.rho_floor, scheme.c2p.p_floor);
+    let w = side.w.each_ref().map(|w| &w[lo..hi1]);
+    let [d, sx, sy, sz, tau] = &mut side.u;
+    let [fd, fx, fy, fz, ft] = &mut side.f;
+    let (lm, lp, vn, p) = (&mut side.lm, &mut side.lp, &mut side.vn, &mut side.p);
+    // Every output bank is an argument of its own: only a `&mut`
+    // parameter tells the optimiser that its stores alias nothing else.
+    macro_rules! lanes {
+        ($n:literal, $eos:expr) => {
+            side_lanes::<$n>(
+                $eos,
+                floors,
+                w,
+                &mut d[lo..hi1],
+                &mut sx[lo..hi1],
+                &mut sy[lo..hi1],
+                &mut sz[lo..hi1],
+                &mut tau[lo..hi1],
+                &mut fd[lo..hi1],
+                &mut fx[lo..hi1],
+                &mut fy[lo..hi1],
+                &mut fz[lo..hi1],
+                &mut ft[lo..hi1],
+                &mut lm[lo..hi1],
+                &mut lp[lo..hi1],
+                &mut vn[lo..hi1],
+                &mut p[lo..hi1],
+            )
+        };
+    }
+    match (n, scheme.eos) {
+        (0, Eos::IdealGas { gamma }) => lanes!(0, Eos::IdealGas { gamma }),
+        (1, Eos::IdealGas { gamma }) => lanes!(1, Eos::IdealGas { gamma }),
+        (_, Eos::IdealGas { gamma }) => lanes!(2, Eos::IdealGas { gamma }),
+        (0, Eos::TaubMathews) => lanes!(0, Eos::TaubMathews),
+        (1, Eos::TaubMathews) => lanes!(1, Eos::TaubMathews),
+        (_, Eos::TaubMathews) => lanes!(2, Eos::TaubMathews),
+    }
+}
+
+/// The lane loop of [`prepare_side`] for a sweep along axis `N`; every
+/// slice covers the same interfaces.
+///
 /// The arithmetic is the exact composition of `Scheme::sanitize`,
 /// `Prim::to_cons`, `physical_flux_from`, and `signal_speeds` on each
-/// lane — the only change from the AoS path is that `v²` (identical
-/// expression in `vsq`/`lorentz`) is computed once per lane instead of
-/// per callee, which cannot change its value.
+/// lane. Two things differ from the AoS path and neither can change a
+/// value: `v²` (identical expression in `vsq`/`lorentz`) is computed once
+/// per lane instead of per callee, and the superluminal clamp is a
+/// select — its scale is computed for every lane and used only where the
+/// branch was taken — which leaves straight-line arithmetic for the
+/// autovectoriser.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn prepare_side(
-    eos: &Eos,
-    rho_floor: f64,
-    p_floor: f64,
-    n: usize,
-    w: &[Vec<f64>; NCOMP],
-    lo: usize,
-    hi1: usize,
-    u: &mut [Vec<f64>; NCOMP],
-    f: &mut [Vec<f64>; NCOMP],
+fn side_lanes<const N: usize>(
+    eos: Eos,
+    (rho_floor, p_floor): (f64, f64),
+    w: [&[f64]; NCOMP],
+    u_d: &mut [f64],
+    u_sx: &mut [f64],
+    u_sy: &mut [f64],
+    u_sz: &mut [f64],
+    u_tau: &mut [f64],
+    f_d: &mut [f64],
+    f_sx: &mut [f64],
+    f_sy: &mut [f64],
+    f_sz: &mut [f64],
+    f_tau: &mut [f64],
     lm: &mut [f64],
     lp: &mut [f64],
     vn_out: &mut [f64],
     p_out: &mut [f64],
 ) {
     const V2_MAX: f64 = 1.0 - 1e-12;
-    let lanes = simd_lanes();
-    let mut j0 = lo;
-    while j0 < hi1 {
-        let j1 = (j0 + lanes).min(hi1);
-        for j in j0..j1 {
-            // Scheme::sanitize, in place on the lane.
-            let rho = w[0][j].max(rho_floor);
-            let p = w[4][j].max(p_floor);
-            let mut vx = w[1][j];
-            let mut vy = w[2][j];
-            let mut vz = w[3][j];
-            let v2 = vx * vx + vy * vy + vz * vz;
-            if v2 >= V2_MAX {
-                let scale = (V2_MAX / v2).sqrt();
-                vx *= scale;
-                vy *= scale;
-                vz *= scale;
-            }
-            // Prim::vsq / lorentz on the sanitized velocity.
-            let v2 = vx * vx + vy * vy + vz * vz;
-            let wlor = 1.0 / (1.0 - v2).sqrt();
-            // Prim::to_cons.
-            let h = eos.enthalpy(rho, p);
-            let rhw2 = rho * h * wlor * wlor;
-            let d = rho * wlor;
-            let sx = rhw2 * vx;
-            let sy = rhw2 * vy;
-            let sz = rhw2 * vz;
-            let tau = rhw2 - p - d;
-            u[0][j] = d;
-            u[1][j] = sx;
-            u[2][j] = sy;
-            u[3][j] = sz;
-            u[4][j] = tau;
-            // physical_flux_from.
-            let vel = [vx, vy, vz];
-            let vn = vel[n];
-            let mut fs = [sx * vn, sy * vn, sz * vn];
-            fs[n] += p;
-            f[0][j] = d * vn;
-            f[1][j] = fs[0];
-            f[2][j] = fs[1];
-            f[3][j] = fs[2];
-            f[4][j] = (tau + p) * vn;
-            // signal_speeds.
-            let cs2 = eos.sound_speed_sq(rho, p).clamp(0.0, 1.0 - 1e-15);
-            let den = 1.0 - v2 * cs2;
-            let disc = ((1.0 - v2) * (1.0 - v2 * cs2 - vn * vn * (1.0 - cs2))).max(0.0);
-            let root = disc.sqrt();
-            let cs = cs2.sqrt();
-            lm[j] = ((vn * (1.0 - cs2) - cs * root) / den).clamp(-1.0, 1.0);
-            lp[j] = ((vn * (1.0 - cs2) + cs * root) / den).clamp(-1.0, 1.0);
-            vn_out[j] = vn;
-            p_out[j] = p;
-        }
-        j0 = j1;
+    for j in 0..p_out.len() {
+        // Scheme::sanitize, in place on the lane.
+        let rho = w[0][j].max(rho_floor);
+        let p = w[4][j].max(p_floor);
+        let vel = [w[1][j], w[2][j], w[3][j]];
+        let v2 = vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2];
+        let scale = (V2_MAX / v2).sqrt();
+        let [vx, vy, vz] = vel.map(|v| if v2 >= V2_MAX { v * scale } else { v });
+        // Prim::vsq / lorentz on the sanitized velocity.
+        let v2 = vx * vx + vy * vy + vz * vz;
+        let wlor = 1.0 / (1.0 - v2).sqrt();
+        // Prim::to_cons.
+        let h = eos.enthalpy(rho, p);
+        let rhw2 = rho * h * wlor * wlor;
+        let d = rho * wlor;
+        let sx = rhw2 * vx;
+        let sy = rhw2 * vy;
+        let sz = rhw2 * vz;
+        let tau = rhw2 - p - d;
+        u_d[j] = d;
+        u_sx[j] = sx;
+        u_sy[j] = sy;
+        u_sz[j] = sz;
+        u_tau[j] = tau;
+        // physical_flux_from.
+        let vn = [vx, vy, vz][N];
+        let mut fs = [sx * vn, sy * vn, sz * vn];
+        fs[N] += p;
+        f_d[j] = d * vn;
+        f_sx[j] = fs[0];
+        f_sy[j] = fs[1];
+        f_sz[j] = fs[2];
+        f_tau[j] = (tau + p) * vn;
+        // signal_speeds.
+        let cs2 = eos.sound_speed_sq(rho, p).clamp(0.0, 1.0 - 1e-15);
+        let den = 1.0 - v2 * cs2;
+        let disc = ((1.0 - v2) * (1.0 - v2 * cs2 - vn * vn * (1.0 - cs2))).max(0.0);
+        let root = disc.sqrt();
+        let cs = cs2.sqrt();
+        lm[j] = ((vn * (1.0 - cs2) - cs * root) / den).clamp(-1.0, 1.0);
+        lp[j] = ((vn * (1.0 - cs2) + cs * root) / den).clamp(-1.0, 1.0);
+        vn_out[j] = vn;
+        p_out[j] = p;
     }
 }
 
@@ -439,14 +451,14 @@ fn prepare_side(
 /// Rusanov flux (exact expression tree of `rusanov_flux`).
 fn combine_rusanov(s: &mut PencilScratch, lo: usize, hi1: usize) {
     for j in lo..hi1 {
-        let a = s.lm_l[j]
+        let a = s.l.lm[j]
             .abs()
-            .max(s.lp_l[j].abs())
-            .max(s.lm_r[j].abs())
-            .max(s.lp_r[j].abs());
+            .max(s.l.lp[j].abs())
+            .max(s.r.lm[j].abs())
+            .max(s.r.lp[j].abs());
         let half_a = 0.5 * a;
         for c in 0..NCOMP {
-            s.flux[c][j] = (s.fl[c][j] + s.fr[c][j]) * 0.5 - (s.ur[c][j] - s.ul[c][j]) * half_a;
+            s.flux[c][j] = (s.l.f[c][j] + s.r.f[c][j]) * 0.5 - (s.r.u[c][j] - s.l.u[c][j]) * half_a;
         }
     }
 }
@@ -455,22 +467,22 @@ fn combine_rusanov(s: &mut PencilScratch, lo: usize, hi1: usize) {
 /// of `hll_flux` with Davis speeds).
 fn combine_hll(s: &mut PencilScratch, lo: usize, hi1: usize) {
     for j in lo..hi1 {
-        let lam_l = s.lm_l[j].min(s.lm_r[j]);
-        let lam_r = s.lp_l[j].max(s.lp_r[j]);
+        let lam_l = s.l.lm[j].min(s.r.lm[j]);
+        let lam_r = s.l.lp[j].max(s.r.lp[j]);
         if lam_l >= 0.0 {
             for c in 0..NCOMP {
-                s.flux[c][j] = s.fl[c][j];
+                s.flux[c][j] = s.l.f[c][j];
             }
         } else if lam_r <= 0.0 {
             for c in 0..NCOMP {
-                s.flux[c][j] = s.fr[c][j];
+                s.flux[c][j] = s.r.f[c][j];
             }
         } else {
             let inv = 1.0 / (lam_r - lam_l);
             let ll_lr = lam_l * lam_r;
             for c in 0..NCOMP {
-                s.flux[c][j] = (s.fl[c][j] * lam_r - s.fr[c][j] * lam_l
-                    + (s.ur[c][j] - s.ul[c][j]) * ll_lr)
+                s.flux[c][j] = (s.l.f[c][j] * lam_r - s.r.f[c][j] * lam_l
+                    + (s.r.u[c][j] - s.l.u[c][j]) * ll_lr)
                     * inv;
             }
         }
@@ -482,18 +494,18 @@ fn combine_hll(s: &mut PencilScratch, lo: usize, hi1: usize) {
 fn combine_hllc(s: &mut PencilScratch, n: usize, lo: usize, hi1: usize) {
     let sn = 1 + n;
     for j in lo..hi1 {
-        let lam_l = s.lm_l[j].min(s.lm_r[j]);
-        let lam_r = s.lp_l[j].max(s.lp_r[j]);
+        let lam_l = s.l.lm[j].min(s.r.lm[j]);
+        let lam_r = s.l.lp[j].max(s.r.lp[j]);
         // Supersonic cases: pure upwinding.
         if lam_l >= 0.0 {
             for c in 0..NCOMP {
-                s.flux[c][j] = s.fl[c][j];
+                s.flux[c][j] = s.l.f[c][j];
             }
             continue;
         }
         if lam_r <= 0.0 {
             for c in 0..NCOMP {
-                s.flux[c][j] = s.fr[c][j];
+                s.flux[c][j] = s.r.f[c][j];
             }
             continue;
         }
@@ -502,10 +514,10 @@ fn combine_hllc(s: &mut PencilScratch, n: usize, lo: usize, hi1: usize) {
         let inv = 1.0 / (lam_r - lam_l);
         let ll_lr = lam_l * lam_r;
         let fan_u = |c: usize, s: &PencilScratch| {
-            (s.ur[c][j] * lam_r - s.ul[c][j] * lam_l + (s.fl[c][j] - s.fr[c][j])) * inv
+            (s.r.u[c][j] * lam_r - s.l.u[c][j] * lam_l + (s.l.f[c][j] - s.r.f[c][j])) * inv
         };
         let fan_f = |c: usize, s: &PencilScratch| {
-            (s.fl[c][j] * lam_r - s.fr[c][j] * lam_l + (s.ur[c][j] - s.ul[c][j]) * ll_lr) * inv
+            (s.l.f[c][j] * lam_r - s.r.f[c][j] * lam_l + (s.r.u[c][j] - s.l.u[c][j]) * ll_lr) * inv
         };
         let e_hll = fan_u(4, s) + fan_u(0, s);
         let m_hll = fan_u(sn, s);
@@ -532,9 +544,9 @@ fn combine_hllc(s: &mut PencilScratch, n: usize, lo: usize, hi1: usize) {
 
         // Star state on the side containing the interface (ξ = 0).
         let (u, f, vn, p, lam) = if lam_star >= 0.0 {
-            (&s.ul, &s.fl, s.vn_l[j], s.p_l[j], lam_l)
+            (&s.l.u, &s.l.f, s.l.vn[j], s.l.p[j], lam_l)
         } else {
-            (&s.ur, &s.fr, s.vn_r[j], s.p_r[j], lam_r)
+            (&s.r.u, &s.r.f, s.r.vn[j], s.r.p[j], lam_r)
         };
 
         let e = u[4][j] + u[0][j];
@@ -574,40 +586,11 @@ pub(crate) fn reconstruct_and_flux(
 ) {
     let n = dir.axis();
     for c in 0..NCOMP {
-        scheme
-            .recon
-            .pencil(&s.q[c], lo, hi1, &mut s.wl[c], &mut s.wr[c]);
+        let (wl, wr) = (&mut s.l.w[c], &mut s.r.w[c]);
+        scheme.recon.pencil(&s.q[c], lo, hi1, wl, wr);
     }
-    prepare_side(
-        &scheme.eos,
-        scheme.c2p.rho_floor,
-        scheme.c2p.p_floor,
-        n,
-        &s.wl,
-        lo,
-        hi1,
-        &mut s.ul,
-        &mut s.fl,
-        &mut s.lm_l,
-        &mut s.lp_l,
-        &mut s.vn_l,
-        &mut s.p_l,
-    );
-    prepare_side(
-        &scheme.eos,
-        scheme.c2p.rho_floor,
-        scheme.c2p.p_floor,
-        n,
-        &s.wr,
-        lo,
-        hi1,
-        &mut s.ur,
-        &mut s.fr,
-        &mut s.lm_r,
-        &mut s.lp_r,
-        &mut s.vn_r,
-        &mut s.p_r,
-    );
+    prepare_side(scheme, n, &mut s.l, lo, hi1);
+    prepare_side(scheme, n, &mut s.r, lo, hi1);
     match scheme.riemann {
         RiemannSolver::Rusanov => combine_rusanov(s, lo, hi1),
         RiemannSolver::Hll => combine_hll(s, lo, hi1),
@@ -617,7 +600,8 @@ pub(crate) fn reconstruct_and_flux(
 
 /// Process one pencil: reconstruct, solve Riemann problems, accumulate
 /// flux differences along direction `d` at transverse coordinates
-/// `(ta, tb)` (dims `a`, `b`), plus the optional fused wave-speed scan.
+/// `(ta, tb)` (the other two dimensions in ascending order), plus the
+/// optional fused wave-speed scan.
 ///
 /// # Safety
 /// The caller must guarantee that no other thread concurrently accesses
@@ -628,8 +612,6 @@ unsafe fn sweep_pencil(
     prim: &Field,
     geom: &PatchGeom,
     d: usize,
-    _a: usize,
-    _b: usize,
     ta: usize,
     tb: usize,
     region: &Region,
@@ -645,13 +627,11 @@ unsafe fn sweep_pencil(
         let s = &mut *cell.borrow_mut();
         s.ensure(nt);
 
-        // `read_pencil` wants transverse indices in ascending dim order.
-        let (t1, t2) = (ta, tb);
         for (c, comp) in [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P]
             .into_iter()
             .enumerate()
         {
-            prim.read_pencil(comp, d, t1, t2, &mut s.q[c]);
+            prim.read_pencil(comp, d, ta, tb, &mut s.q[c]);
         }
 
         reconstruct_and_flux(scheme, s, dir, lo, hi + 1);

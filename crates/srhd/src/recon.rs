@@ -165,23 +165,35 @@ impl Recon {
                 ql[lo..hi].copy_from_slice(&q[lo - 1..hi - 1]);
                 qr[lo..hi].copy_from_slice(&q[lo..hi]);
             }
-            Recon::Plm(lim) => {
-                for j in lo..hi {
-                    let sl = lim.slope(q[j - 1] - q[j - 2], q[j] - q[j - 1]);
-                    let sr = lim.slope(q[j] - q[j - 1], q[j + 1] - q[j]);
-                    ql[j] = q[j - 1] + 0.5 * sl;
-                    qr[j] = q[j] - 0.5 * sr;
+            Recon::Plm(lim) => staged(lo, hi, ql, qr, |c0, al, ar| {
+                let cells = q[c0 - 1..c0 + al.len() + 1].windows(3);
+                for ((al, ar), w) in al.iter_mut().zip(ar).zip(cells) {
+                    let half = 0.5 * lim.slope(w[1] - w[0], w[2] - w[1]);
+                    (*al, *ar) = (w[1] - half, w[1] + half);
                 }
-            }
+            }),
             Recon::Ppm => {
-                for j in lo..hi {
-                    // Left interface state: right edge of cell j-1.
-                    let (_, ar) = ppm_edges(q, j - 1);
-                    ql[j] = ar;
-                    // Right interface state: left edge of cell j.
-                    let (al, _) = ppm_edges(q, j);
-                    qr[j] = al;
-                }
+                let (mut dq, mut face) = ([0.0; RECON_BLOCK + 2], [0.0; RECON_BLOCK + 1]);
+                staged(lo, hi, ql, qr, |c0, al, ar| {
+                    // Cells `c0 - 2 ..= c0 + n + 1`: the block and its stencil.
+                    let (n, q) = (al.len(), &q[c0 - 2..c0 + al.len() + 2]);
+                    let face = &mut face[..n + 1];
+                    // (1) Limited slope of cells `c0 - 1 ..= c0 + n`.
+                    for (dq, w) in dq.iter_mut().zip(q.windows(3)) {
+                        *dq = ppm_slope(w[0], w[1], w[2]);
+                    }
+                    // (2) Interpolant at the faces `c0 - 1 ..= c0 + n` (face
+                    // `f` lies between cells `f` and `f + 1`).
+                    for ((face, dq), w) in face.iter_mut().zip(dq.windows(2)).zip(q[1..].windows(2))
+                    {
+                        *face = 0.5 * (w[0] + w[1]) + (dq[0] - dq[1]) / 6.0;
+                    }
+                    // (3) Monotonised edge pair of cells `c0 .. c0 + n`.
+                    let edges = face.windows(2).zip(&q[2..]);
+                    for ((al, ar), (f, &a)) in al.iter_mut().zip(ar).zip(edges) {
+                        (*al, *ar) = ppm_monotonize(f[0], a, f[1]);
+                    }
+                })
             }
             Recon::Ceno3 => {
                 for j in lo..hi {
@@ -207,50 +219,80 @@ impl Recon {
             }
         }
     }
+}
 
-    /// Convenience: reconstruct both states at a single interface `j`.
-    pub fn at(&self, q: &[f64], j: usize) -> (f64, f64) {
-        let mut ql = vec![0.0; j + 1];
-        let mut qr = vec![0.0; j + 1];
-        self.pencil(q, j, j + 1, &mut ql, &mut qr);
-        (ql[j], qr[j])
+/// Cells per block of the staged schemes (PLM, PPM): what a block computes
+/// once per cell lives in stack arrays of this length, ≈ 2 KiB for PPM.
+pub const RECON_BLOCK: usize = 64;
+
+/// Skeleton of the schemes that reconstruct each *cell* once: walk the
+/// cells `lo - 1 .. hi` in blocks, have `edges(c0, a_l, a_r)` fill the
+/// left / right edge values of the cells `c0 .. c0 + a_l.len()`, and
+/// scatter them to the interfaces, `ql[c + 1] = a_r(c)` and
+/// `qr[c] = a_l(c)`, inside `[lo, hi)` only. An edge value is a function
+/// of `q` around its cell alone, so the result depends neither on the
+/// block width nor on where `lo` and `hi` fall.
+#[inline(always)]
+fn staged(
+    lo: usize,
+    hi: usize,
+    ql: &mut [f64],
+    qr: &mut [f64],
+    mut edges: impl FnMut(usize, &mut [f64], &mut [f64]),
+) {
+    let (mut al, mut ar) = ([0.0; RECON_BLOCK], [0.0; RECON_BLOCK]);
+    for c0 in (lo - 1..hi).step_by(RECON_BLOCK) {
+        let n = RECON_BLOCK.min(hi - c0);
+        edges(c0, &mut al[..n], &mut ar[..n]);
+        // The first cell, `lo - 1`, has no interface on its left in the
+        // window and the last, `hi - 1`, none on its right.
+        let (first, last) = (c0.max(lo), (c0 + n).min(hi - 1));
+        qr[first..c0 + n].copy_from_slice(&al[first - c0..n]);
+        ql[c0 + 1..last + 1].copy_from_slice(&ar[..last - c0]);
     }
 }
 
-/// Monotonized parabolic edge values `(a_L, a_R)` for cell `j`
-/// (Colella & Woodward 1984, eqs. 1.6–1.10).
-#[inline]
-fn ppm_edges(q: &[f64], j: usize) -> (f64, f64) {
-    // 4th-order interface interpolants with van-Leer-limited slopes for
-    // monotone behaviour near discontinuities.
-    let dq = |j: usize| {
-        let d = 0.5 * (q[j + 1] - q[j - 1]);
-        let dl = q[j] - q[j - 1];
-        let dr = q[j + 1] - q[j];
-        if dl * dr > 0.0 {
-            d.signum() * d.abs().min(2.0 * dl.abs()).min(2.0 * dr.abs())
-        } else {
-            0.0
-        }
-    };
-    let face = |j: usize| 0.5 * (q[j] + q[j + 1]) + (dq(j) - dq(j + 1)) / 6.0;
-    let mut al = face(j - 1);
-    let mut ar = face(j);
-    let a = q[j];
-    // CW monotonization.
-    if (ar - a) * (a - al) <= 0.0 {
-        al = a;
-        ar = a;
+/// Van-Leer-limited central slope of a cell from its two neighbours
+/// (Colella & Woodward 1984, eq. 1.8): keeps the fourth-order face
+/// interpolant monotone near discontinuities.
+#[inline(always)]
+fn ppm_slope(qm: f64, q0: f64, qp: f64) -> f64 {
+    let d = 0.5 * (qp - qm);
+    let dl = q0 - qm;
+    let dr = qp - q0;
+    if dl * dr > 0.0 {
+        d.signum() * d.abs().min(2.0 * dl.abs()).min(2.0 * dr.abs())
     } else {
-        let d = ar - al;
-        let c = a - 0.5 * (al + ar);
-        if d * c > d * d / 6.0 {
-            al = 3.0 * a - 2.0 * ar;
-        } else if -d * d / 6.0 > d * c {
-            ar = 3.0 * a - 2.0 * al;
-        }
+        0.0
     }
-    (al, ar)
+}
+
+/// Colella–Woodward monotonisation (eq. 1.10) of the face interpolants
+/// `(al, ar)` around the cell average `a`: flatten at an extremum, else
+/// pull back the edge the parabola overshoots. Selects on the comparisons
+/// of the textbook `if / else if` chain, so the loop over a block has no
+/// branch and no value moves: a NaN fails every test and leaves the
+/// interpolants as they are, and the two overshoot tests exclude each
+/// other (`d²/6 ≥ 0 ≥ −d²/6`), so neither needs the other's `else`.
+#[inline(always)]
+fn ppm_monotonize(al: f64, a: f64, ar: f64) -> (f64, f64) {
+    let d = ar - al;
+    let c = a - 0.5 * (al + ar);
+    let flat = (ar - a) * (a - al) <= 0.0;
+    let steep_l = if d * c > d * d / 6.0 {
+        3.0 * a - 2.0 * ar
+    } else {
+        al
+    };
+    let steep_r = if -d * d / 6.0 > d * c {
+        3.0 * a - 2.0 * al
+    } else {
+        ar
+    };
+    (
+        if flat { a } else { steep_l },
+        if flat { a } else { steep_r },
+    )
 }
 
 /// Classic 5th-order WENO reconstruction of the *right edge* of the center
@@ -537,20 +579,6 @@ mod tests {
         let v = Limiter::VanLeer.slope(a, b);
         let c = Limiter::Mc.slope(a, b);
         assert!(m <= v + 1e-14 && v <= c + 1e-14, "{m} {v} {c}");
-    }
-
-    #[test]
-    fn single_interface_helper_matches_pencil() {
-        let q: Vec<f64> = (0..12).map(|i| (i as f64 * 0.7).sin()).collect();
-        for r in Recon::SWEEP {
-            let g = r.ghost();
-            let (ql, qr) = run(r, &q);
-            for j in g..q.len() + 1 - g {
-                let (l, rr) = r.at(&q, j);
-                assert_eq!(l, ql[j], "{} at {j}", r.name());
-                assert_eq!(rr, qr[j], "{} at {j}", r.name());
-            }
-        }
     }
 
     #[test]
