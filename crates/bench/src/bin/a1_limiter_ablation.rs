@@ -9,7 +9,7 @@
 //! MC sharpest of the TVD limiters; PPM/CENO3 better than all PLM
 //! variants on these problems.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -82,13 +82,8 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    table.save_csv("a1_limiter_ablation");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("a1_limiter_ablation", &snap);
-    }
-    RunReport::new("a1_limiter_ablation")
+    opts.finish(&table, "a1_limiter_ablation", "", &snap)
         .config_str("problem", "sod + blast1, hllc + rk3")
         .config_num("n", n as f64)
         .config_num("configs", (2 * recons.len()) as f64)

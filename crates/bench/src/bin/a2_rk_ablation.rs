@@ -9,7 +9,7 @@
 //! nearly the same error (shock-limited), so RK2 is the cost-effective
 //! choice there.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -69,13 +69,8 @@ fn main() {
             }
         }
     }
-    table.print();
-    table.save_csv("a2_rk_ablation");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("a2_rk_ablation", &snap);
-    }
-    RunReport::new("a2_rk_ablation")
+    opts.finish(&table, "a2_rk_ablation", "", &snap)
         .config_str("problem", "density-wave + sod, ppm + hllc")
         .config_num("n", n as f64)
         .wall_time(bench_t0.elapsed().as_secs_f64())

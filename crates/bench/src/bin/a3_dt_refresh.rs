@@ -19,7 +19,7 @@
 //! safety margin absorbs the bound's drift and violations stay at 0 —
 //! the guard is a backstop, not a steady-state cost.
 
-use rhrsc_bench::{print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{BenchOpts, Table};
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp};
 use rhrsc_runtime::Registry;
@@ -114,13 +114,8 @@ fn main() {
             violations.to_string(),
         ]);
     }
-    table.print();
-    table.save_csv("a3_dt_refresh");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("a3_dt_refresh", &snap);
-    }
-    RunReport::new("a3_dt_refresh")
+    opts.finish(&table, "a3_dt_refresh", "", &snap)
         .config_str("problem", "2D blast, 8 ranks, bulk-sync, 1ms latency")
         .config_num("global_nx", global_n[0] as f64)
         .config_num("global_ny", global_n[1] as f64)

@@ -7,7 +7,7 @@
 //! Expected shape: cost grows PC < PLM < CENO3 ≈ PPM < WENO5 ≈ MP5; PPM
 //! sits at the best accuracy-per-cost for shock problems.
 
-use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -54,13 +54,8 @@ fn main() {
             f3(per_zone / b),
         ]);
     }
-    table.print();
-    table.save_csv("a4_recon_cost");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("a4_recon_cost", &snap);
-    }
-    RunReport::new("a4_recon_cost")
+    opts.finish(&table, "a4_recon_cost", "", &snap)
         .config_str("problem", "sod, rk3 + hllc, recon sweep")
         .config_num("n", n as f64)
         .wall_time(bench_t0.elapsed().as_secs_f64())

@@ -11,7 +11,7 @@
 //! hot post-shock shell, so its shock position and compression sit
 //! between the two constant-Γ runs (closer to 4/3 for the hot blast2).
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_eos::Eos;
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
@@ -70,13 +70,8 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    table.save_csv("a6_eos_comparison");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("a6_eos_comparison", &snap);
-    }
-    RunReport::new("a6_eos_comparison")
+    opts.finish(&table, "a6_eos_comparison", "", &snap)
         .config_str("problem", "blast1 + blast2, gamma-law vs taub-mathews")
         .config_num("n", n as f64)
         .wall_time(bench_t0.elapsed().as_secs_f64())

@@ -26,123 +26,53 @@
 //! device queue including the breaker transitions. A machine-readable
 //! report is always written to `results/BENCH_f10_fault_tolerance.json`.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
-use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
-use rhrsc_grid::{bc, Bc, CartDecomp, Field, PatchGeom};
-use rhrsc_runtime::trace::Tracer;
+use rhrsc_bench::drill::{
+    blast_2x2, blast_ic, fault_seed, flight_recorder, l1_rel_density, reference_run, resilient_run,
+    write_flight_record, RankRun, Scratch,
+};
+use rhrsc_bench::{sci, BenchOpts, Table};
+use rhrsc_comm::{FaultPlan, NetworkModel};
+use rhrsc_grid::{bc, Bc, PatchGeom};
 use rhrsc_runtime::{AcceleratorConfig, FaultInjector, Registry};
 use rhrsc_solver::device_backend::{BreakerConfig, DevicePatchSolver};
-use rhrsc_solver::driver::{
-    BlockSolver, DistConfig, ExchangeMode, ResilienceConfig, ResilienceStats,
-};
+use rhrsc_solver::driver::{ExchangeMode, ResilienceConfig};
 use rhrsc_solver::scheme::init_cons;
-use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
-use rhrsc_srhd::Prim;
+use rhrsc_solver::{PatchSolver, RkOrder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn ic(x: [f64; 3]) -> Prim {
-    let r2 = (x[0] - 0.5).powi(2) + (x[1] - 0.5).powi(2);
-    Prim::at_rest(1.0, if r2 < 0.01 { 100.0 } else { 1.0 })
-}
-
-fn dist_cfg(n: usize) -> DistConfig {
-    DistConfig {
-        scheme: Scheme::default_with_gamma(5.0 / 3.0),
-        rk: RkOrder::Rk3,
-        global_n: [n, n, 1],
-        domain: ([0.0; 3], [1.0, 1.0, 1.0]),
-        decomp: CartDecomp {
-            dims: [2, 2, 1],
-            periodic: [false, false, false],
-        },
-        bcs: bc::uniform(Bc::Outflow),
-        cfl: 0.4,
-        mode: ExchangeMode::Overlap,
-        gang_threads: 0,
-        dt_refresh_interval: 1,
-    }
-}
-
-/// Relative L1 difference of the lab-frame density (component 0).
-fn l1_rel_density(a: &Field, b: &Field) -> f64 {
-    let (mut num, mut den) = (0.0, 0.0);
-    let n = a.geom().len();
-    for i in 0..n {
-        num += (a.raw()[i] - b.raw()[i]).abs();
-        den += b.raw()[i].abs();
-    }
-    num / den
-}
-
-fn resilient_run(
-    cfg: &DistConfig,
-    t_end: f64,
-    plan: Option<FaultPlan>,
-    res: &ResilienceConfig,
-    reg: &Arc<Registry>,
-) -> (Field, ResilienceStats, u64) {
-    let outs = run_with_faults(4, NetworkModel::ideal(), plan, |rank| {
-        rank.set_metrics(reg.clone());
-        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_metrics(reg.clone());
-        let (_, rstats) = solver
-            .advance_to_with_restart(rank, &mut u, 0.0, t_end, res)
-            .expect("resilient advance failed");
-        let truncated = rank
-            .fault_stats()
-            .map(|s| s.msgs_truncated + s.msgs_delayed)
-            .unwrap_or(0);
-        (
-            solver.gather_interior(rank, &u).expect("gather failed"),
-            rstats,
-            truncated,
-        )
-    });
-    let faults: u64 = outs.iter().map(|(_, _, f)| f).sum();
-    let rstats = outs[0].1;
-    let global = outs
-        .into_iter()
-        .next()
-        .and_then(|(g, _, _)| g)
-        .expect("rank 0 holds the gathered field");
-    (global, rstats, faults)
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
     let (n, t_end) = if opts.toy { (32, 0.05) } else { (64, 0.1) };
     println!("# F10: fault tolerance, 2D blast {n}x{n}, 2x2 ranks, RK3 overlap, t_end = {t_end}");
-    let cfg = dist_cfg(n);
+    let cfg = blast_2x2(n, ExchangeMode::Overlap);
     let reg = Arc::new(Registry::new());
     let bench_t0 = Instant::now();
-    let ckp_dir = std::env::temp_dir().join("rhrsc-f10-checkpoints");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
+    let ckp_dir = Scratch::new("f10_fault_tolerance");
+    // Every rank must finish; rank 0 holds the gathered field.
+    let run = |plan, res: &ResilienceConfig| -> Vec<RankRun> {
+        let ideal = NetworkModel::ideal();
+        let (outs, _) = resilient_run(&cfg, t_end, ideal, plan, res, &reg, false, None);
+        outs.into_iter()
+            .map(|r| r.expect("resilient advance failed"))
+            .collect()
+    };
 
     // ---- Run A: fault-free reference (plain driver) ----
-    let outs = run_with_faults(4, NetworkModel::ideal(), None, |rank| {
-        rank.set_metrics(reg.clone());
-        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_metrics(reg.clone());
-        solver
-            .advance_to(rank, &mut u, 0.0, t_end)
-            .expect("reference advance failed");
-        solver.gather_interior(rank, &u).expect("gather failed")
-    });
-    let reference = outs
-        .into_iter()
-        .next()
-        .flatten()
-        .expect("rank 0 holds the gathered field");
+    let (reference, _, _) = reference_run(&cfg, t_end, &reg);
     println!("A  reference: plain advance_to, no faults");
 
     // ---- Run B: resilient loop, injection disabled ----
     let res_b = ResilienceConfig {
         checkpoint_interval: 5,
-        checkpoint_dir: Some(ckp_dir.join("run-b")),
+        checkpoint_dir: Some(ckp_dir.path().join("run-b")),
         ..ResilienceConfig::default()
     };
-    let (state_b, rstats_b, _) = resilient_run(&cfg, t_end, None, &res_b, &reg);
+    let runs_b = run(None, &res_b);
+    let (state_b, rstats_b) = (
+        runs_b[0].field.as_ref().expect("rank 0 gathers"),
+        runs_b[0].rstats,
+    );
     let bit_identical = state_b.raw() == reference.raw();
     assert!(
         bit_identical,
@@ -160,12 +90,7 @@ fn main() {
     );
 
     // ---- Run C: resilient loop under an active fault schedule ----
-    // `RHRSC_FAULT_SEED` lets CI sweep a small seed matrix; the default
-    // keeps local runs reproducible.
-    let seed: u64 = std::env::var("RHRSC_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed = fault_seed(42);
     let plan = FaultPlan {
         seed,
         msg_truncate_prob: 0.01,
@@ -178,12 +103,20 @@ fn main() {
         max_step_retries: 1,
         max_restarts: 100,
         checkpoint_interval: 4,
-        checkpoint_dir: Some(ckp_dir.join("run-c")),
+        checkpoint_dir: Some(ckp_dir.path().join("run-c")),
         ..ResilienceConfig::default()
     };
-    let fault_seed = plan.seed;
-    let (state_c, rstats_c, msg_faults) = resilient_run(&cfg, t_end, Some(plan), &res_c, &reg);
-    let l1 = l1_rel_density(&state_c, &reference);
+    let runs_c = run(Some(plan), &res_c);
+    let rstats_c = runs_c[0].rstats;
+    let msg_faults: u64 = runs_c
+        .iter()
+        .filter_map(|r| r.faults)
+        .map(|s| s.msgs_truncated + s.msgs_delayed)
+        .sum();
+    let l1 = l1_rel_density(
+        runs_c[0].field.as_ref().expect("rank 0 gathers"),
+        &reference,
+    );
     println!(
         "C  resilient, faults on: {msg_faults} messages truncated/delayed, \
          cascade tiers = (relaxed {}, neighbor {}, atmosphere {}), \
@@ -210,7 +143,7 @@ fn main() {
     let scheme = cfg.scheme;
     let geom = PatchGeom::rect([n, n], [0.0, 0.0], [1.0, 1.0], scheme.required_ghosts());
     let bcs = bc::uniform(Bc::Outflow);
-    let u0 = init_cons(geom, &scheme.eos, &|x| ic(x));
+    let u0 = init_cons(geom, &scheme.eos, &blast_ic);
     let mut u_host = u0.clone();
     let mut host = PatchSolver::new(scheme, bcs, RkOrder::Rk3, geom);
     host.advance_to(&mut u_host, 0.0, t_end_d, cfg.cfl, None)
@@ -231,11 +164,7 @@ fn main() {
     dev.set_fault_injector(Arc::new(FaultInjector::new(dev_plan, 0)));
     // The optional flight record covers run D's device queue: H2D/launch/
     // D2H spans plus the breaker trip/half-open/probe/readmit instants.
-    let tracer = opts.trace_path().map(|p| {
-        let tr = Tracer::new_env_sized();
-        tr.set_dump_path(Some(p));
-        tr
-    });
+    let tracer = flight_recorder(&opts);
     if let Some(tr) = &tracer {
         dev.set_trace(tr.clone(), 0);
     }
@@ -265,13 +194,7 @@ fn main() {
         brk.readmissions,
         dev.device_time()
     );
-    if let Some(tr) = &tracer {
-        if let Some(p) = opts.trace_path() {
-            if tr.write_or_warn(&p) {
-                println!("  -> wrote {}", p.display());
-            }
-        }
-    }
+    write_flight_record(&opts, tracer.as_ref());
 
     let mut table = Table::new(&[
         "run",
@@ -297,19 +220,12 @@ fn main() {
         rstats_c.restarts.to_string(),
         sci(l1),
     ]);
-    table.print();
-    table.save_csv("f10_fault_tolerance");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f10_fault_tolerance (all runs pooled)", &snap);
-    }
-    RunReport::new("f10_fault_tolerance")
+    opts.finish(&table, "f10_fault_tolerance", "all runs pooled", &snap)
         .config_str("problem", "2D blast, 2x2 ranks, RK3 overlap")
         .config_num("global_n", n as f64)
         .config_num("t_end", t_end)
-        .config_num("fault_seed", fault_seed as f64)
+        .config_num("fault_seed", seed as f64)
         .config_num("msg_faults", msg_faults as f64)
         .config_num("cells_repaired", rstats_c.recovery.total() as f64)
         .config_num("retries", rstats_c.retries as f64)

@@ -31,75 +31,17 @@
 //! overrides it to 150 ms programmatically), `RHRSC_POOL_TIMEOUT_MS`
 //! (stuck-job watchdog in the worker pool).
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
-use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
-use rhrsc_grid::{bc, Bc, CartDecomp, Field};
-use rhrsc_runtime::trace::Tracer;
-use rhrsc_runtime::Registry;
-use rhrsc_solver::driver::{
-    BlockSolver, DistConfig, ExchangeMode, ResilienceConfig, ResilienceStats,
+use rhrsc_bench::drill::{
+    blast_2x2, fault_seed, flight_recorder, l1_rel, reference_run, resilient_run,
+    write_flight_record, Scratch,
 };
-use rhrsc_solver::scheme::SolverError;
-use rhrsc_solver::{HealthConfig, HealthSummary, RkOrder, Scheme};
-use rhrsc_srhd::Prim;
+use rhrsc_bench::{sci, BenchOpts, Table};
+use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
+use rhrsc_runtime::Registry;
+use rhrsc_solver::driver::{ExchangeMode, ResilienceConfig, ResilienceStats};
+use rhrsc_solver::HealthSummary;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn ic(x: [f64; 3]) -> Prim {
-    let r2 = (x[0] - 0.5).powi(2) + (x[1] - 0.5).powi(2);
-    Prim::at_rest(1.0, if r2 < 0.01 { 100.0 } else { 1.0 })
-}
-
-fn dist_cfg(n: usize) -> DistConfig {
-    DistConfig {
-        scheme: Scheme::default_with_gamma(5.0 / 3.0),
-        rk: RkOrder::Rk3,
-        global_n: [n, n, 1],
-        domain: ([0.0; 3], [1.0, 1.0, 1.0]),
-        decomp: CartDecomp {
-            dims: [2, 2, 1],
-            periodic: [false, false, false],
-        },
-        bcs: bc::uniform(Bc::Outflow),
-        cfl: 0.4,
-        mode: ExchangeMode::BulkSynchronous,
-        gang_threads: 0,
-        dt_refresh_interval: 1,
-    }
-}
-
-/// Relative L1 difference over all components.
-fn l1_rel(a: &Field, b: &Field) -> f64 {
-    let (mut num, mut den) = (0.0, 0.0);
-    for i in 0..a.raw().len() {
-        num += (a.raw()[i] - b.raw()[i]).abs();
-        den += b.raw()[i].abs();
-    }
-    num / den
-}
-
-/// One fault-free reference run (plain driver); returns the gathered
-/// interior, the wall time, and the step count.
-fn reference_run(cfg: &DistConfig, t_end: f64, reg: &Arc<Registry>) -> (Field, f64, usize) {
-    let t0 = Instant::now();
-    let outs = run_with_faults(4, NetworkModel::ideal(), None, |rank| {
-        rank.set_metrics(reg.clone());
-        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_metrics(reg.clone());
-        let stats = solver
-            .advance_to(rank, &mut u, 0.0, t_end)
-            .expect("reference advance failed");
-        let g = solver.gather_interior(rank, &u).expect("gather failed");
-        (g, stats.steps)
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let (global, steps) = outs.into_iter().next().expect("rank 0 ran");
-    (
-        global.expect("rank 0 holds the gathered field"),
-        wall,
-        steps,
-    )
-}
 
 /// Microbenchmark the armored per-step agreement against the plain
 /// allreduce-max it replaced, at an identical sync point (tight loop on
@@ -124,51 +66,6 @@ fn agreement_arming_cost(iters: usize) -> f64 {
     ((armored - plain) / iters as f64).max(0.0)
 }
 
-/// One resilient run; per rank returns `None` for a crashed rank and
-/// `(stats, gathered, health summary)` for a finisher. An optional
-/// shared flight recorder captures every rank's spans/instants —
-/// including the victim's final heartbeats before it goes silent.
-#[allow(clippy::type_complexity)]
-fn resilient_run(
-    cfg: &DistConfig,
-    t_end: f64,
-    model: NetworkModel,
-    plan: Option<FaultPlan>,
-    res: &ResilienceConfig,
-    reg: &Arc<Registry>,
-    tracer: Option<&Arc<Tracer>>,
-) -> (
-    Vec<Option<(ResilienceStats, Option<Field>, HealthSummary)>>,
-    f64,
-) {
-    let t0 = Instant::now();
-    let outs = run_with_faults(4, model, plan, |rank| {
-        rank.set_metrics(reg.clone());
-        if let Some(tr) = tracer {
-            rank.set_trace(tr.clone());
-        }
-        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_metrics(reg.clone());
-        solver.set_health(HealthConfig {
-            verbose: false,
-            ..Default::default()
-        });
-        match solver.advance_to_with_restart(rank, &mut u, 0.0, t_end, res) {
-            Ok((_, rstats)) => {
-                let g = solver.gather_interior(rank, &u).expect("gather failed");
-                let health = solver
-                    .take_health()
-                    .map(|m| m.summary())
-                    .unwrap_or_default();
-                Some((rstats, g, health))
-            }
-            Err(SolverError::RankFailed { .. }) => None,
-            Err(e) => panic!("rank {}: unexpected error {e}", rank.rank()),
-        }
-    });
-    (outs, t0.elapsed().as_secs_f64())
-}
-
 fn main() {
     let opts = BenchOpts::from_args();
     let (n, t_end, reps) = if opts.toy {
@@ -177,10 +74,14 @@ fn main() {
         (64, 0.08, 2)
     };
     println!("# F11: rank-level failure tolerance, 2D blast {n}x{n}, 2x2 ranks, t_end = {t_end}");
-    let cfg = dist_cfg(n);
+    let cfg = blast_2x2(n, ExchangeMode::BulkSynchronous);
     let reg = Arc::new(Registry::new());
-    let ckp_dir = std::env::temp_dir().join("rhrsc-f11-checkpoints");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
+    let ckp_dir = Scratch::new("f11_rank_failure");
+    // The health monitor is armed in every arm: the report's
+    // `health.records` counter pools them, its summary is arm C's.
+    let run = |model, plan, res: &ResilienceConfig, tracer| {
+        resilient_run(&cfg, t_end, model, plan, res, &reg, true, tracer)
+    };
     let mut wall_total = 0.0;
 
     // ---- Run A: fault-free reference, best of `reps` ----
@@ -204,13 +105,16 @@ fn main() {
     let mut state_b = None;
     let mut rstats_b = ResilienceStats::default();
     for _ in 0..reps {
-        let (outs, w) = resilient_run(&cfg, t_end, NetworkModel::ideal(), None, &res_b, &reg, None);
+        let (outs, w) = run(NetworkModel::ideal(), None, &res_b, None);
         wall_total += w;
         wall_b = wall_b.min(w);
-        let mut it = outs.into_iter().flatten();
-        let (rs, g, _) = it.next().expect("rank 0 must finish");
-        rstats_b = rs;
-        state_b = g;
+        let rank0 = outs
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("rank 0 must finish");
+        rstats_b = rank0.rstats;
+        state_b = rank0.field;
     }
     let state_b = state_b.expect("rank 0 holds the gathered field");
     let bit_identical = state_b.raw() == reference.raw();
@@ -246,13 +150,9 @@ fn main() {
     // ---- Run C: rank 0 crashes mid-run; survivors shrink and finish ----
     // Killing rank 0 (not the last rank) exercises the block→communicator
     // translation after the shrink.
-    // `RHRSC_FAULT_SEED` lets CI sweep a seed matrix. Crash/stall sites
-    // are scheduled (not drawn), so the seed only perturbs the stream
-    // layout; the default keeps local runs reproducible.
-    let seed: u64 = std::env::var("RHRSC_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11);
+    // Crash/stall sites are scheduled (not drawn), so the seed only
+    // perturbs the stream layout.
+    let seed = fault_seed(11);
     let plan_c = FaultPlan {
         seed,
         crash_rank: Some(0),
@@ -261,7 +161,7 @@ fn main() {
     };
     let res_c = ResilienceConfig {
         checkpoint_interval: 3,
-        checkpoint_dir: Some(ckp_dir.clone()),
+        checkpoint_dir: Some(ckp_dir.path().to_path_buf()),
         ..ResilienceConfig::default()
     };
     // The crash scenario carries the flight recorder: the victim's last
@@ -269,42 +169,25 @@ fn main() {
     // and the shrink-restore span all land in one merged trace. The
     // victim's terminal error auto-dumps a partial trace; the explicit
     // write below replaces it with the complete run.
-    let trace_path = opts.trace_path();
-    let tracer = trace_path.as_ref().map(|p| {
-        let tr = Tracer::new_env_sized();
-        tr.set_dump_path(Some(p.clone()));
-        tr
-    });
+    let tracer = flight_recorder(&opts);
     let model_c = NetworkModel::ideal().with_suspect_after(Duration::from_millis(150));
-    let (outs_c, wall_c) = resilient_run(
-        &cfg,
-        t_end,
-        model_c,
-        Some(plan_c.clone()),
-        &res_c,
-        &reg,
-        tracer.as_ref(),
-    );
+    let (outs_c, wall_c) = run(model_c, Some(plan_c.clone()), &res_c, tracer.as_ref());
     wall_total += wall_c;
     assert!(outs_c[0].is_none(), "the victim must report RankFailed");
     let survivors: Vec<_> = outs_c.iter().flatten().collect();
     assert_eq!(survivors.len(), 3, "all three survivors must finish");
-    let rstats_c = survivors[0].0;
+    let rstats_c = survivors[0].rstats;
     let mut health_c = HealthSummary::default();
-    for (rs, _, hs) in &survivors {
-        assert_eq!(rs.shrinks, 1, "{rs:?}");
-        assert_eq!(rs.ranks_lost, 1, "{rs:?}");
-        health_c.merge(hs);
+    for r in &survivors {
+        assert_eq!(r.rstats.shrinks, 1, "{:?}", r.rstats);
+        assert_eq!(r.rstats.ranks_lost, 1, "{:?}", r.rstats);
+        health_c.merge(&r.health);
     }
     let state_c = survivors
         .iter()
-        .find_map(|(_, g, _)| g.clone())
+        .find_map(|r| r.field.clone())
         .expect("the new block rank 0 must gather");
-    if let (Some(tr), Some(p)) = (&tracer, &trace_path) {
-        if tr.write_or_warn(p) {
-            println!("  -> wrote trace {}", p.display());
-        }
-    }
+    write_flight_record(&opts, tracer.as_ref());
     let l1 = l1_rel(&state_c, &reference);
     println!(
         "C  rank 0 crashed at step {}: shrinks = {}, ranks lost = {}, \
@@ -321,25 +204,22 @@ fn main() {
         stall_factor: 2.5,
         ..FaultPlan::disabled()
     };
-    let (outs_d, wall_d) = resilient_run(
-        &cfg,
-        t_end,
+    let (outs_d, wall_d) = run(
         NetworkModel::ideal(),
         Some(plan_d.clone()),
         &ResilienceConfig::default(),
-        &reg,
         None,
     );
     wall_total += wall_d;
     let finishers: Vec<_> = outs_d.iter().flatten().collect();
     assert_eq!(finishers.len(), 4, "a straggler must not be evicted");
-    let stalls: u64 = finishers.iter().map(|(rs, _, _)| rs.stalls).sum();
+    let stalls: u64 = finishers.iter().map(|r| r.rstats.stalls).sum();
     assert!(stalls > 0, "the straggler was never stalled");
-    for (rs, _, _) in &finishers {
-        assert_eq!(rs.shrinks, 0, "{rs:?}");
-        assert_eq!(rs.false_suspicions, 0, "{rs:?}");
+    for r in &finishers {
+        assert_eq!(r.rstats.shrinks, 0, "{:?}", r.rstats);
+        assert_eq!(r.rstats.false_suspicions, 0, "{:?}", r.rstats);
     }
-    let state_d = finishers[0].1.as_ref().expect("rank 0 gathers");
+    let state_d = finishers[0].field.as_ref().expect("rank 0 gathers");
     let d_identical = state_d.raw() == reference.raw();
     assert!(d_identical, "straggler run must stay bit-identical");
     println!(
@@ -379,15 +259,8 @@ fn main() {
         stalls.to_string(),
         "0".into(),
     ]);
-    table.print();
-    table.save_csv("f11_rank_failure");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f11_rank_failure (all scenarios pooled)", &snap);
-    }
-    let mut rep = RunReport::new("f11_rank_failure");
+    let mut rep = opts.finish(&table, "f11_rank_failure", "all scenarios pooled", &snap);
     rep.config_str("problem", "2D blast, 2x2 ranks, RK3 bulk-sync")
         .config_num("global_n", n as f64)
         .config_num("t_end", t_end)

@@ -19,10 +19,10 @@
 //! with a relaxed accuracy gate; the conservation and restart arms keep
 //! their exact assertions — they are cheap and binary.
 
+use rhrsc_bench::drill::{flight_recorder, write_flight_record, Scratch};
 use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_io::checkpoint::{load_checkpoint, save_checkpoint};
-use rhrsc_runtime::trace::Tracer;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::amr::{AmrConfig, AmrSolver};
 use rhrsc_solver::diag::l1_density_error;
@@ -41,11 +41,7 @@ fn main() {
     let nranks = 1usize;
     let scheme = Scheme::default_with_gamma(5.0 / 3.0);
     let reg = Arc::new(Registry::new());
-    let tracer = opts.trace_path().map(|p| {
-        let tr = Tracer::new_env_sized();
-        tr.set_dump_path(Some(p));
-        tr
-    });
+    let tracer = flight_recorder(&opts);
     let bench_t0 = Instant::now();
 
     // -- Arm 1: accuracy vs cost --------------------------------------
@@ -208,9 +204,8 @@ fn main() {
     let mut gold = mk();
     gold.advance_to(0.0, t_half, 0.4).unwrap();
     let ckp = gold.to_checkpoint(t_half);
-    let dir = std::env::temp_dir().join("rhrsc-f12-restart");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("amr.ckp");
+    let dir = Scratch::new("f12_amr");
+    let path = dir.path().join("amr.ckp");
     save_checkpoint(&path, &ckp).unwrap();
     gold.advance_to(t_half, prob.t_end, 0.4).unwrap();
     let e_gold = gold.l1_density_error(&*exact, prob.t_end).unwrap();
@@ -221,7 +216,6 @@ fn main() {
     let e_restart = restarted.l1_density_error(&*exact, prob.t_end).unwrap();
     reg.histogram("phase.advance")
         .record(t0.elapsed().as_nanos() as u64);
-    let _ = std::fs::remove_dir_all(&dir);
     println!(
         "  restart arm: L1 uninterrupted = {:.17e}, restarted = {:.17e}",
         e_gold, e_restart
@@ -232,13 +226,7 @@ fn main() {
         "restart from the v4 AMR checkpoint must continue bit-identically"
     );
 
-    if let Some(tr) = &tracer {
-        if let Some(p) = opts.trace_path() {
-            if tr.write_or_warn(&p) {
-                println!("  -> wrote {}", p.display());
-            }
-        }
-    }
+    write_flight_record(&opts, tracer.as_ref());
     let snap = reg.snapshot();
     if opts.profile {
         print_phase_table("f12_amr", &snap);

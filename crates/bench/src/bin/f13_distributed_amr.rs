@@ -25,7 +25,8 @@
 //!
 //! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix).
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::drill::{fault_seed, Scratch};
+use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
 use rhrsc_grid::{bc, Bc};
 use rhrsc_io::checkpoint::AmrCheckpoint;
@@ -74,10 +75,7 @@ fn main() {
     println!("# F13: distributed AMR, base {n0} on {nranks} ranks");
     let reg = Arc::new(Registry::new());
     let bench_t0 = Instant::now();
-    let seed: u64 = std::env::var("RHRSC_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(13);
+    let seed = fault_seed(13);
 
     // ---- Arm A: serial reference on the Sod tube ----------------------
     let prob = Problem::sod();
@@ -189,8 +187,7 @@ fn main() {
     pref.advance_to(0.0, t_end_c, 0.4).unwrap();
     let ck_pulse = pref.to_checkpoint(t_end_c);
 
-    let ckp_dir = std::env::temp_dir().join("rhrsc-f13-checkpoints");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
+    let ckp_dir = Scratch::new("f13_distributed_amr");
     let crash_step = 8u64;
     let plan_c = FaultPlan {
         seed,
@@ -201,7 +198,7 @@ fn main() {
     };
     let dist_cfg_c = DistAmrConfig {
         amr: pulse_cfg,
-        checkpoint_dir: Some(ckp_dir.clone()),
+        checkpoint_dir: Some(ckp_dir.path().to_path_buf()),
         checkpoint_interval: 2,
         ..DistAmrConfig::default()
     };
@@ -239,7 +236,6 @@ fn main() {
     let wall_c = t0.elapsed().as_secs_f64();
     reg.histogram("phase.advance")
         .record(t0.elapsed().as_nanos() as u64);
-    let _ = std::fs::remove_dir_all(&ckp_dir);
     assert!(outs_c[1].is_none(), "the victim must report RankFailed");
     let survivors: Vec<_> = outs_c.into_iter().flatten().collect();
     assert_eq!(
@@ -306,14 +302,8 @@ fn main() {
         stats_c.shrinks.to_string(),
         sci(l1),
     ]);
-    table.print();
-    table.save_csv("f13_distributed_amr");
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f13_distributed_amr (all arms pooled)", &snap);
-    }
-    RunReport::new("f13_distributed_amr")
+    opts.finish(&table, "f13_distributed_amr", "all arms pooled", &snap)
         .config_str("problem", "Sod (A/B) + periodic pulse (C), 4 ranks")
         .config_num("n_base", n0 as f64)
         .config_num("max_levels", amr_cfg.max_levels as f64)

@@ -33,86 +33,19 @@
 //! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix). The tier cadences are
 //! the `ResilienceConfig` fields each arm sets.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
-use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
-use rhrsc_grid::{bc, Bc, CartDecomp, Field};
+use rhrsc_bench::drill::{blast_2x2, fault_seed, l1_rel, reference_run, resilient_run, Scratch};
+use rhrsc_bench::{sci, BenchOpts, Table};
+use rhrsc_comm::{FaultPlan, NetworkModel};
 use rhrsc_io::checkpoint::{
     decode_trusted, encode, BlockRecord, CheckpointSlots, GlobalCheckpoint,
 };
 use rhrsc_io::MemorySnapshot;
 use rhrsc_runtime::fault::SnapshotTarget;
 use rhrsc_runtime::Registry;
-use rhrsc_solver::driver::{
-    BlockSolver, DistConfig, ExchangeMode, ResilienceConfig, ResilienceStats,
-};
-use rhrsc_solver::scheme::SolverError;
-use rhrsc_solver::{RkOrder, Scheme};
-use rhrsc_srhd::{Prim, NCOMP};
+use rhrsc_solver::driver::{ExchangeMode, ResilienceConfig};
+use rhrsc_srhd::NCOMP;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn ic(x: [f64; 3]) -> Prim {
-    let r2 = (x[0] - 0.5).powi(2) + (x[1] - 0.5).powi(2);
-    Prim::at_rest(1.0, if r2 < 0.01 { 100.0 } else { 1.0 })
-}
-
-fn dist_cfg(n: usize) -> DistConfig {
-    DistConfig {
-        scheme: Scheme::default_with_gamma(5.0 / 3.0),
-        rk: RkOrder::Rk3,
-        global_n: [n, n, 1],
-        domain: ([0.0; 3], [1.0, 1.0, 1.0]),
-        decomp: CartDecomp {
-            dims: [2, 2, 1],
-            periodic: [false, false, false],
-        },
-        bcs: bc::uniform(Bc::Outflow),
-        cfl: 0.4,
-        mode: ExchangeMode::BulkSynchronous,
-        gang_threads: 0,
-        dt_refresh_interval: 1,
-    }
-}
-
-/// Relative L1 difference over all components.
-fn l1_rel(a: &Field, b: &Field) -> f64 {
-    let (mut num, mut den) = (0.0, 0.0);
-    for i in 0..a.raw().len() {
-        num += (a.raw()[i] - b.raw()[i]).abs();
-        den += b.raw()[i].abs();
-    }
-    num / den
-}
-
-/// One resilient run; per rank returns `None` for a crashed rank and
-/// `(rstats, fault-injection flip count, gathered field)` for a
-/// finisher.
-#[allow(clippy::type_complexity)]
-fn resilient_run(
-    cfg: &DistConfig,
-    t_end: f64,
-    model: NetworkModel,
-    plan: Option<FaultPlan>,
-    res: &ResilienceConfig,
-    reg: &Arc<Registry>,
-) -> (Vec<Option<(ResilienceStats, u64, Option<Field>)>>, f64) {
-    let t0 = Instant::now();
-    let outs = run_with_faults(4, model, plan, |rank| {
-        rank.set_metrics(reg.clone());
-        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_metrics(reg.clone());
-        match solver.advance_to_with_restart(rank, &mut u, 0.0, t_end, res) {
-            Ok((_, rstats)) => {
-                let flips = rank.fault_stats().map(|f| f.bits_flipped).unwrap_or(0);
-                let g = solver.gather_interior(rank, &u).expect("gather failed");
-                Some((rstats, flips, g))
-            }
-            Err(SolverError::RankFailed { .. }) => None,
-            Err(e) => panic!("rank {}: unexpected error {e}", rank.rank()),
-        }
-    });
-    (outs, t0.elapsed().as_secs_f64())
-}
 
 /// Time the two restore paths over the same realistic-size global
 /// checkpoint: the memory tier (stamped-FNV verify + trusted decode +
@@ -137,9 +70,8 @@ fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
         }],
     };
     let snap = MemorySnapshot::new(gckp.step, gckp.time, encode(&gckp));
-    let dir = std::env::temp_dir().join("rhrsc-f14-latency");
-    let _ = std::fs::remove_dir_all(&dir);
-    let slots = CheckpointSlots::new(&dir).expect("slot dir");
+    let dir = Scratch::new("f14_multilevel_ckp");
+    let slots = CheckpointSlots::new(dir.path()).expect("slot dir");
     slots.save(&gckp).expect("slot write");
     let span = ([0usize, 0, 0], [n, n / 2, 1]);
     // One untimed rep of each path first: page in the snapshot buffer and
@@ -159,7 +91,6 @@ fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
         std::hint::black_box(g.extract_span(span.0, span.1).expect("span"));
     }
     let disk = t0.elapsed().as_secs_f64() / reps as f64;
-    let _ = std::fs::remove_dir_all(&dir);
     (mem, disk)
 }
 
@@ -174,32 +105,17 @@ fn main() {
         "# F14: multi-level diskless checkpointing + SDC scrubbing, \
          2D blast {n}x{n}, 2x2 ranks, t_end = {t_end}"
     );
-    let cfg = dist_cfg(n);
+    let cfg = blast_2x2(n, ExchangeMode::BulkSynchronous);
     let reg = Arc::new(Registry::new());
-    let seed: u64 = std::env::var("RHRSC_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11);
+    let seed = fault_seed(11);
+    let run = |model, plan, res: &ResilienceConfig| {
+        resilient_run(&cfg, t_end, model, plan, res, &reg, false, None)
+    };
     let mut wall_total = 0.0;
 
     // ---- Run A: fault-free reference ----
-    let t0 = Instant::now();
-    let outs = run_with_faults(4, NetworkModel::ideal(), None, |rank| {
-        rank.set_metrics(reg.clone());
-        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_metrics(reg.clone());
-        let stats = solver
-            .advance_to(rank, &mut u, 0.0, t_end)
-            .expect("reference advance failed");
-        (
-            solver.gather_interior(rank, &u).expect("gather"),
-            stats.steps,
-        )
-    });
-    let wall_a = t0.elapsed().as_secs_f64();
+    let (reference, wall_a, steps_a) = reference_run(&cfg, t_end, &reg);
     wall_total += wall_a;
-    let (reference, steps_a) = outs.into_iter().next().expect("rank 0 ran");
-    let reference = reference.expect("rank 0 holds the gathered field");
     println!("A  reference: plain advance_to, {steps_a} steps, wall = {wall_a:.3}s");
 
     // ---- Run B: all memory tiers armed, no faults: bit-identical ----
@@ -210,17 +126,17 @@ fn main() {
         checkpoint_dir: None,
         ..ResilienceConfig::default()
     };
-    let (outs_b, wall_b) = resilient_run(&cfg, t_end, NetworkModel::ideal(), None, &res_b, &reg);
+    let (outs_b, wall_b) = run(NetworkModel::ideal(), None, &res_b);
     wall_total += wall_b;
     let finishers_b: Vec<_> = outs_b.iter().flatten().collect();
     assert_eq!(finishers_b.len(), 4);
-    let state_b = finishers_b[0].2.as_ref().expect("rank 0 gathers");
+    let state_b = finishers_b[0].field.as_ref().expect("rank 0 gathers");
     let b_identical = state_b.raw() == reference.raw();
     assert!(
         b_identical,
         "armed tiers must be bit-invisible on a fault-free run"
     );
-    let snapshots_b: u64 = finishers_b.iter().map(|(r, _, _)| r.local_snapshots).sum();
+    let snapshots_b: u64 = finishers_b.iter().map(|r| r.rstats.local_snapshots).sum();
     println!(
         "B  tiers armed, faults off: bit-identical = {b_identical}, \
          {snapshots_b} snapshots + buddy exchanges, wall = {wall_b:.3}s"
@@ -239,26 +155,23 @@ fn main() {
         bitflip_prob: 0.15,
         ..FaultPlan::disabled()
     };
-    let (outs_c, wall_c) = resilient_run(
-        &cfg,
-        t_end,
-        NetworkModel::ideal(),
-        Some(plan_c),
-        &res_c,
-        &reg,
-    );
+    let (outs_c, wall_c) = run(NetworkModel::ideal(), Some(plan_c), &res_c);
     wall_total += wall_c;
     let finishers_c: Vec<_> = outs_c.iter().flatten().collect();
     assert_eq!(finishers_c.len(), 4, "an SDC storm must not kill ranks");
-    let injected: u64 = finishers_c.iter().map(|(_, f, _)| f).sum();
-    let detected: u64 = finishers_c.iter().map(|(r, _, _)| r.sdc_detected).sum();
+    let injected: u64 = finishers_c
+        .iter()
+        .filter_map(|r| r.faults)
+        .map(|f| f.bits_flipped)
+        .sum();
+    let detected: u64 = finishers_c.iter().map(|r| r.rstats.sdc_detected).sum();
     let undetected = injected.saturating_sub(detected);
     let rate = if injected > 0 {
         detected as f64 / injected as f64
     } else {
         1.0
     };
-    let state_c = finishers_c[0].2.as_ref().expect("rank 0 gathers");
+    let state_c = finishers_c[0].field.as_ref().expect("rank 0 gathers");
     let l1_c = l1_rel(state_c, &reference);
     println!(
         "C  SDC storm: {injected} flips injected, {detected} detected \
@@ -276,13 +189,12 @@ fn main() {
     assert!(l1_c <= 1e-3, "post-repair drift exceeds 1e-3: {l1_c}");
 
     // ---- Run D: rotted locals — buddy fallback, disk stays cold ----
-    let ckp_dir = std::env::temp_dir().join("rhrsc-f14-checkpoints");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
+    let ckp_dir = Scratch::new("f14_multilevel_ckp");
     let res_d = ResilienceConfig {
         max_step_retries: 0,
         max_restarts: 200,
         checkpoint_interval: 3,
-        checkpoint_dir: Some(ckp_dir.clone()),
+        checkpoint_dir: Some(ckp_dir.path().to_path_buf()),
         local_interval: 1,
         buddy_offset: 1,
         scrub_interval: 1,
@@ -295,23 +207,16 @@ fn main() {
         snapshot_flip_target: SnapshotTarget::Local,
         ..FaultPlan::disabled()
     };
-    let (outs_d, wall_d) = resilient_run(
-        &cfg,
-        t_end,
-        NetworkModel::ideal(),
-        Some(plan_d),
-        &res_d,
-        &reg,
-    );
+    let (outs_d, wall_d) = run(NetworkModel::ideal(), Some(plan_d), &res_d);
     wall_total += wall_d;
     let finishers_d: Vec<_> = outs_d.iter().flatten().collect();
     assert_eq!(finishers_d.len(), 4);
-    for (r, _, _) in &finishers_d {
+    for r in finishers_d.iter().map(|r| &r.rstats) {
         assert_eq!(r.local_restores, 0, "every L1 copy is rotted: {r:?}");
         assert_eq!(r.disk_restores, 0, "the disk tier must stay cold: {r:?}");
     }
-    let buddy_restores: u64 = finishers_d.iter().map(|(r, _, _)| r.buddy_restores).sum();
-    let rotted: u64 = finishers_d.iter().map(|(r, _, _)| r.snapshots_rotted).sum();
+    let buddy_restores: u64 = finishers_d.iter().map(|r| r.rstats.buddy_restores).sum();
+    let rotted: u64 = finishers_d.iter().map(|r| r.rstats.snapshots_rotted).sum();
     assert!(
         buddy_restores > 0,
         "rotted locals must be served by buddies"
@@ -350,19 +255,19 @@ fn main() {
         ..ResilienceConfig::default()
     };
     let model_f = NetworkModel::ideal().with_suspect_after(Duration::from_millis(150));
-    let (outs_f, wall_f) = resilient_run(&cfg, t_end, model_f, Some(plan_f), &res_f, &reg);
+    let (outs_f, wall_f) = run(model_f, Some(plan_f), &res_f);
     wall_total += wall_f;
     assert!(outs_f[0].is_none(), "the victim must report RankFailed");
     let survivors: Vec<_> = outs_f.iter().flatten().collect();
     assert_eq!(survivors.len(), 3, "all three survivors must finish");
-    for (r, _, _) in &survivors {
+    for r in survivors.iter().map(|r| &r.rstats) {
         assert_eq!(r.shrinks, 1, "{r:?}");
         assert_eq!(r.buddy_shrinks, 1, "the shrink must be diskless: {r:?}");
         assert_eq!(r.disk_restores, 0, "{r:?}");
     }
     let state_f = survivors
         .iter()
-        .find_map(|(_, _, g)| g.clone())
+        .find_map(|r| r.field.clone())
         .expect("the new block rank 0 must gather");
     let l1_f = l1_rel(&state_f, &reference);
     println!(
@@ -412,9 +317,6 @@ fn main() {
         "0".into(),
         sci(l1_f),
     ]);
-    table.print();
-    table.save_csv("f14_multilevel_ckp");
-    let _ = std::fs::remove_dir_all(&ckp_dir);
 
     // Run-varying measurements (SDC tallies, drifts, restore latencies)
     // go into the values section, not `config`: the bench_compare
@@ -429,10 +331,7 @@ fn main() {
     reg.histogram("ckp.l1_drift_shrink_x1e9")
         .record((l1_f * 1e9) as u64);
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f14_multilevel_ckp (all scenarios pooled)", &snap);
-    }
-    let mut rep = RunReport::new("f14_multilevel_ckp");
+    let mut rep = opts.finish(&table, "f14_multilevel_ckp", "all scenarios pooled", &snap);
     rep.config_str("preset", if opts.toy { "toy" } else { "full" })
         .config_str("problem", "2D blast, 2x2 ranks, RK3 bulk-sync")
         .config_num("global_n", n as f64)

@@ -32,10 +32,11 @@
 //! is always written to `results/BENCH_f15_ensemble_service.json`.
 //!
 //! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix, perturbs the hostile
-//! tenant's draw streams only) and the engine's `RHRSC_SERVE_*` family
-//! (documented in README) for runs built on the config defaults.
+//! tenant's draw streams only). The engine's bounds are the
+//! `EngineConfig` fields each arm sets.
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::drill::fault_seed;
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_runtime::fault::FaultPlan;
 use rhrsc_runtime::metrics::Snapshot;
 use rhrsc_runtime::telemetry::{SampleInputs, TelemetrySampler};
@@ -111,10 +112,7 @@ fn main() {
         } else {
             (192, 0.4, 400, 24, 40, 96, 32, 24, 64, 8, 16)
         };
-    let seed: u64 = std::env::var("RHRSC_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11);
+    let seed = fault_seed(11);
     println!(
         "# F15: ensemble service, {THREADS}-worker pool, density-wave floods at nx = {nx}, \
          fault seed {seed}"
@@ -554,13 +552,7 @@ fn main() {
         format!("{n_cancelled} cancelled, 0 hangs"),
     ]);
 
-    table.print();
-    table.save_csv("f15_ensemble_service");
-
-    if opts.profile {
-        print_phase_table("f15_ensemble_service (all arms pooled)", &pooled);
-    }
-    let mut rep = RunReport::new("f15_ensemble_service");
+    let mut rep = opts.finish(&table, "f15_ensemble_service", "all arms pooled", &pooled);
     rep.config_str("preset", if opts.toy { "toy" } else { "full" })
         .config_str("problem", "1D density-wave/Sod floods, PPM+HLLC+RK3")
         .config_num("pool_threads", THREADS as f64)

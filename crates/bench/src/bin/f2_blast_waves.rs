@@ -10,7 +10,7 @@
 //! under-resolved at the coarse resolution (peak density below exact),
 //! improving at the fine one.
 
-use rhrsc_bench::{print_phase_table, results_dir, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{results_dir, sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -72,13 +72,8 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    table.save_csv("f2_blast_waves");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f2_blast_waves", &snap);
-    }
-    RunReport::new("f2_blast_waves")
+    opts.finish(&table, "f2_blast_waves", "", &snap)
         .config_str("problem", "blast1 + blast2, ppm + hllc + rk3")
         .config_num("n_coarse", ns[0] as f64)
         .config_num("n_fine", ns[1] as f64)

@@ -10,7 +10,7 @@
 //! resolution (finer grids diffuse the thin layer less, so coarse grids
 //! under-predict the rate).
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::transverse_momentum_rms;
@@ -80,13 +80,8 @@ fn main() {
         let amp = series.last().unwrap().1 / series.first().unwrap().1.max(1e-300);
         table.row(&[format!("{n}x{n}"), f3(rate), format!("{amp:.1}")]);
     }
-    table.print();
-    table.save_csv("f3_khi_growth");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f3_khi_growth", &snap);
-    }
-    RunReport::new("f3_khi_growth")
+    opts.finish(&table, "f3_khi_growth", "", &snap)
         .config_str("problem", "khi shear 0.5, single mode")
         .config_num("t_end", t_end)
         .config_num("resolutions", resolutions.len() as f64)

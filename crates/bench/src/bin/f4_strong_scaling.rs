@@ -21,7 +21,8 @@
 //! solver samples per-rank metric deltas each cadence, reduces them to
 //! rank 0, and the report gains a `series` section.
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::drill::blast_ic;
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp};
 use rhrsc_io::FileSinks;
@@ -29,14 +30,8 @@ use rhrsc_runtime::metrics::Snapshot;
 use rhrsc_runtime::{Registry, Telemetry};
 use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode};
 use rhrsc_solver::{RkOrder, Scheme};
-use rhrsc_srhd::Prim;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn ic(x: [f64; 3]) -> Prim {
-    let r2 = (x[0] - 0.5).powi(2) + (x[1] - 0.5).powi(2);
-    Prim::at_rest(1.0, if r2 < 0.01 { 100.0 } else { 1.0 })
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -88,7 +83,7 @@ fn main() {
         let stats = run(p, model, |rank| {
             let reg = regs[rank.rank()].clone();
             rank.set_metrics(reg.clone());
-            let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+            let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &blast_ic);
             solver.set_metrics(reg);
             if let Some(h) = &hub {
                 solver.set_telemetry(h.clone());
@@ -113,13 +108,12 @@ fn main() {
             f3(speedup / p as f64),
         ]);
     }
-    table.print();
-    table.save_csv("f4_strong_scaling");
-
-    if opts.profile {
-        print_phase_table("f4_strong_scaling (all rank counts pooled)", &pooled);
-    }
-    let mut report = RunReport::new("f4_strong_scaling");
+    let mut report = opts.finish(
+        &table,
+        "f4_strong_scaling",
+        "all rank counts pooled",
+        &pooled,
+    );
     if let Some(hub) = &hub_for_report {
         report.series(&hub.samples());
     }

@@ -12,7 +12,7 @@
 //! prints the phase breakdown. A machine-readable report is always
 //! written to `results/BENCH_f5_weak_scaling.json`.
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp};
 use rhrsc_runtime::Registry;
@@ -88,15 +88,9 @@ fn main() {
             f3(base_t / makespan),
         ]);
     }
-    table.print();
-    table.save_csv("f5_weak_scaling");
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f5_weak_scaling (all rank counts pooled)", &snap);
-    }
     let max_ranks = *ranks.last().unwrap();
-    RunReport::new("f5_weak_scaling")
+    opts.finish(&table, "f5_weak_scaling", "all rank counts pooled", &snap)
         .config_str("preset", if opts.toy { "toy" } else { "full" })
         .config_str("model", "virtual_cluster(10us, 10GB/s)")
         .config_num("block_n", block as f64)

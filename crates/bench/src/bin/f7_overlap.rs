@@ -18,6 +18,7 @@
 //! highest swept latency as a Chrome/Perfetto `trace.json` — the
 //! virtual-time track shows the shell/deep split hiding the halo wait.
 
+use rhrsc_bench::drill::blast_ic;
 use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp};
@@ -25,14 +26,8 @@ use rhrsc_runtime::trace::Tracer;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode};
 use rhrsc_solver::{RkOrder, Scheme};
-use rhrsc_srhd::Prim;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn ic(x: [f64; 3]) -> Prim {
-    let r2 = (x[0] - 0.5).powi(2) + (x[1] - 0.5).powi(2);
-    Prim::at_rest(1.0, if r2 < 0.01 { 100.0 } else { 1.0 })
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -81,7 +76,7 @@ fn main() {
             for _ in 0..repeats {
                 let stats = run(4, model, |rank| {
                     rank.set_metrics(reg.clone());
-                    let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+                    let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &blast_ic);
                     solver.set_metrics(reg.clone());
                     solver.advance_steps(rank, &mut u, nsteps).unwrap()
                 });
@@ -115,7 +110,7 @@ fn main() {
         let tr = tracer.clone();
         run(4, model, move |rank| {
             rank.set_trace(tr.clone());
-            let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+            let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &blast_ic);
             solver.advance_steps(rank, &mut u, nsteps).unwrap();
         });
         if tracer.write_or_warn(&p) {

@@ -14,7 +14,7 @@
 //! machine-readable report is always written to
 //! `results/BENCH_f8_lorentz_robustness.json`.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::{l1_density_error, max_lorentz};
@@ -97,14 +97,8 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    table.save_csv("f8_lorentz_robustness");
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f8_lorentz_robustness (all combos pooled)", &snap);
-    }
-    RunReport::new("f8_lorentz_robustness")
+    opts.finish(&table, "f8_lorentz_robustness", "all combos pooled", &snap)
         .config_num("n", n as f64)
         .config_num("max_boost_v", *boosts.last().unwrap())
         .config_num("combos", combos.len() as f64)

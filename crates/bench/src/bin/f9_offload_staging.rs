@@ -21,7 +21,7 @@
 //! A machine-readable report is always written to
 //! `results/BENCH_f9_offload_staging.json`.
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_grid::{bc, Bc, PatchGeom};
 use rhrsc_runtime::{AcceleratorConfig, Registry};
 use rhrsc_solver::device_backend::DevicePatchSolver;
@@ -127,20 +127,19 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    table.save_csv("f9_offload_staging");
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f9_offload_staging (device queue, all runs pooled)", &snap);
-    }
-    RunReport::new("f9_offload_staging")
-        .config_str("device", "sim-gpu (8x kernels, 200us launch)")
-        .config_num("nsteps", nsteps as f64)
-        .config_num("max_n", *sizes.last().unwrap() as f64)
-        .config_str("clock", "device-modeled + host wall")
-        .wall_time(wall_total)
-        .parallelism(1.0)
-        .zone_updates(zu_total)
-        .write(&snap);
+    opts.finish(
+        &table,
+        "f9_offload_staging",
+        "device queue, all runs pooled",
+        &snap,
+    )
+    .config_str("device", "sim-gpu (8x kernels, 200us launch)")
+    .config_num("nsteps", nsteps as f64)
+    .config_num("max_n", *sizes.last().unwrap() as f64)
+    .config_str("clock", "device-modeled + host wall")
+    .wall_time(wall_total)
+    .parallelism(1.0)
+    .zone_updates(zu_total)
+    .write(&snap);
 }

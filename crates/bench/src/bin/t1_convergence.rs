@@ -10,7 +10,7 @@
 //! order(PPM) ≳ 2.5, order(WENO5) highest; absolute errors ordered
 //! WENO5 < PPM < PLM at fixed N.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -66,13 +66,8 @@ fn main() {
             prev = Some(l1);
         }
     }
-    table.print();
-    table.save_csv("t1_convergence");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("t1_convergence", &snap);
-    }
-    RunReport::new("t1_convergence")
+    opts.finish(&table, "t1_convergence", "", &snap)
         .config_str("problem", "density wave, v=0.5, hllc + rk3")
         .config_num("n_max", *ns.last().unwrap() as f64)
         .config_num("schemes", schemes.len() as f64)

@@ -8,7 +8,7 @@
 //! reconstruction (contact resolution), and PPM/WENO5 ≤ PLM ≤ PC at fixed
 //! solver; blast2 (strongest shock) has the largest absolute errors.
 
-use rhrsc_bench::{print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -72,13 +72,8 @@ fn main() {
             }
         }
     }
-    table.print();
-    table.save_csv("t2_shock_accuracy");
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("t2_shock_accuracy", &snap);
-    }
-    RunReport::new("t2_shock_accuracy")
+    opts.finish(&table, "t2_shock_accuracy", "", &snap)
         .config_str("problem", "sod + blast1 + blast2, all riemann x recon")
         .config_num("n", n as f64)
         .config_num(

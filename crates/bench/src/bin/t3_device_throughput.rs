@@ -15,7 +15,7 @@
 //! prints the device phase breakdown. A machine-readable report is
 //! always written to `results/BENCH_t3_device_throughput.json`.
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_grid::{bc, Bc, PatchGeom};
 use rhrsc_runtime::{AcceleratorConfig, Registry};
 use rhrsc_solver::device_backend::DevicePatchSolver;
@@ -110,23 +110,19 @@ fn main() {
         ]);
         assert!(identical, "device result diverged at {n}^3");
     }
-    table.print();
-    table.save_csv("t3_device_throughput");
-
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table(
-            "t3_device_throughput (device queue, all tiles pooled)",
-            &snap,
-        );
-    }
-    RunReport::new("t3_device_throughput")
-        .config_str("device", "sim-gpu (8x kernels, 500us launch, 8 GB/s link)")
-        .config_num("max_tile", *sizes.last().unwrap() as f64)
-        .config_num("repeats", repeats as f64)
-        .config_str("clock", "device-modeled + host wall")
-        .wall_time(wall_total)
-        .parallelism(1.0)
-        .zone_updates(zu_total)
-        .write(&snap);
+    opts.finish(
+        &table,
+        "t3_device_throughput",
+        "device queue, all tiles pooled",
+        &snap,
+    )
+    .config_str("device", "sim-gpu (8x kernels, 500us launch, 8 GB/s link)")
+    .config_num("max_tile", *sizes.last().unwrap() as f64)
+    .config_num("repeats", repeats as f64)
+    .config_str("clock", "device-modeled + host wall")
+    .wall_time(wall_total)
+    .parallelism(1.0)
+    .zone_updates(zu_total)
+    .write(&snap);
 }

@@ -95,6 +95,7 @@ const REQUIRED_ZERO_COUNTERS: &[(&str, &[&str])] = &[
 /// configuration — the schema defaults a missing value to 1, which would
 /// hide a distributed bench silently degrading to a single rank.
 const REQUIRED_PARALLELISM: &[(&str, f64)] = &[
+    ("f10_fault_tolerance", 4.0),
     ("f11_rank_failure", 4.0),
     ("f12_amr", 1.0),
     ("f13_distributed_amr", 4.0),

@@ -51,7 +51,7 @@ pub struct Rule {
 /// the *baseline* are skipped (not every bench reports every metric);
 /// a metric present in the baseline but missing from the current
 /// report fails.
-pub const RULES: &[Rule] = &[
+const RULES: &[Rule] = &[
     // Zone-update counts are fully deterministic for a fixed config —
     // any change means the run did different work.
     Rule {
@@ -103,7 +103,7 @@ pub struct Outcome {
 
 impl Outcome {
     /// Whether this row is a regression.
-    pub fn is_regression(&self) -> bool {
+    fn is_regression(&self) -> bool {
         self.verdict != Verdict::Pass
     }
 }
@@ -111,7 +111,7 @@ impl Outcome {
 /// Look up a metric path in a report: a top-level numeric key, or
 /// `counters.<name>` (counter names themselves contain dots, so only
 /// the first segment selects the table).
-pub fn metric_value(doc: &Json, path: &str) -> Option<f64> {
+fn metric_value(doc: &Json, path: &str) -> Option<f64> {
     match path.split_once('.') {
         Some(("counters", name)) => doc.get("counters")?.get(name)?.as_f64(),
         _ => doc.get(path)?.as_f64(),
@@ -336,10 +336,9 @@ mod tests {
 
     #[test]
     fn compare_dirs_end_to_end() {
-        let tmp = std::env::temp_dir().join("rhrsc_compare_test");
-        let _ = std::fs::remove_dir_all(&tmp);
-        let basedir = tmp.join("baseline");
-        let curdir = tmp.join("current");
+        let tmp = crate::drill::Scratch::new("compare_test");
+        let basedir = tmp.path().join("baseline");
+        let curdir = tmp.path().join("current");
         std::fs::create_dir_all(&basedir).unwrap();
         std::fs::create_dir_all(&curdir).unwrap();
         let base = report("f4", 100.0, 4.0e6, 0.0, "toy");
@@ -357,6 +356,5 @@ mod tests {
         std::fs::remove_file(curdir.join("BENCH_f4.json")).unwrap();
         let run = compare_dirs(&basedir, &curdir);
         assert!(run.regressions() > 0);
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 }

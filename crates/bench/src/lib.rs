@@ -8,6 +8,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 pub mod compare;
+pub mod drill;
 pub mod json;
 pub mod report;
 

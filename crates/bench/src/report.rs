@@ -753,8 +753,8 @@ mod tests {
         // Tests run as root, where read-only permission bits are
         // ignored — so force the failure with a regular file standing
         // where a parent directory should be.
-        let tmp = std::env::temp_dir().join("rhrsc_report_degrade_test");
-        std::fs::create_dir_all(&tmp).unwrap();
+        let scratch = crate::drill::Scratch::new("report_degrade_test");
+        let tmp = scratch.path();
         let blocker = tmp.join("blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();
         let bad_dir = blocker.join("sub");
@@ -773,10 +773,8 @@ mod tests {
 
         // A merely *missing* (but creatable) directory is created.
         let fresh = tmp.join("fresh").join("nested");
-        let _ = std::fs::remove_dir_all(tmp.join("fresh"));
         let path = rep.write_to(&fresh, &snap);
         assert!(path.exists());
-        let _ = std::fs::remove_dir_all(tmp.join("fresh"));
     }
 
     #[test]

@@ -469,7 +469,7 @@ impl Rank {
     }
 
     /// [`Rank::trace_span`] with an annotation payload.
-    pub fn trace_span_arg(&self, name: &'static str, dur_ns: u64, arg: f64) {
+    fn trace_span_arg(&self, name: &'static str, dur_ns: u64, arg: f64) {
         if let Some((tracer, track)) = &self.trace {
             let t1 = tracer.stamp(self.vt());
             track.span_arg(name, t1.saturating_sub(dur_ns), t1, arg);
@@ -1199,57 +1199,10 @@ impl Rank {
         self.allreduce(&[x], f64::max)[0]
     }
 
-    /// Scalar allreduce-sum (conservation audits).
-    pub fn allreduce_sum(&mut self, x: f64) -> f64 {
-        self.allreduce(&[x], |a, b| a + b)[0]
-    }
-
     /// Barrier, implemented as an empty allreduce so it pays realistic
     /// network costs.
     pub fn barrier(&mut self) {
         self.allreduce(&[0.0], |a, _| a);
-    }
-
-    /// Broadcast `data` from `root` to all live ranks via a binomial tree
-    /// (`⌈log₂ P⌉` latency depth); returns the payload. `root` must be
-    /// live. A silent parent leaves the receiver with an empty payload
-    /// (and a recorded suspicion) rather than a deadlock.
-    pub fn broadcast(&mut self, root: usize, data: &[f64]) -> Vec<f64> {
-        let tag = self.next_op_tag();
-        let live = self.live.clone();
-        let p = live.len();
-        let timeout = self.patience(2 * ceil_log2(p) + 2);
-        // Work in root-relative ("virtual") positions of the live set.
-        let rootv = live
-            .iter()
-            .position(|&r| r == root)
-            .expect("broadcast root is dead");
-        let vrank = (self.live_pos() + p - rootv) % p;
-        let to_real = |v: usize| live[(v + rootv) % p];
-        let mut payload = if vrank == 0 {
-            data.to_vec()
-        } else {
-            Vec::new()
-        };
-        let mut top = 1usize;
-        while top < p {
-            top <<= 1;
-        }
-        let mut mask = top >> 1;
-        while mask > 0 {
-            if vrank & (mask - 1) == 0 {
-                if vrank & mask == 0 {
-                    let partner = vrank | mask;
-                    if partner < p && partner != vrank {
-                        self.send_raw(to_real(partner), tag, &payload);
-                    }
-                } else if let Ok(d) = self.recv_deadline_any(to_real(vrank & !mask), tag, timeout) {
-                    payload = d;
-                }
-            }
-            mask >>= 1;
-        }
-        payload
     }
 }
 
@@ -1392,7 +1345,11 @@ mod tests {
     fn allreduce_min_max_sum() {
         let out = run(4, NetworkModel::ideal(), |r| {
             let x = r.rank() as f64 + 1.0; // 1..4
-            (r.allreduce_min(x), r.allreduce_max(x), r.allreduce_sum(x))
+            (
+                r.allreduce_min(x),
+                r.allreduce_max(x),
+                r.allreduce(&[x], |a, b| a + b)[0],
+            )
         });
         for &(mn, mx, sm) in &out {
             assert_eq!(mn, 1.0);
@@ -1409,21 +1366,6 @@ mod tests {
         });
         for v in &out {
             assert_eq!(v, &vec![3.0, 30.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let out = run(3, NetworkModel::ideal(), |r| {
-            let payload = if r.rank() == 2 {
-                vec![5.0, 6.0]
-            } else {
-                vec![]
-            };
-            r.broadcast(2, &payload)
-        });
-        for v in &out {
-            assert_eq!(v, &vec![5.0, 6.0]);
         }
     }
 
@@ -1531,7 +1473,7 @@ mod tests {
         let out = run(n, NetworkModel::ideal(), |r| {
             let mut acc = 0.0;
             for round in 0..10 {
-                acc = r.allreduce_sum(r.rank() as f64 + round as f64);
+                acc = r.allreduce(&[r.rank() as f64 + round as f64], |a, b| a + b)[0];
             }
             acc
         });
@@ -1566,14 +1508,11 @@ mod tests {
         for n in [3usize, 5, 6, 7, 9] {
             let out = run(n, NetworkModel::ideal(), |r| {
                 let x = (r.rank() * r.rank()) as f64;
-                let s = r.allreduce_sum(x);
-                let b = r.broadcast(n - 1, &[(r.rank() == n - 1) as u64 as f64 * 42.0]);
-                (s, b[0])
+                r.allreduce(&[x], |a, b| a + b)[0]
             });
             let expected: f64 = (0..n).map(|i| (i * i) as f64).sum();
-            for (i, &(s, b)) in out.iter().enumerate() {
+            for (i, &s) in out.iter().enumerate() {
                 assert_eq!(s, expected, "sum on rank {i} of {n}");
-                assert_eq!(b, 42.0, "bcast on rank {i} of {n}");
             }
         }
     }
@@ -1712,7 +1651,7 @@ mod tests {
             ..FaultPlan::disabled()
         };
         let out = run_with_faults(4, NetworkModel::ideal(), Some(plan), |r| {
-            let s = r.allreduce_sum(r.rank() as f64);
+            let s = r.allreduce(&[r.rank() as f64], |a, b| a + b)[0];
             let gathered = if r.rank() == 0 {
                 let mut len = 3usize; // own contribution, not sent
                 for src in 1..4 {
@@ -1849,7 +1788,7 @@ mod tests {
                 r.recv(0, 1);
                 r.recv(0, 100);
             }
-            r.allreduce_sum(1.0);
+            r.allreduce(&[1.0], |a, b| a + b);
         });
         let snap = reg.snapshot();
         assert_eq!(snap.counters["comm.msgs.halo"], 1);
@@ -2007,7 +1946,7 @@ mod tests {
             assert_eq!(r.epoch(), 1);
             assert_eq!(r.liveness_stats().confirmed_dead, 1);
             // Collectives keep working over the shrunken universe.
-            let s = r.allreduce_sum(r.rank() as f64);
+            let s = r.allreduce(&[r.rank() as f64], |a, b| a + b)[0];
             (newly_dead, r.epoch(), s)
         });
         for (i, &(mask, epoch, s)) in out.iter().enumerate().take(3) {
@@ -2063,7 +2002,7 @@ mod tests {
             let newly_dead = r.suspicion_consensus().expect("majority side");
             assert_eq!(newly_dead, 1 << 1);
             // Survivors continue on the new epoch.
-            let s = r.allreduce_sum(1.0);
+            let s = r.allreduce(&[1.0], |a, b| a + b)[0];
             assert_eq!(s, 3.0);
             true
         });

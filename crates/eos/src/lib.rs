@@ -130,22 +130,6 @@ impl Eos {
             }
         }
     }
-
-    /// Rest-mass density on the isentrope through `(rho_a, p_a)` at pressure
-    /// `p`. Only meaningful for the ideal gas (`rho ∝ p^{1/Γ}`); used by the
-    /// exact Riemann solver's rarefaction branch.
-    ///
-    /// # Panics
-    /// Panics when called on a non-ideal EOS.
-    #[inline]
-    pub fn isentrope_rho(&self, rho_a: f64, p_a: f64, p: f64) -> f64 {
-        match *self {
-            Eos::IdealGas { gamma } => rho_a * (p / p_a).powf(1.0 / gamma),
-            Eos::TaubMathews => {
-                panic!("isentrope_rho is only defined for the ideal-gas EOS")
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,23 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn isentrope_through_anchor() {
-        let eos = Eos::ideal(1.4);
-        assert!((eos.isentrope_rho(2.0, 3.0, 3.0) - 2.0).abs() < 1e-14);
-        // rho grows with p along an isentrope.
-        assert!(eos.isentrope_rho(2.0, 3.0, 6.0) > 2.0);
-        assert!(eos.isentrope_rho(2.0, 3.0, 1.5) < 2.0);
-    }
-
-    #[test]
     #[should_panic]
     fn ideal_rejects_bad_gamma() {
         let _ = Eos::ideal(1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn tm_isentrope_panics() {
-        let _ = Eos::TaubMathews.isentrope_rho(1.0, 1.0, 2.0);
     }
 }

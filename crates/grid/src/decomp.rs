@@ -63,7 +63,7 @@ impl CartDecomp {
 
     /// Cartesian coordinates of `rank` (x fastest).
     #[inline]
-    pub fn coords(&self, rank: usize) -> [usize; 3] {
+    fn coords(&self, rank: usize) -> [usize; 3] {
         debug_assert!(rank < self.nranks());
         let x = rank % self.dims[0];
         let y = (rank / self.dims[0]) % self.dims[1];
@@ -73,7 +73,7 @@ impl CartDecomp {
 
     /// Rank with the given Cartesian coordinates.
     #[inline]
-    pub fn rank_of(&self, c: [usize; 3]) -> usize {
+    fn rank_of(&self, c: [usize; 3]) -> usize {
         debug_assert!(c[0] < self.dims[0] && c[1] < self.dims[1] && c[2] < self.dims[2]);
         (c[2] * self.dims[1] + c[1]) * self.dims[0] + c[0]
     }

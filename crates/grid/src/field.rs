@@ -106,13 +106,6 @@ impl Field {
         &self.data[c * n..(c + 1) * n]
     }
 
-    /// Mutable data slice of component `c`.
-    #[inline]
-    pub fn comp_mut(&mut self, c: usize) -> &mut [f64] {
-        let n = self.geom.len();
-        &mut self.data[c * n..(c + 1) * n]
-    }
-
     /// Raw flat data (all components).
     #[inline]
     pub fn raw(&self) -> &[f64] {
@@ -211,7 +204,8 @@ mod tests {
     #[test]
     fn component_slices_disjoint() {
         let mut f = Field::new(geom(), 3);
-        f.comp_mut(1).fill(2.0);
+        let n = f.geom().len();
+        f.raw_mut()[n..2 * n].fill(2.0);
         assert!(f.comp(0).iter().all(|&v| v == 0.0));
         assert!(f.comp(1).iter().all(|&v| v == 2.0));
         assert!(f.comp(2).iter().all(|&v| v == 0.0));
@@ -276,7 +270,7 @@ mod tests {
     fn interior_integral_counts_only_interior() {
         let g = PatchGeom::line(10, 0.0, 1.0, 2);
         let mut f = Field::new(g, 1);
-        f.comp_mut(0).fill(1.0);
+        f.raw_mut().fill(1.0);
         // 10 interior cells * dx=0.1 = 1.0 even though ghosts are 1 too.
         assert!((f.interior_integral(0) - 1.0).abs() < 1e-14);
     }

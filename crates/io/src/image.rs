@@ -1,8 +1,6 @@
-//! Quick-look images of 2D field slices (no plotting stack required).
-//!
-//! * [`write_pgm`] — binary-format PGM (grayscale), auto-normalized,
-//! * [`write_ppm`] — binary-format PPM with a perceptual false-color map
-//!   (a compact viridis-like polynomial ramp).
+//! Quick-look images of 2D field slices (no plotting stack required):
+//! [`write_ppm`] writes a binary-format PPM, auto-normalized, with a
+//! perceptual false-color map (a compact viridis-like polynomial ramp).
 //!
 //! The image is the `k = ng` slice (the only slice for 2D problems),
 //! with `y` up (row 0 is the top of the image, i.e. the highest `j`).
@@ -30,24 +28,6 @@ fn norm(v: f64, lo: f64, hi: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Write component `c` as an auto-normalized grayscale PGM.
-pub fn write_pgm(path: &Path, field: &Field, c: usize) -> std::io::Result<()> {
-    let geom = *field.geom();
-    let (nx, ny) = (geom.n[0], geom.n[1]);
-    let (g0, g1, g2) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
-    let (lo, hi) = interior_range(field, c);
-    let mut f = BufWriter::new(std::fs::File::create(path)?);
-    write!(f, "P5\n{nx} {ny}\n255\n")?;
-    for row in 0..ny {
-        let j = g1 + (ny - 1 - row); // y up
-        for i in 0..nx {
-            let v = norm(field.at(c, g0 + i, j, g2), lo, hi);
-            f.write_all(&[(v * 255.0).round() as u8])?;
-        }
-    }
-    Ok(())
 }
 
 /// A compact viridis-like color ramp: `t` in [0, 1] to (r, g, b).
@@ -96,22 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn pgm_header_and_size() {
-        let f = gradient_field();
-        let path = std::env::temp_dir().join("rhrsc-test.pgm");
-        write_pgm(&path, &f, 0).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let header = b"P5\n8 4\n255\n";
-        assert!(bytes.starts_with(header));
-        assert_eq!(bytes.len(), header.len() + 8 * 4);
-        // Gradient: leftmost pixel dark, rightmost bright, per row.
-        let px = &bytes[header.len()..];
-        assert_eq!(px[0], 0);
-        assert_eq!(px[7], 255);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn ppm_is_rgb() {
         let f = gradient_field();
         let path = std::env::temp_dir().join("rhrsc-test.ppm");
@@ -128,10 +92,10 @@ mod tests {
         let geom = PatchGeom::rect([4, 4], [0.0, 0.0], [1.0, 1.0], 2);
         let mut f = Field::new(geom, 1);
         f.raw_mut().fill(3.0);
-        let path = std::env::temp_dir().join("rhrsc-const.pgm");
-        write_pgm(&path, &f, 0).unwrap();
+        let path = std::env::temp_dir().join("rhrsc-const.ppm");
+        write_ppm(&path, &f, 0).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.ends_with(&[0u8; 16]));
+        assert!(bytes.ends_with(&colormap(0.0).repeat(16)));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,8 +2,8 @@
 //!
 //! * [`vtk`] — legacy-ASCII VTK `STRUCTURED_POINTS` writer (loads directly
 //!   into ParaView/VisIt) for any set of field components,
-//! * [`image`] — PGM (grayscale) and PPM (false-color) images of 2D field
-//!   slices, for quick looks without a plotting stack,
+//! * [`image`] — false-color PPM images of 2D field slices, for quick
+//!   looks without a plotting stack,
 //! * [`checkpoint`] — versioned little-endian binary checkpoints of the
 //!   solver state (per-rank field, global blocks, AMR hierarchy — three
 //!   formats in one armored envelope) with exact round-trip: a restarted

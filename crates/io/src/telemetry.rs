@@ -24,7 +24,7 @@ fn num(v: f64) -> String {
 }
 
 /// Render one JSONL `sample` record.
-pub fn jsonl_sample(sample: &SeriesSample, pid: u32) -> String {
+fn jsonl_sample(sample: &SeriesSample, pid: u32) -> String {
     let mut line = format!(
         "{{\"type\":\"sample\",\"pid\":{pid},\"step\":{},\"time\":{},\"t_ns\":{},\"fields\":{{",
         sample.step,
@@ -43,7 +43,7 @@ pub fn jsonl_sample(sample: &SeriesSample, pid: u32) -> String {
 }
 
 /// Render one JSONL `event` record.
-pub fn jsonl_event(ev: &TelemetryEvent) -> String {
+fn jsonl_event(ev: &TelemetryEvent) -> String {
     format!(
         "{{\"type\":\"event\",\"pid\":{},\"kind\":\"{}\",\"step\":{},\"t_ns\":{},\"value\":{}}}",
         ev.rank,
@@ -58,7 +58,7 @@ pub fn jsonl_event(ev: &TelemetryEvent) -> String {
 /// and the latest sample's gauges. Counter fields become
 /// `rhrsc_<name>_total`; gauge fields become `rhrsc_<name>`. Ends with
 /// the mandatory `# EOF` marker.
-pub fn openmetrics_text(sample: &SeriesSample, totals: &[f64]) -> String {
+fn openmetrics_text(sample: &SeriesSample, totals: &[f64]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("# TYPE rhrsc_step gauge\n# HELP rhrsc_step Committed step count\n");
     out.push_str(&format!("rhrsc_step {}\n", sample.step));
@@ -90,7 +90,7 @@ pub fn openmetrics_text(sample: &SeriesSample, totals: &[f64]) -> String {
 /// Atomically replace `path` with `content` (write temp + rename, the
 /// same pattern the checkpoint slots use): a scraper never observes a
 /// torn file.
-pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
+fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -108,7 +108,6 @@ pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
 pub struct FileSinks {
     openmetrics: Option<PathBuf>,
     jsonl: Option<BufWriter<File>>,
-    jsonl_path: Option<PathBuf>,
 }
 
 impl FileSinks {
@@ -138,13 +137,7 @@ impl FileSinks {
         FileSinks {
             openmetrics,
             jsonl: jsonl_file,
-            jsonl_path: jsonl,
         }
-    }
-
-    /// The JSONL destination, if streaming is armed.
-    pub fn jsonl_path(&self) -> Option<&Path> {
-        self.jsonl_path.as_deref()
     }
 }
 

@@ -78,17 +78,10 @@ pub struct DeviceCtx<'a> {
 }
 
 impl DeviceCtx<'_> {
-    /// Borrow a buffer immutably.
+    /// Borrow a buffer mutably.
     ///
     /// # Panics
     /// Panics on an unknown (or currently taken) buffer id.
-    pub fn buf(&self, id: BufId) -> &[f64] {
-        self.buffers
-            .get(&id.0)
-            .unwrap_or_else(|| panic!("unknown device buffer {id:?}"))
-    }
-
-    /// Borrow a buffer mutably.
     pub fn buf_mut(&mut self, id: BufId) -> &mut [f64] {
         self.buffers
             .get_mut(&id.0)
@@ -108,20 +101,10 @@ impl DeviceCtx<'_> {
         self.buffers.insert(id.0, data);
     }
 
-    /// Gang-parallel loop over `0..n` (the device's "grid launch").
-    pub fn par_for(&self, n: usize, chunk: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.gang.par_for(n, chunk, f);
-    }
-
-    /// The device's internal compute gang, for code that wants to drive
-    /// its own parallel structure.
+    /// The device's internal compute gang (its `par_for` is the device's
+    /// "grid launch").
     pub fn gang(&self) -> &WorkStealingPool {
         self.gang
-    }
-
-    /// Gang width.
-    pub fn parallelism(&self) -> usize {
-        self.gang.nthreads()
     }
 }
 
@@ -129,7 +112,6 @@ type Kernel = Box<dyn FnOnce(&mut DeviceCtx) + Send + 'static>;
 
 enum Command {
     Alloc(u64, usize),
-    Free(u64),
     /// Bool flags a fault-injected copy: the transfer cost is paid twice
     /// (one failed attempt + the retry).
     H2D(u64, Vec<f64>, Promise<()>, bool),
@@ -196,9 +178,6 @@ impl Accelerator {
                     match cmd {
                         Command::Alloc(id, len) => {
                             buffers.insert(id, vec![0.0; len]);
-                        }
-                        Command::Free(id) => {
-                            buffers.remove(&id);
                         }
                         Command::H2D(id, data, done, faulted) => {
                             let t0 = tstart(&trace);
@@ -339,11 +318,6 @@ impl Accelerator {
         BufId(id)
     }
 
-    /// Free a device buffer.
-    pub fn free(&self, id: BufId) {
-        let _ = self.tx.send(Command::Free(id.0));
-    }
-
     /// Asynchronously copy host data into a device buffer. An injected
     /// copy fault costs one failed attempt (charged to the virtual clock)
     /// before the transparent retry.
@@ -475,7 +449,7 @@ mod tests {
                 let cells: Vec<_> = b.chunks_mut(64).collect();
                 let cells: Vec<parking_lot::Mutex<&mut [f64]>> =
                     cells.into_iter().map(parking_lot::Mutex::new).collect();
-                ctx.par_for(cells.len(), 1, &|c| {
+                ctx.gang().par_for(cells.len(), 1, &|c| {
                     let mut chunk = cells[c].lock();
                     let off = c * 64;
                     for (i, v) in chunk.iter_mut().enumerate() {
@@ -543,16 +517,6 @@ mod tests {
             "4 launches at 5ms overhead should take >= 20ms, took {:?}",
             t0.elapsed()
         );
-    }
-
-    #[test]
-    fn free_then_realloc() {
-        let dev = Accelerator::new(fast_cfg());
-        let a = dev.alloc(10);
-        dev.free(a);
-        let b = dev.alloc(10);
-        assert_ne!(a, b, "buffer ids are never recycled");
-        dev.copy_to_device(b, &[1.0; 10]).get();
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   latency, and an internal compute gang. It executes real kernels, so
 //!   results are bit-identical to the host path while the performance
 //!   envelope (launch overhead vs. throughput) matches an offload device,
-//! * [`sched`] — load-balancing policies (static, throughput-weighted,
-//!   dynamic work-stealing) across heterogeneous executors,
+//! * [`sched`] — static and throughput-weighted planners across
+//!   heterogeneous executors,
 //! * [`metrics`] — dependency-free counters, log-bucketed histograms and
 //!   RAII phase timers shared across the stack for phase-resolved
 //!   profiling (see DESIGN.md "Observability"),
@@ -41,7 +41,7 @@ pub use metrics::{Counter, HistSnapshot, Histogram, PhaseTimer, Registry, Snapsh
 pub use pool::{
     await_job, await_job_for, global_queue_depth, pool_timeout, watchdog_fires, WorkStealingPool,
 };
-pub use sched::{plan_static, plan_weighted, Policy};
+pub use sched::{plan_static, plan_weighted};
 pub use telemetry::{
     SampleInputs, SeriesSample, Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySampler,
     TelemetrySink,

@@ -30,11 +30,11 @@ use std::time::Instant;
 /// Number of log₂ buckets. Bucket 0 holds exact zeros; bucket `k ≥ 1`
 /// holds values in `[2^(k-1), 2^k - 1]`; the last bucket absorbs the
 /// tail. 64 buckets cover the full `u64` range.
-pub const NBUCKETS: usize = 64;
+const NBUCKETS: usize = 64;
 
 /// Bucket index for a value: 0 for 0, else `64 - leading_zeros`, capped.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -43,7 +43,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive lower bound of bucket `k` (0 for buckets 0 and 1).
-pub fn bucket_lo(k: usize) -> u64 {
+fn bucket_lo(k: usize) -> u64 {
     if k <= 1 {
         if k == 0 {
             0

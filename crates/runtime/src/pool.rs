@@ -9,7 +9,6 @@
 //! and submitters notify after publishing work.
 
 use crate::future::{promise, Future};
-use crate::metrics::Registry;
 use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -169,18 +168,6 @@ impl WorkStealingPool {
         fut
     }
 
-    /// Submit a job that may panic; the future resolves to `Err` with the
-    /// panic message instead of hanging.
-    pub fn spawn_checked<T, F>(&self, f: F) -> Future<Result<T, String>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (p, fut) = promise();
-        self.inject(f, move |r| p.set(r.map_err(panic_msg)));
-        fut
-    }
-
     /// Queue `work`, then `finish` with its result (or its panic). The job
     /// is counted as executed between the two, so a thread that `finish`
     /// releases — by resolving a promise, by opening a latch — finds the
@@ -268,38 +255,12 @@ impl WorkStealingPool {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Total successful steals from sibling deques.
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
     /// Jobs currently sitting in the shared injector — submitted but not
     /// yet claimed by any worker. Per-worker deques are excluded (their
     /// jobs are already owned), so this is the backlog a new submission
     /// queues behind.
     pub fn queue_depth(&self) -> usize {
         self.shared.injector.len()
-    }
-
-    /// Sync the pool's health counters into `reg` as monotonic `pool.*`
-    /// counters: `pool.executed`, `pool.steals` and the process-wide
-    /// `pool.watchdog.fires`. Call on a sampling cadence (the telemetry
-    /// sampler's `Source::Counter` deltas then expose them as series
-    /// fields). Delta-synced, so repeated calls are idempotent; use one
-    /// registry per pool — two pools exporting into the same registry
-    /// would race to the larger value.
-    pub fn export_health(&self, reg: &Registry) {
-        for (name, cur) in [
-            ("pool.executed", self.executed()),
-            ("pool.steals", self.steals()),
-            ("pool.watchdog.fires", watchdog_fires()),
-        ] {
-            let c = reg.counter(name);
-            let prev = c.get();
-            if cur > prev {
-                c.add(cur - prev);
-            }
-        }
     }
 }
 
@@ -531,16 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_checked_reports_panics() {
-        let pool = WorkStealingPool::new(2);
-        let f = pool.spawn_checked(|| -> i32 { panic!("kaboom") });
-        let err = f.get().unwrap_err();
-        assert!(err.contains("kaboom"));
-        // The pool remains usable afterwards.
-        assert_eq!(pool.spawn(|| 5).get(), 5);
-    }
-
-    #[test]
     fn work_is_distributed() {
         // With many blocking-ish tasks, more than one worker should run them.
         let pool = WorkStealingPool::new(4);
@@ -668,26 +619,6 @@ mod tests {
             // dropped (poisoned -> panic); both are prompt, neither hangs.
             let _ = catch_unwind(AssertUnwindSafe(move || f.get()));
         }
-    }
-
-    #[test]
-    fn export_health_delta_syncs_into_registry() {
-        let pool = WorkStealingPool::new(2);
-        let futs: Vec<_> = (0..16).map(|_| pool.spawn(|| ())).collect();
-        for f in futs {
-            f.get();
-        }
-        let reg = Registry::new();
-        pool.export_health(&reg);
-        let first = reg.counter("pool.executed").get();
-        assert!(first >= 16, "executed counter not exported: {first}");
-        // Re-export with no new work: idempotent, no double counting.
-        pool.export_health(&reg);
-        assert_eq!(reg.counter("pool.executed").get(), first);
-        // New work shows up as a delta.
-        pool.spawn(|| ()).get();
-        pool.export_health(&reg);
-        assert!(reg.counter("pool.executed").get() > first);
     }
 
     #[test]

@@ -1,43 +1,16 @@
-//! Load-balancing policies across heterogeneous workers.
+//! Static and throughput-weighted planners across heterogeneous workers.
 //!
 //! A step's work is a set of tiles with (estimated) costs; the cluster has
 //! workers with differing throughputs (host sockets vs. accelerators).
-//! Three policies are compared by experiment F6:
+//! Experiment F6 compares two plans against its own earliest-clock
+//! self-scheduling loop (which charges virtual clocks, so it lives in the
+//! bench, not here):
 //!
-//! * [`Policy::Static`] — homogeneous round-robin that ignores
-//!   throughput (what a non-heterogeneity-aware code does),
-//! * [`Policy::Weighted`] — longest-processing-time greedy onto the
-//!   worker with the smallest *normalized* finish time (uses measured
-//!   throughputs),
-//! * [`Policy::Stealing`] — no plan at all; workers self-schedule from a
-//!   shared queue at runtime ([`run_dynamic`]).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Load-balancing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Policy {
-    /// Round-robin, throughput-oblivious.
-    Static,
-    /// Throughput-weighted LPT greedy.
-    Weighted,
-    /// Dynamic self-scheduling from a shared queue.
-    Stealing,
-}
-
-impl Policy {
-    /// All policies, for comparison sweeps.
-    pub const ALL: [Policy; 3] = [Policy::Static, Policy::Weighted, Policy::Stealing];
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::Static => "static",
-            Policy::Weighted => "weighted",
-            Policy::Stealing => "stealing",
-        }
-    }
-}
+//! * [`plan_static`] — homogeneous round-robin that ignores throughput
+//!   (what a non-heterogeneity-aware code does),
+//! * [`plan_weighted`] — longest-processing-time greedy onto the worker
+//!   with the smallest *normalized* finish time (uses measured
+//!   throughputs).
 
 /// Round-robin assignment of `ntiles` tiles over `nworkers` workers.
 pub fn plan_static(ntiles: usize, nworkers: usize) -> Vec<Vec<usize>> {
@@ -80,34 +53,9 @@ pub fn predicted_makespan(plan: &[Vec<usize>], costs: &[f64], speeds: &[f64]) ->
         .fold(0.0, f64::max)
 }
 
-/// Execute `ntiles` tiles dynamically: each worker closure runs on its own
-/// thread and claims tiles from a shared counter until exhaustion
-/// (self-scheduling — the [`Policy::Stealing`] runtime). Returns the
-/// number of tiles each worker processed.
-pub fn run_dynamic(workers: Vec<Box<dyn Fn(usize) + Send>>, ntiles: usize) -> Vec<usize> {
-    let cursor = AtomicUsize::new(0);
-    let counts: Vec<AtomicUsize> = workers.iter().map(|_| AtomicUsize::new(0)).collect();
-    std::thread::scope(|s| {
-        for (w, worker) in workers.into_iter().enumerate() {
-            let cursor = &cursor;
-            let counts = &counts;
-            s.spawn(move || loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                if t >= ntiles {
-                    break;
-                }
-                worker(t);
-                counts[w].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-    counts.into_iter().map(|c| c.into_inner()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn static_plan_is_balanced_in_counts() {
@@ -164,51 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn run_dynamic_processes_every_tile() {
-        let n = 500;
-        let hits: std::sync::Arc<Vec<AtomicU64>> =
-            std::sync::Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let mk = |h: std::sync::Arc<Vec<AtomicU64>>| -> Box<dyn Fn(usize) + Send> {
-            Box::new(move |t| {
-                h[t].fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        let counts = run_dynamic(
-            vec![mk(hits.clone()), mk(hits.clone()), mk(hits.clone())],
-            n,
-        );
-        assert_eq!(counts.iter().sum::<usize>(), n);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn run_dynamic_adapts_to_slow_workers() {
-        // One worker sleeps per tile; the fast worker should claim the
-        // lion's share without any planning.
-        let n = 60;
-        let slow: Box<dyn Fn(usize) + Send> =
-            Box::new(|_| std::thread::sleep(std::time::Duration::from_millis(3)));
-        let fast: Box<dyn Fn(usize) + Send> = Box::new(|_| {});
-        let counts = run_dynamic(vec![slow, fast], n);
-        assert_eq!(counts.iter().sum::<usize>(), n);
-        assert!(
-            counts[1] > counts[0] * 3,
-            "fast {} vs slow {}",
-            counts[1],
-            counts[0]
-        );
-    }
-
-    #[test]
     fn empty_tiles_ok() {
         assert_eq!(plan_static(0, 2), vec![Vec::<usize>::new(), Vec::new()]);
-        let counts = run_dynamic(vec![Box::new(|_| {})], 0);
-        assert_eq!(counts, vec![0]);
-    }
-
-    #[test]
-    fn policy_names() {
-        assert_eq!(Policy::Static.name(), "static");
-        assert_eq!(Policy::ALL.len(), 3);
     }
 }

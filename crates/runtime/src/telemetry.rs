@@ -33,7 +33,7 @@ use std::sync::Mutex;
 
 /// Environment variable selecting the sampling cadence in steps
 /// (`1` = every step). Unset or `0` disarms telemetry.
-pub const TELEMETRY_INTERVAL_ENV: &str = "RHRSC_TELEMETRY_INTERVAL";
+const TELEMETRY_INTERVAL_ENV: &str = "RHRSC_TELEMETRY_INTERVAL";
 
 /// How per-rank field values combine when rank 0 reduces a sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,7 +343,9 @@ pub const SERIES_FIELDS: &[FieldDef] = &[
         "Shrinking recoveries since the previous sample",
         Source::Counter("driver.shrinks"),
     ),
-    // -- pool health (PR 10): exported by WorkStealingPool::export_health.
+    // -- pool health (PR 10). The queue depth is sampled; the two
+    // `pool.*` counters keep their wire slots but read zero, since no
+    // front-end ever exported a pool's tallies into its registry.
     field(
         "pool_queue_depth",
         MergeOp::Sum,
@@ -419,20 +421,14 @@ pub const SERIES_FIELDS: &[FieldDef] = &[
     ),
 ];
 
-/// Index of `steps` in [`SERIES_FIELDS`] / `SeriesSample::values`.
-pub const IDX_STEPS: usize = 0;
-/// Index of `dt`.
-pub const IDX_DT: usize = 1;
-/// Index of `zone_updates`.
-pub const IDX_ZONE_UPDATES: usize = 2;
-/// Index of `elapsed_s`.
-pub const IDX_ELAPSED_S: usize = 3;
+/// Index of `zone_updates` in [`SERIES_FIELDS`] / `SeriesSample::values`.
+const IDX_ZONE_UPDATES: usize = 2;
 /// Index of `c2p_relaxed` (first cascade tier).
-pub const IDX_C2P_RELAXED: usize = 10;
+const IDX_C2P_RELAXED: usize = 10;
 /// Index of `c2p_atmo` (floor activations).
-pub const IDX_C2P_ATMO: usize = 12;
+const IDX_C2P_ATMO: usize = 12;
 /// Index of the `drift` gauge.
-pub const IDX_DRIFT: usize = 13;
+const IDX_DRIFT: usize = 13;
 
 /// Position of `name` in [`SERIES_FIELDS`].
 pub fn field_index(name: &str) -> Option<usize> {
@@ -870,10 +866,7 @@ mod tests {
 
     #[test]
     fn field_indices_match_schema() {
-        assert_eq!(SERIES_FIELDS[IDX_STEPS].name, "steps");
-        assert_eq!(SERIES_FIELDS[IDX_DT].name, "dt");
         assert_eq!(SERIES_FIELDS[IDX_ZONE_UPDATES].name, "zone_updates");
-        assert_eq!(SERIES_FIELDS[IDX_ELAPSED_S].name, "elapsed_s");
         assert_eq!(SERIES_FIELDS[IDX_C2P_RELAXED].name, "c2p_relaxed");
         assert_eq!(SERIES_FIELDS[IDX_C2P_ATMO].name, "c2p_atmo");
         assert_eq!(SERIES_FIELDS[IDX_DRIFT].name, "drift");
@@ -942,9 +935,10 @@ mod tests {
 
     #[test]
     fn merge_respects_field_ops() {
+        let idx_dt = field_index("dt").unwrap();
         let mk = |dt: f64, zu: f64, drift: f64| {
             let mut values = vec![0.0; SERIES_FIELDS.len()];
-            values[IDX_DT] = dt;
+            values[idx_dt] = dt;
             values[IDX_ZONE_UPDATES] = zu;
             values[IDX_DRIFT] = drift;
             SeriesSample {
@@ -956,7 +950,7 @@ mod tests {
         };
         let mut root = mk(1e-3, 100.0, 1e-12);
         root.merge(&mk(9e9, 50.0, 5e-12));
-        assert_eq!(root.values[IDX_DT], 1e-3); // First: root wins
+        assert_eq!(root.values[idx_dt], 1e-3); // First: root wins
         assert_eq!(root.values[IDX_ZONE_UPDATES], 150.0); // Sum
         assert_eq!(root.values[IDX_DRIFT], 5e-12); // Max
     }

@@ -40,7 +40,7 @@ use std::time::Instant;
 
 /// Default per-track ring capacity (events), overridable with
 /// `RHRSC_TRACE_BUF`.
-pub const DEFAULT_CAPACITY: usize = 16 * 1024;
+const DEFAULT_CAPACITY: usize = 16 * 1024;
 
 /// What an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,11 +120,6 @@ impl Track {
     /// The owning rank (Perfetto process id).
     pub fn pid(&self) -> u32 {
         self.pid
-    }
-
-    /// Thread/stream id within the rank.
-    pub fn tid(&self) -> u32 {
-        self.tid
     }
 
     /// Record a completed span `[t0_ns, t1_ns]`.
@@ -220,7 +215,7 @@ impl Tracer {
 
     /// Where [`Tracer::dump_on_fault`] writes (also the default export
     /// path benches use when only `RHRSC_TRACE` is given).
-    pub fn dump_path(&self) -> Option<PathBuf> {
+    fn dump_path(&self) -> Option<PathBuf> {
         self.dump_path.lock().clone()
     }
 
@@ -260,16 +255,11 @@ impl Tracer {
         t
     }
 
-    /// All tracks, in creation order.
-    pub fn tracks(&self) -> Vec<Arc<Track>> {
-        self.tracks.lock().clone()
-    }
-
     /// Every event of every track, merged into one globally ordered
     /// timeline: sorted by timestamp, ties broken by `(pid, tid)` and
     /// then per-track record order (the sort is stable), so merged order
     /// is deterministic under virtual time.
-    pub fn merged_events(&self) -> Vec<(u32, u32, Event)> {
+    fn merged_events(&self) -> Vec<(u32, u32, Event)> {
         let mut all = Vec::new();
         for track in self.tracks.lock().iter() {
             let (events, _) = track.events();
@@ -521,7 +511,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         a.instant("x", 5, 0.0);
         assert_eq!(b.events().0.len(), 1);
-        assert_eq!(tracer.tracks().len(), 1);
+        assert_eq!(tracer.tracks.lock().len(), 1);
     }
 
     #[test]

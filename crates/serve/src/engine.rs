@@ -59,7 +59,7 @@ impl Priority {
     pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Batch, Priority::Scavenger];
 
     /// Stable lowercase label (metrics suffix).
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             Priority::Interactive => "interactive",
             Priority::Batch => "batch",
@@ -86,7 +86,7 @@ impl CancelToken {
     }
 
     /// True once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }

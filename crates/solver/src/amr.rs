@@ -37,15 +37,9 @@
 //!   the old hierarchy where it overlaps and conservatively prolong from
 //!   the parent elsewhere. Because patches always cover whole parent
 //!   cells, the transfer preserves the composite integrals exactly.
-//! * **Offload** — with [`AmrSolver::attach_device`], fine-level residual
-//!   evaluations are staged through the simulated [`Accelerator`]
-//!   (upload primitives → launch the reconstruction/Riemann kernel →
-//!   download residual and interface fluxes), the same path
-//!   [`crate::DevicePatchSolver`] takes; results are bit-identical to the
-//!   host path.
 //!
 //! Metrics (`amr.regrids`, `amr.updates.l<ℓ>`, `amr.reflux.corrections`,
-//! `amr.dev.launches`, the `amr.patches` histogram) and trace spans
+//! the `amr.patches` histogram) and trace spans
 //! (`amr.regrid`, `amr.reflux`) thread through the PR 2/PR 4 layers via
 //! [`AmrSolver::set_metrics`] / [`AmrSolver::set_trace`].
 
@@ -60,7 +54,7 @@ use crate::scheme::{
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
 use rhrsc_io::checkpoint::{AmrCheckpoint, AmrPatchRecord};
 use rhrsc_runtime::trace::{Tracer, Track};
-use rhrsc_runtime::{Accelerator, AcceleratorConfig, Registry};
+use rhrsc_runtime::Registry;
 use rhrsc_srhd::{Cons, Prim, NCOMP};
 use std::sync::Arc;
 
@@ -154,7 +148,7 @@ pub(crate) trait LevelCoupling {
 }
 
 /// The single-process coupling: every patch is local.
-pub(crate) struct Serial;
+struct Serial;
 
 impl LevelCoupling for Serial {
     fn owns(&self, _l: usize, _i: usize) -> bool {
@@ -187,7 +181,6 @@ pub struct AmrSolver {
     pub(crate) reflux_corrections: u64,
     metrics: Option<Arc<Registry>>,
     trace: Option<(Arc<Tracer>, Arc<Track>)>,
-    device: Option<Accelerator>,
 }
 
 impl AmrSolver {
@@ -235,7 +228,6 @@ impl AmrSolver {
             reflux_corrections: 0,
             metrics: None,
             trace: None,
-            device: None,
         }
     }
 
@@ -250,28 +242,13 @@ impl AmrSolver {
         self.trace = Some((tracer, track));
     }
 
-    /// Route fine-level (`ℓ ≥ 1`) residual evaluation through a simulated
-    /// accelerator: primitives are uploaded, the reconstruction/Riemann
-    /// kernel launches on the device queue, and the residual plus
-    /// interface fluxes are downloaded. Bit-identical to the host path.
-    pub fn attach_device(&mut self, cfg: AcceleratorConfig) {
-        let dev = Accelerator::new(cfg);
-        if let Some(m) = &self.metrics {
-            dev.set_metrics(Arc::clone(m));
-        }
-        if let Some((tracer, track)) = &self.trace {
-            dev.set_trace(Arc::clone(tracer), Arc::clone(track));
-        }
-        self.device = Some(dev);
-    }
-
     /// Cell size of level `l` (exact: halving only).
-    pub(crate) fn level_dx(&self, l: usize) -> f64 {
+    fn level_dx(&self, l: usize) -> f64 {
         self.dx0 / (1u64 << l) as f64
     }
 
     /// Global cell count of level `l`'s index space.
-    pub(crate) fn level_cells(&self, l: usize) -> usize {
+    fn level_cells(&self, l: usize) -> usize {
         self.n0 << l
     }
 
@@ -459,7 +436,7 @@ impl AmrSolver {
     /// *current* state (all levels at the same time; used at sync points
     /// for dt estimation, error estimation, and diagnostics). Level 0
     /// gets physical BCs. Parents of `m` must already be filled.
-    pub(crate) fn fill_ghosts_sync_level(&mut self, m: usize) {
+    fn fill_ghosts_sync_level(&mut self, m: usize) {
         if m == 0 {
             let p0 = &mut self.levels[0][0];
             fill_ghosts(&mut p0.u, &self.bcs);
@@ -500,7 +477,7 @@ impl AmrSolver {
     /// parameter is pushed up the chain via
     /// `θ_{m−1} = frac_m + θ_m / 2`, so every ancestor is evaluated at the
     /// same physical time.
-    pub(crate) fn fill_ghosts_lerp(&mut self, l: usize, c: f64) {
+    fn fill_ghosts_lerp(&mut self, l: usize, c: f64) {
         if l == 0 {
             let p0 = &mut self.levels[0][0];
             fill_ghosts(&mut p0.u, &self.bcs);
@@ -546,62 +523,10 @@ impl AmrSolver {
 
     /// Residual + interface fluxes for every owned patch of level `l`.
     fn eval_level_rhs<C: LevelCoupling>(&mut self, c: &C, l: usize) {
-        if l >= 1 && self.device.is_some() {
-            self.eval_level_rhs_device(c, l);
-            return;
-        }
         let scheme = self.scheme;
         for (i, p) in self.levels[l].iter_mut().enumerate() {
             if c.owns(l, i) {
                 rhs_1d_with_fluxes(&scheme, &p.prim, &mut p.rhs, &mut p.flux);
-            }
-        }
-    }
-
-    /// Device-staged residual: upload primitives, launch the kernel on the
-    /// accelerator queue, download residual + fluxes. Same host functions
-    /// inside the kernel, so results are bit-identical.
-    fn eval_level_rhs_device<C: LevelCoupling>(&mut self, c: &C, l: usize) {
-        let scheme = self.scheme;
-        for (i, p) in self.levels[l].iter_mut().enumerate() {
-            if !c.owns(l, i) {
-                continue;
-            }
-            let dev = self.device.as_ref().unwrap();
-            let geom = *p.prim.geom();
-            let nt = geom.ntot(0);
-            let b_prim = dev.alloc(5 * nt);
-            let b_rhs = dev.alloc(NCOMP * nt);
-            let b_flux = dev.alloc(NCOMP * (nt + 1));
-            dev.copy_to_device(b_prim, p.prim.raw()).get();
-            dev.launch(move |ctx| {
-                let prim = Field::from_vec(geom, 5, ctx.take(b_prim));
-                let mut rhs = Field::cons(geom);
-                let mut flux = vec![Cons::ZERO; nt + 1];
-                rhs_1d_with_fluxes(&scheme, &prim, &mut rhs, &mut flux);
-                ctx.put(b_prim, prim.into_vec());
-                ctx.buf_mut(b_rhs).copy_from_slice(rhs.raw());
-                let fb = ctx.buf_mut(b_flux);
-                for (j, f) in flux.iter().enumerate() {
-                    for (c, v) in f.to_array().iter().enumerate() {
-                        fb[j * NCOMP + c] = *v;
-                    }
-                }
-            })
-            .get();
-            let rhs_host = dev.copy_to_host(b_rhs).get();
-            p.rhs.raw_mut().copy_from_slice(&rhs_host);
-            let flux_host = dev.copy_to_host(b_flux).get();
-            for (j, f) in p.flux.iter_mut().enumerate() {
-                let mut a = [0.0; NCOMP];
-                a.copy_from_slice(&flux_host[j * NCOMP..(j + 1) * NCOMP]);
-                *f = Cons::from_array(a);
-            }
-            dev.free(b_prim);
-            dev.free(b_rhs);
-            dev.free(b_flux);
-            if let Some(m) = &self.metrics {
-                m.counter("amr.dev.launches").inc();
             }
         }
     }
@@ -1266,42 +1191,6 @@ mod tests {
             (amr.cell_updates() as f64) <= 0.40 * z_fine as f64,
             "AMR updates {} must be <= 40% of uniform-fine {z_fine}",
             amr.cell_updates()
-        );
-    }
-
-    #[test]
-    fn device_path_is_bit_identical_to_host() {
-        let prob = Problem::sod();
-        let run = |device: bool| -> Vec<u64> {
-            let cfg = AmrConfig {
-                max_levels: 2,
-                ..AmrConfig::default()
-            };
-            let mut amr = solver(64, cfg, prob.bcs);
-            if device {
-                amr.attach_device(AcceleratorConfig::default());
-            }
-            amr.init(&|x| (prob.ic)(x));
-            amr.advance_to(0.0, 0.1, 0.4).unwrap();
-            let mut bits = Vec::new();
-            for ps in &amr.levels {
-                for p in ps {
-                    for i in 0..p.n {
-                        bits.extend(
-                            p.u.get_cons(amr.ng + i, 0, 0)
-                                .to_array()
-                                .iter()
-                                .map(|v| v.to_bits()),
-                        );
-                    }
-                }
-            }
-            bits
-        };
-        assert_eq!(
-            run(false),
-            run(true),
-            "device offload must be bit-identical"
         );
     }
 

@@ -44,7 +44,7 @@ impl Default for BreakerConfig {
 
 /// Circuit-breaker state machine position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Healthy: work routes to the device, fault outcomes are windowed.
     Closed,
     /// Quarantined: work routes to the host pool for `cooldown` steps.
@@ -201,13 +201,6 @@ impl DevicePatchSolver {
     /// [`advance_to`]: DevicePatchSolver::advance_to
     pub fn set_breaker(&mut self, cfg: BreakerConfig) {
         self.breaker = Some(RefCell::new(Breaker::new(cfg)));
-    }
-
-    /// Current breaker position, if [`set_breaker`] was called.
-    ///
-    /// [`set_breaker`]: DevicePatchSolver::set_breaker
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.borrow().state)
     }
 
     /// Breaker counters, if [`set_breaker`] was called.
@@ -604,7 +597,10 @@ mod tests {
             stats.readmissions >= 1,
             "probe never re-admitted: {stats:?}"
         );
-        assert_eq!(dev.breaker_state(), Some(BreakerState::Closed));
+        assert_eq!(
+            dev.breaker.as_ref().unwrap().borrow().state,
+            BreakerState::Closed
+        );
         assert_eq!(
             dev.download().raw(),
             u_ref.raw(),

@@ -35,7 +35,7 @@ use std::time::Instant;
 /// retried — the rollback backup is corrupt too — so the agreed response
 /// is a collective restore from the cheapest valid snapshot tier, but
 /// nobody is suspected dead.
-pub const SDC_FLAG: f64 = 1.5;
+const SDC_FLAG: f64 = 1.5;
 
 /// CFL scale a run resumes at after a restore or a shrink; successful
 /// steps double it back toward 1.

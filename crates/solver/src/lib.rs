@@ -52,7 +52,7 @@ mod tiers;
 
 pub use amr::{AmrConfig, AmrSolver};
 pub use amr_dist::{DistAmrConfig, DistAmrSolver, DistAmrStats};
-pub use device_backend::{BreakerConfig, BreakerState, BreakerStats, DevicePatchSolver};
+pub use device_backend::{BreakerConfig, BreakerStats, DevicePatchSolver};
 pub use driver::{ResilienceConfig, ResilienceStats};
 pub use health::{HealthConfig, HealthMonitor, HealthRecord, HealthSummary};
 pub use integrate::{PatchSolver, RkOrder};

@@ -37,7 +37,7 @@ pub struct Problem {
 impl Problem {
     /// A generic 1D Riemann problem on `[0, 1]` with the membrane at
     /// `x = 0.5`, with the exact solution attached.
-    pub fn riemann_1d(name: &str, left: Prim, right: Prim, gamma: f64, t_end: f64) -> Problem {
+    fn riemann_1d(name: &str, left: Prim, right: Prim, gamma: f64, t_end: f64) -> Problem {
         let sol = ExactRiemann::solve(&left, &right, gamma)
             .unwrap_or_else(|e| panic!("exact solution for {name} failed: {e}"));
         let exact = Arc::new(move |x: [f64; 3], t: f64| sol.eval(x[0], t, 0.5));

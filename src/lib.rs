@@ -9,7 +9,7 @@
 //! * [`runtime`] — futures, work-stealing pool, simulated accelerator,
 //!   load balancing,
 //! * [`comm`] — simulated distributed ranks with a network cost model,
-//! * [`io`] — VTK/PGM/PPM output and bit-exact checkpoint/restart,
+//! * [`io`] — VTK/PPM output and bit-exact checkpoint/restart,
 //! * [`solver`] — SSP-RK integration, the distributed heterogeneous
 //!   driver, test problems, and diagnostics,
 //! * [`serve`] — the ensemble service: a multi-tenant job engine
