@@ -22,9 +22,9 @@
 //!
 //! Flags: `--toy` shrinks the grid and horizon for smoke tests/CI,
 //! `--profile` prints the pooled phase breakdown, `--trace-out <path>`
-//! (or `RHRSC_TRACE`) dumps a Chrome/Perfetto flight record of run D's
-//! device queue including the breaker transitions. A machine-readable
-//! report is always written to `results/BENCH_f10_fault_tolerance.json`.
+//! dumps a Chrome/Perfetto flight record of run D's device queue
+//! including the breaker transitions. A machine-readable report is
+//! always written to `results/BENCH_f10_fault_tolerance.json`.
 
 use rhrsc_bench::drill::{
     blast_2x2, blast_ic, fault_seed, flight_recorder, l1_rel_density, reference_run, resilient_run,

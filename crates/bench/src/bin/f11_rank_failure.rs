@@ -26,10 +26,6 @@
 //! `--profile` prints the pooled phase breakdown. A machine-readable
 //! report with the liveness counters and the measured overhead is
 //! always written to `results/BENCH_f11_rank_failure.json`.
-//!
-//! Env knobs: `RHRSC_SUSPECT_AFTER_MS` (liveness deadline; scenario C
-//! overrides it to 150 ms programmatically), `RHRSC_POOL_TIMEOUT_MS`
-//! (stuck-job watchdog in the worker pool).
 
 use rhrsc_bench::drill::{
     blast_2x2, fault_seed, flight_recorder, l1_rel, reference_run, resilient_run,

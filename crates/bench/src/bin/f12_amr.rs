@@ -79,7 +79,6 @@ fn main() {
         threshold: 0.25,
         buffer: 3,
         regrid_interval: 2,
-        ..AmrConfig::default()
     };
     let mut amr = AmrSolver::new(
         scheme,

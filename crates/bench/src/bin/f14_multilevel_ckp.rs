@@ -198,7 +198,6 @@ fn main() {
         local_interval: 1,
         buddy_offset: 1,
         scrub_interval: 1,
-        ..ResilienceConfig::default()
     };
     let plan_d = FaultPlan {
         seed,

@@ -16,10 +16,10 @@
 //! Flags: `--toy` shrinks the sweep for smoke tests/CI, `--profile`
 //! prints the phase breakdown. A machine-readable report is always
 //! written to `results/BENCH_f4_strong_scaling.json`. Telemetry
-//! (`RHRSC_TELEMETRY_INTERVAL` / `--telemetry-out` /
-//! `--metrics-textfile`) arms on the largest rank-count sweep: the
-//! solver samples per-rank metric deltas each cadence, reduces them to
-//! rank 0, and the report gains a `series` section.
+//! (`--telemetry-out` / `--metrics-textfile`) arms on the largest
+//! rank-count sweep: the solver samples per-rank metric deltas each
+//! cadence, reduces them to rank 0, and the report gains a `series`
+//! section.
 
 use rhrsc_bench::drill::blast_ic;
 use rhrsc_bench::{f3, BenchOpts, Table};

@@ -13,16 +13,16 @@
 //! prints a per-mode phase breakdown (each mode keeps its own registry so
 //! bulk-sync's monolithic `phase.rhs.interior` does not dilute the
 //! overlap table). A machine-readable report pooling both modes is always
-//! written to `results/BENCH_f7_overlap.json`. `--trace-out <path>` (or
-//! `RHRSC_TRACE`) additionally records one overlap-mode run at the
-//! highest swept latency as a Chrome/Perfetto `trace.json` — the
-//! virtual-time track shows the shell/deep split hiding the halo wait.
+//! written to `results/BENCH_f7_overlap.json`. `--trace-out <path>`
+//! additionally records one overlap-mode run at the highest swept
+//! latency as a Chrome/Perfetto `trace.json` — the virtual-time track
+//! shows the shell/deep split hiding the halo wait.
 
 use rhrsc_bench::drill::blast_ic;
 use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp};
-use rhrsc_runtime::trace::Tracer;
+use rhrsc_runtime::trace::{Tracer, DEFAULT_CAPACITY};
 use rhrsc_runtime::Registry;
 use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode};
 use rhrsc_solver::{RkOrder, Scheme};
@@ -105,7 +105,7 @@ fn main() {
     if let Some(p) = opts.trace_path() {
         let lat = *latencies_us.last().expect("latency sweep is non-empty");
         let model = NetworkModel::virtual_cluster(Duration::from_micros(lat), 10e9);
-        let tracer = Tracer::new_env_sized();
+        let tracer = Arc::new(Tracer::new(DEFAULT_CAPACITY));
         let cfg = mk_cfg(ExchangeMode::Overlap);
         let tr = tracer.clone();
         run(4, model, move |rank| {

@@ -10,7 +10,7 @@
 use crate::{print_phase_table, BenchOpts, RunReport, Table};
 use rhrsc_comm::{run_with_faults, FaultPlan, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp, Field};
-use rhrsc_runtime::trace::Tracer;
+use rhrsc_runtime::trace::{Tracer, DEFAULT_CAPACITY};
 use rhrsc_runtime::{FaultStats, Registry, Snapshot};
 use rhrsc_solver::driver::{
     BlockSolver, DistConfig, ExchangeMode, ResilienceConfig, ResilienceStats,
@@ -143,10 +143,7 @@ pub fn resilient_run(
         let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &blast_ic);
         solver.set_metrics(reg.clone());
         if health {
-            solver.set_health(HealthConfig {
-                verbose: false,
-                ..Default::default()
-            });
+            solver.set_health(HealthConfig::default());
         }
         match solver.advance_to_with_restart(rank, &mut u, 0.0, t_end, res) {
             Ok((_, rstats)) => {
@@ -170,12 +167,12 @@ pub fn resilient_run(
     (outs, t0.elapsed().as_secs_f64())
 }
 
-/// The optional flight recorder (`--trace-out` / `RHRSC_TRACE`), with
-/// the destination armed as its dump path so a terminal error leaves a
-/// partial trace behind.
+/// The optional flight recorder (`--trace-out`), with the destination
+/// armed as its dump path so a terminal error leaves a partial trace
+/// behind.
 pub fn flight_recorder(opts: &BenchOpts) -> Option<Arc<Tracer>> {
     opts.trace_path().map(|p| {
-        let tr = Tracer::new_env_sized();
+        let tr = Arc::new(Tracer::new(DEFAULT_CAPACITY));
         tr.set_dump_path(Some(p));
         tr
     })

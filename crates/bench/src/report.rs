@@ -99,22 +99,14 @@ impl BenchOpts {
         o
     }
 
-    /// The trace destination: `--trace-out` if given, else the
-    /// `RHRSC_TRACE` environment variable.
+    /// The trace destination (`--trace-out`); `None` = no flight record.
     pub fn trace_path(&self) -> Option<PathBuf> {
-        self.trace_out
-            .clone()
-            .or_else(|| std::env::var_os("RHRSC_TRACE").map(PathBuf::from))
+        self.trace_out.clone()
     }
 
     /// Telemetry configuration, when armed: either sink flag arms it at
-    /// the default cadence, and `RHRSC_TELEMETRY_INTERVAL` arms it
-    /// and/or overrides the cadence. `None` = telemetry detached.
+    /// the default cadence. `None` = telemetry detached.
     pub fn telemetry_config(&self) -> Option<rhrsc_runtime::TelemetryConfig> {
-        let env = rhrsc_runtime::TelemetryConfig::from_env();
-        if env.is_some() {
-            return env;
-        }
         (self.telemetry_out.is_some() || self.metrics_textfile.is_some())
             .then(rhrsc_runtime::TelemetryConfig::default)
     }
@@ -778,27 +770,33 @@ mod tests {
     }
 
     #[test]
-    fn bench_opts_trace_path_falls_back_to_env() {
+    fn bench_opts_trace_path_is_the_flag_alone() {
         let o = BenchOpts {
             trace_out: Some(PathBuf::from("/tmp/x.json")),
             ..Default::default()
         };
         assert_eq!(o.trace_path(), Some(PathBuf::from("/tmp/x.json")));
+        assert_eq!(BenchOpts::default().trace_path(), None);
     }
 
     #[test]
     fn bench_opts_arm_telemetry_via_sink_flags() {
         let detached = BenchOpts::default();
         assert!(detached.telemetry_config().is_none());
-        let armed = BenchOpts {
-            telemetry_out: Some(PathBuf::from("/tmp/t.jsonl")),
-            ..Default::default()
-        };
-        let cfg = armed.telemetry_config().expect("sink flag arms telemetry");
-        assert_eq!(
-            cfg.interval,
-            rhrsc_runtime::TelemetryConfig::default().interval
-        );
+        let default_cadence = rhrsc_runtime::TelemetryConfig::default().interval;
+        for armed in [
+            BenchOpts {
+                telemetry_out: Some(PathBuf::from("/tmp/t.jsonl")),
+                ..Default::default()
+            },
+            BenchOpts {
+                metrics_textfile: Some(PathBuf::from("/tmp/t.prom")),
+                ..Default::default()
+            },
+        ] {
+            let cfg = armed.telemetry_config().expect("sink flag arms telemetry");
+            assert_eq!(cfg.interval, default_cadence);
+        }
     }
 
     fn sample_series() -> Vec<rhrsc_runtime::SeriesSample> {

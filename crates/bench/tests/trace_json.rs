@@ -109,10 +109,7 @@ fn killed_rank_trace_shows_failover_in_causal_order() {
     let outs = run_with_faults(4, model, Some(plan), move |rank| {
         rank.set_trace(tr.clone());
         let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-        solver.set_health(HealthConfig {
-            verbose: false,
-            ..Default::default()
-        });
+        solver.set_health(HealthConfig::default());
         match solver.advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res) {
             Ok(_) => true,
             Err(SolverError::RankFailed { .. }) => false,

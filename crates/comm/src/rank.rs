@@ -160,15 +160,13 @@ pub struct NetworkModel {
     pub bandwidth: f64,
     /// How long a deadline-aware receive waits before suspecting the
     /// peer dead. Wall-clock even in virtual-time mode (a dead rank sends
-    /// nothing physically). Overridable via `RHRSC_SUSPECT_AFTER_MS`.
+    /// nothing physically).
     pub suspect_after: Duration,
     /// Modeled link-level retransmit attempts for a halo payload whose
     /// CRC-32 trailer fails at receive time (0 disables the retry tier:
     /// damage escalates to the caller immediately, the pre-liveness
     /// behavior).
     pub crc_retry_attempts: u32,
-    /// Base backoff charged per retransmit attempt (doubles each try).
-    pub crc_retry_backoff: Duration,
     /// Virtual-time mode: network costs are charged to the ranks'
     /// *virtual clocks* instead of being physically waited out, and
     /// compute sections measured with [`Rank::work`] are serialized on a
@@ -179,16 +177,10 @@ pub struct NetworkModel {
     pub virtual_time: bool,
 }
 
-/// Default suspicion deadline: `RHRSC_SUSPECT_AFTER_MS` or 2000 ms. Long
-/// enough that an oversubscribed host never starves a healthy peer past
-/// it, short enough that benches detect a dead rank promptly.
-fn default_suspect_after() -> Duration {
-    let ms = std::env::var("RHRSC_SUSPECT_AFTER_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(2000);
-    Duration::from_millis(ms.max(1))
-}
+/// Default suspicion deadline. Long enough that an oversubscribed host
+/// never starves a healthy peer past it, short enough that benches detect
+/// a dead rank promptly.
+const DEFAULT_SUSPECT_AFTER: Duration = Duration::from_secs(2);
 
 impl NetworkModel {
     /// An ideal (zero-cost) network.
@@ -197,9 +189,8 @@ impl NetworkModel {
             latency: Duration::ZERO,
             bandwidth: f64::INFINITY,
             virtual_time: false,
-            suspect_after: default_suspect_after(),
+            suspect_after: DEFAULT_SUSPECT_AFTER,
             crc_retry_attempts: 0,
-            crc_retry_backoff: Duration::from_micros(50),
         }
     }
 
@@ -569,13 +560,15 @@ impl Rank {
         };
         let mut extra = inj.should_delay_msg().unwrap_or(Duration::ZERO);
         if inj.should_truncate_msg() && !data.is_empty() {
+            /// Backoff charged for the first retransmit (doubles each try).
+            const CRC_RETRY_BACKOFF: Duration = Duration::from_micros(50);
             // Modeled link-level retransmit: each attempt pays an
             // exponentially growing backoff (charged as extra flight
             // time) and redraws the damage from its own fault site.
             let mut corrupted = true;
             let mut attempt = 0u32;
             while corrupted && attempt < self.model.crc_retry_attempts {
-                extra += self.model.crc_retry_backoff * (1u32 << attempt.min(20));
+                extra += CRC_RETRY_BACKOFF * (1u32 << attempt.min(20));
                 attempt += 1;
                 self.lstats.crc_retries += 1;
                 if let Some(m) = &self.metrics {
@@ -651,9 +644,15 @@ impl Rank {
     }
 
     fn recv_raw(&mut self, from: usize, tag: u64) -> Vec<f64> {
+        self.timed_wait(tag, |r| r.recv_raw_inner(from, tag))
+    }
+
+    /// Run `recv` and record how long it waited (virtual or wall time)
+    /// in the `sub.comm.wait.<class of tag>` histogram.
+    fn timed_wait<T>(&mut self, tag: u64, recv: impl FnOnce(&mut Self) -> T) -> T {
         // Only pay for clock reads when a registry is attached.
         let wait_start = self.metrics.as_ref().map(|_| (Instant::now(), self.vtime));
-        let data = self.recv_raw_inner(from, tag);
+        let out = recv(self);
         if let (Some(m), Some((t0, v0))) = (&self.metrics, wait_start) {
             let ns = if self.model.virtual_time {
                 ((self.vtime - v0).max(0.0) * 1e9) as u64
@@ -663,7 +662,7 @@ impl Rank {
             m.histogram(&format!("sub.comm.wait.{}", tag_class(tag)))
                 .record(ns);
         }
-        data
+        out
     }
 
     fn recv_raw_inner(&mut self, from: usize, tag: u64) -> Vec<f64> {
@@ -799,18 +798,8 @@ impl Rank {
     /// skew cannot cascade into false suspicions of healthy ranks.
     pub fn recv_deadline(&mut self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved");
-        let wait_start = self.metrics.as_ref().map(|_| (Instant::now(), self.vtime));
-        let out = self.recv_deadline_any(from, tag, self.model.suspect_after);
-        if let (Some(m), Some((t0, v0))) = (&self.metrics, wait_start) {
-            let ns = if self.model.virtual_time {
-                ((self.vtime - v0).max(0.0) * 1e9) as u64
-            } else {
-                t0.elapsed().as_nanos() as u64
-            };
-            m.histogram(&format!("sub.comm.wait.{}", tag_class(tag)))
-                .record(ns);
-        }
-        out
+        let deadline = self.model.suspect_after;
+        self.timed_wait(tag, |r| r.recv_deadline_any(from, tag, deadline))
     }
 
     /// Deadline receive without the reserved-tag assert (collectives use

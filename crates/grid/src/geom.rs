@@ -129,6 +129,18 @@ impl PatchGeom {
         })
     }
 
+    /// The `k`-th triple of [`interior_iter`](Self::interior_iter)
+    /// (`k < interior_len()`), without walking to it.
+    pub fn nth_interior(&self, k: usize) -> (usize, usize, usize) {
+        debug_assert!(k < self.interior_len());
+        let [n0, n1, _] = self.n;
+        (
+            k % n0 + self.ng_of(0),
+            k / n0 % n1 + self.ng_of(1),
+            k / (n0 * n1) + self.ng_of(2),
+        )
+    }
+
     /// Cell volume.
     #[inline]
     pub fn cell_volume(&self) -> f64 {
@@ -150,6 +162,21 @@ mod tests {
         assert_eq!(g.interior_len(), 10);
         assert_eq!(g.ndim(), 1);
         assert!((g.dx[0] - 0.1).abs() < 1e-15);
+    }
+
+    #[test]
+    fn nth_interior_is_the_nth_of_the_iterator() {
+        for g in [
+            PatchGeom::line(10, 0.0, 1.0, 3),
+            PatchGeom::rect([7, 5], [0.0; 2], [1.0; 2], 2),
+            PatchGeom::cube([4, 3, 5], [0.0; 3], [1.0; 3], 2),
+        ] {
+            let cells: Vec<_> = g.interior_iter().collect();
+            assert_eq!(cells.len(), g.interior_len());
+            for (k, &cell) in cells.iter().enumerate() {
+                assert_eq!(g.nth_interior(k), cell, "k = {k} of {:?}", g.n);
+            }
+        }
     }
 
     #[test]

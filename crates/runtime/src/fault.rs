@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Where in the step a *scheduled* rank-level fault (crash/stall) fires.
+/// Where in the step a *scheduled* rank crash fires.
 ///
 /// The distributed AMR driver has several communication windows per step;
 /// killing a rank inside a specific one (mid-regrid, mid-reflux) exercises
@@ -77,9 +77,6 @@ pub struct FaultPlan {
     pub stall_rank: Option<usize>,
     /// Slowdown multiplier applied to the straggler (`> 1.0` slows it).
     pub stall_factor: f64,
-    /// Window where the straggler's slowdown applies (`Step` = everywhere,
-    /// matching the historical behaviour).
-    pub stall_site: RankSite,
     /// Probability per step that one bit of the evolved conserved state
     /// flips silently (SDC — the flip passes through con2prim unnoticed;
     /// only the ABFT scrub can catch it).
@@ -108,7 +105,6 @@ impl FaultPlan {
             crash_site: RankSite::Step,
             stall_rank: None,
             stall_factor: 1.0,
-            stall_site: RankSite::Step,
             bitflip_prob: 0.0,
             snapshot_bitflip_prob: 0.0,
             snapshot_flip_target: SnapshotTarget::Local,
@@ -363,21 +359,10 @@ impl FaultInjector {
     /// Work/comm-time multiplier for `rank` if it is the configured
     /// straggler (`None` for healthy ranks). Like
     /// [`FaultInjector::should_crash_rank`] this is scheduled, not drawn,
-    /// so it cannot perturb the probabilistic streams. Equivalent to
-    /// [`FaultInjector::should_stall_at`] with [`RankSite::Step`].
+    /// so it cannot perturb the probabilistic streams. The straggler is
+    /// slow in every window of the step.
     pub fn should_stall_rank(&self, rank: usize) -> Option<f64> {
-        self.should_stall_at(rank, RankSite::Step)
-    }
-
-    /// Site-gated stall predicate. A plan whose
-    /// [`FaultPlan::stall_site`] is [`RankSite::Step`] stalls the
-    /// straggler everywhere (the historical behaviour); any other site
-    /// stalls it only inside that window.
-    pub fn should_stall_at(&self, rank: usize, site: RankSite) -> Option<f64> {
-        if self.plan.stall_rank == Some(rank)
-            && self.plan.stall_factor != 1.0
-            && (self.plan.stall_site == RankSite::Step || self.plan.stall_site == site)
-        {
+        if self.plan.stall_rank == Some(rank) && self.plan.stall_factor != 1.0 {
             self.stalled.fetch_add(1, Ordering::Relaxed);
             Some(self.plan.stall_factor)
         } else {
@@ -524,29 +509,6 @@ mod tests {
         // Non-victims never crash.
         assert!(!inj.should_crash_at(0, 9, RankSite::Regrid));
         assert_eq!(inj.stats().ranks_crashed, 1);
-    }
-
-    #[test]
-    fn stall_site_gates_but_step_means_everywhere() {
-        let everywhere = FaultPlan {
-            stall_rank: Some(2),
-            stall_factor: 2.5,
-            ..FaultPlan::disabled()
-        };
-        let inj = FaultInjector::new(everywhere, 2);
-        assert_eq!(inj.should_stall_at(2, RankSite::Exchange), Some(2.5));
-        assert_eq!(inj.should_stall_at(2, RankSite::Regrid), Some(2.5));
-        let gated = FaultPlan {
-            stall_rank: Some(2),
-            stall_factor: 2.5,
-            stall_site: RankSite::Reflux,
-            ..FaultPlan::disabled()
-        };
-        let inj = FaultInjector::new(gated, 2);
-        assert_eq!(inj.should_stall_at(2, RankSite::Exchange), None);
-        assert_eq!(inj.should_stall_rank(2), None);
-        assert_eq!(inj.should_stall_at(2, RankSite::Reflux), Some(2.5));
-        assert_eq!(inj.stats().stall_events, 1);
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub use device::{Accelerator, AcceleratorConfig, BufId};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, RankSite, SnapshotTarget};
 pub use future::{promise, Future, Promise};
 pub use metrics::{Counter, HistSnapshot, Histogram, PhaseTimer, Registry, Snapshot};
-pub use pool::{
-    await_job, await_job_for, global_queue_depth, pool_timeout, watchdog_fires, WorkStealingPool,
-};
+pub use pool::{global_queue_depth, panic_msg, WorkStealingPool};
 pub use sched::{plan_static, plan_weighted};
 pub use telemetry::{
     SampleInputs, SeriesSample, Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySampler,

@@ -12,30 +12,17 @@ use crate::future::{promise, Future};
 use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A queued job; the worker that runs it hands it the pool's `executed`
-/// counter (see [`WorkStealingPool::inject`]).
-type Job = Box<dyn FnOnce(&AtomicU64) + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Stuck-job watchdog fires across every pool in the process: one per
-/// [`await_job_for`] deadline expiry. Process-global because the waiter
-/// holds only a future, not the pool that owes it the value.
-static WATCHDOG_FIRES: AtomicU64 = AtomicU64::new(0);
-
-/// Directory of live pools' shared state, for timeout diagnostics: the
-/// waiter in [`await_job_for`] only holds a future, so the message's
-/// queue-depth context comes from here. Weak entries are purged lazily.
+/// Directory of live pools' shared state, so a sampler that holds no pool
+/// ([`global_queue_depth`]) can still read the process-wide backlog. Weak
+/// entries are purged lazily.
 static POOL_DIRECTORY: Mutex<Vec<Weak<Shared>>> = Mutex::new(Vec::new());
-
-/// Total [`await_job_for`] deadline expiries (stuck-job watchdog fires)
-/// since process start, across all pools.
-pub fn watchdog_fires() -> u64 {
-    WATCHDOG_FIRES.load(Ordering::Relaxed)
-}
 
 /// Jobs currently queued (not yet claimed by a worker) across every live
 /// pool in the process.
@@ -48,58 +35,12 @@ pub fn global_queue_depth() -> usize {
         .sum()
 }
 
-/// Deadline for waiting on pool futures in tests and drivers. Defaults to
-/// 5 s; override with `RHRSC_POOL_TIMEOUT_MS` (e.g. on loaded CI machines
-/// or under heavy sanitizer slowdowns).
-pub fn pool_timeout() -> Duration {
-    let ms = std::env::var("RHRSC_POOL_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(5_000);
-    Duration::from_millis(ms.max(1))
-}
-
-/// Wait for a pool future up to [`pool_timeout`].
-///
-/// # Panics
-/// Panics with a message naming the stuck `job` if the deadline expires —
-/// a hung worker should fail loudly and identifiably, not block forever.
-pub fn await_job<T>(fut: Future<T>, job: &str) -> T {
-    await_job_for(fut, job, pool_timeout())
-}
-
-/// [`await_job`] with an explicit deadline.
-///
-/// On expiry the panic message carries the stuck job's name, the
-/// measured elapsed wait, and the number of jobs still queued across the
-/// process's pools — enough to tell a deadlocked worker (depth 0, nobody
-/// will ever produce the value) from a starved queue (depth > 0, the job
-/// may simply never have been claimed).
-pub fn await_job_for<T>(fut: Future<T>, job: &str, d: Duration) -> T {
-    let start = Instant::now();
-    match fut.get_timeout(d) {
-        Ok(v) => v,
-        Err(_) => {
-            WATCHDOG_FIRES.fetch_add(1, Ordering::Relaxed);
-            let elapsed = start.elapsed();
-            let queued = global_queue_depth();
-            panic!(
-                "pool job '{job}' produced no result within {d:?} \
-                 (waited {elapsed:?}, {queued} job(s) still queued; tune \
-                 with RHRSC_POOL_TIMEOUT_MS): worker hung or deadlocked"
-            )
-        }
-    }
-}
-
 struct Shared {
     injector: Injector<Job>,
     stealers: Vec<Stealer<Job>>,
     sleep_lock: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
-    executed: AtomicU64,
-    steals: AtomicU64,
 }
 
 /// A fixed-size work-stealing thread pool.
@@ -121,8 +62,6 @@ impl WorkStealingPool {
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         });
         let handles = workers
             .into_iter()
@@ -168,19 +107,14 @@ impl WorkStealingPool {
         fut
     }
 
-    /// Queue `work`, then `finish` with its result (or its panic). The job
-    /// is counted as executed between the two, so a thread that `finish`
-    /// releases — by resolving a promise, by opening a latch — finds the
-    /// job it waited for in [`executed`](Self::executed).
+    /// Queue `work`, then `finish` with its result (or its panic).
     fn inject<R: 'static>(
         &self,
         work: impl FnOnce() -> R + Send + 'static,
         finish: impl FnOnce(std::thread::Result<R>) + Send + 'static,
     ) {
-        self.shared.injector.push(Box::new(move |executed| {
-            let r = catch_unwind(AssertUnwindSafe(work));
-            executed.fetch_add(1, Ordering::Relaxed);
-            finish(r);
+        self.shared.injector.push(Box::new(move || {
+            finish(catch_unwind(AssertUnwindSafe(work)))
         }));
         // Publish-then-notify under the sleep lock so parked workers
         // cannot miss the wakeup. One job needs one worker: notify_one
@@ -250,16 +184,9 @@ impl WorkStealingPool {
         }
     }
 
-    /// Total jobs executed by the workers.
-    pub fn executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
-    }
-
-    /// Jobs currently sitting in the shared injector — submitted but not
-    /// yet claimed by any worker. Per-worker deques are excluded (their
-    /// jobs are already owned), so this is the backlog a new submission
-    /// queues behind.
-    pub fn queue_depth(&self) -> usize {
+    /// This pool's share of [`global_queue_depth`].
+    #[cfg(test)]
+    fn queue_depth(&self) -> usize {
         self.shared.injector.len()
     }
 }
@@ -287,7 +214,8 @@ impl Drop for WorkStealingPool {
     }
 }
 
-fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload (`&str` or `String`).
+pub fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = e.downcast_ref::<String>() {
@@ -300,7 +228,7 @@ fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
 fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<Shared>) {
     loop {
         if let Some(job) = next_job(idx, &local, &shared) {
-            let _ = catch_unwind(AssertUnwindSafe(|| job(&shared.executed)));
+            let _ = catch_unwind(AssertUnwindSafe(job));
             continue;
         }
         // Park. Re-check under the lock to avoid lost wakeups; a timed
@@ -338,10 +266,7 @@ fn next_job(idx: usize, local: &Worker<Job>, shared: &Shared) -> Option<Job> {
         }
         loop {
             match st.steal() {
-                crossbeam_deque::Steal::Success(job) => {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(job);
-                }
+                crossbeam_deque::Steal::Success(job) => return Some(job),
                 crossbeam_deque::Steal::Retry => continue,
                 crossbeam_deque::Steal::Empty => break,
             }
@@ -413,7 +338,7 @@ mod tests {
         drop(pool);
         go_tx.send(()).expect("task went away");
         let live = done_rx
-            .recv_timeout(pool_timeout())
+            .recv_timeout(Duration::from_secs(5))
             .expect("dropping the pool from its own worker panicked or hung");
         assert_eq!(live, 1, "the other workers were not joined");
     }
@@ -478,15 +403,11 @@ mod tests {
         // re-raising the panic message in the waiter.
         let pool = WorkStealingPool::new(2);
         let f = pool.spawn(|| -> i32 { panic!("boom-spawn") });
-        match catch_unwind(AssertUnwindSafe(move || await_job(f, "panicking-spawn"))) {
-            Ok(v) => panic!("panicking job produced a value: {v}"),
-            Err(e) => {
-                let msg = panic_msg(e);
-                // Either the re-raised job panic (expected) or, on a hang
-                // regression, the await_job deadline naming the job.
-                assert!(msg.contains("boom-spawn"), "{msg}");
-            }
-        }
+        let waited = catch_unwind(AssertUnwindSafe(move || {
+            f.get_timeout(Duration::from_secs(5))
+        }));
+        let msg = panic_msg(waited.expect_err("the waiter must re-raise the panic"));
+        assert!(msg.contains("boom-spawn"), "{msg}");
         // The pool remains usable afterwards.
         assert_eq!(pool.spawn(|| 5).get(), 5);
     }
@@ -512,16 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn executed_counter_increments() {
-        let pool = WorkStealingPool::new(2);
-        let futs: Vec<_> = (0..10).map(|_| pool.spawn(|| ())).collect();
-        for f in futs {
-            f.get();
-        }
-        assert!(pool.executed() >= 10);
-    }
-
-    #[test]
     fn drop_joins_cleanly_with_pending_futures_resolved() {
         let pool = WorkStealingPool::new(2);
         let f = pool.spawn(|| 99);
@@ -538,41 +449,6 @@ mod tests {
             inner.into_iter().map(|f| f.get()).sum::<i32>()
         });
         assert_eq!(f.get(), 36);
-    }
-
-    #[test]
-    fn await_job_names_the_stuck_job() {
-        // A future whose promise is parked and never set: the deadline
-        // must fire with an error that says *which* job hung.
-        let (_p, fut) = promise::<i32>();
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            await_job_for(fut, "halo-unpack[rank 3]", Duration::from_millis(20))
-        }));
-        let msg = panic_msg(r.unwrap_err());
-        assert!(msg.contains("halo-unpack[rank 3]"), "{msg}");
-        assert!(msg.contains("RHRSC_POOL_TIMEOUT_MS"), "{msg}");
-    }
-
-    #[test]
-    fn await_job_timeout_reports_elapsed_and_queue_depth() {
-        let (_p, fut) = promise::<i32>();
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            await_job_for(fut, "stuck-diag", Duration::from_millis(20))
-        }));
-        let msg = panic_msg(r.unwrap_err());
-        assert!(msg.contains("stuck-diag"), "{msg}");
-        assert!(msg.contains("waited"), "missing elapsed wait: {msg}");
-        assert!(msg.contains("queued"), "missing queue depth: {msg}");
-    }
-
-    #[test]
-    fn watchdog_counter_increments_on_timeout() {
-        let before = watchdog_fires();
-        let (_p, fut) = promise::<i32>();
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            await_job_for(fut, "watchdog-probe", Duration::from_millis(5))
-        }));
-        assert!(watchdog_fires() > before);
     }
 
     #[test]
@@ -619,19 +495,5 @@ mod tests {
             // dropped (poisoned -> panic); both are prompt, neither hangs.
             let _ = catch_unwind(AssertUnwindSafe(move || f.get()));
         }
-    }
-
-    #[test]
-    fn pool_timeout_reads_env_override() {
-        std::env::set_var("RHRSC_POOL_TIMEOUT_MS", "1234");
-        let d = pool_timeout();
-        std::env::remove_var("RHRSC_POOL_TIMEOUT_MS");
-        assert_eq!(d, Duration::from_millis(1234));
-        // Unset (or garbage) falls back to the 5 s default.
-        std::env::set_var("RHRSC_POOL_TIMEOUT_MS", "not-a-number");
-        let d = pool_timeout();
-        std::env::remove_var("RHRSC_POOL_TIMEOUT_MS");
-        assert_eq!(d, Duration::from_secs(5));
-        assert_eq!(pool_timeout(), Duration::from_secs(5));
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The end-of-run [`Snapshot`] answers "how much, in total" — this
 //! module answers "when". A [`TelemetrySampler`] runs on every rank at
-//! a step cadence (`RHRSC_TELEMETRY_INTERVAL`), turning consecutive
+//! a step cadence ([`TelemetryConfig::interval`]), turning consecutive
 //! registry snapshots into *deltas* over a fixed field schema
 //! ([`SERIES_FIELDS`]): per-phase time rates, zone updates, Δt,
 //! halo-wait, con2prim cascade tiers, and the `solver::health` gauges.
@@ -30,10 +30,6 @@
 use crate::metrics::Snapshot;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Environment variable selecting the sampling cadence in steps
-/// (`1` = every step). Unset or `0` disarms telemetry.
-const TELEMETRY_INTERVAL_ENV: &str = "RHRSC_TELEMETRY_INTERVAL";
 
 /// How per-rank field values combine when rank 0 reduces a sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -343,9 +339,7 @@ pub const SERIES_FIELDS: &[FieldDef] = &[
         "Shrinking recoveries since the previous sample",
         Source::Counter("driver.shrinks"),
     ),
-    // -- pool health (PR 10). The queue depth is sampled; the two
-    // `pool.*` counters keep their wire slots but read zero, since no
-    // front-end ever exported a pool's tallies into its registry.
+    // -- pool health (PR 10): the sampled queue depth.
     field(
         "pool_queue_depth",
         MergeOp::Sum,
@@ -353,22 +347,6 @@ pub const SERIES_FIELDS: &[FieldDef] = &[
         None,
         "Jobs queued in the work-stealing pool injector at the sample point, summed across ranks",
         Source::Extern(Ext::PoolQueueDepth),
-    ),
-    field(
-        "pool_steals",
-        MergeOp::Sum,
-        true,
-        None,
-        "Successful work steals from sibling deques since the previous sample",
-        Source::Counter("pool.steals"),
-    ),
-    field(
-        "pool_watchdog_fires",
-        MergeOp::Sum,
-        true,
-        Some("pool.watchdog"),
-        "Stuck-job watchdog fires (await_job_for deadline expiries) since the previous sample",
-        Source::Counter("pool.watchdog.fires"),
     ),
     // -- ensemble service (PR 10): per-engine serve.* accounting.
     field(
@@ -553,22 +531,6 @@ impl Default for TelemetryConfig {
             drift_rate_warn: 1e-3,
             cascade_rate_warn: 0.05,
         }
-    }
-}
-
-impl TelemetryConfig {
-    /// Read the cadence from `RHRSC_TELEMETRY_INTERVAL`; `None` when
-    /// unset, unparsable or zero (telemetry disarmed).
-    pub fn from_env() -> Option<Self> {
-        let interval = std::env::var(TELEMETRY_INTERVAL_ENV)
-            .ok()?
-            .trim()
-            .parse::<u64>()
-            .ok()?;
-        (interval > 0).then(|| TelemetryConfig {
-            interval,
-            ..TelemetryConfig::default()
-        })
     }
 }
 
@@ -879,8 +841,6 @@ mod tests {
         // (wire format compatibility: older indices must not shift).
         for name in [
             "pool_queue_depth",
-            "pool_steals",
-            "pool_watchdog_fires",
             "serve_queue_depth",
             "serve_jobs_completed",
             "serve_jobs_failed",
@@ -931,6 +891,13 @@ mod tests {
         let b = SeriesSample::unpack(&a.pack()).unwrap();
         assert_eq!(a, b);
         assert!(SeriesSample::unpack(&[1.0, 2.0]).is_none());
+        // A sample in the 31-column layout (two always-zero pool columns
+        // before the serve block) is refused, not read with shifted columns.
+        let mut old = a.pack();
+        let at = 3 + field_index("pool_queue_depth").unwrap() + 1;
+        old.splice(at..at, [0.0, 0.0]);
+        assert_eq!(old.len(), 3 + 31);
+        assert!(SeriesSample::unpack(&old).is_none());
     }
 
     #[test]
@@ -1022,17 +989,5 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.first().unwrap().step, 3);
         assert_eq!(hub.dropped_samples(), 2);
-    }
-
-    #[test]
-    fn config_from_env_requires_positive_interval() {
-        // Serialize env mutation within this test only.
-        std::env::remove_var(TELEMETRY_INTERVAL_ENV);
-        assert!(TelemetryConfig::from_env().is_none());
-        std::env::set_var(TELEMETRY_INTERVAL_ENV, "0");
-        assert!(TelemetryConfig::from_env().is_none());
-        std::env::set_var(TELEMETRY_INTERVAL_ENV, "5");
-        assert_eq!(TelemetryConfig::from_env().unwrap().interval, 5);
-        std::env::remove_var(TELEMETRY_INTERVAL_ENV);
     }
 }

@@ -26,11 +26,10 @@
 //! [`Tracer::dump_on_fault`] is a one-shot latch the driver pulls on
 //! fault escalation so the recorder's last window survives a dying run.
 //!
-//! Enabled via the environment ([`Tracer::from_env`]): `RHRSC_TRACE=<path>`
-//! attaches a tracer whose fault dumps and on-demand writes go to
-//! `<path>`; `RHRSC_TRACE_BUF=<events>` sizes each ring (default
-//! [`DEFAULT_CAPACITY`]). Disabled tracing is one `Option` check per
-//! event site, and instrumentation never changes the numbers.
+//! A run is traced when its caller builds a [`Tracer`] and attaches it (the
+//! benches do on `--trace-out <path>`, with rings of [`DEFAULT_CAPACITY`]
+//! events). Disabled tracing is one `Option` check per event site, and
+//! instrumentation never changes the numbers.
 
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -38,9 +37,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default per-track ring capacity (events), overridable with
-/// `RHRSC_TRACE_BUF`.
-const DEFAULT_CAPACITY: usize = 16 * 1024;
+/// Per-track ring capacity (events) of the benches' flight recorders.
+pub const DEFAULT_CAPACITY: usize = 16 * 1024;
 
 /// What an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,32 +187,12 @@ impl Tracer {
         }
     }
 
-    /// Build a tracer from the environment: `Some` when `RHRSC_TRACE` is
-    /// set (its value is the dump/export path), ring capacity from
-    /// `RHRSC_TRACE_BUF` (default [`DEFAULT_CAPACITY`]).
-    pub fn from_env() -> Option<Arc<Tracer>> {
-        let path = std::env::var("RHRSC_TRACE")
-            .ok()
-            .filter(|s| !s.is_empty())?;
-        let tracer = Tracer::new_env_sized();
-        tracer.set_dump_path(Some(PathBuf::from(path)));
-        Some(tracer)
-    }
-
-    /// A tracer sized by `RHRSC_TRACE_BUF` (default
-    /// [`DEFAULT_CAPACITY`]) with no dump path — for callers that pick
-    /// the export destination themselves (e.g. a bench's `--trace-out`).
-    pub fn new_env_sized() -> Arc<Tracer> {
-        Arc::new(Tracer::new(capacity_from_env()))
-    }
-
     /// Per-track ring capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Where [`Tracer::dump_on_fault`] writes (also the default export
-    /// path benches use when only `RHRSC_TRACE` is given).
+    /// Where [`Tracer::dump_on_fault`] writes.
     fn dump_path(&self) -> Option<PathBuf> {
         self.dump_path.lock().clone()
     }
@@ -416,14 +394,6 @@ fn json_num(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-fn capacity_from_env() -> usize {
-    std::env::var("RHRSC_TRACE_BUF")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CAPACITY)
 }
 
 #[cfg(test)]

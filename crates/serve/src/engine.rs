@@ -31,7 +31,7 @@ use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::fault::{FaultInjector, FaultPlan};
 use rhrsc_runtime::future::{promise, Future, Promise};
 use rhrsc_runtime::metrics::Registry;
-use rhrsc_runtime::WorkStealingPool;
+use rhrsc_runtime::{panic_msg, WorkStealingPool};
 use rhrsc_solver::scheme::{init_cons, SolverError};
 use rhrsc_solver::PatchSolver;
 use rhrsc_srhd::NCOMP;
@@ -169,10 +169,6 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Attempts after the first failure before a job is Failed.
     pub max_retries: u32,
-    /// Base per-step busy-wait a stalled job multiplies by its plan's
-    /// `stall_factor − 1` — models a slow worker without slowing real
-    /// physics.
-    pub stall_slice: Duration,
 }
 
 impl Default for EngineConfig {
@@ -182,7 +178,6 @@ impl Default for EngineConfig {
             max_pending: 1024,
             cache_capacity: 256,
             max_retries: 2,
-            stall_slice: Duration::from_micros(200),
         }
     }
 }
@@ -640,16 +635,6 @@ fn execute_with_retries(shared: &EngineShared, job: &QueuedJob) -> JobOutcome {
     }
 }
 
-fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 fn build_initial_state(spec: &ScenarioSpec) -> Field {
     let prob = spec.problem.build();
     let scheme = spec.scheme();
@@ -661,6 +646,10 @@ fn build_initial_state(spec: &ScenarioSpec) -> Field {
     );
     init_cons(geom, &scheme.eos, &|x| (prob.ic)(x))
 }
+
+/// Base per-step busy-wait a stalled job multiplies by its plan's
+/// `stall_factor − 1` — models a slow worker without slowing real physics.
+const STALL_SLICE: Duration = Duration::from_micros(200);
 
 /// Integrate one scenario, checking cancellation/deadline and injecting
 /// per-job faults at every step boundary. Runs without the pool — the
@@ -702,15 +691,14 @@ fn execute_spec(
             // value becomes NaN; primitive recovery trips on it and
             // the retry ladder takes over.
             if let Some(victim) = inj.should_poison_cell() {
-                let cells: Vec<_> = geom.interior_iter().collect();
-                let (i, j, k) = cells[victim as usize % cells.len()];
+                let (i, j, k) = geom.nth_interior(victim as usize % geom.interior_len());
                 u.set(0, i, j, k, f64::NAN);
                 shared.reg.counter("serve.faults.poisoned").inc();
             }
             // Straggler injection: burn real wall time so healthy
             // tenants genuinely contend with a slow job.
             if let Some(factor) = inj.should_stall_rank(0) {
-                let extra = shared.cfg.stall_slice.mul_f64((factor - 1.0).max(0.0));
+                let extra = STALL_SLICE.mul_f64((factor - 1.0).max(0.0));
                 rhrsc_runtime::spin_for(extra);
                 shared.reg.counter("serve.faults.stalls").inc();
             }

@@ -4,8 +4,8 @@
 //!
 //! The *hierarchy*: level 0 is a single patch covering the domain; every
 //! level `ℓ ≥ 1` is a set of disjoint rectangular patches at cell size
-//! `Δx₀/2^ℓ`, **properly nested** inside level `ℓ−1` with at least
-//! [`AmrConfig::nest_margin`] parent cells of clearance, built from the
+//! `Δx₀/2^ℓ`, **properly nested** inside level `ℓ−1` with at least two
+//! parent cells of clearance (`NEST_MARGIN`), built from the
 //! [`crate::refine`] operators. This is the one refinement solver: static
 //! refinement (a fixed window of fine cells) is the same hierarchy handed
 //! its layout by [`AmrSolver::init_static`] and never regridded
@@ -18,8 +18,8 @@
 //!   whose local curvature exceeds [`AmrConfig::threshold`].
 //! * **Clustering** — flagged cells are dilated by [`AmrConfig::buffer`]
 //!   cells, intersected with the properly-nested admissible region, and
-//!   signature-clustered into maximal runs (runs closer than
-//!   [`AmrConfig::merge_gap`] merge; runs grow to [`AmrConfig::min_size`]).
+//!   signature-clustered into maximal runs (runs closer than `MERGE_GAP`
+//!   parent cells merge; runs grow to `MIN_SIZE`).
 //! * **Subcycling** — level `ℓ` advances with `Δt/2^ℓ`; each child level
 //!   takes two substeps per parent step with ghost data prolonged from a
 //!   *time-interpolated* parent state (the interpolation parameter is
@@ -67,18 +67,19 @@ pub struct AmrConfig {
     pub threshold: f64,
     /// Dilation radius around flagged cells, in parent-level cells.
     pub buffer: usize,
-    /// Minimum patch width in parent-level cells (small runs grow).
-    pub min_size: usize,
-    /// Runs separated by fewer than this many parent cells merge.
-    pub merge_gap: usize,
     /// Coarse steps between regrids (0 disables regridding).
     pub regrid_interval: usize,
-    /// Proper-nesting clearance: parent interior cells required between a
-    /// child patch and the edge of its parent's region. Must be ≥ 2 so
-    /// that reflux targets are uncovered and prolongation stencils stay
-    /// inside the parent patch (plus its own filled ghosts).
-    pub nest_margin: usize,
 }
+
+/// Minimum patch width in parent-level cells (small runs grow).
+const MIN_SIZE: usize = 4;
+/// Runs separated by fewer than this many parent cells merge.
+const MERGE_GAP: usize = 4;
+/// Proper-nesting clearance: parent interior cells required between a
+/// child patch and the edge of its parent's region. At least 2, so that
+/// reflux targets are uncovered and prolongation stencils stay inside the
+/// parent patch (plus its own filled ghosts).
+const NEST_MARGIN: usize = 2;
 
 impl Default for AmrConfig {
     fn default() -> Self {
@@ -86,10 +87,7 @@ impl Default for AmrConfig {
             max_levels: 3,
             threshold: 0.35,
             buffer: 2,
-            min_size: 4,
-            merge_gap: 4,
             regrid_interval: 4,
-            nest_margin: 2,
         }
     }
 }
@@ -201,14 +199,9 @@ impl AmrSolver {
             "AMR currently supports Cartesian geometry"
         );
         assert!(cfg.max_levels >= 1, "need at least the base level");
-        assert!(cfg.nest_margin >= 2, "nest_margin must be >= 2");
-        assert!(cfg.min_size >= 2, "min_size must be >= 2");
         let ng = scheme.required_ghosts();
         let dx0 = (x1 - x0) / n0 as f64;
-        assert!(
-            n0 > 2 * (cfg.nest_margin + cfg.min_size),
-            "base grid too small"
-        );
+        assert!(n0 > 2 * (NEST_MARGIN + MIN_SIZE), "base grid too small");
         let max_levels = cfg.max_levels;
         AmrSolver {
             scheme,
@@ -420,16 +413,16 @@ impl AmrSolver {
 
     /// Find the parent index for a child span `lo..lo+n` (level-`m`
     /// cells) among `parents` (`(lo, n)` of the level-`m−1` patches): the
-    /// one that holds it with the structural minimum of two cells of
-    /// clearance on each side.
+    /// one that holds it with `NEST_MARGIN` cells of clearance on each
+    /// side.
     fn find_parent(
         mut parents: impl Iterator<Item = (usize, usize)>,
         lo: usize,
         n: usize,
     ) -> Option<usize> {
         let plo = lo / 2;
-        let phi = (lo + n) / 2;
-        parents.position(|(p_lo, p_n)| p_lo + 2 <= plo && phi + 2 <= p_lo + p_n)
+        let phi = (lo + n) / 2 + NEST_MARGIN;
+        parents.position(|(p_lo, p_n)| p_lo + NEST_MARGIN <= plo && phi <= p_lo + p_n)
     }
 
     /// Fill ghosts of level `m`'s conserved state from the parent's
@@ -772,13 +765,12 @@ impl AmrSolver {
         }
         let flags = self.flag_level(m - 1);
         let buffered = buffer_flags(&flags, self.cfg.buffer);
-        let margin = self.cfg.nest_margin;
         let allowed: Vec<(usize, usize)> = self.levels[m - 1]
             .iter()
-            .filter(|p| p.n > 2 * margin)
-            .map(|p| (p.lo + margin, p.lo + p.n - margin))
+            .filter(|p| p.n > 2 * NEST_MARGIN)
+            .map(|p| (p.lo + NEST_MARGIN, p.lo + p.n - NEST_MARGIN))
             .collect();
-        let runs = cluster_runs(&buffered, &allowed, self.cfg.merge_gap, self.cfg.min_size);
+        let runs = cluster_runs(&buffered, &allowed, MERGE_GAP, MIN_SIZE);
         let old = std::mem::take(&mut self.levels[m]);
         let mut newp = Vec::with_capacity(runs.len());
         let ng = self.ng;

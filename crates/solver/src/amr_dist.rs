@@ -166,10 +166,6 @@ pub struct DistAmrConfig {
     pub max_step_retries: usize,
     /// Checkpoint restores before giving up.
     pub max_restores: usize,
-    /// Regrid-time rebalance trigger: when the inherited ownership's
-    /// max-rank cost exceeds this multiple of the ideal (total/live), the
-    /// SFC partition is recomputed from scratch.
-    pub rebalance_threshold: f64,
 }
 
 impl Default for DistAmrConfig {
@@ -182,7 +178,6 @@ impl Default for DistAmrConfig {
             scrub_interval: 5,
             max_step_retries: 2,
             max_restores: 4,
-            rebalance_threshold: 1.25,
         }
     }
 }
@@ -402,7 +397,7 @@ impl DistLink {
         // Straggler injection inside this window: real wall-clock lag so
         // peer liveness deadlines genuinely see it.
         if let Some(inj) = &self.injector {
-            if let Some(f) = inj.should_stall_at(rank.rank(), kind.site()) {
+            if let Some(f) = inj.should_stall_rank(rank.rank()) {
                 let extra = t0.elapsed().mul_f64((f - 1.0).max(0.0));
                 std::thread::sleep(extra);
                 if rank.is_virtual() {
@@ -742,10 +737,13 @@ impl DistAmrSolver {
 
     /// Post-regrid ownership: surviving patches keep their owner, new
     /// patches inherit their parent's; if the inherited layout is
-    /// imbalanced past [`DistAmrConfig::rebalance_threshold`], re-cut the
-    /// SFC partition from scratch. Patch *data* needs no migration either
-    /// way — the pre-regrid allgather already replicated it everywhere.
+    /// imbalanced past `REBALANCE_THRESHOLD`, re-cut the SFC partition from
+    /// scratch. Patch *data* needs no migration either way — the
+    /// pre-regrid allgather already replicated it everywhere.
     fn reassign_owners(&mut self, live: &[usize], old: &BTreeMap<(usize, usize, usize), usize>) {
+        /// Max-rank cost, as a multiple of the ideal (total / live), past
+        /// which the inherited ownership is dropped.
+        const REBALANCE_THRESHOLD: f64 = 1.25;
         let mut inherited: Vec<Vec<usize>> = self
             .inner
             .levels
@@ -777,7 +775,7 @@ impl DistAmrSolver {
         let ideal = total / live.len() as f64;
         let maxc = cost_of.values().cloned().fold(0.0, f64::max);
         let imbalance = if ideal > 0.0 { maxc / ideal } else { 1.0 };
-        let chosen = if imbalance > self.cfg.rebalance_threshold {
+        let chosen = if imbalance > REBALANCE_THRESHOLD {
             self.link.stats.rebalances += 1;
             self.link.count("amr.dist.rebalances", 1);
             assign_owners(&self.inner, live)

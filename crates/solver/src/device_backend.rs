@@ -370,16 +370,9 @@ impl DevicePatchSolver {
                     if let Some(u) = host_u.take() {
                         self.upload(&u).get();
                     }
-                    let before = self.op_failures();
-                    let mut dt = self.stable_dt(cfl);
-                    assert!(dt > 1e-14, "time step collapsed on device: {dt}");
-                    if t + dt > t_end {
-                        dt = t_end - t;
-                    }
-                    self.enqueue_step(dt);
+                    let (dt, failed) = self.probed_step(t, t_end, cfl);
                     t += dt;
                     steps += 1;
-                    let failed = self.op_failures() > before;
                     let mut b = breaker.borrow_mut();
                     b.stats.probes += 1;
                     if failed {
@@ -402,16 +395,9 @@ impl DevicePatchSolver {
                     if let Some(u) = host_u.take() {
                         self.upload(&u).get();
                     }
-                    let before = self.op_failures();
-                    let mut dt = self.stable_dt(cfl);
-                    assert!(dt > 1e-14, "time step collapsed on device: {dt}");
-                    if t + dt > t_end {
-                        dt = t_end - t;
-                    }
-                    self.enqueue_step(dt);
+                    let (dt, failed) = self.probed_step(t, t_end, cfl);
                     t += dt;
                     steps += 1;
-                    let failed = self.op_failures() > before;
                     if breaker.borrow_mut().record(failed) {
                         self.bump("dev.breaker.trips", 1);
                         self.tinstant("dev.breaker.trip", steps as f64);
@@ -426,6 +412,19 @@ impl DevicePatchSolver {
         }
         self.dev.sync();
         steps
+    }
+
+    /// One step of the two-kernel flow from `t` (Δt scan, clamp to `t_end`,
+    /// step launch): the Δt taken and whether either operation faulted.
+    fn probed_step(&self, t: f64, t_end: f64, cfl: f64) -> (f64, bool) {
+        let before = self.op_failures();
+        let mut dt = self.stable_dt(cfl);
+        assert!(dt > 1e-14, "time step collapsed on device: {dt}");
+        if t + dt > t_end {
+            dt = t_end - t;
+        }
+        self.enqueue_step(dt);
+        (dt, self.op_failures() > before)
     }
 
     /// Drain the queue, then download — used when the breaker trips with

@@ -178,12 +178,6 @@ pub struct DistStats {
 /// ([`BlockSolver::advance_to_with_restart`]).
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// How the in-step primitive recovery responds to failures. The
-    /// resilient driver wants [`RecoveryPolicy::Cascade`] (the default
-    /// here): under it a rank's compute phase cannot fail, which keeps
-    /// the collective communication pattern intact across ranks even
-    /// while a step is going wrong.
-    pub recovery: RecoveryPolicy,
     /// Retries of a failed step before escalating to a checkpoint
     /// restore. Each retry rolls the state back and halves the effective
     /// CFL (exponential backoff).
@@ -219,7 +213,6 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            recovery: RecoveryPolicy::Cascade,
             max_step_retries: 3,
             max_restarts: 2,
             checkpoint_interval: 10,
@@ -1458,7 +1451,7 @@ impl BlockSolver {
     /// Advance to `t_end` with the full resilience stack:
     ///
     /// 1. in-step primitive-recovery failures are repaired by the cascade
-    ///    (per [`ResilienceConfig::recovery`]),
+    ///    ([`RecoveryPolicy::Cascade`]),
     /// 2. a failed step (halo mismatch or Δt collapse on *any* rank — the
     ///    ranks agree via an allreduce after every step) is rolled back
     ///    from an in-memory backup and retried at halved CFL, up to
@@ -1490,7 +1483,10 @@ impl BlockSolver {
         t_end: f64,
         res: &ResilienceConfig,
     ) -> Result<(DistStats, ResilienceStats), SolverError> {
-        self.recovery = res.recovery;
+        // Under the cascade a rank's compute phase cannot fail, which
+        // keeps the collective communication pattern intact across ranks
+        // even while a step is going wrong.
+        self.recovery = RecoveryPolicy::Cascade;
         let start = Instant::now();
         let bytes0 = rank.bytes_sent();
         let vtime0 = rank.vtime();
@@ -1678,10 +1674,10 @@ impl Recoverable for BlockLadder<'_> {
             // looking, so con2prim sails right through it — only the
             // ABFT stamp comparison can catch it.
             if let Some(sel) = inj.should_flip_bit() {
-                let cells: Vec<_> = s.geom.interior_iter().collect();
-                let pick = sel as usize % (NCOMP * cells.len());
-                let (i, j, k) = cells[pick % cells.len()];
-                let c = pick / cells.len();
+                let len = s.geom.interior_len();
+                let pick = sel as usize % (NCOMP * len);
+                let (i, j, k) = s.geom.nth_interior(pick % len);
+                let c = pick / len;
                 let bit = ((sel >> 33) % 64) as u32;
                 let v = u.at(c, i, j, k);
                 u.set(c, i, j, k, f64::from_bits(v.to_bits() ^ (1u64 << bit)));
@@ -1720,8 +1716,7 @@ impl Recoverable for BlockLadder<'_> {
         // one interior conserved value becomes NaN, which the recovery
         // cascade must repair in-flight.
         if let Some(victim) = self.injector.as_ref().and_then(|i| i.should_poison_cell()) {
-            let cells: Vec<_> = s.geom.interior_iter().collect();
-            let (i, j, k) = cells[victim as usize % cells.len()];
+            let (i, j, k) = s.geom.nth_interior(victim as usize % s.geom.interior_len());
             u.set(0, i, j, k, f64::NAN);
             rank.trace_instant("driver.poison_injected", step_no as f64);
         }
@@ -2288,10 +2283,7 @@ mod tests {
         let outs = run(2, NetworkModel::ideal(), |rank| {
             rank.set_trace(tracer.clone());
             let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-            solver.set_health(crate::health::HealthConfig {
-                verbose: false,
-                ..Default::default()
-            });
+            solver.set_health(crate::health::HealthConfig::default());
             solver
                 .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res_traced)
                 .unwrap();

@@ -8,10 +8,11 @@
 //! fields. Per-rank summaries are merged at bench/report time with
 //! [`HealthSummary::merge`].
 //!
-//! A soft watchdog compares each record against configurable thresholds
-//! and logs (never aborts) when conserved totals drift or the atmosphere
-//! fraction grows too fast — the flight-recorder analogue of an engine
-//! warning light.
+//! A soft watchdog compares each record against its thresholds and counts
+//! an alarm (never aborts, never prints) when conserved totals drift or
+//! the atmosphere fraction grows too fast — the flight-recorder analogue
+//! of an engine warning light. The caller turns the returned flags into
+//! counters, trace instants and telemetry events.
 
 use crate::diag::{
     atmosphere_fraction, conservation_drift, conserved_totals, limiter_activation_fraction,
@@ -31,23 +32,19 @@ pub struct HealthConfig {
     /// blow-ups and NaN storms, not round-off audits (those live in the
     /// conservation tests).
     pub drift_warn: f64,
-    /// Watchdog: warn when the atmosphere fraction grows by more than
-    /// this between consecutive records (a floor-rate slope alarm).
-    pub floor_rate_warn: f64,
-    /// Cells with `rho <= atmo_factor * rho_floor` count as atmosphere.
-    pub atmo_factor: f64,
-    /// Emit watchdog warnings on stderr (alarm counters always update).
-    pub verbose: bool,
 }
+
+/// Watchdog: alarm when the atmosphere fraction grows by more than this
+/// between consecutive records (a floor-rate slope alarm).
+const FLOOR_RATE_WARN: f64 = 0.05;
+/// Cells with `rho <= ATMO_FACTOR * rho_floor` count as atmosphere.
+const ATMO_FACTOR: f64 = 10.0;
 
 impl Default for HealthConfig {
     fn default() -> Self {
         Self {
             interval: 5,
             drift_warn: 0.1,
-            floor_rate_warn: 0.05,
-            atmo_factor: 10.0,
-            verbose: true,
         }
     }
 }
@@ -205,37 +202,21 @@ impl HealthMonitor {
             time,
             totals,
             drift,
-            atmo_frac: atmosphere_fraction(prim, self.cfg.atmo_factor * rho_floor),
+            atmo_frac: atmosphere_fraction(prim, ATMO_FACTOR * rho_floor),
             limiter_frac: limiter_activation_fraction(prim),
             max_w: max_lorentz(prim),
             c2p_tier_rate,
         };
         let drift_alarm = !record.drift.is_finite() || record.drift > self.cfg.drift_warn;
-        let prev_atmo = self.records.last().map(|r| r.atmo_frac);
-        let floor_alarm = match prev_atmo {
-            Some(p) => record.atmo_frac - p > self.cfg.floor_rate_warn,
-            None => false,
-        };
+        let floor_alarm = self
+            .records
+            .last()
+            .is_some_and(|p| record.atmo_frac - p.atmo_frac > FLOOR_RATE_WARN);
         if drift_alarm {
             self.drift_alarms += 1;
-            if self.cfg.verbose {
-                eprintln!(
-                    "[health] warning: conservation drift {:.3e} exceeds {:.3e} at step {} (t={:.4})",
-                    record.drift, self.cfg.drift_warn, step, time
-                );
-            }
         }
         if floor_alarm {
             self.floor_alarms += 1;
-            if self.cfg.verbose {
-                eprintln!(
-                    "[health] warning: atmosphere fraction jumped {:.3e} -> {:.3e} at step {} (t={:.4})",
-                    prev_atmo.unwrap_or(0.0),
-                    record.atmo_frac,
-                    step,
-                    time
-                );
-            }
         }
         self.records.push(record);
         self.last_rec = Some(rec);
@@ -296,10 +277,7 @@ mod tests {
     #[test]
     fn static_field_reports_zero_drift_and_no_alarms() {
         let (scheme, u, prim) = sod_fields();
-        let mut mon = HealthMonitor::new(HealthConfig {
-            verbose: false,
-            ..Default::default()
-        });
+        let mut mon = HealthMonitor::new(HealthConfig::default());
         mon.ensure_baseline(&u);
         let rec = RecoveryStats::default();
         let (r0, da, fa) = mon.observe(0, 0.0, &u, &prim, scheme.c2p.rho_floor, rec);
@@ -326,7 +304,6 @@ mod tests {
         let (scheme, mut u, prim) = sod_fields();
         let mut mon = HealthMonitor::new(HealthConfig {
             drift_warn: 1e-6,
-            verbose: false,
             ..Default::default()
         });
         mon.ensure_baseline(&u);
@@ -341,12 +318,29 @@ mod tests {
     }
 
     #[test]
+    fn floor_watchdog_fires_when_the_atmosphere_spreads() {
+        let (scheme, u, mut prim) = sod_fields();
+        let mut mon = HealthMonitor::new(HealthConfig::default());
+        let rec = RecoveryStats::default();
+        let floor = scheme.c2p.rho_floor;
+        let (r0, _, fa) = mon.observe(0, 0.0, &u, &prim, floor, rec);
+        assert!(!fa, "the first record has no slope to alarm on");
+        // Drop a tenth of the cells to the floor: a jump past FLOOR_RATE_WARN.
+        let cells: Vec<_> = prim.geom().interior_iter().step_by(10).collect();
+        for &(i, j, k) in &cells {
+            prim.set(0, i, j, k, floor);
+        }
+        let (r1, da, fa) = mon.observe(5, 0.1, &u, &prim, floor, rec);
+        assert!(r1.atmo_frac - r0.atmo_frac > FLOOR_RATE_WARN);
+        assert!(fa && !da, "expected a floor alarm and no drift alarm");
+        let s = mon.summary();
+        assert_eq!((s.drift_alarms, s.floor_alarms), (0, 1));
+    }
+
+    #[test]
     fn cascade_rates_are_deltas_not_totals() {
         let (scheme, u, prim) = sod_fields();
-        let mut mon = HealthMonitor::new(HealthConfig {
-            verbose: false,
-            ..Default::default()
-        });
+        let mut mon = HealthMonitor::new(HealthConfig::default());
         let cells = u.geom().interior_len() as f64;
         let mut rec = RecoveryStats {
             relaxed_tol: 10,
@@ -392,10 +386,7 @@ mod tests {
     #[test]
     fn reobserving_a_step_replaces_the_record() {
         let (scheme, u, prim) = sod_fields();
-        let mut mon = HealthMonitor::new(HealthConfig {
-            verbose: false,
-            ..Default::default()
-        });
+        let mut mon = HealthMonitor::new(HealthConfig::default());
         let rec = RecoveryStats::default();
         mon.observe(0, 0.0, &u, &prim, scheme.c2p.rho_floor, rec);
         mon.observe(0, 0.0, &u, &prim, scheme.c2p.rho_floor, rec);

@@ -38,7 +38,6 @@ fn tiered_cfg(dir: PathBuf) -> DistAmrConfig {
         scrub_interval: 1,
         max_step_retries: 0,
         max_restores: 200,
-        ..DistAmrConfig::default()
     }
 }
 

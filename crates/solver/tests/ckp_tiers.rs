@@ -50,7 +50,6 @@ fn tiered_res(dir: Option<std::path::PathBuf>) -> ResilienceConfig {
         local_interval: 1,
         buddy_offset: 1,
         scrub_interval: 1,
-        ..ResilienceConfig::default()
     }
 }
 
