@@ -1,5 +1,11 @@
 //! Ranks, tagged messaging, collectives, and the liveness layer.
 //!
+//! A message takes one path: [`Rank::send_vec`] stamps it, one matching
+//! loop (stash first, then the mailbox, under an optional deadline)
+//! finds it, one `settle` verifies its CRC and charges its flight time
+//! to the clock; every collective is one binomial reduce + broadcast
+//! `tree` over the live ranks built from those two.
+//!
 //! Beyond the basic MPI-like substrate, every rank carries a *liveness
 //! layer* for rank-level failure tolerance:
 //!
@@ -7,7 +13,7 @@
 //!   message from a peer doubles as proof of life;
 //! * [`Rank::recv_deadline`] bounds how long a receive can block and
 //!   returns [`CommError::PeerSuspect`] instead of hanging on a dead
-//!   peer — collectives use the same deadline internally;
+//!   peer — the collective tree uses the same deadline internally;
 //! * halo payloads carry a CRC-32 trailer; damage is detected at receive
 //!   time (before any unpack) and repaired by a modeled link-level
 //!   retransmit with bounded exponential backoff, escalating to the
@@ -18,7 +24,7 @@
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rhrsc_runtime::fault::{FaultInjector, FaultPlan, FaultStats};
-use rhrsc_runtime::metrics::Registry;
+use rhrsc_runtime::metrics::{Counter, Histogram, Registry};
 use rhrsc_runtime::trace::{Tracer, Track};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,15 +39,18 @@ const RESERVED_TAG_BASE: u64 = 1 << 62;
 /// their control plane over a reliable transport.
 const FAULT_TAG_LIMIT: u64 = 64;
 
+/// Metric names of the tag classes, indexed by [`tag_class`].
+const TAG_CLASSES: [&str; 3] = ["halo", "data", "collective"];
+
 /// Classify a tag for metrics: halo traffic, point-to-point data (gathers,
 /// restarts), or collectives (the reserved tag space).
-fn tag_class(tag: u64) -> &'static str {
+fn tag_class(tag: u64) -> usize {
     if tag >= RESERVED_TAG_BASE {
-        "collective"
+        2
     } else if tag < FAULT_TAG_LIMIT {
-        "halo"
+        0
     } else {
-        "data"
+        1
     }
 }
 
@@ -134,21 +143,48 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Counters of the liveness layer, per rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LivenessStats {
-    /// Receive deadlines that expired (peer suspected dead).
-    pub suspicions: u64,
-    /// Suspicions retracted because the peer was heard from again.
-    pub false_positives: u64,
-    /// Modeled link-level retransmits of CRC-damaged halo payloads.
-    pub crc_retries: u64,
-    /// Payloads still damaged after the bounded retransmits (escalated).
-    pub crc_escalations: u64,
-    /// Peers promoted from suspected to confirmed dead by consensus.
-    pub confirmed_dead: u64,
-    /// Messages dropped for carrying a stale (pre-shrink) epoch.
-    pub stale_dropped: u64,
+/// Events of the liveness layer. Each is booked once, by
+/// [`Rank::liveness`]: a `comm.liveness.*` counter when a registry is
+/// attached and an instant on the flight recorder when a tracer is.
+#[derive(Clone, Copy)]
+enum Liveness {
+    /// A receive deadline expired (peer suspected dead).
+    Suspect,
+    /// A suspicion retracted because the peer was heard from again.
+    Retract,
+    /// A modeled link-level retransmit of a CRC-damaged halo payload.
+    CrcRetransmit,
+    /// A payload still damaged after the bounded retransmits (escalated).
+    CrcEscalation,
+    /// A message dropped for carrying a stale (pre-shrink) epoch.
+    StaleDrop,
+    /// A peer promoted from suspected to confirmed dead by consensus.
+    Evict,
+}
+
+/// `(counter, trace instant)` of each [`Liveness`] event, in enum order.
+const LIVENESS_NAMES: [(&str, &str); 6] = [
+    ("comm.liveness.suspicions", "liveness.suspect"),
+    ("comm.liveness.false_positives", "liveness.retract"),
+    ("comm.liveness.crc_retries", "liveness.crc_retransmit"),
+    ("comm.liveness.crc_escalations", "liveness.crc_escalation"),
+    ("comm.liveness.stale_dropped", "liveness.stale_drop"),
+    ("comm.liveness.confirmed_dead", "liveness.evict"),
+];
+
+/// Metric handles of one rank. A handle is resolved on its first bump and
+/// kept, so the per-message paths format no name and take no registry
+/// lock, and a name still enters a snapshot only once it has been bumped.
+struct CommMetrics {
+    reg: Arc<Registry>,
+    /// `comm.msgs.<class>`, by [`tag_class`].
+    msgs: [Option<Arc<Counter>>; 3],
+    /// `comm.bytes.<class>`.
+    bytes: [Option<Arc<Counter>>; 3],
+    /// `sub.comm.wait.<class>`.
+    wait: [Option<Arc<Histogram>>; 3],
+    /// `comm.liveness.*`, by [`Liveness`].
+    liveness: [Option<Arc<Counter>>; 6],
 }
 
 /// Cost model of the simulated interconnect.
@@ -347,9 +383,9 @@ pub struct Rank {
     /// Optional fault injector for halo-tag traffic (see
     /// [`run_with_faults`]).
     injector: Option<Arc<FaultInjector>>,
-    /// Optional metrics registry: per-tag-class message/byte counters and
-    /// receive-wait histograms (see [`Rank::set_metrics`]).
-    metrics: Option<Arc<Registry>>,
+    /// Optional metrics: per-tag-class message/byte counters, receive-wait
+    /// histograms and the liveness tallies (see [`Rank::set_metrics`]).
+    metrics: Option<CommMetrics>,
     /// Optional flight recorder: the shared tracer plus this rank's main
     /// timeline track (see [`Rank::set_trace`]).
     trace: Option<(Arc<Tracer>, Arc<Track>)>,
@@ -366,8 +402,6 @@ pub struct Rank {
     dead: u64,
     /// Cached live (not confirmed-dead) rank ids, ascending.
     live: Vec<usize>,
-    /// Liveness-layer counters.
-    lstats: LivenessStats,
     /// Set when a newer epoch is observed: the survivors shrank the
     /// universe without this rank, which must stop participating.
     evicted: Option<u64>,
@@ -403,9 +437,18 @@ impl Rank {
     /// `comm.bytes.<class>` counters and receives record their blocking
     /// time into `sub.comm.wait.<class>` histograms, where `<class>` is
     /// `halo`, `data` or `collective` by tag range. In virtual-time mode
-    /// the wait is the virtual-clock jump; otherwise wall-clock time.
+    /// the wait is the virtual-clock jump; otherwise wall-clock time. The
+    /// liveness layer tallies its events in `comm.liveness.suspicions`,
+    /// `.false_positives`, `.crc_retries`, `.crc_escalations`,
+    /// `.stale_dropped` and `.confirmed_dead`.
     pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
-        self.metrics = Some(metrics);
+        self.metrics = Some(CommMetrics {
+            reg: metrics,
+            msgs: Default::default(),
+            bytes: Default::default(),
+            wait: Default::default(),
+            liveness: Default::default(),
+        });
     }
 
     /// Attach a flight recorder. This rank records onto track
@@ -503,9 +546,16 @@ impl Rank {
         self.injector.as_ref().map(|i| i.stats())
     }
 
-    /// Counters of the liveness layer on this rank.
-    pub fn liveness_stats(&self) -> LivenessStats {
-        self.lstats
+    /// Book one liveness event: bump its `comm.liveness.*` counter and
+    /// drop its instant on the trace track.
+    fn liveness(&mut self, event: Liveness, arg: f64) {
+        let (counter, instant) = LIVENESS_NAMES[event as usize];
+        if let Some(m) = &mut self.metrics {
+            m.liveness[event as usize]
+                .get_or_insert_with(|| m.reg.counter(counter))
+                .inc();
+        }
+        self.trace_instant(instant, arg);
     }
 
     /// Ranks not confirmed dead, ascending. Always contains this rank.
@@ -570,11 +620,7 @@ impl Rank {
             while corrupted && attempt < self.model.crc_retry_attempts {
                 extra += CRC_RETRY_BACKOFF * (1u32 << attempt.min(20));
                 attempt += 1;
-                self.lstats.crc_retries += 1;
-                if let Some(m) = &self.metrics {
-                    m.counter("comm.liveness.crc_retries").inc();
-                }
-                self.trace_instant("liveness.crc_retransmit", attempt as f64);
+                self.liveness(Liveness::CrcRetransmit, attempt as f64);
                 corrupted = inj.should_corrupt_retry();
             }
             if corrupted {
@@ -603,10 +649,15 @@ impl Rank {
         assert_ne!(to, self.rank, "self-send is not supported");
         let bytes = std::mem::size_of_val(data.as_slice()) as u64;
         self.bytes_sent += bytes;
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &mut self.metrics {
             let class = tag_class(tag);
-            m.counter(&format!("comm.msgs.{class}")).inc();
-            m.counter(&format!("comm.bytes.{class}")).add(bytes);
+            let name = TAG_CLASSES[class];
+            m.msgs[class]
+                .get_or_insert_with(|| m.reg.counter(&format!("comm.msgs.{name}")))
+                .inc();
+            m.bytes[class]
+                .get_or_insert_with(|| m.reg.counter(&format!("comm.bytes.{name}")))
+                .add(bytes);
         }
         self.send_seq += 1;
         // Halo sends double as heartbeats: record them so a victim's
@@ -637,14 +688,13 @@ impl Rank {
     /// Blocking receive of the message from `from` with `tag`. Messages
     /// from other sources/tags that arrive first are stashed and matched
     /// by later receives (MPI-style tag matching; messages from one sender
-    /// with one tag are delivered in order).
+    /// with one tag are delivered in order). A CRC-damaged payload is
+    /// counted and still handed over — the caller detects truncation by
+    /// length.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved");
-        self.recv_raw(from, tag)
-    }
-
-    fn recv_raw(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        self.timed_wait(tag, |r| r.recv_raw_inner(from, tag))
+        self.timed_wait(tag, |r| r.recv_match(from, tag, None))
+            .expect("a receive without a deadline has no failure path")
     }
 
     /// Run `recv` and record how long it waited (virtual or wall time)
@@ -653,33 +703,77 @@ impl Rank {
         // Only pay for clock reads when a registry is attached.
         let wait_start = self.metrics.as_ref().map(|_| (Instant::now(), self.vtime));
         let out = recv(self);
-        if let (Some(m), Some((t0, v0))) = (&self.metrics, wait_start) {
+        if let (Some(m), Some((t0, v0))) = (&mut self.metrics, wait_start) {
             let ns = if self.model.virtual_time {
                 ((self.vtime - v0).max(0.0) * 1e9) as u64
             } else {
                 t0.elapsed().as_nanos() as u64
             };
-            m.histogram(&format!("sub.comm.wait.{}", tag_class(tag)))
+            let class = tag_class(tag);
+            let name = TAG_CLASSES[class];
+            m.wait[class]
+                .get_or_insert_with(|| m.reg.histogram(&format!("sub.comm.wait.{name}")))
                 .record(ns);
         }
         out
     }
 
-    fn recv_raw_inner(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        // Check the stash first.
+    /// The one matching receive: the stash first, then the mailbox, with
+    /// everything that arrives for somebody else stashed on the way.
+    ///
+    /// `patience: None` blocks until the message is there and hands a
+    /// damaged payload over (plain [`Rank::recv`]). `Some(deadline)` is
+    /// the liveness-aware form behind [`Rank::recv_deadline`] and the
+    /// collective tree: arrivals are drained first (refreshing heartbeats,
+    /// possibly retracting a suspicion of `from`, before any fast-fail),
+    /// an evicted rank and a confirmed-dead peer fail at once, a silent
+    /// peer becomes [`CommError::PeerSuspect`] when the deadline expires,
+    /// and damage is [`CommError::CorruptPayload`].
+    fn recv_match(
+        &mut self,
+        from: usize,
+        tag: u64,
+        patience: Option<Duration>,
+    ) -> Result<Vec<f64>, CommError> {
+        let bounded = patience.is_some();
+        if bounded {
+            while let Ok(env) = self.receiver.try_recv() {
+                if let Some(env) = self.admit(env) {
+                    self.stash.push(env);
+                }
+            }
+            if let Some(epoch) = self.evicted {
+                return Err(CommError::Evicted { epoch });
+            }
+        }
         if let Some(pos) = self
             .stash
             .iter()
             .position(|e| e.from == from && e.tag == tag)
         {
             let env = self.stash.remove(pos);
-            return self.deliver(env);
+            return self.settle(env, bounded);
         }
+        if bounded && self.dead & (1u64 << from) != 0 {
+            return Err(self.mark_suspect(from, Duration::ZERO));
+        }
+        let deadline = patience.map(|p| (Instant::now() + p, p));
         loop {
-            let env = self.receiver.recv().expect("rank channel closed");
+            let env = match deadline {
+                None => self.receiver.recv().expect("rank channel closed"),
+                Some((at, p)) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    match self.receiver.recv_timeout(left) {
+                        Ok(env) => env,
+                        // Timed out — or disconnected: the universe is
+                        // tearing down, and the peer is treated as dead.
+                        Err(_) => return Err(self.mark_suspect(from, p)),
+                    }
+                }
+            };
             let Some(env) = self.admit(env) else { continue };
             if env.from == from && env.tag == tag {
-                return self.deliver(env);
+                return self.settle(env, bounded);
             }
             self.stash.push(env);
         }
@@ -694,11 +788,7 @@ impl Rank {
     /// only ever decided by [`Rank::suspicion_consensus`] itself.
     fn admit(&mut self, env: Envelope) -> Option<Envelope> {
         if env.epoch < self.epoch {
-            self.lstats.stale_dropped += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("comm.liveness.stale_dropped").inc();
-            }
-            self.trace_instant("liveness.stale_drop", env.from as f64);
+            self.liveness(Liveness::StaleDrop, env.from as f64);
             return None;
         }
         self.note_arrival(env.from, env.seq);
@@ -714,11 +804,7 @@ impl Rank {
         let bit = 1u64 << from;
         if self.suspected & bit != 0 {
             self.suspected &= !bit;
-            self.lstats.false_positives += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("comm.liveness.false_positives").inc();
-            }
-            self.trace_instant("liveness.retract", from as f64);
+            self.liveness(Liveness::Retract, from as f64);
         }
     }
 
@@ -729,11 +815,7 @@ impl Rank {
         let bit = 1u64 << peer;
         if self.dead & bit == 0 && self.suspected & bit == 0 {
             self.suspected |= bit;
-            self.lstats.suspicions += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("comm.liveness.suspicions").inc();
-            }
-            self.trace_instant("liveness.suspect", peer as f64);
+            self.liveness(Liveness::Suspect, peer as f64);
         }
         if self.model.virtual_time {
             self.vtime += waited.as_secs_f64();
@@ -741,49 +823,29 @@ impl Rank {
         CommError::PeerSuspect { rank: peer, waited }
     }
 
-    /// Verify the CRC-32 trailer, counting an escalation on mismatch.
-    fn payload_intact(&mut self, env: &Envelope) -> bool {
-        let ok = env.crc.is_none_or(|c| crc32_f64s(&env.data) == c);
-        if !ok {
-            self.lstats.crc_escalations += 1;
-            if let Some(m) = &self.metrics {
-                m.counter("comm.liveness.crc_escalations").inc();
-            }
-            self.trace_instant("liveness.crc_escalation", env.from as f64);
+    /// The one tail of every receive: verify the CRC-32 trailer (a
+    /// mismatch is counted as an escalation), charge the message's arrival
+    /// to the appropriate clock, and hand the payload over. Damage is a
+    /// typed error when `checked`; otherwise it is delivered as it is.
+    fn settle(&mut self, env: Envelope, checked: bool) -> Result<Vec<f64>, CommError> {
+        let intact = env.crc.is_none_or(|c| crc32_f64s(&env.data) == c);
+        if !intact {
+            self.liveness(Liveness::CrcEscalation, env.from as f64);
         }
-        ok
-    }
-
-    /// Charge the message's arrival to the appropriate clock and hand the
-    /// payload over. Damage is counted ([`LivenessStats::crc_escalations`])
-    /// but still delivered — the legacy path detects truncation by length.
-    fn deliver(&mut self, env: Envelope) -> Vec<f64> {
-        self.payload_intact(&env);
-        self.settle(&env);
-        env.data
-    }
-
-    /// Like [`Rank::deliver`], but damage becomes a typed error.
-    fn deliver_checked(&mut self, env: Envelope) -> Result<Vec<f64>, CommError> {
-        let intact = self.payload_intact(&env);
-        self.settle(&env);
-        if intact {
-            Ok(env.data)
-        } else {
-            Err(CommError::CorruptPayload {
-                from: env.from,
-                tag: env.tag,
-            })
-        }
-    }
-
-    fn settle(&mut self, env: &Envelope) {
         if self.model.virtual_time {
             // A receive completes no earlier than the message's virtual
             // delivery time; waiting is free (the rank was blocked).
             self.vtime = self.vtime.max(env.v_deliver);
         } else {
             wait_until(env.deliverable_at);
+        }
+        if intact || !checked {
+            Ok(env.data)
+        } else {
+            Err(CommError::CorruptPayload {
+                from: env.from,
+                tag: env.tag,
+            })
         }
     }
 
@@ -799,70 +861,7 @@ impl Rank {
     pub fn recv_deadline(&mut self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         assert!(tag < RESERVED_TAG_BASE, "tag {tag} is reserved");
         let deadline = self.model.suspect_after;
-        self.timed_wait(tag, |r| r.recv_deadline_any(from, tag, deadline))
-    }
-
-    /// Deadline receive without the reserved-tag assert (collectives use
-    /// it on their own tag space).
-    fn recv_deadline_any(
-        &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f64>, CommError> {
-        // Drain arrivals first: this refreshes heartbeats (possibly
-        // retracting a suspicion of `from`) before any fast-fail below.
-        while let Ok(env) = self.receiver.try_recv() {
-            if let Some(env) = self.admit(env) {
-                self.stash.push(env);
-            }
-        }
-        if let Some(e) = self.evicted {
-            return Err(CommError::Evicted { epoch: e });
-        }
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            let env = self.stash.remove(pos);
-            return self.deliver_checked(env);
-        }
-        if self.dead & (1u64 << from) != 0 {
-            return Err(self.mark_suspect(from, Duration::ZERO));
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self.mark_suspect(from, timeout));
-            }
-            match self.receiver.recv_timeout(deadline - now) {
-                Ok(env) => {
-                    let Some(env) = self.admit(env) else { continue };
-                    if env.from == from && env.tag == tag {
-                        return self.deliver_checked(env);
-                    }
-                    self.stash.push(env);
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // The universe is tearing down; treat as a dead peer.
-                    return Err(self.mark_suspect(from, timeout));
-                }
-            }
-        }
-    }
-
-    /// Non-blocking probe: `true` if a matching message has *arrived*
-    /// (it may still be in its modeled flight time).
-    pub fn probe(&mut self, from: usize, tag: u64) -> bool {
-        while let Ok(env) = self.receiver.try_recv() {
-            if let Some(env) = self.admit(env) {
-                self.stash.push(env);
-            }
-        }
-        self.stash.iter().any(|e| e.from == from && e.tag == tag)
+        self.timed_wait(tag, |r| r.recv_match(from, tag, Some(deadline)))
     }
 
     fn next_op_tag(&mut self) -> u64 {
@@ -891,74 +890,79 @@ impl Rank {
         self.model.suspect_after * mult.max(1)
     }
 
-    /// Allreduce with a binary reduction; all ranks receive the reduced
-    /// value of their `contributions`. Implemented as a binomial-tree
-    /// reduce followed by a binomial-tree broadcast over the *live* ranks,
-    /// so the critical path is `2 ⌈log₂ P⌉` message latencies — the
-    /// collective cost structure the scaling experiments assume. Every
-    /// internal receive carries the suspicion deadline: a silent peer is
-    /// skipped (its subtree's contribution is lost) instead of deadlocking
-    /// the collective, and ends up in the suspicion mask for
-    /// [`Rank::suspicion_consensus`] to rule on. With no dead or silent
-    /// peers the result is bit-identical to the pre-liveness collective.
-    pub fn allreduce(&mut self, contribution: &[f64], op: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+    /// The one reduce + broadcast: a binomial-tree reduce of `acc` through
+    /// `op` toward live rank 0, then a binomial-tree broadcast of the
+    /// result back into every rank's `acc`, so the critical path is
+    /// `2 ⌈log₂ P⌉` message latencies — the collective cost structure the
+    /// scaling experiments assume. Every internal receive carries its
+    /// depth-scaled deadline: a silent peer never deadlocks the tree, it
+    /// ends up in the suspicion mask for [`Rank::suspicion_consensus`] to
+    /// rule on, and `silent` says what its silence contributes — `None`:
+    /// nothing, the local partial stands (the subtree's contribution is
+    /// lost; a starved broadcast child keeps its partial and still
+    /// forwards it below); `Some(v)`: `v` is folded into the partial
+    /// through `op`, on the reduce side and on the broadcast side alike.
+    fn tree(&mut self, acc: &mut [f64], op: impl Fn(f64, f64) -> f64, silent: Option<f64>) {
         let tag = self.next_op_tag();
-        let live = self.live.clone();
-        let p = live.len();
+        let p = self.live.len();
         let me = self.live_pos();
-        let depth = ceil_log2(p);
-        let mut acc = contribution.to_vec();
+        let fold_silence = |acc: &mut [f64]| {
+            if let Some(v) = silent {
+                acc.iter_mut().for_each(|a| *a = op(*a, v));
+            }
+        };
         // --- binomial reduce toward live rank 0 --------------------------
         let mut mask = 1usize;
         let mut round = 0u32;
         while mask < p {
             if me & mask != 0 {
                 // My bit for this round is set: hand my partial upward.
-                self.send_raw(live[me & !mask], tag, &acc);
+                self.send_raw(self.live[me & !mask], tag, acc);
                 break;
             }
-            let child = me | mask;
-            if child < p {
+            if me | mask < p {
                 let patience = self.patience(round + 2);
-                match self.recv_deadline_any(live[child], tag, patience) {
+                match self.recv_match(self.live[me | mask], tag, Some(patience)) {
                     Ok(part) => {
                         assert_eq!(part.len(), acc.len(), "allreduce length mismatch");
                         for (a, &b) in acc.iter_mut().zip(&part) {
                             *a = op(*a, b);
                         }
                     }
-                    Err(_) => {
-                        // Silent subtree: its contribution is lost this
-                        // round; the suspicion is recorded for consensus.
-                    }
+                    Err(_) => fold_silence(acc),
                 }
             }
             mask <<= 1;
             round += 1;
         }
         // --- binomial broadcast from live rank 0 -------------------------
-        let bcast_patience = self.patience(2 * depth + 2);
-        let mut top = 1usize;
-        while top < p {
-            top <<= 1;
-        }
-        let mut mask = top >> 1;
+        let patience = self.patience(2 * ceil_log2(p) + 2);
+        let mut mask = p.next_power_of_two() >> 1;
         while mask > 0 {
             if me & (mask - 1) == 0 {
-                if me & mask == 0 {
-                    let partner = me | mask;
-                    if partner < p && partner != me {
-                        self.send_raw(live[partner], tag, &acc);
+                if me & mask != 0 {
+                    match self.recv_match(self.live[me & !mask], tag, Some(patience)) {
+                        Ok(result) => acc.copy_from_slice(&result),
+                        Err(_) => fold_silence(acc),
                     }
-                } else if let Ok(d) = self.recv_deadline_any(live[me & !mask], tag, bcast_patience)
-                {
-                    acc = d;
+                } else if me | mask < p {
+                    self.send_raw(self.live[me | mask], tag, acc);
                 }
-                // On timeout: keep the local partial and still forward it
-                // below, so our own subtree is not starved.
             }
             mask >>= 1;
         }
+    }
+
+    /// Allreduce with a binary reduction; all ranks receive the reduced
+    /// value of their `contributions`: a binomial-tree reduce followed by
+    /// a binomial-tree broadcast over the *live* ranks. A silent peer is
+    /// skipped (its subtree's contribution is lost) instead of
+    /// deadlocking the collective, and ends up in the suspicion mask for
+    /// [`Rank::suspicion_consensus`] to rule on. With no dead or silent
+    /// peers the result is bit-identical to the pre-liveness collective.
+    pub fn allreduce(&mut self, contribution: &[f64], op: impl Fn(f64, f64) -> f64) -> Vec<f64> {
+        let mut acc = contribution.to_vec();
+        self.tree(&mut acc, op, None);
         acc
     }
 
@@ -967,62 +971,17 @@ impl Rank {
     /// rank is dead, every live rank is guaranteed to return a value
     /// `>= SUSPECT_FLAG` (the dead rank's reduce parent injects the flag
     /// on a live path to the root; its broadcast children self-substitute
-    /// it), so survivors agree that a consensus round is needed even
-    /// though they cannot yet agree on a value. This is the primitive the
+    /// it — the root's decision being unreachable, they assume the worst),
+    /// so survivors agree that a consensus round is needed even though
+    /// they cannot yet agree on a value. This is the primitive the
     /// resilient driver uses for its per-step error/liveness agreement.
     pub fn agree_max(&mut self, x: f64) -> f64 {
         if self.evicted.is_some() {
             return SUSPECT_FLAG;
         }
-        let tag = self.next_op_tag();
-        let live = self.live.clone();
-        let p = live.len();
-        let me = self.live_pos();
-        let depth = ceil_log2(p);
-        let mut acc = x;
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        while mask < p {
-            if me & mask != 0 {
-                self.send_raw(live[me & !mask], tag, &[acc]);
-                break;
-            }
-            let child = me | mask;
-            if child < p {
-                let patience = self.patience(round + 2);
-                match self.recv_deadline_any(live[child], tag, patience) {
-                    Ok(part) => acc = acc.max(part[0]),
-                    Err(_) => acc = acc.max(SUSPECT_FLAG),
-                }
-            }
-            mask <<= 1;
-            round += 1;
-        }
-        let bcast_patience = self.patience(2 * depth + 2);
-        let mut top = 1usize;
-        while top < p {
-            top <<= 1;
-        }
-        let mut mask = top >> 1;
-        while mask > 0 {
-            if me & (mask - 1) == 0 {
-                if me & mask == 0 {
-                    let partner = me | mask;
-                    if partner < p && partner != me {
-                        self.send_raw(live[partner], tag, &[acc]);
-                    }
-                } else {
-                    acc = match self.recv_deadline_any(live[me & !mask], tag, bcast_patience) {
-                        Ok(d) => d[0],
-                        // The root's decision is unreachable: assume the
-                        // worst so this rank also enters consensus.
-                        Err(_) => SUSPECT_FLAG,
-                    };
-                }
-            }
-            mask >>= 1;
-        }
-        acc
+        let mut acc = [x];
+        self.tree(&mut acc, f64::max, Some(SUSPECT_FLAG));
+        acc[0]
     }
 
     /// Two-round suspicion consensus among the live ranks, promoting
@@ -1095,7 +1054,7 @@ impl Rank {
                     if rk.stash[i].tag == tag && heard & (1u64 << rk.stash[i].from) == 0 {
                         let env = rk.stash.remove(i);
                         let from = env.from;
-                        if let Ok(d) = rk.deliver_checked(env) {
+                        if let Ok(d) = rk.settle(env, true) {
                             union |= d[0].to_bits();
                             heard |= 1u64 << from;
                         }
@@ -1162,7 +1121,7 @@ impl Rank {
         }
         for r in 0..self.size {
             if newly_dead & (1u64 << r) != 0 {
-                self.trace_instant("liveness.evict", r as f64);
+                self.liveness(Liveness::Evict, r as f64);
             }
         }
         self.dead |= newly_dead;
@@ -1171,27 +1130,27 @@ impl Rank {
         self.live = (0..self.size)
             .filter(|&i| self.dead & (1u64 << i) == 0)
             .collect();
-        self.lstats.confirmed_dead += ndead as u64;
-        if let Some(m) = &self.metrics {
-            m.counter("comm.liveness.confirmed_dead").add(ndead as u64);
-        }
         Ok(newly_dead)
     }
 
     /// Scalar allreduce-min (the Δt reduction).
     pub fn allreduce_min(&mut self, x: f64) -> f64 {
-        self.allreduce(&[x], f64::min)[0]
+        let mut acc = [x];
+        self.tree(&mut acc, f64::min, None);
+        acc[0]
     }
 
     /// Scalar allreduce-max.
     pub fn allreduce_max(&mut self, x: f64) -> f64 {
-        self.allreduce(&[x], f64::max)[0]
+        let mut acc = [x];
+        self.tree(&mut acc, f64::max, None);
+        acc[0]
     }
 
     /// Barrier, implemented as an empty allreduce so it pays realistic
     /// network costs.
     pub fn barrier(&mut self) {
-        self.allreduce(&[0.0], |a, _| a);
+        self.tree(&mut [0.0], |a, _| a, None);
     }
 }
 
@@ -1273,7 +1232,6 @@ where
             suspected: 0,
             dead: 0,
             live: (0..n).collect(),
-            lstats: LivenessStats::default(),
             evicted: None,
         })
         .collect();
@@ -1471,28 +1429,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_arrived_messages() {
-        let out = run(2, NetworkModel::ideal(), |r| {
-            if r.rank() == 0 {
-                r.send(1, 9, &[1.0]);
-                true
-            } else {
-                // Wait until the message arrives, observed via probe.
-                let mut tries = 0;
-                while !r.probe(0, 9) {
-                    std::thread::yield_now();
-                    tries += 1;
-                    assert!(tries < 1_000_000, "probe never saw the message");
-                }
-                assert!(!r.probe(0, 8), "wrong tag must not match");
-                let got = r.recv(0, 9);
-                got == vec![1.0]
-            }
-        });
-        assert!(out.iter().all(|&b| b));
-    }
-
-    #[test]
     fn tree_collectives_non_power_of_two() {
         for n in [3usize, 5, 6, 7, 9] {
             let out = run(n, NetworkModel::ideal(), |r| {
@@ -1504,6 +1440,19 @@ mod tests {
                 assert_eq!(s, expected, "sum on rank {i} of {n}");
             }
         }
+    }
+
+    /// Attach a registry of `r`'s own; [`tally`] reads its liveness counters.
+    fn tallies(r: &mut Rank) -> Arc<Registry> {
+        let reg = Arc::new(Registry::new());
+        r.set_metrics(reg.clone());
+        reg
+    }
+
+    /// The `comm.liveness.<name>` counter (0 while never bumped).
+    fn tally(reg: &Registry, name: &str) -> u64 {
+        let counters = reg.snapshot().counters;
+        *counters.get(&format!("comm.liveness.{name}")).unwrap_or(&0)
     }
 
     fn spin(ms: u64) {
@@ -1808,9 +1757,10 @@ mod tests {
                 r.send(1, 1, &[1.0, 2.0, 3.0, 4.0]);
                 (true, 0)
             } else {
+                let reg = tallies(r);
                 let got = r.recv_deadline(0, 1);
                 let ok = got == Err(CommError::CorruptPayload { from: 0, tag: 1 });
-                (ok, r.liveness_stats().crc_escalations)
+                (ok, tally(&reg, "crc_escalations"))
             }
         });
         assert!(out[1].0, "damage must surface as CorruptPayload");
@@ -1829,12 +1779,12 @@ mod tests {
         };
         let model = NetworkModel::ideal().with_crc_retries(16);
         let out = run_with_faults(2, model, Some(plan), |r| {
+            let reg = tallies(r);
             if r.rank() == 0 {
                 for _ in 0..8 {
                     r.send(1, 1, &[1.0, 2.0, 3.0, 4.0]);
                 }
-                let st = r.liveness_stats();
-                (st.crc_retries, 0usize)
+                (tally(&reg, "crc_retries"), 0usize)
             } else {
                 let mut full = 0usize;
                 for _ in 0..8 {
@@ -1843,7 +1793,7 @@ mod tests {
                         full += 1;
                     }
                 }
-                (r.liveness_stats().crc_escalations, full)
+                (tally(&reg, "crc_escalations"), full)
             }
         });
         assert!(out[0].0 > 0, "retransmits were modeled");
@@ -1856,6 +1806,7 @@ mod tests {
         let model = NetworkModel::ideal().with_suspect_after(Duration::from_millis(40));
         let out = run(2, model, |r| {
             if r.rank() == 0 {
+                let reg = tallies(r);
                 match r.recv_deadline(1, 3) {
                     Err(CommError::PeerSuspect { rank, waited }) => {
                         assert_eq!(rank, 1);
@@ -1867,8 +1818,7 @@ mod tests {
                 // (uniform waits prevent skew cascades); the suspicion is
                 // not double counted.
                 assert!(r.recv_deadline(1, 4).is_err());
-                let st = r.liveness_stats();
-                assert_eq!(st.suspicions, 1);
+                assert_eq!(tally(&reg, "suspicions"), 1);
                 assert_eq!(r.suspected_mask(), 1 << 1);
                 true
             } else {
@@ -1884,6 +1834,7 @@ mod tests {
         let model = NetworkModel::ideal().with_suspect_after(Duration::from_millis(40));
         let out = run(2, model, |r| {
             if r.rank() == 0 {
+                let reg = tallies(r);
                 assert!(r.recv_deadline(1, 3).is_err(), "first deadline expires");
                 // The slow peer eventually sends: the arrival is proof of
                 // life and the suspicion is retracted.
@@ -1894,8 +1845,7 @@ mod tests {
                     }
                 };
                 assert_eq!(got, vec![7.0]);
-                let st = r.liveness_stats();
-                assert!(st.false_positives >= 1, "retraction counted");
+                assert!(tally(&reg, "false_positives") >= 1, "retraction counted");
                 assert_eq!(r.suspected_mask(), 0);
                 true
             } else {
@@ -1928,12 +1878,13 @@ mod tests {
             if r.rank() == 3 {
                 return (0, 0, 0.0); // dead from the start
             }
+            let reg = tallies(r);
             let flag = r.agree_max(0.0);
             assert!(flag >= SUSPECT_FLAG);
             let newly_dead = r.suspicion_consensus().expect("survivor side");
             assert_eq!(r.live_ranks(), &[0, 1, 2]);
             assert_eq!(r.epoch(), 1);
-            assert_eq!(r.liveness_stats().confirmed_dead, 1);
+            assert_eq!(tally(&reg, "confirmed_dead"), 1);
             // Collectives keep working over the shrunken universe.
             let s = r.allreduce(&[r.rank() as f64], |a, b| a + b)[0];
             (newly_dead, r.epoch(), s)

@@ -1,4 +1,10 @@
 //! Multi-component field storage over a patch.
+//!
+//! Per-cell access ([`Field::at`] / [`Field::set`]) is for kernels'
+//! stencils and tests; bulk movement goes by contiguous rows —
+//! [`Field::read_pencil`] for sweeps, [`Field::gather_box`] /
+//! [`Field::scatter_box`] for whatever packs a box into a message, a
+//! checkpoint record or a gather buffer and back.
 
 use crate::geom::PatchGeom;
 use rhrsc_srhd::{Cons, NCOMP};
@@ -150,6 +156,45 @@ impl Field {
         }
     }
 
+    /// Flat offset of every x-row of the ghost-inclusive box `[lo, hi)`
+    /// (`lo[d] <= hi[d] <= ntot(d)`), component-major with z slowest — the
+    /// field's own storage order.
+    fn box_rows(&self, lo: [usize; 3], hi: [usize; 3]) -> impl Iterator<Item = usize> {
+        let (geom, ncomp) = (self.geom, self.ncomp);
+        (0..ncomp).flat_map(move |c| {
+            (lo[2]..hi[2]).flat_map(move |k| {
+                (lo[1]..hi[1]).map(move |j| c * geom.len() + geom.idx(0, j, k) + lo[0])
+            })
+        })
+    }
+
+    /// Append the ghost-inclusive box `[lo, hi)` to `out`, component-major
+    /// with x fastest (the storage order, which over the interior box is
+    /// [`PatchGeom::interior_iter`] order per component). Each x-row is
+    /// one slice copy, and `out` grows to its final length up front.
+    pub fn gather_box(&self, lo: [usize; 3], hi: [usize; 3], out: &mut Vec<f64>) {
+        let nx = hi[0] - lo[0];
+        out.reserve(self.ncomp * nx * (hi[1] - lo[1]) * (hi[2] - lo[2]));
+        for row in self.box_rows(lo, hi) {
+            out.extend_from_slice(&self.data[row..row + nx]);
+        }
+    }
+
+    /// Overwrite the ghost-inclusive box `[lo, hi)` from `src`, the inverse
+    /// of [`Field::gather_box`].
+    ///
+    /// # Panics
+    /// Panics if `src` is not exactly the box's length; callers that take
+    /// `src` off the wire check it first.
+    pub fn scatter_box(&mut self, lo: [usize; 3], hi: [usize; 3], src: &[f64]) {
+        let nx = hi[0] - lo[0];
+        let len = self.ncomp * nx * (hi[1] - lo[1]) * (hi[2] - lo[2]);
+        assert_eq!(src.len(), len, "buffer/box mismatch");
+        for (n, row) in self.box_rows(lo, hi).enumerate() {
+            self.data[row..row + nx].copy_from_slice(&src[n * nx..(n + 1) * nx]);
+        }
+    }
+
     /// Euclidean (L2) distance to another field over *interior* cells;
     /// used in equivalence tests between execution backends.
     pub fn interior_l2_distance(&self, other: &Field) -> f64 {
@@ -249,6 +294,94 @@ mod tests {
         f.read_pencil(0, 2, 3, 4, &mut zbuf); // fixed i=3, j=4
         for (k, &v) in zbuf.iter().enumerate() {
             assert_eq!(v, (3 + 40 + 100 * k) as f64);
+        }
+    }
+
+    /// `gather_box` / `scatter_box` against one `at` / `set` per value, on
+    /// 1D, 2D and 3D ghosted fields: the whole field, the interior, the
+    /// six ghost slabs (empty ones in degenerate dimensions), a single
+    /// row, a box empty in x alone, and random boxes.
+    #[test]
+    fn box_copies_agree_with_per_cell_access() {
+        let geoms = [
+            PatchGeom::line(7, 0.0, 1.0, 3),
+            PatchGeom::rect([5, 4], [0.0; 2], [1.0; 2], 2),
+            geom(),
+        ];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        for (g, ncomp) in geoms.into_iter().zip([5, 2, 3]) {
+            let mut f = Field::new(g, ncomp);
+            for (i, v) in f.raw_mut().iter_mut().enumerate() {
+                *v = (i + 1) as f64;
+            }
+            let full = [0, 1, 2].map(|d| g.ntot(d));
+            let ilo = [0, 1, 2].map(|d| g.ng_of(d));
+            let ihi = [0, 1, 2].map(|d| ilo[d] + g.n[d]);
+            let mut boxes = vec![
+                ([0; 3], full),
+                (ilo, ihi),
+                ([0, ilo[1], ilo[2]], [full[0], ilo[1] + 1, ilo[2] + 1]),
+                ([full[0], 0, 0], full),
+            ];
+            for d in 0..3 {
+                let (mut lo, mut hi) = (ilo, ihi);
+                (lo[d], hi[d]) = (0, ilo[d]);
+                boxes.push((lo, hi));
+                (lo[d], hi[d]) = (ihi[d], full[d]);
+                boxes.push((lo, hi));
+            }
+            for _ in 0..100 {
+                let ends = [0, 1, 2].map(|d| (draw(full[d] + 1), draw(full[d] + 1)));
+                boxes.push((ends.map(|(a, b)| a.min(b)), ends.map(|(a, b)| a.max(b))));
+            }
+            for (lo, hi) in boxes {
+                let inside = |i, j, k| {
+                    (lo[0]..hi[0]).contains(&i)
+                        && (lo[1]..hi[1]).contains(&j)
+                        && (lo[2]..hi[2]).contains(&k)
+                };
+                let mut want = vec![-1.0];
+                for c in 0..ncomp {
+                    for k in lo[2]..hi[2] {
+                        for j in lo[1]..hi[1] {
+                            for i in lo[0]..hi[0] {
+                                want.push(f.at(c, i, j, k));
+                            }
+                        }
+                    }
+                }
+                let mut got = vec![-1.0];
+                f.gather_box(lo, hi, &mut got);
+                assert_eq!(
+                    got, want,
+                    "gather of [{lo:?}, {hi:?}) appends in storage order"
+                );
+                let mut blank = Field::new(g, ncomp);
+                blank.scatter_box(lo, hi, &got[1..]);
+                for c in 0..ncomp {
+                    for k in 0..full[2] {
+                        for j in 0..full[1] {
+                            for i in 0..full[0] {
+                                let v = if inside(i, j, k) {
+                                    f.at(c, i, j, k)
+                                } else {
+                                    0.0
+                                };
+                                assert_eq!(blank.at(c, i, j, k), v, "scatter of [{lo:?}, {hi:?})");
+                            }
+                        }
+                    }
+                }
+                let mut same = f.clone();
+                same.scatter_box(lo, hi, &got[1..]);
+                assert_eq!(same, f, "scatter(gather) is the identity");
+            }
         }
     }
 

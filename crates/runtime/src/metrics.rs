@@ -159,8 +159,9 @@ impl Drop for PhaseTimer {
 /// Name-keyed registry of counters and histograms.
 ///
 /// Lookup takes a mutex on a `BTreeMap`; hot paths should cache the
-/// returned `Arc` (the solver caches its con2prim histogram), while
-/// per-phase and per-message paths can afford the lookup.
+/// returned `Arc` (the solver caches its con2prim histogram, the comm
+/// layer its per-message and liveness handles on their first bump),
+/// while per-phase paths can afford the lookup.
 #[derive(Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,

