@@ -21,6 +21,7 @@
 //!
 //! Flags: `--toy` shrinks the grids for smoke tests/CI, `--profile`
 //! prints the pooled phase table. A report with the `amr.dist.*`
+//! exchange counters and the recovery ladder's `driver.*` / `ckp.*`
 //! counters lands in `results/BENCH_f13_distributed_amr.json`.
 //!
 //! Env knobs: `RHRSC_FAULT_SEED` (CI seed matrix).
@@ -35,7 +36,9 @@ use rhrsc_runtime::Registry;
 use rhrsc_solver::amr::{AmrConfig, AmrSolver};
 use rhrsc_solver::problems::Problem;
 use rhrsc_solver::scheme::SolverError;
-use rhrsc_solver::{DistAmrConfig, DistAmrSolver, DistAmrStats, RkOrder, Scheme};
+use rhrsc_solver::{
+    DistAmrSolver, DistAmrStats, ResilienceConfig, ResilienceStats, RkOrder, Scheme,
+};
 use rhrsc_srhd::{Prim, NCOMP};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,14 +109,21 @@ fn main() {
     );
 
     // ---- Arm B: distributed, no faults, bit-identical ------------------
-    let dist_cfg = DistAmrConfig {
-        amr: amr_cfg.clone(),
-        ..DistAmrConfig::default()
+    // The ladder's budgets and cadences for both distributed arms.
+    let res_b = ResilienceConfig {
+        max_step_retries: 2,
+        max_restarts: 4,
+        checkpoint_interval: 4,
+        checkpoint_dir: None,
+        local_interval: 2,
+        scrub_interval: 5,
+        ..ResilienceConfig::default()
     };
     let t0 = Instant::now();
     let outs_b = {
         let prob = prob.clone();
-        let dist_cfg = dist_cfg.clone();
+        let amr_cfg = amr_cfg.clone();
+        let res_b = res_b.clone();
         let reg = Arc::clone(&reg);
         run_with_faults(nranks, NetworkModel::ideal(), None, move |rank| {
             rank.set_metrics(reg.clone());
@@ -124,11 +134,11 @@ fn main() {
                 n0,
                 0.0,
                 1.0,
-                dist_cfg.clone(),
+                amr_cfg.clone(),
             );
             d.set_metrics(reg.clone());
             d.init(rank, &|x| (prob.ic)(x));
-            d.advance_to(rank, 0.0, t_end_b, 0.4).unwrap();
+            d.advance_to(rank, 0.0, t_end_b, 0.4, &res_b).unwrap();
             let ck = d.to_checkpoint_gathered(rank, t_end_b).unwrap();
             (ck, d.stats())
         })
@@ -196,17 +206,22 @@ fn main() {
         crash_site: RankSite::Regrid,
         ..FaultPlan::disabled()
     };
-    let dist_cfg_c = DistAmrConfig {
-        amr: pulse_cfg,
+    let res_c = ResilienceConfig {
         checkpoint_dir: Some(ckp_dir.path().to_path_buf()),
         checkpoint_interval: 2,
-        ..DistAmrConfig::default()
+        ..res_b
     };
     let model_c = NetworkModel::ideal().with_suspect_after(Duration::from_millis(150));
     let t0 = Instant::now();
     #[allow(clippy::type_complexity)]
-    let outs_c: Vec<Option<(DistAmrStats, [f64; NCOMP], [f64; NCOMP], AmrCheckpoint)>> = {
-        let dist_cfg_c = dist_cfg_c.clone();
+    let outs_c: Vec<
+        Option<(
+            (DistAmrStats, ResilienceStats),
+            [f64; NCOMP],
+            [f64; NCOMP],
+            AmrCheckpoint,
+        )>,
+    > = {
         let reg = Arc::clone(&reg);
         run_with_faults(nranks, model_c, Some(plan_c), move |rank| {
             rank.set_metrics(reg.clone());
@@ -217,12 +232,12 @@ fn main() {
                 n0,
                 0.0,
                 1.0,
-                dist_cfg_c.clone(),
+                pulse_cfg.clone(),
             );
             d.set_metrics(reg.clone());
             d.init(rank, &pulse_ic);
             let before = d.composite_totals_gathered(rank).unwrap();
-            match d.advance_to(rank, 0.0, t_end_c, 0.4) {
+            match d.advance_to(rank, 0.0, t_end_c, 0.4, &res_c) {
                 Ok(stats) => {
                     let after = d.composite_totals_gathered(rank).unwrap();
                     let ck = d.to_checkpoint_gathered(rank, t_end_c).unwrap();
@@ -244,9 +259,9 @@ fn main() {
         "all survivors must finish degraded"
     );
     let mut max_drift = 0.0f64;
-    for (stats, before, after, _) in &survivors {
-        assert_eq!(stats.shrinks, 1, "{stats:?}");
-        assert_eq!(stats.ranks_lost, 1, "{stats:?}");
+    for ((_, rstats), before, after, _) in &survivors {
+        assert_eq!(rstats.shrinks, 1, "{rstats:?}");
+        assert_eq!(rstats.ranks_lost, 1, "{rstats:?}");
         for c in 0..NCOMP {
             max_drift = max_drift.max((after[c] - before[c]).abs() / before[c].abs().max(1.0));
         }
@@ -255,13 +270,13 @@ fn main() {
         max_drift <= 1e-11,
         "post-shrink conservation drift {max_drift} exceeds 1e-11"
     );
-    let stats_c = survivors[0].0;
+    let (stats_c, rstats_c) = survivors[0].0;
     let l1 = l1_base(&survivors[0].3, &ck_pulse);
     println!(
         "C  rank 1 killed in the regrid window of step {crash_step}: \
          shrinks = {}, ranks lost = {}, migrations = {}, restores = {}, \
          wall = {wall_c:.3}s",
-        stats_c.shrinks, stats_c.ranks_lost, stats_c.migrations, stats_c.restores
+        rstats_c.shrinks, rstats_c.ranks_lost, stats_c.migrations, rstats_c.restarts
     );
     println!(
         "C  conservation drift = {}, base-grid L1 drift vs fault-free = {}",
@@ -299,7 +314,7 @@ fn main() {
         format!("{wall_c:.3}"),
         stats_c.halo_msgs.to_string(),
         stats_c.reflux_msgs.to_string(),
-        stats_c.shrinks.to_string(),
+        rstats_c.shrinks.to_string(),
         sci(l1),
     ]);
     let snap = reg.snapshot();

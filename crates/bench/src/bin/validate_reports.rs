@@ -54,7 +54,7 @@ const REQUIRED_COUNTERS: &[(&str, &[&str])] = &[
         &[
             "amr.dist.halo_msgs",
             "amr.dist.reflux_msgs",
-            "amr.dist.shrinks",
+            "driver.shrinks",
         ],
     ),
     (

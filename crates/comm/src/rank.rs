@@ -1253,6 +1253,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhrsc_runtime::fault::RankSite;
 
     #[test]
     fn ping_pong() {
@@ -1679,7 +1680,7 @@ mod tests {
                 let sites: Vec<(bool, bool)> = (0..rounds as u64)
                     .map(|s| {
                         (
-                            probe.should_crash_rank(r.rank(), s),
+                            probe.should_crash_at(r.rank(), s, RankSite::Step),
                             probe.should_stall_rank(r.rank()).is_some(),
                         )
                     })

@@ -329,21 +329,14 @@ impl FaultInjector {
         }
     }
 
-    /// Should `rank` crash at `step`? Rank-level faults are *scheduled*
-    /// rather than probabilistic — "rank r dies at step s" — so the
-    /// predicate is a pure function of the plan and consumes no draws
-    /// (the existing per-site streams are untouched). Fires on every call
-    /// at or past the crash step; the first hit is counted. Equivalent to
-    /// [`FaultInjector::should_crash_at`] with [`RankSite::Step`].
-    pub fn should_crash_rank(&self, rank: usize, step: u64) -> bool {
-        self.should_crash_at(rank, step, RankSite::Step)
-    }
-
-    /// Site-gated crash predicate: within the crash step the victim dies
-    /// only inside the configured [`FaultPlan::crash_site`] window (so a
-    /// `Regrid` crash survives the earlier exchange windows of that step);
-    /// past the crash step it reads dead from every site. Pure function of
-    /// the plan — consumes no draws.
+    /// Should `rank` crash at `step` inside the `site` window? Rank-level
+    /// faults are *scheduled* rather than probabilistic — "rank r dies at
+    /// step s" — so the predicate is a pure function of the plan and
+    /// consumes no draws (the per-site streams are untouched). Within the
+    /// crash step the victim dies only inside the configured
+    /// [`FaultPlan::crash_site`] window (so a `Regrid` crash survives the
+    /// earlier exchange windows of that step); past the crash step it
+    /// reads dead from every site. The first hit is counted.
     pub fn should_crash_at(&self, rank: usize, step: u64, site: RankSite) -> bool {
         if self.plan.crash_rank != Some(rank) {
             return false;
@@ -358,7 +351,7 @@ impl FaultInjector {
 
     /// Work/comm-time multiplier for `rank` if it is the configured
     /// straggler (`None` for healthy ranks). Like
-    /// [`FaultInjector::should_crash_rank`] this is scheduled, not drawn,
+    /// [`FaultInjector::should_crash_at`] this is scheduled, not drawn,
     /// so it cannot perturb the probabilistic streams. The straggler is
     /// slow in every window of the step.
     pub fn should_stall_rank(&self, rank: usize) -> Option<f64> {
@@ -470,11 +463,11 @@ mod tests {
         };
         assert!(p.is_active());
         let inj = FaultInjector::new(p, 2);
-        assert!(!inj.should_crash_rank(2, 4));
-        assert!(!inj.should_crash_rank(0, 5));
-        assert!(inj.should_crash_rank(2, 5));
+        assert!(!inj.should_crash_at(2, 4, RankSite::Step));
+        assert!(!inj.should_crash_at(0, 5, RankSite::Step));
+        assert!(inj.should_crash_at(2, 5, RankSite::Step));
         assert!(
-            inj.should_crash_rank(2, 9),
+            inj.should_crash_at(2, 9, RankSite::Step),
             "stays dead after the crash step"
         );
         assert_eq!(inj.stats().ranks_crashed, 1);
@@ -542,7 +535,7 @@ mod tests {
         let a = FaultInjector::new(plan(7), 0);
         let b = FaultInjector::new(with_rank_faults, 0);
         for step in 0..64 {
-            let _ = b.should_crash_rank(3, step);
+            let _ = b.should_crash_at(3, step, RankSite::Step);
             let _ = b.should_stall_rank(1);
             assert_eq!(a.should_truncate_msg(), b.should_truncate_msg());
             assert_eq!(a.should_fail_launch(), b.should_fail_launch());

@@ -328,7 +328,7 @@ pub const SERIES_FIELDS: &[FieldDef] = &[
         MergeOp::Sum,
         true,
         Some("tier.restore"),
-        "Checkpoint-tier restores (local/buddy/disk) since the previous sample",
+        "Checkpoint-tier restores (local/buddy/disk, and replica-served shrinks) since the previous sample",
         Source::CounterPrefix("ckp.tier."),
     ),
     field(

@@ -29,29 +29,37 @@
 //! its face box. Whatever is collected on block 0 (telemetry samples,
 //! global checkpoints, [`BlockSolver::gather_interior`]) goes through one
 //! `gather_to_root`.
+//!
+//! [`BlockSolver::advance_to_with_restart`] hands the block state to the
+//! recovery ladder ([`crate::ladder`]), which decides and books every
+//! rung; this module supplies the mechanics: the rollback copy, the
+//! memory tiers ([`MemoryTiers`], a single-block v3 image per rank plus a
+//! buddy replica) and one disk tier — the rank-count-independent global
+//! checkpoint in `<checkpoint_dir>/global/`, which serves a restore on the
+//! current decomposition and a shrink onto a re-cut one alike.
 
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::integrate::{lincomb, RkOrder};
-use crate::ladder::{resilient_advance, Budget, LadderEvent, Recoverable, RestoreCause, Stopwatch};
+use crate::ladder::{resilient_advance, straggle, Recoverable, RestoreCause, Stopwatch};
+pub use crate::ladder::{ResilienceConfig, ResilienceStats};
 use crate::refine::rk_tables;
 use crate::scheme::{
-    init_cons, max_dt, recover_region, recover_region_resilient, RecoveryPolicy, RecoveryStats,
-    Scheme, SolverError, WaveScan,
+    init_cons, max_dt, recover_region, recover_region_resilient, RecoveryStats, Scheme,
+    SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
 use rhrsc_comm::{CommError, FaultInjector, Rank, TELEMETRY_TAG};
 use rhrsc_grid::{fill_face, BcSet, CartDecomp, Field, PatchGeom};
 use rhrsc_io::checkpoint::{
-    decode_trusted, encode, load_checkpoint, BlockRecord, Checkpoint, CheckpointSlots,
-    GlobalCheckpoint,
+    decode_trusted, encode, BlockRecord, CheckpointSlots, GlobalCheckpoint,
 };
 use rhrsc_io::snapshot::StateChecksum;
+use rhrsc_runtime::fault::RankSite;
 use rhrsc_runtime::metrics::{Histogram, Registry};
 use rhrsc_runtime::telemetry::{SampleInputs, SeriesSample, Telemetry, TelemetrySampler};
 use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::{Prim, NCOMP};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -172,105 +180,6 @@ pub struct DistStats {
     pub vtime: f64,
 }
 
-/// Knobs of the resilient advance loop
-/// ([`BlockSolver::advance_to_with_restart`]).
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Retries of a failed step before escalating to a checkpoint
-    /// restore. Each retry rolls the state back and halves the effective
-    /// CFL (exponential backoff).
-    pub max_step_retries: usize,
-    /// Checkpoint restores before giving up entirely.
-    pub max_restarts: usize,
-    /// Save a rotating checkpoint every this many committed steps
-    /// (0 disables periodic checkpoints; an initial one is still written
-    /// when `checkpoint_dir` is set, so a restore target always exists).
-    pub checkpoint_interval: usize,
-    /// Directory for per-rank checkpoint slots (`<dir>/rank<r>/`).
-    /// `None` disables checkpointing — and with it the restart tier.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Capture an in-memory (diskless) snapshot every this many committed
-    /// steps: the L1 tier each rank keeps of its own state, plus the L2
-    /// buddy replica it ships to its guardian. `0` disables the memory
-    /// tiers entirely (pre-hierarchy behaviour). Unlike the disk tier the
-    /// memory tiers need no `checkpoint_dir`.
-    pub local_interval: usize,
-    /// Buddy pairing stride: block `b`'s replica is guarded by block
-    /// `(b + offset) mod nblocks`. An offset of `0` (or a single-block
-    /// run) disables the replica exchange, leaving only the L1 local
-    /// tier.
-    pub buddy_offset: usize,
-    /// Scrub the *frozen* snapshot buffers (re-hash local + replica
-    /// against their capture-time stamps) every this many committed
-    /// steps; `0` leaves rot to be caught at restore time. The *live*
-    /// state is ABFT-verified every step regardless — that check is what
-    /// keeps a silent flip out of every checkpoint write.
-    pub scrub_interval: usize,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            max_step_retries: 3,
-            max_restarts: 2,
-            checkpoint_interval: 10,
-            checkpoint_dir: None,
-            local_interval: 5,
-            buddy_offset: 1,
-            scrub_interval: 5,
-        }
-    }
-}
-
-/// Counters of the resilient advance loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Committed steps that needed at least one retry.
-    pub retried_steps: u64,
-    /// Total step retries (a step may be retried more than once).
-    pub retries: u64,
-    /// Checkpoint restores.
-    pub restarts: u64,
-    /// Checkpoints written (initial + periodic).
-    pub checkpoints_saved: u64,
-    /// Global (rank-count-independent) checkpoint writes this rank
-    /// participated in.
-    pub global_checkpoints_saved: u64,
-    /// Shrinking recoveries survived (confirmed rank deaths followed by
-    /// re-decomposition and a global-checkpoint restore).
-    pub shrinks: u64,
-    /// Ranks confirmed dead across all shrinks.
-    pub ranks_lost: u64,
-    /// Suspicion rounds that turned out to be false alarms (every
-    /// suspect defended itself in consensus); the step is retried.
-    pub false_suspicions: u64,
-    /// Stall-injection events applied to this rank (straggler mode).
-    pub stalls: u64,
-    /// In-memory (L1) snapshots captured by this rank.
-    pub local_snapshots: u64,
-    /// Buddy replica exchanges completed (one send + one receive each).
-    pub buddy_exchanges: u64,
-    /// Restores served from this rank's own L1 snapshot.
-    pub local_restores: u64,
-    /// Restores served from a buddy replica (shipped back by the
-    /// guardian because this rank's own tiers were dead or rotted).
-    pub buddy_restores: u64,
-    /// Restores that had to fall all the way through to the disk tier.
-    pub disk_restores: u64,
-    /// Shrinking recoveries whose survivor state was assembled from
-    /// buddy replicas instead of a disk checkpoint.
-    pub buddy_shrinks: u64,
-    /// Silent-data-corruption detections (live-state ABFT stamp
-    /// mismatches) on this rank.
-    pub sdc_detected: u64,
-    /// Scrub passes over the frozen snapshot buffers.
-    pub scrubs: u64,
-    /// Frozen snapshot buffers found rotted by a scrub (and dropped).
-    pub snapshots_rotted: u64,
-    /// Cells repaired by the primitive-recovery cascade, by tier.
-    pub recovery: RecoveryStats,
-}
-
 /// One rank's solver state.
 ///
 /// `my_rank` is the solver's *block rank*: its position in the current
@@ -295,7 +204,6 @@ pub struct BlockSolver {
     /// message; bulk-synchronous mode: the interior alone.
     tiles: Vec<Region>,
     gang: Option<WorkStealingPool>,
-    recovery: RecoveryPolicy,
     rec_stats: RecoveryStats,
     metrics: Option<Arc<Registry>>,
     /// Cached `c2p.newton_iters` histogram (avoids a registry lookup per
@@ -413,7 +321,6 @@ impl BlockSolver {
                 rhs: Field::cons(geom),
                 u_stage: Field::cons(geom),
                 gang,
-                recovery: RecoveryPolicy::default(),
                 rec_stats: RecoveryStats::default(),
                 metrics: None,
                 c2p_hist: None,
@@ -792,12 +699,13 @@ impl BlockSolver {
     }
 
     /// Recover primitives over the interior — the cells this block owns.
-    /// Under [`RecoveryPolicy::Cascade`] the repairs of the whole batch
-    /// finish here, before any primitive ships.
-    fn recover_interior(&mut self, u: &mut Field) -> Result<(), SolverError> {
+    /// Strict (the first failure is the error) unless `cascade`, which
+    /// repairs failed cells through the tiered cascade instead: the
+    /// repairs of the whole batch finish here, before any primitive ships.
+    fn recover_interior(&mut self, u: &mut Field, cascade: bool) -> Result<(), SolverError> {
         let interior = Region::interior(&self.geom);
         let iters = self.c2p_hist.as_deref();
-        if self.recovery == RecoveryPolicy::Strict {
+        if !cascade {
             return recover_region(&self.cfg.scheme, u, &mut self.prim, &interior, iters, None);
         }
         let mut stats = RecoveryStats::default();
@@ -845,7 +753,14 @@ impl BlockSolver {
     /// quantity [`max_dt`] maximizes), for free — the pencils are already
     /// resident in scratch. The stage-0 evaluation of every step scans,
     /// which is what lets Δt be decided without a separate local pass.
-    fn eval_rhs(&mut self, rank: &mut Rank, u: &mut Field, scan: bool) -> Result<(), SolverError> {
+    /// `cascade` selects the repairing recovery ([`Self::recover_interior`]).
+    fn eval_rhs(
+        &mut self,
+        rank: &mut Rank,
+        u: &mut Field,
+        scan: bool,
+        cascade: bool,
+    ) -> Result<(), SolverError> {
         self.rhs.raw_mut().fill(0.0);
         if scan {
             self.scan.reset();
@@ -864,7 +779,7 @@ impl BlockSolver {
         let s = self.pstart(rank);
         let recovered = rank.work(|| {
             let t0 = sub_c2p.as_ref().map(|_| Instant::now());
-            let out = self.recover_interior(u);
+            let out = self.recover_interior(u, cascade);
             if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
                 h.record(t0.elapsed().as_nanos() as u64);
             }
@@ -911,15 +826,17 @@ impl BlockSolver {
     /// minus the separate `phase.dt.local` primitive-recovery pass, which
     /// the fusion makes redundant.
     ///
-    /// With `keep_going`, every stage runs even after an error. Under
-    /// [`RecoveryPolicy::Cascade`] the only in-step failure mode is a
-    /// halo mismatch, and by then the neighbor ranks are already
-    /// committed to the full per-step communication pattern — aborting
-    /// mid-step would leave them blocked in `recv`. Instead the remaining
-    /// stages keep exchanging (possibly stale) data, the first error is
-    /// reported at the end, and the caller rolls the state back. A Δt
-    /// collapse still returns at once: that decision is identical on
-    /// every rank.
+    /// `keep_going` is the recovery ladder's attempt, and only it: failed
+    /// cells are repaired by the recovery cascade, so the only in-step
+    /// failure mode is a halo mismatch, and by then the neighbor ranks are
+    /// already committed to the full per-step communication pattern —
+    /// aborting mid-step would leave them blocked in `recv`. Instead every
+    /// stage runs, the remaining ones exchanging (possibly stale) data,
+    /// the first error is reported at the end, and the ladder rolls the
+    /// state back. A Δt collapse still returns at once: that decision is
+    /// identical on every rank. Without `keep_going` (the plain advance
+    /// loops and [`Self::step`]) recovery is strict and the first error
+    /// ends the step.
     fn run_stages(
         &mut self,
         rank: &mut Rank,
@@ -932,7 +849,7 @@ impl BlockSolver {
         let mut first = None;
         let mut dt = 0.0;
         for (si, &(a, b, c)) in stages.iter().enumerate() {
-            if let Err(e) = self.eval_rhs(rank, u, scanned && si == 0) {
+            if let Err(e) = self.eval_rhs(rank, u, scanned && si == 0, keep_going) {
                 if !keep_going {
                     return Err(e);
                 }
@@ -974,7 +891,7 @@ impl BlockSolver {
         // Local primitives on the interior suffice for the CFL bound.
         let s = self.pstart(rank);
         let local = rank.work(|| -> Result<f64, SolverError> {
-            self.recover_interior(u)?;
+            self.recover_interior(u, false)?;
             Ok(max_dt(&self.cfg.scheme, &self.prim, self.cfg.cfl))
         })?;
         self.pend("phase.dt.local", rank, s);
@@ -1224,21 +1141,31 @@ impl BlockSolver {
         Ok((time, step))
     }
 
-    /// Shrink onto the survivors after a confirmed rank death: re-run the
-    /// decomposition over the live communicator ranks, rebuild this
-    /// solver's block, and restore the state from the newest global
-    /// checkpoint. Returns the restored `(time, step)`.
-    fn shrink_and_restore(
+    /// The disk tier, for a restore and for a shrink alike: every rank
+    /// loads the newest global checkpoint that all of them could read —
+    /// falling back to `prev` together past a torn `latest` — and cuts its
+    /// block's span out of it: the current decomposition's span, or the
+    /// re-cut one after [`BlockSolver::rebuild_for_survivors`]. The
+    /// filesystem is shared (ranks are threads), so nothing is shipped.
+    /// Returns the restored `(time, step)`.
+    fn restore_from_disk(
         &mut self,
         rank: &mut Rank,
         u: &mut Field,
-        gslots: &CheckpointSlots,
+        slots: Option<&CheckpointSlots>,
+        rstats: &mut ResilienceStats,
     ) -> Result<(f64, u64), SolverError> {
-        self.rebuild_for_survivors(rank)?;
-        // The filesystem is shared (ranks are threads): every survivor
-        // loads the global state directly and cuts out its own span.
-        let (gckp, _fell_back) = gslots.load_newest::<GlobalCheckpoint>().map_err(ck_err)?;
-        self.fill_from_global(u, &gckp)
+        let slots = slots.ok_or_else(|| SolverError::Checkpoint {
+            msg: "no memory tier could serve and no checkpoint directory is \
+                  configured for the disk tier"
+                .into(),
+        })?;
+        let (gckp, fell_back) = load_newest_agreed::<GlobalCheckpoint>(rank, slots)?;
+        let restored = self.fill_from_global(u, &gckp)?;
+        rstats.disk_restores += 1;
+        rstats.ckpt_fallbacks += u64::from(fell_back);
+        self.count("ckp.tier.disk.restore", 1);
+        Ok(restored)
     }
 
     /// Serialize this block's interior as a single-block global checkpoint
@@ -1322,9 +1249,9 @@ impl BlockSolver {
 
     /// The recovery ladder's restore rung: try the memory tiers (own L1
     /// snapshot, then a buddy replica — [`MemoryTiers::fetch`]), and only
-    /// if they cannot serve a consistent state fall through to the
-    /// per-rank disk slots. Every branch decision is collectively agreed,
-    /// so all ranks walk the same rungs.
+    /// if they cannot serve a consistent state fall through to the disk
+    /// tier on the unchanged decomposition. Every branch decision is
+    /// collectively agreed, so all ranks walk the same rungs.
     fn tier_restore(
         &mut self,
         rank: &mut Rank,
@@ -1340,11 +1267,9 @@ impl BlockSolver {
                 self.fill_global_span(&gckp)
             })?;
             let served = fetched.map(|((data, time, step), from_buddy)| {
-                // Rebuild from a fresh field so ghosts are zeroed exactly
-                // like the disk-restore path — keeps no-fault and
-                // restored runs bit-identical.
-                u.raw_mut()
-                    .copy_from_slice(unpack_interior(self.geom, &data).raw());
+                // A fresh field, ghosts zeroed exactly as on the disk
+                // path — keeps the two tiers' restored runs bit-identical.
+                *u = unpack_interior(self.geom, &data);
                 if from_buddy {
                     rstats.buddy_restores += 1;
                 } else {
@@ -1357,54 +1282,10 @@ impl BlockSolver {
                 return Ok(restored);
             }
         }
-        let slots_ref = slots.ok_or_else(|| SolverError::Checkpoint {
-            msg: "no memory tier could serve a restore and no checkpoint \
-                  directory is configured for the disk tier"
-                .into(),
-        })?;
         let s = self.pstart(rank);
-        let restored = self.disk_restore(rank, u, slots_ref)?;
+        let restored = self.restore_from_disk(rank, u, slots, rstats)?;
         self.pend("driver.tier_restore.disk", rank, s);
-        rstats.disk_restores += 1;
-        self.count("ckp.tier.disk.restore", 1);
         Ok(restored)
-    }
-
-    /// Disk-tier restore from the per-rank rotating slots, with the
-    /// cross-rank step agreement (ranks may disagree on the newest valid
-    /// slot when one rank's `latest` was lost — restart from the oldest
-    /// agreed step).
-    fn disk_restore(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        slots: &CheckpointSlots,
-    ) -> Result<(f64, u64), SolverError> {
-        let (ckp, _fell_back) = load_newest_agreed::<Checkpoint>(rank, slots)?;
-        let agreed = rank.allreduce_min(ckp.step as f64);
-        let ckp = if (ckp.step as f64) > agreed {
-            load_checkpoint::<Checkpoint>(&slots.prev_path::<Checkpoint>())
-                .ok()
-                .filter(|c| (c.step as f64) == agreed)
-        } else {
-            Some(ckp)
-        };
-        let all_agreed = rank.allreduce_min(if ckp.is_some() { 1.0 } else { 0.0 }) > 0.5;
-        let ckp = match (ckp, all_agreed) {
-            (Some(c), true) => c,
-            _ => {
-                return Err(SolverError::Checkpoint {
-                    msg: "ranks could not agree on a common restart checkpoint".into(),
-                })
-            }
-        };
-        if ckp.field.geom() != &self.geom || ckp.field.ncomp() != u.ncomp() {
-            return Err(SolverError::Checkpoint {
-                msg: "checkpoint geometry does not match this rank's block".into(),
-            });
-        }
-        u.raw_mut().copy_from_slice(ckp.field.raw());
-        Ok((ckp.time, ckp.step))
     }
 
     /// Gather the interior of every block onto block rank 0 as a global,
@@ -1433,21 +1314,21 @@ impl BlockSolver {
     /// Advance to `t_end` with the full resilience stack:
     ///
     /// 1. in-step primitive-recovery failures are repaired by the cascade
-    ///    ([`RecoveryPolicy::Cascade`]),
+    ///    (on the ladder's attempts only; the plain advance stays strict),
     /// 2. a failed step (halo mismatch or Δt collapse on *any* rank — the
     ///    ranks agree via an allreduce after every step) is rolled back
     ///    from an in-memory backup and retried at halved CFL, up to
     ///    [`ResilienceConfig::max_step_retries`] times,
-    /// 3. when retries are exhausted, the newest valid checkpoint is
-    ///    restored (rotating per-rank `latest`/`prev` slots, ranks agree
-    ///    on a common step) and the run resumes at reduced CFL, ramping
-    ///    back up as steps succeed, up to
-    ///    [`ResilienceConfig::max_restarts`] restores,
+    /// 3. when retries are exhausted, the cheapest tier that can serve
+    ///    restores the state — own in-memory snapshot, a buddy's replica,
+    ///    then the global disk checkpoint (rotating `latest`/`prev` slots)
+    ///    — and the run resumes at reduced CFL, ramping back up as steps
+    ///    succeed, up to [`ResilienceConfig::max_restarts`] restores,
     /// 4. a rank that goes *silent* (crash or terminal stall) is detected
     ///    by the liveness deadlines, agreed dead by a suspicion
     ///    consensus, and the survivors **shrink**: they re-run the
-    ///    decomposition over the live ranks, restore the newest global
-    ///    (rank-count-independent) checkpoint, and continue degraded.
+    ///    decomposition over the live ranks, restore from the buddy
+    ///    replicas or the same global checkpoint, and continue degraded.
     ///    The dead rank's closure returns [`SolverError::RankFailed`].
     ///
     /// With no fault injection active, the trajectory is bit-identical to
@@ -1465,10 +1346,6 @@ impl BlockSolver {
         t_end: f64,
         res: &ResilienceConfig,
     ) -> Result<(DistStats, ResilienceStats), SolverError> {
-        // Under the cascade a rank's compute phase cannot fail, which
-        // keeps the collective communication pattern intact across ranks
-        // even while a step is going wrong.
-        self.recovery = RecoveryPolicy::Cascade;
         let start = Instant::now();
         let bytes0 = rank.bytes_sent();
         let vtime0 = rank.vtime();
@@ -1483,12 +1360,11 @@ impl BlockSolver {
             stats: DistStats::default(),
             rstats: ResilienceStats::default(),
             slots: None,
-            gslots: None,
             tiers: None,
             stamp: None,
             step_no: 0,
         };
-        resilient_advance(&mut ladder, rank, t0, t_end)?;
+        resilient_advance(&mut ladder, rank, t0, t_end, res)?;
         let BlockLadder {
             mut stats,
             mut rstats,
@@ -1514,11 +1390,9 @@ struct BlockLadder<'a> {
     res: &'a ResilienceConfig,
     stats: DistStats,
     rstats: ResilienceStats,
-    /// Per-rank rotating disk slots (`<dir>/rank<block>/`).
+    /// The disk tier: the global (rank-count-independent) slot pair in
+    /// `<checkpoint_dir>/global/` — block rank 0 writes, every rank reads.
     slots: Option<CheckpointSlots>,
-    /// Global (rank-count-independent) slots in a shared subdirectory:
-    /// block rank 0 writes, every survivor reads.
-    gslots: Option<CheckpointSlots>,
     tiers: Option<MemoryTiers>,
     /// ABFT stamp of the last committed state.
     stamp: Option<StateChecksum>,
@@ -1529,17 +1403,18 @@ struct BlockLadder<'a> {
 }
 
 impl BlockLadder<'_> {
-    /// Write the current state into this block's rotating disk slot.
-    fn save_slot(&mut self, t: f64) -> Result<(), SolverError> {
-        if let Some(slots) = &self.slots {
-            let ckp = Checkpoint {
-                time: t,
-                step: self.step_no,
-                field: self.u.clone(),
-            };
-            slots.save(&ckp).map_err(ck_err)?;
-            self.rstats.checkpoints_saved += 1;
-        }
+    /// Collectively write the global checkpoint into the disk slots, if
+    /// armed, and count it once it stood.
+    fn save_disk(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
+        let Some(slots) = &self.slots else {
+            return Ok(());
+        };
+        let s = self.s.pstart(rank);
+        self.s
+            .save_global_distributed(rank, slots, self.u, t, self.step_no)?;
+        self.s.pend("phase.ckp.save", rank, s);
+        self.rstats.checkpoints_saved += 1;
+        self.s.count("ckp.save.disk", 1);
         Ok(())
     }
 
@@ -1579,45 +1454,24 @@ impl BlockLadder<'_> {
 /// A peer that died mid-collective leaves its suspicion latched in the
 /// communicator; the next step's agreement round routes it into the
 /// consensus rung, so the save itself only has to not fail the run.
-fn unless_peer_suspect(r: Result<(), SolverError>) -> Result<bool, SolverError> {
+fn unless_peer_suspect(r: Result<(), SolverError>) -> Result<(), SolverError> {
     match r {
-        Ok(()) => Ok(true),
-        Err(SolverError::PeerSuspect { .. }) => Ok(false),
-        Err(e) => Err(e),
+        Err(SolverError::PeerSuspect { .. }) => Ok(()),
+        r => r,
     }
 }
 
 impl Recoverable for BlockLadder<'_> {
-    fn budget(&self) -> Budget {
-        Budget {
-            max_step_retries: self.res.max_step_retries,
-            max_restores: self.res.max_restarts,
-        }
-    }
-
     fn step_no(&self) -> u64 {
         self.step_no
     }
 
     fn arm(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
-        if let Some(dir) = &self.res.checkpoint_dir {
-            let mine = dir.join(format!("rank{}", self.s.my_rank));
-            self.slots = Some(CheckpointSlots::new(mine).map_err(ck_err)?);
-            self.gslots = Some(CheckpointSlots::new(dir.join("global")).map_err(ck_err)?);
-        }
         // Always write an initial checkpoint so a restore target exists
         // from the very first step.
-        if self.slots.is_some() {
-            let s = self.s.pstart(rank);
-            self.save_slot(t)?;
-            self.s.pend("phase.ckp.save", rank, s);
-        }
-        if let Some(g) = &self.gslots {
-            let s = self.s.pstart(rank);
-            self.s
-                .save_global_distributed(rank, g, self.u, t, self.step_no)?;
-            self.s.pend("phase.ckp.global", rank, s);
-            self.rstats.global_checkpoints_saved += 1;
+        if let Some(dir) = &self.res.checkpoint_dir {
+            self.slots = Some(CheckpointSlots::new(dir.join("global")).map_err(ck_err)?);
+            self.save_disk(rank, t)?;
         }
         if let Some(mon) = &mut self.s.health {
             mon.ensure_baseline(self.u);
@@ -1647,7 +1501,7 @@ impl Recoverable for BlockLadder<'_> {
             // Rank-level crash injection: the victim stops participating
             // entirely (no farewell message — the survivors must detect
             // the silence, agree, and shrink without it).
-            if inj.should_crash_rank(rank.rank(), step_no) {
+            if inj.should_crash_at(rank.rank(), step_no, RankSite::Step) {
                 rank.trace_instant("driver.rank_failed", step_no as f64);
                 return Err(SolverError::RankFailed { step: step_no });
             }
@@ -1715,21 +1569,7 @@ impl Recoverable for BlockLadder<'_> {
         self.backup.raw_mut().copy_from_slice(self.u.raw());
         let attempt_t0 = Instant::now();
         let outcome = self.s.try_step(rank, self.u, t, t_end, cfl_scale);
-        // Straggler injection: this rank runs `f`× slower. The extra
-        // latency is real wall time, so the peers' liveness deadlines
-        // genuinely see the lag.
-        if let Some(f) = self
-            .injector
-            .as_ref()
-            .and_then(|inj| inj.should_stall_rank(rank.rank()))
-        {
-            let extra = attempt_t0.elapsed().mul_f64((f - 1.0).max(0.0));
-            std::thread::sleep(extra);
-            if rank.is_virtual() {
-                rank.advance_vtime(extra.as_secs_f64());
-            }
-            self.rstats.stalls += 1;
-        }
+        straggle(rank, attempt_t0);
         outcome
     }
 
@@ -1748,21 +1588,7 @@ impl Recoverable for BlockLadder<'_> {
         self.stats.zone_updates += (self.s.geom.interior_len() * self.s.cfg.rk.stages()) as u64;
         let interval = self.res.checkpoint_interval as u64;
         if interval > 0 && self.step_no.is_multiple_of(interval) {
-            if self.slots.is_some() {
-                let s = self.s.pstart(rank);
-                self.save_slot(t)?;
-                self.s.pend("phase.ckp.save", rank, s);
-            }
-            if let Some(g) = &self.gslots {
-                let s = self.s.pstart(rank);
-                let saved = self
-                    .s
-                    .save_global_distributed(rank, g, self.u, t, self.step_no);
-                if unless_peer_suspect(saved)? {
-                    self.rstats.global_checkpoints_saved += 1;
-                }
-                self.s.pend("phase.ckp.global", rank, s);
-            }
+            unless_peer_suspect(self.save_disk(rank, t))?;
         }
         // Re-stamp the committed state and, on the faster memory
         // cadence, freeze it into the L1 snapshot + ship the buddy
@@ -1780,10 +1606,6 @@ impl Recoverable for BlockLadder<'_> {
         // retries and restores.
         self.s.telemetry_observe(rank, t, self.step_no, dt);
         Ok(())
-    }
-
-    fn can_restore(&self) -> bool {
-        self.tiers.is_some() || self.slots.is_some()
     }
 
     fn restore(&mut self, rank: &mut Rank, cause: RestoreCause) -> Result<f64, SolverError> {
@@ -1823,18 +1645,10 @@ impl Recoverable for BlockLadder<'_> {
         let (t, step) = match from_buddies {
             Some(restored) => restored,
             None => {
-                let gslots = self
-                    .gslots
-                    .as_ref()
-                    .ok_or_else(|| SolverError::Checkpoint {
-                        msg: "rank death confirmed but neither buddy replicas nor a \
-                          checkpoint directory can serve a shrinking recovery"
-                            .into(),
-                    })?;
-                let restored = self.s.shrink_and_restore(rank, self.u, gslots)?;
-                self.rstats.disk_restores += 1;
-                self.s.count("ckp.tier.disk.restore", 1);
-                restored
+                self.s.rebuild_for_survivors(rank)?;
+                let slots = self.slots.as_ref();
+                self.s
+                    .restore_from_disk(rank, self.u, slots, &mut self.rstats)?
             }
         };
         self.s.pend("driver.shrink_restore", rank, s);
@@ -1846,18 +1660,11 @@ impl Recoverable for BlockLadder<'_> {
             mon.ensure_baseline(self.u);
         }
         self.backup = Field::cons(self.s.geom);
-        // The per-rank slots are keyed by block rank, which just
-        // changed: rebind and reseed them so the retry/restore rung
-        // stays armed after the shrink.
-        if let Some(dir) = &self.res.checkpoint_dir {
-            let mine = dir.join(format!("rank{}", self.s.my_rank));
-            self.slots = Some(CheckpointSlots::new(mine).map_err(ck_err)?);
-            self.save_slot(t)?;
-        }
         // The decomposition changed: pre-shrink snapshots must never
         // serve another restore. Rebuild the tier state for the new
         // world and re-seed it immediately so the memory rungs stay
-        // armed.
+        // armed. (The global disk slots are rank-count-independent and
+        // stay as they are.)
         if self.tiers.is_some() {
             self.tiers = Some(self.new_tiers());
             unless_peer_suspect(self.save_tiers(rank, t))?;
@@ -1866,34 +1673,12 @@ impl Recoverable for BlockLadder<'_> {
         Ok(t)
     }
 
-    fn note(&mut self, rank: &Rank, ev: LadderEvent) {
-        match ev {
-            LadderEvent::Agreed { ns } => self.s.record_span("sub.liveness.agree", rank, ns),
-            LadderEvent::Retry { attempt } => {
-                if attempt == 1 {
-                    self.rstats.retried_steps += 1;
-                }
-                self.rstats.retries += 1;
-                rank.trace_instant("driver.retry", attempt as f64);
-                self.s.count("driver.retries", 1);
-            }
-            LadderEvent::FalseSuspicion => {
-                self.rstats.false_suspicions += 1;
-                rank.trace_instant("driver.false_suspicion", self.step_no as f64);
-                self.s.count("driver.false_suspicions", 1);
-            }
-            LadderEvent::Shrink { ranks_lost } => {
-                self.rstats.shrinks += 1;
-                self.rstats.ranks_lost += u64::from(ranks_lost);
-                self.s.count("driver.shrinks", 1);
-                self.s.count("driver.ranks_lost", u64::from(ranks_lost));
-            }
-            LadderEvent::Restored(RestoreCause::Sdc) => self.s.count("sdc.restores", 1),
-            LadderEvent::Restored(RestoreCause::RetriesExhausted) => {
-                self.rstats.restarts += 1;
-                self.s.count("driver.restarts", 1);
-            }
-        }
+    fn stats(&mut self) -> &mut ResilienceStats {
+        &mut self.rstats
+    }
+
+    fn metrics(&self) -> Option<&Registry> {
+        self.s.metrics.as_deref()
     }
 }
 
@@ -2317,13 +2102,12 @@ mod tests {
             let ic = |x: [f64; 3]| Prim::new_1d(1.0 + 0.3 * (9.0 * x[0]).sin(), 0.2, 1.0);
             let outs = run(2, NetworkModel::ideal(), |rank| {
                 let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-                solver.recovery = RecoveryPolicy::Cascade;
                 let g = *solver.geom();
                 let (ng, n) = (g.ng_of(0), g.n[0]);
                 if rank.rank() == 0 {
                     u.set(0, ng + n - 1, 0, 0, f64::NAN);
                 }
-                solver.eval_rhs(rank, &mut u, false).unwrap();
+                solver.eval_rhs(rank, &mut u, false, true).unwrap();
                 // Owner: its last interior layers; receiver: its low ghosts.
                 let at = if rank.rank() == 0 { n } else { 0 };
                 let layers: Vec<[u64; 5]> = (at..at + ng)
@@ -2671,10 +2455,11 @@ mod tests {
             let (_, rstats) = solver
                 .advance_to_with_restart(rank, &mut u, 0.0, 0.05, &res)
                 .unwrap();
-            (rstats, solver.gather_interior(rank, &u).unwrap())
+            let stalls = rank.fault_stats().unwrap().stall_events;
+            (rstats, solver.gather_interior(rank, &u).unwrap(), stalls)
         });
-        assert!(outs[1].0.stalls > 0, "the straggler must have been stalled");
-        for (rstats, _) in &outs {
+        assert!(outs[1].2 > 0, "the straggler must have been stalled");
+        for (rstats, _, _) in &outs {
             assert_eq!(rstats.shrinks, 0);
             assert_eq!(rstats.false_suspicions, 0);
             assert_eq!(rstats.retries, 0);

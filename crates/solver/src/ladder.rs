@@ -1,16 +1,20 @@
-//! The recovery ladder: one resilient advance loop for every distributed
-//! driver.
+//! The recovery ladder: one resilient advance loop, one configuration and
+//! one ledger for every distributed driver.
 //!
 //! [`resilient_advance`] owns the *policy* of fault escalation — what the
 //! ranks agree on after every step attempt, when a failed attempt is
 //! retried, how far the CFL number backs off and how it ramps back, when
 //! a restore is due and what it costs, and when a silent peer turns into
-//! a shrink. The *mechanics* of each rung (how a state is rolled back,
-//! which snapshot tiers exist, how a decomposition is re-cut) are the
-//! driver's, reached through the [`Recoverable`] hooks. The block driver
+//! a shrink — and it *books* every rung it climbs: the
+//! [`ResilienceStats`] field, the registry counter and the trace instant
+//! are spelled here once, under the same names for every driver. The
+//! *mechanics* of each rung (how a state is rolled back, which snapshot
+//! tiers exist, how a decomposition is re-cut) are the driver's, reached
+//! through the [`Recoverable`] hooks. The block driver
 //! ([`crate::driver::BlockSolver::advance_to_with_restart`]) and the
 //! distributed AMR driver ([`crate::amr_dist::DistAmrSolver::advance_to`])
-//! are the two implementations.
+//! are the two implementations; both take a [`ResilienceConfig`] and
+//! return a [`ResilienceStats`].
 //!
 //! Per attempt the ranks agree (armored max, [`Rank::agree_max`]) on one
 //! of four values:
@@ -24,9 +28,23 @@
 //!
 //! Every branch is taken on an agreed value or on counters that march in
 //! lockstep, so all ranks climb the same rungs.
+//!
+//! What the ladder books, per rung (counters only when the driver has a
+//! registry attached):
+//!
+//! | rung | [`ResilienceStats`] | counter | trace |
+//! |---|---|---|---|
+//! | agreement round | — | `sub.liveness.agree` histogram (ns) | `sub.liveness.agree` span |
+//! | retry | `retries`, `retried_steps` | `driver.retries` | `driver.retry` (attempt) |
+//! | false suspicion | `false_suspicions` | `driver.false_suspicions` | `driver.false_suspicion` (step) |
+//! | shrink | `shrinks`, `ranks_lost` | `driver.shrinks`, `driver.ranks_lost` | `driver.shrink` (ranks lost) |
+//! | SDC restore | — | `sdc.restores` | — |
+//! | budgeted restore | `restarts` | `driver.restarts` | — |
 
-use crate::scheme::SolverError;
+use crate::scheme::{RecoveryStats, SolverError};
 use rhrsc_comm::{Rank, SUSPECT_FLAG};
+use rhrsc_runtime::metrics::Registry;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Agreement value for "this rank detected silent data corruption in its
@@ -41,15 +59,110 @@ const SDC_FLAG: f64 = 1.5;
 /// steps double it back toward 1.
 pub const RESTART_CFL_SCALE: f64 = 0.25;
 
-/// How often a driver lets the ladder retry and restore.
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    /// Retries of a failed step (each at half the previous CFL) before
-    /// escalating to a restore.
+/// Knobs of the recovery ladder and of the tiers it restores from, the
+/// same for both distributed drivers.
+#[derive(Debug, Clone)]
+pub struct ResilienceConfig {
+    /// Retries of a failed step before escalating to a checkpoint
+    /// restore. Each retry rolls the state back and halves the effective
+    /// CFL (exponential backoff).
     pub max_step_retries: usize,
-    /// Budgeted restores before giving up; SDC restores and shrinks are
-    /// free.
-    pub max_restores: usize,
+    /// Checkpoint restores before giving up entirely.
+    pub max_restarts: usize,
+    /// Save a rotating disk checkpoint every this many committed steps
+    /// (0 disables periodic checkpoints; an initial one is still written
+    /// when `checkpoint_dir` is set, so a restore target always exists).
+    pub checkpoint_interval: usize,
+    /// Directory of the disk tier: one rotating `latest` / `prev` pair of
+    /// a rank-count-independent checkpoint — the block driver's v3 global
+    /// image in `<dir>/global/`, distributed AMR's v4 hierarchy in
+    /// `<dir>/`. `None` disables the disk tier.
+    pub checkpoint_dir: Option<PathBuf>,
+    /// Capture an in-memory (diskless) snapshot every this many committed
+    /// steps: the L1 tier each rank keeps of its own state, plus the L2
+    /// buddy replica it ships to its guardian. `0` disables the memory
+    /// tiers. Unlike the disk tier the memory tiers need no
+    /// `checkpoint_dir`.
+    pub local_interval: usize,
+    /// Buddy pairing stride of the block driver: block `b`'s replica is
+    /// guarded by block `(b + offset) mod nblocks`. An offset of `0` (or a
+    /// single-block run) disables the replica exchange, leaving only the
+    /// L1 local tier. Distributed AMR does not read it: its hierarchy is
+    /// replicated on every rank, so its L1 snapshot is already n-way
+    /// redundant.
+    pub buddy_offset: usize,
+    /// Scrub the *frozen* snapshot buffers (re-hash local + replica
+    /// against their capture-time stamps) every this many committed
+    /// steps; `0` leaves rot to be caught at restore time. The block
+    /// driver also ABFT-verifies its *live* state every step whenever
+    /// this or `local_interval` is set — that check is what keeps a silent
+    /// flip out of every checkpoint write.
+    pub scrub_interval: usize,
+}
+
+impl Default for ResilienceConfig {
+    fn default() -> Self {
+        ResilienceConfig {
+            max_step_retries: 3,
+            max_restarts: 2,
+            checkpoint_interval: 10,
+            checkpoint_dir: None,
+            local_interval: 5,
+            buddy_offset: 1,
+            scrub_interval: 5,
+        }
+    }
+}
+
+/// One run's resilience ledger: the rungs the ladder climbed and the
+/// tiers the driver's hooks saved to and restored from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResilienceStats {
+    /// Committed steps that needed at least one retry.
+    pub retried_steps: u64,
+    /// Total step retries (a step may be retried more than once).
+    pub retries: u64,
+    /// Budgeted (retries-exhausted) restores.
+    pub restarts: u64,
+    /// Disk checkpoints written (initial + periodic) that this rank took
+    /// part in.
+    pub checkpoints_saved: u64,
+    /// Shrinking recoveries survived (confirmed rank deaths followed by a
+    /// re-partition over the survivors and a restore).
+    pub shrinks: u64,
+    /// Ranks confirmed dead across all shrinks.
+    pub ranks_lost: u64,
+    /// Suspicion rounds that turned out to be false alarms (every
+    /// suspect defended itself in consensus); the step is retried.
+    pub false_suspicions: u64,
+    /// In-memory (L1) snapshots captured by this rank.
+    pub local_snapshots: u64,
+    /// Buddy replica exchanges completed (one send + one receive each).
+    pub buddy_exchanges: u64,
+    /// Restores served from this rank's own L1 snapshot (distributed
+    /// AMR's shrinks too: its replicated snapshot serves them alike).
+    pub local_restores: u64,
+    /// Restores served from a buddy replica (shipped back by the
+    /// guardian because this rank's own tiers were dead or rotted).
+    pub buddy_restores: u64,
+    /// Restores (and shrinks) that fell all the way through to the disk
+    /// tier.
+    pub disk_restores: u64,
+    /// Disk restores served by the `prev` slot because `latest` was
+    /// missing, torn or corrupt.
+    pub ckpt_fallbacks: u64,
+    /// Shrinking recoveries whose survivor state was assembled from
+    /// buddy replicas instead of a disk checkpoint.
+    pub buddy_shrinks: u64,
+    /// Silent-data-corruption detections (live-state ABFT stamp
+    /// mismatches) on this rank.
+    pub sdc_detected: u64,
+    /// Scrub passes over the frozen snapshot buffers.
+    pub scrubs: u64,
+    /// Frozen snapshot buffers found rotted by a scrub (and dropped).
+    pub snapshots_rotted: u64,
+    /// Cells repaired by the primitive-recovery cascade, by tier.
+    pub recovery: RecoveryStats,
 }
 
 /// Why the ladder asks for a restore.
@@ -61,39 +174,10 @@ pub enum RestoreCause {
     RetriesExhausted,
 }
 
-/// What the ladder just did, for the driver to book under its own
-/// counter, trace instant and stats field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LadderEvent {
-    /// The per-attempt agreement round took `ns` (virtual-clock aware).
-    Agreed {
-        /// Duration of the round, in nanoseconds.
-        ns: u64,
-    },
-    /// A failed attempt was rolled back; retry number `attempt` (from 1)
-    /// of this step follows.
-    Retry {
-        /// 1-based retry count within the current step.
-        attempt: usize,
-    },
-    /// A suspicion round ended with every suspect defending itself.
-    FalseSuspicion,
-    /// The state was shrunk onto the survivors of `ranks_lost` deaths.
-    Shrink {
-        /// Ranks confirmed dead by this consensus round.
-        ranks_lost: u32,
-    },
-    /// A restore for the given cause succeeded.
-    Restored(RestoreCause),
-}
-
 /// A distributed solver state the ladder can advance: the state-specific
 /// half of every rung. Hooks that communicate are collective — the ladder
 /// calls them on every live rank at the same point.
 pub trait Recoverable {
-    /// The retry and restore budgets of this run.
-    fn budget(&self) -> Budget;
-
     /// Committed-step counter (names the step in a terminal error).
     fn step_no(&self) -> u64;
 
@@ -126,9 +210,6 @@ pub trait Recoverable {
     /// count it, run the cadenced saves, re-stamp, feed the observers.
     fn commit(&mut self, rank: &mut Rank, t: f64, dt: f64) -> Result<(), SolverError>;
 
-    /// Whether any restore tier was ever armed (identical on all ranks).
-    fn can_restore(&self) -> bool;
-
     /// Collective restore from the cheapest tier that can serve a
     /// globally consistent state. Returns the restored time.
     fn restore(&mut self, rank: &mut Rank, cause: RestoreCause) -> Result<f64, SolverError>;
@@ -137,8 +218,12 @@ pub trait Recoverable {
     /// [`Rank::live_ranks`] and restore. Returns the restored time.
     fn shrink(&mut self, rank: &mut Rank) -> Result<f64, SolverError>;
 
-    /// Book `ev` under the driver's own names.
-    fn note(&mut self, rank: &Rank, ev: LadderEvent);
+    /// The run's ledger, which the ladder books its rungs into beside the
+    /// tier counts the hooks keep.
+    fn stats(&mut self) -> &mut ResilienceStats;
+
+    /// The registry the ladder's counters and agreement span go to.
+    fn metrics(&self) -> Option<&Registry>;
 }
 
 /// Start of a timed section: wall clock plus the rank's virtual clock,
@@ -166,6 +251,25 @@ impl Stopwatch {
     }
 }
 
+/// Straggler injection for both drivers: when the fault plan names this
+/// rank the straggler, stretch the section that began at `since` by its
+/// stall factor. The lag is real wall time (and virtual time in a
+/// virtual universe), so the peers' liveness deadlines genuinely see it;
+/// the injector's `stall_events` counts each stretch.
+pub(crate) fn straggle(rank: &mut Rank, since: Instant) {
+    let Some(f) = rank
+        .fault_injector()
+        .and_then(|inj| inj.should_stall_rank(rank.rank()))
+    else {
+        return;
+    };
+    let extra = since.elapsed().mul_f64((f - 1.0).max(0.0));
+    std::thread::sleep(extra);
+    if rank.is_virtual() {
+        rank.advance_vtime(extra.as_secs_f64());
+    }
+}
+
 /// This rank's contribution to an agreement round about `outcome`:
 /// [`SUSPECT_FLAG`] when a peer looks dead (or this rank was evicted), 1
 /// for any other failure, 0 when clean. The armored max treats collective
@@ -184,10 +288,17 @@ pub(crate) fn outcome_flag<T>(rank: &Rank, outcome: &Result<T, SolverError>) -> 
     }
 }
 
+/// Add `n` to the registry counter `name`, if `state` has a registry.
+fn count<S: Recoverable>(state: &S, name: &str, n: u64) {
+    if let Some(m) = state.metrics() {
+        m.counter(name).add(n);
+    }
+}
+
 /// Advance `state` from `t0` to `t_end` up the recovery ladder (see the
-/// module docs). With no fault the CFL scale stays exactly 1 and the only
-/// addition to a plain advance loop is the agreement round, which does
-/// not touch the state.
+/// module docs), with the retry and restore budgets of `cfg`. With no
+/// fault the CFL scale stays exactly 1 and the only addition to a plain
+/// advance loop is the agreement round, which does not touch the state.
 ///
 /// A terminal error — escalation past every rung, or this rank's own
 /// injected death — flushes the flight recorder before it is returned,
@@ -197,8 +308,9 @@ pub fn resilient_advance<S: Recoverable>(
     rank: &mut Rank,
     t0: f64,
     t_end: f64,
+    cfg: &ResilienceConfig,
 ) -> Result<(), SolverError> {
-    let out = climb(state, rank, t0, t_end);
+    let out = climb(state, rank, t0, t_end, cfg);
     if let (Err(e), Some(tracer)) = (&out, rank.tracer()) {
         let t_ns = tracer.stamp(rank.is_virtual().then(|| rank.vtime()));
         tracer.dump_on_fault(rank.rank() as u32, e.kind(), t_ns);
@@ -211,10 +323,13 @@ fn climb<S: Recoverable>(
     rank: &mut Rank,
     t0: f64,
     t_end: f64,
+    cfg: &ResilienceConfig,
 ) -> Result<(), SolverError> {
     state.arm(rank, t0)?;
-    let budget = state.budget();
-    let mut restores_left = budget.max_restores;
+    // A restore target exists once either tier is armed — the same on
+    // every rank, since the configuration is.
+    let restorable = cfg.checkpoint_dir.is_some() || cfg.local_interval > 0;
+    let mut restores_left = cfg.max_restarts;
     let mut t = t0;
     let mut cfl_scale = 1.0f64;
     while t < t_end - 1e-14 {
@@ -231,7 +346,11 @@ fn climb<S: Recoverable>(
             let flag = outcome_flag(rank, &outcome).max(if sdc_hit { SDC_FLAG } else { 0.0 });
             let sw = Stopwatch::start(rank);
             let agreed = rank.agree_max(flag);
-            state.note(rank, LadderEvent::Agreed { ns: sw.ns(rank) });
+            let ns = sw.ns(rank);
+            if let Some(m) = state.metrics() {
+                m.histogram("sub.liveness.agree").record(ns);
+            }
+            rank.trace_span("sub.liveness.agree", ns);
             if agreed >= SUSPECT_FLAG {
                 // Roll back first — the attempt may have half-updated
                 // the state — then let the consensus round decide
@@ -244,23 +363,26 @@ fn climb<S: Recoverable>(
                         })?;
                 if newly_dead != 0 {
                     t = state.shrink(rank)?;
-                    state.note(
-                        rank,
-                        LadderEvent::Shrink {
-                            ranks_lost: newly_dead.count_ones(),
-                        },
-                    );
+                    let lost = u64::from(newly_dead.count_ones());
+                    let st = state.stats();
+                    st.shrinks += 1;
+                    st.ranks_lost += lost;
+                    rank.trace_instant("driver.shrink", lost as f64);
+                    count(state, "driver.shrinks", 1);
+                    count(state, "driver.ranks_lost", lost);
                     // Resume cautiously on the smaller machine.
                     cfl_scale = RESTART_CFL_SCALE;
                     break;
                 }
                 // False alarm: fall through to the ordinary retry path.
-                state.note(rank, LadderEvent::FalseSuspicion);
+                state.stats().false_suspicions += 1;
+                rank.trace_instant("driver.false_suspicion", state.step_no() as f64);
+                count(state, "driver.false_suspicions", 1);
             } else if agreed >= SDC_FLAG {
                 // Free of budget, and the deterministic fault streams
                 // cannot replay the same flip after the restore.
                 t = state.restore(rank, RestoreCause::Sdc)?;
-                state.note(rank, LadderEvent::Restored(RestoreCause::Sdc));
+                count(state, "sdc.restores", 1);
                 break;
             }
             match outcome {
@@ -277,15 +399,19 @@ fn climb<S: Recoverable>(
                 }
                 outcome => {
                     state.rollback();
-                    if attempt < budget.max_step_retries {
+                    if attempt < cfg.max_step_retries {
                         attempt += 1;
-                        state.note(rank, LadderEvent::Retry { attempt });
+                        let st = state.stats();
+                        st.retries += 1;
+                        st.retried_steps += u64::from(attempt == 1);
+                        rank.trace_instant("driver.retry", attempt as f64);
+                        count(state, "driver.retries", 1);
                         continue;
                     }
                     // Retries exhausted. The attempt and restore counters
                     // march in lockstep on every rank, so this decision
                     // is collective.
-                    if restores_left == 0 || !state.can_restore() {
+                    if restores_left == 0 || !restorable {
                         return Err(outcome.err().unwrap_or(SolverError::Checkpoint {
                             msg: "step failed on a peer rank; retries and restores exhausted"
                                 .into(),
@@ -293,7 +419,8 @@ fn climb<S: Recoverable>(
                     }
                     t = state.restore(rank, RestoreCause::RetriesExhausted)?;
                     restores_left -= 1;
-                    state.note(rank, LadderEvent::Restored(RestoreCause::RetriesExhausted));
+                    state.stats().restarts += 1;
+                    count(state, "driver.restarts", 1);
                     cfl_scale = RESTART_CFL_SCALE;
                     break;
                 }

@@ -19,7 +19,9 @@
 //!   (overlapped) halo exchange,
 //! * [`ladder`] — the recovery ladder: the one resilient advance loop
 //!   (agreement, retry backoff, restore budget, shrink) both distributed
-//!   drivers climb through their [`ladder::Recoverable`] hooks, over the
+//!   drivers climb through their [`ladder::Recoverable`] hooks, with one
+//!   [`ResilienceConfig`] in and one [`ResilienceStats`] ledger out that
+//!   the ladder books every rung into, over the
 //!   one memory-tier store (`tiers`: L1 snapshot + L2 buddy replica,
 //!   their wire format, scrub, collective fetch-for-restore and
 //!   buddy-shrink gather) both of them keep their diskless checkpoints in,
@@ -51,9 +53,9 @@ pub mod step;
 mod tiers;
 
 pub use amr::{AmrConfig, AmrSolver};
-pub use amr_dist::{DistAmrConfig, DistAmrSolver, DistAmrStats};
+pub use amr_dist::{DistAmrSolver, DistAmrStats};
 pub use device_backend::{BreakerConfig, BreakerStats, DevicePatchSolver};
-pub use driver::{ResilienceConfig, ResilienceStats};
 pub use health::{HealthConfig, HealthMonitor, HealthRecord, HealthSummary};
 pub use integrate::{PatchSolver, RkOrder};
-pub use scheme::{RecoveryPolicy, RecoveryStats, Scheme, SolverError};
+pub use ladder::{ResilienceConfig, ResilienceStats};
+pub use scheme::{RecoveryStats, Scheme, SolverError};

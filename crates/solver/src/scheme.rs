@@ -203,19 +203,6 @@ impl std::fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
-/// How the solver responds to primitive-recovery failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Propagate the first failure as a [`SolverError`] (the seed
-    /// behavior, and the default: failures are loud).
-    #[default]
-    Strict,
-    /// Repair failed cells through the tiered cascade — relaxed
-    /// tolerances, then neighbor-averaged primitives, then the atmosphere
-    /// floor — counting each tier in [`RecoveryStats`].
-    Cascade,
-}
-
 /// Per-tier counters of the recovery cascade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryStats {

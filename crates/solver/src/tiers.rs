@@ -131,8 +131,10 @@ pub(crate) struct MemoryTiers {
 
 impl MemoryTiers {
     /// Empty tiers over `nblocks` blocks. The store books its own
-    /// `ckp.tier.*` / `sdc.*` counters in `metrics`; the stats structs
-    /// are the callers', fed from the return values.
+    /// counters in `metrics` — saves as `ckp.save.{local,buddy}`, the
+    /// restores and replica-served shrinks it serves as
+    /// `ckp.tier.{local,buddy}.restore` / `ckp.tier.buddy.shrink`, and
+    /// `sdc.*`; the stats are the callers', fed from the return values.
     pub(crate) fn new(
         offset: usize,
         nblocks: usize,
@@ -191,7 +193,7 @@ impl MemoryTiers {
         bytes: Vec<u8>,
     ) -> Result<bool, SolverError> {
         let mut snap = MemorySnapshot::new(step, time, bytes);
-        self.count("ckp.tier.local.save", 1);
+        self.count("ckp.save.local", 1);
         let n = comm_ranks.len();
         let arrived = if self.offset != 0 {
             let guardian = (me + self.offset) % n;
@@ -214,7 +216,7 @@ impl MemoryTiers {
             return Ok(false);
         };
         self.rot(rank, SnapshotTarget::Buddy, &mut rep);
-        self.count("ckp.tier.buddy.save", 1);
+        self.count("ckp.save.buddy", 1);
         self.replica = Some((ward, rep));
         Ok(true)
     }
