@@ -15,10 +15,12 @@
 //!   against A (acceptance: within 5%),
 //! * **D (device faults)** — the single-patch offload path with failing
 //!   kernel launches and device copies, with the circuit breaker armed;
-//!   the transparent host-fallback (per-op and breaker-quarantine) must
-//!   keep results bit-identical to the host while the virtual-time cost
-//!   model records the slowdown and the `dev.breaker.*` counters record
-//!   the trip/probe/readmit traffic.
+//!   the transparent host-fallback (per-launch and breaker-quarantine)
+//!   must keep results bit-identical to the host while the virtual-time
+//!   cost model records the slowdown and the `dev.breaker.*` counters
+//!   record the trip/probe/readmit traffic. Copy faults strike the
+//!   host→device uploads only, which the breaker does not sample: the
+//!   launch faults are what trip it.
 //!
 //! Flags: `--toy` shrinks the grid and horizon for smoke tests/CI,
 //! `--profile` prints the pooled phase breakdown, `--trace-out <path>`
@@ -152,9 +154,11 @@ fn main() {
         throughput_multiplier: 8.0,
         ..AcceleratorConfig::default()
     };
+    // One launch per step: 0.36 = 1 − 0.8² is the per-step fault rate of
+    // two launches per step at 0.2 each.
     let dev_plan = FaultPlan {
         seed: 9,
-        launch_fail_prob: 0.2,
+        launch_fail_prob: 0.36,
         copy_fail_prob: 0.9,
         ..FaultPlan::disabled()
     };
@@ -177,7 +181,7 @@ fn main() {
     assert!(dev_identical, "device fallback must stay bit-identical");
     assert!(
         brk.trips >= 1 && brk.host_steps >= 1,
-        "the 90% copy-fault schedule must trip the breaker at least once \
+        "the 36% launch-fault schedule must trip the breaker at least once \
          (trips = {}, host_steps = {})",
         brk.trips,
         brk.host_steps

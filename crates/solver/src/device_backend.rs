@@ -1,19 +1,20 @@
 //! Patch integration staged through the simulated accelerator.
 //!
 //! This is the offload path a GPU port would take: the conserved field is
-//! uploaded once, RK steps run as kernels on the device's command queue
-//! (paying launch overhead per stage, using the device's compute gang),
-//! and data is downloaded only when the host needs it. Because the kernels
-//! are the same host functions, results are **bit-identical** to
-//! [`crate::PatchSolver`] — asserted by the integration tests — while the
-//! cost model reproduces the offload performance envelope (T3).
+//! uploaded once, each RK step runs as one kernel on the device's command
+//! queue (paying launch overhead per step, using the device's compute
+//! gang), and data is downloaded only when the host needs it. Because the
+//! kernel is the host's own [`PatchSolver::step_cfl`], results are
+//! **bit-identical** to [`crate::PatchSolver`] — asserted by the exchange
+//! matrix — while the cost model reproduces the offload performance
+//! envelope (T3).
 
 use crate::integrate::{PatchSolver, RkOrder};
-use crate::scheme::Scheme;
+use crate::scheme::{Scheme, SolverError};
 use parking_lot::Mutex;
 use rhrsc_grid::{BcSet, Field, PatchGeom};
 use rhrsc_runtime::trace::{Tracer, Track};
-use rhrsc_runtime::{Accelerator, AcceleratorConfig, BufId, Future, Registry};
+use rhrsc_runtime::{Accelerator, AcceleratorConfig, BufId, Future, Registry, WorkStealingPool};
 use rhrsc_srhd::NCOMP;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -23,9 +24,9 @@ use std::sync::Arc;
 /// [`DevicePatchSolver::set_breaker`]).
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
-    /// Sliding window of recent device operations inspected for faults.
+    /// Sliding window of recent device steps inspected for faults.
     pub window: usize,
-    /// Faulted operations within the window that trip the breaker open.
+    /// Faulted steps within the window that trip the breaker open.
     pub threshold: usize,
     /// Host-routed steps served while open before a half-open probe
     /// re-tests the device.
@@ -45,9 +46,9 @@ impl Default for BreakerConfig {
 /// Circuit-breaker state machine position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BreakerState {
-    /// Healthy: work routes to the device, fault outcomes are windowed.
+    /// Healthy: steps run on the device, fault outcomes are windowed.
     Closed,
-    /// Quarantined: work routes to the host pool for `cooldown` steps.
+    /// Quarantined: steps run on the host pool for `cooldown` steps.
     Open,
     /// Probing: the next step runs on the device; success re-admits it,
     /// a fault re-opens the quarantine.
@@ -59,13 +60,11 @@ enum BreakerState {
 pub struct BreakerStats {
     /// Times the breaker tripped open.
     pub trips: u64,
-    /// Half-open probe steps executed on the device.
-    pub probes: u64,
     /// Probes that succeeded and closed the breaker again.
     pub readmissions: u64,
     /// Steps served by the host fallback while the device was open.
     pub host_steps: u64,
-    /// Faulted device operations observed (window + probes).
+    /// Faulted device steps observed (window + probes).
     pub device_failures: u64,
 }
 
@@ -88,25 +87,60 @@ impl Breaker {
         }
     }
 
-    /// Window a closed-state operation outcome; returns `true` when this
-    /// outcome trips the breaker open.
-    fn record(&mut self, failed: bool) -> bool {
-        if failed {
-            self.stats.device_failures += 1;
+    /// Book one step — `failed` when its device launch faulted; a host
+    /// step never does — and move the state machine: closed, the outcome
+    /// is windowed and `threshold` faults trip the breaker open; open,
+    /// host steps count down to a half-open probe; the probe re-admits
+    /// the device or re-opens the quarantine. Returns the `dev.breaker.*`
+    /// counter and trace instant the step raised.
+    fn book(&mut self, failed: bool) -> (Option<&'static str>, Option<&'static str>) {
+        self.stats.device_failures += failed as u64;
+        match self.state {
+            BreakerState::Open => {
+                self.stats.host_steps += 1;
+                self.cooldown_left -= 1;
+                let half_open = self.cooldown_left == 0;
+                if half_open {
+                    self.state = BreakerState::HalfOpen;
+                }
+                let instant = half_open.then_some("dev.breaker.half_open");
+                (Some("dev.breaker.host_steps"), instant)
+            }
+            BreakerState::HalfOpen if failed => {
+                self.quarantine();
+                (
+                    Some("dev.breaker.probe_failures"),
+                    Some("dev.breaker.probe_failure"),
+                )
+            }
+            BreakerState::HalfOpen => {
+                self.state = BreakerState::Closed;
+                self.stats.readmissions += 1;
+                (
+                    Some("dev.breaker.readmissions"),
+                    Some("dev.breaker.readmit"),
+                )
+            }
+            BreakerState::Closed => {
+                self.window.push_back(failed);
+                if self.window.len() > self.cfg.window.max(1) {
+                    self.window.pop_front();
+                }
+                if self.window.iter().filter(|&&f| f).count() < self.cfg.threshold.max(1) {
+                    return (None, None);
+                }
+                self.quarantine();
+                self.stats.trips += 1;
+                (Some("dev.breaker.trips"), Some("dev.breaker.trip"))
+            }
         }
-        self.window.push_back(failed);
-        if self.window.len() > self.cfg.window.max(1) {
-            self.window.pop_front();
-        }
-        let failures = self.window.iter().filter(|&&f| f).count();
-        if failures >= self.cfg.threshold.max(1) {
-            self.state = BreakerState::Open;
-            self.cooldown_left = self.cfg.cooldown.max(1);
-            self.window.clear();
-            self.stats.trips += 1;
-            return true;
-        }
-        false
+    }
+
+    /// Open for `cooldown` host steps with an empty window.
+    fn quarantine(&mut self) {
+        self.state = BreakerState::Open;
+        self.cooldown_left = self.cfg.cooldown.max(1);
+        self.window.clear();
     }
 }
 
@@ -115,14 +149,16 @@ pub struct DevicePatchSolver {
     dev: Accelerator,
     geom: PatchGeom,
     buf_u: BufId,
-    /// Device-resident Δt scalar fed by the Δt and fused step+scan
-    /// kernels.
+    /// Device-resident Δt scalar: what the last kernel returned.
     buf_dt: BufId,
     /// Device-resident integrator scratch (primitives, residual, stage
     /// buffer), shared by every kernel. Kernels run one at a time on the
     /// queue thread, and the host only touches it while the breaker has
     /// the device quarantined, so the lock is never contended.
     solver: Arc<Mutex<PatchSolver>>,
+    /// The error of a kernel that failed, carried from the queue thread
+    /// to the next readback, which raises it on the calling thread.
+    failure: Arc<Mutex<Option<SolverError>>>,
     breaker: Option<RefCell<Breaker>>,
     metrics: RefCell<Option<Arc<Registry>>>,
     trace: RefCell<Option<(Arc<Tracer>, Arc<Track>)>>,
@@ -148,6 +184,7 @@ impl DevicePatchSolver {
             buf_u,
             buf_dt,
             solver: Arc::new(Mutex::new(PatchSolver::new(scheme, bcs, rk, geom))),
+            failure: Arc::new(Mutex::new(None)),
             breaker: None,
             metrics: RefCell::new(None),
             trace: RefCell::new(None),
@@ -192,11 +229,11 @@ impl DevicePatchSolver {
     }
 
     /// Arm the device circuit breaker: once `cfg.threshold` of the last
-    /// `cfg.window` device operations fault, [`advance_to`] quarantines the
+    /// `cfg.window` device steps fault, [`advance_to`] quarantines the
     /// device and routes steps through the host pool; after `cfg.cooldown`
     /// host steps a half-open probe re-tests the device and re-admits it on
-    /// success. Results stay bit-identical either way (the kernels are the
-    /// same host functions) — only routing, cost and counters change.
+    /// success. Results stay bit-identical either way (the kernel is the
+    /// host's step) — only routing, cost and counters change.
     ///
     /// [`advance_to`]: DevicePatchSolver::advance_to
     pub fn set_breaker(&mut self, cfg: BreakerConfig) {
@@ -224,234 +261,157 @@ impl DevicePatchSolver {
     }
 
     /// Download the conserved field from device memory (blocking).
+    ///
+    /// # Panics
+    /// If a kernel enqueued before it failed, with the solver's error.
     pub fn download(&self) -> Field {
-        let data = self.dev.copy_to_host(self.buf_u).get();
-        Field::from_vec(self.geom, NCOMP, data)
+        Field::from_vec(self.geom, NCOMP, self.read(self.buf_u))
     }
 
-    /// Enqueue one RK step of size `dt` as a device kernel. Returns the
-    /// completion future; steps enqueued back-to-back pipeline on the
-    /// device queue without host round-trips.
+    /// Enqueue one RK step of size `dt` as a device kernel — the host's
+    /// fixed-Δt [`PatchSolver::step`], for callers that time fixed-size
+    /// steps (F9, T3). Returns the completion future; steps enqueued
+    /// back-to-back pipeline on the device queue without host round-trips.
     pub fn enqueue_step(&self, dt: f64) -> Future<()> {
-        let (solver, geom, buf) = (self.solver.clone(), self.geom, self.buf_u);
-        self.dev.launch(move |ctx| {
-            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
-            solver
-                .lock()
-                .step(&mut u, dt, Some(ctx.gang()))
-                .expect("device step failed");
-            ctx.put(buf, u.into_vec());
-        })
+        self.run_kernel(move |solver, u, gang| solver.step(u, dt, Some(gang)).map(|()| dt))
     }
 
-    /// Fused step + next-Δt kernel: one launch advances the state by `dt`
-    /// and leaves the stable Δt of the *updated* state — exactly what the
-    /// next [`stable_dt`] call would return — in the device-resident Δt
-    /// scalar (read it back with [`next_dt`]). Halves the per-step launch
-    /// count of the two-kernel `stable_dt` + [`enqueue_step`] flow; the
-    /// scan fills ghosts on a copy in the solver's stage buffer, so the
-    /// staged bytes stay exactly the host path's post-step state, ghosts
-    /// included.
+    /// Step by `dt`, then leave the stable Δt of the updated state in the
+    /// Δt scalar (read it back with [`next_dt`]); the scan fills ghosts on
+    /// a copy, so the staged bytes are the host's post-step state.
     ///
-    /// [`stable_dt`]: DevicePatchSolver::stable_dt
+    /// Kept only because the benchmark's traced pass
+    /// (`benchmark/src/workloads/device2d.rs`) times it; [`advance_to`]
+    /// takes one [`PatchSolver::step_cfl`] kernel per step instead.
+    ///
     /// [`next_dt`]: DevicePatchSolver::next_dt
-    /// [`enqueue_step`]: DevicePatchSolver::enqueue_step
+    /// [`advance_to`]: DevicePatchSolver::advance_to
     pub fn enqueue_step_scan(&self, dt: f64, cfl: f64) -> Future<()> {
-        let (solver, geom, buf, out) = (self.solver.clone(), self.geom, self.buf_u, self.buf_dt);
-        self.dev.launch(move |ctx| {
-            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
-            let mut solver = solver.lock();
-            solver
-                .step(&mut u, dt, Some(ctx.gang()))
-                .expect("device step failed");
-            ctx.buf_mut(out)[0] = solver
-                .stable_dt_of(&u, cfl)
-                .expect("device recovery failed");
-            ctx.put(buf, u.into_vec());
+        self.run_kernel(move |solver, u, gang| {
+            solver.step(u, dt, Some(gang))?;
+            solver.stable_dt_of(u, cfl)
         })
     }
 
-    /// Read back the device-resident Δt scalar: the stable Δt of the
-    /// staged state as of the last [`enqueue_step_scan`] or [`stable_dt`]
-    /// launch (one scalar copy; drains the queue up to that kernel).
+    /// Read back the device-resident Δt scalar — what the last kernel
+    /// left there (one scalar copy; drains the queue up to that kernel).
     ///
-    /// [`enqueue_step_scan`]: DevicePatchSolver::enqueue_step_scan
-    /// [`stable_dt`]: DevicePatchSolver::stable_dt
+    /// Kept only because the benchmark's traced pass calls it.
+    ///
+    /// # Panics
+    /// If a kernel enqueued before it failed, with the solver's error.
     pub fn next_dt(&self) -> f64 {
-        self.dev.copy_to_host(self.buf_dt).get()[0]
+        self.read(self.buf_dt)[0]
     }
 
     /// Compute the stable Δt on the device (one kernel + a scalar copy).
+    ///
+    /// Kept only because the benchmark's traced pass times it as the
+    /// priming pre-pass of its hand-rolled loop; [`advance_to`] needs no
+    /// Δt before its first step.
+    ///
+    /// [`advance_to`]: DevicePatchSolver::advance_to
     pub fn stable_dt(&self, cfl: f64) -> f64 {
-        let (solver, geom, buf, out) = (self.solver.clone(), self.geom, self.buf_u, self.buf_dt);
-        self.dev.launch(move |ctx| {
-            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
-            ctx.buf_mut(out)[0] = solver
-                .lock()
-                .stable_dt(&mut u, cfl)
-                .expect("device recovery failed");
-            ctx.put(buf, u.into_vec());
-        });
+        self.run_kernel(move |solver, u, _| solver.stable_dt(u, cfl));
         self.next_dt()
     }
 
     /// Advance the device-resident state to `t_end` under CFL control;
-    /// returns the number of steps. Kernel launches pipeline; only the Δt
-    /// reduction synchronizes with the host (as in a real GPU code that
-    /// reduces dt on-device and copies one scalar back).
+    /// returns the number of steps. Each step is one kernel —
+    /// [`PatchSolver::step_cfl`] on the resident state, which leaves the
+    /// Δt it took in the device-resident scalar — and the host's only
+    /// per-step synchronization is reading that scalar back, as a GPU code
+    /// reduces Δt on the device and copies one scalar back.
     ///
-    /// With a breaker armed (see [`set_breaker`]) each step's fault outcome
-    /// is sampled; a tripped breaker downloads the state once and serves
-    /// steps from the host pool until a half-open probe re-admits the
-    /// device. The state is back on the device when this returns.
+    /// With a breaker armed (see [`set_breaker`]) that launch is the
+    /// sampled operation; a tripped breaker downloads the state once and
+    /// runs the same `step_cfl` on the host until a half-open probe
+    /// re-admits the device. The state is back on the device when this
+    /// returns.
+    ///
+    /// # Panics
+    /// If a step fails (a collapsed Δt, a failed recovery), with the
+    /// solver's error, on the calling thread.
     ///
     /// [`set_breaker`]: DevicePatchSolver::set_breaker
     pub fn advance_to(&self, t: f64, t_end: f64, cfl: f64) -> usize {
-        let mut t = t;
-        let mut steps = 0;
-        let Some(breaker) = &self.breaker else {
-            // Fused fast path: after the priming Δt kernel, every step is
-            // a single launch that also scans the next Δt into the
-            // device-resident scalar, so the host's only per-step
-            // synchronization is the one-scalar readback. The Δt
-            // sequence and the staged bytes match the two-kernel flow
-            // bitwise (asserted by the backend tests).
-            let mut dt_next = self.stable_dt(cfl);
-            while t < t_end - 1e-14 {
-                let mut dt = dt_next;
-                assert!(dt > 1e-14, "time step collapsed on device: {dt}");
-                if t + dt > t_end {
-                    dt = t_end - t;
-                }
-                self.enqueue_step_scan(dt, cfl);
-                t += dt;
-                steps += 1;
-                if t < t_end - 1e-14 {
-                    dt_next = self.next_dt();
-                }
-            }
-            self.dev.sync();
-            return steps;
-        };
-
-        // With a breaker armed, steps stay on the two-kernel flow: fault
-        // outcomes are sampled per operation, and fusing the scan into
-        // the step would blur which operation faulted.
-        // Host-side quarantine state: populated on trip, drained on probe.
+        let (mut t, mut steps) = (t, 0);
+        let launch_faults = || self.fault_stats().map_or(0, |s| s.launches_failed);
+        // The state's host copy while the breaker has the device quarantined.
         let mut host_u: Option<Field> = None;
         while t < t_end - 1e-14 {
-            let state = breaker.borrow().state;
-            match state {
-                BreakerState::Open => {
-                    let u = host_u.get_or_insert_with(|| self.download_after_sync());
-                    let dt = self
-                        .solver
-                        .lock()
-                        .step_cfl(u, t, t_end, cfl, None)
-                        .expect("host fallback step failed");
-                    t += dt;
-                    steps += 1;
-                    let mut b = breaker.borrow_mut();
-                    b.stats.host_steps += 1;
-                    if b.cooldown_left > 0 {
-                        b.cooldown_left -= 1;
-                    }
-                    let half_open = b.cooldown_left == 0;
-                    if half_open {
-                        b.state = BreakerState::HalfOpen;
-                    }
-                    drop(b);
-                    self.bump("dev.breaker.host_steps", 1);
-                    if half_open {
-                        self.tinstant("dev.breaker.half_open", steps as f64);
-                    }
+            let quarantined = self
+                .breaker
+                .as_ref()
+                .is_some_and(|b| b.borrow().state == BreakerState::Open);
+            let mut failed = false;
+            if quarantined {
+                let u = host_u.get_or_insert_with(|| self.download());
+                t += self
+                    .solver
+                    .lock()
+                    .step_cfl(u, t, t_end, cfl, None)
+                    .unwrap_or_else(|e| panic!("host fallback step failed: {e}"));
+            } else {
+                if let Some(u) = host_u.take() {
+                    self.upload(&u).get();
                 }
-                BreakerState::HalfOpen => {
-                    if let Some(u) = host_u.take() {
-                        self.upload(&u).get();
-                    }
-                    let (dt, failed) = self.probed_step(t, t_end, cfl);
-                    t += dt;
-                    steps += 1;
-                    let mut b = breaker.borrow_mut();
-                    b.stats.probes += 1;
-                    if failed {
-                        b.stats.device_failures += 1;
-                        b.state = BreakerState::Open;
-                        b.cooldown_left = b.cfg.cooldown.max(1);
-                        drop(b);
-                        self.bump("dev.breaker.probe_failures", 1);
-                        self.tinstant("dev.breaker.probe_failure", steps as f64);
-                    } else {
-                        b.state = BreakerState::Closed;
-                        b.window.clear();
-                        b.stats.readmissions += 1;
-                        drop(b);
-                        self.bump("dev.breaker.readmissions", 1);
-                        self.tinstant("dev.breaker.readmit", steps as f64);
-                    }
+                // Fault draws happen at enqueue time.
+                let before = launch_faults();
+                self.run_kernel(move |solver, u, gang| {
+                    solver.step_cfl(u, t, t_end, cfl, Some(gang))
+                });
+                failed = launch_faults() > before;
+                t += self.next_dt();
+            }
+            steps += 1;
+            if let Some(breaker) = &self.breaker {
+                let (counter, instant) = breaker.borrow_mut().book(failed);
+                if let (Some(name), Some(m)) = (counter, &*self.metrics.borrow()) {
+                    m.counter(name).add(1);
                 }
-                BreakerState::Closed => {
-                    if let Some(u) = host_u.take() {
-                        self.upload(&u).get();
-                    }
-                    let (dt, failed) = self.probed_step(t, t_end, cfl);
-                    t += dt;
-                    steps += 1;
-                    if breaker.borrow_mut().record(failed) {
-                        self.bump("dev.breaker.trips", 1);
-                        self.tinstant("dev.breaker.trip", steps as f64);
-                    }
+                if let (Some(name), Some((tr, tk))) = (instant, &*self.trace.borrow()) {
+                    tk.instant(name, tr.now_ns(), steps as f64);
                 }
             }
         }
-        // Leave the state device-resident regardless of where the last
-        // step ran, so callers' download() contract is unchanged.
         if let Some(u) = host_u.take() {
             self.upload(&u).get();
         }
-        self.dev.sync();
         steps
     }
 
-    /// One step of the two-kernel flow from `t` (Δt scan, clamp to `t_end`,
-    /// step launch): the Δt taken and whether either operation faulted.
-    fn probed_step(&self, t: f64, t_end: f64, cfl: f64) -> (f64, bool) {
-        let before = self.op_failures();
-        let mut dt = self.stable_dt(cfl);
-        assert!(dt > 1e-14, "time step collapsed on device: {dt}");
-        if t + dt > t_end {
-            dt = t_end - t;
+    /// Launch `kernel` on the device-resident state and solver scratch —
+    /// the one place a kernel is spelled. The Δt it returns lands in the
+    /// Δt scalar; its error is kept for the next readback to raise, so a
+    /// failed step neither kills the queue thread nor loses its
+    /// diagnostic.
+    fn run_kernel<K>(&self, kernel: K) -> Future<()>
+    where
+        K: FnOnce(&mut PatchSolver, &mut Field, &WorkStealingPool) -> Result<f64, SolverError>,
+        K: Send + 'static,
+    {
+        let (solver, failure) = (self.solver.clone(), self.failure.clone());
+        let (geom, buf, out) = (self.geom, self.buf_u, self.buf_dt);
+        self.dev.launch(move |ctx| {
+            let mut u = Field::from_vec(geom, NCOMP, ctx.take(buf));
+            let result = kernel(&mut solver.lock(), &mut u, ctx.gang());
+            match result {
+                Ok(dt) => ctx.buf_mut(out)[0] = dt,
+                Err(e) => *failure.lock() = Some(e),
+            }
+            ctx.put(buf, u.into_vec());
+        })
+    }
+
+    /// Copy a device buffer back (drains the queue up to the copy); a
+    /// kernel that failed before it panics here with its error.
+    fn read(&self, buf: BufId) -> Vec<f64> {
+        let data = self.dev.copy_to_host(buf).get();
+        if let Some(e) = self.failure.lock().take() {
+            panic!("device step failed: {e}");
         }
-        self.enqueue_step(dt);
-        (dt, self.op_failures() > before)
-    }
-
-    /// Drain the queue, then download — used when the breaker trips with
-    /// enqueued work still in flight.
-    fn download_after_sync(&self) -> Field {
-        self.dev.sync();
-        self.download()
-    }
-
-    /// Launch + copy fault count drawn so far (injector deltas around an
-    /// operation reveal whether it faulted — draws happen at enqueue time).
-    fn op_failures(&self) -> u64 {
-        self.fault_stats()
-            .map_or(0, |s| s.launches_failed + s.copies_failed)
-    }
-
-    fn bump(&self, name: &str, n: u64) {
-        if let Some(m) = self.metrics.borrow().as_ref() {
-            m.counter(name).add(n);
-        }
-    }
-
-    /// Drop an instant on the device track, if a recorder is attached.
-    fn tinstant(&self, name: &'static str, arg: f64) {
-        if let Some((tr, tk)) = self.trace.borrow().as_ref() {
-            tk.instant(name, tr.now_ns(), arg);
-        }
+        data
     }
 }
 
@@ -608,65 +568,57 @@ mod tests {
     }
 
     #[test]
-    fn device_cfl_advance_matches_host() {
-        let prob = Problem::sod();
-        let scheme = Scheme::default_with_gamma(5.0 / 3.0);
-        let geom = PatchGeom::line(48, 0.0, 1.0, 3);
-        let mut u_host = init_cons(geom, &prob.eos, &|x| (prob.ic)(x));
-        let u0 = u_host.clone();
-
-        let mut host = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk2, geom);
-        let host_steps = host.advance_to(&mut u_host, 0.0, 0.1, 0.4, None).unwrap();
-
-        let dev = DevicePatchSolver::new(fast_cfg(2), scheme, prob.bcs, RkOrder::Rk2, geom);
-        dev.upload(&u0).get();
-        let dev_steps = dev.advance_to(0.0, 0.1, 0.4);
-        assert_eq!(host_steps, dev_steps);
-        assert_eq!(u_host.raw(), dev.download().raw());
-    }
-
-    #[test]
-    fn fused_step_scan_halves_launches_and_keeps_bits() {
-        // The fused fast path must reproduce the two-kernel flow exactly
-        // (same Δt sequence, same staged bytes, ghosts included) while
-        // launching once per step plus the priming Δt kernel.
+    fn one_launch_per_step_and_host_bytes() {
+        // Each step is one kernel — no priming Δt launch — and the staged
+        // bytes, ghosts included, are the host advance's.
         let prob = Problem::sod();
         let scheme = Scheme::default_with_gamma(5.0 / 3.0);
         let geom = PatchGeom::line(48, 0.0, 1.0, 3);
         let u0 = init_cons(geom, &prob.eos, &|x| (prob.ic)(x));
-
-        // Two-kernel reference flow, hand-rolled.
-        let reference = DevicePatchSolver::new(fast_cfg(2), scheme, prob.bcs, RkOrder::Rk3, geom);
-        reference.upload(&u0).get();
-        let (mut t, t_end) = (0.0, 0.05);
-        let mut ref_dts = Vec::new();
-        while t < t_end - 1e-14 {
-            let mut dt = reference.stable_dt(0.4);
-            if t + dt > t_end {
-                dt = t_end - t;
-            }
-            reference.enqueue_step(dt);
-            ref_dts.push(dt);
-            t += dt;
-        }
-        reference.dev.sync();
+        let mut u_host = u0.clone();
+        let mut host = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
+        let host_steps = host.advance_to(&mut u_host, 0.0, 0.05, 0.4, None).unwrap();
 
         let dev = DevicePatchSolver::new(fast_cfg(2), scheme, prob.bcs, RkOrder::Rk3, geom);
         let reg = std::sync::Arc::new(Registry::new());
         dev.set_metrics(reg.clone());
         dev.upload(&u0).get();
-        let steps = dev.advance_to(0.0, t_end, 0.4);
-        assert_eq!(steps, ref_dts.len());
-        assert_eq!(
-            dev.download().raw(),
-            reference.download().raw(),
-            "fused step+scan changed the staged bytes"
-        );
+        let steps = dev.advance_to(0.0, 0.05, 0.4);
+        assert_eq!(steps, host_steps);
+        assert_eq!(dev.download().raw(), u_host.raw());
         let launches = reg.snapshot().histograms["phase.dev.launch"].count;
-        assert_eq!(
-            launches as usize,
-            steps + 1,
-            "fused path must launch once per step plus the priming Δt kernel"
-        );
+        assert_eq!(launches as usize, steps, "one launch per step");
+    }
+
+    #[test]
+    fn a_collapsed_step_panics_on_the_calling_thread() {
+        // At cfl = 0 the first step collapses inside the kernel. The
+        // solver's diagnostic must reach the caller — not a promise
+        // dropped by a dead queue thread — with or without the breaker,
+        // and nothing may hang.
+        for armed in [false, true] {
+            let (done, finished) = std::sync::mpsc::channel::<()>();
+            let solve = std::thread::spawn(move || {
+                let _done = done; // dropped when the solve ends, panicking or not
+                let prob = Problem::sod();
+                let scheme = Scheme::default_with_gamma(5.0 / 3.0);
+                let geom = PatchGeom::line(32, 0.0, 1.0, 3);
+                let u0 = init_cons(geom, &prob.eos, &|x| (prob.ic)(x));
+                let mut dev =
+                    DevicePatchSolver::new(fast_cfg(1), scheme, prob.bcs, RkOrder::Rk3, geom);
+                if armed {
+                    dev.set_breaker(BreakerConfig::default());
+                }
+                dev.upload(&u0).get();
+                dev.advance_to(0.0, 0.1, 0.0)
+            });
+            let ended = finished.recv_timeout(Duration::from_secs(60));
+            assert!(
+                ended == Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+                "breaker {armed}: advance_to hung on a collapsed step"
+            );
+            let msg = rhrsc_runtime::panic_msg(solve.join().expect_err("a collapse must panic"));
+            assert!(msg.contains("collapsed"), "breaker {armed}: {msg}");
+        }
     }
 }

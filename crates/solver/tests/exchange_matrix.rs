@@ -1,16 +1,24 @@
-//! "The halo exchange changes nothing", as one table: the block driver
-//! against the serial patch solver, bit for bit, over grid dimension ×
-//! rank count × exchange mode × boundary condition (PPM + HLLC + RK3).
-//! ROADMAP 1(a), first slice; missing: AMR, device, serve, Taub–Mathews, gang.
+//! "The halo exchange and the offload change nothing", as one table: the
+//! block driver and the device solver against the serial patch solver,
+//! bit for bit, over grid dimension × boundary condition (PPM + HLLC +
+//! RK3) — the block driver at every rank count × exchange mode, the
+//! device with its breaker off and armed under a launch fault on every
+//! step. ROADMAP 1(a); missing: AMR, serve, Taub–Mathews, gang.
 
 use rhrsc_comm::{run, NetworkModel};
-use rhrsc_grid::{bc, Bc, CartDecomp};
+use rhrsc_grid::{bc, Bc, CartDecomp, Field};
+use rhrsc_runtime::{AcceleratorConfig, FaultInjector, FaultPlan};
+use rhrsc_solver::device_backend::{BreakerConfig, DevicePatchSolver};
 use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode};
 use rhrsc_solver::scheme::init_cons;
 use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
 use rhrsc_srhd::Prim;
+use std::sync::Arc;
+use std::time::Duration;
 
 const T_END: f64 = 0.05;
+const GRIDS: [[usize; 3]; 3] = [[64, 1, 1], [24, 16, 1], [12, 8, 8]];
+const BCS: [Bc; 3] = [Bc::Periodic, Bc::Outflow, Bc::Reflect];
 
 /// A Sod-like jump across `x = 0.5` under a transverse ripple, drifting
 /// obliquely: every face of every block has something to exchange.
@@ -24,44 +32,106 @@ fn ic(x: [f64; 3]) -> Prim {
     }
 }
 
+fn cfg(global_n: [usize; 3], kind: Bc, nranks: usize, mode: ExchangeMode) -> DistConfig {
+    let periodic = global_n.map(|n| n > 1 && kind == Bc::Periodic);
+    DistConfig {
+        scheme: Scheme::default_with_gamma(5.0 / 3.0),
+        rk: RkOrder::Rk3,
+        global_n,
+        domain: ([0.0; 3], [1.0; 3]),
+        decomp: CartDecomp::auto(nranks, global_n, periodic),
+        bcs: bc::uniform(kind),
+        cfl: 0.4,
+        mode,
+        gang_threads: 0,
+        dt_refresh_interval: 1,
+    }
+}
+
+/// One row's reference: the serial config, the initial state, and the
+/// state `PatchSolver::advance_to` leaves with the steps it took.
+fn reference(global_n: [usize; 3], kind: Bc) -> (DistConfig, Field, Field, usize) {
+    let serial = cfg(global_n, kind, 1, ExchangeMode::BulkSynchronous);
+    let geom = serial.local_geom(0);
+    let u0 = init_cons(geom, &serial.scheme.eos, &ic);
+    let mut u = u0.clone();
+    let steps = PatchSolver::new(serial.scheme, serial.bcs, serial.rk, geom)
+        .advance_to(&mut u, 0.0, T_END, serial.cfl, None)
+        .unwrap();
+    (serial, u0, u, steps)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn block_solver_equals_patch_solver_on_every_row() {
-    for global_n in [[64, 1, 1], [24, 16, 1], [12, 8, 8]] {
-        for kind in [Bc::Periodic, Bc::Outflow, Bc::Reflect] {
-            let periodic = global_n.map(|n| n > 1 && kind == Bc::Periodic);
-            let cfg = |nranks: usize, mode: ExchangeMode| DistConfig {
-                scheme: Scheme::default_with_gamma(5.0 / 3.0),
-                rk: RkOrder::Rk3,
-                global_n,
-                domain: ([0.0; 3], [1.0; 3]),
-                decomp: CartDecomp::auto(nranks, global_n, periodic),
-                bcs: bc::uniform(kind),
-                cfl: 0.4,
-                mode,
-                gang_threads: 0,
-                dt_refresh_interval: 1,
-            };
-            let serial = cfg(1, ExchangeMode::BulkSynchronous);
-            let geom = serial.local_geom(0);
-            let mut reference = init_cons(geom, &serial.scheme.eos, &ic);
-            PatchSolver::new(serial.scheme, serial.bcs, serial.rk, geom)
-                .advance_to(&mut reference, 0.0, T_END, serial.cfl, None)
-                .unwrap();
+    for global_n in GRIDS {
+        for kind in BCS {
+            let (_, _, reference, _) = reference(global_n, kind);
+            let geom = *reference.geom();
             let lo = [0, 1, 2].map(|d| geom.ng_of(d));
             let mut want = Vec::new();
             reference.gather_box(lo, [0, 1, 2].map(|d| lo[d] + geom.n[d]), &mut want);
             for nranks in [1, 2, 4] {
                 for mode in [ExchangeMode::BulkSynchronous, ExchangeMode::Overlap] {
-                    let cfg = cfg(nranks, mode);
+                    let cfg = cfg(global_n, kind, nranks, mode);
                     let gathered = run(nranks, NetworkModel::ideal(), |rank| {
                         let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
                         solver.advance_to(rank, &mut u, 0.0, T_END).unwrap();
                         solver.gather_interior(rank, &u).unwrap()
                     });
                     let global = gathered[0].as_ref().expect("block 0 holds the gather");
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     let row = format!("{global_n:?} {kind:?} {nranks} ranks {}", mode.name());
                     assert!(bits(global.raw()) == bits(&want), "{row}: interiors differ");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn device_solver_equals_patch_solver_on_every_row() {
+    let accel = AcceleratorConfig {
+        compute_threads: 2,
+        launch_overhead: Duration::ZERO,
+        copy_bandwidth: f64::INFINITY,
+        throughput_multiplier: 4.0,
+        name: "matrix-dev".to_string(),
+    };
+    // Every launch faults: the first trips the breaker, and the row runs
+    // on through host routing and failed half-open probes.
+    let every_launch = FaultPlan {
+        launch_fail_prob: 1.0,
+        ..FaultPlan::disabled()
+    };
+    for global_n in GRIDS {
+        for kind in BCS {
+            let (serial, u0, want, want_steps) = reference(global_n, kind);
+            let (scheme, rk, geom) = (serial.scheme, serial.rk, *u0.geom());
+            for armed in [false, true] {
+                let mut dev = DevicePatchSolver::new(accel.clone(), scheme, serial.bcs, rk, geom);
+                if armed {
+                    dev.set_breaker(BreakerConfig {
+                        window: 1,
+                        threshold: 1,
+                        cooldown: 2,
+                    });
+                    dev.set_fault_injector(Arc::new(FaultInjector::new(every_launch.clone(), 0)));
+                }
+                dev.upload(&u0).get();
+                let steps = dev.advance_to(0.0, T_END, serial.cfl);
+                let row = format!("{global_n:?} {kind:?} breaker {armed}");
+                assert_eq!(steps, want_steps, "{row}: step counts differ");
+                assert!(
+                    bits(dev.download().raw()) == bits(want.raw()),
+                    "{row}: bytes differ (ghosts included)"
+                );
+                assert!(dev.device_time() > Duration::ZERO, "{row}: no modeled time");
+                if armed {
+                    let s = dev.breaker_stats().unwrap();
+                    assert!(s.trips >= 1 && s.host_steps >= 1, "{row}: no host routing");
                 }
             }
         }
