@@ -9,8 +9,9 @@
 //! decaying as the halo surface-to-volume ratio and the Δt-allreduce
 //! latency grow relative to shrinking per-rank compute.
 //!
-//! (Ranks time-share the host physically; the virtual-time machinery
-//! serializes compute sections on a CPU token so the makespan is honest —
+//! (Rank counts up to the host's core count compute in parallel; larger
+//! ones time-share the host, and the virtual-time machinery serializes
+//! their compute sections on a CPU token so the makespan stays honest —
 //! see DESIGN.md "virtual cluster".)
 //!
 //! Flags: `--toy` shrinks the sweep for smoke tests/CI, `--profile`

@@ -68,8 +68,9 @@ fn main() {
     for &lat in latencies_us {
         let model = NetworkModel::virtual_cluster(Duration::from_micros(lat), 10e9);
         let mut times = Vec::new();
-        // Best-of-N: per-section wall measurements on the shared CPU token
-        // carry scheduler noise; the minimum is the honest makespan.
+        // Best-of-N: per-section wall measurements of 4 ranks (on the
+        // shared CPU token when the host has fewer cores) carry scheduler
+        // noise; the minimum is the honest makespan.
         for (mode, reg) in modes.iter().zip(&regs) {
             let cfg = mk_cfg(*mode);
             let mut best = f64::INFINITY;

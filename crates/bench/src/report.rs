@@ -10,7 +10,7 @@
 //!   "schema_version": 1,
 //!   "id": "f7_overlap",
 //!   "build": {"package_version": "...", "debug": false,
-//!             "os": "linux", "arch": "x86_64"},
+//!             "os": "linux", "arch": "x86_64", "cores": 2},
 //!   "timestamp_unix": 1754438400,
 //!   "config": {"...": "bench-specific key/values"},
 //!   "wall_time_s": 1.25,
@@ -33,7 +33,9 @@
 //! DESIGN.md "Observability"); `values` holds the remaining, unit-less
 //! histograms. Totals are summed across ranks, so a consistency check
 //! must compare against `wall_time_s × parallelism`, not wall time
-//! alone.
+//! alone. `build.cores` is the host's core count: a virtual-time run
+//! computes its ranks in parallel only when they fit it, so its wall
+//! figures are read against it.
 
 use crate::json::{obj, Json};
 use crate::{f3, results_dir, Table};
@@ -230,6 +232,7 @@ impl RunReport {
                     ("debug", Json::Bool(cfg!(debug_assertions))),
                     ("os", Json::Str(std::env::consts::OS.to_string())),
                     ("arch", Json::Str(std::env::consts::ARCH.to_string())),
+                    ("cores", Json::Num(rhrsc_comm::host_cores() as f64)),
                 ]),
             ),
             ("timestamp_unix", Json::Num(timestamp as f64)),
@@ -316,6 +319,11 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
     for key in ["package_version", "os", "arch"] {
         if build.get(key).and_then(Json::as_str).is_none() {
             return Err(format!("build.{key} must be a string"));
+        }
+    }
+    if let Some(cores) = build.get("cores") {
+        if !cores.as_f64().is_some_and(|c| c >= 1.0 && c.fract() == 0.0) {
+            return Err("build.cores must be a positive integer".to_string());
         }
     }
     need("config")?
@@ -731,6 +739,26 @@ mod tests {
         if let Json::Obj(members) = &good {
             let stripped = Json::Obj(members.iter().filter(|(k, _)| k != "id").cloned().collect());
             assert!(validate_report(&stripped).is_err());
+        }
+
+        // The core count is a positive integer; a report without one
+        // (written before it was recorded) still validates.
+        let with_cores = |cores: Option<Json>| {
+            let mut doc = good.clone();
+            if let Json::Obj(members) = &mut doc {
+                for (k, v) in members.iter_mut() {
+                    if let (true, Json::Obj(build)) = (k == "build", v) {
+                        build.retain(|(k, _)| k != "cores");
+                        build.extend(cores.clone().map(|c| ("cores".to_string(), c)));
+                    }
+                }
+            }
+            validate_report(&doc)
+        };
+        assert!(with_cores(None).is_ok());
+        assert!(with_cores(Some(Json::Num(2.0))).is_ok());
+        for bad in [Json::Num(0.0), Json::Num(1.5), Json::Str("2".into())] {
+            assert!(with_cores(Some(bad)).is_err());
         }
     }
 

@@ -17,8 +17,8 @@
 pub mod rank;
 
 pub use rank::{
-    run, run_with_faults, CommError, NetworkModel, Rank, AMR_DESCEND_TAG_BASE, AMR_REFLUX_TAG_BASE,
-    AMR_REGRID_TAG, AMR_SYNC_TAG_BASE, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG,
-    SUSPECT_FLAG, TELEMETRY_TAG,
+    host_cores, run, run_with_faults, CommError, NetworkModel, Rank, AMR_DESCEND_TAG_BASE,
+    AMR_REFLUX_TAG_BASE, AMR_REGRID_TAG, AMR_SYNC_TAG_BASE, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG,
+    BUDDY_SHRINK_TAG, SUSPECT_FLAG, TELEMETRY_TAG,
 };
 pub use rhrsc_runtime::fault::{FaultInjector, FaultPlan, FaultStats};

@@ -204,12 +204,17 @@ pub struct NetworkModel {
     /// behavior).
     pub crc_retry_attempts: u32,
     /// Virtual-time mode: network costs are charged to the ranks'
-    /// *virtual clocks* instead of being physically waited out, and
-    /// compute sections measured with [`Rank::work`] are serialized on a
-    /// CPU token so their timings are honest on an oversubscribed host.
+    /// *virtual clocks* instead of being physically waited out, and the
+    /// wall time of each compute section measured with [`Rank::work`] is
+    /// charged as its CPU time. That holds while every rank thread has a
+    /// core of its own: a universe that fits the host computes in
+    /// parallel, and one with more ranks than cores serializes its
+    /// sections on a CPU token. A gang pool inside a section
+    /// (`gang_threads > 0`) falls outside this one-thread-per-rank rule,
+    /// so gangs run on wall-clock models only (`tests/pipeline.rs`).
     /// This turns the rank universe into a discrete-event simulation of a
     /// cluster — the mechanism behind the scaling experiments on a
-    /// single-core machine (see DESIGN.md).
+    /// machine with fewer cores than ranks (see DESIGN.md).
     pub virtual_time: bool,
 }
 
@@ -329,35 +334,21 @@ struct Envelope {
     crc: Option<u32>,
 }
 
-/// Binary CPU token shared by a virtual-time universe: compute sections
-/// run one-at-a-time so wall-clock measurements equal CPU time even when
-/// ranks outnumber cores.
-pub(crate) struct CpuToken {
-    busy: parking_lot::Mutex<bool>,
-    cv: parking_lot::Condvar,
-}
+/// Binary CPU token of a virtual-time universe with more ranks than the
+/// host has cores: each compute section runs holding the lock, one at a
+/// time, so wall-clock measurements equal CPU time. The guard hands the
+/// token on also while a panicking section unwinds (the lock does not
+/// poison), so a dying rank cannot hang its peers. A universe with a
+/// core per rank has no token — one thread per rank already gets that —
+/// and computes in parallel.
+type CpuToken = parking_lot::Mutex<()>;
 
-impl CpuToken {
-    pub(crate) fn new() -> Self {
-        CpuToken {
-            busy: parking_lot::Mutex::new(false),
-            cv: parking_lot::Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut b = self.busy.lock();
-        while *b {
-            self.cv.wait(&mut b);
-        }
-        *b = true;
-    }
-
-    fn release(&self) {
-        let mut b = self.busy.lock();
-        *b = false;
-        self.cv.notify_one();
-    }
+/// The host's core count (`available_parallelism`, 1 if unknown), read
+/// once per process: the query reads cgroup files and allocates. A
+/// virtual-time universe of more ranks than this builds a CPU token.
+pub fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Per-rank communicator handle.
@@ -378,8 +369,9 @@ pub struct Rank {
     bytes_sent: u64,
     /// Virtual clock (seconds); only meaningful in virtual-time mode.
     vtime: f64,
-    /// Shared CPU token for virtual-time compute sections.
-    cpu: std::sync::Arc<CpuToken>,
+    /// Shared CPU token for virtual-time compute sections; `None` when
+    /// the universe has a core per rank.
+    cpu: Option<Arc<CpuToken>>,
     /// Optional fault injector for halo-tag traffic (see
     /// [`run_with_faults`]).
     injector: Option<Arc<FaultInjector>>,
@@ -511,19 +503,21 @@ impl Rank {
     }
 
     /// Execute a compute section and charge its cost to this rank's
-    /// virtual clock. In virtual-time mode the section runs while holding
-    /// the universe's CPU token, so its wall-clock measurement equals CPU
-    /// time even with many ranks time-sharing few cores. Outside
-    /// virtual-time mode this just runs `f`.
+    /// virtual clock. The charge is the section's wall time, which equals
+    /// its CPU time while one thread per rank computes on a core of its
+    /// own: a universe that fits the host runs its sections in parallel,
+    /// and one with more ranks than cores runs each while holding the
+    /// universe's CPU token. A section that fans out to a gang pool
+    /// breaks that rule. Outside virtual-time mode this just runs `f`.
     pub fn work<T>(&mut self, f: impl FnOnce() -> T) -> T {
         if !self.model.virtual_time {
             return f();
         }
-        self.cpu.acquire();
+        let turn = self.cpu.as_deref().map(CpuToken::lock);
         let t0 = Instant::now();
         let out = f();
         let secs = t0.elapsed().as_secs_f64();
-        self.cpu.release();
+        drop(turn);
         self.vtime += secs;
         out
     }
@@ -1206,7 +1200,7 @@ where
         txs.push(tx);
         rxs.push(rx);
     }
-    let cpu = std::sync::Arc::new(CpuToken::new());
+    let cpu = (model.virtual_time && n > host_cores()).then(|| Arc::new(CpuToken::new(())));
     let mut ranks: Vec<Rank> = rxs
         .into_iter()
         .enumerate()

@@ -15,9 +15,10 @@
 //!   trip) and **counters** (sampled values: the physics-health series).
 //! * Timestamps use the same virtual-time-aware convention as the phase
 //!   histograms: in virtual-time universes the caller stamps events with
-//!   the rank's virtual clock (wall clocks there are distorted by
-//!   CPU-token serialization); otherwise with wall time since the trace
-//!   epoch. [`Tracer::stamp`] implements the choice.
+//!   the rank's virtual clock (a rank's wall clock there also runs while
+//!   it waits for a message, or for the CPU token of a universe with more
+//!   ranks than cores); otherwise with wall time since the trace epoch.
+//!   [`Tracer::stamp`] implements the choice.
 //!
 //! The sink is the Chrome trace-event JSON format, loadable by Perfetto
 //! (`ui.perfetto.dev`) and `chrome://tracing`: one process per rank, one

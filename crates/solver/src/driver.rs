@@ -338,8 +338,9 @@ impl BlockSolver {
     /// histograms (`phase.*`, in nanoseconds), nested sub-phases
     /// (`sub.*`), con2prim iteration counts (`c2p.newton_iters`) and
     /// cascade-tier counters (`c2p.cascade.*`). Phase durations are
-    /// virtual-clock deltas in virtual-time universes (where wall clocks
-    /// are distorted by CPU-token serialization) and wall-clock time
+    /// virtual-clock deltas in virtual-time universes (where a rank's
+    /// wall clock also runs while it waits for a message, or for the CPU
+    /// token of a universe with more ranks than cores) and wall-clock time
     /// otherwise. Instrumentation never changes the numbers: the counted
     /// con2prim produces bit-identical iterates.
     pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
@@ -772,9 +773,10 @@ impl BlockSolver {
         } else {
             ("phase.rhs.interior", "phase.rhs.interior")
         };
-        // Wall time inside a `rank.work` closure equals the virtual-clock
-        // charge (the closure runs while holding the CPU token), so the
-        // nested con2prim sub-phase can use plain `Instant` timing.
+        // Wall time inside a `rank.work` closure is the virtual-clock
+        // charge (one thread per rank, on a core of its own or holding
+        // the CPU token), so the nested con2prim sub-phase can use plain
+        // `Instant` timing.
         let sub_c2p = self.metrics.as_ref().map(|m| m.histogram("sub.c2p"));
         let s = self.pstart(rank);
         let recovered = rank.work(|| {
@@ -1862,7 +1864,7 @@ mod tests {
     fn virtual_time_mode_identical_results_and_decreasing_makespan() {
         // Virtual-time universes must not change the numbers, and the
         // simulated makespan must shrink as ranks are added (strong
-        // scaling shape, even on a single-core host).
+        // scaling shape, even on a host with fewer cores than ranks).
         let ic = |x: [f64; 3]| Prim {
             rho: 1.0 + 0.4 * (2.0 * std::f64::consts::PI * x[0]).sin(),
             vel: [0.4, 0.0, 0.0],

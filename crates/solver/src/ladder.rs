@@ -228,7 +228,8 @@ pub trait Recoverable {
 
 /// Start of a timed section: wall clock plus the rank's virtual clock,
 /// so durations are virtual-clock deltas in virtual-time universes (where
-/// wall clocks are distorted by CPU-token serialization).
+/// a rank's wall clock also runs while it waits for a message, or for the
+/// CPU token of a universe with more ranks than cores).
 pub(crate) struct Stopwatch {
     wall: Instant,
     virt: f64,

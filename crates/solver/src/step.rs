@@ -540,7 +540,9 @@ fn combine_hllc(s: &mut PencilScratch, n: usize, lo: usize, hi1: usize) {
                 r2
             }
         };
-        let lam_star = lam_star.clamp(lam_l, lam_r);
+        // `f64::clamp` without its assertion, as in `hllc_flux`.
+        let lam_star = if lam_star < lam_l { lam_l } else { lam_star };
+        let lam_star = if lam_star > lam_r { lam_r } else { lam_star };
 
         // Star state on the side containing the interface (ξ = 0).
         let (u, f, vn, p, lam) = if lam_star >= 0.0 {

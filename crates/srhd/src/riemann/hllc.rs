@@ -62,7 +62,10 @@ pub fn hllc_flux(eos: &Eos, left: &Prim, right: &Prim, dir: Dir) -> Cons {
             r2
         }
     };
-    let lam_star = lam_star.clamp(lam_l, lam_r);
+    // `f64::clamp`'s two comparisons without its `min <= max` assertion:
+    // NaN speeds on both sides then give a NaN flux instead of a panic.
+    let lam_star = if lam_star < lam_l { lam_l } else { lam_star };
+    let lam_star = if lam_star > lam_r { lam_r } else { lam_star };
 
     // Star state on the side containing the interface (ξ = 0).
     let (prim, u, f, lam) = if lam_star >= 0.0 {
@@ -203,6 +206,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nan_speeds_on_both_sides_give_a_nan_flux() {
+        // NaN normal velocities make both Davis speeds NaN: no upwind exit
+        // is taken, and the contact-speed clamp must not assert.
+        let eos = eos();
+        let mut l = Prim::new_1d(1.0, 0.2, 1.0);
+        let mut r = Prim::new_1d(0.5, -0.1, 0.3);
+        l.vel[0] = f64::NAN;
+        r.vel[0] = f64::NAN;
+        let f = hllc_flux(&eos, &l, &r, Dir::X);
+        assert!(
+            f.to_array().iter().any(|v| v.is_nan()),
+            "{:?}",
+            f.to_array()
+        );
     }
 
     #[test]
