@@ -292,6 +292,10 @@ struct SchedState {
     pending_total: usize,
     runners: usize,
     shutdown: bool,
+    /// Jobs claimed so far, of every class.
+    claims: u64,
+    /// Per class, the ordinals (in `claims`) of its first and last claim.
+    claim_spans: [Option<(u64, u64)>; 3],
 }
 
 struct EngineShared {
@@ -326,6 +330,8 @@ impl EnsembleEngine {
                     pending_total: 0,
                     runners: 0,
                     shutdown: false,
+                    claims: 0,
+                    claim_spans: [None; 3],
                 }),
                 next_job_id: AtomicU64::new(0),
                 inflight: AtomicUsize::new(0),
@@ -347,6 +353,14 @@ impl EnsembleEngine {
     /// `serve_queue_depth` telemetry gauge.
     pub fn queue_depth(&self) -> usize {
         self.shared.inflight.load(Ordering::Relaxed)
+    }
+
+    /// The ordinals of the first and last claim of `class` among every
+    /// claim this engine made, or `None` before its first. Strict priority
+    /// shows here exactly: a class queued wholly ahead of a lower one is
+    /// claimed wholly before it.
+    pub fn claim_span(&self, class: Priority) -> Option<(u64, u64)> {
+        self.shared.sched.lock().claim_spans[class.idx()]
     }
 
     /// Submit one job. A clean spec already in the result cache
@@ -551,14 +565,18 @@ fn pop_highest(st: &mut SchedState) -> Option<QueuedJob> {
         queues,
         pending_per_tenant,
         pending_total,
+        claims,
+        claim_spans,
         ..
     } = st;
-    for q in queues {
+    for (q, span) in queues.iter_mut().zip(claim_spans) {
         if let Some(j) = q.pop_front() {
             if let Some(tp) = pending_per_tenant.get_mut(&j.tenant) {
                 *tp = tp.saturating_sub(1);
             }
             *pending_total = pending_total.saturating_sub(1);
+            *span = Some((span.map_or(*claims, |(first, _)| first), *claims));
+            *claims += 1;
             return Some(j);
         }
     }

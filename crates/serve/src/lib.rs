@@ -343,6 +343,18 @@ mod tests {
             wi.quantile(0.99),
             wb.quantile(0.99)
         );
+        // The claim ordinals carry it exactly.
+        let claimed = |class| eng.claim_span(class).expect("claimed");
+        let (ci, cb) = (claimed(Priority::Interactive), claimed(Priority::Batch));
+        assert!(
+            ci.1 < cb.0,
+            "interactive claims {ci:?}, batch claims {cb:?}"
+        );
+        assert_eq!(
+            claimed(Priority::Scavenger).1 + ci.1 + cb.1,
+            3,
+            "three claims numbered 0, 1, 2"
+        );
     }
 
     #[test]

@@ -37,6 +37,13 @@
 //! * [`health`] — periodic rank-local physics-health telemetry
 //!   (conservation drift, atmosphere occupancy, con2prim cascade rates)
 //!   with a soft anomaly watchdog.
+//!
+//! The pencil kernel and the row recovery run at the host's vector width
+//! (`width`: one body, built per x86 vector level, the widest picked at
+//! run time).
+
+#[macro_use]
+mod width;
 
 pub mod amr;
 pub mod amr_dist;

@@ -363,33 +363,49 @@ pub fn recover_region_resilient(
     }
 }
 
-/// The one recovery loop: cells `[i0, i1)` of the x-row at `(j, k)`, in
-/// blocks of [`C2P_LANES`]. A block is gathered from the component-major
-/// row, iterated in lock-step by [`cons_to_prim_lanes`], then walked in
-/// cell order: a lane the main line retired takes its result, any other
-/// is solved by the scalar [`cons_to_prim_counted`] from the gathered
-/// copy. Stops at the first cell whose strict root solve fails and
-/// returns it; every cell before it is written, none after it.
-///
-/// Every root solve is *cold-started* from a deterministic seed derived
-/// from the conserved state alone (never from the previous pressure):
-/// warm starts land on slightly different iterates, which would break
-/// the bit-identity guarantees between the serial, gang-parallel,
-/// distributed, and device execution paths — and it is what makes the
-/// primitives of a copied conserved state the copy of the primitives, so
-/// that ghost zones can carry primitives instead of being recovered. It
-/// is also why a straggler's scalar re-solve, and so the whole row, does
-/// not depend on where the blocks fall.
-///
-/// `inline(never)`: whole-field and interior recovery, strict and
-/// cascading, serial and gang all run this one body, and the solve reads
-/// its state from the gathered block, never from a `Cons` assembled on
-/// the stack the instruction before (a 16-byte load over two 8-byte
-/// stores cannot be store-forwarded and serialises consecutive solves;
-/// DESIGN "Hot-loop data layout").
-#[inline(never)]
+vector_width! {
+    /// The one recovery loop: cells `[i0, i1)` of the x-row at `(j, k)`, in
+    /// blocks of [`C2P_LANES`]. A block is gathered from the component-major
+    /// row, iterated in lock-step by [`cons_to_prim_lanes`], then walked in
+    /// cell order: a lane the main line retired takes its result, any other
+    /// is solved by the scalar [`cons_to_prim_counted`] from the gathered
+    /// copy. Stops at the first cell whose strict root solve fails and
+    /// returns it; every cell before it is written, none after it.
+    ///
+    /// Every root solve is *cold-started* from a deterministic seed derived
+    /// from the conserved state alone (never from the previous pressure):
+    /// warm starts land on slightly different iterates, which would break
+    /// the bit-identity guarantees between the serial, gang-parallel,
+    /// distributed, and device execution paths — and it is what makes the
+    /// primitives of a copied conserved state the copy of the primitives, so
+    /// that ghost zones can carry primitives instead of being recovered. It
+    /// is also why a straggler's scalar re-solve, and so the whole row, does
+    /// not depend on where the blocks fall.
+    ///
+    /// `inline(never)`: whole-field and interior recovery, strict and
+    /// cascading, serial and gang all run this one body, and the solve reads
+    /// its state from the gathered block, never from a `Cons` assembled on
+    /// the stack the instruction before (a 16-byte load over two 8-byte
+    /// stores cannot be store-forwarded and serialises consecutive solves;
+    /// DESIGN "Hot-loop data layout"). The body runs at the host's vector
+    /// width (`width`).
+    #[inline(never)]
+    fn recover_row(
+        scheme: &Scheme,
+        u: &Field,
+        prim: &RawPrim,
+        i0: usize,
+        i1: usize,
+        j: usize,
+        k: usize,
+        iters: Option<&Histogram>,
+    ) -> Result<(), (usize, Con2PrimError)> = row_lanes in row_arms;
+}
+
+/// The body of [`recover_row`], built once per vector level.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn recover_row(
+pub(crate) fn row_lanes(
     scheme: &Scheme,
     u: &Field,
     prim: &RawPrim,
@@ -467,7 +483,7 @@ fn cons_at(raw: &[f64], n: usize, ix: usize) -> Cons {
 }
 
 /// Raw pointer to primitive storage for row-disjoint recovery.
-struct RawPrim {
+pub(crate) struct RawPrim {
     ptr: *mut f64,
     comp_stride: usize,
 }
@@ -479,7 +495,7 @@ impl RawPrim {
     /// Panics unless `prim` has `u`'s geometry and five components and
     /// `region` lies inside it — the conditions [`recover_row`]'s
     /// unchecked writes rely on.
-    fn new(u: &Field, prim: &mut Field, region: &Region) -> RawPrim {
+    pub(crate) fn new(u: &Field, prim: &mut Field, region: &Region) -> RawPrim {
         let geom = u.geom();
         assert_eq!(geom, prim.geom(), "prim and cons geometries differ");
         assert!(prim.ncomp() >= 5, "primitive field needs five components");

@@ -327,9 +327,10 @@ pub(crate) fn with_pencil_scratch<R>(nt: usize, f: impl FnOnce(&mut PencilScratc
 /// The sweep direction and the EOS variant are matched here, once per
 /// call: each arm inlines a [`side_lanes`] in which both are constants,
 /// so its lane loop holds no `match` and no runtime index.
+#[inline(always)]
 fn prepare_side(scheme: &Scheme, n: usize, side: &mut SideBanks, lo: usize, hi1: usize) {
     let floors = (scheme.c2p.rho_floor, scheme.c2p.p_floor);
-    let w = side.w.each_ref().map(|w| &w[lo..hi1]);
+    let w = cut(&side.w, lo, hi1);
     let [d, sx, sy, sz, tau] = &mut side.u;
     let [fd, fx, fy, fz, ft] = &mut side.f;
     let (lm, lp, vn, p) = (&mut side.lm, &mut side.lp, &mut side.vn, &mut side.p);
@@ -447,145 +448,239 @@ fn side_lanes<const N: usize>(
     }
 }
 
-/// Fill `s.flux[..][lo..hi1]` from the prepared side banks with the
-/// Rusanov flux (exact expression tree of `rusanov_flux`).
-fn combine_rusanov(s: &mut PencilScratch, lo: usize, hi1: usize) {
-    for j in lo..hi1 {
-        let a = s.l.lm[j]
-            .abs()
-            .max(s.l.lp[j].abs())
-            .max(s.r.lm[j].abs())
-            .max(s.r.lp[j].abs());
-        let half_a = 0.5 * a;
-        for c in 0..NCOMP {
-            s.flux[c][j] = (s.l.f[c][j] + s.r.f[c][j]) * 0.5 - (s.r.u[c][j] - s.l.u[c][j]) * half_a;
+/// One side of one interface, as the Riemann combines read it.
+#[derive(Clone, Copy)]
+struct Face {
+    u: [f64; NCOMP],
+    f: [f64; NCOMP],
+    lm: f64,
+    lp: f64,
+    vn: f64,
+    p: f64,
+}
+
+/// The banks of one side a Riemann combine reads, over its interfaces.
+struct SideView<'a> {
+    u: [&'a [f64]; NCOMP],
+    f: [&'a [f64]; NCOMP],
+    lm: &'a [f64],
+    lp: &'a [f64],
+    vn: &'a [f64],
+    p: &'a [f64],
+}
+
+/// `v[c][lo..hi1]` for every component `c`.
+#[inline(always)]
+fn cut(v: &[Vec<f64>; NCOMP], lo: usize, hi1: usize) -> [&[f64]; NCOMP] {
+    let [a, b, c, d, e] = v;
+    [
+        &a[lo..hi1],
+        &b[lo..hi1],
+        &c[lo..hi1],
+        &d[lo..hi1],
+        &e[lo..hi1],
+    ]
+}
+
+impl SideBanks {
+    /// The banks over the interfaces `[lo, hi1)`.
+    #[inline(always)]
+    fn view(&self, lo: usize, hi1: usize) -> SideView<'_> {
+        SideView {
+            u: cut(&self.u, lo, hi1),
+            f: cut(&self.f, lo, hi1),
+            lm: &self.lm[lo..hi1],
+            lp: &self.lp[lo..hi1],
+            vn: &self.vn[lo..hi1],
+            p: &self.p[lo..hi1],
         }
     }
 }
 
-/// Fill `s.flux[..][lo..hi1]` with the HLL flux (exact expression tree
-/// of `hll_flux` with Davis speeds).
-fn combine_hll(s: &mut PencilScratch, lo: usize, hi1: usize) {
-    for j in lo..hi1 {
-        let lam_l = s.l.lm[j].min(s.r.lm[j]);
-        let lam_r = s.l.lp[j].max(s.r.lp[j]);
-        if lam_l >= 0.0 {
-            for c in 0..NCOMP {
-                s.flux[c][j] = s.l.f[c][j];
-            }
-        } else if lam_r <= 0.0 {
-            for c in 0..NCOMP {
-                s.flux[c][j] = s.r.f[c][j];
-            }
-        } else {
-            let inv = 1.0 / (lam_r - lam_l);
-            let ll_lr = lam_l * lam_r;
-            for c in 0..NCOMP {
-                s.flux[c][j] = (s.l.f[c][j] * lam_r - s.r.f[c][j] * lam_l
-                    + (s.r.u[c][j] - s.l.u[c][j]) * ll_lr)
-                    * inv;
-            }
+impl SideView<'_> {
+    #[inline(always)]
+    fn face(&self, j: usize) -> Face {
+        let [d, sx, sy, sz, tau] = self.u;
+        let [fd, fx, fy, fz, ft] = self.f;
+        Face {
+            u: [d[j], sx[j], sy[j], sz[j], tau[j]],
+            f: [fd[j], fx[j], fy[j], fz[j], ft[j]],
+            lm: self.lm[j],
+            lp: self.lp[j],
+            vn: self.vn[j],
+            p: self.p[j],
         }
     }
 }
 
-/// Fill `s.flux[..][lo..hi1]` with the HLLC flux (exact expression tree
-/// of `hllc_flux`, Mignone & Bodo 2005).
-fn combine_hllc(s: &mut PencilScratch, n: usize, lo: usize, hi1: usize) {
-    let sn = 1 + n;
-    for j in lo..hi1 {
-        let lam_l = s.l.lm[j].min(s.r.lm[j]);
-        let lam_r = s.l.lp[j].max(s.r.lp[j]);
-        // Supersonic cases: pure upwinding.
-        if lam_l >= 0.0 {
-            for c in 0..NCOMP {
-                s.flux[c][j] = s.l.f[c][j];
-            }
-            continue;
-        }
-        if lam_r <= 0.0 {
-            for c in 0..NCOMP {
-                s.flux[c][j] = s.r.f[c][j];
-            }
-            continue;
-        }
-        // HLL fan state/flux; only the (D, S_n, τ) components feed the
-        // contact-speed quadratic.
-        let inv = 1.0 / (lam_r - lam_l);
-        let ll_lr = lam_l * lam_r;
-        let fan_u = |c: usize, s: &PencilScratch| {
-            (s.r.u[c][j] * lam_r - s.l.u[c][j] * lam_l + (s.l.f[c][j] - s.r.f[c][j])) * inv
-        };
-        let fan_f = |c: usize, s: &PencilScratch| {
-            (s.l.f[c][j] * lam_r - s.r.f[c][j] * lam_l + (s.r.u[c][j] - s.l.u[c][j]) * ll_lr) * inv
-        };
-        let e_hll = fan_u(4, s) + fan_u(0, s);
-        let m_hll = fan_u(sn, s);
-        let fe_hll = fan_f(4, s) + fan_f(0, s);
-        let fm_hll = fan_f(sn, s);
-
-        let b = -(e_hll + fm_hll);
-        let lam_star = if fe_hll.abs() < 1e-12 * (e_hll.abs() + fm_hll.abs()).max(1e-300) {
-            // Quadratic degenerates to linear.
-            -m_hll / b
-        } else {
-            let disc = (b * b - 4.0 * fe_hll * m_hll).max(0.0);
-            // Numerically stable "minus" root via the q-formula.
-            let q = -0.5 * (b - b.signum() * disc.sqrt());
-            let r1 = q / fe_hll;
-            let r2 = m_hll / q;
-            if r1 > lam_l && r1 < lam_r {
-                r1
-            } else {
-                r2
-            }
-        };
-        // `f64::clamp` without its assertion, as in `hllc_flux`.
-        let lam_star = if lam_star < lam_l { lam_l } else { lam_star };
-        let lam_star = if lam_star > lam_r { lam_r } else { lam_star };
-
-        // Star state on the side containing the interface (ξ = 0).
-        let (u, f, vn, p, lam) = if lam_star >= 0.0 {
-            (&s.l.u, &s.l.f, s.l.vn[j], s.l.p[j], lam_l)
-        } else {
-            (&s.r.u, &s.r.f, s.r.vn[j], s.r.p[j], lam_r)
-        };
-
-        let e = u[4][j] + u[0][j];
-        let m = u[sn][j];
-        let a_coef = lam * e - m;
-        let b_coef = m * (lam - vn) - p;
-        let p_star = (a_coef * lam_star - b_coef) / (1.0 - lam * lam_star);
-        let p_star = p_star.max(0.0);
-
-        // Jump conditions across the outer wave.
-        let k = (lam - vn) / (lam - lam_star);
-        let e_star = (lam * e - m + p_star * lam_star) / (lam - lam_star);
-        let m_star = (e_star + p_star) * lam_star;
-        let d_star = u[0][j] * k;
-        let mut s_star = [u[1][j] * k, u[2][j] * k, u[3][j] * k];
-        s_star[n] = m_star;
-        let u_star = [d_star, s_star[0], s_star[1], s_star[2], e_star - d_star];
-
-        // F* = F + λ (U* − U).
-        for c in 0..NCOMP {
-            s.flux[c][j] = f[c][j] + (u_star[c] - u[c][j]) * lam;
-        }
-    }
-}
-
-/// Reconstruct the loaded cell pencils to interfaces, sanitize, and
-/// compute the interface flux bank `s.flux[..][lo..hi1]` with the
-/// scheme's Riemann solver dispatched once per pencil.
+/// Fill the flux banks `f_*` with `lane`, the flux of one interface from
+/// its two [`Face`]s; every bank covers the same interfaces.
 ///
-/// `s.q` must already hold the five primitive component pencils.
-pub(crate) fn reconstruct_and_flux(
-    scheme: &Scheme,
-    s: &mut PencilScratch,
-    dir: Dir,
-    lo: usize,
-    hi1: usize,
+/// Every output bank is an argument of its own (only a `&mut` parameter
+/// tells the optimiser that its stores alias nothing else), and `lane` is
+/// straight-line arithmetic whose exits are selects, so the loop is one
+/// vector body wherever the vectoriser's cost model takes it (HLLC: on
+/// the AVX-512 arm only; DESIGN "Vector width").
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn combine_lanes(
+    l: SideView,
+    r: SideView,
+    f_d: &mut [f64],
+    f_sx: &mut [f64],
+    f_sy: &mut [f64],
+    f_sz: &mut [f64],
+    f_tau: &mut [f64],
+    lane: impl Fn(Face, Face) -> [f64; NCOMP],
 ) {
+    for j in 0..f_d.len() {
+        let [d, sx, sy, sz, tau] = lane(l.face(j), r.face(j));
+        (f_d[j], f_sx[j], f_sy[j], f_sz[j], f_tau[j]) = (d, sx, sy, sz, tau);
+    }
+}
+
+/// `[e(0), e(1), …, e(4)]`, with `$c` bound to each component: the lane
+/// kernels spell per-component arithmetic with it, because a loop or a
+/// closure over a component array keeps the interface loop scalar.
+macro_rules! each {
+    ($c:ident => $e:expr) => {
+        each!(@ $c => $e; 0 1 2 3 4)
+    };
+    (@ $c:ident => $e:expr; $($i:literal)*) => {
+        [$({ let $c = $i; $e }),*]
+    };
+}
+
+/// `a` where `left`, else `b`: a select.
+#[inline(always)]
+fn pick(left: bool, a: f64, b: f64) -> f64 {
+    if left {
+        a
+    } else {
+        b
+    }
+}
+
+/// The upwind exits every HLL-type flux shares, as selects on the
+/// comparisons of `hll_flux_from`'s `if / else if` chain: the left flux
+/// where `λ_L ≥ 0`, else the right flux where `λ_R ≤ 0`, else the fan
+/// flux. A NaN speed fails both tests and takes the fan, as the branches
+/// did.
+#[inline(always)]
+fn upwind(lam_l: f64, lam_r: f64, l: Face, r: Face, fan: [f64; NCOMP]) -> [f64; NCOMP] {
+    each!(c => pick(lam_l >= 0.0, l.f[c], pick(lam_r <= 0.0, r.f[c], fan[c])))
+}
+
+/// The Rusanov flux of one interface (exact expression tree of
+/// `rusanov_flux`).
+#[inline(always)]
+fn rusanov_lane(l: Face, r: Face) -> [f64; NCOMP] {
+    let a = l.lm.abs().max(l.lp.abs()).max(r.lm.abs()).max(r.lp.abs());
+    let half_a = 0.5 * a;
+    each!(c => (l.f[c] + r.f[c]) * 0.5 - (r.u[c] - l.u[c]) * half_a)
+}
+
+/// The HLL flux of one interface (exact expression tree of `hll_flux`
+/// with Davis speeds).
+#[inline(always)]
+fn hll_lane(l: Face, r: Face) -> [f64; NCOMP] {
+    let lam_l = l.lm.min(r.lm);
+    let lam_r = l.lp.max(r.lp);
+    let inv = 1.0 / (lam_r - lam_l);
+    let ll_lr = lam_l * lam_r;
+    let fan = each!(c => (l.f[c] * lam_r - r.f[c] * lam_l + (r.u[c] - l.u[c]) * ll_lr) * inv);
+    upwind(lam_l, lam_r, l, r, fan)
+}
+
+/// The HLLC flux of one interface along axis `N` (exact expression tree
+/// of `hllc_flux`, Mignone & Bodo 2005), in lane form: every lane
+/// computes the contact speed and the star state, and the three exits —
+/// upwind left, upwind right, the star state of the side holding the
+/// interface — and the quadratic's linear case are selects on the
+/// comparisons the branches tested. A select hands on the value the
+/// branch computed, and an arm that was not taken is computed and
+/// dropped, finite or not, so no bit can move.
+#[inline(always)]
+fn hllc_lane<const N: usize>(l: Face, r: Face) -> [f64; NCOMP] {
+    let sn = 1 + N;
+    let lam_l = l.lm.min(r.lm);
+    let lam_r = l.lp.max(r.lp);
+    // HLL fan state/flux; only the (D, S_n, τ) components feed the
+    // contact-speed quadratic.
+    let inv = 1.0 / (lam_r - lam_l);
+    let ll_lr = lam_l * lam_r;
+    let fan_u = each!(c => (r.u[c] * lam_r - l.u[c] * lam_l + (l.f[c] - r.f[c])) * inv);
+    let fan_f = each!(c => (l.f[c] * lam_r - r.f[c] * lam_l + (r.u[c] - l.u[c]) * ll_lr) * inv);
+    let e_hll = fan_u[4] + fan_u[0];
+    let m_hll = fan_u[sn];
+    let fe_hll = fan_f[4] + fan_f[0];
+    let fm_hll = fan_f[sn];
+
+    let b = -(e_hll + fm_hll);
+    // Quadratic degenerates to linear.
+    let linear = -m_hll / b;
+    let disc = (b * b - 4.0 * fe_hll * m_hll).max(0.0);
+    // Numerically stable "minus" root via the q-formula.
+    let q = -0.5 * (b - b.signum() * disc.sqrt());
+    let r1 = q / fe_hll;
+    let r2 = m_hll / q;
+    let root = pick(r1 > lam_l && r1 < lam_r, r1, r2);
+    let degenerate = fe_hll.abs() < 1e-12 * (e_hll.abs() + fm_hll.abs()).max(1e-300);
+    let lam_star = pick(degenerate, linear, root);
+    // `f64::clamp` without its assertion, as in `hllc_flux`.
+    let lam_star = pick(lam_star < lam_l, lam_l, lam_star);
+    let lam_star = pick(lam_star > lam_r, lam_r, lam_star);
+
+    // Star state on the side containing the interface (ξ = 0). A term
+    // read from one side only is formed on both and the side picked from
+    // the results: a select of two loads would become a load from a
+    // selected address, which keeps the loop scalar.
+    let left = lam_star >= 0.0;
+    let lam = pick(left, lam_l, lam_r);
+    let u0 = pick(left, l.u[0], r.u[0]);
+    let u4 = pick(left, l.u[4], r.u[4]);
+    let m = pick(left, l.u[sn], r.u[sn]);
+    let e = u4 + u0;
+    let a_coef = lam * e - m;
+    let b_l = l.u[sn] * (lam_l - l.vn) - l.p;
+    let b_coef = pick(left, b_l, r.u[sn] * (lam_r - r.vn) - r.p);
+    let p_star = (a_coef * lam_star - b_coef) / (1.0 - lam * lam_star);
+    let p_star = p_star.max(0.0);
+
+    // Jump conditions across the outer wave.
+    let k = pick(left, lam_l - l.vn, lam_r - r.vn) / (lam - lam_star);
+    let e_star = (lam * e - m + p_star * lam_star) / (lam - lam_star);
+    let m_star = (e_star + p_star) * lam_star;
+    let d_star = u0 * k;
+
+    // F* = F + λ (U* − U), with U* = (D*, S*, E* − D*): S*_n = m*, and
+    // the transverse momenta scale by k.
+    let mut du = each!(c => pick(left, l.u[c] * k - l.u[c], r.u[c] * k - r.u[c]));
+    (du[0], du[sn], du[4]) = (d_star - u0, m_star - m, e_star - d_star - u4);
+    let star = each!(c => pick(left, l.f[c], r.f[c]) + du[c] * lam);
+    upwind(lam_l, lam_r, l, r, star)
+}
+
+vector_width! {
+    /// Reconstruct the loaded cell pencils to interfaces, sanitize, and
+    /// compute the interface flux bank `s.flux[..][lo..hi1]` with the
+    /// scheme's Riemann solver dispatched once per pencil, at the host's
+    /// vector width.
+    ///
+    /// `s.q` must already hold the five primitive component pencils.
+    pub(crate) fn reconstruct_and_flux(
+        scheme: &Scheme,
+        s: &mut PencilScratch,
+        dir: Dir,
+        lo: usize,
+        hi1: usize,
+    ) = flux_lanes in flux_arms;
+}
+
+/// The body of [`reconstruct_and_flux`], built once per vector level:
+/// everything it calls is `#[inline(always)]`.
+#[inline(always)]
+pub(crate) fn flux_lanes(scheme: &Scheme, s: &mut PencilScratch, dir: Dir, lo: usize, hi1: usize) {
     let n = dir.axis();
     for c in 0..NCOMP {
         let (wl, wr) = (&mut s.l.w[c], &mut s.r.w[c]);
@@ -593,10 +688,30 @@ pub(crate) fn reconstruct_and_flux(
     }
     prepare_side(scheme, n, &mut s.l, lo, hi1);
     prepare_side(scheme, n, &mut s.r, lo, hi1);
-    match scheme.riemann {
-        RiemannSolver::Rusanov => combine_rusanov(s, lo, hi1),
-        RiemannSolver::Hll => combine_hll(s, lo, hi1),
-        RiemannSolver::Hllc => combine_hllc(s, n, lo, hi1),
+    let [f_d, f_sx, f_sy, f_sz, f_tau] = &mut s.flux;
+    // The solver and, for HLLC, the direction are matched once per call;
+    // the lane is a closure of its own so that it inlines into each arm.
+    macro_rules! combine {
+        ($lane:path) => {
+            combine_lanes(
+                s.l.view(lo, hi1),
+                s.r.view(lo, hi1),
+                &mut f_d[lo..hi1],
+                &mut f_sx[lo..hi1],
+                &mut f_sy[lo..hi1],
+                &mut f_sz[lo..hi1],
+                &mut f_tau[lo..hi1],
+                #[inline(always)]
+                |l, r| $lane(l, r),
+            )
+        };
+    }
+    match (scheme.riemann, n) {
+        (RiemannSolver::Rusanov, _) => combine!(rusanov_lane),
+        (RiemannSolver::Hll, _) => combine!(hll_lane),
+        (RiemannSolver::Hllc, 0) => combine!(hllc_lane::<0>),
+        (RiemannSolver::Hllc, 1) => combine!(hllc_lane::<1>),
+        (RiemannSolver::Hllc, _) => combine!(hllc_lane::<2>),
     }
 }
 

@@ -1,0 +1,386 @@
+//! The lane kernels at the host's vector width.
+//!
+//! The workspace is compiled for baseline x86-64 (SSE2: two `f64` lanes),
+//! and it stays so: a global `-C target-cpu` would also change the code of
+//! everything around the solver and make binaries that fault on older
+//! CPUs. Instead `vector_width!` builds a kernel once per x86 vector
+//! level from one unchanged body — AVX-512F, AVX2 and the baseline — and
+//! the function it defines calls the widest level the host reports
+//! (`is_x86_feature_detected!` caches its answer, so the choice is one
+//! load and a test per call). Other targets call the body directly.
+//!
+//! Bits cannot move between the levels: rustc never contracts a multiply
+//! and an add into a fused multiply-add, and division, square root,
+//! `min` / `max`, comparisons and selects are the same IEEE operations at
+//! every width. The body must be `#[inline(always)]`, and so must every
+//! kernel it calls: a call out of an arm runs baseline code.
+//!
+//! This file is the only one that names a target feature (a CI check
+//! keeps it so).
+
+/// Define `$vis fn $name(args) -> ret` that runs the `#[inline(always)]`
+/// function `$body` (same signature) at the widest x86 vector level the
+/// host has, with its arms in the module `$arms`:
+///
+/// ```ignore
+/// vector_width! {
+///     /// Documentation of the kernel.
+///     pub(crate) fn kernel(x: &mut [f64]) = kernel_lanes in kernel_arms;
+/// }
+/// ```
+///
+/// Attributes written before `fn` (documentation, `#[inline(never)]`)
+/// go to the function that chooses the arm.
+macro_rules! vector_width {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+            = $body:ident in $arms:ident;
+    ) => {
+        /// The arms of the kernel, one per x86 vector level.
+        #[cfg(target_arch = "x86_64")]
+        pub(crate) mod $arms {
+            #[allow(unused_imports)]
+            use super::*;
+
+            /// The kernel compiled for AVX-512F.
+            ///
+            /// # Safety
+            /// The host must support `avx512f`.
+            #[target_feature(enable = "avx512f")]
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn avx512f($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+
+            /// The kernel compiled for AVX2.
+            ///
+            /// # Safety
+            /// The host must support `avx2`.
+            #[target_feature(enable = "avx2")]
+            #[allow(clippy::too_many_arguments)]
+            pub(crate) unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+        }
+
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: the host reports AVX-512F.
+                    return unsafe { $arms::avx512f($($arg),*) };
+                }
+                if std::is_x86_feature_detected!("avx2") {
+                    // SAFETY: the host reports AVX2.
+                    return unsafe { $arms::avx2($($arg),*) };
+                }
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+/// Every arm the host runs against the baseline body, in `to_bits()` (a
+/// NaN against a NaN: which payload an operation hands on is the one
+/// thing IEEE 754 leaves open). Vector code exists only in optimised
+/// builds: CI runs these under `--release` as well.
+#[cfg(test)]
+#[cfg(target_arch = "x86_64")]
+mod tests {
+    use crate::scheme::{RawPrim, Scheme};
+    use crate::step::Region;
+    use rhrsc_grid::{Field, PatchGeom};
+    use rhrsc_runtime::metrics::Histogram;
+    use rhrsc_srhd::recon::{Limiter, Recon};
+    use rhrsc_srhd::riemann::RiemannSolver;
+    use rhrsc_srhd::{Cons, Dir, Eos, Prim, C2P_LANES, NCOMP};
+
+    /// Run the kernel of the arms module `$arms` and baseline body
+    /// `$body` at `$level`, one of [`host_levels`].
+    macro_rules! at {
+        ($level:expr, $arms:ident, $body:ident; $($arg:expr),* $(,)?) => {
+            match $level {
+                // SAFETY: `host_levels` lists only what the host reports.
+                "avx512f" => unsafe { $arms::avx512f($($arg),*) },
+                // SAFETY: as above.
+                "avx2" => unsafe { $arms::avx2($($arg),*) },
+                _ => $body($($arg),*),
+            }
+        };
+    }
+
+    /// The vector levels this host runs, widest first; `"baseline"` always.
+    fn host_levels() -> Vec<&'static str> {
+        let mut levels = Vec::new();
+        if std::is_x86_feature_detected!("avx512f") {
+            levels.push("avx512f");
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            levels.push("avx2");
+        }
+        levels.push("baseline");
+        levels
+    }
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[-1, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// `+0.0` or `-0.0`.
+        fn zero(&mut self) -> f64 {
+            if self.below(2) == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        }
+    }
+
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// One cell `(ρ, vx, vy, vz, p)` of a hostile pencil; `rest` is the
+    /// plateau the at-rest cells repeat.
+    fn hostile_cell(rng: &mut Rng, rest: [f64; NCOMP]) -> [f64; NCOMP] {
+        let mut v = || 0.6 * rng.unit();
+        let smooth = [1.0 + 0.5 * v(), v(), v(), v(), 1.0 + 0.5 * v()];
+        match rng.below(8) {
+            // At rest on a plateau, velocities ±0: the contact quadratic
+            // degenerates (F_E of the fan is 0).
+            0 | 1 => [rest[0], rng.zero(), rng.zero(), rng.zero(), rest[4]],
+            // ρ = 10³⁰⁸ and p at or under the floor: c_s² underflows to
+            // 0, so λ∓ = v_n / 1 — ±0 in every min / max of the speeds at
+            // v_n = ±0, and λ_L = λ_R wherever both sides are this state.
+            2 => {
+                let vn = [rng.zero(), 0.5, -0.5][rng.below(3)];
+                [1e308, vn, rng.zero(), vn, [1e-20, rng.zero()][rng.below(2)]]
+            }
+            // |v| = 1 ± 10⁻¹³: the superluminal clamp both ways.
+            3 => {
+                let s = 1.0 + 1e-13 * rng.unit();
+                [smooth[0], s * 0.6, s * 0.8, rng.zero(), smooth[4]]
+            }
+            // ±0, NaN or a value under the floor in one slot.
+            4 => {
+                let mut w = smooth;
+                let bad = [rng.zero(), f64::NAN, 1e-13, 1e-15, -1.0];
+                w[rng.below(NCOMP)] = bad[rng.below(bad.len())];
+                w
+            }
+            _ => smooth,
+        }
+    }
+
+    /// `reconstruct_and_flux` at every level equals the baseline body on
+    /// hostile pencils of every length from 1 to 2 · 32 + 3 cells, for
+    /// every EOS × reconstruction × Riemann solver × direction.
+    #[test]
+    fn every_level_reconstructs_and_fluxes_the_baseline_bits() {
+        use crate::step::{flux_arms, flux_lanes, with_pencil_scratch};
+        let levels = host_levels();
+        let recons = [
+            Recon::Pc,
+            Recon::Plm(Limiter::Minmod),
+            Recon::Plm(Limiter::Mc),
+            Recon::Plm(Limiter::VanLeer),
+            Recon::Ppm,
+            Recon::Ceno3,
+            Recon::Mp5,
+            Recon::Weno5,
+        ];
+        let mut rng = Rng(29);
+        let (mut pencils, mut nans) = (0u64, 0u64);
+        for eos in [Eos::ideal(5.0 / 3.0), Eos::TaubMathews] {
+            for recon in recons {
+                for riemann in RiemannSolver::ALL {
+                    let scheme = Scheme {
+                        eos,
+                        recon,
+                        riemann,
+                        ..Scheme::default_with_gamma(5.0 / 3.0)
+                    };
+                    for dir in Dir::ALL {
+                        for n in 1..=2 * C2P_LANES + 3 {
+                            let g = recon.ghost();
+                            let rest = [1.0 + 0.5 * rng.unit(), 0.0, 0.0, 0.0, 1.0];
+                            let cells: Vec<[f64; NCOMP]> = (0..n + 2 * g)
+                                .map(|_| hostile_cell(&mut rng, rest))
+                                .collect();
+                            let (lo, hi1) = (g, g + n + 1);
+                            let flux_at = |level: &str| {
+                                with_pencil_scratch(cells.len(), |s| {
+                                    for c in 0..NCOMP {
+                                        for (q, w) in s.q_mut(c).iter_mut().zip(&cells) {
+                                            *q = w[c];
+                                        }
+                                    }
+                                    at!(level, flux_arms, flux_lanes; &scheme, s, dir, lo, hi1);
+                                    (0..NCOMP)
+                                        .map(|c| s.flux(c)[lo..hi1].to_vec())
+                                        .collect::<Vec<_>>()
+                                })
+                            };
+                            let want = flux_at("baseline");
+                            nans += want.iter().flatten().filter(|v| v.is_nan()).count() as u64;
+                            for &level in &levels {
+                                let got = flux_at(level);
+                                for c in 0..NCOMP {
+                                    for (j, (&g, &w)) in got[c].iter().zip(&want[c]).enumerate() {
+                                        assert!(
+                                            same(g, w),
+                                            "{level} {eos:?} {} {} {dir:?} n = {n}: component {c} \
+                                             of interface {}: {g:e}, baseline {w:e}",
+                                            recon.name(),
+                                            riemann.name(),
+                                            lo + j
+                                        );
+                                    }
+                                }
+                            }
+                            pencils += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(pencils, 2 * 8 * 3 * 3 * (2 * C2P_LANES as u64 + 3));
+        assert!(
+            nans > 1000,
+            "the pencils no longer carry NaN: {nans} NaN fluxes"
+        );
+    }
+
+    /// The conserved state of density `rho`, temperature `p/ρ = theta` and
+    /// Lorentz factor `w` moving along `dir`.
+    fn moving(eos: &Eos, rho: f64, theta: f64, w: f64, dir: [f64; 3]) -> Cons {
+        let speed = (1.0 - 1.0 / (w * w)).sqrt();
+        Prim {
+            rho,
+            vel: dir.map(|c| speed * c),
+            p: theta * rho,
+        }
+        .to_cons(eos)
+    }
+
+    /// `recover_row` at every level equals the baseline body on the
+    /// `lane_recovery` state grid (10⁻⁸ ≤ p/ρ ≤ 10⁴ × 1 ≤ W ≤ 10³ × three
+    /// densities × three directions), with non-finite, superluminal,
+    /// atmosphere and ±0 states strewn in, at several block alignments:
+    /// the primitives, every failure and the evaluation histogram.
+    #[test]
+    fn every_level_recovers_the_baseline_bits() {
+        use crate::scheme::{row_arms, row_lanes};
+        let levels = host_levels();
+        let dirs = [[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.48, 0.6, -0.64]];
+        let mut rng = Rng(19);
+        for eos in [
+            Eos::ideal(5.0 / 3.0),
+            Eos::ideal(4.0 / 3.0),
+            Eos::TaubMathews,
+        ] {
+            let mut states = Vec::new();
+            for it in 0..=60 {
+                let theta = 10f64.powf(-8.0 + it as f64 / 5.0);
+                for iw in 0..=30 {
+                    let w = 10f64.powf(iw as f64 / 10.0);
+                    for rho in [1e-3, 1.0, 37.0] {
+                        for dir in dirs {
+                            states.push(moving(&eos, rho, theta, w, dir));
+                        }
+                    }
+                    let hostile = [
+                        Cons {
+                            d: f64::NAN,
+                            ..states[states.len() - 1]
+                        },
+                        Cons {
+                            d: 1.0,
+                            s: [3.0, -4.0, 1.0],
+                            tau: 0.5,
+                        },
+                        Cons {
+                            d: 1e-13,
+                            s: [0.0; 3],
+                            tau: 1e-14,
+                        },
+                        Cons {
+                            d: 1.0,
+                            s: [rng.zero(), rng.zero(), rng.zero()],
+                            tau: rng.zero(),
+                        },
+                        Cons {
+                            d: rng.zero(),
+                            s: [0.0; 3],
+                            tau: 1.0,
+                        },
+                    ];
+                    states.push(hostile[rng.below(hostile.len())]);
+                }
+            }
+            let scheme = Scheme {
+                eos,
+                ..Scheme::default_with_gamma(5.0 / 3.0)
+            };
+            let geom = PatchGeom::line(states.len(), 0.0, 1.0, 1);
+            let mut u = Field::cons(geom);
+            for (i, &c) in states.iter().enumerate() {
+                u.set_cons(1 + i, 0, 0, c);
+            }
+            let region = Region::interior(&geom);
+            for i0 in [1, 2, 1 + C2P_LANES / 2, C2P_LANES] {
+                let recover_at = |level: &str| {
+                    let mut prim = Field::new(geom, NCOMP);
+                    prim.raw_mut().fill(-7.25);
+                    let raw = RawPrim::new(&u, &mut prim, &region);
+                    let hist = Histogram::default();
+                    let (mut failed, mut i) = (Vec::new(), i0);
+                    let (i1, iters) = (region.hi[0], Some(&hist));
+                    while let Err((bad, err)) =
+                        at!(level, row_arms, row_lanes; &scheme, &u, &raw, i, i1, 0, 0, iters)
+                    {
+                        failed.push(format!("{bad}: {err:?}"));
+                        i = bad + 1;
+                    }
+                    // Every NaN reads as one: which payload an operation
+                    // hands on is the one thing IEEE 754 leaves open.
+                    let bits: Vec<u64> = prim
+                        .raw()
+                        .iter()
+                        .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
+                        .collect();
+                    (bits, failed, hist.count(), hist.sum())
+                };
+                let want = recover_at("baseline");
+                assert!(!want.1.is_empty(), "no state fails any more");
+                for &level in &levels {
+                    let got = recover_at(level);
+                    assert!(
+                        got == want,
+                        "{level} {eos:?} from cell {i0}: recovery differs"
+                    );
+                }
+            }
+        }
+    }
+}

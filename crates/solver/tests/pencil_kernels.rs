@@ -1,15 +1,17 @@
-//! The two lane-form kernels of the pencil sweep give the bits of the
-//! forms they replaced.
+//! The lane-form kernels of the pencil sweep give the bits of the forms
+//! they replaced.
 //!
 //! `Recon::pencil` reconstructs PPM and PLM cell by cell in blocks of
 //! [`RECON_BLOCK`] (limited slope, face interpolant and monotonised edge
-//! pair once each) instead of interface by interface, and
+//! pair once each) instead of interface by interface,
 //! `step::prepare_side` sanitises a side's interface states in a
-//! straight-line lane loop whose superluminal clamp is a select. Neither
-//! may show: (a) pins the staged schemes against the per-interface loops
-//! they replaced, spelled here, over hostile pencils and every window;
-//! (b) pins `compute_rhs` against a residual assembled here from the
-//! public AoS pieces on fields that take every select both ways; (c) pins
+//! straight-line lane loop whose superluminal clamp is a select, and the
+//! Riemann combines take their exits by selects. None of it may show:
+//! (a) pins the staged schemes against the per-interface loops they
+//! replaced, spelled here, over hostile pencils and every window; (b)
+//! pins `compute_rhs` against a residual assembled here from the public
+//! AoS pieces on fields that take every select both ways and leave HLLC
+//! through each of its exits; (c) pins
 //! `accumulate_rhs_region` over every pencil extent and offset against
 //! `compute_rhs`. A NaN compares equal to a NaN (which payload an
 //! operation hands on is the one thing IEEE 754 leaves open); everything
@@ -21,6 +23,7 @@ use rhrsc_runtime::WorkStealingPool;
 use rhrsc_solver::scheme::set_prim;
 use rhrsc_solver::step::{accumulate_rhs_region, compute_rhs, Region};
 use rhrsc_solver::Scheme;
+use rhrsc_srhd::flux::{physical_flux, signal_speeds};
 use rhrsc_srhd::recon::{Limiter, Recon, RECON_BLOCK};
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{Cons, Dir, Eos, Prim, NCOMP};
@@ -273,11 +276,74 @@ fn hostile_field(geom: PatchGeom, seed: u64, nan_velocity: bool) -> Field {
     prim
 }
 
+/// `prim` with a slab at rest on a plateau over its first eight x-columns
+/// (NaN cells aside): the HLLC fan carries no energy flux there, and the
+/// contact quadratic degenerates to its linear root.
+fn with_rest_slab(mut prim: Field) -> Field {
+    let geom = *prim.geom();
+    for (i, j, k) in cells(&geom).filter(|&(i, _, _)| i < 8) {
+        if (0..NCOMP).all(|c| !prim.at(c, i, j, k).is_nan()) {
+            set_prim(&mut prim, i, j, k, &Prim::at_rest(1.0, 1.0));
+        }
+    }
+    prim
+}
+
+/// The exits of `hllc_flux`, as [`hllc_exit`] numbers them.
+const HLLC_EXITS: [&str; 5] = [
+    "λL ≥ 0",
+    "λR ≤ 0",
+    "star state on the left",
+    "star state on the right",
+    "linear root",
+];
+
+/// Which way `hllc_flux` leaves at an interface, spelled here from the
+/// public pieces: `[λL ≥ 0, λR ≤ 0, star state on the left, star state on
+/// the right, contact quadratic degenerated to its linear root]`. NaN
+/// speeds fail both upwind tests and every comparison after them.
+fn hllc_exit(eos: &Eos, l: &Prim, r: &Prim, dir: Dir) -> [bool; 5] {
+    let ((lm_l, lp_l), (lm_r, lp_r)) = (signal_speeds(eos, l, dir), signal_speeds(eos, r, dir));
+    let (lam_l, lam_r) = (lm_l.min(lm_r), lp_l.max(lp_r));
+    if lam_l >= 0.0 || lam_r <= 0.0 {
+        return [lam_l >= 0.0, lam_l < 0.0, false, false, false];
+    }
+    let n = dir.axis();
+    let [u_l, u_r] = [l, r].map(|w| w.to_cons(eos).to_array());
+    let [f_l, f_r] = [l, r].map(|w| physical_flux(eos, w, dir).to_array());
+    let inv = 1.0 / (lam_r - lam_l);
+    let fan_u = |c: usize| (u_r[c] * lam_r - u_l[c] * lam_l + (f_l[c] - f_r[c])) * inv;
+    let fan_f =
+        |c: usize| (f_l[c] * lam_r - f_r[c] * lam_l + (u_r[c] - u_l[c]) * (lam_l * lam_r)) * inv;
+    let (e, m, fe, fm) = (
+        fan_u(4) + fan_u(0),
+        fan_u(1 + n),
+        fan_f(4) + fan_f(0),
+        fan_f(1 + n),
+    );
+    let b = -(e + fm);
+    let linear = fe.abs() < 1e-12 * (e.abs() + fm.abs()).max(1e-300);
+    let lam_star = if linear {
+        -m / b
+    } else {
+        let q = -0.5 * (b - b.signum() * (b * b - 4.0 * fe * m).max(0.0).sqrt());
+        let r1 = q / fe;
+        if r1 > lam_l && r1 < lam_r {
+            r1
+        } else {
+            m / q
+        }
+    };
+    let lam_star = lam_star.max(lam_l).min(lam_r);
+    [false, false, lam_star >= 0.0, lam_star < 0.0, linear]
+}
+
 /// `L(U)` over the interior, one interface at a time through the public
 /// AoS pieces: `Recon::pencil` → `Scheme::sanitize` → `RiemannSolver::flux`
 /// → flux differences subtracted from zero in x, y, z order. Also counts
-/// the interface states the clamp and the two floors changed.
-fn aos_residual(scheme: &Scheme, prim: &Field, touched: &mut [usize; 3]) -> Field {
+/// the interface states the clamp and the two floors changed and, under
+/// HLLC, the interfaces that leave through each of [`HLLC_EXITS`].
+fn aos_residual(scheme: &Scheme, prim: &Field, touched: &mut [usize; 8]) -> Field {
     let geom = *prim.geom();
     let mut rhs = Field::cons(geom);
     rhs.raw_mut().fill(0.0);
@@ -314,6 +380,12 @@ fn aos_residual(scheme: &Scheme, prim: &Field, touched: &mut [usize; 3]) -> Fiel
                             touched[2] += usize::from(!same(clean.p, raw.p));
                             clean
                         });
+                        if scheme.riemann == RiemannSolver::Hllc {
+                            let exits = hllc_exit(&scheme.eos, &l, &r, Dir::ALL[d]);
+                            for (tally, hit) in touched[3..].iter_mut().zip(exits) {
+                                *tally += usize::from(hit);
+                            }
+                        }
                         scheme.riemann.flux(&scheme.eos, &l, &r, Dir::ALL[d])
                     })
                     .collect();
@@ -343,16 +415,22 @@ fn assert_fields_equal(got: &Field, want: &Field, what: &str) {
 #[test]
 fn compute_rhs_matches_an_aos_residual_on_fields_that_take_every_select() {
     let pool = WorkStealingPool::new(2);
-    let geoms = [
-        PatchGeom::line(40, 0.0, 1.0, 3),
-        PatchGeom::rect([12, 9], [0.0; 2], [1.0, 0.7], 3),
-        PatchGeom::cube([7, 6, 5], [0.0; 3], [1.0, 0.8, 0.6], 3),
+    let line = PatchGeom::line(40, 0.0, 1.0, 3);
+    let rect = PatchGeom::rect([12, 9], [0.0; 2], [1.0, 0.7], 3);
+    let cube = PatchGeom::cube([7, 6, 5], [0.0; 3], [1.0, 0.8, 0.6], 3);
+    // The line again with a slab at rest: HLLC's linear root.
+    let fields = [
+        ("1D", hostile_field(line, 31, true)),
+        ("2D", hostile_field(rect, 32, true)),
+        ("3D", hostile_field(cube, 33, true)),
+        ("1D slab", with_rest_slab(hostile_field(line, 34, true))),
     ];
     let eoses = [Eos::ideal(5.0 / 3.0), Eos::TaubMathews];
     let recons = [Recon::Ppm, Recon::Plm(Limiter::Mc), Recon::Weno5];
-    let mut touched = [0usize; 3];
+    let mut touched = [0usize; 8];
     let mut nans = 0;
-    for (g, geom) in geoms.into_iter().enumerate() {
+    for (dims, prim) in &fields {
+        let geom = *prim.geom();
         for eos in eoses {
             for riemann in RiemannSolver::ALL {
                 for recon in recons {
@@ -362,26 +440,31 @@ fn compute_rhs_matches_an_aos_residual_on_fields_that_take_every_select() {
                         riemann,
                         ..Scheme::default_with_gamma(5.0 / 3.0)
                     };
-                    let prim = hostile_field(geom, 31 + g as u64, true);
-                    let want = aos_residual(&scheme, &prim, &mut touched);
+                    let want = aos_residual(&scheme, prim, &mut touched);
                     nans += want.raw().iter().filter(|v| v.is_nan()).count();
-                    let what = format!("{}D {eos:?} {} {}", g + 1, riemann.name(), recon.name());
+                    let what = format!("{dims} {eos:?} {} {}", riemann.name(), recon.name());
                     let mut got = Field::cons(geom);
-                    compute_rhs(&scheme, &prim, &mut got, None);
+                    compute_rhs(&scheme, prim, &mut got, None);
                     assert_fields_equal(&got, &want, &format!("{what} serial"));
                     got.raw_mut().fill(SENTINEL);
-                    compute_rhs(&scheme, &prim, &mut got, Some(&pool));
+                    compute_rhs(&scheme, prim, &mut got, Some(&pool));
                     assert_fields_equal(&got, &want, &format!("{what} gang"));
                 }
             }
         }
     }
-    let [clamped, rho_floored, p_floored] = touched;
+    let [clamped, rho_floored, p_floored] = [touched[0], touched[1], touched[2]];
     assert!(
         clamped > 1000 && rho_floored > 1000 && p_floored > 1000 && nans > 100,
         "the fields no longer exercise the selects: {clamped} clamped, {rho_floored} / \
          {p_floored} floored interface states, {nans} NaN residual slots"
     );
+    for (exit, &hits) in HLLC_EXITS.iter().zip(&touched[3..]) {
+        assert!(
+            hits > 0,
+            "no HLLC interface leaves through `{exit}`: {touched:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

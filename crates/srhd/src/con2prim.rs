@@ -307,6 +307,10 @@ const LANE_VEC: usize = 4;
 ///
 /// # Panics
 /// Panics when `us` and `out` differ in length.
+///
+/// Always inlined: the solver builds its row recovery once per x86
+/// vector level around this call.
+#[inline(always)]
 pub fn cons_to_prim_lanes(
     eos: &Eos,
     params: &Con2PrimParams,

@@ -156,7 +156,9 @@ impl Recon {
     /// For each interface `j` in `lo..hi` (interface `j` separates cells
     /// `j-1` and `j`), writes `ql[j]` (from the left) and `qr[j]` (from
     /// the right). The caller must guarantee `lo >= ghost()` and
-    /// `hi + ghost() <= q.len() + 1`.
+    /// `hi + ghost() <= q.len() + 1`. Always inlined: the solver builds
+    /// its pencil kernel once per x86 vector level around this call.
+    #[inline(always)]
     pub fn pencil(&self, q: &[f64], lo: usize, hi: usize, ql: &mut [f64], qr: &mut [f64]) {
         debug_assert!(lo >= self.ghost());
         debug_assert!(hi + self.ghost() <= q.len() + 1);
@@ -165,35 +167,50 @@ impl Recon {
                 ql[lo..hi].copy_from_slice(&q[lo - 1..hi - 1]);
                 qr[lo..hi].copy_from_slice(&q[lo..hi]);
             }
-            Recon::Plm(lim) => staged(lo, hi, ql, qr, |c0, al, ar| {
-                let cells = q[c0 - 1..c0 + al.len() + 1].windows(3);
-                for ((al, ar), w) in al.iter_mut().zip(ar).zip(cells) {
-                    let half = 0.5 * lim.slope(w[1] - w[0], w[2] - w[1]);
-                    (*al, *ar) = (w[1] - half, w[1] + half);
-                }
-            }),
+            Recon::Plm(lim) => staged(
+                lo,
+                hi,
+                ql,
+                qr,
+                #[inline(always)]
+                |c0, al, ar| {
+                    let cells = q[c0 - 1..c0 + al.len() + 1].windows(3);
+                    for ((al, ar), w) in al.iter_mut().zip(ar).zip(cells) {
+                        let half = 0.5 * lim.slope(w[1] - w[0], w[2] - w[1]);
+                        (*al, *ar) = (w[1] - half, w[1] + half);
+                    }
+                },
+            ),
             Recon::Ppm => {
                 let (mut dq, mut face) = ([0.0; RECON_BLOCK + 2], [0.0; RECON_BLOCK + 1]);
-                staged(lo, hi, ql, qr, |c0, al, ar| {
-                    // Cells `c0 - 2 ..= c0 + n + 1`: the block and its stencil.
-                    let (n, q) = (al.len(), &q[c0 - 2..c0 + al.len() + 2]);
-                    let face = &mut face[..n + 1];
-                    // (1) Limited slope of cells `c0 - 1 ..= c0 + n`.
-                    for (dq, w) in dq.iter_mut().zip(q.windows(3)) {
-                        *dq = ppm_slope(w[0], w[1], w[2]);
-                    }
-                    // (2) Interpolant at the faces `c0 - 1 ..= c0 + n` (face
-                    // `f` lies between cells `f` and `f + 1`).
-                    for ((face, dq), w) in face.iter_mut().zip(dq.windows(2)).zip(q[1..].windows(2))
-                    {
-                        *face = 0.5 * (w[0] + w[1]) + (dq[0] - dq[1]) / 6.0;
-                    }
-                    // (3) Monotonised edge pair of cells `c0 .. c0 + n`.
-                    let edges = face.windows(2).zip(&q[2..]);
-                    for ((al, ar), (f, &a)) in al.iter_mut().zip(ar).zip(edges) {
-                        (*al, *ar) = ppm_monotonize(f[0], a, f[1]);
-                    }
-                })
+                staged(
+                    lo,
+                    hi,
+                    ql,
+                    qr,
+                    #[inline(always)]
+                    |c0, al, ar| {
+                        // Cells `c0 - 2 ..= c0 + n + 1`: the block and its stencil.
+                        let (n, q) = (al.len(), &q[c0 - 2..c0 + al.len() + 2]);
+                        let face = &mut face[..n + 1];
+                        // (1) Limited slope of cells `c0 - 1 ..= c0 + n`.
+                        for (dq, w) in dq.iter_mut().zip(q.windows(3)) {
+                            *dq = ppm_slope(w[0], w[1], w[2]);
+                        }
+                        // (2) Interpolant at the faces `c0 - 1 ..= c0 + n` (face
+                        // `f` lies between cells `f` and `f + 1`).
+                        for ((face, dq), w) in
+                            face.iter_mut().zip(dq.windows(2)).zip(q[1..].windows(2))
+                        {
+                            *face = 0.5 * (w[0] + w[1]) + (dq[0] - dq[1]) / 6.0;
+                        }
+                        // (3) Monotonised edge pair of cells `c0 .. c0 + n`.
+                        let edges = face.windows(2).zip(&q[2..]);
+                        for ((al, ar), (f, &a)) in al.iter_mut().zip(ar).zip(edges) {
+                            (*al, *ar) = ppm_monotonize(f[0], a, f[1]);
+                        }
+                    },
+                )
             }
             Recon::Ceno3 => {
                 for j in lo..hi {
@@ -231,7 +248,9 @@ pub const RECON_BLOCK: usize = 64;
 /// scatter them to the interfaces, `ql[c + 1] = a_r(c)` and
 /// `qr[c] = a_l(c)`, inside `[lo, hi)` only. An edge value is a function
 /// of `q` around its cell alone, so the result depends neither on the
-/// block width nor on where `lo` and `hi` fall.
+/// block width nor on where `lo` and `hi` fall. The `edges` closures are
+/// `#[inline(always)]`: a closure left out of line runs at the baseline
+/// width inside the solver's wider builds of its pencil kernel.
 #[inline(always)]
 fn staged(
     lo: usize,
