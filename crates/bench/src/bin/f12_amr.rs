@@ -12,7 +12,7 @@
 //!    composite ∫D, ∫S, ∫τ must stay at machine precision (≤ 1e-12
 //!    relative) thanks to the reflux corrections.
 //! 3. **Restart** — the run is killed halfway, the hierarchy restored
-//!    from the format-v4 AMR checkpoint into a fresh solver, and the
+//!    from its checkpoint image into a fresh solver, and the
 //!    continuation must be *bit-identical* to the uninterrupted run.
 //!
 //! `--toy` shrinks arm 1 to Sod at base 64 × 2 levels (vs uniform 128)
@@ -22,7 +22,7 @@
 use rhrsc_bench::drill::{flight_recorder, write_flight_record, Scratch};
 use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
 use rhrsc_grid::PatchGeom;
-use rhrsc_io::checkpoint::{load_checkpoint, save_checkpoint};
+use rhrsc_io::checkpoint::{load_checkpoint, save_checkpoint, AmrCheckpoint};
 use rhrsc_runtime::Registry;
 use rhrsc_solver::amr::{AmrConfig, AmrSolver};
 use rhrsc_solver::diag::l1_density_error;
@@ -205,12 +205,13 @@ fn main() {
     let ckp = gold.to_checkpoint(t_half);
     let dir = Scratch::new("f12_amr");
     let path = dir.path().join("amr.ckp");
-    save_checkpoint(&path, &ckp).unwrap();
+    save_checkpoint(&path, &ckp.into_image()).unwrap();
     gold.advance_to(t_half, prob.t_end, 0.4).unwrap();
     let e_gold = gold.l1_density_error(&*exact, prob.t_end).unwrap();
 
     let mut restarted = mk();
-    restarted.restore(&load_checkpoint(&path).unwrap()).unwrap();
+    let back = AmrCheckpoint::from_image(load_checkpoint(&path).unwrap()).unwrap();
+    restarted.restore(&back).unwrap();
     restarted.advance_to(t_half, prob.t_end, 0.4).unwrap();
     let e_restart = restarted.l1_density_error(&*exact, prob.t_end).unwrap();
     reg.histogram("phase.advance")
@@ -222,7 +223,7 @@ fn main() {
     assert_eq!(
         e_gold.to_bits(),
         e_restart.to_bits(),
-        "restart from the v4 AMR checkpoint must continue bit-identically"
+        "restart from the AMR checkpoint must continue bit-identically"
     );
 
     write_flight_record(&opts, tracer.as_ref());

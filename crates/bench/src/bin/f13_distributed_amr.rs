@@ -9,7 +9,7 @@
 //!   Sod tube; the determinism baseline,
 //! * **B (distributed, no faults)** — the same problem on 4 ranks through
 //!   [`DistAmrSolver`]. Must be **bit-identical** to A in every patch of
-//!   the gathered v4 checkpoint, with real cross-rank coupling (descend +
+//!   the gathered AMR checkpoint, with real cross-rank coupling (descend +
 //!   reflux traffic) exercised,
 //! * **C (rank crash mid-regrid)** — a steepening periodic pulse keeps
 //!   the hierarchy regridding; rank 1 is killed inside the regrid window
@@ -53,7 +53,7 @@ fn pulse_ic(x: [f64; 3]) -> Prim {
 }
 
 /// Relative L1 distance over the level-0 (restricted composite) records
-/// of two v4 AMR checkpoints.
+/// of two AMR checkpoints.
 fn l1_base(a: &AmrCheckpoint, b: &AmrCheckpoint) -> f64 {
     let base = |ck: &AmrCheckpoint| -> Vec<f64> {
         let mut recs: Vec<_> = ck.patches.iter().filter(|p| p.level == 0).collect();

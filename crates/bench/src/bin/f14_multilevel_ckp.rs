@@ -64,6 +64,7 @@ fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
         ncomp: NCOMP,
         blocks: vec![BlockRecord {
             id: 0,
+            level: 0,
             offset: [0, 0, 0],
             size,
             data,
@@ -76,18 +77,18 @@ fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
     let span = ([0usize, 0, 0], [n, n / 2, 1]);
     // One untimed rep of each path first: page in the snapshot buffer and
     // the slot file so neither timed loop pays cold-cache costs.
-    std::hint::black_box(decode_trusted::<GlobalCheckpoint>(snap.bytes()).expect("trusted decode"));
-    std::hint::black_box(slots.load_newest::<GlobalCheckpoint>().expect("slot read"));
+    std::hint::black_box(decode_trusted(snap.bytes()).expect("trusted decode"));
+    std::hint::black_box(slots.load_newest().expect("slot read"));
     let t0 = Instant::now();
     for _ in 0..reps {
         assert!(snap.verify(), "clean snapshot must verify");
-        let g: GlobalCheckpoint = decode_trusted(snap.bytes()).expect("trusted decode");
+        let g = decode_trusted(snap.bytes()).expect("trusted decode");
         std::hint::black_box(g.extract_span(span.0, span.1).expect("span"));
     }
     let mem = t0.elapsed().as_secs_f64() / reps as f64;
     let t0 = Instant::now();
     for _ in 0..reps {
-        let (g, _) = slots.load_newest::<GlobalCheckpoint>().expect("slot read");
+        let (g, _) = slots.load_newest().expect("slot read");
         std::hint::black_box(g.extract_span(span.0, span.1).expect("span"));
     }
     let disk = t0.elapsed().as_secs_f64() / reps as f64;

@@ -4,11 +4,12 @@
 //!   into ParaView/VisIt) for any set of field components,
 //! * [`image`] — false-color PPM images of 2D field slices, for quick
 //!   looks without a plotting stack,
-//! * [`checkpoint`] — versioned little-endian binary checkpoints of the
-//!   solver state (per-rank field, global blocks, AMR hierarchy — three
-//!   formats in one armored envelope) with exact round-trip: a restarted
-//!   run continues **bit-identically** (asserted by the integration
-//!   tests),
+//! * [`checkpoint`] — one little-endian binary checkpoint format in a
+//!   CRC-armored envelope: the solver state as level-tagged block records
+//!   in global index space (a block driver's blocks, an AMR hierarchy's
+//!   patches, or one patch's interior), with exact round-trip: a
+//!   restarted run continues **bit-identically** (asserted by the
+//!   integration tests),
 //! * [`snapshot`] — the diskless checkpoint tiers: FNV-stamped in-memory
 //!   snapshot buffers (local + buddy replica) and ABFT state checksums
 //!   for silent-data-corruption scrubbing,
@@ -23,8 +24,8 @@ pub mod telemetry;
 pub mod vtk;
 
 pub use checkpoint::{
-    load_checkpoint, save_checkpoint, AmrCheckpoint, AmrPatchRecord, Checkpoint, CheckpointError,
-    CheckpointFormat, CheckpointSlots,
+    load_checkpoint, save_checkpoint, AmrCheckpoint, AmrPatchRecord, BlockRecord, CheckpointError,
+    CheckpointSlots, GlobalCheckpoint,
 };
 pub use snapshot::{MemorySnapshot, StateChecksum};
 pub use telemetry::FileSinks;

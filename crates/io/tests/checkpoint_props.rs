@@ -1,5 +1,5 @@
-//! Deterministic property tests for the checkpoint codec, run over all
-//! three formats (v2 per-rank, v3 global, v4 AMR) of the shared envelope.
+//! Deterministic property tests for the one checkpoint decoder, run over
+//! block images (blocks on any level) and multi-level AMR images.
 //!
 //! No proptest/quickcheck dependency: a seeded xorshift generator drives
 //! many randomized checkpoints through encode → decode, asserting exact
@@ -7,10 +7,8 @@
 //! and that *every* single-byte flip and *every* truncation of an
 //! encoded image is rejected with the documented error class.
 
-use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_io::checkpoint::{
-    decode, encode, AmrCheckpoint, AmrPatchRecord, BlockRecord, Checkpoint, CheckpointError,
-    CheckpointFormat, GlobalCheckpoint,
+    decode, encode, AmrCheckpoint, AmrPatchRecord, BlockRecord, CheckpointError, GlobalCheckpoint,
 };
 
 struct XorShift(u64);
@@ -61,102 +59,78 @@ impl XorShift {
     }
 }
 
-/// A format the generator can draw from.
-trait Arbitrary: CheckpointFormat {
-    /// A random checkpoint; with `nonempty`, one whose record section is
-    /// guaranteed to hold data, so cuts inside a record exist.
-    fn arbitrary(rng: &mut XorShift, nonempty: bool) -> Self;
-}
-
-impl Arbitrary for Checkpoint {
-    fn arbitrary(rng: &mut XorShift, _nonempty: bool) -> Self {
-        // A field always has cells; degenerate axes carry no ghosts. Kept
-        // small: the flip test decodes the image once per byte.
-        let n = [1 + rng.below(4), 1 + rng.below(3), 1 + rng.below(2)].map(|n| n as usize);
-        let geom = PatchGeom {
-            n,
-            ng: rng.below(2) as usize,
-            origin: [rng.f64(), rng.f64(), rng.f64()],
-            dx: [rng.f64(), rng.f64(), rng.f64()],
-        };
-        let ncomp = rng.ncomp();
-        Checkpoint {
-            time: rng.f64(),
-            step: rng.next(),
-            field: Field::from_vec(geom, ncomp, rng.f64s(ncomp * geom.len())),
-        }
+/// A random block image: up to five blocks, each on a random level;
+/// with `nonempty`, the first holds data, so cuts inside a record exist.
+fn arbitrary_blocks(rng: &mut XorShift, nonempty: bool) -> GlobalCheckpoint {
+    let ncomp = rng.ncomp();
+    let nblocks = rng.below(5) as usize + nonempty as usize;
+    let blocks = (0..nblocks)
+        .map(|i| {
+            let lo = (i == 0 && nonempty) as u64;
+            let size =
+                [lo + rng.below(6), lo + rng.below(4), lo + rng.below(3)].map(|n| n as usize);
+            BlockRecord {
+                id: rng.next() as u32,
+                level: if rng.below(2) == 0 {
+                    0
+                } else {
+                    rng.next() as u32
+                },
+                offset: [rng.below(1 << 20), rng.below(1 << 20), rng.below(1 << 20)]
+                    .map(|o| o as usize),
+                size,
+                data: rng.f64s(ncomp * size[0] * size[1] * size[2]),
+            }
+        })
+        .collect();
+    GlobalCheckpoint {
+        time: rng.f64(),
+        step: rng.next(),
+        global_n: [rng.below(1 << 16), rng.below(1 << 16), rng.below(1 << 16)].map(|n| n as usize),
+        ncomp,
+        blocks,
     }
 }
 
-impl Arbitrary for GlobalCheckpoint {
-    fn arbitrary(rng: &mut XorShift, nonempty: bool) -> Self {
-        let ncomp = rng.ncomp();
-        let nblocks = rng.below(5) as usize + nonempty as usize;
-        let blocks = (0..nblocks)
-            .map(|i| {
-                let lo = (i == 0 && nonempty) as u64;
-                let size =
-                    [lo + rng.below(6), lo + rng.below(4), lo + rng.below(3)].map(|n| n as usize);
-                BlockRecord {
-                    id: rng.next(),
-                    offset: [rng.below(1 << 20), rng.below(1 << 20), rng.below(1 << 20)]
-                        .map(|o| o as usize),
-                    size,
-                    data: rng.f64s(ncomp * size[0] * size[1] * size[2]),
-                }
-            })
-            .collect();
-        GlobalCheckpoint {
-            time: rng.f64(),
-            step: rng.next(),
-            global_n: [rng.below(1 << 16), rng.below(1 << 16), rng.below(1 << 16)]
-                .map(|n| n as usize),
-            ncomp,
-            blocks,
-        }
+/// A random AMR hierarchy on up to five levels; with `nonempty`, one
+/// patch is guaranteed to hold data.
+fn arbitrary_amr(rng: &mut XorShift, nonempty: bool) -> AmrCheckpoint {
+    let ncomp = rng.ncomp();
+    let npatches = rng.below(6) as usize;
+    let mut patches: Vec<_> = (0..npatches)
+        .map(|_| {
+            let n = rng.below(40);
+            AmrPatchRecord {
+                level: rng.below(5) as u32,
+                lo: rng.below(1 << 20),
+                n,
+                data: rng.f64s(ncomp * n as usize),
+            }
+        })
+        .collect();
+    if nonempty {
+        patches.push(AmrPatchRecord {
+            level: 1,
+            lo: 4,
+            n: 8,
+            data: vec![1.25; 8 * ncomp],
+        });
+    }
+    AmrCheckpoint {
+        time: rng.f64(),
+        step: rng.next(),
+        n0: 16 + rng.below(1 << 16),
+        ncomp,
+        patches,
     }
 }
 
-impl Arbitrary for AmrCheckpoint {
-    fn arbitrary(rng: &mut XorShift, nonempty: bool) -> Self {
-        let ncomp = rng.ncomp();
-        let npatches = rng.below(6) as usize;
-        let mut patches: Vec<_> = (0..npatches)
-            .map(|_| {
-                let n = rng.below(40);
-                AmrPatchRecord {
-                    level: rng.below(5) as u32,
-                    lo: rng.below(1 << 20),
-                    n,
-                    data: rng.f64s(ncomp * n as usize),
-                }
-            })
-            .collect();
-        if nonempty {
-            patches.push(AmrPatchRecord {
-                level: 1,
-                lo: 4,
-                n: 8,
-                data: vec![1.25; 8 * ncomp],
-            });
-        }
-        AmrCheckpoint {
-            time: rng.f64(),
-            step: rng.next(),
-            n0: 16 + rng.below(1 << 16),
-            ncomp,
-            patches,
-        }
-    }
-}
-
-/// Run `$body::<R>()` for the three formats.
-macro_rules! for_each_format {
-    ($body:ident) => {
-        $body::<Checkpoint>();
-        $body::<GlobalCheckpoint>();
-        $body::<AmrCheckpoint>();
-    };
+/// One image of each kind the generator draws.
+fn arbitrary_images(rng: &mut XorShift, nonempty: bool) -> [GlobalCheckpoint; 2] {
+    [
+        arbitrary_blocks(rng, nonempty),
+        arbitrary_amr(rng, nonempty).into_image(),
+    ]
 }
 
 fn assert_bit_equal(a: &AmrCheckpoint, b: &AmrCheckpoint) {
@@ -174,30 +148,35 @@ fn assert_bit_equal(a: &AmrCheckpoint, b: &AmrCheckpoint) {
     }
 }
 
+/// A hierarchy through its image, the encoder and the decoder, and back.
+fn amr_roundtrip(ckp: &AmrCheckpoint) -> AmrCheckpoint {
+    let bytes = encode(&ckp.clone().into_image());
+    let img = decode(&bytes).expect("fresh encoding must decode");
+    AmrCheckpoint::from_image(img).expect("an AMR image is 1D")
+}
+
 /// The encoder writes every field of a checkpoint in full, so a decoded
 /// value that re-encodes to the same image carries every bit of the
 /// original — NaN payloads and zero signs included, which `==` on the
 /// structs could not compare.
 #[test]
 fn roundtrip_preserves_every_bit() {
-    fn body<R: Arbitrary>() {
-        let mut rng = XorShift::new(0x5eed_c0de);
-        for _ in 0..64 {
-            let bytes = encode(&R::arbitrary(&mut rng, false));
-            let decoded: R = decode(&bytes).expect("fresh encoding must decode");
-            assert_eq!(encode(&decoded), bytes, "v{}", R::VERSION);
+    let mut rng = XorShift::new(0x5eed_c0de);
+    for _ in 0..64 {
+        for ckp in arbitrary_images(&mut rng, false) {
+            let bytes = encode(&ckp);
+            let decoded = decode(&bytes).expect("fresh encoding must decode");
+            assert_eq!(encode(&decoded), bytes);
         }
     }
-    for_each_format!(body);
 }
 
 #[test]
 fn amr_roundtrip_preserves_every_bit() {
     let mut rng = XorShift::new(0x5eed_c0de);
     for _ in 0..64 {
-        let ckp = AmrCheckpoint::arbitrary(&mut rng, false);
-        let decoded = decode(&encode(&ckp)).expect("fresh encoding must decode");
-        assert_bit_equal(&ckp, &decoded);
+        let ckp = arbitrary_amr(&mut rng, false);
+        assert_bit_equal(&ckp, &amr_roundtrip(&ckp));
     }
 }
 
@@ -225,67 +204,61 @@ fn amr_roundtrip_handles_degenerate_hierarchies() {
             }],
         },
     ] {
-        let decoded = decode(&encode(&ckp)).unwrap();
-        assert_bit_equal(&ckp, &decoded);
+        assert_bit_equal(&ckp, &amr_roundtrip(&ckp));
     }
 }
 
 #[test]
 fn every_single_byte_flip_is_rejected() {
-    fn body<R: Arbitrary>() {
-        let mut rng = XorShift::new(0xbad_f1a6);
-        let bytes = encode(&R::arbitrary(&mut rng, true));
+    let mut rng = XorShift::new(0xbad_f1a6);
+    for (k, ckp) in arbitrary_images(&mut rng, true).iter().enumerate() {
+        let bytes = encode(ckp);
         for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[pos] ^= 0xff;
-            let err = decode::<R>(&bad)
+            let err = decode(&bad)
                 .err()
-                .unwrap_or_else(|| panic!("v{}: flip at byte {pos} accepted", R::VERSION));
+                .unwrap_or_else(|| panic!("image {k}: flip at byte {pos} accepted"));
             // Flips in the magic/version prefix fail structurally;
             // everything after that is caught by the whole-file CRC.
             match pos {
                 0..=11 => assert!(
                     matches!(err, CheckpointError::Format(_)),
-                    "v{} byte {pos}: expected Format, got {err:?}",
-                    R::VERSION
+                    "image {k} byte {pos}: expected Format, got {err:?}"
                 ),
                 _ => assert!(
                     matches!(err, CheckpointError::Corrupt),
-                    "v{} byte {pos}: expected Corrupt, got {err:?}",
-                    R::VERSION
+                    "image {k} byte {pos}: expected Corrupt, got {err:?}"
                 ),
             }
         }
     }
-    for_each_format!(body);
 }
 
 #[test]
 fn every_truncation_is_rejected() {
-    fn body<R: Arbitrary>() {
-        let mut rng = XorShift::new(0x7121_4c47);
-        let bytes = encode(&R::arbitrary(&mut rng, true));
+    let mut rng = XorShift::new(0x7121_4c47);
+    for (k, ckp) in arbitrary_images(&mut rng, true).iter().enumerate() {
+        let bytes = encode(ckp);
         for len in 0..bytes.len() {
             assert!(
-                decode::<R>(&bytes[..len]).is_err(),
-                "v{}: prefix of {len}/{} bytes accepted",
-                R::VERSION,
+                decode(&bytes[..len]).is_err(),
+                "image {k}: prefix of {len}/{} bytes accepted",
                 bytes.len()
             );
         }
     }
-    for_each_format!(body);
 }
 
 #[test]
 fn foreign_magic_and_future_version_are_format_errors() {
-    fn body<R: Arbitrary>() {
-        let bytes = encode(&R::arbitrary(&mut XorShift::new(9), false));
+    for ckp in arbitrary_images(&mut XorShift::new(9), false) {
+        let bytes = encode(&ckp);
 
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
-            decode::<R>(&wrong_magic),
+            decode(&wrong_magic),
             Err(CheckpointError::Format(_))
         ));
 
@@ -294,12 +267,11 @@ fn foreign_magic_and_future_version_are_format_errors() {
         let mut future = bytes.clone();
         future[8] = future[8].wrapping_add(1);
         assert!(matches!(
-            decode::<R>(&future),
+            decode(&future),
             Err(CheckpointError::Format(m)) if m.contains("version")
         ));
 
-        assert!(decode::<R>(&[]).is_err());
-        assert!(decode::<R>(b"not a checkpoint at all").is_err());
+        assert!(decode(&[]).is_err());
+        assert!(decode(b"not a checkpoint at all").is_err());
     }
-    for_each_format!(body);
 }

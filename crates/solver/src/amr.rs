@@ -104,8 +104,8 @@ pub(crate) struct Patch {
     pub(crate) u: Field,
     pub(crate) prim: Field,
     pub(crate) rhs: Field,
-    pub(crate) stage: Field,
-    /// State at the start of the current step (children's lerp anchor).
+    /// State at the start of the current step: the RK stages' `u0` and
+    /// the children's lerp anchor.
     pub(crate) base: Field,
     /// Scratch for time-interpolated ghost prolongation.
     pub(crate) lerp: Field,
@@ -268,7 +268,6 @@ impl AmrSolver {
             u: Field::cons(geom),
             prim: Field::new(geom, 5),
             rhs: Field::cons(geom),
-            stage: Field::cons(geom),
             base: Field::cons(geom),
             lerp: Field::cons(geom),
             flux: vec![Cons::ZERO; geom.ntot(0) + 1],
@@ -616,7 +615,6 @@ impl AmrSolver {
         for (i, p) in self.levels[l].iter_mut().enumerate() {
             if c.owns(l, i) {
                 p.base.raw_mut().copy_from_slice(p.u.raw());
-                p.stage.raw_mut().copy_from_slice(p.u.raw());
             }
         }
         // Zero the flux accumulators of this step's coarse–fine
@@ -664,7 +662,7 @@ impl AmrSolver {
                 }
                 // Stage combine + floors. The `a = 0` stage term is passed
                 // at stage 0 too: one expression tree for every stage.
-                lincomb(&mut p.u, b, Some((&p.stage, a)), &p.rhs, cw * dt);
+                lincomb(&mut p.u, b, Some((&p.base, a)), &p.rhs, cw * dt);
                 apply_conserved_floors(&mut p.u, &self.scheme.c2p);
                 self.updates[l] += p.n as u64;
             }
@@ -912,9 +910,11 @@ impl AmrSolver {
 
     // ----- checkpointing -------------------------------------------------
 
-    /// Serialize the hierarchy into a format-v4 AMR checkpoint (interior
-    /// conserved data per patch; ghosts, primitives and the regrid phase
-    /// are reconstructed deterministically on restore).
+    /// The hierarchy as an [`AmrCheckpoint`] view (interior conserved
+    /// data per patch; ghosts, primitives and the regrid phase are
+    /// reconstructed deterministically on restore). On disk and in the
+    /// memory tier it travels as its image
+    /// ([`AmrCheckpoint::into_image`]).
     pub fn to_checkpoint(&self, time: f64) -> AmrCheckpoint {
         let mut patches = Vec::new();
         for (l, ps) in self.levels.iter().enumerate() {
@@ -1232,9 +1232,9 @@ mod tests {
         amr.init(&|x| (prob.ic)(x));
         amr.advance_to(0.0, 0.1, 0.4).unwrap();
         let ck = amr.to_checkpoint(0.1);
-        let bytes = rhrsc_io::checkpoint::encode(&ck);
-        let back: AmrCheckpoint = rhrsc_io::checkpoint::decode(&bytes).unwrap();
-        assert_eq!(ck, back);
+        let bytes = rhrsc_io::checkpoint::encode(&ck.clone().into_image());
+        let img = rhrsc_io::checkpoint::decode(&bytes).unwrap();
+        assert_eq!(ck, AmrCheckpoint::from_image(img).unwrap());
     }
 
     #[test]

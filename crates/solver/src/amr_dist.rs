@@ -28,8 +28,9 @@
 //! * *allgather* ([`AMR_REGRID_TAG`]): every owner ships all its interiors
 //!   to every live rank, fully replicating the state; used before regrids
 //!   (so clustering is a pure-local, deterministic computation), before
-//!   global checkpoints (the root writes a rank-count-independent v4 AMR
-//!   checkpoint from its replica), and for gathered diagnostics.
+//!   global checkpoints (the root writes the rank-count-independent image
+//!   of its replica, one level-tagged block per patch), and for gathered
+//!   diagnostics.
 //!
 //! Every blob carries an *attempt sequence number* in its first element;
 //! receivers drop blobs from older (rolled-back) attempts and refuse blobs
@@ -596,7 +597,7 @@ impl DistAmrSolver {
         self.snapshot_ok = false;
     }
 
-    /// Restore from a rank-count-independent v4 AMR checkpoint and
+    /// Restore from a rank-count-independent AMR checkpoint and
     /// re-partition ownership over the current live set. The checkpoint
     /// may come from a run with any rank count.
     pub fn restore(&mut self, rank: &Rank, ck: &AmrCheckpoint) -> Result<(), SolverError> {
@@ -909,24 +910,24 @@ fn live_blocks(rank: &Rank) -> Result<(Vec<usize>, usize), SolverError> {
 }
 
 impl AmrLadder<'_> {
-    /// Allgather, have the first live rank write the shared v4 slot when
-    /// `to_disk` (rotating `latest` → `prev`), and freeze the memory tier
-    /// from the same replicated state — which, the gather done, costs
-    /// only the serialization, no extra messages.
+    /// Allgather, have the first live rank write the hierarchy's image to
+    /// the shared slot when `to_disk` (rotating `latest` → `prev`), and
+    /// freeze the memory tier from the same image — which, the gather
+    /// done, costs only the serialization, no extra messages.
     fn save(&mut self, rank: &mut Rank, t: f64, to_disk: bool) -> Result<(), SolverError> {
         let d = &mut *self.d;
         d.allgather_state(rank, ExKind::Gather)?;
-        let ck = d.inner.to_checkpoint(t);
+        let img = d.inner.to_checkpoint(t).into_image();
         if let Some(slots) = self.slots.as_ref().filter(|_| to_disk) {
             if rank.rank() == rank.live_ranks()[0] {
-                slots.save(&ck).map_err(ck_err)?;
+                slots.save(&img).map_err(ck_err)?;
             }
             self.stats.checkpoints_saved += 1;
             d.link.count("ckp.save.disk", 1);
         }
         let (live, me) = live_blocks(rank)?;
         self.tiers
-            .refresh(rank, &live, me, d.inner.steps, t, encode(&ck))?;
+            .refresh(rank, &live, me, d.inner.steps, t, encode(&img))?;
         self.stats.local_snapshots += 1;
         Ok(())
     }
@@ -939,7 +940,7 @@ impl AmrLadder<'_> {
     fn tier_restore(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
         let (live, me) = live_blocks(rank)?;
         let served = self.tiers.fetch(rank, &live, me, |bytes| {
-            decode_trusted::<AmrCheckpoint>(bytes).ok()
+            AmrCheckpoint::from_image(decode_trusted(bytes).ok()?).ok()
         })?;
         let ck = match served {
             Some((ck, _)) => {
@@ -953,11 +954,11 @@ impl AmrLadder<'_> {
                           directory is configured"
                         .into(),
                 })?;
-                let (ck, fell_back) = load_newest_agreed::<AmrCheckpoint>(rank, slots)?;
+                let (img, fell_back) = load_newest_agreed(rank, slots)?;
                 self.stats.disk_restores += 1;
                 self.stats.ckpt_fallbacks += u64::from(fell_back);
                 self.d.link.count("ckp.tier.disk.restore", 1);
-                ck
+                AmrCheckpoint::from_image(img).map_err(ck_err)?
             }
         };
         self.d.restore(rank, &ck)?;
@@ -1242,7 +1243,7 @@ mod tests {
     }
 
     /// Kill a rank inside the regrid window: survivors must evict it,
-    /// restore from the shared v4 checkpoint, re-partition, and finish
+    /// restore from the shared checkpoint, re-partition, and finish
     /// with composite conservation intact — booked by the ladder under
     /// the counter names the block driver's drills read.
     #[test]
@@ -1308,7 +1309,7 @@ mod tests {
         }
     }
 
-    /// Satellite: a v4 checkpoint written by a 4-rank run restores onto a
+    /// A checkpoint written by a 4-rank run restores onto a
     /// 2-rank run; a torn `latest` slot falls back to `prev` and the
     /// redistribution still completes cleanly.
     #[test]
@@ -1341,19 +1342,17 @@ mod tests {
         }
         // Tear the newest slot: truncate its last byte.
         let slots = CheckpointSlots::new(dir.clone()).unwrap();
-        let latest = slots.latest_path::<AmrCheckpoint>();
+        let latest = slots.latest_path();
         let bytes = std::fs::read(&latest).unwrap();
         std::fs::write(&latest, &bytes[..bytes.len() - 1]).unwrap();
-        assert!(
-            slots.prev_path::<AmrCheckpoint>().exists(),
-            "prev slot must exist"
-        );
+        assert!(slots.prev_path().exists(), "prev slot must exist");
         // Phase 2: a 2-rank run restores (falling back to prev) and
         // continues; the redistributed hierarchy must keep conserving.
         let outs = run(2, NetworkModel::ideal(), |rank| {
             let slots = CheckpointSlots::new(dir.clone()).unwrap();
-            let (ck, fell_back) = slots.load_newest::<AmrCheckpoint>().unwrap();
+            let (img, fell_back) = slots.load_newest().unwrap();
             assert!(fell_back, "torn latest must fall back to prev");
+            let ck = AmrCheckpoint::from_image(img).unwrap();
             let mut d = DistAmrSolver::new(
                 scheme(),
                 bc::uniform(Bc::Periodic),

@@ -44,8 +44,8 @@ use crate::ladder::{resilient_advance, straggle, Recoverable, RestoreCause, Stop
 pub use crate::ladder::{ResilienceConfig, ResilienceStats};
 use crate::refine::rk_tables;
 use crate::scheme::{
-    init_cons, max_dt, recover_region, recover_region_resilient, RecoveryStats, Scheme,
-    SolverError, WaveScan,
+    apply_conserved_floors, init_cons, max_dt, recover_region, recover_region_resilient,
+    RecoveryStats, Scheme, SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
@@ -788,11 +788,15 @@ impl BlockSolver {
         Ok(())
     }
 
-    /// RK stage combiner: `u = b*u_stage + a*u + c*rhs`, timed as
-    /// `phase.rk.combine`.
+    /// RK stage combiner: `u = b*u_stage + a*u + c*rhs`, then the
+    /// conserved-variable limiter, as [`crate::integrate::PatchSolver`]
+    /// does; timed as `phase.rk.combine`.
     fn combine(&self, rank: &mut Rank, u: &mut Field, a: f64, b: Option<f64>, c: f64) {
         let s = self.pstart(rank);
-        rank.work(|| lincomb(u, a, b.map(|b| (&self.u_stage, b)), &self.rhs, c));
+        rank.work(|| {
+            lincomb(u, a, b.map(|b| (&self.u_stage, b)), &self.rhs, c);
+            apply_conserved_floors(u, &self.cfg.scheme.c2p);
+        });
         self.pend("phase.rk.combine", rank, s);
     }
 
@@ -1069,7 +1073,8 @@ impl BlockSolver {
             .map(|(b, data)| {
                 let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, b);
                 Ok(BlockRecord {
-                    id: b as u64,
+                    id: b as u32,
+                    level: 0,
                     offset,
                     size,
                     data: data.map_err(comm_err)?,
@@ -1147,7 +1152,7 @@ impl BlockSolver {
                   configured for the disk tier"
                 .into(),
         })?;
-        let (gckp, fell_back) = load_newest_agreed::<GlobalCheckpoint>(rank, slots)?;
+        let (gckp, fell_back) = load_newest_agreed(rank, slots)?;
         let restored = self.fill_from_global(u, &gckp)?;
         rstats.disk_restores += 1;
         rstats.ckpt_fallbacks += u64::from(fell_back);
@@ -1156,7 +1161,7 @@ impl BlockSolver {
     }
 
     /// Serialize this block's interior as a single-block global checkpoint
-    /// (what the L1 diskless tier freezes). Using the v3 global format
+    /// (what the L1 diskless tier freezes). Using the one block image
     /// means any collection of snapshots can later be merged into a full
     /// [`GlobalCheckpoint`] and re-tiled onto a *different* decomposition
     /// — which is exactly what the buddy-shrink path does.
@@ -1168,7 +1173,8 @@ impl BlockSolver {
             global_n: self.cfg.global_n,
             ncomp: NCOMP,
             blocks: vec![BlockRecord {
-                id: self.my_rank as u64,
+                id: self.my_rank as u32,
+                level: 0,
                 offset,
                 size,
                 data: pack_interior(u),
@@ -1207,7 +1213,7 @@ impl BlockSolver {
         let merge = |round, time, snapshots: &[&[u8]]| {
             let mut blocks: Vec<BlockRecord> = snapshots
                 .iter()
-                .filter_map(|bytes| decode_trusted::<GlobalCheckpoint>(bytes).ok())
+                .filter_map(|bytes| decode_trusted(bytes).ok())
                 .flat_map(|g| g.blocks)
                 .collect();
             blocks.sort_by_key(|r| r.id);
@@ -1221,7 +1227,7 @@ impl BlockSolver {
             })
         };
         let merged = tiers.gather_for_shrink(rank, &self.comm_ranks, self.my_rank, merge, |b| {
-            decode_trusted::<GlobalCheckpoint>(b).ok()
+            decode_trusted(b).ok()
         })?;
         let Some(gckp) = merged else {
             return Ok(None);
@@ -1250,7 +1256,7 @@ impl BlockSolver {
         if let Some(tz) = tiers {
             let s = self.pstart(rank);
             let fetched = tz.fetch(rank, &self.comm_ranks, self.my_rank, |bytes| {
-                let gckp = decode_trusted::<GlobalCheckpoint>(bytes).ok()?;
+                let gckp = decode_trusted(bytes).ok()?;
                 self.fill_global_span(&gckp)
             })?;
             let served = fetched.map(|((data, time, step), from_buddy)| {

@@ -72,10 +72,11 @@ pub struct ResilienceConfig {
     /// (0 disables periodic checkpoints; an initial one is still written
     /// when `checkpoint_dir` is set, so a restore target always exists).
     pub checkpoint_interval: usize,
-    /// Directory of the disk tier: one rotating `latest` / `prev` pair of
-    /// a rank-count-independent checkpoint — the block driver's v3 global
-    /// image in `<dir>/global/`, distributed AMR's v4 hierarchy in
-    /// `<dir>/`. `None` disables the disk tier.
+    /// Directory of the disk tier: one rotating `latest.gckp` /
+    /// `prev.gckp` pair of the rank-count-independent block image — the
+    /// block driver's blocks in `<dir>/global/`, distributed AMR's patches
+    /// (one level-tagged block each) in `<dir>/`. `None` disables the
+    /// disk tier.
     pub checkpoint_dir: Option<PathBuf>,
     /// Capture an in-memory (diskless) snapshot every this many committed
     /// steps: the L1 tier each rank keeps of its own state, plus the L2

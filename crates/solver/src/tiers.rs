@@ -8,8 +8,8 @@
 //! capture time, injected rot and the scrub that finds it, the collective
 //! fetch that decides whether memory can serve a restore, and the gather
 //! that rebuilds dead ranks' blocks from their guardians' replicas. The
-//! store never looks inside a snapshot: what the bytes mean (a
-//! single-block v3 checkpoint for the block driver, a full v4 hierarchy
+//! store never looks inside a snapshot: what the image's blocks are (the
+//! rank's own block for the block driver, every patch of the hierarchy
 //! for distributed AMR) is the caller's, passed in as a decode closure.
 //! Both ladders ([`crate::driver`], [`crate::amr_dist`]) run on it; the
 //! AMR one with buddy offset 0, because its snapshot is the allgathered
@@ -24,7 +24,7 @@
 use crate::driver::comm_err;
 use crate::scheme::SolverError;
 use rhrsc_comm::{FaultInjector, Rank, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG};
-use rhrsc_io::checkpoint::{CheckpointError, CheckpointFormat, CheckpointSlots};
+use rhrsc_io::checkpoint::{CheckpointError, CheckpointSlots, GlobalCheckpoint};
 use rhrsc_io::snapshot::MemorySnapshot;
 use rhrsc_runtime::fault::SnapshotTarget;
 use rhrsc_runtime::metrics::Registry;
@@ -38,11 +38,11 @@ pub(crate) fn ck_err(e: CheckpointError) -> SolverError {
 /// (falling back past a torn `latest`) and all agree that everyone
 /// succeeded, so a one-rank I/O failure cannot desynchronize the tiers.
 /// Returns the checkpoint and whether the `prev` slot served it.
-pub(crate) fn load_newest_agreed<R: CheckpointFormat>(
+pub(crate) fn load_newest_agreed(
     rank: &mut Rank,
     slots: &CheckpointSlots,
-) -> Result<(R, bool), SolverError> {
-    let loaded = slots.load_newest::<R>();
+) -> Result<(GlobalCheckpoint, bool), SolverError> {
+    let loaded = slots.load_newest();
     let all_loaded = rank.allreduce_min(if loaded.is_ok() { 1.0 } else { 0.0 }) > 0.5;
     match (loaded, all_loaded) {
         (Ok(v), true) => Ok(v),
@@ -448,15 +448,14 @@ mod tests {
     /// zero bytes slips past it, and it is the envelope's size and
     /// trailing-bytes checks, in force even in a trusted decode, that
     /// refuse the image; or the change is invisible to the content (the
-    /// fraction of a header count, padding behind the last byte, or the
-    /// `step`/`time` words, which ride outside the stamp: a restore
-    /// checks the step against the agreed capture round and takes the
-    /// time from the decoded checkpoint) and bytes and stamp are exactly
-    /// the sender's.
+    /// fraction of a header count, or the `step`/`time` words, which ride
+    /// outside the stamp: a restore checks the step against the agreed
+    /// capture round and takes the time from the decoded checkpoint) and
+    /// bytes and stamp are exactly the sender's.
     #[test]
     fn no_single_word_change_yields_a_different_checkpoint() {
         use rhrsc_io::checkpoint::{decode_trusted, encode, AmrCheckpoint, AmrPatchRecord};
-        let ckp = AmrCheckpoint {
+        let img = AmrCheckpoint {
             time: 0.625,
             step: 41,
             n0: 16,
@@ -467,9 +466,13 @@ mod tests {
                 n: 16,
                 data: (0..32).map(|i| 1.5 + i as f64).collect(),
             }],
-        };
-        let sent = MemorySnapshot::new(ckp.step, ckp.time, encode(&ckp));
-        assert_ne!(sent.len() % 8, 0, "the last word must carry padding");
+        }
+        .into_image();
+        let sent = MemorySnapshot::new(img.step, img.time, encode(&img));
+        // An image is a whole number of 8-byte words (its 4-byte fields
+        // come in pairs: version and CRC, each record's id and level), so
+        // the message's last word carries no padding.
+        assert_eq!(sent.len() % 8, 0, "an image fills whole words");
         let msg = pack_snapshot_msg(&sent);
         let mutations: [fn(f64) -> f64; 6] = [
             |w| f64::from_bits(w.to_bits() ^ 1),
@@ -490,14 +493,13 @@ mod tests {
                     continue;
                 };
                 let same = got.bytes() == sent.bytes() && got.fnv() == sent.fnv();
-                let refused =
-                    !got.verify() || decode_trusted::<AmrCheckpoint>(got.bytes()).is_err();
+                let refused = !got.verify() || decode_trusted(got.bytes()).is_err();
                 assert!(
                     same || refused,
                     "word {at}, mutation {m}: a foreign checkpoint was accepted"
                 );
-                // Past the header every bit but the padding is stamped.
-                if (5..msg.len() - 1).contains(&at) {
+                // Past the header every bit is stamped.
+                if (5..msg.len()).contains(&at) {
                     assert!(!got.verify(), "word {at}, mutation {m}");
                 }
             }

@@ -12,7 +12,7 @@
 
 use rhrsc_comm::{run, run_with_faults, FaultPlan, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp, Field};
-use rhrsc_io::checkpoint::{CheckpointSlots, GlobalCheckpoint};
+use rhrsc_io::checkpoint::CheckpointSlots;
 use rhrsc_runtime::fault::SnapshotTarget;
 use rhrsc_runtime::telemetry::field_index;
 use rhrsc_runtime::{
@@ -383,7 +383,7 @@ fn torn_global_latest_falls_back_to_prev_on_every_rank() {
     };
     let latest = CheckpointSlots::new(dir.join("global"))
         .unwrap()
-        .latest_path::<GlobalCheckpoint>();
+        .latest_path();
     let hub = Arc::new(Telemetry::new(TelemetryConfig::default()));
     hub.set_sink(Box::new(TearLatest {
         path: latest,

@@ -3,7 +3,9 @@
 //! bit for bit, over grid dimension × boundary condition (PPM + HLLC +
 //! RK3) — the block driver at every rank count × exchange mode, the
 //! device with its breaker off and armed under a launch fault on every
-//! step. ROADMAP 1(a); missing: AMR, serve, Taub–Mathews, gang.
+//! step. One more block-driver row runs a problem that only gets past
+//! t = 0.05 through the conserved-variable limiter. ROADMAP 1(a);
+//! missing: AMR, serve, Taub–Mathews, gang.
 
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp, Field};
@@ -32,6 +34,18 @@ fn ic(x: [f64; 3]) -> Prim {
     }
 }
 
+/// Two cold streams flying apart at v = ∓0.95 from `x = 0.5`: the gap
+/// between them empties faster than the scheme can follow, and the
+/// conserved-variable limiter has to floor cells there.
+fn receding_streams(x: [f64; 3]) -> Prim {
+    let v = if x[0] < 0.5 { -0.95 } else { 0.95 };
+    Prim {
+        rho: 1.0,
+        vel: [v, 0.0, 0.0],
+        p: 1e-3,
+    }
+}
+
 fn cfg(global_n: [usize; 3], kind: Bc, nranks: usize, mode: ExchangeMode) -> DistConfig {
     let periodic = global_n.map(|n| n > 1 && kind == Bc::Periodic);
     DistConfig {
@@ -48,47 +62,68 @@ fn cfg(global_n: [usize; 3], kind: Bc, nranks: usize, mode: ExchangeMode) -> Dis
     }
 }
 
-/// One row's reference: the serial config, the initial state, and the
-/// state `PatchSolver::advance_to` leaves with the steps it took.
-fn reference(global_n: [usize; 3], kind: Bc) -> (DistConfig, Field, Field, usize) {
+/// One row's reference: the serial config, the initial state, the state
+/// `PatchSolver::advance_to` leaves with the steps it took, and how many
+/// cells its limiter floored on the way.
+fn reference(
+    global_n: [usize; 3],
+    kind: Bc,
+    ic: fn([f64; 3]) -> Prim,
+) -> (DistConfig, Field, Field, usize, u64) {
     let serial = cfg(global_n, kind, 1, ExchangeMode::BulkSynchronous);
     let geom = serial.local_geom(0);
     let u0 = init_cons(geom, &serial.scheme.eos, &ic);
     let mut u = u0.clone();
-    let steps = PatchSolver::new(serial.scheme, serial.bcs, serial.rk, geom)
+    let mut solver = PatchSolver::new(serial.scheme, serial.bcs, serial.rk, geom);
+    let steps = solver
         .advance_to(&mut u, 0.0, T_END, serial.cfl, None)
         .unwrap();
-    (serial, u0, u, steps)
+    (serial, u0, u, steps, solver.stats().floored_cells)
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The block driver at every rank count × exchange mode against the
+/// reference interior of one row.
+fn assert_block_rows(global_n: [usize; 3], kind: Bc, ranks: &[usize], ic: fn([f64; 3]) -> Prim) {
+    let (_, _, reference, _, _) = reference(global_n, kind, ic);
+    let geom = *reference.geom();
+    let lo = [0, 1, 2].map(|d| geom.ng_of(d));
+    let mut want = Vec::new();
+    reference.gather_box(lo, [0, 1, 2].map(|d| lo[d] + geom.n[d]), &mut want);
+    for &nranks in ranks {
+        for mode in [ExchangeMode::BulkSynchronous, ExchangeMode::Overlap] {
+            let cfg = cfg(global_n, kind, nranks, mode);
+            let gathered = run(nranks, NetworkModel::ideal(), |rank| {
+                let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+                solver.advance_to(rank, &mut u, 0.0, T_END).unwrap();
+                solver.gather_interior(rank, &u).unwrap()
+            });
+            let global = gathered[0].as_ref().expect("block 0 holds the gather");
+            let row = format!("{global_n:?} {kind:?} {nranks} ranks {}", mode.name());
+            assert!(bits(global.raw()) == bits(&want), "{row}: interiors differ");
+        }
+    }
+}
+
 #[test]
 fn block_solver_equals_patch_solver_on_every_row() {
     for global_n in GRIDS {
         for kind in BCS {
-            let (_, _, reference, _) = reference(global_n, kind);
-            let geom = *reference.geom();
-            let lo = [0, 1, 2].map(|d| geom.ng_of(d));
-            let mut want = Vec::new();
-            reference.gather_box(lo, [0, 1, 2].map(|d| lo[d] + geom.n[d]), &mut want);
-            for nranks in [1, 2, 4] {
-                for mode in [ExchangeMode::BulkSynchronous, ExchangeMode::Overlap] {
-                    let cfg = cfg(global_n, kind, nranks, mode);
-                    let gathered = run(nranks, NetworkModel::ideal(), |rank| {
-                        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-                        solver.advance_to(rank, &mut u, 0.0, T_END).unwrap();
-                        solver.gather_interior(rank, &u).unwrap()
-                    });
-                    let global = gathered[0].as_ref().expect("block 0 holds the gather");
-                    let row = format!("{global_n:?} {kind:?} {nranks} ranks {}", mode.name());
-                    assert!(bits(global.raw()) == bits(&want), "{row}: interiors differ");
-                }
-            }
+            assert_block_rows(global_n, kind, &[1, 2, 4], ic);
         }
     }
+}
+
+/// Both solvers run the limiter after every stage combine, so a run
+/// that needs it gives the same bytes on the block driver.
+#[test]
+fn block_solver_floors_as_the_patch_solver_does() {
+    let (_, _, _, _, floored) = reference([128, 1, 1], Bc::Outflow, receding_streams);
+    assert!(floored > 0, "the row must exercise the limiter");
+    assert_block_rows([128, 1, 1], Bc::Outflow, &[1, 2], receding_streams);
 }
 
 #[test]
@@ -108,7 +143,7 @@ fn device_solver_equals_patch_solver_on_every_row() {
     };
     for global_n in GRIDS {
         for kind in BCS {
-            let (serial, u0, want, want_steps) = reference(global_n, kind);
+            let (serial, u0, want, want_steps, _) = reference(global_n, kind, ic);
             let (scheme, rk, geom) = (serial.scheme, serial.rk, *u0.geom());
             for armed in [false, true] {
                 let mut dev = DevicePatchSolver::new(accel.clone(), scheme, serial.bcs, rk, geom);

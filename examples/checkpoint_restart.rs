@@ -1,16 +1,18 @@
 //! Checkpoint/restart workflow.
 //!
-//! Advances a blast-wave run halfway, writes a CRC-protected binary
-//! checkpoint, reloads it into a fresh solver, finishes the run, and
-//! verifies the result is **bit-identical** to an uninterrupted run —
-//! the property long production campaigns depend on.
+//! Advances a blast-wave run halfway, writes the interior as a
+//! CRC-protected one-block checkpoint image, reloads it into a fresh
+//! solver, finishes the run, and verifies the result is
+//! **bit-identical** to an uninterrupted run — the property long
+//! production campaigns depend on. The image holds no ghost cells: the
+//! solver refills them before every stage reads them.
 //!
 //! ```text
 //! cargo run --release --example checkpoint_restart
 //! ```
 
-use rhrsc::grid::PatchGeom;
-use rhrsc::io::{load_checkpoint, save_checkpoint, Checkpoint};
+use rhrsc::grid::{Field, PatchGeom};
+use rhrsc::io::{load_checkpoint, save_checkpoint, BlockRecord, GlobalCheckpoint};
 use rhrsc::solver::problems::Problem;
 use rhrsc::solver::scheme::init_cons;
 use rhrsc::solver::{PatchSolver, RkOrder, Scheme};
@@ -34,18 +36,30 @@ fn main() {
         .advance_to(&mut u_ref, t_mid, prob.t_end, 0.4, None)
         .unwrap();
 
-    // Run to the midpoint, checkpoint, drop everything.
+    // Run to the midpoint, checkpoint the interior, drop everything.
     let mut u = init_cons(geom, &scheme.eos, &|x| (prob.ic)(x));
     let mut solver = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
     let steps_a = solver.advance_to(&mut u, 0.0, t_mid, 0.4, None).unwrap();
+    let lo = [0, 1, 2].map(|d| geom.ng_of(d));
+    let hi = [0, 1, 2].map(|d| lo[d] + geom.n[d]);
+    let mut data = Vec::new();
+    u.gather_box(lo, hi, &mut data);
     std::fs::create_dir_all("results").unwrap();
     let path = std::path::Path::new("results/blast1_mid.ckp");
     save_checkpoint(
         path,
-        &Checkpoint {
+        &GlobalCheckpoint {
             time: t_mid,
             step: steps_a as u64,
-            field: u,
+            global_n: geom.n,
+            ncomp: u.ncomp(),
+            blocks: vec![BlockRecord {
+                id: 0,
+                level: 0,
+                offset: [0; 3],
+                size: geom.n,
+                data,
+            }],
         },
     )
     .unwrap();
@@ -56,10 +70,14 @@ fn main() {
         std::fs::metadata(path).unwrap().len()
     );
 
-    // Fresh process-equivalent restart.
-    let ckp: Checkpoint = load_checkpoint(path).unwrap();
+    // Fresh process-equivalent restart: the interior into a new field.
+    let ckp = load_checkpoint(path).unwrap();
     println!("# restored t = {}, step = {}", ckp.time, ckp.step);
-    let mut u = ckp.field;
+    let data = ckp
+        .extract_span([0; 3], geom.n)
+        .expect("one block covers the grid");
+    let mut u = Field::cons(geom);
+    u.scatter_box(lo, hi, &data);
     let mut solver = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
     let steps_b = solver
         .advance_to(&mut u, ckp.time, prob.t_end, 0.4, None)

@@ -303,21 +303,34 @@ fn checkpoint_restart_is_bit_identical() {
     let mut u_full = init_cons(geom, &scheme.eos, &|x| (prob.ic)(x));
     let mut s_full = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
     s_full.advance_to(&mut u_full, 0.0, 0.2, 0.4, None).unwrap();
-    // Snapshot mid-flight.
-    let ckp = rhrsc::io::Checkpoint {
+    // Snapshot the interior mid-flight, as a one-block image.
+    let (lo, hi) = ([geom.ng, 0, 0], [geom.ng + geom.n[0], 1, 1]);
+    let mut data = Vec::new();
+    u_full.gather_box(lo, hi, &mut data);
+    let ckp = rhrsc::io::GlobalCheckpoint {
         time: 0.2,
         step: 0,
-        field: u_full.clone(),
+        global_n: geom.n,
+        ncomp: u_full.ncomp(),
+        blocks: vec![rhrsc::io::BlockRecord {
+            id: 0,
+            level: 0,
+            offset: [0; 3],
+            size: geom.n,
+            data,
+        }],
     };
-    let path = std::env::temp_dir().join("rhrsc-restart-test.ckp");
+    let path = std::env::temp_dir().join("rhrsc-restart-test.gckp");
     rhrsc::io::save_checkpoint(&path, &ckp).unwrap();
     s_full.advance_to(&mut u_full, 0.2, 0.4, 0.4, None).unwrap();
 
-    // Restarted run (fresh solver, loaded state).
-    let loaded: rhrsc::io::Checkpoint = rhrsc::io::load_checkpoint(&path).unwrap();
+    // Restarted run (fresh solver, loaded state; the solver refills the
+    // ghosts before every stage reads them).
+    let loaded = rhrsc::io::load_checkpoint(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(loaded.time, 0.2);
-    let mut u_restart = loaded.field;
+    let mut u_restart = Field::cons(geom);
+    u_restart.scatter_box(lo, hi, &loaded.extract_span([0; 3], geom.n).unwrap());
     let mut s_restart = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
     s_restart
         .advance_to(&mut u_restart, loaded.time, 0.4, 0.4, None)

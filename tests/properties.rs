@@ -282,7 +282,7 @@ proptest! {
         time in 0.0f64..1e3,
         step in 0u64..1_000_000,
     ) {
-        use rhrsc::io::checkpoint::{decode, encode};
+        use rhrsc::io::checkpoint::{decode, encode, BlockRecord, GlobalCheckpoint};
         let geom = PatchGeom::line(n, 0.0, 1.0, 3);
         let mut field = Field::cons(geom);
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -290,9 +290,18 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             *v = f64::from_bits((state >> 12) | 0x3ff0000000000000);
         }
-        let ckp = rhrsc::io::Checkpoint { time, step, field };
-        let out: rhrsc::io::Checkpoint =
-            decode(&encode(&ckp)).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        // A one-block image of the interior.
+        let mut data = Vec::new();
+        field.gather_box([3, 0, 0], [3 + n, 1, 1], &mut data);
+        let block = BlockRecord { id: 0, level: 0, offset: [0; 3], size: geom.n, data };
+        let ckp = GlobalCheckpoint {
+            time,
+            step,
+            global_n: geom.n,
+            ncomp: field.ncomp(),
+            blocks: vec![block],
+        };
+        let out = decode(&encode(&ckp)).map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(out, ckp);
     }
 
