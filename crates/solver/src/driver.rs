@@ -2,13 +2,20 @@
 //!
 //! Each rank owns one block of a Cartesian decomposition of the global
 //! grid. A step comprises a Δt allreduce, per-stage halo exchanges and
-//! residual evaluation. A cell's primitives are computed by its owner,
-//! once per stage: every stage recovers the block interior, ships the
-//! *primitive* face layers, and fills the faces no message serves
-//! (physical boundaries, periodic self-wrap) from its own primitives —
-//! a ghost is a copy of a cell somebody has just recovered, and the
-//! recovery of a copy is the copy of the recovery. The two modes differ
-//! in what happens while the messages fly:
+//! residual evaluation. The stages are the serial solver's: a
+//! [`BlockSolver`] holds a [`PatchSolver`] and runs its one stage loop —
+//! buffers, Δt arithmetic, combine and limiter — through a halo coupling
+//! (`Halo`), which supplies only the ghosts and the sweep order, the
+//! cadenced Δt decision, the ladder's failure policy and the
+//! virtual-clock charge of each compute section.
+//!
+//! A cell's primitives are computed by its owner, once per stage: every
+//! stage recovers the block interior, ships the *primitive* face layers,
+//! and fills the faces no message serves (physical boundaries, periodic
+//! self-wrap) from its own primitives — a ghost is a copy of a cell
+//! somebody has just recovered, and the recovery of a copy is the copy of
+//! the recovery. The two modes differ in what happens while the messages
+//! fly:
 //!
 //! * **bulk-synchronous** — exchange every halo, then compute the full
 //!   residual (the classic MPI pattern),
@@ -39,15 +46,11 @@
 //! current decomposition and a shrink onto a re-cut one alike.
 
 use crate::health::{HealthConfig, HealthMonitor};
-use crate::integrate::{lincomb, RkOrder};
+use crate::integrate::{Coupling, Eval, PatchSolver, RkOrder, StepSize};
 use crate::ladder::{resilient_advance, straggle, Recoverable, RestoreCause, Stopwatch};
 pub use crate::ladder::{ResilienceConfig, ResilienceStats};
-use crate::refine::rk_tables;
-use crate::scheme::{
-    apply_conserved_floors, init_cons, max_dt, recover_region, recover_region_resilient,
-    RecoveryStats, Scheme, SolverError, WaveScan,
-};
-use crate::step::{accumulate_rhs_region_scan, Region};
+use crate::scheme::{init_cons, max_dt, recover_region, RecoveryStats, Scheme, SolverError};
+use crate::step::Region;
 use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
 use rhrsc_comm::{CommError, FaultInjector, Rank, TELEMETRY_TAG};
 use rhrsc_grid::{fill_face, BcSet, CartDecomp, Field, PatchGeom};
@@ -119,22 +122,14 @@ impl DistConfig {
         PatchGeom {
             n: size,
             ng: self.scheme.required_ghosts(),
-            origin: [
-                lo[0] + off[0] as f64 * dx[0],
-                lo[1] + off[1] as f64 * dx[1],
-                lo[2] + off[2] as f64 * dx[2],
-            ],
+            origin: [0, 1, 2].map(|d| lo[d] + off[d] as f64 * dx[d]),
             dx,
         }
     }
 
     fn cell_size(&self) -> [f64; 3] {
         let (lo, hi) = self.domain;
-        [
-            (hi[0] - lo[0]) / self.global_n[0] as f64,
-            (hi[1] - lo[1]) / self.global_n[1] as f64,
-            (hi[2] - lo[2]) / self.global_n[2] as f64,
-        ]
+        [0, 1, 2].map(|d| (hi[d] - lo[d]) / self.global_n[d] as f64)
     }
 
     /// An empty ghost-free conserved field over the whole domain.
@@ -152,13 +147,7 @@ impl DistConfig {
     /// contribution is reported as [`SolverError::HaloMismatch`].
     fn place_block(&self, global: &mut Field, b: usize, data: &[f64]) -> Result<(), SolverError> {
         let (off, size) = self.decomp.local_span(self.global_n, b);
-        let expected = NCOMP * size[0] * size[1] * size[2];
-        if data.len() != expected {
-            return Err(SolverError::HaloMismatch {
-                expected,
-                got: data.len(),
-            });
-        }
+        check_len(NCOMP * size[0] * size[1] * size[2], data.len())?;
         global.scatter_box(off, [0, 1, 2].map(|d| off[d] + size[d]), data);
         Ok(())
     }
@@ -188,17 +177,15 @@ pub struct DistStats {
 /// the surviving communicator ranks.
 pub struct BlockSolver {
     cfg: DistConfig,
-    geom: PatchGeom,
     my_rank: usize,
     /// Block-rank → communicator-rank translation (identity until a
     /// shrinking recovery remaps the survivors).
     comm_ranks: Vec<usize>,
-    /// Primitives of the interior (recovered here) and of the face
-    /// ghosts (copied from their owners). The ghosts of the conserved
-    /// state are never written or read by the stage loop.
-    prim: Field,
-    rhs: Field,
-    u_stage: Field,
+    /// The stage loop and its buffers. Its primitives are those of the
+    /// interior (recovered here) and of the face ghosts (copied from their
+    /// owners); the ghosts of the conserved state are never written or
+    /// read by the stage loop.
+    patch: PatchSolver,
     /// Residual sweep regions of this block. Overlap mode: the deep core
     /// first, then the shell slabs beside the faces that wait on a
     /// message; bulk-synchronous mode: the interior alone.
@@ -212,9 +199,6 @@ pub struct BlockSolver {
     /// Optional physics-health monitor (strictly rank-local reads; never
     /// communicates, never changes the numbers).
     health: Option<HealthMonitor>,
-    /// Running maximum of the CFL rate from the fused wave-speed scan of
-    /// the most recent stage-0 residual sweep.
-    scan: WaveScan,
     /// Spare halo buffers: a send moves one into its message, a receive
     /// hands the peer's back, so a steady-state exchange allocates none.
     halo_bufs: Vec<Vec<f64>>,
@@ -286,17 +270,26 @@ impl DtCache {
 /// check per phase.
 type PhaseStart = Option<Stopwatch>;
 
-/// How a step gets its Δt.
-#[derive(Clone, Copy)]
-enum StepSize {
-    /// The caller's Δt.
-    Fixed(f64),
-    /// `scale` × the global Δt decided from the stage-0 wave-speed scan,
-    /// clamped so that `t + dt` does not pass `limit = (t, t_end)`.
-    Scanned {
-        limit: Option<(f64, f64)>,
-        scale: f64,
-    },
+fn phase_start(metrics: Option<&Registry>, rank: &Rank) -> PhaseStart {
+    (metrics.is_some() || rank.has_trace()).then(|| Stopwatch::start(rank))
+}
+
+/// Record the phase begun at `s` as histogram `name` and as a trace span.
+fn phase_end(metrics: Option<&Registry>, name: &'static str, rank: &Rank, s: PhaseStart) {
+    if let Some(s) = s {
+        let ns = s.ns(rank);
+        if let Some(m) = metrics {
+            m.histogram(name).record(ns);
+        }
+        rank.trace_span(name, ns);
+    }
+}
+
+/// Add `n` to counter `name` when a registry is attached.
+fn count(metrics: Option<&Registry>, name: &str, n: u64) {
+    if let Some(m) = metrics {
+        m.counter(name).add(n);
+    }
 }
 
 impl BlockSolver {
@@ -310,18 +303,14 @@ impl BlockSolver {
             BlockSolver {
                 comm_ranks: (0..cfg.decomp.nranks()).collect(),
                 tiles: sweep_tiles(&cfg, &geom, rank),
+                patch: PatchSolver::new(cfg.scheme, cfg.bcs, cfg.rk, geom),
                 cfg,
-                geom,
                 my_rank: rank,
-                prim: Field::new(geom, 5),
-                rhs: Field::cons(geom),
-                u_stage: Field::cons(geom),
                 gang,
                 rec_stats: RecoveryStats::default(),
                 metrics: None,
                 c2p_hist: None,
                 health: None,
-                scan: WaveScan::new(),
                 halo_bufs: Vec::new(),
                 dt_cache: DtCache::new(),
                 telemetry: None,
@@ -389,60 +378,40 @@ impl BlockSolver {
     }
 
     fn pstart(&self, rank: &Rank) -> PhaseStart {
-        (self.metrics.is_some() || rank.has_trace()).then(|| Stopwatch::start(rank))
+        phase_start(self.metrics.as_deref(), rank)
     }
 
     fn pend(&self, name: &'static str, rank: &Rank, s: PhaseStart) {
-        if let Some(s) = s {
-            self.record_span(name, rank, s.ns(rank));
-        }
+        phase_end(self.metrics.as_deref(), name, rank, s);
     }
 
-    fn record_span(&self, name: &'static str, rank: &Rank, ns: u64) {
-        if let Some(m) = &self.metrics {
-            m.histogram(name).record(ns);
-        }
-        rank.trace_span(name, ns);
-    }
-
-    /// Add `n` to counter `name` when a registry is attached.
     fn count(&self, name: &str, n: u64) {
-        if let Some(m) = &self.metrics {
-            m.counter(name).add(n);
-        }
+        count(self.metrics.as_deref(), name, n);
     }
 
     /// Take a health observation if a monitor is attached and `step_no`
     /// is on its cadence. Emits the record as trace counters and bumps
     /// `health.*` metrics counters.
     fn health_observe(&mut self, rank: &Rank, u: &Field, t: f64, step_no: u64) {
-        let due = match &self.health {
-            Some(mon) => mon.due(step_no),
-            None => return,
-        };
-        if !due {
+        if !self.health.as_ref().is_some_and(|mon| mon.due(step_no)) {
             return;
         }
         let rho_floor = self.cfg.scheme.c2p.rho_floor;
         let rec = self.rec_stats;
         let mon = self.health.as_mut().expect("health monitor checked above");
         let (record, drift_alarm, floor_alarm) =
-            mon.observe(step_no, t, u, &self.prim, rho_floor, rec);
+            mon.observe(step_no, t, u, &self.patch.prim, rho_floor, rec);
         rank.trace_counter("health.drift", record.drift);
         rank.trace_counter("health.atmo_frac", record.atmo_frac);
         rank.trace_counter("health.limiter_frac", record.limiter_frac);
         rank.trace_counter("health.max_lorentz", record.max_w);
-        if drift_alarm {
-            rank.trace_instant("health.alarm.drift", record.drift);
-        }
-        if floor_alarm {
-            rank.trace_instant("health.alarm.floor", record.atmo_frac);
-        }
         self.count("health.records", 1);
         if drift_alarm {
+            rank.trace_instant("health.alarm.drift", record.drift);
             self.count("health.drift_alarms", 1);
         }
         if floor_alarm {
+            rank.trace_instant("health.alarm.floor", record.atmo_frac);
             self.count("health.floor_alarms", 1);
         }
     }
@@ -457,11 +426,11 @@ impl BlockSolver {
     /// is simply skipped: telemetry observes faults, it never escalates
     /// them.
     fn telemetry_observe(&mut self, rank: &mut Rank, t: f64, step_no: u64, dt: f64) {
-        let due = match &self.telemetry {
-            Some(ts) => ts.sampler.due(step_no),
-            None => return,
-        };
-        if !due {
+        if !self
+            .telemetry
+            .as_ref()
+            .is_some_and(|ts| ts.sampler.due(step_no))
+        {
             return;
         }
         let Some(metrics) = self.metrics.clone() else {
@@ -473,7 +442,7 @@ impl BlockSolver {
             .and_then(|h| h.records().last())
             .map(|r| (r.drift, r.atmo_frac, r.max_w))
             .unwrap_or((0.0, 0.0, 0.0));
-        let zones_per_step = (self.geom.interior_len() * self.cfg.rk.stages()) as f64;
+        let zones_per_step = (self.geom().interior_len() * self.cfg.rk.stages()) as f64;
         let ts = self.telemetry.as_mut().expect("telemetry checked above");
         // Timestamps are the flight recorder's virtual nanoseconds, so
         // JSONL samples line up against the Perfetto spans of the run.
@@ -524,38 +493,15 @@ impl BlockSolver {
         }
     }
 
-    /// Credit a cascade sweep's repairs to the per-tier counters.
-    fn note_cascade(&self, stats: &RecoveryStats) {
-        if stats.total() == 0 {
-            return;
-        }
-        self.count("c2p.cascade.relaxed_tol", stats.relaxed_tol);
-        self.count("c2p.cascade.neighbor_avg", stats.neighbor_avg);
-        self.count("c2p.cascade.atmosphere", stats.atmosphere);
-    }
-
     /// The local patch geometry.
     pub fn geom(&self) -> &PatchGeom {
-        &self.geom
+        self.patch.prim.geom()
     }
 
     /// The current configuration (the decomposition changes after a
     /// shrinking recovery).
     pub fn cfg(&self) -> &DistConfig {
         &self.cfg
-    }
-
-    /// Communicator rank of block rank `block`.
-    fn comm_of(&self, block: usize) -> usize {
-        self.comm_ranks[block]
-    }
-
-    /// Communicator rank of the block that owns the cells behind face
-    /// (`d`, `side`); `None` for a face no message serves — a physical
-    /// boundary, or the periodic wrap of a dimension this block owns
-    /// whole.
-    fn face_peer(&self, d: usize, side: usize) -> Option<usize> {
-        face_neighbor(&self.cfg, self.my_rank, d, side).map(|nb| self.comm_of(nb))
     }
 
     /// The root gather behind telemetry, global checkpoints and
@@ -571,7 +517,7 @@ impl BlockSolver {
         buf: Vec<f64>,
     ) -> Option<impl Iterator<Item = Result<Vec<f64>, CommError>> + 'a> {
         if self.my_rank != 0 {
-            rank.send_vec(self.comm_of(0), tag, buf);
+            rank.send_vec(self.comm_ranks[0], tag, buf);
             return None;
         }
         let peers = self.comm_ranks[1..]
@@ -580,242 +526,20 @@ impl BlockSolver {
         Some(std::iter::once(Ok(buf)).chain(peers))
     }
 
-    /// Pack the primitives of the `ng` interior layers adjacent to face
-    /// (`d`, `side`) (transverse interior only — corners are never
-    /// exchanged). `buf` is overwritten; its allocation is reused.
-    fn pack_face(&self, d: usize, side: usize, buf: &mut Vec<f64>) {
-        let (lo, hi) = face_box(&self.geom, d, side, false);
-        buf.clear();
-        self.prim.gather_box(lo, hi, buf);
-    }
-
-    /// Unpack a received halo into the primitive ghost layers of face
-    /// (`d`, `side`). A wrong-length buffer (truncated in flight) leaves
-    /// the ghosts untouched and reports [`SolverError::HaloMismatch`].
-    fn unpack_face(&mut self, d: usize, side: usize, buf: &[f64]) -> Result<(), SolverError> {
-        let (lo, hi) = face_box(&self.geom, d, side, true);
-        let expected = NCOMP * self.geom.ng_of(d) * self.geom.interior_len() / self.geom.n[d];
-        if buf.len() != expected {
-            return Err(SolverError::HaloMismatch {
-                expected,
-                got: buf.len(),
-            });
-        }
-        self.prim.scatter_box(lo, hi, buf);
-        Ok(())
-    }
-
-    /// Post the halo sends of the freshly recovered interior primitives.
-    fn post_sends(&mut self, rank: &mut Rank) {
-        let geom = self.geom;
-        for d in (0..3).filter(|&d| geom.active(d)) {
-            for side in 0..2 {
-                let Some(peer) = self.face_peer(d, side) else {
-                    continue;
-                };
-                let mut buf = self.halo_bufs.pop().unwrap_or_default();
-                let s = self.pstart(rank);
-                rank.work(|| self.pack_face(d, side, &mut buf));
-                self.pend("phase.halo.pack", rank, s);
-                let s = self.pstart(rank);
-                rank.send_vec(peer, (d * 2 + side) as u64, buf);
-                self.pend("phase.halo.send", rank, s);
-            }
-        }
-    }
-
-    /// Fill the primitive ghosts of every face no message serves:
-    /// physical boundary conditions and the periodic self-wrap. The
-    /// primitive layout has the normal velocity where the conserved one
-    /// has the normal momentum, so [`fill_face`] mirrors it correctly.
-    fn fill_local_faces(&mut self, rank: &mut Rank) {
-        let geom = self.geom;
-        for d in (0..3).filter(|&d| geom.active(d)) {
-            for side in 0..2 {
-                if self.face_peer(d, side).is_none() {
-                    let s = self.pstart(rank);
-                    rank.work(|| fill_face(&mut self.prim, d, side, self.cfg.bcs[d][side]));
-                    self.pend("phase.halo.unpack", rank, s);
-                }
-            }
-        }
-    }
-
-    /// Receive the primitive halos of every face a peer serves.
-    ///
-    /// Every expected message is received even after an unpack failure —
-    /// bailing out early would leave messages queued and desynchronize
-    /// this rank's communication pattern from its neighbors'. The first
-    /// error is reported after the exchange is fully drained.
-    fn recv_halos(&mut self, rank: &mut Rank) -> Result<(), SolverError> {
-        let mut first_err = None;
-        let geom = self.geom;
-        for d in (0..3).filter(|&d| geom.active(d)) {
-            for side in 0..2 {
-                let Some(peer) = self.face_peer(d, side) else {
-                    continue;
-                };
-                // Neighbor's opposite face arrives tagged with its
-                // (d, 1-side). The deadline receive bounds the wait on a
-                // dead neighbor: a silent peer becomes a typed suspicion
-                // instead of a hang.
-                let s = self.pstart(rank);
-                let buf = rank.recv_deadline(peer, (d * 2 + (1 - side)) as u64);
-                self.pend("phase.halo.wait", rank, s);
-                match buf {
-                    Ok(buf) => {
-                        let s = self.pstart(rank);
-                        if let Err(e) = rank.work(|| self.unpack_face(d, side, &buf)) {
-                            first_err.get_or_insert(e);
-                        }
-                        self.pend("phase.halo.unpack", rank, s);
-                        self.halo_bufs.push(buf);
-                    }
-                    // Ghosts stay untouched; the step is rolled back. Keep
-                    // draining the remaining faces so this rank's pattern
-                    // stays aligned with the neighbors that are still
-                    // alive.
-                    Err(e) => {
-                        first_err.get_or_insert(comm_err(e));
-                    }
-                }
-            }
-        }
-        first_err.map_or(Ok(()), Err)
-    }
-
-    /// Recover primitives over the interior — the cells this block owns.
-    /// Strict (the first failure is the error) unless `cascade`, which
-    /// repairs failed cells through the tiered cascade instead: the
-    /// repairs of the whole batch finish here, before any primitive ships.
-    fn recover_interior(&mut self, u: &mut Field, cascade: bool) -> Result<(), SolverError> {
-        let interior = Region::interior(&self.geom);
-        let iters = self.c2p_hist.as_deref();
-        if !cascade {
-            return recover_region(&self.cfg.scheme, u, &mut self.prim, &interior, iters, None);
-        }
-        let mut stats = RecoveryStats::default();
-        recover_region_resilient(
-            &self.cfg.scheme,
-            u,
-            &mut self.prim,
-            &interior,
-            &mut stats,
-            iters,
-        );
-        self.rec_stats.merge(&stats);
-        self.note_cascade(&stats);
-        Ok(())
-    }
-
-    /// Accumulate the residual over `self.tiles[tiles]`, timed as `phase`.
-    fn sweep(
-        &mut self,
-        rank: &mut Rank,
-        phase: &'static str,
-        tiles: std::ops::Range<usize>,
-        scan: bool,
-    ) {
-        let s = self.pstart(rank);
-        rank.work(|| {
-            for tile in &self.tiles[tiles] {
-                accumulate_rhs_region_scan(
-                    &self.cfg.scheme,
-                    &self.prim,
-                    &mut self.rhs,
-                    tile,
-                    scan.then_some(&self.scan),
-                    self.gang.as_ref(),
-                );
-            }
-        });
-        self.pend(phase, rank, s);
-    }
-
-    /// One residual evaluation with halo exchange, honoring the mode.
-    ///
-    /// With `scan` set, the sweeps also run the fused wave-speed scan:
-    /// afterwards `self.scan` holds the largest interior CFL rate (the
-    /// quantity [`max_dt`] maximizes), for free — the pencils are already
-    /// resident in scratch. The stage-0 evaluation of every step scans,
-    /// which is what lets Δt be decided without a separate local pass.
-    /// `cascade` selects the repairing recovery ([`Self::recover_interior`]).
-    fn eval_rhs(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        scan: bool,
-        cascade: bool,
-    ) -> Result<(), SolverError> {
-        self.rhs.raw_mut().fill(0.0);
-        if scan {
-            self.scan.reset();
-        }
-        // Phase names of the compute before and after the receives.
-        let overlap = self.cfg.mode == ExchangeMode::Overlap;
-        let (before, after) = if overlap {
-            ("phase.rhs.deep", "phase.rhs.shell")
-        } else {
-            ("phase.rhs.interior", "phase.rhs.interior")
-        };
-        // Wall time inside a `rank.work` closure is the virtual-clock
-        // charge (one thread per rank, on a core of its own or holding
-        // the CPU token), so the nested con2prim sub-phase can use plain
-        // `Instant` timing.
-        let sub_c2p = self.metrics.as_ref().map(|m| m.histogram("sub.c2p"));
-        let s = self.pstart(rank);
-        let recovered = rank.work(|| {
-            let t0 = sub_c2p.as_ref().map(|_| Instant::now());
-            let out = self.recover_interior(u, cascade);
-            if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
-                h.record(t0.elapsed().as_nanos() as u64);
-            }
-            out
-        });
-        self.pend(before, rank, s);
-        // The exchange runs even when the recovery failed: the neighbors
-        // are committed to this stage's messages, and skipping them would
-        // shift every later receive by one.
-        self.post_sends(rank);
-        self.fill_local_faces(rank);
-        if overlap && recovered.is_ok() {
-            self.sweep(rank, before, 0..1, scan);
-        }
-        let received = self.recv_halos(rank);
-        recovered?;
-        received?;
-        self.sweep(rank, after, overlap as usize..self.tiles.len(), scan);
-        Ok(())
-    }
-
-    /// RK stage combiner: `u = b*u_stage + a*u + c*rhs`, then the
-    /// conserved-variable limiter, as [`crate::integrate::PatchSolver`]
-    /// does; timed as `phase.rk.combine`.
-    fn combine(&self, rank: &mut Rank, u: &mut Field, a: f64, b: Option<f64>, c: f64) {
-        let s = self.pstart(rank);
-        rank.work(|| {
-            lincomb(u, a, b.map(|b| (&self.u_stage, b)), &self.rhs, c);
-            apply_conserved_floors(u, &self.cfg.scheme.c2p);
-        });
-        self.pend("phase.rk.combine", rank, s);
-    }
-
     /// One RK step of size `dt`; the first stage error aborts the step.
     pub fn step(&mut self, rank: &mut Rank, u: &mut Field, dt: f64) -> Result<(), SolverError> {
-        self.run_stages(rank, u, StepSize::Fixed(dt), false)
-            .map(|_| ())
+        self.run(rank, u, StepSize::Fixed(dt), false).map(|_| ())
     }
 
-    /// The one stage loop, driven by [`rk_tables`]. Returns the Δt taken.
+    /// One step of the one stage loop ([`PatchSolver`]'s) over this
+    /// block's [`Halo`] coupling. Returns the Δt taken.
     ///
-    /// With [`StepSize::Scanned`] Δt is decided *inside* the step: the
-    /// stage-0 residual evaluation runs the fused wave-speed scan, the
-    /// cadenced refresh (or the cached coast) turns this rank's bound
-    /// into the global Δt, and only then do the stage combines apply it.
-    /// The stage-0 residual does not depend on Δt, so with a refresh
-    /// every step this is bitwise the "Δt first, then step" ordering —
-    /// minus the separate `phase.dt.local` primitive-recovery pass, which
-    /// the fusion makes redundant.
+    /// With [`StepSize::Cfl`] Δt is decided *inside* the step: the stage-0
+    /// residual evaluation runs the fused wave-speed scan, the cadenced
+    /// refresh (or the cached coast) turns this rank's bound into the
+    /// global Δt, and only then do the stage combines apply it — minus
+    /// the separate `phase.dt.local` primitive-recovery pass, which the
+    /// fusion makes redundant.
     ///
     /// `keep_going` is the recovery ladder's attempt, and only it: failed
     /// cells are repaired by the recovery cascade, so the only in-step
@@ -828,44 +552,41 @@ impl BlockSolver {
     /// identical on every rank. Without `keep_going` (the plain advance
     /// loops and [`Self::step`]) recovery is strict and the first error
     /// ends the step.
-    fn run_stages(
+    fn run(
         &mut self,
         rank: &mut Rank,
         u: &mut Field,
         size: StepSize,
         keep_going: bool,
     ) -> Result<f64, SolverError> {
-        let (stages, _, _) = rk_tables(self.cfg.rk);
-        let scanned = matches!(size, StepSize::Scanned { .. });
-        let mut first = None;
-        let mut dt = 0.0;
-        for (si, &(a, b, c)) in stages.iter().enumerate() {
-            if let Err(e) = self.eval_rhs(rank, u, scanned && si == 0, keep_going) {
-                if !keep_going {
-                    return Err(e);
-                }
-                first.get_or_insert(e);
-            }
-            if si == 0 {
-                // Snapshot u^n *after* the stage-0 evaluation: the
-                // recovery cascade may have repaired poisoned cells in
-                // `u` during it, and those repairs must be part of the
-                // state the later combines reconstruct from. Without
-                // repairs the evaluation leaves `u` untouched, so this is
-                // bit-identical to snapshotting first.
-                if stages.len() > 1 {
-                    self.u_stage.raw_mut().copy_from_slice(u.raw());
-                }
-                dt = match size {
-                    StepSize::Fixed(dt) => dt,
-                    StepSize::Scanned { limit, scale } => self.scanned_dt(rank, limit, scale)?,
-                };
-            }
-            // Shu–Osher form: u <- a u0 + b u + c Δt L(u); stage 0 has no
-            // u0 term.
-            self.combine(rank, u, b, (si > 0).then_some(a), c * dt);
-        }
-        first.map_or(Ok(dt), Err)
+        self.with_halo(rank, keep_going, |patch, halo, gang| {
+            patch.step_sized(halo, u, size, gang)
+        })
+    }
+
+    /// Lend the stage loop, this step's halo coupling and the gang to `f`.
+    fn with_halo<R>(
+        &mut self,
+        rank: &mut Rank,
+        keep_going: bool,
+        f: impl FnOnce(&mut PatchSolver, &mut Halo, Option<&WorkStealingPool>) -> R,
+    ) -> R {
+        let peer = |d, side| face_neighbor(&self.cfg, self.my_rank, d, side);
+        let peers = [0, 1, 2].map(|d| [0, 1].map(|side| peer(d, side).map(|b| self.comm_ranks[b])));
+        let mut halo = Halo {
+            rank,
+            peers,
+            overlap: self.cfg.mode == ExchangeMode::Overlap,
+            refresh: self.cfg.dt_refresh_interval.max(1),
+            tiles: &self.tiles,
+            bufs: &mut self.halo_bufs,
+            dt_cache: &mut self.dt_cache,
+            keep_going,
+            rec_stats: &mut self.rec_stats,
+            metrics: self.metrics.as_deref(),
+            c2p_hist: self.c2p_hist.as_deref(),
+        };
+        f(&mut self.patch, &mut halo, self.gang.as_ref())
     }
 
     /// Globally stable Δt: local CFL bound reduced with allreduce-min.
@@ -880,86 +601,18 @@ impl BlockSolver {
     /// step.
     pub fn stable_dt(&mut self, rank: &mut Rank, u: &mut Field) -> Result<f64, SolverError> {
         // Local primitives on the interior suffice for the CFL bound.
+        let interior = Region::interior(self.geom());
         let s = self.pstart(rank);
         let local = rank.work(|| -> Result<f64, SolverError> {
-            self.recover_interior(u, false)?;
-            Ok(max_dt(&self.cfg.scheme, &self.prim, self.cfg.cfl))
+            let (scheme, prim) = (&self.cfg.scheme, &mut self.patch.prim);
+            recover_region(scheme, u, prim, &interior, self.c2p_hist.as_deref(), None)?;
+            Ok(max_dt(scheme, prim, self.cfg.cfl))
         })?;
         self.pend("phase.dt.local", rank, s);
         let s = self.pstart(rank);
         let global = rank.allreduce_min(local);
         self.pend("phase.dt.allreduce", rank, s);
         Ok(global)
-    }
-
-    /// Decide this step's global Δt from the fused scan's local bound.
-    ///
-    /// Refreshes (allreduce-min, piggybacking the negated local
-    /// violation count as a second component on the same message) when
-    /// the cache is invalid or its window has elapsed; otherwise coasts
-    /// on `0.9 ×` the cached value. Returns `(dt, coasted)`.
-    fn decide_dt(&mut self, rank: &mut Rank, local_bound: f64) -> (f64, bool) {
-        let refresh_max = self.cfg.dt_refresh_interval.max(1);
-        if self.dt_cache.valid && self.dt_cache.age < self.dt_cache.window {
-            self.dt_cache.age += 1;
-            // Safety margin while coasting on the cached value.
-            return (0.9 * self.dt_cache.dt, true);
-        }
-        let s = self.pstart(rank);
-        let out = rank.allreduce(&[local_bound, -(self.dt_cache.violations as f64)], f64::min);
-        self.pend("phase.dt.allreduce", rank, s);
-        let dt_g = out[0];
-        let violated = out[1] < 0.0;
-        // AIMD window: collapse to every-step refreshes when any rank
-        // coasted past its bound during the last window; double back
-        // toward the configured cadence on clean windows.
-        self.dt_cache.window = if violated {
-            1
-        } else {
-            (self.dt_cache.window * 2).min(refresh_max)
-        };
-        self.dt_cache.dt = dt_g;
-        self.dt_cache.age = 1;
-        self.dt_cache.valid = true;
-        self.dt_cache.violations = 0;
-        (dt_g, false)
-    }
-
-    /// This step's Δt from the stage-0 scan: `scale` × the decided global
-    /// Δt (the resilient retry backoff), with `limit` clamping `t + dt` to
-    /// an end time. When a *coasted* Δt overruns this rank's freshly
-    /// scanned CFL bound, `dt.cadence.violation` is counted and the
-    /// violation is reported at the next refresh (collapsing the window);
-    /// the Δt itself is not adjusted locally — it must stay identical
-    /// across ranks.
-    fn scanned_dt(
-        &mut self,
-        rank: &mut Rank,
-        limit: Option<(f64, f64)>,
-        scale: f64,
-    ) -> Result<f64, SolverError> {
-        let local_bound = self.scan.dt(self.cfg.cfl);
-        let (dt_raw, coasted) = self.decide_dt(rank, local_bound);
-        let mut dt = dt_raw * scale;
-        // Negated form deliberately catches NaN as a collapse. The
-        // decision is identical on every rank (refreshed Δt comes from
-        // the allreduce, coasted Δt from the lockstep cache), so this
-        // early return is collective-consistent.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(dt > 1e-14) {
-            return Err(SolverError::TimestepCollapse { dt });
-        }
-        if let Some((t, t_end)) = limit {
-            if t + dt > t_end {
-                dt = t_end - t;
-            }
-        }
-        if coasted && dt > local_bound {
-            self.dt_cache.violations += 1;
-            self.count("dt.cadence.violation", 1);
-            rank.trace_instant("driver.dt_violation", dt / local_bound);
-        }
-        Ok(dt)
     }
 
     /// Advance a fixed number of steps (each at the CFL-stable Δt);
@@ -1005,14 +658,15 @@ impl BlockSolver {
             mon.ensure_baseline(u);
         }
         while stats.steps < max_steps && t_end.is_none_or(|end| t < end - 1e-14) {
-            let size = StepSize::Scanned {
-                limit: t_end.map(|end| (t, end)),
+            let size = StepSize::Cfl {
+                cfl: self.cfg.cfl,
                 scale: 1.0,
+                limit: t_end.map(|end| (t, end)),
             };
-            let dt = self.run_stages(rank, u, size, false)?;
+            let dt = self.run(rank, u, size, false)?;
             t += dt;
             stats.steps += 1;
-            stats.zone_updates += (self.geom.interior_len() * self.cfg.rk.stages()) as u64;
+            stats.zone_updates += (self.geom().interior_len() * self.cfg.rk.stages()) as u64;
             self.health_observe(rank, u, t, stats.steps as u64);
             self.telemetry_observe(rank, t, stats.steps as u64, dt);
         }
@@ -1020,35 +674,6 @@ impl BlockSolver {
         stats.bytes_sent = rank.bytes_sent() - bytes0;
         stats.vtime = rank.vtime() - vtime0;
         Ok(stats)
-    }
-
-    /// One attempt of a resilient step: the fused-scan Δt decision (at
-    /// `scale`× the configured CFL) inside a full (never-deadlocking)
-    /// step. A coasted Δt that overran this rank's local CFL bound is
-    /// reported as [`SolverError::CflViolation`] so the collective
-    /// agreement round rolls the step back and retries with a fresh
-    /// allreduce — the Δt cache is invalidated here. Returns the
-    /// committed Δt.
-    fn try_step(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        t: f64,
-        t_end: f64,
-        scale: f64,
-    ) -> Result<f64, SolverError> {
-        let v0 = self.dt_cache.violations;
-        let size = StepSize::Scanned {
-            limit: Some((t, t_end)),
-            scale,
-        };
-        let dt = self.run_stages(rank, u, size, true)?;
-        if self.dt_cache.violations > v0 {
-            self.dt_cache.invalidate();
-            let bound = self.scan.dt(self.cfg.cfl);
-            return Err(SolverError::CflViolation { dt, bound });
-        }
-        Ok(dt)
     }
 
     /// Collectively write a rank-count-independent global checkpoint:
@@ -1070,25 +695,33 @@ impl BlockSolver {
         };
         let blocks = parts
             .enumerate()
-            .map(|(b, data)| {
-                let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, b);
-                Ok(BlockRecord {
-                    id: b as u32,
-                    level: 0,
-                    offset,
-                    size,
-                    data: data.map_err(comm_err)?,
-                })
-            })
+            .map(|(b, data)| Ok(self.record(b, data.map_err(comm_err)?)))
             .collect::<Result<_, SolverError>>()?;
-        let ckp = GlobalCheckpoint {
-            time: t,
+        gslots.save(&self.image(t, step, blocks)).map_err(ck_err)
+    }
+
+    /// An image of this run's global grid at `(time, step)`.
+    fn image(&self, time: f64, step: u64, blocks: Vec<BlockRecord>) -> GlobalCheckpoint {
+        GlobalCheckpoint {
+            time,
             step,
             global_n: self.cfg.global_n,
             ncomp: NCOMP,
             blocks,
-        };
-        gslots.save(&ckp).map_err(ck_err)
+        }
+    }
+
+    /// Block `b`'s record in a global image: its span and flattened
+    /// interior.
+    fn record(&self, b: usize, data: Vec<f64>) -> BlockRecord {
+        let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, b);
+        BlockRecord {
+            id: b as u32,
+            level: 0,
+            offset,
+            size,
+            data,
+        }
     }
 
     /// Re-run the decomposition over the live communicator ranks and
@@ -1105,11 +738,9 @@ impl BlockSolver {
             CartDecomp::auto(survivors.len(), self.cfg.global_n, self.cfg.decomp.periodic);
         self.my_rank = my_block;
         self.comm_ranks = survivors;
-        self.geom = self.cfg.local_geom(my_block);
-        self.tiles = sweep_tiles(&self.cfg, &self.geom, my_block);
-        self.prim = Field::new(self.geom, 5);
-        self.rhs = Field::cons(self.geom);
-        self.u_stage = Field::cons(self.geom);
+        let geom = self.cfg.local_geom(my_block);
+        self.tiles = sweep_tiles(&self.cfg, &geom, my_block);
+        self.patch = PatchSolver::new(self.cfg.scheme, self.cfg.bcs, self.cfg.rk, geom);
         // A restored (older) state on a new block: the cached Δt is stale.
         self.dt_cache.invalidate();
         Ok(())
@@ -1129,7 +760,7 @@ impl BlockSolver {
                           cover this block's span"
                         .into(),
                 })?;
-        *u = unpack_interior(self.geom, &data);
+        *u = unpack_interior(*self.geom(), &data);
         Ok((time, step))
     }
 
@@ -1166,20 +797,8 @@ impl BlockSolver {
     /// [`GlobalCheckpoint`] and re-tiled onto a *different* decomposition
     /// — which is exactly what the buddy-shrink path does.
     fn snapshot_bytes(&self, u: &Field, t: f64, step: u64) -> Vec<u8> {
-        let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, self.my_rank);
-        encode(&GlobalCheckpoint {
-            time: t,
-            step,
-            global_n: self.cfg.global_n,
-            ncomp: NCOMP,
-            blocks: vec![BlockRecord {
-                id: self.my_rank as u32,
-                level: 0,
-                offset,
-                size,
-                data: pack_interior(u),
-            }],
-        })
+        let block = self.record(self.my_rank, pack_interior(u));
+        encode(&self.image(t, step, vec![block]))
     }
 
     /// Extract this block's span (and the checkpoint's time/step) without
@@ -1209,7 +828,6 @@ impl BlockSolver {
         tiers: &MemoryTiers,
         rstats: &mut ResilienceStats,
     ) -> Result<Option<(f64, u64)>, SolverError> {
-        let global_n = self.cfg.global_n;
         let merge = |round, time, snapshots: &[&[u8]]| {
             let mut blocks: Vec<BlockRecord> = snapshots
                 .iter()
@@ -1218,13 +836,7 @@ impl BlockSolver {
                 .collect();
             blocks.sort_by_key(|r| r.id);
             blocks.dedup_by_key(|r| r.id);
-            encode(&GlobalCheckpoint {
-                time,
-                step: round,
-                global_n,
-                ncomp: NCOMP,
-                blocks,
-            })
+            encode(&self.image(time, round, blocks))
         };
         let merged = tiers.gather_for_shrink(rank, &self.comm_ranks, self.my_rank, merge, |b| {
             decode_trusted(b).ok()
@@ -1262,7 +874,7 @@ impl BlockSolver {
             let served = fetched.map(|((data, time, step), from_buddy)| {
                 // A fresh field, ghosts zeroed exactly as on the disk
                 // path — keeps the two tiers' restored runs bit-identical.
-                *u = unpack_interior(self.geom, &data);
+                *u = unpack_interior(*self.geom(), &data);
                 if from_buddy {
                     rstats.buddy_restores += 1;
                 } else {
@@ -1345,7 +957,7 @@ impl BlockSolver {
         let rec0 = self.rec_stats;
         self.dt_cache = DtCache::new();
         let mut ladder = BlockLadder {
-            backup: Field::cons(self.geom),
+            backup: Field::cons(*self.geom()),
             injector: rank.fault_injector().cloned(),
             s: self,
             u,
@@ -1373,6 +985,236 @@ impl BlockSolver {
         stats.vtime = rank.vtime() - vtime0;
         Ok((stats, rstats))
     }
+}
+
+/// The halo coupling of one block step ([`Coupling`]): a ghost is a
+/// neighbor's freshly recovered primitive, Δt is the cadenced global
+/// decision ([`DtCache`]), the ladder's attempt runs the stage pattern to
+/// the end before it fails, and every compute section is charged to the
+/// rank's virtual clock and timed under its `phase.*` name.
+struct Halo<'a> {
+    rank: &'a mut Rank,
+    /// Communicator rank behind face (`d`, `side`); `None` for a face no
+    /// message serves.
+    peers: [[Option<usize>; 2]; 3],
+    overlap: bool,
+    /// Longest Δt refresh window, in steps.
+    refresh: usize,
+    tiles: &'a [Region],
+    bufs: &'a mut Vec<Vec<f64>>,
+    dt_cache: &'a mut DtCache,
+    /// The ladder's attempt: recover through the cascade, and report a
+    /// failure at the end of the step.
+    keep_going: bool,
+    rec_stats: &'a mut RecoveryStats,
+    metrics: Option<&'a Registry>,
+    c2p_hist: Option<&'a Histogram>,
+}
+
+impl Coupling for Halo<'_> {
+    /// Recover the interior — the cells this block owns — ship its
+    /// primitive face layers and fill the faces no message serves
+    /// (physical boundaries, periodic self-wrap) from it, honoring the
+    /// mode: bulk-synchronous sweeps the interior once the halos are in;
+    /// overlap sweeps the deep core while they fly and the shell after.
+    /// The cascade's repairs all finish before any primitive ships.
+    ///
+    /// With the scan armed the sweeps also fold each cell's CFL rate into
+    /// the running maximum — for free, as the pencils are already
+    /// resident in scratch — which is what lets Δt be decided without a
+    /// separate local pass.
+    fn evaluate(&mut self, e: &mut Eval) -> Result<(), SolverError> {
+        // Phase names of the compute before and after the receives.
+        let (before, after) = if self.overlap {
+            ("phase.rhs.deep", "phase.rhs.shell")
+        } else {
+            ("phase.rhs.interior", "phase.rhs.interior")
+        };
+        // Wall time inside a `rank.work` closure is the virtual-clock
+        // charge (one thread per rank, on a core of its own or holding
+        // the CPU token), so the nested con2prim sub-phase can use plain
+        // `Instant` timing.
+        let sub_c2p = self.metrics.map(|m| m.histogram("sub.c2p"));
+        let (iters, mut repairs) = (self.c2p_hist, RecoveryStats::default());
+        let cascade = self.keep_going.then_some(&mut repairs);
+        let recovered = self.section(before, || {
+            let t0 = sub_c2p.as_ref().map(|_| Instant::now());
+            let out = e.recover(iters, cascade);
+            if let (Some(h), Some(t0)) = (&sub_c2p, t0) {
+                h.record(t0.elapsed().as_nanos() as u64);
+            }
+            out
+        });
+        self.rec_stats.merge(&repairs);
+        // Per-tier counters, created by the first repair.
+        let m = self.metrics.filter(|_| repairs.total() > 0);
+        count(m, "c2p.cascade.relaxed_tol", repairs.relaxed_tol);
+        count(m, "c2p.cascade.neighbor_avg", repairs.neighbor_avg);
+        count(m, "c2p.cascade.atmosphere", repairs.atmosphere);
+        // The exchange runs even when the recovery failed: the neighbors
+        // are committed to this stage's messages, and skipping them would
+        // shift every later receive by one.
+        self.post_sends(e.prim);
+        self.fill_local_faces(e.prim, e.bcs);
+        let (deep, shell) = self.tiles.split_at(self.overlap as usize);
+        if !deep.is_empty() && recovered.is_ok() {
+            self.section(before, || e.sweep(deep));
+        }
+        let received = self.recv_halos(e.prim);
+        recovered?;
+        received?;
+        self.section(after, || e.sweep(shell));
+        Ok(())
+    }
+
+    /// Refreshes (allreduce-min, piggybacking the negated local violation
+    /// count as a second component on the same message) when the cache is
+    /// invalid or its window has elapsed; otherwise coasts on `0.9 ×` the
+    /// cached value.
+    fn decide_dt(&mut self, bound: f64) -> (f64, bool) {
+        let cache = &mut *self.dt_cache;
+        if cache.valid && cache.age < cache.window {
+            cache.age += 1;
+            // Safety margin while coasting on the cached value.
+            return (0.9 * cache.dt, true);
+        }
+        let msg = [bound, -(cache.violations as f64)];
+        let s = phase_start(self.metrics, self.rank);
+        let out = self.rank.allreduce(&msg, f64::min);
+        phase_end(self.metrics, "phase.dt.allreduce", self.rank, s);
+        // AIMD window: collapse to every-step refreshes when any rank
+        // coasted past its bound during the last window; double back
+        // toward the configured cadence on clean windows.
+        cache.window = if out[1] < 0.0 {
+            1
+        } else {
+            (cache.window * 2).min(self.refresh)
+        };
+        cache.dt = out[0];
+        cache.age = 1;
+        cache.valid = true;
+        cache.violations = 0;
+        (out[0], false)
+    }
+
+    /// Counted as `dt.cadence.violation` and reported at the next refresh,
+    /// which collapses the window.
+    fn overran(&mut self, dt: f64, bound: f64) {
+        self.dt_cache.violations += 1;
+        count(self.metrics, "dt.cadence.violation", 1);
+        self.rank.trace_instant("driver.dt_violation", dt / bound);
+    }
+
+    fn keep_going(&self) -> bool {
+        self.keep_going
+    }
+
+    fn section<R>(&mut self, phase: &'static str, f: impl FnOnce() -> R) -> R {
+        let s = phase_start(self.metrics, self.rank);
+        let out = self.rank.work(f);
+        phase_end(self.metrics, phase, self.rank, s);
+        out
+    }
+}
+
+impl Halo<'_> {
+    /// Post the halo sends of the freshly recovered interior primitives.
+    fn post_sends(&mut self, prim: &Field) {
+        for (d, side) in faces(prim.geom()) {
+            let Some(peer) = self.peers[d][side] else {
+                continue;
+            };
+            let mut buf = self.bufs.pop().unwrap_or_default();
+            self.section("phase.halo.pack", || pack_face(prim, d, side, &mut buf));
+            let s = phase_start(self.metrics, self.rank);
+            self.rank.send_vec(peer, (d * 2 + side) as u64, buf);
+            phase_end(self.metrics, "phase.halo.send", self.rank, s);
+        }
+    }
+
+    /// Fill the primitive ghosts of every face no message serves:
+    /// physical boundary conditions and the periodic self-wrap. The
+    /// primitive layout has the normal velocity where the conserved one
+    /// has the normal momentum, so [`fill_face`] mirrors it correctly.
+    fn fill_local_faces(&mut self, prim: &mut Field, bcs: &BcSet) {
+        for (d, side) in faces(prim.geom()) {
+            if self.peers[d][side].is_none() {
+                self.section("phase.halo.unpack", || {
+                    fill_face(prim, d, side, bcs[d][side])
+                });
+            }
+        }
+    }
+
+    /// Receive the primitive halos of every face a peer serves.
+    ///
+    /// Every expected message is received even after an unpack failure —
+    /// bailing out early would leave messages queued and desynchronize
+    /// this rank's communication pattern from its neighbors'. The first
+    /// error is reported after the exchange is fully drained.
+    fn recv_halos(&mut self, prim: &mut Field) -> Result<(), SolverError> {
+        let mut first_err = None;
+        for (d, side) in faces(prim.geom()) {
+            let Some(peer) = self.peers[d][side] else {
+                continue;
+            };
+            // Neighbor's opposite face arrives tagged with its
+            // (d, 1-side). The deadline receive bounds the wait on a
+            // dead neighbor: a silent peer becomes a typed suspicion
+            // instead of a hang.
+            let s = phase_start(self.metrics, self.rank);
+            let buf = self.rank.recv_deadline(peer, (d * 2 + (1 - side)) as u64);
+            phase_end(self.metrics, "phase.halo.wait", self.rank, s);
+            match buf {
+                Ok(buf) => {
+                    let unpacked =
+                        self.section("phase.halo.unpack", || unpack_face(prim, d, side, &buf));
+                    if let Err(e) = unpacked {
+                        first_err.get_or_insert(e);
+                    }
+                    self.bufs.push(buf);
+                }
+                // Ghosts stay untouched; the step is rolled back. Keep
+                // draining the remaining faces so this rank's pattern
+                // stays aligned with the neighbors that are still alive.
+                Err(e) => {
+                    first_err.get_or_insert(comm_err(e));
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+}
+
+/// The faces (`d`, `side`) of the active dimensions of `geom`.
+fn faces(geom: &PatchGeom) -> impl Iterator<Item = (usize, usize)> {
+    let geom = *geom;
+    (0..3)
+        .filter(move |&d| geom.active(d))
+        .flat_map(|d| [(d, 0), (d, 1)])
+}
+
+/// Pack the primitives of the `ng` interior layers adjacent to face
+/// (`d`, `side`) (transverse interior only — corners are never
+/// exchanged). `buf` is overwritten; its allocation is reused.
+fn pack_face(prim: &Field, d: usize, side: usize, buf: &mut Vec<f64>) {
+    let (lo, hi) = face_box(prim.geom(), d, side, false);
+    buf.clear();
+    prim.gather_box(lo, hi, buf);
+}
+
+/// Unpack a received halo into the primitive ghost layers of face
+/// (`d`, `side`). A wrong-length buffer (truncated in flight) leaves
+/// the ghosts untouched and reports [`SolverError::HaloMismatch`].
+fn unpack_face(prim: &mut Field, d: usize, side: usize, buf: &[f64]) -> Result<(), SolverError> {
+    let geom = *prim.geom();
+    let (lo, hi) = face_box(&geom, d, side, true);
+    check_len(
+        NCOMP * geom.ng_of(d) * geom.interior_len() / geom.n[d],
+        buf.len(),
+    )?;
+    prim.scatter_box(lo, hi, buf);
+    Ok(())
 }
 
 /// One `advance_to_with_restart` call seen from the recovery ladder: the
@@ -1503,9 +1345,9 @@ impl Recoverable for BlockLadder<'_> {
             // looking, so con2prim sails right through it — only the
             // ABFT stamp comparison can catch it.
             if let Some(sel) = inj.should_flip_bit() {
-                let len = s.geom.interior_len();
+                let len = s.geom().interior_len();
                 let pick = sel as usize % (NCOMP * len);
-                let (i, j, k) = s.geom.nth_interior(pick % len);
+                let (i, j, k) = s.geom().nth_interior(pick % len);
                 let c = pick / len;
                 let bit = ((sel >> 33) % 64) as u32;
                 let v = u.at(c, i, j, k);
@@ -1545,13 +1387,21 @@ impl Recoverable for BlockLadder<'_> {
         // one interior conserved value becomes NaN, which the recovery
         // cascade must repair in-flight.
         if let Some(victim) = self.injector.as_ref().and_then(|i| i.should_poison_cell()) {
-            let (i, j, k) = s.geom.nth_interior(victim as usize % s.geom.interior_len());
+            let (i, j, k) = s
+                .geom()
+                .nth_interior(victim as usize % s.geom().interior_len());
             u.set(0, i, j, k, f64::NAN);
             rank.trace_instant("driver.poison_injected", step_no as f64);
         }
         Ok(sdc_hit)
     }
 
+    /// The fused-scan Δt decision (at `cfl_scale`× the configured CFL)
+    /// inside a full (never-deadlocking) step. A coasted Δt that overran
+    /// this rank's local CFL bound is reported as
+    /// [`SolverError::CflViolation`] so the collective agreement round
+    /// rolls the step back and retries with a fresh allreduce — the Δt
+    /// cache is invalidated here.
     fn try_step(
         &mut self,
         rank: &mut Rank,
@@ -1560,8 +1410,23 @@ impl Recoverable for BlockLadder<'_> {
         cfl_scale: f64,
     ) -> Result<f64, SolverError> {
         self.backup.raw_mut().copy_from_slice(self.u.raw());
+        let s = &mut *self.s;
+        let (cfl, v0) = (s.cfg.cfl, s.dt_cache.violations);
+        let limit = Some((t, t_end));
+        let size = StepSize::Cfl {
+            cfl,
+            scale: cfl_scale,
+            limit,
+        };
         let attempt = Stopwatch::start(rank);
-        let outcome = self.s.try_step(rank, self.u, t, t_end, cfl_scale);
+        let outcome = s.run(rank, self.u, size, true).and_then(|dt| {
+            if s.dt_cache.violations == v0 {
+                return Ok(dt);
+            }
+            s.dt_cache.invalidate();
+            let bound = s.patch.scan.dt(cfl);
+            Err(SolverError::CflViolation { dt, bound })
+        });
         straggle(rank, &attempt);
         outcome
     }
@@ -1578,7 +1443,7 @@ impl Recoverable for BlockLadder<'_> {
     fn commit(&mut self, rank: &mut Rank, t: f64, dt: f64) -> Result<(), SolverError> {
         self.step_no += 1;
         self.stats.steps += 1;
-        self.stats.zone_updates += (self.s.geom.interior_len() * self.s.cfg.rk.stages()) as u64;
+        self.stats.zone_updates += (self.s.geom().interior_len() * self.s.cfg.rk.stages()) as u64;
         let interval = self.res.checkpoint_interval as u64;
         if interval > 0 && self.step_no.is_multiple_of(interval) {
             unless_peer_suspect(self.save_disk(rank, t))?;
@@ -1652,7 +1517,7 @@ impl Recoverable for BlockLadder<'_> {
             mon.rebaseline();
             mon.ensure_baseline(self.u);
         }
-        self.backup = Field::cons(self.s.geom);
+        self.backup = Field::cons(*self.s.geom());
         // The decomposition changed: pre-shrink snapshots must never
         // serve another restore. Rebuild the tier state for the new
         // world and re-seed it immediately so the memory rungs stay
@@ -1734,6 +1599,13 @@ fn face_box(geom: &PatchGeom, d: usize, side: usize, ghost: bool) -> ([usize; 3]
     (lo, hi)
 }
 
+/// `Ok` when a payload of `got` values has the `expected` length, else
+/// [`SolverError::HaloMismatch`].
+fn check_len(expected: usize, got: usize) -> Result<(), SolverError> {
+    let mismatch = SolverError::HaloMismatch { expected, got };
+    (got == expected).then_some(()).ok_or(mismatch)
+}
+
 /// Flatten a block's interior, component-major in `interior_iter` order
 /// (matches [`BlockRecord`]'s layout).
 fn pack_interior(u: &Field) -> Vec<f64> {
@@ -1803,6 +1675,25 @@ mod tests {
         outs.into_iter().next().unwrap().unwrap()
     }
 
+    /// The Sod shock tube across `x = 0.5`.
+    fn sod(x: [f64; 3]) -> Prim {
+        if x[0] < 0.5 {
+            Prim::new_1d(1.0, 0.0, 1.0)
+        } else {
+            Prim::new_1d(0.125, 0.0, 0.1)
+        }
+    }
+
+    /// Mean absolute difference, over every component of every cell,
+    /// between a gathered (ghost-free) field and the interior of a
+    /// ghosted reference; every gathered value must be finite.
+    fn l1_of(global: &Field, reference: &Field) -> f64 {
+        let want = pack_interior(reference);
+        assert!(global.raw().iter().all(|a| a.is_finite()));
+        let diff = |(a, b): (&f64, &f64)| (a - b).abs();
+        global.raw().iter().zip(&want).map(diff).sum::<f64>() / want.len() as f64
+    }
+
     fn interior_of(global_like: &Field, reference: &Field) -> f64 {
         // Max abs difference between a gathered (ghost-free) field and the
         // interior of a ghosted reference.
@@ -1814,13 +1705,7 @@ mod tests {
     #[test]
     fn overlap_with_latency_still_correct() {
         let cfg = sod_cfg(4, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let reference = serial_reference(&cfg, &ic, 0.05);
         let outs = run(
             4,
@@ -1832,22 +1717,6 @@ mod tests {
             },
         );
         let global = outs.into_iter().next().unwrap().unwrap();
-        assert_eq!(interior_of(&global, &reference), 0.0);
-    }
-
-    #[test]
-    fn gang_threads_do_not_change_results() {
-        let mut cfg = sod_cfg(2, ExchangeMode::BulkSynchronous);
-        cfg.gang_threads = 3;
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
-        let reference = serial_reference(&cfg, &ic, 0.1);
-        let global = distributed_global(&cfg, ic, 0.1);
         assert_eq!(interior_of(&global, &reference), 0.0);
     }
 
@@ -1902,58 +1771,30 @@ mod tests {
 
     #[test]
     fn resilient_advance_without_faults_is_bit_identical() {
-        // With no fault injection the resilient loop must reproduce the
-        // plain advance exactly — cascade, backup, and the coordination
-        // allreduce are all invisible on the healthy path.
+        // With no fault injection the resilient loop reproduces the plain
+        // advance exactly (the exchange matrix's resilient row). Arming
+        // the disk tier, the flight recorder and the physics-health
+        // monitor must not change a single bit either: all
+        // instrumentation is read-only over the state.
         let cfg = sod_cfg(2, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let plain = distributed_global(&cfg, ic, 0.1);
         let dir = std::env::temp_dir().join("rhrsc-resilient-bitident");
         let _ = std::fs::remove_dir_all(&dir);
-        let res = ResilienceConfig {
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_interval: 7,
-            ..ResilienceConfig::default()
-        };
-        let outs = run(2, NetworkModel::ideal(), |rank| {
-            let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-            let (_, rstats) = solver
-                .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res)
-                .unwrap();
-            (rstats, solver.gather_interior(rank, &u).unwrap())
-        });
-        for (rstats, _) in &outs {
-            assert_eq!(rstats.retries, 0);
-            assert_eq!(rstats.restarts, 0);
-            assert_eq!(rstats.recovery.total(), 0);
-            assert!(rstats.checkpoints_saved > 0);
-        }
-        let global = outs.into_iter().next().unwrap().1.unwrap();
-        assert_eq!(global.raw(), plain.raw());
-
-        // Arming the flight recorder and the physics-health monitor must
-        // not change a single bit either: all instrumentation is
-        // read-only over the state.
-        use rhrsc_runtime::trace::Tracer;
         let res_traced = ResilienceConfig {
             checkpoint_dir: Some(dir.join("traced")),
             checkpoint_interval: 7,
             ..ResilienceConfig::default()
         };
-        let tracer = std::sync::Arc::new(Tracer::new(1024));
+        let tracer = Arc::new(rhrsc_runtime::trace::Tracer::new(1024));
         let outs = run(2, NetworkModel::ideal(), |rank| {
             rank.set_trace(tracer.clone());
             let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
             solver.set_health(crate::health::HealthConfig::default());
-            solver
+            let (_, rstats) = solver
                 .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res_traced)
                 .unwrap();
+            assert!(rstats.checkpoints_saved > 0);
             solver.gather_interior(rank, &u).unwrap()
         });
         let traced = outs.into_iter().next().unwrap().unwrap();
@@ -1972,13 +1813,7 @@ mod tests {
     fn truncated_halos_trigger_cfl_backoff_retries() {
         use rhrsc_comm::{run_with_faults, FaultPlan};
         let cfg = sod_cfg(2, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let dir = std::env::temp_dir().join("rhrsc-resilient-retry");
         let _ = std::fs::remove_dir_all(&dir);
         let res = ResilienceConfig {
@@ -2011,13 +1846,7 @@ mod tests {
     fn exhausted_retries_escalate_to_checkpoint_restart() {
         use rhrsc_comm::{run_with_faults, FaultPlan};
         let cfg = sod_cfg(2, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let dir = std::env::temp_dir().join("rhrsc-resilient-restart");
         let _ = std::fs::remove_dir_all(&dir);
         // No step retries allowed: any failed step must restore from the
@@ -2053,13 +1882,7 @@ mod tests {
     fn poisoned_cells_are_repaired_by_the_cascade() {
         use rhrsc_comm::{run_with_faults, FaultPlan};
         let cfg = sod_cfg(2, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let res = ResilienceConfig::default(); // no checkpointing needed
         let plan = FaultPlan {
             seed: 3,
@@ -2100,11 +1923,15 @@ mod tests {
                 if rank.rank() == 0 {
                     u.set(0, ng + n - 1, 0, 0, f64::NAN);
                 }
-                solver.eval_rhs(rank, &mut u, false, true).unwrap();
+                solver
+                    .with_halo(rank, true, |patch, halo, _| {
+                        patch.eval_rhs(halo, &mut u, false, None)
+                    })
+                    .unwrap();
                 // Owner: its last interior layers; receiver: its low ghosts.
                 let at = if rank.rank() == 0 { n } else { 0 };
                 let layers: Vec<[u64; 5]> = (at..at + ng)
-                    .map(|i| [0, 1, 2, 3, 4].map(|c| solver.prim.at(c, i, 0, 0).to_bits()))
+                    .map(|i| [0, 1, 2, 3, 4].map(|c| solver.patch.prim.at(c, i, 0, 0).to_bits()))
                     .collect();
                 (layers, solver.rec_stats, u.at(0, ng + n - 1, 0, 0))
             });
@@ -2125,13 +1952,7 @@ mod tests {
     #[test]
     fn metrics_capture_phases_without_changing_results() {
         let cfg = sod_cfg(2, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let plain = distributed_global(&cfg, ic, 0.05);
         let reg = Arc::new(Registry::new());
         let outs = {
@@ -2192,13 +2013,7 @@ mod tests {
         // the survivors' block ranks 0..2 map onto communicator ranks
         // 1..3.
         let cfg = sod_cfg(3, ExchangeMode::BulkSynchronous);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let dir = std::env::temp_dir().join("rhrsc-shrink-test");
         let _ = std::fs::remove_dir_all(&dir);
         let res = ResilienceConfig {
@@ -2239,22 +2054,7 @@ mod tests {
             .iter()
             .find_map(|(_, g)| g.clone())
             .expect("the new block rank 0 must gather");
-        let g = reference.geom();
-        let mut l1 = 0.0f64;
-        let cells = (g.n[0] * g.n[1] * g.n[2] * NCOMP) as f64;
-        for c in 0..NCOMP {
-            for k in 0..g.n[2] {
-                for j in 0..g.n[1] {
-                    for i in 0..g.n[0] {
-                        let a = global.at(c, i, j, k);
-                        let b = reference.at(c, i + g.ng_of(0), j + g.ng_of(1), k + g.ng_of(2));
-                        assert!(a.is_finite());
-                        l1 += (a - b).abs();
-                    }
-                }
-            }
-        }
-        l1 /= cells;
+        let l1 = l1_of(&global, &reference);
         assert!(l1 < 0.02, "L1 drift after shrink too large: {l1}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2282,21 +2082,22 @@ mod tests {
             run(1, NetworkModel::ideal(), move |rank| {
                 let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
                 solver.set_metrics(reg.clone());
-                let free = StepSize::Scanned {
-                    limit: None,
+                let free = StepSize::Cfl {
+                    cfl: cfg.cfl,
                     scale: 1.0,
+                    limit: None,
                 };
 
                 // Step 1: the cache starts invalid, so this refreshes and
                 // the clean window doubles (1 → 2).
-                let dt0 = solver.run_stages(rank, &mut u, free, false).unwrap();
+                let dt0 = solver.run(rank, &mut u, free, false).unwrap();
                 assert!(solver.dt_cache.valid);
                 assert_eq!((solver.dt_cache.age, solver.dt_cache.window), (1, 2));
                 assert_eq!(dt0.to_bits(), solver.dt_cache.dt.to_bits());
 
                 // Step 2: coasts on 0.9× the cached value; the safety
                 // margin keeps the smooth evolution inside the bound.
-                let dt1 = solver.run_stages(rank, &mut u, free, false).unwrap();
+                let dt1 = solver.run(rank, &mut u, free, false).unwrap();
                 assert_eq!(dt1.to_bits(), (0.9 * solver.dt_cache.dt).to_bits());
                 assert_eq!(solver.dt_cache.age, 2);
                 assert_eq!(solver.dt_cache.violations, 0);
@@ -2311,7 +2112,7 @@ mod tests {
                 solver.dt_cache.dt = stale;
                 solver.dt_cache.age = 1;
                 solver.dt_cache.window = 8;
-                let dt2 = solver.run_stages(rank, &mut u, free, false).unwrap();
+                let dt2 = solver.run(rank, &mut u, free, false).unwrap();
                 assert_eq!(dt2.to_bits(), (0.9 * stale).to_bits());
                 assert_eq!(solver.dt_cache.violations, 1, "stale coast not detected");
 
@@ -2319,7 +2120,7 @@ mod tests {
                 // the violation on the piggybacked allreduce component
                 // and collapses the window to every-step refreshes.
                 solver.dt_cache.age = solver.dt_cache.window;
-                solver.run_stages(rank, &mut u, free, false).unwrap();
+                solver.run(rank, &mut u, free, false).unwrap();
                 assert_eq!(solver.dt_cache.window, 1, "violation must collapse window");
                 assert_eq!(solver.dt_cache.violations, 0);
                 assert!(u.raw().iter().all(|v| v.is_finite()));
@@ -2348,13 +2149,7 @@ mod tests {
         // before the fix the survivors coasted on it and diverged.
         let mut cfg = sod_cfg(3, ExchangeMode::BulkSynchronous);
         cfg.dt_refresh_interval = 5;
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let dir = std::env::temp_dir().join("rhrsc-shrink-cadence-test");
         let _ = std::fs::remove_dir_all(&dir);
         let res = ResilienceConfig {
@@ -2401,22 +2196,7 @@ mod tests {
             .iter()
             .find_map(|(_, g)| g.clone())
             .expect("the new block rank 0 must gather");
-        let g = reference.geom();
-        let mut l1 = 0.0f64;
-        let cells = (g.n[0] * g.n[1] * g.n[2] * NCOMP) as f64;
-        for c in 0..NCOMP {
-            for k in 0..g.n[2] {
-                for j in 0..g.n[1] {
-                    for i in 0..g.n[0] {
-                        let a = global.at(c, i, j, k);
-                        let b = reference.at(c, i + g.ng_of(0), j + g.ng_of(1), k + g.ng_of(2));
-                        assert!(a.is_finite());
-                        l1 += (a - b).abs();
-                    }
-                }
-            }
-        }
-        l1 /= cells;
+        let l1 = l1_of(&global, &reference);
         assert!(l1 < 0.02, "L1 drift after cadenced shrink too large: {l1}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2428,13 +2208,7 @@ mod tests {
         // the run must complete with zero suspicions or shrinks, and the
         // extra latency must not change a single bit of the solution.
         let cfg = sod_cfg(2, ExchangeMode::Overlap);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let plain = distributed_global(&cfg, ic, 0.05);
         let plan = FaultPlan {
             seed: 9,
@@ -2468,13 +2242,7 @@ mod tests {
     #[test]
     fn stats_populated() {
         let cfg = sod_cfg(2, ExchangeMode::BulkSynchronous);
-        let ic = |x: [f64; 3]| {
-            if x[0] < 0.5 {
-                Prim::new_1d(1.0, 0.0, 1.0)
-            } else {
-                Prim::new_1d(0.125, 0.0, 0.1)
-            }
-        };
+        let ic = sod;
         let outs = run(2, NetworkModel::ideal(), |rank| {
             let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
             solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap()

@@ -1,11 +1,17 @@
-//! SSP Runge–Kutta time integration on a single patch.
+//! SSP Runge–Kutta time integration: the one stage loop.
+//!
+//! [`PatchSolver`] owns the stage buffers and runs the Shu–Osher loop
+//! for a single patch, and — through a halo `Coupling` — for a block of
+//! the distributed driver ([`crate::driver::BlockSolver`] holds one).
 
 use crate::refine::rk_tables;
 use crate::scheme::{
-    apply_conserved_floors, max_dt, recover_prims, recover_region, Scheme, SolverError, WaveScan,
+    apply_conserved_floors, max_dt, recover_prims, recover_region, recover_region_resilient,
+    RecoveryStats, Scheme, SolverError, WaveScan,
 };
 use crate::step::{accumulate_rhs_region_scan, Region};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
+use rhrsc_runtime::metrics::Histogram;
 use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::NCOMP;
 
@@ -50,13 +56,105 @@ pub struct StepStats {
 
 /// Where a step's Δt comes from.
 #[derive(Clone, Copy)]
-enum StepSize {
+pub(crate) enum StepSize {
     /// Given by the caller.
     Fixed(f64),
-    /// The CFL bound of the state being stepped, read from the wave-speed
-    /// scan fused into the stage-0 sweep, clamped so `t + Δt` does not
-    /// pass `t_end`.
-    Cfl { cfl: f64, t: f64, t_end: f64 },
+    /// `scale` × the Δt the coupling decides from the CFL bound of the
+    /// state being stepped — read from the wave-speed scan fused into the
+    /// stage-0 sweep — clamped so that `t + Δt` does not pass `t_end` of
+    /// `limit = (t, t_end)`.
+    Cfl {
+        cfl: f64,
+        scale: f64,
+        limit: Option<(f64, f64)>,
+    },
+}
+
+/// One residual evaluation's working set, handed to the [`Coupling`] that
+/// schedules it.
+pub(crate) struct Eval<'a> {
+    pub(crate) bcs: &'a BcSet,
+    pub(crate) u: &'a mut Field,
+    pub(crate) prim: &'a mut Field,
+    scheme: &'a Scheme,
+    rhs: &'a mut Field,
+    scan: Option<&'a WaveScan>,
+    pool: Option<&'a WorkStealingPool>,
+}
+
+impl Eval<'_> {
+    /// Recover the interior primitives: strictly, or — given `repairs` —
+    /// through the recovery cascade, which fails no cell and counts its
+    /// repairs there.
+    pub(crate) fn recover(
+        &mut self,
+        iters: Option<&Histogram>,
+        repairs: Option<&mut RecoveryStats>,
+    ) -> Result<(), SolverError> {
+        let interior = Region::interior(self.u.geom());
+        let Some(stats) = repairs else {
+            return recover_region(self.scheme, self.u, self.prim, &interior, iters, self.pool);
+        };
+        recover_region_resilient(self.scheme, self.u, self.prim, &interior, stats, iters);
+        Ok(())
+    }
+
+    /// Accumulate the residual over `regions`.
+    pub(crate) fn sweep(&mut self, regions: &[Region]) {
+        for r in regions {
+            accumulate_rhs_region_scan(self.scheme, self.prim, self.rhs, r, self.scan, self.pool);
+        }
+    }
+}
+
+/// What differs between the front-ends that share [`PatchSolver`]'s stage
+/// loop: the ghosts and sweep order, the Δt decision, the failure policy
+/// and the compute charge. [`Serial`] is the single patch's; the block
+/// driver's halo exchange is the other ([`crate::driver`]).
+pub(crate) trait Coupling {
+    /// Fill the ghosts, recover the interior and sweep the residual of `e`.
+    fn evaluate(&mut self, e: &mut Eval) -> Result<(), SolverError>;
+
+    /// This step's Δt from the local CFL `bound`, and whether it is a
+    /// cached value coasted on rather than decided now.
+    fn decide_dt(&mut self, bound: f64) -> (f64, bool) {
+        (bound, false)
+    }
+
+    /// A coasted Δt overran this step's local `bound`.
+    fn overran(&mut self, _dt: f64, _bound: f64) {}
+
+    /// Whether a local failure inside a stage waits for the end of the
+    /// step, the stage pattern running on so that no peer waits on a
+    /// message never sent (`LevelCoupling::fail`'s contract), or ends it.
+    fn keep_going(&self) -> bool {
+        false
+    }
+
+    /// Run the compute section `phase`.
+    fn section<R>(&mut self, _phase: &'static str, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// The single-patch coupling: physical boundary conditions fill every
+/// ghost, Δt is the local bound, and a failure ends the step.
+struct Serial;
+
+impl Coupling for Serial {
+    /// Every ghost is a copy (or mirror image) of an interior cell, and
+    /// the recovery of a copied conserved state is the copy of the
+    /// recovered primitives — so only the interior is recovered and the
+    /// boundary conditions are applied to the primitives, whose component
+    /// `1 + d` is the normal velocity just as it is the normal momentum
+    /// of `u`. The ghosts of `u` are still filled: callers see them.
+    fn evaluate(&mut self, e: &mut Eval) -> Result<(), SolverError> {
+        fill_ghosts(e.u, e.bcs);
+        e.recover(None, None)?;
+        fill_ghosts(e.prim, e.bcs);
+        e.sweep(&[Region::interior(e.u.geom())]);
+        Ok(())
+    }
 }
 
 /// Serial/gang single-patch integrator with owned scratch storage.
@@ -67,10 +165,13 @@ pub struct PatchSolver {
     pub bcs: BcSet,
     /// Runge–Kutta order.
     pub rk: RkOrder,
-    prim: Field,
+    /// Primitives: of the interior, recovered each stage, and of the
+    /// ghosts, filled by the coupling.
+    pub(crate) prim: Field,
     rhs: Field,
     u_stage: Field,
-    scan: WaveScan,
+    /// Running maximum of the CFL rate over the last stage-0 sweep.
+    pub(crate) scan: WaveScan,
     stats: StepStats,
 }
 
@@ -124,83 +225,98 @@ impl PatchSolver {
         Ok(max_dt(&self.scheme, &self.prim, cfl))
     }
 
-    /// Evaluate `rhs = L(u)` (ghost fill + recovery + residual), with the
-    /// wave-speed scan riding on the sweep when `scan` is set.
-    ///
-    /// Every ghost is a copy (or mirror image) of an interior cell, and
-    /// the recovery of a copied conserved state is the copy of the
-    /// recovered primitives — so only the interior is recovered and the
-    /// boundary conditions are applied to the primitives, whose component
-    /// `1 + d` is the normal velocity just as it is the normal momentum
-    /// of `u`. The ghosts of `u` are still filled: callers see them.
-    fn eval_rhs(
+    /// Evaluate `rhs = L(u)` through `link`, with the wave-speed scan
+    /// riding on the sweeps when `scan` is set.
+    pub(crate) fn eval_rhs<C: Coupling>(
         &mut self,
+        link: &mut C,
         u: &mut Field,
         scan: bool,
         pool: Option<&WorkStealingPool>,
     ) -> Result<(), SolverError> {
-        let interior = Region::interior(u.geom());
-        fill_ghosts(u, &self.bcs);
-        recover_region(&self.scheme, u, &mut self.prim, &interior, None, pool)?;
-        fill_ghosts(&mut self.prim, &self.bcs);
         self.rhs.raw_mut().fill(0.0);
         if scan {
             self.scan.reset();
         }
-        accumulate_rhs_region_scan(
-            &self.scheme,
-            &self.prim,
-            &mut self.rhs,
-            &interior,
-            scan.then_some(&self.scan),
+        link.evaluate(&mut Eval {
+            bcs: &self.bcs,
+            u,
+            prim: &mut self.prim,
+            scheme: &self.scheme,
+            rhs: &mut self.rhs,
+            scan: scan.then_some(&self.scan),
             pool,
-        );
-        Ok(())
+        })
     }
 
-    /// The one stage loop. Stage 0's residual does not depend on Δt, so
-    /// deciding Δt after it is bitwise the "Δt first, then step" order.
-    fn step_sized(
+    /// The one stage loop, of the patch and the block front-ends alike:
+    /// `link` supplies what differs between them. Returns the Δt taken.
+    ///
+    /// Stage 0's residual does not depend on Δt, so deciding Δt after it
+    /// is bitwise the "Δt first, then step" order. `u^n` is snapshotted
+    /// after that evaluation too: a recovery cascade may have repaired
+    /// cells of `u` in it, and the later combines must start from the
+    /// repaired state. (The serial evaluation writes only ghosts, which no
+    /// combine reads.)
+    pub(crate) fn step_sized<C: Coupling>(
         &mut self,
+        link: &mut C,
         u: &mut Field,
         size: StepSize,
         pool: Option<&WorkStealingPool>,
     ) -> Result<f64, SolverError> {
         let (stages, _, _) = rk_tables(self.rk);
-        if stages.len() > 1 {
-            self.u_stage.raw_mut().copy_from_slice(u.raw());
-        }
-        self.eval_rhs(u, matches!(size, StepSize::Cfl { .. }), pool)?;
-        let dt = match size {
-            StepSize::Fixed(dt) => dt,
-            StepSize::Cfl { cfl, t, t_end } => {
-                let dt = self.scan.dt(cfl);
-                // Negated form deliberately catches NaN as a collapse.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(dt > 1e-14) {
-                    return Err(SolverError::TimestepCollapse { dt });
-                }
-                if t + dt > t_end {
-                    t_end - t
-                } else {
-                    dt
-                }
-            }
-        };
-        // Shu–Osher form: u <- a u0 + b u + c Δt L(u); stage 0 has no u0
-        // term.
+        let scanned = matches!(size, StepSize::Cfl { .. });
+        let (mut dt, mut first) = (0.0, None);
         for (si, &(a, b, c)) in stages.iter().enumerate() {
-            if si > 0 {
-                self.eval_rhs(u, false, pool)?;
+            if let Err(e) = self.eval_rhs(link, u, scanned && si == 0, pool) {
+                if !link.keep_going() {
+                    return Err(e);
+                }
+                first.get_or_insert(e);
             }
+            if si == 0 {
+                if stages.len() > 1 {
+                    self.u_stage.raw_mut().copy_from_slice(u.raw());
+                }
+                dt = match size {
+                    StepSize::Fixed(dt) => dt,
+                    // A coasted Δt that overruns the bound is reported, not
+                    // adjusted: it must stay identical across ranks.
+                    StepSize::Cfl { cfl, scale, limit } => {
+                        let bound = self.scan.dt(cfl);
+                        let (decided, coasted) = link.decide_dt(bound);
+                        let mut dt = decided * scale;
+                        // Negated form deliberately catches NaN as a
+                        // collapse. A distributed Δt is decided identically
+                        // on every rank, so this return is collective.
+                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                        if !(dt > 1e-14) {
+                            return Err(SolverError::TimestepCollapse { dt });
+                        }
+                        if let Some((t, t_end)) = limit.filter(|&(t, t_end)| t + dt > t_end) {
+                            dt = t_end - t;
+                        }
+                        if coasted && dt > bound {
+                            link.overran(dt, bound);
+                        }
+                        dt
+                    }
+                };
+            }
+            // Shu–Osher form: u <- a u0 + b u + c Δt L(u); stage 0 has no
+            // u0 term.
             let u0 = (si > 0).then_some((&self.u_stage, a));
-            lincomb(u, b, u0, &self.rhs, c * dt);
-            self.stats.floored_cells += apply_conserved_floors(u, &self.scheme.c2p) as u64;
+            let floored = link.section("phase.rk.combine", || {
+                lincomb(u, b, u0, &self.rhs, c * dt);
+                apply_conserved_floors(u, &self.scheme.c2p)
+            });
+            self.stats.floored_cells += floored as u64;
             self.stats.stages += 1;
             self.stats.zone_updates += u.geom().interior_len() as u64;
         }
         self.stats.steps += 1;
-        Ok(dt)
+        first.map_or(Ok(dt), Err)
     }
 
     /// Advance `u` by one step of size `dt`.
@@ -210,7 +326,8 @@ impl PatchSolver {
         dt: f64,
         pool: Option<&WorkStealingPool>,
     ) -> Result<(), SolverError> {
-        self.step_sized(u, StepSize::Fixed(dt), pool).map(|_| ())
+        self.step_sized(&mut Serial, u, StepSize::Fixed(dt), pool)
+            .map(|_| ())
     }
 
     /// Advance `u`, at time `t`, by one step at its own CFL bound —
@@ -227,7 +344,12 @@ impl PatchSolver {
         cfl: f64,
         pool: Option<&WorkStealingPool>,
     ) -> Result<f64, SolverError> {
-        self.step_sized(u, StepSize::Cfl { cfl, t, t_end }, pool)
+        let size = StepSize::Cfl {
+            cfl,
+            scale: 1.0,
+            limit: Some((t, t_end)),
+        };
+        self.step_sized(&mut Serial, u, size, pool)
     }
 
     /// Advance `u` from `t` to `t_end` under CFL control; returns the
@@ -251,9 +373,9 @@ impl PatchSolver {
 }
 
 /// RK stage combine over interior cells: `u = b*u0 + a*u + c*r`, or
-/// `u = a*u + c*r` without a `u0`. Shared by [`PatchSolver`] and the
-/// distributed [`crate::driver::BlockSolver`], which guarantees
-/// bit-identity with it — floating-point addition is not associative.
+/// `u = a*u + c*r` without a `u0`. Shared by [`PatchSolver`]'s stage loop
+/// and the AMR level step, which guarantees bit-identity between them —
+/// floating-point addition is not associative.
 pub(crate) fn lincomb(u: &mut Field, a: f64, u0: Option<(&Field, f64)>, r: &Field, c: f64) {
     // Component-major over contiguous interior x-runs: per element the
     // expression is `(f0*b) + (u*a) + (r*c)` with left-associated adds,

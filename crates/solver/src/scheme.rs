@@ -296,8 +296,8 @@ pub fn recover_prims(scheme: &Scheme, u: &Field, prim: &mut Field) -> Result<(),
 ///
 /// Results are bit-identical however the rows are scheduled: every
 /// cell's root solve is independent and deterministic. The reported cell
-/// is the first failing one in row-major order (with a pool: of
-/// whichever failing row finished first).
+/// is the first failing one in row-major order — the least `(k, j, i)` —
+/// with a pool as without.
 pub fn recover_region(
     scheme: &Scheme,
     u: &Field,
@@ -307,7 +307,8 @@ pub fn recover_region(
     pool: Option<&rhrsc_runtime::WorkStealingPool>,
 ) -> Result<(), SolverError> {
     let raw = RawPrim::new(u, prim, region);
-    let first = parking_lot::Mutex::new(None::<SolverError>);
+    // The failing row of least index, with its error.
+    let first = parking_lot::Mutex::new(None::<(usize, SolverError)>);
     let (nj, nk) = (region.hi[1] - region.lo[1], region.hi[2] - region.lo[2]);
     // Rows write disjoint prim cells, so sharing `raw` across tasks is
     // sound.
@@ -315,17 +316,18 @@ pub fn recover_region(
         let (j, k) = (region.lo[1] + row % nj, region.lo[2] + row / nj);
         if let Err((i, err)) = recover_row(scheme, u, &raw, region.lo[0], region.hi[0], j, k, iters)
         {
-            first.lock().get_or_insert(SolverError::Con2Prim {
-                cell: (i, j, k),
-                err,
-            });
+            let mut first = first.lock();
+            if first.as_ref().is_none_or(|(r, _)| row < *r) {
+                let cell = (i, j, k);
+                *first = Some((row, SolverError::Con2Prim { cell, err }));
+            }
         }
     };
     match pool {
         Some(pool) if nj * nk > 1 => pool.par_for(nj * nk, 1, &task),
         _ => (0..nj * nk).for_each(task),
     }
-    first.into_inner().map_or(Ok(()), Err)
+    first.into_inner().map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// [`recover_region`] that repairs instead of failing: cells whose strict

@@ -1,17 +1,18 @@
 //! "The halo exchange and the offload change nothing", as one table: the
 //! block driver and the device solver against the serial patch solver,
 //! bit for bit, over grid dimension × boundary condition (PPM + HLLC +
-//! RK3) — the block driver at every rank count × exchange mode, the
-//! device with its breaker off and armed under a launch fault on every
-//! step. One more block-driver row runs a problem that only gets past
-//! t = 0.05 through the conserved-variable limiter. ROADMAP 1(a);
-//! missing: AMR, serve, Taub–Mathews, gang.
+//! RK3) — the block driver at every rank count × exchange mode, with a
+//! gang of two threads per rank, and through the recovery ladder without
+//! faults; the device with its breaker off and armed under a launch fault
+//! on every step. One more block-driver row runs a problem that only gets
+//! past t = 0.05 through the conserved-variable limiter. ROADMAP 3(a);
+//! missing: AMR, serve, Taub–Mathews.
 
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp, Field};
 use rhrsc_runtime::{AcceleratorConfig, FaultInjector, FaultPlan};
 use rhrsc_solver::device_backend::{BreakerConfig, DevicePatchSolver};
-use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode};
+use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode, ResilienceConfig};
 use rhrsc_solver::scheme::init_cons;
 use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
 use rhrsc_srhd::Prim;
@@ -85,9 +86,24 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// How a row drives the block driver: `advance_to` on one thread per
+/// rank or on a gang of two, or `advance_to_with_restart` with no faults.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Drive {
+    Plain,
+    Gang,
+    Resilient,
+}
+
 /// The block driver at every rank count × exchange mode against the
 /// reference interior of one row.
-fn assert_block_rows(global_n: [usize; 3], kind: Bc, ranks: &[usize], ic: fn([f64; 3]) -> Prim) {
+fn assert_rows(
+    global_n: [usize; 3],
+    kind: Bc,
+    ranks: &[usize],
+    ic: fn([f64; 3]) -> Prim,
+    drive: Drive,
+) {
     let (_, _, reference, _, _) = reference(global_n, kind, ic);
     let geom = *reference.geom();
     let lo = [0, 1, 2].map(|d| geom.ng_of(d));
@@ -95,26 +111,54 @@ fn assert_block_rows(global_n: [usize; 3], kind: Bc, ranks: &[usize], ic: fn([f6
     reference.gather_box(lo, [0, 1, 2].map(|d| lo[d] + geom.n[d]), &mut want);
     for &nranks in ranks {
         for mode in [ExchangeMode::BulkSynchronous, ExchangeMode::Overlap] {
-            let cfg = cfg(global_n, kind, nranks, mode);
+            let mut cfg = cfg(global_n, kind, nranks, mode);
+            cfg.gang_threads = if drive == Drive::Gang { 2 } else { 0 };
+            let row = format!("{global_n:?} {kind:?} {nranks} ranks {mode:?} {drive:?}");
             let gathered = run(nranks, NetworkModel::ideal(), |rank| {
                 let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-                solver.advance_to(rank, &mut u, 0.0, T_END).unwrap();
+                if drive == Drive::Resilient {
+                    let res = ResilienceConfig::default();
+                    let (_, r) = solver
+                        .advance_to_with_restart(rank, &mut u, 0.0, T_END, &res)
+                        .unwrap();
+                    let acted = r.retries + r.restarts + r.recovery.total();
+                    assert!(acted == 0, "{row}: the ladder acted without a fault: {r:?}");
+                } else {
+                    solver.advance_to(rank, &mut u, 0.0, T_END).unwrap();
+                }
                 solver.gather_interior(rank, &u).unwrap()
             });
             let global = gathered[0].as_ref().expect("block 0 holds the gather");
-            let row = format!("{global_n:?} {kind:?} {nranks} ranks {}", mode.name());
             assert!(bits(global.raw()) == bits(&want), "{row}: interiors differ");
+        }
+    }
+}
+
+/// Every grid × BC row of one drive.
+fn assert_every_row(ranks: &[usize], drive: Drive) {
+    for global_n in GRIDS {
+        for kind in BCS {
+            assert_rows(global_n, kind, ranks, ic, drive);
         }
     }
 }
 
 #[test]
 fn block_solver_equals_patch_solver_on_every_row() {
-    for global_n in GRIDS {
-        for kind in BCS {
-            assert_block_rows(global_n, kind, &[1, 2, 4], ic);
-        }
-    }
+    assert_every_row(&[1, 2, 4], Drive::Plain);
+}
+
+/// A gang spreads each rank's recovery and sweeps over its threads.
+#[test]
+fn gang_block_solver_equals_patch_solver_on_every_row() {
+    assert_every_row(&[2], Drive::Gang);
+}
+
+/// Without faults the recovery ladder is invisible: no cascade repair,
+/// no retry, and the same bytes as the plain advance.
+#[test]
+fn resilient_block_solver_equals_patch_solver_on_every_row() {
+    assert_every_row(&[2], Drive::Resilient);
 }
 
 /// Both solvers run the limiter after every stage combine, so a run
@@ -123,7 +167,13 @@ fn block_solver_equals_patch_solver_on_every_row() {
 fn block_solver_floors_as_the_patch_solver_does() {
     let (_, _, _, _, floored) = reference([128, 1, 1], Bc::Outflow, receding_streams);
     assert!(floored > 0, "the row must exercise the limiter");
-    assert_block_rows([128, 1, 1], Bc::Outflow, &[1, 2], receding_streams);
+    assert_rows(
+        [128, 1, 1],
+        Bc::Outflow,
+        &[1, 2],
+        receding_streams,
+        Drive::Plain,
+    );
 }
 
 #[test]

@@ -10,13 +10,14 @@
 //! of states (a), the row loop against itself at every block alignment
 //! (b), the failure and repair semantics against a cell-by-cell scalar
 //! reference written here (c), the evaluation histogram against a
-//! per-cell tally (d), and a row on which the main line finishes nothing
-//! (e). Vector code exists only in optimised builds: CI runs this file
-//! under `--release` as well.
+//! per-cell tally (d), a row on which the main line finishes nothing
+//! (e), and the failure a gang-parallel recovery reports (f). Vector code
+//! exists only in optimised builds: CI runs this file under `--release`
+//! as well.
 
 use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::metrics::HistSnapshot;
-use rhrsc_runtime::Registry;
+use rhrsc_runtime::{Registry, WorkStealingPool};
 use rhrsc_solver::scheme::{
     prim_at, recover_prims, recover_region, recover_region_resilient, set_prim, RecoveryStats,
     SolverError,
@@ -45,6 +46,13 @@ const SUPERLUMINAL: Cons = Cons {
     d: 1.0,
     s: [3.0, -4.0, 1.0],
     tau: 0.5,
+};
+
+/// A conserved state with no primitive state at all: every solve fails.
+const NAN_D: Cons = Cons {
+    d: f64::NAN,
+    s: [0.0; 3],
+    tau: 1.0,
 };
 
 /// Unit vectors: along x, in the x–y plane, fully oblique.
@@ -330,15 +338,10 @@ fn failures_are_reported_and_repaired_as_by_the_scalar_loop() {
         scheme.c2p.max_newton = max_newton;
         scheme.c2p.max_bisect = max_bisect;
         let mut u = mixed_field(geom, &scheme.eos);
-        let nan = Cons {
-            d: f64::NAN,
-            s: [0.0; 3],
-            tau: 1.0,
-        };
         // A corner whose in-region neighbours are lost too (atmosphere
         // tier), a pair side by side, one in the second block of a row.
         for (i, j) in [(0, 0), (1, 0), (0, 1), (20, 3), (21, 3), (C2P_LANES + 5, 4)] {
-            u.set_cons(i, j, 0, nan);
+            u.set_cons(i, j, 0, NAN_D);
         }
         u.set_cons(9, 3, 0, SUPERLUMINAL);
         assert_eq!(u.get_cons(4, 0, 0).d, 0.5 * scheme.c2p.rho_floor);
@@ -494,5 +497,36 @@ fn a_row_of_stragglers_is_the_scalar_row() {
                 "{eos:?} cell {i}"
             );
         }
+    }
+}
+
+/// (f) Spread over a gang, the strict recovery still reports the cell the
+/// serial row-major walk reports first — the least `(k, j, i)` — not the
+/// cell of whichever failing row takes the lock first.
+#[test]
+fn a_pooled_recovery_reports_the_serial_first_failure() {
+    let geom = PatchGeom::rect([32, 64], [0.0; 2], [1.0; 2], 3);
+    let scheme = scheme_with(EOSES[0]);
+    let mut u = mixed_field(geom, &scheme.eos);
+    for j in 0..geom.ntot(1) {
+        u.set_cons(11, j, 0, NAN_D);
+    }
+    let interior = Region::interior(&geom);
+    let mut prim = Field::new(geom, 5);
+    let serial = recover_region(&scheme, &u, &mut prim, &interior, None, None);
+    assert!(
+        matches!(
+            serial,
+            Err(SolverError::Con2Prim {
+                cell: (_, 3, 0),
+                ..
+            })
+        ),
+        "{serial:?}"
+    );
+    let pool = WorkStealingPool::new(4);
+    for call in 0..500 {
+        let pooled = recover_region(&scheme, &u, &mut prim, &interior, None, Some(&pool));
+        assert_eq!(pooled, serial, "call {call}");
     }
 }

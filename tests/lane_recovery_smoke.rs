@@ -2,7 +2,8 @@
 //! `cargo test -q` on the umbrella package guards them: the lane kernel
 //! against the scalar solver over the state grid, block-alignment
 //! independence of the row loop, failure and repair semantics, block
-//! metering, and the all-straggler row. The file runs as it is.
+//! metering, the all-straggler row, and the failure a pooled recovery
+//! reports. The file runs as it is.
 
 #[path = "../crates/solver/tests/lane_recovery.rs"]
 mod lane_recovery;
