@@ -57,6 +57,24 @@ mod tests {
         ScenarioSpec::new(ProblemKind::Sod, 128)
     }
 
+    /// A spec that never finishes on its own: no end time and no step
+    /// budget stop it, and admission bounds neither. Only a cancellation,
+    /// a deadline or a shutdown resolves it, whatever the build's speed.
+    fn endless_spec() -> ScenarioSpec {
+        ScenarioSpec {
+            t_end: Some(f64::MAX),
+            max_steps: u64::MAX,
+            ..quick_spec()
+        }
+    }
+
+    /// Block until the engine has claimed its first batch-class job.
+    fn await_batch_claim(eng: &EnsembleEngine) {
+        while eng.claim_span(Priority::Batch).is_none() {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn job_runs_to_completion() {
         let eng = engine(2, EngineConfig::default());
@@ -196,14 +214,14 @@ mod tests {
         // return Cancelled — a poisoned promise would panic instead.
         let eng = engine(1, EngineConfig::default());
         let victim = eng
-            .submit(JobRequest::new("t0", Priority::Batch, long_spec()))
+            .submit(JobRequest::new("t0", Priority::Batch, endless_spec()))
             .unwrap();
-        // Let it start stepping, then cancel mid-run.
-        std::thread::sleep(Duration::from_millis(10));
+        // Cancel once the worker has claimed it: it cannot have finished.
+        await_batch_claim(&eng);
         victim.cancel();
         match victim.wait() {
-            JobOutcome::Cancelled(_) => {}
-            other => panic!("expected Cancelled, got {other:?}"),
+            JobOutcome::Cancelled(CancelReason::Token) => {}
+            other => panic!("expected Cancelled(Token), got {other:?}"),
         }
         assert!(eng.registry().counter("serve.jobs.cancelled").get() >= 1);
         let follow_up = eng
@@ -220,7 +238,7 @@ mod tests {
         let eng = engine(1, EngineConfig::default());
         let h = eng
             .submit(
-                JobRequest::new("t0", Priority::Batch, long_spec())
+                JobRequest::new("t0", Priority::Batch, endless_spec())
                     .with_deadline(Duration::from_millis(1)),
             )
             .unwrap();
@@ -232,35 +250,37 @@ mod tests {
 
     #[test]
     fn shutdown_with_queued_jobs_resolves_them_cancelled() {
-        // One worker, several queued jobs: shutdown must resolve every
-        // queued promise promptly (no hang, no poison) and the engine
-        // must refuse new work.
+        // One worker, one running and three queued jobs: shutdown must
+        // resolve every queued promise promptly (no hang, no poison) and
+        // the engine must refuse new work. The running job keeps running
+        // until its own token cancels it.
         let eng = engine(1, EngineConfig::default());
-        let handles: Vec<_> = (0..4)
+        let mut handles: Vec<_> = (0..4)
             .map(|_| {
-                eng.submit(JobRequest::new("t0", Priority::Batch, long_spec()))
+                eng.submit(JobRequest::new("t0", Priority::Batch, endless_spec()))
                     .unwrap()
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(5));
+        let running = handles.remove(0);
+        await_batch_claim(&eng);
         eng.shutdown();
         assert!(matches!(
             eng.submit(JobRequest::new("t0", Priority::Batch, quick_spec())),
             Err(AdmissionError::ShuttingDown)
         ));
-        let mut cancelled = 0;
-        let mut done = 0;
         for h in handles {
-            // The running job may finish; every queued one must be
-            // Cancelled(Shutdown). Nothing may hang or panic.
             match h.wait_for(Duration::from_secs(30)) {
-                Ok(JobOutcome::Cancelled(_)) => cancelled += 1,
-                Ok(JobOutcome::Done(_)) => done += 1,
-                Ok(other) => panic!("unexpected outcome {other:?}"),
-                Err(_) => panic!("job hung across shutdown"),
+                Ok(JobOutcome::Cancelled(CancelReason::Shutdown)) => {}
+                Ok(other) => panic!("expected Cancelled(Shutdown), got {other:?}"),
+                Err(_) => panic!("queued job hung across shutdown"),
             }
         }
-        assert!(cancelled >= 3, "{cancelled} cancelled / {done} done");
+        running.cancel();
+        match running.wait_for(Duration::from_secs(30)) {
+            Ok(JobOutcome::Cancelled(CancelReason::Token)) => {}
+            Ok(other) => panic!("expected Cancelled(Token), got {other:?}"),
+            Err(_) => panic!("running job hung across shutdown"),
+        }
     }
 
     #[test]

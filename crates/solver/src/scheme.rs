@@ -695,9 +695,25 @@ pub fn apply_conserved_floors(u: &mut Field, params: &Con2PrimParams) -> usize {
 /// bound drives strong multi-dimensional blasts unstable.
 pub fn max_dt(scheme: &Scheme, prim: &Field, cfl: f64) -> f64 {
     let geom = prim.geom();
+    let r = Region::interior(geom);
+    let [rho, vx, vy, vz, p] = [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P].map(|c| prim.comp(c));
     let mut max_rate = 0.0f64;
-    for (i, j, k) in geom.interior_iter() {
-        max_rate = max_rate.max(cell_rate(scheme, geom, &prim_at(prim, i, j, k)));
+    // The interior x-rows of the raw component slices, in `interior_iter`
+    // order: a plain row walk leaves no iterator adapter or per-cell
+    // accessor for the inliner to keep out of line (AMR calls this per
+    // patch per step).
+    for k in r.lo[2]..r.hi[2] {
+        for j in r.lo[1]..r.hi[1] {
+            let row = geom.idx(0, j, k);
+            for i in row + r.lo[0]..row + r.hi[0] {
+                let w = Prim {
+                    rho: rho[i],
+                    vel: [vx[i], vy[i], vz[i]],
+                    p: p[i],
+                };
+                max_rate = max_rate.max(cell_rate(scheme, geom, &w));
+            }
+        }
     }
     cfl / max_rate.max(1e-30)
 }

@@ -4,10 +4,13 @@
 //! For each active dimension the solver sweeps 1D *pencils*: the five
 //! primitive components are reconstructed to cell interfaces, an
 //! approximate Riemann solver produces the interface flux, and the flux
-//! difference is accumulated into the residual. Pencils are independent,
-//! so within-patch parallelism distributes pencils over a gang
-//! ([`rhrsc_runtime::WorkStealingPool`]); across dimensions the sweeps
-//! accumulate sequentially.
+//! difference is accumulated into the residual. The pencils of a region
+//! are swept in *lane batches*: the stencil windows of consecutive
+//! pencils are packed end to end into one scratch pencil of about
+//! `TILE_CELLS` cells, and one kernel call runs them all. Batches are
+//! independent, so within-patch parallelism distributes batches over a
+//! gang ([`rhrsc_runtime::WorkStealingPool`]); across dimensions the
+//! sweeps accumulate sequentially.
 //!
 //! The residual can be evaluated on a sub-[`Region`] of the patch. That is
 //! the mechanism behind communication/computation overlap: the *deep*
@@ -24,6 +27,7 @@ use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{Cons, Dir, Prim, NCOMP};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// A rectangular sub-region of a patch, in ghost-inclusive cell indices
 /// (`lo` inclusive, `hi` exclusive).
@@ -169,33 +173,21 @@ pub fn accumulate_rhs_region_scan(
     // Each cell is scanned once: in the sweep along the first active
     // dimension.
     let mut scan = scan;
-    for d in 0..3 {
-        if !geom.active(d) {
-            continue;
-        }
+    for d in (0..3).filter(|&d| geom.active(d)) {
         let scan = scan.take();
-        // Transverse dims in ascending order.
-        let (a, b) = match d {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        let (na, nb) = (region.hi[a] - region.lo[a], region.hi[b] - region.lo[b]);
-        let npencils = na * nb;
-        let task = |p: usize| {
-            let ta = region.lo[a] + p % na;
-            let tb = region.lo[b] + p / na;
+        let extent = region.hi[d] - region.lo[d];
+        let npencils = region.len() / extent;
+        let per_batch = (TILE_CELLS / (extent + 2 * scheme.recon.ghost())).max(1);
+        let task = |batch: usize| {
+            let pencils = batch * per_batch..npencils.min((batch + 1) * per_batch);
             // SAFETY: each pencil writes only the rhs cells on its own
-            // (d, ta, tb) line; pencils within one sweep are disjoint.
-            unsafe { sweep_pencil(scheme, prim, &geom, d, ta, tb, region, &raw, scan) };
+            // line along `d`; the batches of one sweep are disjoint.
+            unsafe { sweep_batch(scheme, prim, d, region, pencils, &raw, scan) };
         };
+        let nbatches = npencils.div_ceil(per_batch);
         match pool {
-            Some(pool) if npencils > 1 => pool.par_for(npencils, 1, &task),
-            _ => {
-                for p in 0..npencils {
-                    task(p);
-                }
-            }
+            Some(pool) if nbatches > 1 => pool.par_for(nbatches, 1, &task),
+            _ => (0..nbatches).for_each(task),
         }
     }
     if scheme.geometry != Geometry::Cartesian {
@@ -234,8 +226,8 @@ fn accumulate_geometric_sources(scheme: &Scheme, prim: &Field, rhs: &mut Field, 
     }
 }
 
-/// Raw pointer to the rhs storage, shared across pencil tasks. Soundness
-/// relies on pencils writing disjoint cells (see `sweep_pencil`).
+/// Raw pointer to the rhs storage, shared across batch tasks. Soundness
+/// relies on pencils writing disjoint cells (see `sweep_batch`).
 #[derive(Clone, Copy)]
 struct RawRhs {
     ptr: *mut f64,
@@ -268,10 +260,10 @@ struct SideBanks {
 ///
 /// Holds the cell pencils (`q`), the two sides' interface banks and the
 /// interface flux bank. Reuse is stale-safe: every slot that a kernel
-/// reads is written earlier in the same pencil (`read_pencil` fills `q`
-/// completely; `Recon::pencil` writes exactly `[lo, hi1)`; the banks and
-/// fluxes are written over `[lo, hi1)` before the divergence loop reads
-/// them).
+/// reads is written earlier in the same call (a batch packs its windows
+/// over `q[..len]`, and the kernel's stencils read no cell past it;
+/// `Recon::pencil` writes exactly `[lo, hi1)`; the banks and fluxes are
+/// written over `[lo, hi1)` before the divergence loop reads them).
 #[derive(Default)]
 pub(crate) struct PencilScratch {
     q: [Vec<f64>; NCOMP],
@@ -664,8 +656,8 @@ fn hllc_lane<const N: usize>(l: Face, r: Face) -> [f64; NCOMP] {
 vector_width! {
     /// Reconstruct the loaded cell pencils to interfaces, sanitize, and
     /// compute the interface flux bank `s.flux[..][lo..hi1]` with the
-    /// scheme's Riemann solver dispatched once per pencil, at the host's
-    /// vector width.
+    /// scheme's Riemann solver dispatched once per call (a lane batch or
+    /// an AMR patch), at the host's vector width.
     ///
     /// `s.q` must already hold the five primitive component pencils.
     pub(crate) fn reconstruct_and_flux(
@@ -715,87 +707,97 @@ pub(crate) fn flux_lanes(scheme: &Scheme, s: &mut PencilScratch, dir: Dir, lo: u
     }
 }
 
-/// Process one pencil: reconstruct, solve Riemann problems, accumulate
-/// flux differences along direction `d` at transverse coordinates
-/// `(ta, tb)` (the other two dimensions in ascending order), plus the
-/// optional fused wave-speed scan.
+/// Cells a lane batch packs into one scratch pencil: the windows of
+/// consecutive pencils are added while they fit (a window longer than
+/// this is a batch of its own).
+const TILE_CELLS: usize = 256;
+
+/// Sweep the lane batch `pencils` of `region` along `d` (pencil `p` sits
+/// at the `p`-th transverse position, the lower transverse dimension
+/// fastest): reconstruct, solve Riemann problems and accumulate flux
+/// differences, plus the optional fused wave-speed scan.
+///
+/// Each pencil's stencil window, the cells `[lo − g, hi + g)` with
+/// `g = recon.ghost()`, is gathered end to end into the pencil scratch
+/// and one kernel call runs the whole batch. An interface a window keeps
+/// reads only cells of that window, and no kernel carries a value from
+/// one interface to the next, so the interfaces straddling two windows
+/// are computed and dropped and no bit can differ from a sweep of one
+/// pencil at a time.
 ///
 /// # Safety
 /// The caller must guarantee that no other thread concurrently accesses
-/// the rhs cells on this pencil.
-#[allow(clippy::too_many_arguments)]
-unsafe fn sweep_pencil(
+/// the rhs cells on these pencils.
+unsafe fn sweep_batch(
     scheme: &Scheme,
     prim: &Field,
-    geom: &PatchGeom,
     d: usize,
-    ta: usize,
-    tb: usize,
     region: &Region,
+    pencils: Range<usize>,
     raw: &RawRhs,
     scan: Option<&WaveScan>,
 ) {
-    let nt = geom.ntot(d);
-    let dir = Dir::ALL[d];
-    let inv_dx = 1.0 / geom.dx[d];
+    let geom = prim.geom();
+    let g = scheme.recon.ghost();
     let (lo, hi) = (region.lo[d], region.hi[d]);
+    let width = hi - lo + 2 * g;
+    let len = pencils.len() * width;
+    let inv_dx = 1.0 / geom.dx[d];
+    // Transverse dims in ascending order, and the storage step of each.
+    let (a, b) = [(1, 2), (0, 2), (0, 1)][d];
+    let strides = [1, geom.ntot(0), geom.ntot(0) * geom.ntot(1)];
+    let na = region.hi[a] - region.lo[a];
+    let line = |p: usize| (region.lo[a] + p % na, region.lo[b] + p / na);
 
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        s.ensure(nt);
-
-        for (c, comp) in [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P]
-            .into_iter()
-            .enumerate()
-        {
-            prim.read_pencil(comp, d, ta, tb, &mut s.q[c]);
+        // Sized once for any batch: a steady sweep never resizes.
+        s.ensure(len.max(TILE_CELLS));
+        for (slot, p) in pencils.clone().enumerate() {
+            let (ta, tb) = line(p);
+            let window = slot * width..(slot + 1) * width;
+            for (c, comp) in [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P]
+                .into_iter()
+                .enumerate()
+            {
+                prim.read_window(comp, d, ta, tb, lo - g, &mut s.q[c][window.clone()]);
+            }
         }
 
-        reconstruct_and_flux(scheme, s, dir, lo, hi + 1);
+        reconstruct_and_flux(scheme, s, Dir::ALL[d], g, len - g + 1);
 
-        // Linear index of cell `lo` on this pencil and the step per cell
-        // along dimension `d` (the layout is affine in each index).
-        let cell_of = |i: usize| -> (usize, usize, usize) {
-            match d {
-                0 => (i, ta, tb),
-                1 => (ta, i, tb),
-                _ => (ta, tb, i),
+        // Accumulate -dF/dx into rhs along each pencil, component-major,
+        // and fold the fused Δt scan: cell-centered CFL rates from the
+        // unsanitized cells, exactly as `max_dt` computes them, with one
+        // atomic fold per batch. The window in `slot` holds the cells
+        // `lo .. hi` at `slot·width + g ..`.
+        let mut max_rate = 0.0f64;
+        for (slot, p) in pencils.enumerate() {
+            let (ta, tb) = line(p);
+            let base = lo * strides[d] + ta * strides[a] + tb * strides[b];
+            let cells = slot * width + g..slot * width + g + (hi - lo);
+            for c in 0..NCOMP {
+                let cbase = unsafe { raw.ptr.add(c * raw.comp_stride + base) };
+                let faces = &s.flux[c][cells.start..=cells.end];
+                for (step, f) in faces.windows(2).enumerate() {
+                    let df = (f[1] - f[0]) * inv_dx;
+                    unsafe {
+                        *cbase.add(step * strides[d]) -= df;
+                    }
+                }
             }
-        };
-        let (i0, j0, k0) = cell_of(lo);
-        let base = geom.idx(i0, j0, k0);
-        let stride = if hi > lo + 1 {
-            let (i1, j1, k1) = cell_of(lo + 1);
-            geom.idx(i1, j1, k1) - base
-        } else {
-            1
-        };
-
-        // Accumulate -dF/dx into rhs along the pencil, component-major.
-        for c in 0..NCOMP {
-            let fc = &s.flux[c];
-            let cbase = unsafe { raw.ptr.add(c * raw.comp_stride + base) };
-            for (step, i) in (lo..hi).enumerate() {
-                let df = (fc[i + 1] - fc[i]) * inv_dx;
-                unsafe {
-                    *cbase.add(step * stride) -= df;
+            if scan.is_some() {
+                for i in cells {
+                    let w = Prim {
+                        rho: s.q[0][i],
+                        vel: [s.q[1][i], s.q[2][i], s.q[3][i]],
+                        p: s.q[4][i],
+                    };
+                    max_rate = max_rate.max(cell_rate(scheme, geom, &w));
                 }
             }
         }
-
-        // Fused Δt scan: cell-centered CFL rates from the unsanitized
-        // cell pencil, exactly as `max_dt` computes them; one atomic
-        // fold per pencil.
         if let Some(scan) = scan {
-            let mut max_rate = 0.0f64;
-            for i in lo..hi {
-                let w = Prim {
-                    rho: s.q[0][i],
-                    vel: [s.q[1][i], s.q[2][i], s.q[3][i]],
-                    p: s.q[4][i],
-                };
-                max_rate = max_rate.max(cell_rate(scheme, geom, &w));
-            }
             scan.observe(max_rate);
         }
     });

@@ -12,8 +12,9 @@
 //! pins `compute_rhs` against a residual assembled here from the public
 //! AoS pieces on fields that take every select both ways and leave HLLC
 //! through each of its exits; (c) pins
-//! `accumulate_rhs_region` over every pencil extent and offset against
-//! `compute_rhs`. A NaN compares equal to a NaN (which payload an
+//! `accumulate_rhs_region` over every pencil extent and offset, and
+//! `compute_rhs` over lane batches and shell stubs, against `compute_rhs`
+//! and against one kernel call per pencil window. A NaN compares equal to a NaN (which payload an
 //! operation hands on is the one thing IEEE 754 leaves open); everything
 //! else is compared in `to_bits()`. Vector code exists only in optimised
 //! builds: CI runs this file under `--release` as well.
@@ -542,6 +543,94 @@ fn every_pencil_extent_at_every_offset_tiles_to_compute_rhs() {
     for extent in [1, 2, b - 1, b, b + 1, b + 2, 2 * b, 2 * b + 1] {
         for lo in interior.lo[1]..=interior.hi[1] - extent {
             check_extent(&scheme, &prim, &full, 1, lo, lo + extent);
+        }
+    }
+}
+
+/// `accumulate_rhs_region` over `regions` (which tile the interior) into
+/// a residual zeroed first, serial or on `pool`.
+fn tiled(
+    scheme: &Scheme,
+    prim: &Field,
+    regions: &[Region],
+    pool: Option<&WorkStealingPool>,
+) -> Field {
+    let mut rhs = Field::cons(*prim.geom());
+    rhs.raw_mut().fill(0.0);
+    for region in regions {
+        accumulate_rhs_region(scheme, prim, &mut rhs, region, pool);
+    }
+    rhs
+}
+
+/// The slabs of extent `extent` along `d` (the last one shorter where
+/// `extent` does not divide the interior) that tile the interior.
+fn slabs(geom: &PatchGeom, d: usize, extent: usize) -> Vec<Region> {
+    let interior = Region::interior(geom);
+    (interior.lo[d]..interior.hi[d])
+        .step_by(extent)
+        .map(|lo| {
+            let mut r = interior;
+            (r.lo[d], r.hi[d]) = (lo, (lo + extent).min(interior.hi[d]));
+            r
+        })
+        .collect()
+}
+
+/// Lane batches: a sweep packs the stencil windows of consecutive pencils
+/// end to end and runs one kernel call over them (`TILE_CELLS = 256`
+/// cells in `step.rs`). On a 13 × 11 × 9 cube every sweep spans seven to
+/// nine batches, the last one partial, for every ghost width here: the
+/// x-sweep's 99 windows of 13 + 2g cells go 13 (g = 3) or 15 (g = 2) to a
+/// batch, the y-sweep's 117 and the z-sweep's 143 likewise. `compute_rhs`
+/// (serial and gang) must equal the interior tiled into single cells, on
+/// which every window is a kernel call of its own. And regions 1, 2 and
+/// 3 cells deep in the sweep dimension — the shell stubs of an overlapped
+/// halo exchange, 28–51 windows to a batch — must tile to `compute_rhs`.
+/// The fields are hostile, NaN velocities included: a value no kept
+/// interface reads must not leak across a window's edge.
+#[test]
+fn lane_batches_and_shell_stubs_tile_to_compute_rhs() {
+    let pool = WorkStealingPool::new(2);
+    let geom = PatchGeom::cube([13, 11, 9], [0.0; 3], [1.0, 0.9, 0.7], 3);
+    let prim = hostile_field(geom, 35, true);
+    let cells: Vec<Region> = geom
+        .interior_iter()
+        .map(|(i, j, k)| Region {
+            lo: [i, j, k],
+            hi: [i + 1, j + 1, k + 1],
+        })
+        .collect();
+    let recons = [Recon::Ppm, Recon::Plm(Limiter::Mc), Recon::Weno5];
+    for eos in [Eos::ideal(5.0 / 3.0), Eos::TaubMathews] {
+        for riemann in RiemannSolver::ALL {
+            for recon in recons {
+                let scheme = Scheme {
+                    eos,
+                    recon,
+                    riemann,
+                    ..Scheme::default_with_gamma(5.0 / 3.0)
+                };
+                let what = format!("{eos:?} {} {}", riemann.name(), recon.name());
+                let mut full = Field::cons(geom);
+                compute_rhs(&scheme, &prim, &mut full, None);
+                let one_window_each = tiled(&scheme, &prim, &cells, None);
+                assert_fields_equal(&full, &one_window_each, &format!("{what} serial"));
+                let mut gang = Field::cons(geom);
+                gang.raw_mut().fill(SENTINEL);
+                compute_rhs(&scheme, &prim, &mut gang, Some(&pool));
+                assert_fields_equal(&gang, &one_window_each, &format!("{what} gang"));
+                for d in 0..3 {
+                    for extent in 1..=3 {
+                        let stubs = slabs(&geom, d, extent);
+                        for (how, pool) in [("serial", None), ("gang", Some(&pool))] {
+                            let got = tiled(&scheme, &prim, &stubs, pool);
+                            let at = format!("{what} dim {d} stubs of {extent} {how}");
+                            assert_fields_equal(&got, &full, &at);
+                        }
+                    }
+                }
+            }
         }
     }
 }
