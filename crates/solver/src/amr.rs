@@ -38,24 +38,46 @@
 //!   the parent elsewhere. Because patches always cover whole parent
 //!   cells, the transfer preserves the composite integrals exactly.
 //!
+//! The level step does each piece of work once:
+//!
+//! * **The sync serves stage 0.** The sync before a step
+//!   ([`AmrSolver::stable_dt`]) fills every level's ghosts from the
+//!   current state and recovers its primitives. Stage 0 of a level's first
+//!   substep would build the same again (its ancestors lerp at θ = 0, which
+//!   reproduces their state bit for bit), so it takes them as they are.
+//!   Whatever moves a state or a layout clears the mark — regrid, `init`,
+//!   `restore`, the distributed rollback — and so does every exit from
+//!   [`AmrSolver::step`].
+//! * **Ancestors lerp only what prolongation reads**: the cells of their
+//!   children's ghost stencils ([`crate::refine::ghost_stencils`], which
+//!   the prolongation itself is written against), and on level 0 the edge
+//!   cells its boundary conditions copy.
+//! * **One kernel call per level and stage.** The stencil windows of a
+//!   level's owned patches are packed end to end into one pencil, as the
+//!   lane batches of [`crate::step`] pack pencils, and swept by one
+//!   `reconstruct_and_flux` call; the interfaces between two windows are
+//!   computed and dropped.
+//! * **Regrid recycles storage.** New patches draw zeroed buffers from
+//!   retired ones, and the flag, cluster and level vectors are kept.
+//!
 //! Metrics (`amr.regrids`, `amr.updates.l<ℓ>`, `amr.reflux.corrections`,
 //! the `amr.patches` histogram) and trace spans
 //! (`amr.regrid`, `amr.reflux`) thread through the PR 2/PR 4 layers via
 //! [`AmrSolver::set_metrics`] / [`AmrSolver::set_trace`].
 
 use crate::integrate::{lincomb, RkOrder};
-use crate::refine::{
-    prolong_ghosts_from, prolong_span, restrict_onto, rhs_1d_with_fluxes, rk_tables,
-};
+use crate::refine::{ghost_stencils, prolong_ghosts_from, prolong_span, restrict_onto, rk_tables};
 use crate::scheme::{
     apply_conserved_floors, init_cons, max_dt, prim_at, recover_prims, Geometry, Scheme,
-    SolverError,
+    SolverError, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
 };
+use crate::step::{reconstruct_and_flux, with_pencil_scratch};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
 use rhrsc_io::checkpoint::{AmrCheckpoint, AmrPatchRecord};
 use rhrsc_runtime::trace::{Tracer, Track};
-use rhrsc_runtime::Registry;
-use rhrsc_srhd::{Cons, Prim, NCOMP};
+use rhrsc_runtime::{Counter, Registry};
+use rhrsc_srhd::{Cons, Dir, Prim, NCOMP};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Tuning knobs of the AMR hierarchy.
@@ -114,6 +136,32 @@ pub(crate) struct Patch {
     pub(crate) acc: [Cons; 2],
     /// Parent-side accumulated effective fluxes at this patch's faces.
     pub(crate) acc_parent: [Cons; 2],
+}
+
+/// What regrids reuse instead of allocating: retired patches' buffers,
+/// which [`AmrSolver::make_patch`] draws again zeroed, and the flag,
+/// cluster and level vectors of [`AmrSolver::rebuild_level`].
+#[derive(Default)]
+struct Recycle {
+    fields: Vec<Vec<f64>>,
+    fluxes: Vec<Vec<Cons>>,
+    flags: Vec<bool>,
+    buffered: Vec<bool>,
+    runs: Vec<(usize, usize)>,
+    patches: Vec<Patch>,
+}
+
+/// A zeroed buffer of `len` elements from `pool`: the smallest one that
+/// holds them, else the largest (grown), else a new one.
+fn draw<T: Clone>(pool: &mut Vec<Vec<T>>, len: usize, zero: T) -> Vec<T> {
+    let pick = (0..pool.len()).min_by_key(|&i| match pool[i].capacity() {
+        cap if cap >= len => (false, cap),
+        cap => (true, usize::MAX - cap),
+    });
+    let mut v = pick.map_or_else(Vec::new, |i| pool.swap_remove(i));
+    v.clear();
+    v.resize(len, zero);
+    v
 }
 
 /// How a level step reaches the patches this process does not compute.
@@ -182,10 +230,17 @@ pub struct AmrSolver {
     pub(crate) updates: Vec<u64>,
     /// Per-level update counts already flushed to the metrics registry.
     flushed: Vec<u64>,
+    /// `amr.updates.l<ℓ>`, resolved once by `set_metrics`.
+    update_counters: Vec<Arc<Counter>>,
+    /// `synced[ℓ]`: level ℓ's ghosts and owned primitives are the ones the
+    /// last sync built from the current state, which stage 0 of its first
+    /// substep would build again.
+    synced: Vec<bool>,
     regrids: u64,
     pub(crate) reflux_corrections: u64,
     metrics: Option<Arc<Registry>>,
     trace: Option<(Arc<Tracer>, Arc<Track>)>,
+    recycle: Recycle,
 }
 
 impl AmrSolver {
@@ -224,15 +279,21 @@ impl AmrSolver {
             steps: 0,
             updates: vec![0; max_levels],
             flushed: vec![0; max_levels],
+            update_counters: Vec::new(),
+            synced: vec![false; max_levels],
             regrids: 0,
             reflux_corrections: 0,
             metrics: None,
             trace: None,
+            recycle: Recycle::default(),
         }
     }
 
     /// Attach a metrics registry (`amr.*` counters/histograms).
     pub fn set_metrics(&mut self, metrics: Arc<Registry>) {
+        self.update_counters = (0..self.cfg.max_levels)
+            .map(|l| metrics.counter(&format!("amr.updates.l{l}")))
+            .collect();
         self.metrics = Some(metrics);
     }
 
@@ -252,8 +313,9 @@ impl AmrSolver {
         self.n0 << l
     }
 
-    /// Allocate an empty patch at level `l`, cells `lo..lo+n`.
-    fn make_patch(&self, l: usize, lo: usize, n: usize) -> Patch {
+    /// A zeroed patch at level `l`, cells `lo..lo+n`, on retired
+    /// patches' storage where there is some.
+    fn make_patch(&mut self, l: usize, lo: usize, n: usize) -> Patch {
         let dx = self.level_dx(l);
         let geom = PatchGeom {
             n: [n, 1, 1],
@@ -261,28 +323,51 @@ impl AmrSolver {
             origin: [self.x0 + lo as f64 * dx, 0.0, 0.0],
             dx: [dx, 1.0, 1.0],
         };
+        let pool = &mut self.recycle;
+        let mut field =
+            |ncomp| Field::from_vec(geom, ncomp, draw(&mut pool.fields, ncomp * geom.len(), 0.0));
         Patch {
             lo,
             n,
             parent_idx: 0,
-            u: Field::cons(geom),
-            prim: Field::new(geom, 5),
-            rhs: Field::cons(geom),
-            base: Field::cons(geom),
-            lerp: Field::cons(geom),
-            flux: vec![Cons::ZERO; geom.ntot(0) + 1],
+            u: field(NCOMP),
+            prim: field(5),
+            rhs: field(NCOMP),
+            base: field(NCOMP),
+            lerp: field(NCOMP),
+            flux: draw(&mut pool.fluxes, geom.ntot(0) + 1, Cons::ZERO),
             acc: [Cons::ZERO; 2],
             acc_parent: [Cons::ZERO; 2],
         }
+    }
+
+    /// Hand patches' storage back for [`AmrSolver::make_patch`] to draw.
+    fn retire(&mut self, patches: impl IntoIterator<Item = Patch>) {
+        let pool = &mut self.recycle;
+        for p in patches {
+            let fields = [p.u, p.prim, p.rhs, p.base, p.lerp];
+            pool.fields.extend(fields.map(Field::into_vec));
+            pool.fluxes.push(p.flux);
+        }
+    }
+
+    /// Drop the sync marks: level states or layouts are about to move.
+    pub(crate) fn forget_sync(&mut self) {
+        self.synced.fill(false);
     }
 
     /// Initialize the hierarchy from a pointwise primitive IC: level 0 is
     /// sampled directly, then each finer level is built where the error
     /// estimator fires, also sampled from the IC, and restricted down.
     pub fn init(&mut self, ic: &dyn Fn([f64; 3]) -> Prim) {
+        let old = std::mem::replace(
+            &mut self.levels,
+            (0..self.cfg.max_levels).map(|_| Vec::new()).collect(),
+        );
+        self.retire(old.into_iter().flatten());
+        self.forget_sync();
         let mut p0 = self.make_patch(0, 0, self.n0);
         p0.u = init_cons(*p0.u.geom(), &self.scheme.eos, ic);
-        self.levels = (0..self.cfg.max_levels).map(|_| Vec::new()).collect();
         self.levels[0].push(p0);
         self.steps = 0;
         for m in 1..self.cfg.max_levels {
@@ -381,7 +466,9 @@ impl AmrSolver {
             fill(&mut p, payload);
             levels[l].push(p);
         }
-        self.levels = levels;
+        let old = std::mem::replace(&mut self.levels, levels);
+        self.retire(old.into_iter().flatten());
+        self.forget_sync();
         Ok(())
     }
 
@@ -454,20 +541,26 @@ impl AmrSolver {
     /// patches' primitives. Ghost prolongation is pure local arithmetic
     /// over the ancestor interiors `sync` made available; ghost bands of
     /// patches owned elsewhere come out garbage but are never read.
+    /// A level whose every owned recovery succeeded is marked
+    /// [`synced`](Self::synced).
     fn sync_all<C: LevelCoupling>(&mut self, c: &mut C) -> Result<(), SolverError> {
+        self.forget_sync();
         for m in 0..self.levels.len() {
             if m > 0 && self.levels[m].is_empty() {
                 break;
             }
             c.sync(self, m)?;
             self.fill_ghosts_sync_level(m);
+            let mut sound = true;
             for (i, p) in self.levels[m].iter_mut().enumerate() {
                 if c.owns(m, i) {
                     if let Err(e) = recover_prims(&self.scheme, &p.u, &mut p.prim) {
+                        sound = false;
                         c.fail(e)?;
                     }
                 }
             }
+            self.synced[m] = sound;
         }
         Ok(())
     }
@@ -477,11 +570,15 @@ impl AmrSolver {
     /// levels contribute *time-interpolated* states: the interpolation
     /// parameter is pushed up the chain via
     /// `θ_{m−1} = frac_m + θ_m / 2`, so every ancestor is evaluated at the
-    /// same physical time.
+    /// same physical time. An ancestor lerps only the interior cells its
+    /// children's ghost prolongation reads, and fills its own ghosts only
+    /// when that prolongation reaches into them: from the boundary
+    /// conditions on level 0 (after lerping the edge cells they copy), by
+    /// prolongation from its own parent elsewhere.
     fn fill_ghosts_lerp(&mut self, l: usize, c: f64) {
+        let ng = self.ng;
         if l == 0 {
-            let p0 = &mut self.levels[0][0];
-            fill_ghosts(&mut p0.u, &self.bcs);
+            fill_ghosts(&mut self.levels[0][0].u, &self.bcs);
             return;
         }
         // theta(m): lerp position between level m's base and current
@@ -494,21 +591,32 @@ impl AmrSolver {
                 .rev()
                 .fold(frac[l] + 0.5 * c, |th, k| frac[k] + 0.5 * th)
         };
-        // Level 0 lerp with physical BCs.
-        {
-            let p0 = &mut self.levels[0][0];
-            lerp_into(&mut p0.lerp, &p0.base, &p0.u, theta(0));
-            fill_ghosts(&mut p0.lerp, &self.bcs);
-        }
-        // Intermediate ancestors: lerp interiors, prolong lerp ghosts.
-        let ng = self.ng;
-        for m in 1..l {
-            let (left, right) = self.levels.split_at_mut(m);
-            let parents = &left[m - 1];
-            for ch in right[0].iter_mut() {
-                lerp_into(&mut ch.lerp, &ch.base, &ch.u, theta(m));
-                let par = &parents[ch.parent_idx];
-                prolong_ghosts_from(&par.lerp, &mut ch.lerp, ng, ng, ch.n, ch.lo / 2 - par.lo);
+        for m in 0..l {
+            let th = theta(m);
+            let (upto, finer) = self.levels.split_at_mut(m + 1);
+            let (coarser, level) = upto.split_at_mut(m);
+            for (i, p) in level[0].iter_mut().enumerate() {
+                // The interior cells its children's ghost prolongation
+                // reads, and whether that reaches into its own ghosts.
+                let mut reads_ghosts = false;
+                for ch in finer[0].iter().filter(|ch| ch.parent_idx == i) {
+                    for cells in ghost_stencils(ng, ng, ch.n, ch.lo / 2 - p.lo) {
+                        reads_ghosts |= cells.start < ng || cells.end > ng + p.n;
+                        lerp_cells(p, cells.start.max(ng)..cells.end.min(ng + p.n), th);
+                    }
+                }
+                if !reads_ghosts {
+                    continue;
+                }
+                if m == 0 {
+                    // Boundary conditions copy the edge cells.
+                    lerp_cells(p, ng..2 * ng, th);
+                    lerp_cells(p, p.n..p.n + ng, th);
+                    fill_ghosts(&mut p.lerp, &self.bcs);
+                } else {
+                    let par = &coarser[m - 1][p.parent_idx];
+                    prolong_ghosts_from(&par.lerp, &mut p.lerp, ng, ng, p.n, p.lo / 2 - par.lo);
+                }
             }
         }
         // The advancing level's own ghosts.
@@ -522,14 +630,61 @@ impl AmrSolver {
 
     // ----- residual evaluation -------------------------------------------
 
-    /// Residual + interface fluxes for every owned patch of level `l`.
+    /// Residual and interface fluxes of every owned patch of level `l`, in
+    /// one kernel call: the patches' stencil windows (each whole pencil:
+    /// the scheme's stencil is `ng` cells) are packed end to end into the
+    /// pencil scratch, as [`crate::step`]'s lane batches pack pencils, and
+    /// the interfaces straddling two windows are computed and dropped.
+    /// `flux` keeps the interfaces the reflux reads: the patch's own two
+    /// faces and its children's. `rhs` ghosts are never written.
     fn eval_level_rhs<C: LevelCoupling>(&mut self, c: &C, l: usize) {
-        let scheme = self.scheme;
-        for (i, p) in self.levels[l].iter_mut().enumerate() {
-            if c.owns(l, i) {
-                rhs_1d_with_fluxes(&scheme, &p.prim, &mut p.rhs, &mut p.flux);
-            }
+        let (scheme, ng) = (self.scheme, self.ng);
+        let (upto, finer) = self.levels.split_at_mut(l + 1);
+        let (patches, children) = (&mut upto[l], finer.first().map_or(&[][..], Vec::as_slice));
+        let owned = |i: &usize| c.owns(l, *i);
+        let len: usize = (0..patches.len())
+            .filter(owned)
+            .map(|i| patches[i].n + 2 * ng)
+            .sum();
+        if len == 0 {
+            return;
         }
+        with_pencil_scratch(len, |s| {
+            let mut at = 0;
+            for p in (0..patches.len()).filter(owned).map(|i| &patches[i]) {
+                let window = at..at + p.n + 2 * ng;
+                for (k, comp) in [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P]
+                    .into_iter()
+                    .enumerate()
+                {
+                    p.prim
+                        .read_window(comp, 0, 0, 0, 0, &mut s.q_mut(k)[window.clone()]);
+                }
+                at = window.end;
+            }
+            reconstruct_and_flux(&scheme, s, Dir::X, ng, len - ng + 1);
+            let mut at = 0;
+            for i in (0..patches.len()).filter(owned) {
+                let p = &mut patches[i];
+                // The patch's interface `ng + j` sits at `at + ng + j`.
+                let (n, inv_dx) = (p.rhs.geom().len(), 1.0 / p.rhs.geom().dx[0]);
+                let rhs = p.rhs.raw_mut();
+                for k in 0..NCOMP {
+                    let f = &s.flux(k)[at + ng..at + ng + p.n + 1];
+                    let out = &mut rhs[k * n + ng..k * n + ng + p.n];
+                    for j in 0..out.len() {
+                        out[j] = -(f[j + 1] - f[j]) * inv_dx;
+                    }
+                }
+                let kids = children.iter().filter(|ch| ch.parent_idx == i);
+                let faces = kids.flat_map(|ch| [ch.lo / 2 - p.lo, (ch.lo + ch.n) / 2 - p.lo]);
+                for j in [0, p.n].into_iter().chain(faces) {
+                    let f = at + ng + j;
+                    p.flux[ng + j] = Cons::from_array([0, 1, 2, 3, 4].map(|k| s.flux(k)[f]));
+                }
+                at += p.n + 2 * ng;
+            }
+        });
     }
 
     // ----- time stepping -------------------------------------------------
@@ -563,13 +718,14 @@ impl AmrSolver {
     /// Advance the hierarchy by one base-level step of size `dt`
     /// (regridding first when the cadence says so).
     pub fn step(&mut self, dt: f64) -> Result<(), SolverError> {
-        if self.cfg.regrid_interval > 0
+        let due = self.cfg.regrid_interval > 0
             && self.steps > 0
-            && self.steps.is_multiple_of(self.cfg.regrid_interval as u64)
-        {
-            self.regrid()?;
-        }
-        self.step_level(&mut Serial, 0, dt, 0.0)?;
+            && self.steps.is_multiple_of(self.cfg.regrid_interval as u64);
+        let stepped = if due { self.regrid() } else { Ok(()) }
+            .and_then(|()| self.step_level(&mut Serial, 0, dt, 0.0));
+        // A sync's primitives serve the step right after it, and no other.
+        self.forget_sync();
+        stepped?;
         self.steps += 1;
         self.flush_metrics();
         Ok(())
@@ -626,11 +782,15 @@ impl AmrSolver {
             }
         }
         for (si, &(a, b, cw)) in stages.iter().enumerate() {
-            self.fill_ghosts_lerp(l, ctimes[si]);
-            for (i, p) in self.levels[l].iter_mut().enumerate() {
-                if c.owns(l, i) {
-                    if let Err(e) = recover_prims(&self.scheme, &p.u, &mut p.prim) {
-                        c.fail(e)?;
+            // Stage 0 of the first substep after a sync starts from the
+            // ghosts and primitives the sync built from this same state.
+            if si > 0 || !std::mem::take(&mut self.synced[l]) {
+                self.fill_ghosts_lerp(l, ctimes[si]);
+                for (i, p) in self.levels[l].iter_mut().enumerate() {
+                    if c.owns(l, i) {
+                        if let Err(e) = recover_prims(&self.scheme, &p.u, &mut p.prim) {
+                            c.fail(e)?;
+                        }
                     }
                 }
             }
@@ -724,11 +884,10 @@ impl AmrSolver {
     }
 
     pub(crate) fn flush_metrics(&mut self) {
-        let Some(m) = &self.metrics else { return };
-        for l in 0..self.updates.len() {
+        for (l, counter) in self.update_counters.iter().enumerate() {
             let delta = self.updates[l] - self.flushed[l];
             if delta > 0 {
-                m.counter(&format!("amr.updates.l{l}")).add(delta);
+                counter.add(delta);
                 self.flushed[l] = self.updates[l];
             }
         }
@@ -740,6 +899,8 @@ impl AmrSolver {
     /// state from the old hierarchy.
     pub fn regrid(&mut self) -> Result<(), SolverError> {
         let t0 = self.trace.as_ref().map(|(tr, _)| tr.now_ns());
+        // Restricting the new levels can move covered cells of any level.
+        self.forget_sync();
         for m in 1..self.cfg.max_levels {
             self.rebuild_level(m, None);
         }
@@ -772,18 +933,19 @@ impl AmrSolver {
         for lvl in 0..m {
             self.fill_ghosts_sync_level(lvl);
         }
-        let flags = self.flag_level(m - 1);
-        let buffered = buffer_flags(&flags, self.cfg.buffer);
-        let allowed: Vec<(usize, usize)> = self.levels[m - 1]
+        self.flag_level(m - 1);
+        let r = &mut self.recycle;
+        buffer_flags(&r.flags, self.cfg.buffer, &mut r.buffered);
+        let allowed = self.levels[m - 1]
             .iter()
             .filter(|p| p.n > 2 * NEST_MARGIN)
-            .map(|p| (p.lo + NEST_MARGIN, p.lo + p.n - NEST_MARGIN))
-            .collect();
-        let runs = cluster_runs(&buffered, &allowed, MERGE_GAP, MIN_SIZE);
-        let old = std::mem::take(&mut self.levels[m]);
-        let mut newp = Vec::with_capacity(runs.len());
+            .map(|p| (p.lo + NEST_MARGIN, p.lo + p.n - NEST_MARGIN));
+        cluster_runs(&r.buffered, allowed, MERGE_GAP, MIN_SIZE, &mut r.runs);
+        let runs = std::mem::take(&mut r.runs);
+        let mut newp = std::mem::take(&mut r.patches);
+        let mut old = std::mem::take(&mut self.levels[m]);
         let ng = self.ng;
-        for (rlo, rhi) in runs {
+        for &(rlo, rhi) in &runs {
             let mut p = self.make_patch(m, 2 * rlo, 2 * (rhi - rlo));
             let parents = self.levels[m - 1].iter().map(|q| (q.lo, q.n));
             p.parent_idx =
@@ -824,16 +986,23 @@ impl AmrSolver {
             }
             newp.push(p);
         }
+        self.recycle.runs = runs;
         self.levels[m] = newp;
+        self.retire(old.drain(..));
+        self.recycle.patches = old;
         if !self.levels[m].is_empty() {
             self.restrict_level(m, |_| true);
         }
     }
 
     /// Löhner-style normalized second-difference indicator on `D` and `τ`
-    /// over level `l`'s patches, in the level's global cell space.
-    fn flag_level(&self, l: usize) -> Vec<bool> {
-        let mut flags = vec![false; self.level_cells(l)];
+    /// over level `l`'s patches, in the level's global cell space, into
+    /// the recycled flag vector.
+    fn flag_level(&mut self, l: usize) {
+        let cells = self.level_cells(l);
+        let flags = &mut self.recycle.flags;
+        flags.clear();
+        flags.resize(cells, false);
         let ng = self.ng;
         let eps = 0.01;
         for p in &self.levels[l] {
@@ -852,7 +1021,6 @@ impl AmrSolver {
                 }
             }
         }
-        flags
     }
 
     // ----- diagnostics ---------------------------------------------------
@@ -975,17 +1143,23 @@ impl AmrSolver {
     }
 }
 
-/// `out = (1−θ)·a + θ·b`, elementwise over the raw storage.
-fn lerp_into(out: &mut Field, a: &Field, b: &Field, theta: f64) {
-    for (o, (&x, &y)) in out.raw_mut().iter_mut().zip(a.raw().iter().zip(b.raw())) {
-        *o = (1.0 - theta) * x + theta * y;
+/// `lerp = (1−θ)·base + θ·u` over the ghost-inclusive `cells` of a
+/// patch, every component.
+fn lerp_cells(p: &mut Patch, cells: Range<usize>, theta: f64) {
+    let n = p.u.geom().len();
+    let (out, a, b) = (p.lerp.raw_mut(), p.base.raw(), p.u.raw());
+    for c in 0..NCOMP {
+        for k in cells.clone().map(|i| c * n + i) {
+            out[k] = (1.0 - theta) * a[k] + theta * b[k];
+        }
     }
 }
 
-/// Dilate flags by `b` cells on each side.
-fn buffer_flags(flags: &[bool], b: usize) -> Vec<bool> {
+/// Dilate flags by `b` cells on each side, into `out`.
+fn buffer_flags(flags: &[bool], b: usize, out: &mut Vec<bool>) {
     let n = flags.len();
-    let mut out = vec![false; n];
+    out.clear();
+    out.resize(n, false);
     for (i, &f) in flags.iter().enumerate() {
         if f {
             for o in out
@@ -997,25 +1171,26 @@ fn buffer_flags(flags: &[bool], b: usize) -> Vec<bool> {
             }
         }
     }
-    out
 }
 
 /// Signature clustering in 1D: within each admissible interval, extract
 /// maximal runs of flagged cells, merge runs closer than `merge_gap`,
-/// grow runs below `min_size`, and merge again. Returned runs are
-/// disjoint, sorted, and at least `min_size` wide.
+/// grow runs below `min_size`, and merge again. The runs left in `out`
+/// are disjoint, sorted, and at least `min_size` wide.
 fn cluster_runs(
     flags: &[bool],
-    allowed: &[(usize, usize)],
+    allowed: impl IntoIterator<Item = (usize, usize)>,
     merge_gap: usize,
     min_size: usize,
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for &(alo, ahi) in allowed {
+    out: &mut Vec<(usize, usize)>,
+) {
+    out.clear();
+    for (alo, ahi) in allowed {
         if ahi <= alo || ahi - alo < min_size {
             continue;
         }
-        let mut runs: Vec<(usize, usize)> = Vec::new();
+        // This interval's runs are `out[start..]`.
+        let start = out.len();
         let mut i = alo;
         while i < ahi {
             if flags[i] {
@@ -1023,24 +1198,13 @@ fn cluster_runs(
                 while i < ahi && flags[i] {
                     i += 1;
                 }
-                runs.push((s, i));
+                out.push((s, i));
             } else {
                 i += 1;
             }
         }
-        if runs.is_empty() {
-            continue;
-        }
-        let mut merged: Vec<(usize, usize)> = vec![runs[0]];
-        for &(s, e) in &runs[1..] {
-            let last = merged.last_mut().unwrap();
-            if s <= last.1 + merge_gap {
-                last.1 = e.max(last.1);
-            } else {
-                merged.push((s, e));
-            }
-        }
-        for r in &mut merged {
+        merge_runs(out, start, merge_gap);
+        for r in &mut out[start..] {
             while r.1 - r.0 < min_size {
                 if r.1 < ahi {
                     r.1 += 1;
@@ -1051,18 +1215,26 @@ fn cluster_runs(
                 }
             }
         }
-        let mut fin: Vec<(usize, usize)> = vec![merged[0]];
-        for &(s, e) in &merged[1..] {
-            let last = fin.last_mut().unwrap();
-            if s <= last.1 + merge_gap {
-                last.1 = e.max(last.1);
-            } else {
-                fin.push((s, e));
-            }
-        }
-        out.extend(fin.into_iter().filter(|&(s, e)| e - s >= min_size));
+        merge_runs(out, start, merge_gap);
+        // Earlier intervals' runs already pass.
+        out.retain(|&(s, e)| e - s >= min_size);
     }
-    out
+}
+
+/// Merge, in place, each run of `runs[start..]` that begins within `gap`
+/// cells of the end of the run kept before it.
+fn merge_runs(runs: &mut Vec<(usize, usize)>, start: usize, gap: usize) {
+    let mut kept = start;
+    for k in start..runs.len() {
+        let (s, e) = runs[k];
+        if kept > start && s <= runs[kept - 1].1 + gap {
+            runs[kept - 1].1 = e.max(runs[kept - 1].1);
+        } else {
+            runs[kept] = (s, e);
+            kept += 1;
+        }
+    }
+    runs.truncate(kept);
 }
 
 #[cfg(test)]
@@ -1223,6 +1395,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    // ----- the sync's primitives serve only the step right after it ------
+
+    /// The hierarchy's layout and interior bits.
+    fn bits(amr: &AmrSolver) -> Vec<u64> {
+        let ck = amr.to_checkpoint(0.0);
+        let words = ck.patches.iter().flat_map(|p| {
+            let span = [p.level as f64, p.lo as f64, p.n as f64];
+            span.into_iter().chain(p.data.iter().copied())
+        });
+        words.map(f64::to_bits).collect()
+    }
+
+    /// The Martí–Müller blast on three levels at `t = 0.1`.
+    fn blast_at_0_1() -> AmrSolver {
+        let prob = Problem::blast_wave_1();
+        let mut amr = solver(100, AmrConfig::default(), prob.bcs);
+        amr.init(&|x| (prob.ic)(x));
+        amr.advance_to(0.0, 0.1, 0.4).unwrap();
+        assert!(amr.patch_count(2) > 0);
+        amr
+    }
+
+    #[test]
+    fn a_regrid_after_the_sync_is_stepped_from_fresh_primitives() {
+        let (mut a, mut b) = (blast_at_0_1(), blast_at_0_1());
+        let dt = a.stable_dt(0.4).unwrap();
+        a.regrid().unwrap();
+        a.step(dt).unwrap();
+        b.regrid().unwrap();
+        b.stable_dt(0.4).unwrap();
+        b.step(dt).unwrap();
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    #[test]
+    fn a_restore_after_the_sync_is_stepped_from_fresh_primitives() {
+        let mut a = blast_at_0_1();
+        let ck = a.to_checkpoint(0.1);
+        a.advance_to(0.1, 0.15, 0.4).unwrap();
+        let dt = a.stable_dt(0.4).unwrap();
+        a.restore(&ck).unwrap();
+        a.step(dt).unwrap();
+        let prob = Problem::blast_wave_1();
+        let mut b = solver(100, AmrConfig::default(), prob.bcs);
+        b.restore(&ck).unwrap();
+        b.step(dt).unwrap();
+        assert_eq!(bits(&a), bits(&b));
+    }
+
+    #[test]
+    fn a_failed_step_leaves_no_primitives_to_reuse() {
+        // A NaN on level 1 fails its stage-1 recovery before level 2 has
+        // stepped; with the cell repaired, the next step must recover
+        // level 2 afresh, as it does after a new sync.
+        let (mut a, mut b) = (blast_at_0_1(), blast_at_0_1());
+        let dt = a.stable_dt(0.4).unwrap();
+        for amr in [&mut a, &mut b] {
+            amr.stable_dt(0.4).unwrap();
+            let ng = amr.ng;
+            let keep = amr.levels[1][0].u.at(0, ng, 0, 0);
+            amr.levels[1][0].u.set(0, ng, 0, 0, f64::NAN);
+            assert!(amr.step(dt).is_err());
+            amr.levels[1][0].u.set(0, ng, 0, 0, keep);
+        }
+        a.step(dt).unwrap();
+        b.stable_dt(0.4).unwrap();
+        b.step(dt).unwrap();
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]
@@ -1512,7 +1754,8 @@ mod tests {
         flags[10] = true;
         flags[13] = true; // within merge_gap of 10 -> one run
         flags[40] = true;
-        let runs = cluster_runs(&flags, &[(2, 62)], 4, 4);
+        let mut runs = Vec::new();
+        cluster_runs(&flags, [(2, 62)], 4, 4, &mut runs);
         assert_eq!(runs.len(), 2);
         for &(s, e) in &runs {
             assert!(e - s >= 4, "run [{s},{e}) below min size");

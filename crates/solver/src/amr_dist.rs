@@ -850,6 +850,7 @@ impl DistAmrSolver {
                 p.u.raw_mut().copy_from_slice(s);
             }
         }
+        self.inner.forget_sync();
     }
 
     /// Advance to `t_end` under CFL control up the recovery ladder

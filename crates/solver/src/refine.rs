@@ -1,21 +1,19 @@
 //! Shared mesh-refinement operators: conservative prolongation,
-//! restriction, interface-flux-capturing residuals, and the SSP-RK
-//! effective-weight tables.
+//! restriction, and the SSP-RK effective-weight tables.
 //!
 //! The refinement solver [`crate::amr::AmrSolver`] — adaptive, or with the
 //! static layout of [`crate::amr::AmrSolver::init_static`] — is built from
-//! four operators:
+//! three operators and the shared pencil kernel:
 //!
 //! * **prolongation** ([`prolong_span`] / [`prolong_ghosts_from`]) —
 //!   conservative, minmod-limited linear interpolation from a coarse field
 //!   into ratio-2 fine cells; the two children of a parent average back to
 //!   it exactly (up to one rounding each), which is what makes regridding
-//!   and ghost filling conservative,
+//!   and ghost filling conservative. [`ghost_stencils`] names the coarse
+//!   cells a ghost prolongation reads, so a caller can prepare exactly
+//!   those,
 //! * **restriction** ([`restrict_onto`]) — covered coarse cells replaced by
 //!   the mean of their two fine children,
-//! * **flux-capturing residual** ([`rhs_1d_with_fluxes`]) — the 1D
-//!   finite-volume residual that also records every interface flux, the
-//!   raw material for refluxing,
 //! * **RK tables** ([`rk_tables`]) — per-stage combine coefficients plus
 //!   the *effective* flux weights `b_i` and stage times `c_i` of the
 //!   SSP-RK forms: the final update equals
@@ -28,9 +26,9 @@
 //! floating-point expressions.
 
 use crate::integrate::RkOrder;
-use crate::scheme::{Scheme, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ};
 use rhrsc_grid::Field;
-use rhrsc_srhd::{Cons, Dir, NCOMP};
+use rhrsc_srhd::NCOMP;
+use std::ops::Range;
 
 /// Per-stage `(a, b, c)` combine coefficients, effective flux weights,
 /// and stage times of an SSP-RK form.
@@ -79,8 +77,8 @@ pub fn minmod(a: f64, b: f64) -> f64 {
 /// (0 = left child). Children are `u₀ ∓ s/4` with `s` the minmod slope of
 /// the parent, so the two children of a parent average back to it
 /// exactly. Fills fine global indices `f0..f1` (ghost-inclusive fine
-/// index `ng_f + f`). The needed coarse stencil (`parent ± 1`) must be
-/// ghost-inclusive-valid in `src_c`.
+/// index `ng_f + f`) of the line fields `src_c` → `dst_f`. The needed
+/// coarse stencil (`parent ± 1`) must be ghost-inclusive-valid in `src_c`.
 pub fn prolong_span(
     src_c: &Field,
     dst_f: &mut Field,
@@ -90,28 +88,37 @@ pub fn prolong_span(
     f0: i64,
     f1: i64,
 ) {
-    for f_global in f0..f1 {
-        let gi_f = (ng_f as i64 + f_global) as usize;
-        let ic = lo as i64 + f_global.div_euclid(2);
-        let child = f_global.rem_euclid(2);
-        let i = (ng_c as i64 + ic) as usize;
-        for c in 0..NCOMP {
-            let u_m = src_c.at(c, i - 1, 0, 0);
-            let u_0 = src_c.at(c, i, 0, 0);
-            let u_p = src_c.at(c, i + 1, 0, 0);
+    let (len_c, len_f) = (src_c.geom().len(), dst_f.geom().len());
+    let dst = dst_f.raw_mut();
+    for c in 0..NCOMP {
+        let src = &src_c.raw()[c * len_c..(c + 1) * len_c];
+        let dst = &mut dst[c * len_f..(c + 1) * len_f];
+        for f_global in f0..f1 {
+            let i = parent_cell(ng_c, lo, f_global);
+            let (u_m, u_0, u_p) = (src[i - 1], src[i], src[i + 1]);
             let s = minmod(u_0 - u_m, u_p - u_0);
-            let v = if child == 0 {
+            dst[(ng_f as i64 + f_global) as usize] = if f_global.rem_euclid(2) == 0 {
                 u_0 - 0.25 * s
             } else {
                 u_0 + 0.25 * s
             };
-            dst_f.set(c, gi_f, 0, 0, v);
         }
     }
 }
 
-/// Prolong coarse data into *both ghost bands* of a fine patch: fine
-/// global indices `-ng_f..0` and `n_f..n_f+ng_f`.
+/// Ghost-inclusive index of the coarse cell that holds fine cell
+/// `f_global` (the [`prolong_span`] convention).
+fn parent_cell(ng_c: usize, lo: usize, f_global: i64) -> usize {
+    ((ng_c + lo) as i64 + f_global.div_euclid(2)) as usize
+}
+
+/// The two ghost bands of a fine patch, as fine global index spans:
+/// `-ng_f..0` and `n_f..n_f+ng_f`.
+fn ghost_bands(ng_f: usize, n_f: usize) -> [(i64, i64); 2] {
+    [(-(ng_f as i64), 0), (n_f as i64, (n_f + ng_f) as i64)]
+}
+
+/// Prolong coarse data into *both ghost bands* of a fine patch.
 pub fn prolong_ghosts_from(
     src_c: &Field,
     dst_f: &mut Field,
@@ -120,16 +127,17 @@ pub fn prolong_ghosts_from(
     n_f: usize,
     lo: usize,
 ) {
-    prolong_span(src_c, dst_f, ng_c, ng_f, lo, -(ng_f as i64), 0);
-    prolong_span(
-        src_c,
-        dst_f,
-        ng_c,
-        ng_f,
-        lo,
-        n_f as i64,
-        (n_f + ng_f) as i64,
-    );
+    for (f0, f1) in ghost_bands(ng_f, n_f) {
+        prolong_span(src_c, dst_f, ng_c, ng_f, lo, f0, f1);
+    }
+}
+
+/// The coarse cells (ghost-inclusive, one range per ghost band) that
+/// [`prolong_ghosts_from`] reads with the same arguments: each band's
+/// parent cells and their minmod neighbours.
+pub fn ghost_stencils(ng_c: usize, ng_f: usize, n_f: usize, lo: usize) -> [Range<usize>; 2] {
+    ghost_bands(ng_f, n_f)
+        .map(|(f0, f1)| parent_cell(ng_c, lo, f0) - 1..parent_cell(ng_c, lo, f1 - 1) + 2)
 }
 
 /// Restrict a fine level onto the covered coarse cells (children
@@ -152,48 +160,11 @@ pub fn restrict_onto(
     }
 }
 
-/// 1D residual with interface-flux capture: fills `rhs` over the interior
-/// and stores the interface fluxes (`flux[j]` is the flux through the
-/// ghost-inclusive interface `j`, valid for `ng..=ng+n`).
-pub fn rhs_1d_with_fluxes(scheme: &Scheme, prim: &Field, rhs: &mut Field, flux: &mut [Cons]) {
-    let geom = *prim.geom();
-    debug_assert_eq!(geom.ndim(), 1);
-    let ng = geom.ng;
-    let n = geom.n[0];
-    let nt = geom.ntot(0);
-    let inv_dx = 1.0 / geom.dx[0];
-
-    // Shared fused interface kernel (same scratch banks and expression
-    // trees as the block sweeps — see the module header's bit-identity
-    // guarantee).
-    crate::step::with_pencil_scratch(nt, |s| {
-        for (c, comp) in [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P]
-            .into_iter()
-            .enumerate()
-        {
-            prim.read_pencil(comp, 0, 0, 0, s.q_mut(c));
-        }
-        crate::step::reconstruct_and_flux(scheme, s, Dir::X, ng, ng + n + 1);
-        for (j, fj) in flux.iter_mut().enumerate().skip(ng).take(n + 1) {
-            *fj = Cons::from_array([
-                s.flux(0)[j],
-                s.flux(1)[j],
-                s.flux(2)[j],
-                s.flux(3)[j],
-                s.flux(4)[j],
-            ]);
-        }
-    });
-    rhs.raw_mut().fill(0.0);
-    for i in ng..ng + n {
-        rhs.set_cons(i, 0, 0, -(flux[i + 1] - flux[i]) * inv_dx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rhrsc_grid::PatchGeom;
+    use rhrsc_srhd::Cons;
 
     #[test]
     fn minmod_basics() {
@@ -247,6 +218,49 @@ mod tests {
             let got = back.get_cons(ng + ic, 0, 0);
             for (w, g) in want.to_array().iter().zip(got.to_array()) {
                 assert!((w - g).abs() < 1e-14, "cell {ic}: {w} vs {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn ghost_stencils_are_exactly_what_ghost_prolongation_reads() {
+        // On convex data (every minmod picks the left slope), NaN outside
+        // the stencils leaves every ghost bit for bit as it was, and a NaN
+        // in any one stencil cell changes a ghost.
+        for ng in [1, 2, 3] {
+            let geom_c = PatchGeom::line(16, 0.0, 1.0, ng);
+            let (lo, n_f) = (5usize, 8usize);
+            let geom_f = PatchGeom::line(n_f, 0.3125, 0.5625, ng);
+            let stencils = ghost_stencils(ng, ng, n_f, lo);
+            let in_stencil = |i: usize| stencils.iter().any(|r| r.contains(&i));
+            let ghosts = |nan: &dyn Fn(usize) -> bool| {
+                let mut src = Field::cons(geom_c);
+                for i in 0..geom_c.ntot(0) {
+                    for c in 0..NCOMP {
+                        let v = if nan(i) { f64::NAN } else { (i * i + c) as f64 };
+                        src.set(c, i, 0, 0, v);
+                    }
+                }
+                let mut dst = Field::cons(geom_f);
+                prolong_ghosts_from(&src, &mut dst, ng, ng, n_f, lo);
+                let cells = (0..ng).chain(ng + n_f..2 * ng + n_f);
+                cells
+                    .flat_map(|i| (0..NCOMP).map(move |c| (c, i)))
+                    .map(|(c, i)| dst.at(c, i, 0, 0).to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let clean = ghosts(&|_| false);
+            assert_eq!(
+                ghosts(&|i| !in_stencil(i)),
+                clean,
+                "ng {ng}: read outside {stencils:?}"
+            );
+            for j in stencils.iter().flat_map(|r| r.clone()) {
+                assert_ne!(
+                    ghosts(&|i| i == j),
+                    clean,
+                    "ng {ng}: stencil cell {j} is not read"
+                );
             }
         }
     }

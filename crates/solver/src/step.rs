@@ -302,8 +302,8 @@ thread_local! {
 }
 
 /// Run `f` with this thread's pencil scratch sized for `nt` cells.
-/// Entry point for the shared-kernel users outside this module
-/// (`refine::rhs_1d_with_fluxes`).
+/// Entry point for the shared-kernel users outside this module (the AMR
+/// level residual, one packed pencil per level).
 pub(crate) fn with_pencil_scratch<R>(nt: usize, f: impl FnOnce(&mut PencilScratch) -> R) -> R {
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
