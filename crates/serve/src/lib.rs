@@ -68,9 +68,9 @@ mod tests {
         }
     }
 
-    /// Block until the engine has claimed its first batch-class job.
-    fn await_batch_claim(eng: &EnsembleEngine) {
-        while eng.claim_span(Priority::Batch).is_none() {
+    /// Block until the engine has claimed its first job of `class`.
+    fn await_claim(eng: &EnsembleEngine, class: Priority) {
+        while eng.claim_span(class).is_none() {
             std::thread::yield_now();
         }
     }
@@ -217,7 +217,7 @@ mod tests {
             .submit(JobRequest::new("t0", Priority::Batch, endless_spec()))
             .unwrap();
         // Cancel once the worker has claimed it: it cannot have finished.
-        await_batch_claim(&eng);
+        await_claim(&eng, Priority::Batch);
         victim.cancel();
         match victim.wait() {
             JobOutcome::Cancelled(CancelReason::Token) => {}
@@ -262,7 +262,7 @@ mod tests {
             })
             .collect();
         let running = handles.remove(0);
-        await_batch_claim(&eng);
+        await_claim(&eng, Priority::Batch);
         eng.shutdown();
         assert!(matches!(
             eng.submit(JobRequest::new("t0", Priority::Batch, quick_spec())),
@@ -326,11 +326,13 @@ mod tests {
     fn strict_priority_claims_interactive_first() {
         // Single worker, pre-loaded queues: after the running job, the
         // runner must claim the interactive job before the batch
-        // backlog submitted ahead of it.
+        // backlog submitted ahead of it. The running job cannot finish on
+        // its own: the worker stays on it until both jobs are queued.
         let eng = engine(1, EngineConfig::default());
         let first = eng
-            .submit(JobRequest::new("t", Priority::Scavenger, quick_spec()))
+            .submit(JobRequest::new("t", Priority::Scavenger, endless_spec()))
             .unwrap();
+        await_claim(&eng, Priority::Scavenger);
         // These queue behind the running job.
         let batch_spec = ScenarioSpec {
             max_steps: 41,
@@ -346,6 +348,7 @@ mod tests {
         let inter = eng
             .submit(JobRequest::new("t", Priority::Interactive, inter_spec))
             .unwrap();
+        first.cancel();
         let _ = first.wait();
         let r_inter = inter.wait();
         let r_batch = batch.wait();

@@ -140,26 +140,10 @@ impl Problem {
     /// Del Zanna & Bucciantini 2002): interacting shocks and contacts on
     /// the unit square, Γ = 5/3, t = 0.4.
     pub fn riemann_2d() -> Problem {
-        let ne = Prim {
-            rho: 0.1,
-            vel: [0.0, 0.0, 0.0],
-            p: 0.01,
-        };
-        let nw = Prim {
-            rho: 0.1,
-            vel: [0.99, 0.0, 0.0],
-            p: 1.0,
-        };
-        let sw = Prim {
-            rho: 0.5,
-            vel: [0.0, 0.0, 0.0],
-            p: 1.0,
-        };
-        let se = Prim {
-            rho: 0.1,
-            vel: [0.0, 0.99, 0.0],
-            p: 1.0,
-        };
+        let ne = Prim::at_rest(0.1, 0.01);
+        let nw = Prim::new_1d(0.1, 0.99, 1.0);
+        let sw = Prim::at_rest(0.5, 1.0);
+        let se = Prim::from_array([0.1, 0.0, 0.99, 0.0, 1.0]);
         Problem {
             name: "riemann2d".to_string(),
             eos: Eos::ideal(5.0 / 3.0),

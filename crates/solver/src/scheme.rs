@@ -6,7 +6,7 @@ use rhrsc_runtime::metrics::Histogram;
 use rhrsc_srhd::recon::Recon;
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{
-    cons_to_prim, cons_to_prim_counted, cons_to_prim_lanes, Con2PrimError, Con2PrimParams, Cons,
+    cons_to_prim, cons_to_prim_block, cons_to_prim_counted, Con2PrimError, Con2PrimParams, Cons,
     Eos, Prim, C2P_LANES,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,25 +243,16 @@ pub const PRIM_P: usize = 4;
 /// Read a [`Prim`] from a primitive field at ghost-inclusive `(i, j, k)`.
 #[inline]
 pub fn prim_at(prim: &Field, i: usize, j: usize, k: usize) -> Prim {
-    Prim {
-        rho: prim.at(PRIM_RHO, i, j, k),
-        vel: [
-            prim.at(PRIM_VX, i, j, k),
-            prim.at(PRIM_VY, i, j, k),
-            prim.at(PRIM_VZ, i, j, k),
-        ],
-        p: prim.at(PRIM_P, i, j, k),
-    }
+    // `PRIM_RHO ..= PRIM_P` are the component array's positions.
+    Prim::from_array(std::array::from_fn(|c| prim.at(c, i, j, k)))
 }
 
 /// Write a [`Prim`] into a primitive field at `(i, j, k)`.
 #[inline]
 pub fn set_prim(prim: &mut Field, i: usize, j: usize, k: usize, w: &Prim) {
-    prim.set(PRIM_RHO, i, j, k, w.rho);
-    prim.set(PRIM_VX, i, j, k, w.vel[0]);
-    prim.set(PRIM_VY, i, j, k, w.vel[1]);
-    prim.set(PRIM_VZ, i, j, k, w.vel[2]);
-    prim.set(PRIM_P, i, j, k, w.p);
+    for (c, v) in w.to_array().into_iter().enumerate() {
+        prim.set(c, i, j, k, v);
+    }
 }
 
 /// Initialize a conserved field (including ghost zones) from a pointwise
@@ -367,12 +358,14 @@ pub fn recover_region_resilient(
 
 vector_width! {
     /// The one recovery loop: cells `[i0, i1)` of the x-row at `(j, k)`, in
-    /// blocks of [`C2P_LANES`]. A block is gathered from the component-major
-    /// row, iterated in lock-step by [`cons_to_prim_lanes`], then walked in
-    /// cell order: a lane the main line retired takes its result, any other
-    /// is solved by the scalar [`cons_to_prim_counted`] from the gathered
-    /// copy. Stops at the first cell whose strict root solve fails and
-    /// returns it; every cell before it is written, none after it.
+    /// blocks of [`C2P_LANES`]. [`cons_to_prim_block`] iterates a block in
+    /// lock-step straight from the five conserved component rows; a block
+    /// whose lanes all retired is stored at once, one copy per primitive
+    /// row. Any other block is walked in cell order: a retired lane keeps
+    /// its result, any other is solved by the scalar
+    /// [`cons_to_prim_counted`]. Stops at the first cell whose strict root
+    /// solve fails and returns it; every cell before it is written, none
+    /// after it.
     ///
     /// Every root solve is *cold-started* from a deterministic seed derived
     /// from the conserved state alone (never from the previous pressure):
@@ -385,12 +378,12 @@ vector_width! {
     /// not depend on where the blocks fall.
     ///
     /// `inline(never)`: whole-field and interior recovery, strict and
-    /// cascading, serial and gang all run this one body, and the solve reads
-    /// its state from the gathered block, never from a `Cons` assembled on
-    /// the stack the instruction before (a 16-byte load over two 8-byte
-    /// stores cannot be store-forwarded and serialises consecutive solves;
-    /// DESIGN "Hot-loop data layout"). The body runs at the host's vector
-    /// width (`width`).
+    /// cascading, serial and gang all run this one body. A straggler is
+    /// solved from a copy of its block gathered before the first scalar
+    /// solve, never from a `Cons` assembled on the stack the instruction
+    /// before (a 16-byte load over two 8-byte stores cannot be
+    /// store-forwarded and serialises consecutive solves; DESIGN "Hot-loop
+    /// data layout"). The body runs at the host's vector width (`width`).
     #[inline(never)]
     fn recover_row(
         scheme: &Scheme,
@@ -421,50 +414,55 @@ pub(crate) fn row_lanes(
     let ur = u.raw();
     let row = u.geom().idx(0, j, k);
     let mut us = [Cons::ZERO; C2P_LANES];
-    let mut fast = [None; C2P_LANES];
-    let mut evals = [0u32; C2P_LANES];
     for b0 in (i0..i1).step_by(C2P_LANES) {
-        let len = (i1 - b0).min(C2P_LANES);
-        for (l, c) in us[..len].iter_mut().enumerate() {
-            *c = cons_at(ur, n, row + b0 + l);
-        }
-        cons_to_prim_lanes(&scheme.eos, &scheme.c2p, &us[..len], &mut fast[..len]);
+        let (len, ix0) = ((i1 - b0).min(C2P_LANES), row + b0);
+        let rows = std::array::from_fn(|c| &ur[c * n + ix0..][..len]);
+        let mut lanes = cons_to_prim_block(&scheme.eos, &scheme.c2p, rows);
         let mut failed = None;
-        for (l, lane) in fast[..len].iter().enumerate() {
+        if lanes.evals[..len].contains(&0) {
+            for (l, c) in us[..len].iter_mut().enumerate() {
+                *c = cons_at(ur, n, ix0 + l);
+            }
             // A cold start is a function of `U` alone: the scalar solve of
             // a lane the main line left is that lane's answer.
-            let scalar = || cons_to_prim_counted(&scheme.eos, &us[l], None, &scheme.c2p);
-            match lane.map_or_else(scalar, Ok) {
-                Ok((w, e)) => {
-                    evals[l] = e;
-                    let ix = row + b0 + l;
-                    for (c, v) in [w.rho, w.vel[0], w.vel[1], w.vel[2], w.p]
-                        .into_iter()
-                        .enumerate()
-                    {
-                        // SAFETY: `RawPrim::new` checked that the region's
-                        // cells lie inside the five-component storage;
-                        // concurrent callers hold disjoint rows.
-                        unsafe { *prim.ptr.add(c * n + ix) = v };
-                    }
+            for l in 0..len {
+                if lanes.evals[l] > 0 {
+                    continue;
                 }
-                Err(err) => {
-                    failed = Some((b0 + l, err));
-                    break;
+                match cons_to_prim_counted(&scheme.eos, &us[l], None, &scheme.c2p) {
+                    Ok((w, e)) => {
+                        for (lane_row, v) in lanes.prim.iter_mut().zip(w.to_array()) {
+                            lane_row[l] = v;
+                        }
+                        lanes.evals[l] = e;
+                    }
+                    Err(err) => {
+                        failed = Some((l, err));
+                        break;
+                    }
                 }
             }
         }
+        let done = failed.map_or(len, |(l, _)| l);
+        for (c, lane_row) in lanes.prim.iter().enumerate() {
+            // SAFETY: `RawPrim::new` checked that the region's cells lie
+            // inside the five-component storage; concurrent callers hold
+            // disjoint rows.
+            unsafe {
+                std::ptr::copy_nonoverlapping(lane_row.as_ptr(), prim.ptr.add(c * n + ix0), done)
+            };
+        }
         if let Some(h) = iters {
             // One atomic triple per distinct count, not per cell.
-            let solved = &mut evals[..failed.map_or(len, |(i, _)| i - b0)];
+            let solved = &mut lanes.evals[..done];
             solved.sort_unstable();
             for run in solved.chunk_by(|a, b| a == b) {
                 let (e, cells) = (run[0] as u64, run.len() as u64);
                 h.record_batch(cells, e * cells, e);
             }
         }
-        if let Some(bad) = failed {
-            return Err(bad);
+        if let Some((l, err)) = failed {
+            return Err((b0 + l, err));
         }
     }
     Ok(())
@@ -573,46 +571,26 @@ fn neighbor_average(
     bad: &std::collections::HashSet<(usize, usize, usize)>,
 ) -> Option<Prim> {
     let cell = [i, j, k];
-    let mut sum = Prim {
-        rho: 0.0,
-        vel: [0.0; 3],
-        p: 0.0,
-    };
-    let mut count = 0usize;
+    let (mut sum, mut count) = ([0.0; 5], 0usize);
     for d in 0..3 {
         for c in [cell[d].wrapping_sub(1), cell[d] + 1] {
-            if c < region.lo[d] || c >= region.hi[d] {
-                continue;
-            }
             let mut nb = cell;
             nb[d] = c;
-            if bad.contains(&(nb[0], nb[1], nb[2])) {
+            if c < region.lo[d] || c >= region.hi[d] || bad.contains(&(nb[0], nb[1], nb[2])) {
                 continue;
             }
+            // `is_physical` also asks every component to be finite.
             let w = prim_at(prim, nb[0], nb[1], nb[2]);
-            let finite =
-                w.rho.is_finite() && w.p.is_finite() && w.vel.iter().all(|v| v.is_finite());
-            if !finite || !w.is_physical() {
-                continue;
+            if w.is_physical() {
+                for (s, v) in sum.iter_mut().zip(w.to_array()) {
+                    *s += v;
+                }
+                count += 1;
             }
-            sum.rho += w.rho;
-            sum.p += w.p;
-            for a in 0..3 {
-                sum.vel[a] += w.vel[a];
-            }
-            count += 1;
         }
     }
-    if count == 0 {
-        return None;
-    }
     let inv = 1.0 / count as f64;
-    sum.rho *= inv;
-    sum.p *= inv;
-    for a in 0..3 {
-        sum.vel[a] *= inv;
-    }
-    Some(sum)
+    (count > 0).then_some(Prim::from_array(sum.map(|s| s * inv)))
 }
 
 /// Conserved-variable limiter applied after each stage update.

@@ -283,6 +283,117 @@ mod tests {
         .to_cons(eos)
     }
 
+    /// Where the recovered rows start: every block boundary falls at a
+    /// different offset.
+    const ALIGNMENTS: [usize; 4] = [1, 2, 1 + C2P_LANES / 2, C2P_LANES];
+
+    /// What a recovery of cells `[i0, i1)` of the line `u` at `level`
+    /// leaves: the primitive field's bits, every failure (the row is
+    /// re-entered behind each) and the evaluation histogram's count and
+    /// sum.
+    fn recover_at(
+        level: &str,
+        scheme: &Scheme,
+        u: &Field,
+        i0: usize,
+        i1: usize,
+    ) -> (Vec<u64>, Vec<String>, u64, u64) {
+        use crate::scheme::{row_arms, row_lanes};
+        let geom = *u.geom();
+        let mut prim = Field::new(geom, NCOMP);
+        prim.raw_mut().fill(-7.25);
+        let raw = RawPrim::new(u, &mut prim, &Region::whole(&geom));
+        let hist = Histogram::default();
+        let (mut failed, mut i, iters) = (Vec::new(), i0, Some(&hist));
+        while let Err((bad, err)) =
+            at!(level, row_arms, row_lanes; scheme, u, &raw, i, i1, 0, 0, iters)
+        {
+            failed.push(format!("{bad}: {err:?}"));
+            i = bad + 1;
+        }
+        // Every NaN reads as one: which payload an operation hands on is
+        // the one thing IEEE 754 leaves open.
+        let bits: Vec<u64> = prim
+            .raw()
+            .iter()
+            .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
+            .collect();
+        (bits, failed, hist.count(), hist.sum())
+    }
+
+    /// Rows on which the main line retires every lane — at rest, |v| =
+    /// 0.45 along x, |v| = 0.86 oblique, 1 ≤ W ≤ 10; `lane_recovery` (g)
+    /// pins that they retire and that they recover the scalar solver's
+    /// bits — so that every block is stored whole: at every level, for
+    /// rows of 1, 3, 31 and 33 cells at every alignment, the baseline
+    /// body's primitives and histogram, no failure, and nothing written
+    /// outside the row.
+    #[test]
+    fn every_level_stores_whole_blocks_as_the_baseline() {
+        let levels = host_levels();
+        let lens = [1, 3, C2P_LANES - 1, C2P_LANES + 1];
+        let ncell = C2P_LANES + lens[3];
+        let oblique = [0.48, 0.6, -0.64];
+        for eos in [
+            Eos::ideal(5.0 / 3.0),
+            Eos::ideal(4.0 / 3.0),
+            Eos::TaubMathews,
+        ] {
+            let scheme = Scheme {
+                eos,
+                ..Scheme::default_with_gamma(5.0 / 3.0)
+            };
+            let lorentz = |v: f64| 1.0 / (1.0 - v * v).sqrt();
+            let kinds: [&dyn Fn(usize) -> Cons; 4] = [
+                &|i| moving(&eos, 1.0 + 0.01 * i as f64, 1.0, 1.0, [1.0, 0.0, 0.0]),
+                &|i| {
+                    moving(
+                        &eos,
+                        1.0,
+                        0.1 + 0.01 * i as f64,
+                        lorentz(0.45),
+                        [1.0, 0.0, 0.0],
+                    )
+                },
+                &|i| moving(&eos, 0.5 + 0.02 * i as f64, 0.5, lorentz(0.86), oblique),
+                &|i| {
+                    let w = 10f64.powf(i as f64 / (ncell + 1) as f64);
+                    moving(&eos, 1.0, 0.5, w, oblique)
+                },
+            ];
+            for (kind, state) in kinds.iter().enumerate() {
+                let geom = PatchGeom::line(ncell, 0.0, 1.0, 1);
+                let mut u = Field::cons(geom);
+                let cells: Vec<Cons> = (0..geom.ntot(0)).map(state).collect();
+                for (i, &c) in cells.iter().enumerate() {
+                    u.set_cons(i, 0, 0, c);
+                }
+                for len in lens {
+                    for i0 in ALIGNMENTS {
+                        let want = recover_at("baseline", &scheme, &u, i0, i0 + len);
+                        assert!(want.1.is_empty() && want.2 == len as u64);
+                        for (i, _) in cells.iter().enumerate() {
+                            if !(i0..i0 + len).contains(&i) {
+                                for comp in 0..NCOMP {
+                                    let v = want.0[comp * cells.len() + i];
+                                    assert_eq!(v, (-7.25f64).to_bits(), "cell {i} written");
+                                }
+                            }
+                        }
+                        for &level in &levels {
+                            let got = recover_at(level, &scheme, &u, i0, i0 + len);
+                            assert!(
+                                got == want,
+                                "{level} {eos:?} kind {kind}, {len} cells from {i0}: \
+                                 recovery differs"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// `recover_row` at every level equals the baseline body on the
     /// `lane_recovery` state grid (10⁻⁸ ≤ p/ρ ≤ 10⁴ × 1 ≤ W ≤ 10³ × three
     /// densities × three directions), with non-finite, superluminal,
@@ -290,7 +401,6 @@ mod tests {
     /// the primitives, every failure and the evaluation histogram.
     #[test]
     fn every_level_recovers_the_baseline_bits() {
-        use crate::scheme::{row_arms, row_lanes};
         let levels = host_levels();
         let dirs = [[1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [0.48, 0.6, -0.64]];
         let mut rng = Rng(19);
@@ -348,33 +458,11 @@ mod tests {
                 u.set_cons(1 + i, 0, 0, c);
             }
             let region = Region::interior(&geom);
-            for i0 in [1, 2, 1 + C2P_LANES / 2, C2P_LANES] {
-                let recover_at = |level: &str| {
-                    let mut prim = Field::new(geom, NCOMP);
-                    prim.raw_mut().fill(-7.25);
-                    let raw = RawPrim::new(&u, &mut prim, &region);
-                    let hist = Histogram::default();
-                    let (mut failed, mut i) = (Vec::new(), i0);
-                    let (i1, iters) = (region.hi[0], Some(&hist));
-                    while let Err((bad, err)) =
-                        at!(level, row_arms, row_lanes; &scheme, &u, &raw, i, i1, 0, 0, iters)
-                    {
-                        failed.push(format!("{bad}: {err:?}"));
-                        i = bad + 1;
-                    }
-                    // Every NaN reads as one: which payload an operation
-                    // hands on is the one thing IEEE 754 leaves open.
-                    let bits: Vec<u64> = prim
-                        .raw()
-                        .iter()
-                        .map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits())
-                        .collect();
-                    (bits, failed, hist.count(), hist.sum())
-                };
-                let want = recover_at("baseline");
+            for i0 in ALIGNMENTS {
+                let want = recover_at("baseline", &scheme, &u, i0, region.hi[0]);
                 assert!(!want.1.is_empty(), "no state fails any more");
                 for &level in &levels {
-                    let got = recover_at(level);
+                    let got = recover_at(level, &scheme, &u, i0, region.hi[0]);
                     assert!(
                         got == want,
                         "{level} {eos:?} from cell {i0}: recovery differs"

@@ -1,17 +1,19 @@
 //! The lock-step recovery gives the scalar solver's bits, counts and
 //! failures.
 //!
-//! `scheme::recover_row` gathers each row into blocks of [`C2P_LANES`]
-//! states, iterates a block's Newton main line in lock-step
-//! ([`cons_to_prim_lanes`]) and hands every state the main line does not
-//! finish to the scalar [`cons_to_prim_counted`]. A cold start is a
+//! `scheme::recover_row` takes each row in blocks of [`C2P_LANES`]
+//! states, iterates a block's Newton main line in lock-step straight from
+//! the conserved rows ([`cons_to_prim_block`]) and hands every state the
+//! main line does not finish to the scalar [`cons_to_prim_counted`]. A
+//! cold start is a
 //! function of the conserved state alone, so none of that may show:
 //! these tests pin the lane kernel against the scalar solver over a grid
 //! of states (a), the row loop against itself at every block alignment
 //! (b), the failure and repair semantics against a cell-by-cell scalar
 //! reference written here (c), the evaluation histogram against a
 //! per-cell tally (d), a row on which the main line finishes nothing
-//! (e), and the failure a gang-parallel recovery reports (f). Vector code
+//! (e), the failure a gang-parallel recovery reports (f), and rows on
+//! which it finishes everything, so that whole blocks are stored (g). Vector code
 //! exists only in optimised builds: CI runs this file under `--release`
 //! as well.
 
@@ -25,7 +27,7 @@ use rhrsc_solver::scheme::{
 use rhrsc_solver::step::Region;
 use rhrsc_solver::Scheme;
 use rhrsc_srhd::{
-    cons_to_prim, cons_to_prim_counted, cons_to_prim_lanes, Con2PrimParams, Cons, Eos, Prim,
+    cons_to_prim, cons_to_prim_block, cons_to_prim_counted, Con2PrimParams, Cons, Eos, Prim,
     C2P_LANES,
 };
 
@@ -81,6 +83,28 @@ fn moving(rho: f64, theta: f64, w: f64, dir: [f64; 3]) -> Prim {
 /// round budget, so the lane kernel finishes none of these.
 fn straggler(eos: &Eos, rho: f64) -> Cons {
     moving(rho, 1e-4, 30.0, DIRS[0]).to_cons(eos)
+}
+
+/// The block kernel over `us`, [`C2P_LANES`] states at a time:
+/// `Some((prim, evals))` for a lane it retires, `None` for one it leaves
+/// to the scalar solver.
+fn lanes(eos: &Eos, params: &Con2PrimParams, us: &[Cons]) -> Vec<Option<(Prim, u32)>> {
+    let mut out = Vec::with_capacity(us.len());
+    for block in us.chunks(C2P_LANES) {
+        let rows: [Vec<f64>; 5] =
+            std::array::from_fn(|c| block.iter().map(|u| u.to_array()[c]).collect());
+        let got = cons_to_prim_block(eos, params, std::array::from_fn(|c| &rows[c][..]));
+        out.extend((0..block.len()).map(|l| {
+            let [rho, vx, vy, vz, p] = got.prim.map(|row| row[l]);
+            let w = Prim {
+                rho,
+                vel: [vx, vy, vz],
+                p,
+            };
+            (got.evals[l] > 0).then_some((w, got.evals[l]))
+        }));
+    }
+    out
 }
 
 fn bits(w: &Prim) -> [u64; 5] {
@@ -149,8 +173,7 @@ fn lanes_equal_the_scalar_solver_over_the_state_grid() {
                 max_newton,
                 ..Con2PrimParams::default()
             };
-            let mut out = vec![None; us.len()];
-            cons_to_prim_lanes(&eos, &params, &us, &mut out);
+            let out = lanes(&eos, &params, &us);
             let mut ledger = [Decade::default(); 12];
             for (&(u, decade, p), lane) in grid.iter().zip(&out) {
                 let scalar = cons_to_prim_counted(&eos, &u, None, &params);
@@ -406,8 +429,7 @@ fn failures_are_reported_and_repaired_as_by_the_scalar_loop() {
     let scheme = scheme_with(EOSES[0]);
     let (_, evals) = cons_to_prim_counted(&scheme.eos, &SUPERLUMINAL, None, &scheme.c2p).unwrap();
     assert!(evals as usize > scheme.c2p.max_newton);
-    let mut out = [Some((Prim::at_rest(1.0, 1.0), 0))];
-    cons_to_prim_lanes(&scheme.eos, &scheme.c2p, &[SUPERLUMINAL], &mut out);
+    let out = lanes(&scheme.eos, &scheme.c2p, &[SUPERLUMINAL]);
     assert_eq!(out, [None]);
 }
 
@@ -480,8 +502,7 @@ fn a_row_of_stragglers_is_the_scalar_row() {
             .filter(|c| cons_to_prim_counted(&eos, c, None, &scheme.c2p).unwrap().1 > 8)
             .take(geom.ntot(0))
             .collect();
-        let mut out = vec![Some((Prim::at_rest(1.0, 1.0), 0)); us.len()];
-        cons_to_prim_lanes(&eos, &scheme.c2p, &us, &mut out);
+        let out = lanes(&eos, &scheme.c2p, &us);
         assert!(out.iter().all(Option::is_none), "{eos:?}: a lane retired");
         let mut u = Field::cons(geom);
         for (i, c) in us.iter().enumerate() {
@@ -528,5 +549,63 @@ fn a_pooled_recovery_reports_the_serial_first_failure() {
     for call in 0..500 {
         let pooled = recover_region(&scheme, &u, &mut prim, &interior, None, Some(&pool));
         assert_eq!(pooled, serial, "call {call}");
+    }
+}
+
+/// Rows on which the main line retires every lane: at rest, |v| = 0.45
+/// along x, |v| = 0.86 oblique, 1 ≤ W ≤ 10 (`width::tests` recovers the
+/// same rows at every vector level).
+fn whole_rows(eos: &Eos, ncell: usize) -> [Vec<Cons>; 4] {
+    let lorentz = |v: f64| 1.0 / (1.0 - v * v).sqrt();
+    let oblique = [0.48, 0.6, -0.64];
+    let row =
+        |state: &dyn Fn(f64) -> Prim| (0..ncell).map(|i| state(i as f64).to_cons(eos)).collect();
+    [
+        row(&|i| moving(1.0 + 0.01 * i, 1.0, 1.0, DIRS[0])),
+        row(&|i| moving(1.0, 0.1 + 0.01 * i, lorentz(0.45), DIRS[0])),
+        row(&|i| moving(0.5 + 0.02 * i, 0.5, lorentz(0.86), oblique)),
+        row(&|i| moving(1.0, 0.5, 10f64.powf(i / (ncell - 1) as f64), oblique)),
+    ]
+}
+
+/// (g) A block whose lanes all retire is stored at once, and it is the
+/// scalar solver's row: rows of 1, 3, 31 and 33 cells, at every block
+/// alignment, recover the scalar solver's bits and write nothing
+/// outside the row.
+#[test]
+fn whole_blocks_store_the_scalar_rows() {
+    let geom = PatchGeom::line(2 * C2P_LANES + 1, 0.0, 1.0, 1);
+    for eos in EOSES {
+        let scheme = scheme_with(eos);
+        for (kind, cells) in whole_rows(&eos, geom.ntot(0)).iter().enumerate() {
+            let retired = lanes(&eos, &scheme.c2p, cells);
+            assert!(
+                retired.iter().all(Option::is_some),
+                "{eos:?} row {kind}: a straggler"
+            );
+            let mut u = Field::cons(geom);
+            for (i, &c) in cells.iter().enumerate() {
+                u.set_cons(i, 0, 0, c);
+            }
+            for len in [1, 3, C2P_LANES - 1, C2P_LANES + 1] {
+                for i0 in [1, 2, 1 + C2P_LANES / 2, C2P_LANES] {
+                    let row = Region {
+                        lo: [i0, 0, 0],
+                        hi: [i0 + len, 1, 1],
+                    };
+                    let mut prim = sentinel_prims(geom);
+                    recover_region(&scheme, &u, &mut prim, &row, None, None).unwrap();
+                    for (i, c) in cells.iter().enumerate() {
+                        let expect = if (i0..i0 + len).contains(&i) {
+                            bits(&cons_to_prim_counted(&eos, c, None, &scheme.c2p).unwrap().0)
+                        } else {
+                            [SENTINEL.to_bits(); 5]
+                        };
+                        let at = format!("{eos:?} row {kind}, {len} cells from {i0}, cell {i}");
+                        assert_eq!(bits(&prim_at(&prim, i, 0, 0)), expect, "{at}");
+                    }
+                }
+            }
+        }
     }
 }

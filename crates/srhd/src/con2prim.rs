@@ -23,7 +23,7 @@
 //! ultrarelativistic robustness experiment (F8) stresses to Lorentz factors
 //! of order 100.
 
-use crate::state::{Cons, Prim};
+use crate::state::{Cons, Prim, NCOMP};
 use rhrsc_eos::Eos;
 
 /// Tunable parameters of the recovery.
@@ -68,7 +68,8 @@ impl Con2PrimParams {
     /// the cell outright.
     pub fn relaxed(&self) -> Con2PrimParams {
         Con2PrimParams {
-            tol: (self.tol * 1e6).clamp(self.tol, 1e-4),
+            // Never tighter than `tol`, and at most 1e-4 unless `tol` is.
+            tol: self.tol.max((self.tol * 1e6).min(1e-4)),
             max_newton: self.max_newton * 4 + 20,
             max_bisect: self.max_bisect * 4 + 100,
             ..*self
@@ -157,7 +158,7 @@ fn newton_start(u: &Cons, p_guess: Option<f64>, params: &Con2PrimParams) -> (f64
 /// and the proposed next pressure `p − f / (v² c_s² − 1)`. The proposal
 /// comes back unevaluated, so that the scalar loop of
 /// [`cons_to_prim_counted`] pays for the slope only on the steps it
-/// takes; the lock-step loop of [`cons_to_prim_lanes`] evaluates it at
+/// takes; the lock-step loop of [`cons_to_prim_block`] evaluates it at
 /// once. Pure arithmetic (no branch once the EOS variant is known): both
 /// compute the same bits from the same inputs.
 #[inline(always)]
@@ -286,7 +287,7 @@ pub fn cons_to_prim_counted(
     Err(Con2PrimError::NoConvergence { residual: last_res })
 }
 
-/// Widest block of states [`cons_to_prim_lanes`] iterates in lock-step.
+/// Widest block of states [`cons_to_prim_block`] iterates in lock-step.
 pub const C2P_LANES: usize = 32;
 /// Newton rounds of the lock-step main line; a lane that has not
 /// converged by then is a straggler.
@@ -295,101 +296,149 @@ const LANE_ROUNDS: usize = 8;
 /// to this so the vector body never leaves a scalar remainder.
 const LANE_VEC: usize = 4;
 
-/// The Newton main line of [`cons_to_prim_counted`] (cold start) over
-/// many states at once: `out[l]` is `Some((prim, evals))` — bit for bit
-/// the scalar solver's answer and work count — when state `l` converges
-/// under the strict residual test within [`LANE_ROUNDS`] plain Newton
-/// steps, and `None` whenever the scalar algorithm would do anything
-/// else (non-finite input, the atmosphere short-circuit, a step leaving
-/// the admissible region, the tiny-step confirm exit, a velocity
-/// `finish` repairs or rejects, budget spent). A `None` is not a
-/// failure: the caller runs [`cons_to_prim_counted`] on that state.
+/// One block of [`cons_to_prim_block`]: the primitive rows
+/// `(ρ, vx, vy, vz, p)` of its lanes and each lane's evaluation count,
+/// 0 for a lane left to the scalar solver (whose rows hold nothing).
+#[derive(Default)]
+pub struct PrimLanes {
+    /// Per component, per lane.
+    pub prim: [[f64; C2P_LANES]; NCOMP],
+    /// Residual evaluations per lane; 0: not retired.
+    pub evals: [u32; C2P_LANES],
+}
+
+/// The Newton main line of [`cons_to_prim_counted`] (cold start) over a
+/// block of at most [`C2P_LANES`] states, read from its five conserved
+/// component rows `(D, Sx, Sy, Sz, τ)`. Lane `l` retires with `evals[l]
+/// > 0` and primitives that are, bit for bit, the scalar solver's answer
+/// and work count, when state `l` converges under the strict residual
+/// test within [`LANE_ROUNDS`] plain Newton steps; `evals[l]` is 0
+/// whenever the scalar algorithm would do anything else (non-finite
+/// input, the atmosphere short-circuit, a step leaving the admissible
+/// region, the tiny-step confirm exit, a velocity `finish` repairs or
+/// rejects, budget spent). A 0 is not a failure: the caller runs
+/// [`cons_to_prim_counted`] on that state.
 ///
 /// # Panics
-/// Panics when `us` and `out` differ in length.
+/// Panics when the rows differ in length or exceed [`C2P_LANES`].
 ///
 /// Always inlined: the solver builds its row recovery once per x86
 /// vector level around this call.
 #[inline(always)]
-pub fn cons_to_prim_lanes(
-    eos: &Eos,
-    params: &Con2PrimParams,
-    us: &[Cons],
-    out: &mut [Option<(Prim, u32)>],
-) {
-    assert_eq!(us.len(), out.len(), "one result slot per state");
-    for (us, out) in us.chunks(C2P_LANES).zip(out.chunks_mut(C2P_LANES)) {
-        // Matched once per block: each arm inlines a kernel whose EOS
-        // variant is a constant, so its arithmetic loop has no `match`.
-        match *eos {
-            Eos::IdealGas { gamma } => lane_block(Eos::IdealGas { gamma }, params, us, out),
-            Eos::TaubMathews => lane_block(Eos::TaubMathews, params, us, out),
-        }
+pub fn cons_to_prim_block(eos: &Eos, params: &Con2PrimParams, rows: [&[f64]; NCOMP]) -> PrimLanes {
+    // Matched once per block: each arm inlines a kernel whose EOS variant
+    // is a constant, so its arithmetic loop has no `match`.
+    match *eos {
+        Eos::IdealGas { gamma } => lane_block(Eos::IdealGas { gamma }, params, rows),
+        Eos::TaubMathews => lane_block(Eos::TaubMathews, params, rows),
     }
 }
 
-/// One block of [`cons_to_prim_lanes`], at most [`C2P_LANES`] states.
+/// [`cons_to_prim_block`] for one EOS variant. Lane state is a `live`
+/// mask and per-lane arrays; every pass over them is branch-free.
 #[inline(always)]
-fn lane_block(eos: Eos, params: &Con2PrimParams, us: &[Cons], out: &mut [Option<(Prim, u32)>]) {
+fn lane_block(eos: Eos, params: &Con2PrimParams, rows: [&[f64]; NCOMP]) -> PrimLanes {
     const L: usize = C2P_LANES;
+    let len = rows[0].len();
+    assert!(len <= L && rows.iter().all(|r| r.len() == len));
+    let rows = rows.map(|r| &r[..len]);
     // Lanes without a state to iterate (padding, non-finite, atmosphere)
     // hold D = τ = p = 1, S = 0: finite arithmetic nobody reads.
-    let (mut d, mut tau, mut p, mut p_lo) = ([1.0; L], [1.0; L], [1.0; L], [0.0; L]);
-    let [mut sx, mut sy, mut sz] = [[0.0; L]; 3];
-    let [mut rho, mut vx, mut vy, mut vz, mut res, mut p_next] = [[0.0; L]; 6];
-    let (mut live, mut nlive) = ([0usize; L], 0);
-    for (l, u) in us.iter().enumerate() {
-        out[l] = None;
-        if u.is_finite() && u.d > params.rho_floor {
-            (p_lo[l], p[l]) = newton_start(u, None, params);
-            [d[l], sx[l], sy[l], sz[l], tau[l]] = u.to_array();
-            live[nlive] = l;
-            nlive += 1;
+    const IDLE: [f64; NCOMP] = [1.0, 0.0, 0.0, 0.0, 1.0];
+    let mut u = IDLE.map(|c| [c; L]);
+    let (mut p_lo, mut live) = ([0.0; L], [false; L]);
+    // The trial pressures: a round reads one buffer and writes the other
+    // in full, so the next round's vector loads forward from whole vector
+    // stores (a blend back into the array it read becomes a masked store,
+    // which the next round's loads wait out: no two rounds overlap).
+    let mut ps = [[1.0; L]; 2];
+    for l in 0..len {
+        let c = Cons::from_array(rows.map(|r| r[l]));
+        let (lo, p0) = newton_start(&c, None, params);
+        let finite = c.to_array().map(f64::is_finite);
+        let go = finite
+            .into_iter()
+            .fold(c.d > params.rho_floor, |a, f| a & f);
+        live[l] = go;
+        (p_lo[l], ps[0][l]) = if go { (lo, p0) } else { (0.0, 1.0) };
+        for (row, v) in u.iter_mut().zip(if go { c.to_array() } else { IDLE }) {
+            row[l] = v;
         }
     }
-    let nv = us.len().next_multiple_of(LANE_VEC).min(L);
-    for round in 1..=LANE_ROUNDS.min(params.max_newton) {
-        if nlive == 0 {
-            return;
-        }
-        // (1) Arithmetic only — no `if`, no `match`, no lane state — so
-        // the divide/sqrt chain vectorises. Retired lanes keep computing
-        // at their last pressure; nothing reads them.
-        for l in 0..nv {
-            let u = Cons {
-                d: d[l],
-                s: [sx[l], sy[l], sz[l]],
-                tau: tau[l],
-            };
-            let (w, r, step) = newton_eval(&eos, params, &u, p[l]);
-            (rho[l], vx[l], vy[l], vz[l]) = (w.rho, w.vel[0], w.vel[1], w.vel[2]);
-            (res[l], p_next[l]) = (r, step());
-        }
-        // (2) Bookkeeping: retire converged lanes, drop the ones whose
-        // next step the scalar loop would not take as it stands.
-        let mut keep = 0;
-        for a in 0..nlive {
-            let l = live[a];
-            if res[l] < params.tol {
-                let w = Prim {
-                    rho: rho[l],
-                    vel: [vx[l], vy[l], vz[l]],
-                    p: p[l],
-                };
-                if w.vsq() < 1.0 {
-                    out[l] = finish(w, params).ok().map(|w| (w, round as u32));
-                }
-            } else if p_next[l].is_finite()
-                && p_next[l] > p_lo[l]
-                && (p_next[l] - p[l]).abs() > params.tol * p[l].max(params.p_floor)
-            {
-                p[l] = p_next[l];
-                live[keep] = l;
-                keep += 1;
-            }
-        }
-        nlive = keep;
+    let mut out = PrimLanes::default();
+    let nv = len.next_multiple_of(LANE_VEC).min(L);
+    let (mut any, mut round) = (live.contains(&true), 0);
+    while any && round < LANE_ROUNDS.min(params.max_newton) as u32 {
+        round += 1;
+        let [a, b] = &mut ps;
+        let (p, q) = if round % 2 == 1 { (&*a, b) } else { (&*b, a) };
+        any = lane_round(
+            &eos, params, nv, round, &u, &p_lo, p, q, &mut out, &mut live,
+        );
     }
+    // (3) `finish`'s common case: the floors, then a lane whose state is
+    // not physical (v² ≥ 1 included, which the floors leave alone) goes
+    // to the scalar solver, which repairs or rejects it.
+    let p = &ps[round as usize % 2];
+    let [rho, vx, vy, vz, p_row] = &mut out.prim;
+    for l in 0..nv {
+        (rho[l], p_row[l]) = (rho[l].max(params.rho_floor), p[l].max(params.p_floor));
+        let w = Prim::from_array([rho[l], vx[l], vy[l], vz[l], p_row[l]]);
+        out.evals[l] = if w.is_physical() { out.evals[l] } else { 0 };
+    }
+    out
+}
+
+/// Round `round` of [`lane_block`] over lanes `..nv`, from the trial
+/// pressures `p` to `p_out` (separate arguments, so the compiler knows
+/// they do not overlap); returns whether a lane is still live. A lane
+/// that converges keeps its pressure from then on, so every later round
+/// recomputes its `(ρ, v)` at that pressure, bit for bit: the last round
+/// leaves each retired lane's state in `out.prim`, and the round it
+/// converged in in `out.evals`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn lane_round(
+    eos: &Eos,
+    params: &Con2PrimParams,
+    nv: usize,
+    round: u32,
+    u: &[[f64; C2P_LANES]; NCOMP],
+    p_lo: &[f64; C2P_LANES],
+    p: &[f64; C2P_LANES],
+    p_out: &mut [f64; C2P_LANES],
+    out: &mut PrimLanes,
+    live: &mut [bool; C2P_LANES],
+) -> bool {
+    let [rho, vx, vy, vz, _] = &mut out.prim;
+    let (mut res, mut p_next) = ([0.0; C2P_LANES], [0.0; C2P_LANES]);
+    // (1) Arithmetic only — no `if`, no `match`, no lane state — so the
+    // divide/sqrt chain vectorises. Retired lanes keep computing at their
+    // last pressure.
+    for l in 0..nv {
+        let c = Cons::from_array([u[0][l], u[1][l], u[2][l], u[3][l], u[4][l]]);
+        let (w, r, step) = newton_eval(eos, params, &c, p[l]);
+        (rho[l], vx[l], vy[l], vz[l]) = (w.rho, w.vel[0], w.vel[1], w.vel[2]);
+        (res[l], p_next[l]) = (r, step());
+    }
+    // (2) The scalar loop's stop rules by mask: a converged lane records
+    // its round; a lane goes on only where the scalar loop would take the
+    // plain Newton step as it stands.
+    let mut any = false;
+    for l in 0..nv {
+        let conv = live[l] & (res[l] < params.tol);
+        out.evals[l] = if conv { round } else { out.evals[l] };
+        let (pn, pl) = (p_next[l], p[l]);
+        let go = live[l]
+            & !conv
+            & pn.is_finite()
+            & (pn > p_lo[l])
+            & ((pn - pl).abs() > params.tol * pl.max(params.p_floor));
+        p_out[l] = if go { pn } else { pl };
+        live[l] = go;
+        any |= go;
+    }
+    any
 }
 
 /// Apply floors and final physicality checks.
@@ -609,5 +658,22 @@ mod tests {
         assert!(cons_to_prim(&eos, &u, None, &starved).is_err());
         let out = cons_to_prim(&eos, &u, None, &starved.relaxed()).unwrap();
         assert!((out.p - prim.p).abs() < 1e-3 * prim.p);
+    }
+
+    #[test]
+    fn relaxed_params_keep_a_loose_tolerance() {
+        // Above 1e-4 the relaxed tolerance is `tol` itself: never tighter,
+        // and no panic on the way there.
+        let eos = Eos::ideal(5.0 / 3.0);
+        let loose = Con2PrimParams {
+            tol: 1e-3,
+            ..Con2PrimParams::default()
+        };
+        let relaxed = loose.relaxed();
+        assert_eq!(relaxed.tol, loose.tol);
+        let prim = Prim::new_1d(1.0, 0.9, 0.1);
+        let out = cons_to_prim(&eos, &prim.to_cons(&eos), None, &relaxed).unwrap();
+        assert!((out.p - prim.p).abs() < 1e-2 * prim.p);
+        assert_eq!(Con2PrimParams::default().relaxed().tol, 1e-6);
     }
 }

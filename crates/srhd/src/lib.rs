@@ -19,7 +19,9 @@
 //! Modules:
 //! * [`state`] — primitive/conserved state vectors and conversions,
 //! * [`flux`] — physical fluxes and characteristic (signal) speeds,
-//! * [`con2prim`] — robust conservative → primitive recovery,
+//! * [`con2prim`] — robust conservative → primitive recovery: the scalar
+//!   root solve, and its Newton main line run in lock-step over a block
+//!   of conserved component rows,
 //! * [`riemann`] — exact (Martí–Müller) and approximate (HLL, HLLC,
 //!   Rusanov) Riemann solvers,
 //! * [`recon`] — piecewise-constant, piecewise-linear (TVD limiters), PPM
@@ -32,8 +34,8 @@ pub mod riemann;
 pub mod state;
 
 pub use con2prim::{
-    cons_to_prim, cons_to_prim_counted, cons_to_prim_lanes, Con2PrimError, Con2PrimParams,
-    C2P_LANES,
+    cons_to_prim, cons_to_prim_block, cons_to_prim_counted, Con2PrimError, Con2PrimParams,
+    PrimLanes, C2P_LANES,
 };
 pub use state::{Cons, Dir, Prim, NCOMP};
 

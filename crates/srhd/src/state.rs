@@ -61,6 +61,22 @@ impl Prim {
         }
     }
 
+    /// From a component array `[ρ, vx, vy, vz, p]`.
+    #[inline]
+    pub fn from_array(a: [f64; NCOMP]) -> Self {
+        Prim {
+            rho: a[0],
+            vel: [a[1], a[2], a[3]],
+            p: a[4],
+        }
+    }
+
+    /// As a component array `[ρ, vx, vy, vz, p]`.
+    #[inline]
+    pub fn to_array(self) -> [f64; NCOMP] {
+        [self.rho, self.vel[0], self.vel[1], self.vel[2], self.p]
+    }
+
     /// Squared three-velocity `v² = v_i v^i`.
     #[inline]
     pub fn vsq(&self) -> f64 {
