@@ -2,7 +2,7 @@
 //!
 //! Per-cell access ([`Field::at`] / [`Field::set`]) is for kernels'
 //! stencils and tests; bulk movement goes by contiguous rows —
-//! [`Field::read_window`] for sweeps, [`Field::gather_box`] /
+//! [`Field::read_pencil`] for pencils, [`Field::gather_box`] /
 //! [`Field::scatter_box`] for whatever packs a box into a message, a
 //! checkpoint record or a gather buffer and back.
 
@@ -127,31 +127,16 @@ impl Field {
     /// Copy the values along an axis-aligned pencil of component `c` into
     /// `out`. The pencil runs over the full ghost-inclusive extent of
     /// dimension `dim`, at fixed transverse ghost-inclusive indices
-    /// `(t1, t2)` (the remaining dims in ascending order).
+    /// `(t1, t2)` (the remaining dims in ascending order). An x-pencil is
+    /// one slice copy; a y- or z-pencil walks the constant step the layout
+    /// has along its dimension.
     pub fn read_pencil(&self, c: usize, dim: usize, t1: usize, t2: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.geom.ntot(dim));
-        self.read_window(c, dim, t1, t2, 0, out);
-    }
-
-    /// Copy the cells `[lo, lo + out.len())` of the pencil
-    /// [`Field::read_pencil`] reads into `out`: the stencil window of a
-    /// sweep. An x-window is one slice copy; a y- or z-window walks the
-    /// constant step the layout has along its dimension.
-    pub fn read_window(
-        &self,
-        c: usize,
-        dim: usize,
-        t1: usize,
-        t2: usize,
-        lo: usize,
-        out: &mut [f64],
-    ) {
         let g = &self.geom;
-        debug_assert!(lo + out.len() <= g.ntot(dim));
+        debug_assert_eq!(out.len(), g.ntot(dim));
         let (at, stride) = match dim {
-            0 => (g.idx(lo, t1, t2), 1),
-            1 => (g.idx(t1, lo, t2), g.ntot(0)),
-            _ => (g.idx(t1, t2, lo), g.ntot(0) * g.ntot(1)),
+            0 => (g.idx(0, t1, t2), 1),
+            1 => (g.idx(t1, 0, t2), g.ntot(0)),
+            _ => (g.idx(t1, t2, 0), g.ntot(0) * g.ntot(1)),
         };
         let data = &self.data[c * g.len() + at..];
         if stride == 1 {
@@ -301,27 +286,6 @@ mod tests {
         f.read_pencil(0, 2, 3, 4, &mut zbuf); // fixed i=3, j=4
         for (k, &v) in zbuf.iter().enumerate() {
             assert_eq!(v, (3 + 40 + 100 * k) as f64);
-        }
-    }
-
-    #[test]
-    fn every_window_is_a_slice_of_its_pencil() {
-        let g = geom();
-        let mut f = Field::new(g, 2);
-        for (n, v) in f.raw_mut().iter_mut().enumerate() {
-            *v = n as f64;
-        }
-        for dim in 0..3 {
-            let nt = g.ntot(dim);
-            let mut pencil = vec![0.0; nt];
-            f.read_pencil(1, dim, 2, 1, &mut pencil);
-            for lo in 0..nt {
-                for hi in lo..=nt {
-                    let mut window = vec![-1.0; hi - lo];
-                    f.read_window(1, dim, 2, 1, lo, &mut window);
-                    assert_eq!(window, pencil[lo..hi], "dim {dim} window [{lo}, {hi})");
-                }
-            }
         }
     }
 

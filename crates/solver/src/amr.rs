@@ -53,8 +53,8 @@
 //!   the prolongation itself is written against), and on level 0 the edge
 //!   cells its boundary conditions copy.
 //! * **One kernel call per level and stage.** The stencil windows of a
-//!   level's owned patches are packed end to end into one pencil, as the
-//!   lane batches of [`crate::step`] pack pencils, and swept by one
+//!   level's owned patches are packed end to end into one pencil (a
+//!   one-lane slab of [`crate::step`]) and swept by one
 //!   `reconstruct_and_flux` call; the interfaces between two windows are
 //!   computed and dropped.
 //! * **Regrid recycles storage.** New patches draw zeroed buffers from
@@ -633,8 +633,8 @@ impl AmrSolver {
     /// Residual and interface fluxes of every owned patch of level `l`, in
     /// one kernel call: the patches' stencil windows (each whole pencil:
     /// the scheme's stencil is `ng` cells) are packed end to end into the
-    /// pencil scratch, as [`crate::step`]'s lane batches pack pencils, and
-    /// the interfaces straddling two windows are computed and dropped.
+    /// pencil scratch, a one-lane slab of [`crate::step`], and the
+    /// interfaces straddling two windows are computed and dropped.
     /// `flux` keeps the interfaces the reflux reads: the patch's own two
     /// faces and its children's. `rhs` ghosts are never written.
     fn eval_level_rhs<C: LevelCoupling>(&mut self, c: &C, l: usize) {
@@ -658,7 +658,7 @@ impl AmrSolver {
                     .enumerate()
                 {
                     p.prim
-                        .read_window(comp, 0, 0, 0, 0, &mut s.q_mut(k)[window.clone()]);
+                        .read_pencil(comp, 0, 0, 0, &mut s.q_mut(k)[window.clone()]);
                 }
                 at = window.end;
             }

@@ -9,11 +9,12 @@ use crate::scheme::{
     apply_conserved_floors, max_dt, recover_prims, recover_region, recover_region_resilient,
     RecoveryStats, Scheme, SolverError, WaveScan,
 };
-use crate::step::{accumulate_rhs_region_scan, Region};
+use crate::step::{sweep_axes, Region};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
 use rhrsc_runtime::metrics::Histogram;
 use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::NCOMP;
+use std::ops::Range;
 
 /// Strong-stability-preserving Runge–Kutta order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,10 +100,11 @@ impl Eval<'_> {
         Ok(())
     }
 
-    /// Accumulate the residual over `regions`.
-    pub(crate) fn sweep(&mut self, regions: &[Region]) {
+    /// Accumulate the residual along `axes` over `regions`.
+    pub(crate) fn sweep(&mut self, regions: &[Region], axes: Range<usize>) {
         for r in regions {
-            accumulate_rhs_region_scan(self.scheme, self.prim, self.rhs, r, self.scan, self.pool);
+            let (scheme, scan, pool) = (self.scheme, self.scan, self.pool);
+            sweep_axes(scheme, self.prim, self.rhs, r, axes.clone(), scan, pool);
         }
     }
 }
@@ -152,7 +154,7 @@ impl Coupling for Serial {
         fill_ghosts(e.u, e.bcs);
         e.recover(None, None)?;
         fill_ghosts(e.prim, e.bcs);
-        e.sweep(&[Region::interior(e.u.geom())]);
+        e.sweep(&[Region::interior(e.u.geom())], 0..3);
         Ok(())
     }
 }

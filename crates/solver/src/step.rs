@@ -1,22 +1,29 @@
 //! The spatial residual `L(U)`: dimension-by-dimension reconstruction,
 //! Riemann fluxes, and flux divergence.
 //!
-//! For each active dimension the solver sweeps 1D *pencils*: the five
+//! For each active dimension `d` the solver sweeps 1D *pencils*: the five
 //! primitive components are reconstructed to cell interfaces, an
 //! approximate Riemann solver produces the interface flux, and the flux
 //! difference is accumulated into the residual. The pencils of a region
-//! are swept in *lane batches*: the stencil windows of consecutive
-//! pencils are packed end to end into one scratch pencil of about
-//! `TILE_CELLS` cells, and one kernel call runs them all. Batches are
-//! independent, so within-patch parallelism distributes batches over a
-//! gang ([`rhrsc_runtime::WorkStealingPool`]); across dimensions the
-//! sweeps accumulate sequentially.
+//! are swept in *lane slabs*: a batch of pencils is copied into the
+//! scratch as rows along `d` (the region's cells and `g` ghost rows on
+//! either side) of one lane per pencil, about `SLAB_CELLS` cells in all,
+//! and one kernel call runs them with stencils strided by the lane count.
+//! For y and z the lanes are x-cells, so a row is a few slice copies of
+//! x-runs and the residual is added along x-runs; for x the lanes are the
+//! (y, z) positions, and the load is a transpose. Every interface the
+//! kernel computes is one a cell keeps. Batches are independent, so
+//! within-patch parallelism distributes batches over a gang
+//! ([`rhrsc_runtime::WorkStealingPool`]); across dimensions the sweeps
+//! accumulate sequentially, x then y then z in every cell.
 //!
-//! The residual can be evaluated on a sub-[`Region`] of the patch. That is
-//! the mechanism behind communication/computation overlap: the *deep*
-//! region (cells whose stencils touch no ghost zone that still waits on a
-//! message) is computed while halos are in flight, and the remaining
-//! boundary *shell* afterwards.
+//! The residual can be evaluated on a sub-[`Region`] of the patch, and
+//! along a subset of the axes. That is the mechanism behind
+//! communication/computation overlap: the *deep* region (cells whose
+//! stencils touch no ghost zone that still waits on a message) is swept
+//! while halos are in flight, the remaining boundary *shell* afterwards,
+//! and the axes after the last one that waits on a message need no split:
+//! they sweep the whole interior once, after the shells.
 
 use crate::scheme::{
     cell_rate, prim_at, Geometry, Scheme, WaveScan, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
@@ -24,6 +31,7 @@ use crate::scheme::{
 use rhrsc_eos::Eos;
 use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::WorkStealingPool;
+use rhrsc_srhd::recon::RECON_BLOCK;
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{Cons, Dir, Prim, NCOMP};
 use std::cell::RefCell;
@@ -143,7 +151,7 @@ pub fn accumulate_rhs_region(
 /// When `scan` is given, the sweep along the first active dimension also
 /// folds every region cell's CFL rate `Σ_d max(|λ−|, |λ+|) / Δx_d` into
 /// the running maximum, from the five primitives already resident in
-/// the pencil scratch. It is the expression [`crate::scheme::max_dt`]
+/// the slab scratch. It is the expression [`crate::scheme::max_dt`]
 /// maximizes, and a maximum does not depend on visiting order, so after
 /// scanning regions that tile the interior `scan.dt(cfl)` reproduces the
 /// two-pass Δt bitwise while `phase.dt.local` disappears as a separate
@@ -156,41 +164,56 @@ pub fn accumulate_rhs_region_scan(
     scan: Option<&WaveScan>,
     pool: Option<&WorkStealingPool>,
 ) {
-    if region.is_empty() {
+    sweep_axes(scheme, prim, rhs, region, 0..3, scan, pool);
+}
+
+/// [`accumulate_rhs_region_scan`] along the axes `axes` only. Sweeping
+/// `0..k` over regions that tile the interior and then `k..3` over the
+/// interior adds x, then y, then z into every cell, as one full sweep
+/// does, bit for bit. The scan rides on the sweep along the first active
+/// dimension, and the geometric sources on the sweeps that end at z.
+pub(crate) fn sweep_axes(
+    scheme: &Scheme,
+    prim: &Field,
+    rhs: &mut Field,
+    region: &Region,
+    axes: Range<usize>,
+    scan: Option<&WaveScan>,
+    pool: Option<&WorkStealingPool>,
+) {
+    if region.is_empty() || axes.is_empty() {
         return;
     }
     let geom = *prim.geom();
+    let g = scheme.recon.ghost();
     debug_assert!(
-        (0..3).all(|d| !geom.active(d) || geom.ng >= scheme.recon.ghost()),
-        "patch has {} ghosts, reconstruction needs {}",
+        (0..3).all(|d| !geom.active(d) || geom.ng >= g),
+        "patch has {} ghosts, reconstruction needs {g}",
         geom.ng,
-        scheme.recon.ghost()
     );
     let raw = RawRhs {
         ptr: rhs.raw_mut().as_mut_ptr(),
         comp_stride: geom.len(),
     };
-    // Each cell is scanned once: in the sweep along the first active
-    // dimension.
-    let mut scan = scan;
-    for d in (0..3).filter(|&d| geom.active(d)) {
-        let scan = scan.take();
+    let first = (0..3).find(|&d| geom.active(d));
+    for d in axes.clone().filter(|&d| geom.active(d)) {
+        let scan = scan.filter(|_| Some(d) == first);
         let extent = region.hi[d] - region.lo[d];
         let npencils = region.len() / extent;
-        let per_batch = (TILE_CELLS / (extent + 2 * scheme.recon.ghost())).max(1);
+        let lanes = (SLAB_CELLS / (extent + 2 * g)).clamp(1, RECON_BLOCK);
         let task = |batch: usize| {
-            let pencils = batch * per_batch..npencils.min((batch + 1) * per_batch);
+            let pencils = batch * lanes..npencils.min((batch + 1) * lanes);
             // SAFETY: each pencil writes only the rhs cells on its own
             // line along `d`; the batches of one sweep are disjoint.
-            unsafe { sweep_batch(scheme, prim, d, region, pencils, &raw, scan) };
+            unsafe { sweep_slab(scheme, prim, d, region, pencils, &raw, scan) };
         };
-        let nbatches = npencils.div_ceil(per_batch);
+        let nbatches = npencils.div_ceil(lanes);
         match pool {
             Some(pool) if nbatches > 1 => pool.par_for(nbatches, 1, &task),
             _ => (0..nbatches).for_each(task),
         }
     }
-    if scheme.geometry != Geometry::Cartesian {
+    if scheme.geometry != Geometry::Cartesian && axes.end == 3 {
         accumulate_geometric_sources(scheme, prim, rhs, region);
     }
 }
@@ -226,8 +249,8 @@ fn accumulate_geometric_sources(scheme: &Scheme, prim: &Field, rhs: &mut Field, 
     }
 }
 
-/// Raw pointer to the rhs storage, shared across batch tasks. Soundness
-/// relies on pencils writing disjoint cells (see `sweep_batch`).
+/// Raw pointer to the rhs storage, shared across slab tasks. Soundness
+/// relies on pencils writing disjoint cells (see `sweep_slab`).
 #[derive(Clone, Copy)]
 struct RawRhs {
     ptr: *mut f64,
@@ -256,17 +279,20 @@ struct SideBanks {
     p: Vec<f64>,
 }
 
-/// Reusable structure-of-arrays pencil workspace, one per worker thread.
+/// Reusable structure-of-arrays slab workspace, one per worker thread.
 ///
-/// Holds the cell pencils (`q`), the two sides' interface banks and the
+/// Holds the cell slab (`q`, `lanes` pencils interleaved cell by cell;
+/// one lane is a plain pencil), the two sides' interface banks and the
 /// interface flux bank. Reuse is stale-safe: every slot that a kernel
-/// reads is written earlier in the same call (a batch packs its windows
-/// over `q[..len]`, and the kernel's stencils read no cell past it;
-/// `Recon::pencil` writes exactly `[lo, hi1)`; the banks and fluxes are
+/// reads is written earlier in the same call (a slab is loaded over
+/// `q[..len]`, and the kernel's stencils read no cell past it;
+/// `Recon::strided` writes exactly `[lo, hi1)`; the banks and fluxes are
 /// written over `[lo, hi1)` before the divergence loop reads them).
 #[derive(Default)]
 pub(crate) struct PencilScratch {
     q: [Vec<f64>; NCOMP],
+    /// Lanes of the loaded slab: the stride of every stencil.
+    lanes: usize,
     l: SideBanks,
     r: SideBanks,
     /// Interface flux bank.
@@ -274,7 +300,8 @@ pub(crate) struct PencilScratch {
 }
 
 impl PencilScratch {
-    /// Mutable cell pencil of primitive component `c` (load target).
+    /// Mutable cell pencil of primitive component `c` (load target of a
+    /// one-lane slab).
     pub(crate) fn q_mut(&mut self, c: usize) -> &mut [f64] {
         &mut self.q[c]
     }
@@ -301,13 +328,14 @@ thread_local! {
     static SCRATCH: RefCell<PencilScratch> = RefCell::new(PencilScratch::default());
 }
 
-/// Run `f` with this thread's pencil scratch sized for `nt` cells.
-/// Entry point for the shared-kernel users outside this module (the AMR
-/// level residual, one packed pencil per level).
+/// Run `f` with this thread's scratch sized for a pencil of `nt` cells (a
+/// one-lane slab). Entry point for the shared-kernel users outside this
+/// module (the AMR level residual, one packed pencil per level).
 pub(crate) fn with_pencil_scratch<R>(nt: usize, f: impl FnOnce(&mut PencilScratch) -> R) -> R {
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
         s.ensure(nt);
+        s.lanes = 1;
         f(s)
     })
 }
@@ -654,12 +682,12 @@ fn hllc_lane<const N: usize>(l: Face, r: Face) -> [f64; NCOMP] {
 }
 
 vector_width! {
-    /// Reconstruct the loaded cell pencils to interfaces, sanitize, and
-    /// compute the interface flux bank `s.flux[..][lo..hi1]` with the
-    /// scheme's Riemann solver dispatched once per call (a lane batch or
-    /// an AMR patch), at the host's vector width.
+    /// Reconstruct the loaded slab to interfaces, sanitize, and compute
+    /// the interface flux bank `s.flux[..][lo..hi1]` with the scheme's
+    /// Riemann solver dispatched once per call (a lane slab or an AMR
+    /// level), at the host's vector width.
     ///
-    /// `s.q` must already hold the five primitive component pencils.
+    /// `s.q` must already hold the five primitive components of the slab.
     pub(crate) fn reconstruct_and_flux(
         scheme: &Scheme,
         s: &mut PencilScratch,
@@ -676,7 +704,7 @@ pub(crate) fn flux_lanes(scheme: &Scheme, s: &mut PencilScratch, dir: Dir, lo: u
     let n = dir.axis();
     for c in 0..NCOMP {
         let (wl, wr) = (&mut s.l.w[c], &mut s.r.w[c]);
-        scheme.recon.pencil(&s.q[c], lo, hi1, wl, wr);
+        scheme.recon.strided(&s.q[c], s.lanes, lo, hi1, wl, wr);
     }
     prepare_side(scheme, n, &mut s.l, lo, hi1);
     prepare_side(scheme, n, &mut s.r, lo, hi1);
@@ -707,28 +735,28 @@ pub(crate) fn flux_lanes(scheme: &Scheme, s: &mut PencilScratch, dir: Dir, lo: u
     }
 }
 
-/// Cells a lane batch packs into one scratch pencil: the windows of
-/// consecutive pencils are added while they fit (a window longer than
-/// this is a batch of its own).
-const TILE_CELLS: usize = 256;
+/// Cells of one lane slab: a batch takes as many pencils as fit, at
+/// least one and at most `RECON_BLOCK` (the stride the staged schemes
+/// take).
+const SLAB_CELLS: usize = 768;
 
-/// Sweep the lane batch `pencils` of `region` along `d` (pencil `p` sits
+/// Sweep the lane slab `pencils` of `region` along `d` (pencil `p` sits
 /// at the `p`-th transverse position, the lower transverse dimension
-/// fastest): reconstruct, solve Riemann problems and accumulate flux
-/// differences, plus the optional fused wave-speed scan.
+/// fastest): load, reconstruct, solve Riemann problems and accumulate
+/// flux differences, plus the optional fused wave-speed scan.
 ///
-/// Each pencil's stencil window, the cells `[lo − g, hi + g)` with
-/// `g = recon.ghost()`, is gathered end to end into the pencil scratch
-/// and one kernel call runs the whole batch. An interface a window keeps
-/// reads only cells of that window, and no kernel carries a value from
-/// one interface to the next, so the interfaces straddling two windows
-/// are computed and dropped and no bit can differ from a sweep of one
-/// pencil at a time.
+/// With `L = pencils.len()` lanes, the slab holds the stencil rows
+/// `lo - g .. hi + g` along `d` (`g = recon.ghost()`), pencil `i`'s cell
+/// of row `r` at `q[r·L + i]`, and one kernel call at stride `L` computes
+/// the interfaces of rows `g ..= g + hi - lo`: those of the region's
+/// cells, no other. Each reads the cells `Recon::pencil` would read on
+/// its pencil alone, and the cells add their flux differences as before,
+/// so no bit can differ from a sweep of one pencil at a time.
 ///
 /// # Safety
 /// The caller must guarantee that no other thread concurrently accesses
 /// the rhs cells on these pencils.
-unsafe fn sweep_batch(
+unsafe fn sweep_slab(
     scheme: &Scheme,
     prim: &Field,
     d: usize,
@@ -740,64 +768,127 @@ unsafe fn sweep_batch(
     let geom = prim.geom();
     let g = scheme.recon.ghost();
     let (lo, hi) = (region.lo[d], region.hi[d]);
-    let width = hi - lo + 2 * g;
-    let len = pencils.len() * width;
+    let (n, lanes) = (hi - lo, pencils.len());
+    let len = (n + 2 * g) * lanes;
     let inv_dx = 1.0 / geom.dx[d];
     // Transverse dims in ascending order, and the storage step of each.
     let (a, b) = [(1, 2), (0, 2), (0, 1)][d];
     let strides = [1, geom.ntot(0), geom.ntot(0) * geom.ntot(1)];
+    let step = strides[d];
     let na = region.hi[a] - region.lo[a];
-    let line = |p: usize| (region.lo[a] + p % na, region.lo[b] + p / na);
+    // Storage offset of pencil `p`'s cell `lo`.
+    let at = |p: usize| {
+        let (ta, tb) = (region.lo[a] + p % na, region.lo[b] + p / na);
+        lo * step + ta * strides[a] + tb * strides[b]
+    };
+    // The pencils of a y or z slab in runs along x: (first lane, first
+    // pencil, count).
+    let (start, end) = (pencils.start, pencils.end);
+    let runs = move || {
+        (start / na..end.div_ceil(na)).map(move |tb| {
+            let p = start.max(tb * na);
+            (p - start, p, end.min(tb * na + na) - p)
+        })
+    };
 
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        // Sized once for any batch: a steady sweep never resizes.
-        s.ensure(len.max(TILE_CELLS));
-        for (slot, p) in pencils.clone().enumerate() {
-            let (ta, tb) = line(p);
-            let window = slot * width..(slot + 1) * width;
-            for (c, comp) in [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P]
-                .into_iter()
-                .enumerate()
-            {
-                prim.read_window(comp, d, ta, tb, lo - g, &mut s.q[c][window.clone()]);
-            }
-        }
-
-        reconstruct_and_flux(scheme, s, Dir::ALL[d], g, len - g + 1);
-
-        // Accumulate -dF/dx into rhs along each pencil, component-major,
-        // and fold the fused Δt scan: cell-centered CFL rates from the
-        // unsanitized cells, exactly as `max_dt` computes them, with one
-        // atomic fold per batch. The window in `slot` holds the cells
-        // `lo .. hi` at `slot·width + g ..`.
-        let mut max_rate = 0.0f64;
-        for (slot, p) in pencils.enumerate() {
-            let (ta, tb) = line(p);
-            let base = lo * strides[d] + ta * strides[a] + tb * strides[b];
-            let cells = slot * width + g..slot * width + g + (hi - lo);
-            for c in 0..NCOMP {
-                let cbase = unsafe { raw.ptr.add(c * raw.comp_stride + base) };
-                let faces = &s.flux[c][cells.start..=cells.end];
-                for (step, f) in faces.windows(2).enumerate() {
-                    let df = (f[1] - f[0]) * inv_dx;
-                    unsafe {
-                        *cbase.add(step * strides[d]) -= df;
+        // Sized once for any slab, so a steady sweep never reallocates; a
+        // one-lane slab (a long pencil, a 1D line) takes what it needs.
+        s.ensure(if lanes == 1 { len } else { len.max(SLAB_CELLS) });
+        s.lanes = lanes;
+        // A pencil's (or a run's) offset is found once for all five
+        // components.
+        let comps = [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P].map(|c| prim.comp(c));
+        if d == 0 {
+            // A transpose: pencil `i` is lane `i`.
+            for (i, p) in pencils.clone().enumerate() {
+                let first = at(p) - g;
+                for (q, src) in s.q.iter_mut().zip(comps) {
+                    let (q, pencil) = (&mut q[..len], &src[first..][..n + 2 * g]);
+                    if lanes == 1 {
+                        q.copy_from_slice(pencil);
+                        continue;
+                    }
+                    for (cell, &v) in q[i..].chunks_mut(lanes).zip(pencil) {
+                        cell[0] = v;
                     }
                 }
             }
-            if scan.is_some() {
-                for i in cells {
-                    let w = Prim {
-                        rho: s.q[0][i],
-                        vel: [s.q[1][i], s.q[2][i], s.q[3][i]],
-                        p: s.q[4][i],
-                    };
-                    max_rate = max_rate.max(cell_rate(scheme, geom, &w));
+        } else {
+            for (lane, p, count) in runs() {
+                let first = at(p) - g * step;
+                for (q, src) in s.q.iter_mut().zip(comps) {
+                    for (r, row) in q[..len].chunks_exact_mut(lanes).enumerate() {
+                        row[lane..lane + count].copy_from_slice(&src[first + r * step..][..count]);
+                    }
                 }
             }
         }
+
+        reconstruct_and_flux(scheme, s, Dir::ALL[d], g * lanes, (n + g + 1) * lanes);
+
+        // Accumulate -dF/dx into rhs: cell row `g + k` of lane `i` lies
+        // between interfaces `(g + k)·L + i` and `(g + k + 1)·L + i`.
+        let faces = s
+            .flux
+            .each_ref()
+            .map(|f| &f[g * lanes..(n + g + 1) * lanes]);
+        // SAFETY: the rows a slab writes are its own pencils' alone.
+        let row = |c: usize, at: usize, len: usize| unsafe {
+            std::slice::from_raw_parts_mut(raw.ptr.add(c * raw.comp_stride + at), len)
+        };
+        if d == 0 {
+            for (i, p) in pencils.clone().enumerate() {
+                let at = at(p);
+                for (c, faces) in faces.iter().enumerate() {
+                    if lanes == 1 {
+                        for ((u, &f0), &f1) in row(c, at, n).iter_mut().zip(*faces).zip(&faces[1..])
+                        {
+                            *u -= (f1 - f0) * inv_dx;
+                        }
+                        continue;
+                    }
+                    let column = faces[i..].chunks(lanes);
+                    for ((u, f0), f1) in row(c, at, n)
+                        .iter_mut()
+                        .zip(column.clone())
+                        .zip(column.skip(1))
+                    {
+                        *u -= (f1[0] - f0[0]) * inv_dx;
+                    }
+                }
+            }
+        } else {
+            for (lane, p, count) in runs() {
+                let at = at(p);
+                for (c, faces) in faces.iter().enumerate() {
+                    for k in 0..n {
+                        let f0 = &faces[k * lanes + lane..][..count];
+                        let f1 = &faces[(k + 1) * lanes + lane..][..count];
+                        for ((u, &f0), &f1) in
+                            row(c, at + k * step, count).iter_mut().zip(f0).zip(f1)
+                        {
+                            *u -= (f1 - f0) * inv_dx;
+                        }
+                    }
+                }
+            }
+        }
+
+        // The fused Δt scan: cell-centered CFL rates from the unsanitized
+        // cells of the slab's interior rows, exactly as `max_dt` computes
+        // them, with one atomic fold per slab.
         if let Some(scan) = scan {
+            let mut max_rate = 0.0f64;
+            for i in g * lanes..(n + g) * lanes {
+                let w = Prim {
+                    rho: s.q[0][i],
+                    vel: [s.q[1][i], s.q[2][i], s.q[3][i]],
+                    p: s.q[4][i],
+                };
+                max_rate = max_rate.max(cell_rate(scheme, geom, &w));
+            }
             scan.observe(max_rate);
         }
     });

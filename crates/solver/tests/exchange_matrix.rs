@@ -176,6 +176,38 @@ fn block_solver_floors_as_the_patch_solver_does() {
     );
 }
 
+/// The splits `CartDecomp::auto` does not reach: two blocks along y (y
+/// waits on a message, x does not) and two along z (z waits). Overlap
+/// splits the sweeps along every axis up to the last one that waits and
+/// sweeps the rest over the whole interior after the shells: x and y
+/// split with z whole, and all three split. Both must give the serial
+/// bytes, under every boundary condition and in both modes.
+#[test]
+fn block_solver_equals_patch_solver_on_y_and_z_splits() {
+    let global_n = GRIDS[2];
+    for dims in [[1, 2, 1], [1, 1, 2]] {
+        for kind in BCS {
+            let (_, _, reference, _, _) = reference(global_n, kind, ic);
+            let geom = *reference.geom();
+            let lo = [0, 1, 2].map(|d| geom.ng_of(d));
+            let mut want = Vec::new();
+            reference.gather_box(lo, [0, 1, 2].map(|d| lo[d] + geom.n[d]), &mut want);
+            for mode in [ExchangeMode::BulkSynchronous, ExchangeMode::Overlap] {
+                let mut cfg = cfg(global_n, kind, 2, mode);
+                cfg.decomp.dims = dims;
+                let row = format!("{global_n:?} {kind:?} {dims:?} {mode:?}");
+                let gathered = run(2, NetworkModel::ideal(), |rank| {
+                    let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+                    solver.advance_to(rank, &mut u, 0.0, T_END).unwrap();
+                    solver.gather_interior(rank, &u).unwrap()
+                });
+                let global = gathered[0].as_ref().expect("block 0 holds the gather");
+                assert!(bits(global.raw()) == bits(&want), "{row}: interiors differ");
+            }
+        }
+    }
+}
+
 #[test]
 fn device_solver_equals_patch_solver_on_every_row() {
     let accel = AcceleratorConfig {

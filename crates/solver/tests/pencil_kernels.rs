@@ -8,13 +8,15 @@
 //! straight-line lane loop whose superluminal clamp is a select, and the
 //! Riemann combines take their exits by selects. None of it may show:
 //! (a) pins the staged schemes against the per-interface loops they
-//! replaced, spelled here, over hostile pencils and every window; (b)
-//! pins `compute_rhs` against a residual assembled here from the public
-//! AoS pieces on fields that take every select both ways and leave HLLC
-//! through each of its exits; (c) pins
-//! `accumulate_rhs_region` over every pencil extent and offset, and
-//! `compute_rhs` over lane batches and shell stubs, against `compute_rhs`
-//! and against one kernel call per pencil window. A NaN compares equal to a NaN (which payload an
+//! replaced, spelled here, over hostile pencils and every window, and the
+//! strided form of every scheme against each pencil of its slab alone;
+//! (b) pins `compute_rhs` against a residual assembled here from the
+//! public AoS pieces on fields that take every select both ways and leave
+//! HLLC through each of its exits; (c) pins `accumulate_rhs_region` over
+//! every pencil extent and offset, and `compute_rhs` over lane slabs and
+//! shell stubs, against `compute_rhs`, against one kernel call per pencil
+//! and, on slabs of 1, 3 and 7 lanes, against the AoS residual. A NaN
+//! compares equal to a NaN (which payload an
 //! operation hands on is the one thing IEEE 754 leaves open); everything
 //! else is compared in `to_bits()`. Vector code exists only in optimised
 //! builds: CI runs this file under `--release` as well.
@@ -225,6 +227,91 @@ fn staged_reconstruction_matches_the_per_interface_loops_bit_for_bit() {
         }
     }
     assert!(windows > 250_000, "the sweep shrank to {windows} windows");
+}
+
+/// Every scheme: the staged ones, the per-interface ones and PC.
+const EVERY_RECON: [Recon; 8] = [
+    Recon::Pc,
+    Recon::Plm(Limiter::Minmod),
+    Recon::Plm(Limiter::Mc),
+    Recon::Plm(Limiter::VanLeer),
+    Recon::Ppm,
+    Recon::Ceno3,
+    Recon::Mp5,
+    Recon::Weno5,
+];
+
+/// `Recon::strided` on a lane slab — `lanes` hostile pencils interleaved
+/// cell by cell, so that lane `i`'s stencil steps by `lanes` — against
+/// `Recon::pencil` on each pencil alone, for every scheme, at 1, 3, 8 and
+/// 17 lanes and at lengths around the staged blocks: over whole rows of
+/// interfaces (the sweep's window) and over windows that start and end
+/// mid-row, equal inside the window and sentinel outside. A stencil cell
+/// stepped by 1 instead of by the stride reads another lane's cell.
+#[test]
+fn strided_reconstruction_equals_each_pencil_alone() {
+    let mut rng = Rng(36);
+    let mut slabs = 0u64;
+    for lanes in [1, 3, 8, 17] {
+        for n in [
+            1,
+            2,
+            5,
+            RECON_BLOCK - 1,
+            RECON_BLOCK + 3,
+            2 * RECON_BLOCK + 5,
+        ] {
+            for recon in EVERY_RECON {
+                let g = recon.ghost();
+                let cells = n + 2 * g;
+                let pencils: Vec<Vec<f64>> = (0..lanes)
+                    .map(|i| pencil(&mut rng, cells, (i + n) % 4))
+                    .collect();
+                let slab: Vec<f64> = (0..cells * lanes)
+                    .map(|k| pencils[k % lanes][k / lanes])
+                    .collect();
+                // Interfaces `g ..= g + n` of every pencil, one per lane.
+                let alone: Vec<_> = pencils
+                    .iter()
+                    .map(|q| {
+                        let (mut ql, mut qr) =
+                            (vec![SENTINEL; cells + 1], vec![SENTINEL; cells + 1]);
+                        recon.pencil(q, g, g + n + 1, &mut ql, &mut qr);
+                        (ql, qr)
+                    })
+                    .collect();
+                let (first, end) = (g * lanes, (g + n + 1) * lanes);
+                let mut windows = vec![(first, end)];
+                for _ in 0..3 {
+                    let lo = first + rng.below(end - first);
+                    windows.push((lo, lo + rng.below(end - lo + 1)));
+                }
+                for (lo, hi) in windows {
+                    let len = slab.len() + 1;
+                    let (mut ql, mut qr) = (vec![SENTINEL; len], vec![SENTINEL; len]);
+                    recon.strided(&slab, lanes, lo, hi, &mut ql, &mut qr);
+                    for j in 0..len {
+                        let (lane, row) = (j % lanes, j / lanes);
+                        let (want_l, want_r) = if (lo..hi).contains(&j) {
+                            (alone[lane].0[row], alone[lane].1[row])
+                        } else {
+                            (SENTINEL, SENTINEL)
+                        };
+                        assert!(
+                            same(ql[j], want_l) && same(qr[j], want_r),
+                            "{} {lanes} lanes of {n} cells, window [{lo}, {hi}): interface {row} \
+                             of lane {lane}: ({:e}, {:e}) vs ({want_l:e}, {want_r:e})",
+                            recon.name(),
+                            ql[j],
+                            qr[j],
+                        );
+                    }
+                    slabs += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(slabs, 4 * 6 * 8 * 4);
 }
 
 // ---------------------------------------------------------------------
@@ -577,18 +664,18 @@ fn slabs(geom: &PatchGeom, d: usize, extent: usize) -> Vec<Region> {
         .collect()
 }
 
-/// Lane batches: a sweep packs the stencil windows of consecutive pencils
-/// end to end and runs one kernel call over them (`TILE_CELLS = 256`
-/// cells in `step.rs`). On a 13 × 11 × 9 cube every sweep spans seven to
-/// nine batches, the last one partial, for every ghost width here: the
-/// x-sweep's 99 windows of 13 + 2g cells go 13 (g = 3) or 15 (g = 2) to a
-/// batch, the y-sweep's 117 and the z-sweep's 143 likewise. `compute_rhs`
-/// (serial and gang) must equal the interior tiled into single cells, on
-/// which every window is a kernel call of its own. And regions 1, 2 and
+/// Lane slabs: a sweep copies a batch of pencils into one slab, a lane per
+/// pencil, and runs one kernel call over it (`SLAB_CELLS = 768` cells in
+/// `step.rs`, at most 64 lanes). On a 13 × 11 × 9 cube every sweep spans
+/// three slabs, the last one partial, for every ghost width here: the
+/// x-sweep's 99 pencils of 13 + 2g cells go 40 (g = 3) or 45 (g = 2) to a
+/// slab, the y-sweep's 117 go 45 or 51, the z-sweep's 143 go 51 or 59.
+/// `compute_rhs` (serial and gang) must equal the interior tiled into
+/// single cells, on which every slab is one pencil. And regions 1, 2 and
 /// 3 cells deep in the sweep dimension — the shell stubs of an overlapped
-/// halo exchange, 28–51 windows to a batch — must tile to `compute_rhs`.
-/// The fields are hostile, NaN velocities included: a value no kept
-/// interface reads must not leak across a window's edge.
+/// halo exchange, 64 lanes to a slab — must tile to `compute_rhs`. The
+/// fields are hostile, NaN velocities included: a value no kept interface
+/// reads must not leak from one lane to another.
 #[test]
 fn lane_batches_and_shell_stubs_tile_to_compute_rhs() {
     let pool = WorkStealingPool::new(2);
@@ -630,6 +717,51 @@ fn lane_batches_and_shell_stubs_tile_to_compute_rhs() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Slabs of 1, 3 and 7 lanes: the interior of a hostile 2D and 3D field
+/// tiled, for each sweep axis `d`, into columns that span `d` and are 1, 3
+/// or 7 cells wide across it (one cell deep in the third dimension), so
+/// that the sweep along `d` of each column runs one slab of that many
+/// pencils. Every tiling must equal the AoS residual.
+#[test]
+fn slabs_of_one_three_and_seven_lanes_match_an_aos_residual() {
+    let rect = PatchGeom::rect([11, 11], [0.0; 2], [1.0, 0.8], 3);
+    let cube = PatchGeom::cube([11, 11, 5], [0.0; 3], [1.0, 0.8, 0.6], 3);
+    let mut touched = [0usize; 8];
+    for (dims, prim) in [
+        ("2D", hostile_field(rect, 37, true)),
+        ("3D", hostile_field(cube, 38, true)),
+    ] {
+        let geom = *prim.geom();
+        let interior = Region::interior(&geom);
+        for recon in [Recon::Ppm, Recon::Plm(Limiter::Mc), Recon::Weno5] {
+            let scheme = Scheme {
+                recon,
+                riemann: RiemannSolver::Hllc,
+                ..Scheme::default_with_gamma(5.0 / 3.0)
+            };
+            let want = aos_residual(&scheme, &prim, &mut touched);
+            for d in (0..3).filter(|&d| geom.active(d)) {
+                let (a, b) = [(1, 2), (0, 2), (0, 1)][d];
+                let mut columns = Vec::new();
+                for tb in interior.lo[b]..interior.hi[b] {
+                    let mut lo = interior.lo[a];
+                    for width in [1, 3, 7] {
+                        let mut column = interior;
+                        (column.lo[a], column.hi[a]) = (lo, lo + width);
+                        (column.lo[b], column.hi[b]) = (tb, tb + 1);
+                        columns.push(column);
+                        lo += width;
+                    }
+                    assert_eq!(lo, interior.hi[a], "the columns tile the interior");
+                }
+                let got = tiled(&scheme, &prim, &columns, None);
+                let what = format!("{dims} {} columns across dim {d}", recon.name());
+                assert_fields_equal(&got, &want, &what);
             }
         }
     }

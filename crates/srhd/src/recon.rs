@@ -151,7 +151,8 @@ impl Recon {
         }
     }
 
-    /// Reconstruct interface states on a pencil.
+    /// Reconstruct interface states on a pencil: [`Recon::strided`] at
+    /// stride 1.
     ///
     /// For each interface `j` in `lo..hi` (interface `j` separates cells
     /// `j-1` and `j`), writes `ql[j]` (from the left) and `qr[j]` (from
@@ -160,114 +161,171 @@ impl Recon {
     /// its pencil kernel once per x86 vector level around this call.
     #[inline(always)]
     pub fn pencil(&self, q: &[f64], lo: usize, hi: usize, ql: &mut [f64], qr: &mut [f64]) {
-        debug_assert!(lo >= self.ghost());
-        debug_assert!(hi + self.ghost() <= q.len() + 1);
+        self.strided(q, 1, lo, hi, ql, qr);
+    }
+
+    /// Reconstruct interface states on a *lane slab*: pencils interleaved
+    /// cell by cell, `s` of them, so that lane `i`'s stencil reads
+    /// `q[i + m·s]`.
+    ///
+    /// Interface `j` separates cells `j - s` and `j`. For each `j` in
+    /// `lo..hi`, writes `ql[j]` (from cell `j - s`) and `qr[j]` (from cell
+    /// `j`): on every lane, the values [`Recon::pencil`] gives on that
+    /// lane's pencil alone. The caller must guarantee `s <= RECON_BLOCK`,
+    /// `lo >= ghost()·s` and `hi + (ghost() - 1)·s <= q.len()`. A pencil
+    /// (`s = 1`) keeps the staged schemes' blocks of [`RECON_BLOCK`] cells.
+    #[inline(always)]
+    pub fn strided(
+        &self,
+        q: &[f64],
+        s: usize,
+        lo: usize,
+        hi: usize,
+        ql: &mut [f64],
+        qr: &mut [f64],
+    ) {
+        debug_assert!((1..=RECON_BLOCK).contains(&s));
+        debug_assert!(lo >= self.ghost() * s);
+        debug_assert!(hi + (self.ghost() - 1) * s <= q.len());
+        if s == 1 {
+            self.reconstruct::<{ RECON_BLOCK + 2 }>(q, 1, lo, hi, ql, qr);
+        } else {
+            self.reconstruct::<SLAB_STAGE>(q, s, lo, hi, ql, qr);
+        }
+    }
+
+    /// The body of [`Recon::strided`], with the staged schemes' per-block
+    /// arrays `CAP` cells long.
+    #[inline(always)]
+    fn reconstruct<const CAP: usize>(
+        &self,
+        q: &[f64],
+        s: usize,
+        lo: usize,
+        hi: usize,
+        ql: &mut [f64],
+        qr: &mut [f64],
+    ) {
         match self {
             Recon::Pc => {
-                ql[lo..hi].copy_from_slice(&q[lo - 1..hi - 1]);
+                ql[lo..hi].copy_from_slice(&q[lo - s..hi - s]);
                 qr[lo..hi].copy_from_slice(&q[lo..hi]);
             }
-            Recon::Plm(lim) => staged(
+            Recon::Plm(lim) => staged::<CAP>(
+                s,
                 lo,
                 hi,
                 ql,
                 qr,
                 #[inline(always)]
                 |c0, al, ar| {
-                    let cells = q[c0 - 1..c0 + al.len() + 1].windows(3);
-                    for ((al, ar), w) in al.iter_mut().zip(ar).zip(cells) {
-                        let half = 0.5 * lim.slope(w[1] - w[0], w[2] - w[1]);
-                        (*al, *ar) = (w[1] - half, w[1] + half);
+                    let n = al.len();
+                    let (qm, q0, qp) = (&q[c0 - s..][..n], &q[c0..][..n], &q[c0 + s..][..n]);
+                    let cells = qm.iter().zip(q0).zip(qp);
+                    for ((al, ar), ((&m, &a), &p)) in al.iter_mut().zip(ar).zip(cells) {
+                        let half = 0.5 * lim.slope(a - m, p - a);
+                        (*al, *ar) = (a - half, a + half);
                     }
                 },
             ),
             Recon::Ppm => {
-                let (mut dq, mut face) = ([0.0; RECON_BLOCK + 2], [0.0; RECON_BLOCK + 1]);
-                staged(
+                let (mut dq, mut face) = ([0.0; CAP], [0.0; CAP]);
+                staged::<CAP>(
+                    s,
                     lo,
                     hi,
                     ql,
                     qr,
                     #[inline(always)]
                     |c0, al, ar| {
-                        // Cells `c0 - 2 ..= c0 + n + 1`: the block and its stencil.
-                        let (n, q) = (al.len(), &q[c0 - 2..c0 + al.len() + 2]);
-                        let face = &mut face[..n + 1];
-                        // (1) Limited slope of cells `c0 - 1 ..= c0 + n`.
-                        for (dq, w) in dq.iter_mut().zip(q.windows(3)) {
-                            *dq = ppm_slope(w[0], w[1], w[2]);
-                        }
-                        // (2) Interpolant at the faces `c0 - 1 ..= c0 + n` (face
-                        // `f` lies between cells `f` and `f + 1`).
-                        for ((face, dq), w) in
-                            face.iter_mut().zip(dq.windows(2)).zip(q[1..].windows(2))
+                        // Cells `c0 - 2s .. c0 + n + 2s`: the block and its stencil.
+                        let (n, q) = (al.len(), &q[c0 - 2 * s..c0 + al.len() + 2 * s]);
+                        let (dq, face) = (&mut dq[..n + 2 * s], &mut face[..n + s]);
+                        // (1) Limited slope of cells `c0 - s .. c0 + n + s`.
+                        for (((dq, &m), &a), &p) in
+                            dq.iter_mut().zip(q).zip(&q[s..]).zip(&q[2 * s..])
                         {
-                            *face = 0.5 * (w[0] + w[1]) + (dq[0] - dq[1]) / 6.0;
+                            *dq = ppm_slope(m, a, p);
+                        }
+                        // (2) Interpolant at the faces `c0 - s .. c0 + n` (face
+                        // `f` lies between cells `f` and `f + s`).
+                        let sides = q[s..].iter().zip(&q[2 * s..]).zip(dq.iter().zip(&dq[s..]));
+                        for (face, ((&a, &b), (&dl, &dr))) in face.iter_mut().zip(sides) {
+                            *face = 0.5 * (a + b) + (dl - dr) / 6.0;
                         }
                         // (3) Monotonised edge pair of cells `c0 .. c0 + n`.
-                        let edges = face.windows(2).zip(&q[2..]);
-                        for ((al, ar), (f, &a)) in al.iter_mut().zip(ar).zip(edges) {
-                            (*al, *ar) = ppm_monotonize(f[0], a, f[1]);
+                        let edges = face.iter().zip(&q[2 * s..]).zip(&face[s..]);
+                        for ((al, ar), ((&fl, &a), &fr)) in al.iter_mut().zip(ar).zip(edges) {
+                            (*al, *ar) = ppm_monotonize(fl, a, fr);
                         }
                     },
                 )
             }
             Recon::Ceno3 => {
                 for j in lo..hi {
-                    // Right edge of cell j-1; left edge of cell j via the
+                    // Right edge of cell j-s; left edge of cell j via the
                     // mirrored stencil.
-                    ql[j] = ceno3_edge(q[j - 3], q[j - 2], q[j - 1], q[j], q[j + 1]);
-                    qr[j] = ceno3_edge(q[j + 2], q[j + 1], q[j], q[j - 1], q[j - 2]);
+                    ql[j] = ceno3_edge(q[j - 3 * s], q[j - 2 * s], q[j - s], q[j], q[j + s]);
+                    qr[j] = ceno3_edge(q[j + 2 * s], q[j + s], q[j], q[j - s], q[j - 2 * s]);
                 }
             }
             Recon::Mp5 => {
                 for j in lo..hi {
-                    ql[j] = mp5_left(q[j - 3], q[j - 2], q[j - 1], q[j], q[j + 1]);
-                    qr[j] = mp5_left(q[j + 2], q[j + 1], q[j], q[j - 1], q[j - 2]);
+                    ql[j] = mp5_left(q[j - 3 * s], q[j - 2 * s], q[j - s], q[j], q[j + s]);
+                    qr[j] = mp5_left(q[j + 2 * s], q[j + s], q[j], q[j - s], q[j - 2 * s]);
                 }
             }
             Recon::Weno5 => {
                 for j in lo..hi {
-                    // Left-biased stencil centered on cell j-1.
-                    ql[j] = weno5_left(q[j - 3], q[j - 2], q[j - 1], q[j], q[j + 1]);
+                    // Left-biased stencil centered on cell j-s.
+                    ql[j] = weno5_left(q[j - 3 * s], q[j - 2 * s], q[j - s], q[j], q[j + s]);
                     // Right-biased stencil centered on cell j (mirror).
-                    qr[j] = weno5_left(q[j + 2], q[j + 1], q[j], q[j - 1], q[j - 2]);
+                    qr[j] = weno5_left(q[j + 2 * s], q[j + s], q[j], q[j - s], q[j - 2 * s]);
                 }
             }
         }
     }
 }
 
-/// Cells per block of the staged schemes (PLM, PPM): what a block computes
-/// once per cell lives in stack arrays of this length, ≈ 2 KiB for PPM.
+/// Cells per block of the staged schemes (PLM, PPM) on a pencil: what a
+/// block computes once per cell lives in stack arrays of this length,
+/// ≈ 2 KiB for PPM.
 pub const RECON_BLOCK: usize = 64;
 
+/// Length of the staged schemes' per-block arrays on a lane slab: a block
+/// of `SLAB_STAGE - 2s` cells, whatever the stride `s <= RECON_BLOCK`.
+const SLAB_STAGE: usize = 8 * RECON_BLOCK;
+
 /// Skeleton of the schemes that reconstruct each *cell* once: walk the
-/// cells `lo - 1 .. hi` in blocks, have `edges(c0, a_l, a_r)` fill the
-/// left / right edge values of the cells `c0 .. c0 + a_l.len()`, and
-/// scatter them to the interfaces, `ql[c + 1] = a_r(c)` and
-/// `qr[c] = a_l(c)`, inside `[lo, hi)` only. An edge value is a function
-/// of `q` around its cell alone, so the result depends neither on the
-/// block width nor on where `lo` and `hi` fall. The `edges` closures are
-/// `#[inline(always)]`: a closure left out of line runs at the baseline
-/// width inside the solver's wider builds of its pencil kernel.
+/// cells `lo - s .. hi` in blocks of `CAP - 2s`, have `edges(c0, a_l,
+/// a_r)` fill the left / right edge values of the cells
+/// `c0 .. c0 + a_l.len()`, and scatter them to the interfaces,
+/// `ql[c + s] = a_r(c)` and `qr[c] = a_l(c)`, inside `[lo, hi)` only. An
+/// edge value is a function of `q` around its cell alone, so the result
+/// depends neither on the block length nor on where `lo` and `hi` fall. The
+/// `edges` closures are `#[inline(always)]`: a closure left out of line
+/// runs at the baseline width inside the solver's wider builds of its
+/// pencil kernel.
 #[inline(always)]
-fn staged(
+fn staged<const CAP: usize>(
+    s: usize,
     lo: usize,
     hi: usize,
     ql: &mut [f64],
     qr: &mut [f64],
     mut edges: impl FnMut(usize, &mut [f64], &mut [f64]),
 ) {
-    let (mut al, mut ar) = ([0.0; RECON_BLOCK], [0.0; RECON_BLOCK]);
-    for c0 in (lo - 1..hi).step_by(RECON_BLOCK) {
-        let n = RECON_BLOCK.min(hi - c0);
+    let block = CAP - 2 * s;
+    let (mut al, mut ar) = ([0.0; CAP], [0.0; CAP]);
+    for c0 in (lo - s..hi).step_by(block) {
+        let n = block.min(hi - c0);
         edges(c0, &mut al[..n], &mut ar[..n]);
-        // The first cell, `lo - 1`, has no interface on its left in the
-        // window and the last, `hi - 1`, none on its right.
-        let (first, last) = (c0.max(lo), (c0 + n).min(hi - 1));
+        // The cells `lo - s .. lo` have no interface on their left in the
+        // window, and the cells `hi - s .. hi` none on their right.
+        let first = c0.max(lo).min(c0 + n);
+        let last = (c0 + n).min(hi - s).max(c0);
         qr[first..c0 + n].copy_from_slice(&al[first - c0..n]);
-        ql[c0 + 1..last + 1].copy_from_slice(&ar[..last - c0]);
+        ql[c0 + s..last + s].copy_from_slice(&ar[..last - c0]);
     }
 }
 

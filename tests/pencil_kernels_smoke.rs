@@ -2,7 +2,7 @@
 //! `cargo test -q` on the umbrella package guards them: staged PPM / PLM
 //! against the per-interface loops, `compute_rhs` against an AoS residual
 //! on fields that take every select of the lane-form `prepare_side`, every
-//! pencil extent and offset, lane batch and shell stub against
+//! pencil extent and offset, lane slab and shell stub against
 //! `compute_rhs` — and the golden
 //! residual and step digests all of that leans on. The files run as they
 //! are.
