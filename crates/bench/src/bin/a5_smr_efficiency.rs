@@ -105,7 +105,7 @@ fn main() {
     if opts.profile {
         print_phase_table("a5_smr_efficiency", &snap);
     }
-    RunReport::new("a5_smr_efficiency")
+    RunReport::new("a5_smr_efficiency", &opts)
         .config_str(
             "problem",
             "sod, uniform 100/200 vs static amr 100+2x vs amr 100+2lvl",

@@ -1,5 +1,6 @@
-//! Bench-regression sentinel: diff current `BENCH_<id>.json` reports
-//! against committed baselines with per-metric tolerances.
+//! The one gate on a run's reports: schema-check every `BENCH_*.json`,
+//! `TRACE_*.json` and `TELEMETRY_*.jsonl` of a run, and judge each report
+//! against its committed baseline (see [`rhrsc_bench::compare`]).
 //!
 //! ```text
 //! bench_compare <baseline_dir> [current_dir]
@@ -7,10 +8,9 @@
 //!
 //! `current_dir` defaults to the `results/` directory (honouring
 //! `RHRSC_RESULTS_DIR`, so CI points it at the fresh toy-run output).
-//! Exits 0 when every compared metric is within tolerance, 1 on any
-//! regression (including a baseline bench missing from the current
-//! results), 2 on usage or I/O errors. Reports whose `config` differs
-//! from the baseline are skipped with a note — they are not comparable.
+//! Exits 0 when every check passes, 1 on any regression (a malformed
+//! file, a report or baseline without its pair, a differing config, or a
+//! key off its baseline), 2 on usage or I/O errors.
 
 use rhrsc_bench::{compare_dirs, results_dir};
 use std::path::PathBuf;
@@ -25,29 +25,24 @@ fn main() -> ExitCode {
     let current_dir = args.next().map(PathBuf::from).unwrap_or_else(results_dir);
 
     println!(
-        "# Bench regression sentinel: {} vs baseline {}",
+        "# Bench gate: {} vs baseline {}",
         current_dir.display(),
         baseline_dir.display()
     );
-    let run = compare_dirs(&baseline_dir, &current_dir);
+    let run = match compare_dirs(&baseline_dir, &current_dir) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     run.print();
-
-    if !run.errors.is_empty() {
-        return ExitCode::from(2);
-    }
-    if run.outcomes.is_empty() && run.skipped.is_empty() {
-        eprintln!(
-            "error: no baseline BENCH_*.json found in {}",
-            baseline_dir.display()
-        );
-        return ExitCode::from(2);
-    }
     let regressions = run.regressions();
     if regressions > 0 {
-        eprintln!("FAIL: {regressions} metric(s) regressed against baseline");
+        eprintln!("FAIL: {regressions} check(s) failed");
         ExitCode::from(1)
     } else {
-        println!("OK: {} metric(s) within tolerance", run.outcomes.len());
+        println!("OK: {} check(s) passed", run.findings.len());
         ExitCode::SUCCESS
     }
 }

@@ -37,7 +37,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     // Every arm drives a solver on the calling thread: one rank. The
     // distributed-AMR counterpart (f13) reports its real rank count the
-    // same way, and `validate_reports` pins both.
+    // same way, and their committed baselines pin both (`bench_compare`).
     let nranks = 1usize;
     let scheme = Scheme::default_with_gamma(5.0 / 3.0);
     let reg = Arc::new(Registry::new());
@@ -231,7 +231,7 @@ fn main() {
     if opts.profile {
         print_phase_table("f12_amr", &snap);
     }
-    RunReport::new("f12_amr")
+    RunReport::new("f12_amr", &opts)
         .config_str("problem", &prob.name)
         .config_num("n_base", n_base as f64)
         .config_num("n_fine", n_fine as f64)

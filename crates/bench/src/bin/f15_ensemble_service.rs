@@ -502,25 +502,33 @@ fn main() {
     let (wall_e, n_cancelled);
     {
         let _ph = reg_e.phase("phase.serve.cancel");
+        // Submit with every worker parked, so the whole back half is still
+        // queued when it is cancelled: a queued job observes its token at
+        // claim, and none can finish first.
+        let gate = Arc::new(AtomicBool::new(false));
+        let blockers = park_workers(&pool, &gate);
         let handles: Vec<JobHandle> = (0..n_cancel)
             .map(|i| {
                 let req = JobRequest::new("churn", Priority::Batch, wave(i, n_cancel, nx, t_end));
                 engine_e.submit(req).expect("churn admission")
             })
             .collect();
-        // Cancel the queued back half immediately: claimed jobs observe
-        // the token at their next step boundary, queued ones at claim.
         for h in &handles[n_cancel / 2..] {
             h.cancel();
+        }
+        gate.store(true, Ordering::Release);
+        for b in blockers {
+            b.get();
         }
         let outcomes = wait_all(handles);
         let token_cancelled = outcomes
             .iter()
             .filter(|o| matches!(o, JobOutcome::Cancelled(_)))
             .count();
-        assert!(
-            token_cancelled >= n_cancel / 4,
-            "most of the cancelled half must resolve Cancelled, got {token_cancelled}"
+        assert_eq!(
+            token_cancelled,
+            n_cancel / 2,
+            "exactly the cancelled half must resolve Cancelled"
         );
         // Zero deadlines expire at the first step boundary.
         let dead = wait_all(

@@ -58,7 +58,7 @@ fn main() {
     if opts.profile {
         print_phase_table("f1_sod_profile", &snap);
     }
-    RunReport::new("f1_sod_profile")
+    RunReport::new("f1_sod_profile", &opts)
         .config_str("problem", "sod, ppm + hllc + rk3")
         .config_num("n", n as f64)
         .config_num("l1_rho", l1)

@@ -130,7 +130,7 @@ fn main() {
     if opts.profile {
         print_phase_table("f6_load_balance (all policies pooled)", &snap);
     }
-    RunReport::new("f6_load_balance")
+    RunReport::new("f6_load_balance", &opts)
         .config_str("workers", "2x cpu (speed 1) + 1x accel (speed 6)")
         .config_num("ntiles", ntiles as f64)
         .config_num("makespan_static_s", m_static)

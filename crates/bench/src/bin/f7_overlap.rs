@@ -130,7 +130,7 @@ fn main() {
     // The report pools both modes (every phase name is listed either way).
     let mut snap = regs[0].snapshot();
     snap.merge(&regs[1].snapshot());
-    RunReport::new("f7_overlap")
+    RunReport::new("f7_overlap", &opts)
         .config_str("model", "virtual_cluster(swept latency, 10GB/s)")
         .config_num("global_n", n as f64)
         .config_num("nsteps", nsteps as f64)

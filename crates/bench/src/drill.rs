@@ -189,8 +189,8 @@ impl BenchOpts {
     /// The tail most bench bins end with: print `table` and mirror it to
     /// `results/<id>.csv`, print the phase table of `snap` under
     /// `--profile` (titled `<id>`, or `<id> (<pooled>)` when `pooled` says
-    /// what the snapshot pools), and start the `BENCH_<id>.json` report
-    /// for the bin to fill in and write.
+    /// what the snapshot pools), and start the `BENCH_<id>.json` report,
+    /// its artifact files named, for the bin to fill in and write.
     pub fn finish(&self, table: &Table, id: &str, pooled: &str, snap: &Snapshot) -> RunReport {
         table.print();
         table.save_csv(id);
@@ -201,7 +201,7 @@ impl BenchOpts {
             };
             print_phase_table(&format!("{id}{note}"), snap);
         }
-        RunReport::new(id)
+        RunReport::new(id, self)
     }
 }
 

@@ -12,12 +12,9 @@ pub mod drill;
 pub mod json;
 pub mod report;
 
-pub use compare::{compare_dirs, compare_docs, CompareRun};
+pub use compare::{compare_dirs, CompareRun};
 pub use json::Json;
-pub use report::{
-    print_phase_table, validate_report, validate_series, validate_telemetry_line, validate_trace,
-    BenchOpts, RunReport,
-};
+pub use report::{print_phase_table, validate_report, validate_trace, BenchOpts, RunReport};
 
 /// The `results/` directory at the workspace root (created on demand).
 ///

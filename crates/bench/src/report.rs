@@ -125,11 +125,24 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Start a report for experiment `id` (e.g. `f4_strong_scaling`).
-    pub fn new(id: &str) -> Self {
+    /// Start a report for experiment `id` (e.g. `f4_strong_scaling`) run
+    /// with `opts`. The config opens with the names of the artifact files
+    /// `opts` has the run write (`trace`, `telemetry`): a gate that
+    /// compares configs then pins that the run wrote them, and finds them
+    /// beside the report.
+    pub fn new(id: &str, opts: &BenchOpts) -> Self {
+        let mut config = Vec::new();
+        for (key, path) in [
+            ("trace", &opts.trace_out),
+            ("telemetry", &opts.telemetry_out),
+        ] {
+            if let Some(name) = path.as_deref().and_then(Path::file_name) {
+                config.push((key.to_string(), Json::Str(name.to_string_lossy().into())));
+            }
+        }
         RunReport {
             id: id.to_string(),
-            config: Vec::new(),
+            config,
             wall_time_s: 0.0,
             parallelism: 1.0,
             zone_updates: None,
@@ -495,6 +508,27 @@ pub fn validate_telemetry_line(doc: &Json) -> Result<(), String> {
     }
 }
 
+/// Validate a whole telemetry JSONL stream: every non-blank line a valid
+/// sample/event record, at least one of them a sample.
+pub fn validate_telemetry_stream(text: &str) -> Result<(), String> {
+    let mut samples = 0usize;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let doc = Json::parse(line).map_err(at)?;
+        validate_telemetry_line(&doc).map_err(at)?;
+        if doc.get("type").and_then(Json::as_str) == Some("sample") {
+            samples += 1;
+        }
+    }
+    if samples == 0 {
+        return Err("stream contains no sample records".to_string());
+    }
+    Ok(())
+}
+
 /// Validate a parsed Chrome/Perfetto `trace.json` flight record (as
 /// written by [`rhrsc_runtime::trace::Tracer`]). Returns a description
 /// of the first violation.
@@ -688,7 +722,7 @@ mod tests {
     #[test]
     fn report_round_trips_and_validates() {
         let snap = sample_snapshot();
-        let mut rep = RunReport::new("unit_test");
+        let mut rep = RunReport::new("unit_test", &BenchOpts::default());
         rep.config_str("grid", "8x8")
             .config_num("ranks", 4.0)
             .wall_time(0.06)
@@ -715,7 +749,7 @@ mod tests {
     #[test]
     fn validation_rejects_bad_reports() {
         let snap = sample_snapshot();
-        let mut rep = RunReport::new("unit_test");
+        let mut rep = RunReport::new("unit_test", &BenchOpts::default());
         rep.wall_time(0.06);
         let good = rep.to_json(&snap);
 
@@ -724,7 +758,7 @@ mod tests {
         assert!(validate_report(&rep.to_json(&snap)).is_err());
 
         // Empty phases are rejected.
-        let empty = RunReport::new("x");
+        let empty = RunReport::new("x", &BenchOpts::default());
         let mut no_phases = empty.to_json(&Snapshot::default());
         if let Json::Obj(members) = &mut no_phases {
             for (k, v) in members.iter_mut() {
@@ -780,7 +814,7 @@ mod tests {
         let bad_dir = blocker.join("sub");
 
         let snap = sample_snapshot();
-        let mut rep = RunReport::new("degrade_test");
+        let mut rep = RunReport::new("degrade_test", &BenchOpts::default());
         rep.wall_time(0.01);
         // Must warn and skip, not panic.
         let path = rep.write_to(&bad_dir, &snap);
@@ -842,7 +876,7 @@ mod tests {
     #[test]
     fn series_section_round_trips_and_validates() {
         let snap = sample_snapshot();
-        let mut rep = RunReport::new("series_test");
+        let mut rep = RunReport::new("series_test", &BenchOpts::default());
         rep.wall_time(0.06).series(&sample_series());
         let doc = rep.to_json(&snap);
         validate_report(&doc).expect("report with series validates");
@@ -852,7 +886,7 @@ mod tests {
         assert_eq!(samples.len(), 3);
 
         // A report without samples simply omits the section.
-        let bare = RunReport::new("no_series");
+        let bare = RunReport::new("no_series", &BenchOpts::default());
         let mut bare = bare;
         bare.wall_time(0.06);
         assert!(bare.to_json(&snap).get("series").is_none());
@@ -863,7 +897,7 @@ mod tests {
         // Non-monotone steps.
         let mut samples = sample_series();
         samples[2].step = 1;
-        let mut rep = RunReport::new("bad_series");
+        let mut rep = RunReport::new("bad_series", &BenchOpts::default());
         rep.wall_time(0.06).series(&samples);
         let doc = rep.to_json(&sample_snapshot());
         assert!(validate_report(&doc).is_err());

@@ -2,7 +2,7 @@
 //! distributed problem with metrics attached, write a `BENCH_*.json`
 //! report, parse it back and validate it against the schema.
 
-use rhrsc_bench::{validate_report, Json, RunReport};
+use rhrsc_bench::{validate_report, BenchOpts, Json, RunReport};
 use rhrsc_comm::{run, NetworkModel};
 use rhrsc_grid::{bc, Bc, CartDecomp};
 use rhrsc_runtime::Registry;
@@ -54,7 +54,7 @@ fn bench_report_round_trips_through_disk_and_validates() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let snap = reg.snapshot();
-    let path = RunReport::new("smoke")
+    let path = RunReport::new("smoke", &BenchOpts::default())
         .config_num("global_n", 48.0)
         .config_num("nsteps", nsteps as f64)
         .config_str("mode", "overlap")

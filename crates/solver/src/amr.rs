@@ -65,7 +65,7 @@
 //! (`amr.regrid`, `amr.reflux`) thread through the PR 2/PR 4 layers via
 //! [`AmrSolver::set_metrics`] / [`AmrSolver::set_trace`].
 
-use crate::integrate::{lincomb, RkOrder};
+use crate::integrate::{land_dt, lincomb, RkOrder};
 use crate::refine::{ghost_stencils, prolong_ghosts_from, prolong_span, restrict_onto, rk_tables};
 use crate::scheme::{
     apply_conserved_floors, init_cons, max_dt, prim_at, recover_prims, Geometry, Scheme,
@@ -736,15 +736,7 @@ impl AmrSolver {
         let mut t = t0;
         let mut steps = 0;
         while t < t_end - 1e-14 {
-            let mut dt = self.stable_dt(cfl)?;
-            // Negated form deliberately catches NaN as a collapse.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(dt > 1e-14) {
-                return Err(SolverError::TimestepCollapse { dt });
-            }
-            if t + dt > t_end {
-                dt = t_end - t;
-            }
+            let dt = land_dt(self.stable_dt(cfl)?, Some((t, t_end)))?;
             self.step(dt)?;
             t += dt;
             steps += 1;

@@ -62,7 +62,7 @@
 
 use crate::amr::{AmrSolver, LevelCoupling};
 use crate::driver::comm_err;
-use crate::integrate::RkOrder;
+use crate::integrate::{land_dt, RkOrder};
 use crate::ladder::{
     outcome_flag, resilient_advance, straggle, Recoverable, ResilienceConfig, ResilienceStats,
     RestoreCause, Stopwatch,
@@ -797,15 +797,7 @@ impl DistAmrSolver {
                 self.last_regrid_step = Some(self.inner.steps);
             }
         }
-        let mut dt = dt_res?;
-        // Negated form deliberately catches NaN as a collapse.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(dt > 1e-14) {
-            return Err(SolverError::TimestepCollapse { dt });
-        }
-        if t + dt > t_end {
-            dt = t_end - t;
-        }
+        let dt = land_dt(dt_res?, Some((t, t_end)))?;
         self.snapshot_u();
         let mut coupling = RankLink {
             link: &mut self.link,

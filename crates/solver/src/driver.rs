@@ -1336,7 +1336,7 @@ impl Recoverable for BlockLadder<'_> {
         if self.stamp.is_some() {
             // Materialize the undetected-corruption counter at zero: its
             // *presence* (and staying zero) is the acceptance signal the
-            // report validator checks.
+            // committed bench baselines pin.
             self.s.count("sdc.undetected", 0);
         }
         Ok(())

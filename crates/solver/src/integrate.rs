@@ -288,17 +288,9 @@ impl PatchSolver {
                     StepSize::Cfl { cfl, scale, limit } => {
                         let bound = self.scan.dt(cfl);
                         let (decided, coasted) = link.decide_dt(bound);
-                        let mut dt = decided * scale;
-                        // Negated form deliberately catches NaN as a
-                        // collapse. A distributed Δt is decided identically
-                        // on every rank, so this return is collective.
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                        if !(dt > 1e-14) {
-                            return Err(SolverError::TimestepCollapse { dt });
-                        }
-                        if let Some((t, t_end)) = limit.filter(|&(t, t_end)| t + dt > t_end) {
-                            dt = t_end - t;
-                        }
+                        // A distributed Δt is decided identically on every
+                        // rank, so a collapse's return is collective.
+                        let dt = land_dt(decided * scale, limit)?;
                         if coasted && dt > bound {
                             link.overran(dt, bound);
                         }
@@ -372,6 +364,21 @@ impl PatchSolver {
         }
         Ok(steps)
     }
+}
+
+/// Land a decided Δt: one not above 1e-14 is a collapse, and with
+/// `limit = (t, t_end)` one that would step past `t_end` is cut to reach
+/// it. Every front-end's CFL loop takes its step size from here.
+// Negated form deliberately catches NaN as a collapse.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub(crate) fn land_dt(dt: f64, limit: Option<(f64, f64)>) -> Result<f64, SolverError> {
+    if !(dt > 1e-14) {
+        return Err(SolverError::TimestepCollapse { dt });
+    }
+    Ok(match limit {
+        Some((t, t_end)) if t + dt > t_end => t_end - t,
+        _ => dt,
+    })
 }
 
 /// RK stage combine over interior cells: `u = b*u0 + a*u + c*r`, or
