@@ -40,20 +40,30 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Microbenchmark the armored per-step agreement against the plain
-/// allreduce-max it replaced, at an identical sync point (tight loop on
-/// 4 ranks). Returns the added seconds per call, clamped at zero.
+/// allreduce-max it replaced, at an identical sync point (tight loops on
+/// 4 ranks). Each loop is timed as its minimum over rounds that
+/// alternate the two, so that a stall of the shared host inflates
+/// neither side: one pair of loops timed once read anywhere from 0 to 3 %
+/// of the step time on a quiet 2-core host, and the minimum of 5 rounds
+/// still read over 2 % in 2 of 100 runs on a loaded one; of 20, at most
+/// 0.6 %. Returns the added seconds per call, clamped at zero.
 fn agreement_arming_cost(iters: usize) -> f64 {
+    const ROUNDS: usize = 20;
     let outs = run_with_faults(4, NetworkModel::ideal(), None, |rank| {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            rank.allreduce_max(i as f64);
+        let (mut plain, mut armored) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..ROUNDS {
+            let t0 = Instant::now();
+            for i in 0..iters {
+                rank.allreduce_max(i as f64);
+            }
+            plain = plain.min(t0.elapsed().as_secs_f64());
+            let t0 = Instant::now();
+            for i in 0..iters {
+                rank.agree_max(i as f64);
+            }
+            armored = armored.min(t0.elapsed().as_secs_f64());
         }
-        let plain = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for i in 0..iters {
-            rank.agree_max(i as f64);
-        }
-        (plain, t0.elapsed().as_secs_f64())
+        (plain, armored)
     });
     // The loops are collectives, so every rank measures the same span;
     // average across ranks to smooth scheduling jitter.

@@ -5,11 +5,9 @@
 //! full replicated hierarchy snapshot on every rank (no buddy transfer)
 //! over one shared disk slot. Message corruption with no in-place retries
 //! forces restores; targeted snapshot rot then takes the memory tier away.
-//! The last case drives the ladder past its whole budget, served diskless.
-//!
-//! The fault seed is one whose damaged messages all fall inside steps: a
-//! corrupted checkpoint *gather* is a terminal error of the AMR driver
-//! today, not a restore, and these tests are about the restore order.
+//! The last restore case drives the ladder past its whole budget, served
+//! diskless. A damaged checkpoint gather is no restore at all: the rank
+//! that received the damage skips that save and keeps its older round.
 
 use rhrsc_comm::{run, run_with_faults, FaultPlan, NetworkModel};
 use rhrsc_grid::{bc, Bc};
@@ -201,4 +199,41 @@ fn exhausted_restore_budget_dumps_the_flight_recorder() {
     let dump = std::fs::read_to_string(&path).expect("terminal error must dump the trace");
     assert!(dump.contains("fault.dump"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With no link-level retransmit (none is modeled by default), a truncated blob of a checkpoint
+/// gather reaches the driver as `HaloCorrupt`. The receiving rank skips
+/// that save and keeps its older memory-tier round; it does not end, and
+/// so no peer shrinks it away. Seed 11 damages one gather blob (and one
+/// step message, which an ordinary retry heals).
+#[test]
+fn damaged_checkpoint_gather_skips_the_save() {
+    let plan = FaultPlan {
+        seed: 11,
+        msg_truncate_prob: 0.01,
+        ..FaultPlan::disabled()
+    };
+    let res = ResilienceConfig {
+        local_interval: 1,
+        ..ResilienceConfig::default()
+    };
+    let cfg = AmrConfig {
+        max_levels: 2,
+        ..AmrConfig::default()
+    };
+    let prob = Problem::sod();
+    let reg = Arc::new(Registry::new());
+    let outs = run_with_faults(4, NetworkModel::ideal(), Some(plan), |rank| {
+        let scheme = Scheme::default_with_gamma(5.0 / 3.0);
+        let mut d = DistAmrSolver::new(scheme, prob.bcs, RkOrder::Rk3, 64, 0.0, 1.0, cfg.clone());
+        d.set_metrics(Arc::clone(&reg));
+        d.init(rank, &|x| (prob.ic)(x));
+        d.advance_to(rank, 0.0, 0.15, 0.4, &res)
+    });
+    for (r, out) in outs.into_iter().enumerate() {
+        let (_, stats) = out.unwrap_or_else(|e| panic!("rank {r} ended: {e}"));
+        assert_eq!(stats.shrinks, 0, "rank {r}: {stats:?}");
+    }
+    let skipped = reg.counter("amr.dist.saves_skipped").get();
+    assert!(skipped > 0, "no gather was damaged");
 }

@@ -5,16 +5,20 @@
 //! gang of two threads per rank, and through the recovery ladder without
 //! faults; the device with its breaker off and armed under a launch fault
 //! on every step. One more block-driver row runs a problem that only gets
-//! past t = 0.05 through the conserved-variable limiter. ROADMAP 3(a);
-//! missing: AMR, serve, Taub–Mathews.
+//! past t = 0.05 through the conserved-variable limiter. The distributed
+//! AMR driver runs against the serial AMR solver at every rank count, on
+//! a fixed and on a regridding hierarchy, with its 4-rank traffic pinned.
+//! ROADMAP 3(a); missing: serve, Taub–Mathews.
 
 use rhrsc_comm::{run, NetworkModel};
-use rhrsc_grid::{bc, Bc, CartDecomp, Field};
+use rhrsc_grid::{bc, Bc, BcSet, CartDecomp, Field};
+use rhrsc_io::checkpoint::AmrCheckpoint;
 use rhrsc_runtime::{AcceleratorConfig, FaultInjector, FaultPlan};
 use rhrsc_solver::device_backend::{BreakerConfig, DevicePatchSolver};
 use rhrsc_solver::driver::{BlockSolver, DistConfig, ExchangeMode, ResilienceConfig};
+use rhrsc_solver::problems::Problem;
 use rhrsc_solver::scheme::init_cons;
-use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
+use rhrsc_solver::{AmrConfig, AmrSolver, DistAmrSolver, PatchSolver, RkOrder, Scheme};
 use rhrsc_srhd::Prim;
 use std::sync::Arc;
 use std::time::Duration;
@@ -253,4 +257,101 @@ fn device_solver_equals_patch_solver_on_every_row() {
             }
         }
     }
+}
+
+/// A Gaussian pressure pulse: the refined region follows the two fronts
+/// it launches from one regrid to the next.
+fn pulse(x: [f64; 3]) -> Prim {
+    let g = (-((x[0] - 0.5) / 0.08).powi(2)).exp();
+    Prim::new_1d(1.0 + 2.0 * g, 0.0, 1.0 + 20.0 * g)
+}
+
+/// A hierarchy's patches as (level, first cell, cells, data bits).
+fn hierarchy_bits(ck: &AmrCheckpoint) -> Vec<(u32, u64, u64, Vec<u64>)> {
+    let patches = ck.patches.iter();
+    patches
+        .map(|p| (p.level, p.lo, p.n, bits(&p.data)))
+        .collect()
+}
+
+/// One distributed-AMR row: the serial hierarchy at `t_end` against the
+/// gathered distributed one at 1, 2 and 4 ranks, with each of the 4
+/// ranks' `[halo_msgs, reflux_msgs, regrid_msgs, halo_bytes]` (the final
+/// gather included) equal to `traffic`.
+fn assert_amr_row(
+    bcs: BcSet,
+    ic: &(dyn Fn([f64; 3]) -> Prim + Sync),
+    cfg: AmrConfig,
+    t_end: f64,
+    traffic: [[u64; 4]; 4],
+) {
+    let scheme = Scheme::default_with_gamma(5.0 / 3.0);
+    let mut gold = AmrSolver::new(scheme, bcs, RkOrder::Rk3, 64, 0.0, 1.0, cfg.clone());
+    gold.init(ic);
+    gold.advance_to(0.0, t_end, 0.4).unwrap();
+    let want = hierarchy_bits(&gold.to_checkpoint(t_end));
+    let res = ResilienceConfig {
+        max_step_retries: 2,
+        max_restarts: 4,
+        local_interval: 2,
+        scrub_interval: 5,
+        ..ResilienceConfig::default()
+    };
+    for nranks in [1, 2, 4] {
+        let outs = run(nranks, NetworkModel::ideal(), |rank| {
+            let mut d = DistAmrSolver::new(scheme, bcs, RkOrder::Rk3, 64, 0.0, 1.0, cfg.clone());
+            d.init(rank, ic);
+            d.advance_to(rank, 0.0, t_end, 0.4, &res).unwrap();
+            let ck = d.to_checkpoint_gathered(rank, t_end).unwrap();
+            (hierarchy_bits(&ck), d.stats())
+        });
+        let mut seen = Vec::new();
+        for (r, (got, s)) in outs.into_iter().enumerate() {
+            assert!(got == want, "rank {r}/{nranks}: the hierarchy differs");
+            // A rank owning only coarse patches sends descend / sync
+            // traffic; one owning only fine patches sends reflux.
+            let coupled = nranks == 1 || s.halo_msgs + s.reflux_msgs > 0;
+            assert!(coupled, "rank {r}/{nranks}: no cross-rank coupling");
+            seen.push([s.halo_msgs, s.reflux_msgs, s.regrid_msgs, s.halo_bytes]);
+        }
+        if nranks == 4 {
+            assert_eq!(seen, traffic, "the 4-rank traffic moved");
+        }
+    }
+}
+
+/// `DistAmrSolver` ≡ `AmrSolver`: Sod with outflow on two levels (the
+/// hierarchy the f12 accuracy problem runs), and the pulse on a periodic
+/// line on three levels with a low refinement threshold.
+#[test]
+fn dist_amr_solver_equals_amr_solver_on_every_row() {
+    let sod = Problem::sod();
+    let two_levels = AmrConfig {
+        max_levels: 2,
+        ..AmrConfig::default()
+    };
+    let sod_traffic = [
+        [17, 0, 21, 120624],
+        [25, 0, 30, 171960],
+        [0, 9, 21, 45440],
+        [0, 12, 30, 33936],
+    ];
+    assert_amr_row(sod.bcs, &*sod.ic, two_levels, 0.15, sod_traffic);
+    let regridding = AmrConfig {
+        threshold: 0.08,
+        ..AmrConfig::default()
+    };
+    let pulse_traffic = [
+        [159, 0, 36, 891800],
+        [0, 16, 21, 54856],
+        [0, 30, 36, 195408],
+        [0, 16, 21, 54856],
+    ];
+    assert_amr_row(
+        bc::uniform(Bc::Periodic),
+        &pulse,
+        regridding,
+        0.1,
+        pulse_traffic,
+    );
 }
