@@ -205,12 +205,13 @@ impl PatchSolver {
 
     /// Largest stable Δt for the current state at `cfl`.
     ///
-    /// This is the *unfused* reference: a ghost fill, a primitive
-    /// recovery and a [`max_dt`] pass of their own. The advance loop does
-    /// not call it — [`PatchSolver::step_cfl`] reads the same Δt, bitwise,
-    /// from the scan riding on the stage-0 sweep — but it stays public as
-    /// the independent cross-check the fused scan is tested against, and
-    /// for callers that need a Δt without taking a step.
+    /// This is the *unfused* path: a ghost fill, a primitive recovery and
+    /// a [`max_dt`] pass of their own. The advance loop does not call it —
+    /// [`PatchSolver::step_cfl`] reads the same Δt, bitwise, from the scan
+    /// riding on the stage-0 sweep, which reduces with `max_dt`'s one
+    /// CFL-rate kernel — but it stays public for callers that need a Δt
+    /// without taking a step. What checks that kernel independently is
+    /// the oracle in `dt_scan_equivalence`, spelled from `signal_speeds`.
     pub fn stable_dt(&mut self, u: &mut Field, cfl: f64) -> Result<f64, SolverError> {
         fill_ghosts(u, &self.bcs);
         recover_prims(&self.scheme, u, &mut self.prim)?;

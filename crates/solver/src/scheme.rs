@@ -7,7 +7,7 @@ use rhrsc_srhd::recon::Recon;
 use rhrsc_srhd::riemann::RiemannSolver;
 use rhrsc_srhd::{
     cons_to_prim, cons_to_prim_block, cons_to_prim_counted, Con2PrimError, Con2PrimParams, Cons,
-    Eos, Prim, C2P_LANES,
+    Eos, Prim, C2P_LANES, NCOMP,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -416,7 +416,10 @@ pub(crate) fn row_lanes(
     let mut us = [Cons::ZERO; C2P_LANES];
     for b0 in (i0..i1).step_by(C2P_LANES) {
         let (len, ix0) = ((i1 - b0).min(C2P_LANES), row + b0);
-        let rows = std::array::from_fn(|c| &ur[c * n + ix0..][..len]);
+        // Spelled out, not `std::array::from_fn`: the generic call can
+        // stay out of line in the arms (`con2prim::lane_block`).
+        let comp = |c: usize| &ur[c * n + ix0..][..len];
+        let rows = [comp(0), comp(1), comp(2), comp(3), comp(4)];
         let mut lanes = cons_to_prim_block(&scheme.eos, &scheme.c2p, rows);
         let mut failed = None;
         if lanes.evals[..len].contains(&0) {
@@ -674,26 +677,24 @@ pub fn apply_conserved_floors(u: &mut Field, params: &Con2PrimParams) -> usize {
 pub fn max_dt(scheme: &Scheme, prim: &Field, cfl: f64) -> f64 {
     let geom = prim.geom();
     let r = Region::interior(geom);
-    let [rho, vx, vy, vz, p] = [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P].map(|c| prim.comp(c));
-    let mut max_rate = 0.0f64;
-    // The interior x-rows of the raw component slices, in `interior_iter`
-    // order: a plain row walk leaves no iterator adapter or per-cell
-    // accessor for the inliner to keep out of line (AMR calls this per
-    // patch per step).
+    let n = r.hi[0] - r.lo[0];
+    let mut max = 0.0f64;
+    // One rate kernel call per interior x-row of the raw component slices.
     for k in r.lo[2]..r.hi[2] {
         for j in r.lo[1]..r.hi[1] {
-            let row = geom.idx(0, j, k);
-            for i in row + r.lo[0]..row + r.hi[0] {
-                let w = Prim {
-                    rho: rho[i],
-                    vel: [vx[i], vy[i], vz[i]],
-                    p: p[i],
-                };
-                max_rate = max_rate.max(cell_rate(scheme, geom, &w));
-            }
+            let at = geom.idx(r.lo[0], j, k);
+            let row = |c: usize| &prim.comp(c)[at..][..n];
+            let rows = [
+                row(PRIM_RHO),
+                row(PRIM_VX),
+                row(PRIM_VY),
+                row(PRIM_VZ),
+                row(PRIM_P),
+            ];
+            max = max.max(max_rate(scheme, geom, rows));
         }
     }
-    cfl / max_rate.max(1e-30)
+    cfl / max.max(1e-30)
 }
 
 /// Running maximum of the per-cell CFL rate `Σ_d max(|λ−|,|λ+|)/Δx_d`,
@@ -744,21 +745,86 @@ impl WaveScan {
     }
 }
 
-/// The CFL rate of one cell, `Σ_d max(|λ−|,|λ+|)/Δx_d` over the active
-/// dimensions in ascending order — the one expression both [`max_dt`]
-/// and the fused scan evaluate, so the two agree bitwise.
-#[inline]
-pub(crate) fn cell_rate(scheme: &Scheme, geom: &PatchGeom, w: &Prim) -> f64 {
-    let mut rate = 0.0;
-    for d in 0..3 {
-        if !geom.active(d) {
-            continue;
-        }
-        let dir = rhrsc_srhd::Dir::ALL[d];
-        let (lm, lp) = rhrsc_srhd::flux::signal_speeds(&scheme.eos, w, dir);
-        rate += lm.abs().max(lp.abs()) / geom.dx[d];
+vector_width! {
+    /// The largest CFL rate `Σ_d max(|λ−|,|λ+|)/Δx_d` over the cells of
+    /// `rows` (their primitives `(ρ, vx, vy, vz, p)`, five rows of one
+    /// length) on a patch of `geom`, at the host's vector width: the
+    /// active dimensions summed in ascending order from `0.0`, each term
+    /// the expression tree of `signal_speeds`, and NaN rates skipped as
+    /// `f64::max` skips them (`0.0` when no rate is a number). [`max_dt`]
+    /// and the fused scan of a residual sweep both reduce with this one
+    /// kernel.
+    pub(crate) fn max_rate(scheme: &Scheme, geom: &PatchGeom, rows: [&[f64]; NCOMP]) -> f64
+        = rate_lanes in rate_arms;
+}
+
+/// The body of [`max_rate`], built once per vector level.
+///
+/// The EOS variant and the number of active dimensions are matched here,
+/// once per call; each arm inlines a [`rate_chunks`] in which both are
+/// constants.
+#[inline(always)]
+pub(crate) fn rate_lanes(scheme: &Scheme, geom: &PatchGeom, rows: [&[f64]; NCOMP]) -> f64 {
+    match (geom.ndim(), scheme.eos) {
+        (0, _) => 0.0,
+        (1, eos @ Eos::IdealGas { .. }) => rate_chunks::<1>(eos, geom, rows),
+        (2, eos @ Eos::IdealGas { .. }) => rate_chunks::<2>(eos, geom, rows),
+        (_, eos @ Eos::IdealGas { .. }) => rate_chunks::<3>(eos, geom, rows),
+        (1, Eos::TaubMathews) => rate_chunks::<1>(Eos::TaubMathews, geom, rows),
+        (2, Eos::TaubMathews) => rate_chunks::<2>(Eos::TaubMathews, geom, rows),
+        (_, Eos::TaubMathews) => rate_chunks::<3>(Eos::TaubMathews, geom, rows),
     }
-    rate
+}
+
+/// The lane loop of [`rate_lanes`] over the `D` active dimensions of
+/// `geom`. The rates of a chunk of cells go to an array on the stack, so
+/// that the loop computing them is one vector body, and the chunk's
+/// maximum is folded in after it.
+#[inline(always)]
+fn rate_chunks<const D: usize>(
+    eos: Eos,
+    geom: &PatchGeom,
+    [rho, vx, vy, vz, p]: [&[f64]; NCOMP],
+) -> f64 {
+    const CHUNK: usize = 64;
+    // Each active axis's normal-velocity row and Δx, in ascending order,
+    // picked outside the lane loop.
+    let (vel, mut rows, mut dx, mut a) = ([vx, vy, vz], [vx; D], [0.0; D], 0);
+    for d in (0..3).filter(|&d| geom.active(d)) {
+        (rows[a], dx[a], a) = (vel[d], geom.dx[d], a + 1);
+    }
+    let mut rates = [0.0; CHUNK];
+    let mut max = 0.0f64;
+    for c0 in (0..rho.len()).step_by(CHUNK) {
+        let len = (rho.len() - c0).min(CHUNK);
+        let (rho, p, rates) = (&rho[c0..][..len], &p[c0..][..len], &mut rates[..len]);
+        let [vx, vy, vz] = [&vx[c0..][..len], &vy[c0..][..len], &vz[c0..][..len]];
+        let mut vn = [vx; D];
+        for (vn, row) in vn.iter_mut().zip(&rows) {
+            *vn = &row[c0..][..len];
+        }
+        for j in 0..len {
+            // signal_speeds: what does not depend on the direction.
+            let cs2 = eos.sound_speed_sq(rho[j], p[j]).clamp(0.0, 1.0 - 1e-15);
+            let v2 = vx[j] * vx[j] + vy[j] * vy[j] + vz[j] * vz[j];
+            let den = 1.0 - v2 * cs2;
+            let cs = cs2.sqrt();
+            let mut rate = 0.0;
+            for a in 0..D {
+                let vn = vn[a][j];
+                let disc = ((1.0 - v2) * (1.0 - v2 * cs2 - vn * vn * (1.0 - cs2))).max(0.0);
+                let root = disc.sqrt();
+                let lm = ((vn * (1.0 - cs2) - cs * root) / den).clamp(-1.0, 1.0);
+                let lp = ((vn * (1.0 - cs2) + cs * root) / den).clamp(-1.0, 1.0);
+                rate += lm.abs().max(lp.abs()) / dx[a];
+            }
+            rates[j] = rate;
+        }
+        for &rate in rates.iter() {
+            max = max.max(rate);
+        }
+    }
+    max
 }
 
 #[cfg(test)]

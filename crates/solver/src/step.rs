@@ -25,15 +25,13 @@
 //! and the axes after the last one that waits on a message need no split:
 //! they sweep the whole interior once, after the shells.
 
-use crate::scheme::{
-    cell_rate, prim_at, Geometry, Scheme, WaveScan, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
-};
+use crate::scheme::{prim_at, rate_lanes, Geometry, Scheme, WaveScan};
 use rhrsc_eos::Eos;
 use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::recon::RECON_BLOCK;
 use rhrsc_srhd::riemann::RiemannSolver;
-use rhrsc_srhd::{Cons, Dir, Prim, NCOMP};
+use rhrsc_srhd::{Cons, Dir, NCOMP};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -191,10 +189,15 @@ pub(crate) fn sweep_axes(
         "patch has {} ghosts, reconstruction needs {g}",
         geom.ng,
     );
-    let raw = RawRhs {
-        ptr: rhs.raw_mut().as_mut_ptr(),
-        comp_stride: geom.len(),
-    };
+    assert!(
+        *rhs.geom() == geom && rhs.ncomp() == NCOMP,
+        "rhs must be a conserved field on the primitive field's patch"
+    );
+    // SAFETY: `rhs` has the patch of `prim` (checked above; a slab loads
+    // every cell it writes from `prim` first, through checked slices),
+    // the slabs of a sweep hold disjoint pencils, and `rhs` is borrowed
+    // for the whole sweep.
+    let raw = unsafe { SlabRhs::new(rhs) };
     let first = (0..3).find(|&d| geom.active(d));
     for d in axes.clone().filter(|&d| geom.active(d)) {
         let scan = scan.filter(|_| Some(d) == first);
@@ -203,9 +206,10 @@ pub(crate) fn sweep_axes(
         let lanes = (SLAB_CELLS / (extent + 2 * g)).clamp(1, RECON_BLOCK);
         let task = |batch: usize| {
             let pencils = batch * lanes..npencils.min((batch + 1) * lanes);
-            // SAFETY: each pencil writes only the rhs cells on its own
-            // line along `d`; the batches of one sweep are disjoint.
-            unsafe { sweep_slab(scheme, prim, d, region, pencils, &raw, scan) };
+            SCRATCH.with(|cell| {
+                let s = &mut *cell.borrow_mut();
+                sweep_slab(scheme, prim, d, region, pencils, raw, scan, s);
+            });
         };
         let nbatches = npencils.div_ceil(lanes);
         match pool {
@@ -249,16 +253,44 @@ fn accumulate_geometric_sources(scheme: &Scheme, prim: &Field, rhs: &mut Field, 
     }
 }
 
-/// Raw pointer to the rhs storage, shared across slab tasks. Soundness
-/// relies on pencils writing disjoint cells (see `sweep_slab`).
+/// The rhs storage as the lane slabs of one sweep write it: each copy
+/// is handed to one slab, which writes the cells on its own pencils only.
 #[derive(Clone, Copy)]
-struct RawRhs {
+pub(crate) struct SlabRhs {
     ptr: *mut f64,
     comp_stride: usize,
 }
 
-unsafe impl Send for RawRhs {}
-unsafe impl Sync for RawRhs {}
+// SAFETY: `ptr` is only written through `SlabRhs::row`, on the cells of
+// the one slab each copy is handed to, which no other thread touches
+// (`SlabRhs::new`'s contract); `comp_stride` is a plain count.
+unsafe impl Send for SlabRhs {}
+// SAFETY: as for `Send`; a shared copy is only copied, never written
+// through.
+unsafe impl Sync for SlabRhs {}
+
+impl SlabRhs {
+    /// # Safety
+    /// `rhs` must outlive every copy and have the geometry of the
+    /// primitive field the slabs sweep, nothing else may access it while
+    /// a copy is in use, and no two slabs in flight at once may hold the
+    /// same pencil.
+    pub(crate) unsafe fn new(rhs: &mut Field) -> Self {
+        SlabRhs {
+            comp_stride: rhs.geom().len(),
+            ptr: rhs.raw_mut().as_mut_ptr(),
+        }
+    }
+
+    /// The `len` cells of component `c` from storage offset `at`: cells
+    /// on the pencils of the slab this copy was handed to.
+    #[inline(always)]
+    fn row(&mut self, c: usize, at: usize, len: usize) -> &mut [f64] {
+        // SAFETY: `SlabRhs::new`'s contract; the slab asks for its own
+        // pencils' cells only.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(c * self.comp_stride + at), len) }
+    }
+}
 
 /// One side (left or right) of every interface of a pencil: the
 /// reconstructed primitives `w` and what [`prepare_side`] derives from
@@ -342,13 +374,41 @@ pub(crate) fn with_pencil_scratch<R>(nt: usize, f: impl FnOnce(&mut PencilScratc
 
 /// Sanitize one side's reconstructed interface states and precompute its
 /// conserved state, physical flux, characteristic speeds, and the
-/// sanitized `(v_n, p)` pair over `[lo, hi1)`.
+/// sanitized `(v_n, p)` pair over `[lo, hi1)`: [`side_lanes`]' two
+/// passes, the clamp's only where a lane needs it.
 ///
 /// The sweep direction and the EOS variant are matched here, once per
 /// call: each arm inlines a [`side_lanes`] in which both are constants,
 /// so its lane loop holds no `match` and no runtime index.
 #[inline(always)]
 fn prepare_side(scheme: &Scheme, n: usize, side: &mut SideBanks, lo: usize, hi1: usize) {
+    if side_pass::<false>(scheme, n, side, lo, hi1) {
+        clamp_side(scheme, n, side, lo, hi1);
+    }
+}
+
+/// [`prepare_side`]'s fix-up pass, out of line at baseline width: it runs
+/// only for a call whose interfaces hold a superluminal state, and one
+/// copy serves every arm. It walks every interface of the call and
+/// recomputes the clamped ones, so a field that clamps a lane in most
+/// slabs pays a second, scalar pass on top of the vector one (DESIGN
+/// "Lane-form `prepare_side`" gives the measured break-even).
+#[cold]
+#[inline(never)]
+fn clamp_side(scheme: &Scheme, n: usize, side: &mut SideBanks, lo: usize, hi1: usize) {
+    side_pass::<true>(scheme, n, side, lo, hi1);
+}
+
+/// One pass of [`side_lanes`] over `[lo, hi1)`, the direction and EOS
+/// variant matched.
+#[inline(always)]
+fn side_pass<const CLAMP: bool>(
+    scheme: &Scheme,
+    n: usize,
+    side: &mut SideBanks,
+    lo: usize,
+    hi1: usize,
+) -> bool {
     let floors = (scheme.c2p.rho_floor, scheme.c2p.p_floor);
     let w = cut(&side.w, lo, hi1);
     let [d, sx, sy, sz, tau] = &mut side.u;
@@ -358,7 +418,7 @@ fn prepare_side(scheme: &Scheme, n: usize, side: &mut SideBanks, lo: usize, hi1:
     // parameter tells the optimiser that its stores alias nothing else.
     macro_rules! lanes {
         ($n:literal, $eos:expr) => {
-            side_lanes::<$n>(
+            side_lanes::<$n, CLAMP>(
                 $eos,
                 floors,
                 w,
@@ -397,12 +457,17 @@ fn prepare_side(scheme: &Scheme, n: usize, side: &mut SideBanks, lo: usize, hi1:
 /// lane. Two things differ from the AoS path and neither can change a
 /// value: `v²` (identical expression in `vsq`/`lorentz`) is computed once
 /// per lane instead of per callee, and the superluminal clamp is a
-/// select — its scale is computed for every lane and used only where the
-/// branch was taken — which leaves straight-line arithmetic for the
-/// autovectoriser.
+/// fix-up pass. With `CLAMP = false` every lane is computed from its
+/// unclamped velocity — straight-line arithmetic for the autovectoriser —
+/// and the return value says whether a lane has `v² ≥ 1 − 10⁻¹²`; only
+/// then does [`clamp_side`] run this body with `CLAMP = true`, which
+/// recomputes exactly those lanes from the clamped velocity. A lane the
+/// clamp leaves alone has the same velocity and the same `v²` in both
+/// forms, and a NaN `v²` fails the comparison in both, so no lane pays
+/// for the clamp's divide and square root unless it is clamped.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn side_lanes<const N: usize>(
+fn side_lanes<const N: usize, const CLAMP: bool>(
     eos: Eos,
     (rho_floor, p_floor): (f64, f64),
     w: [&[f64]; NCOMP],
@@ -420,18 +485,28 @@ fn side_lanes<const N: usize>(
     lp: &mut [f64],
     vn_out: &mut [f64],
     p_out: &mut [f64],
-) {
+) -> bool {
     const V2_MAX: f64 = 1.0 - 1e-12;
+    let mut clamped = false;
     for j in 0..p_out.len() {
         // Scheme::sanitize, in place on the lane.
         let rho = w[0][j].max(rho_floor);
         let p = w[4][j].max(p_floor);
-        let vel = [w[1][j], w[2][j], w[3][j]];
-        let v2 = vel[0] * vel[0] + vel[1] * vel[1] + vel[2] * vel[2];
-        let scale = (V2_MAX / v2).sqrt();
-        let [vx, vy, vz] = vel.map(|v| if v2 >= V2_MAX { v * scale } else { v });
-        // Prim::vsq / lorentz on the sanitized velocity.
+        let (vx, vy, vz) = (w[1][j], w[2][j], w[3][j]);
+        // Prim::vsq.
         let v2 = vx * vx + vy * vy + vz * vz;
+        let superluminal = v2 >= V2_MAX;
+        clamped |= superluminal;
+        let (vx, vy, vz, v2) = if !CLAMP {
+            (vx, vy, vz, v2)
+        } else if superluminal {
+            let scale = (V2_MAX / v2).sqrt();
+            let (vx, vy, vz) = (vx * scale, vy * scale, vz * scale);
+            (vx, vy, vz, vx * vx + vy * vy + vz * vz)
+        } else {
+            continue;
+        };
+        // Prim::lorentz on the sanitized velocity.
         let wlor = 1.0 / (1.0 - v2).sqrt();
         // Prim::to_cons.
         let h = eos.enthalpy(rho, p);
@@ -466,6 +541,7 @@ fn side_lanes<const N: usize>(
         vn_out[j] = vn;
         p_out[j] = p;
     }
+    clamped
 }
 
 /// One side of one interface, as the Riemann combines read it.
@@ -706,8 +782,11 @@ pub(crate) fn flux_lanes(scheme: &Scheme, s: &mut PencilScratch, dir: Dir, lo: u
         let (wl, wr) = (&mut s.l.w[c], &mut s.r.w[c]);
         scheme.recon.strided(&s.q[c], s.lanes, lo, hi1, wl, wr);
     }
-    prepare_side(scheme, n, &mut s.l, lo, hi1);
-    prepare_side(scheme, n, &mut s.r, lo, hi1);
+    // One loop over the two sides, so that each arm holds one copy of
+    // `prepare_side`'s six kernels.
+    for side in [&mut s.l, &mut s.r].iter_mut() {
+        prepare_side(scheme, n, side, lo, hi1);
+    }
     let [f_d, f_sx, f_sy, f_sz, f_tau] = &mut s.flux;
     // The solver and, for HLLC, the direction are matched once per call;
     // the lane is a closure of its own so that it inlines into each arm.
@@ -740,30 +819,54 @@ pub(crate) fn flux_lanes(scheme: &Scheme, s: &mut PencilScratch, dir: Dir, lo: u
 /// take).
 const SLAB_CELLS: usize = 768;
 
-/// Sweep the lane slab `pencils` of `region` along `d` (pencil `p` sits
-/// at the `p`-th transverse position, the lower transverse dimension
-/// fastest): load, reconstruct, solve Riemann problems and accumulate
-/// flux differences, plus the optional fused wave-speed scan.
-///
-/// With `L = pencils.len()` lanes, the slab holds the stencil rows
-/// `lo - g .. hi + g` along `d` (`g = recon.ghost()`), pencil `i`'s cell
-/// of row `r` at `q[r·L + i]`, and one kernel call at stride `L` computes
-/// the interfaces of rows `g ..= g + hi - lo`: those of the region's
-/// cells, no other. Each reads the cells `Recon::pencil` would read on
-/// its pencil alone, and the cells add their flux differences as before,
-/// so no bit can differ from a sweep of one pencil at a time.
-///
-/// # Safety
-/// The caller must guarantee that no other thread concurrently accesses
-/// the rhs cells on these pencils.
-unsafe fn sweep_slab(
+vector_width! {
+    /// Sweep the lane slab `pencils` of `region` along `d` (pencil `p`
+    /// sits at the `p`-th transverse position, the lower transverse
+    /// dimension fastest) on this thread's scratch `s`, at the host's
+    /// vector width: load, reconstruct, solve Riemann problems and
+    /// accumulate flux differences into `rhs`, plus the optional fused
+    /// wave-speed scan.
+    ///
+    /// With `L = pencils.len()` lanes, the slab holds the stencil rows
+    /// `lo - g .. hi + g` along `d` (`g = recon.ghost()`), pencil `i`'s
+    /// cell of row `r` at `q[r·L + i]`, and one [`reconstruct_and_flux`]
+    /// call at stride `L` computes the interfaces of rows `g ..= g + hi -
+    /// lo`: those of the region's cells, no other. Each reads the cells
+    /// `Recon::pencil` would read on its pencil alone, and the cells add
+    /// their flux differences as before, so no bit can differ from a
+    /// sweep of one pencil at a time.
+    ///
+    /// The load or transpose, the divergence and the scan's rate body are
+    /// one arm; the caller borrows the scratch, so that no closure stands
+    /// between the arm and its work. The flux stays the one kernel the AMR
+    /// level residual calls too, one call per slab: inlined here it would
+    /// be a second copy of the sweep's largest kernel in the binary, for
+    /// no measured gain.
+    fn sweep_slab(
+        scheme: &Scheme,
+        prim: &Field,
+        d: usize,
+        region: &Region,
+        pencils: Range<usize>,
+        rhs: SlabRhs,
+        scan: Option<&WaveScan>,
+        s: &mut PencilScratch,
+    ) = slab_lanes in slab_arms;
+}
+
+/// The body of [`sweep_slab`], built once per vector level: everything it
+/// calls is `#[inline(always)]`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn slab_lanes(
     scheme: &Scheme,
     prim: &Field,
     d: usize,
     region: &Region,
     pencils: Range<usize>,
-    raw: &RawRhs,
+    mut rhs: SlabRhs,
     scan: Option<&WaveScan>,
+    s: &mut PencilScratch,
 ) {
     let geom = prim.geom();
     let g = scheme.recon.ghost();
@@ -791,107 +894,94 @@ unsafe fn sweep_slab(
         })
     };
 
-    SCRATCH.with(|cell| {
-        let s = &mut *cell.borrow_mut();
-        // Sized once for any slab, so a steady sweep never reallocates; a
-        // one-lane slab (a long pencil, a 1D line) takes what it needs.
-        s.ensure(if lanes == 1 { len } else { len.max(SLAB_CELLS) });
-        s.lanes = lanes;
-        // A pencil's (or a run's) offset is found once for all five
-        // components.
-        let comps = [PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ, PRIM_P].map(|c| prim.comp(c));
-        if d == 0 {
-            // A transpose: pencil `i` is lane `i`.
-            for (i, p) in pencils.clone().enumerate() {
-                let first = at(p) - g;
-                for (q, src) in s.q.iter_mut().zip(comps) {
-                    let (q, pencil) = (&mut q[..len], &src[first..][..n + 2 * g]);
-                    if lanes == 1 {
-                        q.copy_from_slice(pencil);
-                        continue;
-                    }
-                    for (cell, &v) in q[i..].chunks_mut(lanes).zip(pencil) {
-                        cell[0] = v;
-                    }
+    // Sized once for any slab, so a steady sweep never reallocates; a
+    // one-lane slab (a long pencil, a 1D line) takes what it needs.
+    s.ensure(if lanes == 1 { len } else { len.max(SLAB_CELLS) });
+    s.lanes = lanes;
+    // A pencil's (or a run's) offset is found once for all five
+    // components; `q[c]` is the primitive field's component `c`.
+    if d == 0 {
+        // A transpose: pencil `i` is lane `i`.
+        for (i, p) in pencils.clone().enumerate() {
+            let first = at(p) - g;
+            for (c, q) in s.q.iter_mut().enumerate() {
+                let src = prim.comp(c);
+                let (q, pencil) = (&mut q[..len], &src[first..][..n + 2 * g]);
+                if lanes == 1 {
+                    q.copy_from_slice(pencil);
+                    continue;
                 }
-            }
-        } else {
-            for (lane, p, count) in runs() {
-                let first = at(p) - g * step;
-                for (q, src) in s.q.iter_mut().zip(comps) {
-                    for (r, row) in q[..len].chunks_exact_mut(lanes).enumerate() {
-                        row[lane..lane + count].copy_from_slice(&src[first + r * step..][..count]);
-                    }
+                for (cell, &v) in q[i..].chunks_mut(lanes).zip(pencil) {
+                    cell[0] = v;
                 }
             }
         }
+    } else {
+        for (lane, p, count) in runs() {
+            let first = at(p) - g * step;
+            for (c, q) in s.q.iter_mut().enumerate() {
+                let src = prim.comp(c);
+                for (r, row) in q[..len].chunks_exact_mut(lanes).enumerate() {
+                    row[lane..lane + count].copy_from_slice(&src[first + r * step..][..count]);
+                }
+            }
+        }
+    }
 
-        reconstruct_and_flux(scheme, s, Dir::ALL[d], g * lanes, (n + g + 1) * lanes);
+    reconstruct_and_flux(scheme, s, Dir::ALL[d], g * lanes, (n + g + 1) * lanes);
 
-        // Accumulate -dF/dx into rhs: cell row `g + k` of lane `i` lies
-        // between interfaces `(g + k)·L + i` and `(g + k + 1)·L + i`.
-        let faces = s
-            .flux
-            .each_ref()
-            .map(|f| &f[g * lanes..(n + g + 1) * lanes]);
-        // SAFETY: the rows a slab writes are its own pencils' alone.
-        let row = |c: usize, at: usize, len: usize| unsafe {
-            std::slice::from_raw_parts_mut(raw.ptr.add(c * raw.comp_stride + at), len)
-        };
-        if d == 0 {
-            for (i, p) in pencils.clone().enumerate() {
-                let at = at(p);
-                for (c, faces) in faces.iter().enumerate() {
-                    if lanes == 1 {
-                        for ((u, &f0), &f1) in row(c, at, n).iter_mut().zip(*faces).zip(&faces[1..])
-                        {
-                            *u -= (f1 - f0) * inv_dx;
-                        }
-                        continue;
-                    }
-                    let column = faces[i..].chunks(lanes);
-                    for ((u, f0), f1) in row(c, at, n)
-                        .iter_mut()
-                        .zip(column.clone())
-                        .zip(column.skip(1))
+    // Accumulate -dF/dx into rhs: cell row `g + k` of lane `i` lies
+    // between interfaces `(g + k)·L + i` and `(g + k + 1)·L + i`.
+    let faces = cut(&s.flux, g * lanes, (n + g + 1) * lanes);
+    if d == 0 {
+        for (i, p) in pencils.clone().enumerate() {
+            let at = at(p);
+            for (c, faces) in faces.iter().enumerate() {
+                if lanes == 1 {
+                    for ((u, &f0), &f1) in rhs.row(c, at, n).iter_mut().zip(*faces).zip(&faces[1..])
                     {
-                        *u -= (f1[0] - f0[0]) * inv_dx;
+                        *u -= (f1 - f0) * inv_dx;
                     }
+                    continue;
+                }
+                let column = faces[i..].chunks(lanes);
+                for ((u, f0), f1) in rhs
+                    .row(c, at, n)
+                    .iter_mut()
+                    .zip(column.clone())
+                    .zip(column.skip(1))
+                {
+                    *u -= (f1[0] - f0[0]) * inv_dx;
                 }
             }
-        } else {
-            for (lane, p, count) in runs() {
-                let at = at(p);
-                for (c, faces) in faces.iter().enumerate() {
-                    for k in 0..n {
-                        let f0 = &faces[k * lanes + lane..][..count];
-                        let f1 = &faces[(k + 1) * lanes + lane..][..count];
-                        for ((u, &f0), &f1) in
-                            row(c, at + k * step, count).iter_mut().zip(f0).zip(f1)
-                        {
-                            *u -= (f1 - f0) * inv_dx;
-                        }
+        }
+    } else {
+        for (lane, p, count) in runs() {
+            let at = at(p);
+            for (c, faces) in faces.iter().enumerate() {
+                for k in 0..n {
+                    let f0 = &faces[k * lanes + lane..][..count];
+                    let f1 = &faces[(k + 1) * lanes + lane..][..count];
+                    for ((u, &f0), &f1) in
+                        rhs.row(c, at + k * step, count).iter_mut().zip(f0).zip(f1)
+                    {
+                        *u -= (f1 - f0) * inv_dx;
                     }
                 }
             }
         }
+    }
 
-        // The fused Δt scan: cell-centered CFL rates from the unsanitized
-        // cells of the slab's interior rows, exactly as `max_dt` computes
-        // them, with one atomic fold per slab.
-        if let Some(scan) = scan {
-            let mut max_rate = 0.0f64;
-            for i in g * lanes..(n + g) * lanes {
-                let w = Prim {
-                    rho: s.q[0][i],
-                    vel: [s.q[1][i], s.q[2][i], s.q[3][i]],
-                    p: s.q[4][i],
-                };
-                max_rate = max_rate.max(cell_rate(scheme, geom, &w));
-            }
-            scan.observe(max_rate);
-        }
-    });
+    // The fused Δt scan: the CFL rates of the unsanitized cells of the
+    // slab's interior rows, by `max_dt`'s kernel, with one atomic fold per
+    // slab.
+    if let Some(scan) = scan {
+        scan.observe(rate_lanes(
+            scheme,
+            geom,
+            cut(&s.q, g * lanes, (n + g) * lanes),
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -900,6 +990,7 @@ mod tests {
     use crate::scheme::{init_cons, recover_prims};
     use rhrsc_grid::{fill_ghosts, Bc, PatchGeom};
     use rhrsc_srhd::recon::Recon;
+    use rhrsc_srhd::Prim;
 
     fn scheme() -> Scheme {
         Scheme::default_with_gamma(5.0 / 3.0)

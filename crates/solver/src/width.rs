@@ -271,6 +271,147 @@ mod tests {
         );
     }
 
+    /// Patches of 1, 2 and 3 active axes, each cell a different width
+    /// along every axis.
+    fn hostile_geoms(ng: usize) -> [PatchGeom; 3] {
+        [
+            PatchGeom::line(37, 0.0, 1.3, ng),
+            PatchGeom::rect([11, 9], [0.0; 2], [1.0, 0.7], ng),
+            PatchGeom::cube([7, 6, 5], [0.0; 3], [1.0, 0.8, 0.45], ng),
+        ]
+    }
+
+    /// `max_rate` at every level equals the baseline body on hostile rows
+    /// of every length from 1 to 2 · 64 + 3 cells (past the kernel's
+    /// chunk twice), for every EOS on patches of 1, 2 and 3 active axes.
+    #[test]
+    fn every_level_rates_the_baseline_bits() {
+        use crate::scheme::{rate_arms, rate_lanes};
+        let levels = host_levels();
+        let mut rng = Rng(31);
+        let (mut rows_seen, mut nan_cells) = (0u64, 0u64);
+        for eos in [
+            Eos::ideal(5.0 / 3.0),
+            Eos::ideal(4.0 / 3.0),
+            Eos::TaubMathews,
+        ] {
+            let scheme = Scheme {
+                eos,
+                ..Scheme::default_with_gamma(5.0 / 3.0)
+            };
+            for geom in hostile_geoms(3) {
+                for n in 1..=2 * 64 + 3 {
+                    let rest = [1.0 + 0.5 * rng.unit(), 0.0, 0.0, 0.0, 1.0];
+                    let cells: Vec<[f64; NCOMP]> =
+                        (0..n).map(|_| hostile_cell(&mut rng, rest)).collect();
+                    nan_cells += cells
+                        .iter()
+                        .filter(|w| w.iter().any(|v| v.is_nan()))
+                        .count() as u64;
+                    let comp = |c: usize| cells.iter().map(|w| w[c]).collect::<Vec<f64>>();
+                    let (rho, vx, vy, vz, p) = (comp(0), comp(1), comp(2), comp(3), comp(4));
+                    let rows = [&rho[..], &vx[..], &vy[..], &vz[..], &p[..]];
+                    let want = rate_lanes(&scheme, &geom, rows);
+                    for &level in &levels {
+                        let got = at!(level, rate_arms, rate_lanes; &scheme, &geom, rows);
+                        assert!(
+                            same(got, want),
+                            "{level} {eos:?} {}D, {n} cells: {got:e}, baseline {want:e}",
+                            geom.ndim()
+                        );
+                    }
+                    rows_seen += 1;
+                }
+            }
+        }
+        assert_eq!(rows_seen, 3 * 3 * (2 * 64 + 3));
+        assert!(
+            nan_cells > 1000,
+            "the rows no longer carry NaN: {nan_cells}"
+        );
+    }
+
+    /// `sweep_slab` at every level equals the baseline body on fields of
+    /// hostile cells (ghosts included): the residual every slab adds, bit
+    /// for bit, and the rate it scans, for every EOS × three schemes ×
+    /// patches of 1, 2 and 3 active axes × every direction × slabs of 1,
+    /// 3 and 64 lanes (runs that cross a row of the slab's transverse
+    /// plane included).
+    #[test]
+    fn every_level_sweeps_slabs_as_the_baseline() {
+        use crate::scheme::WaveScan;
+        use crate::step::{slab_arms, slab_lanes, PencilScratch, SlabRhs};
+        use rhrsc_srhd::recon::RECON_BLOCK;
+        let levels = host_levels();
+        let schemes = [
+            (Recon::Ppm, RiemannSolver::Hllc),
+            (Recon::Plm(Limiter::Mc), RiemannSolver::Hll),
+            (Recon::Weno5, RiemannSolver::Rusanov),
+        ];
+        let mut rng = Rng(37);
+        let mut slabs = 0u64;
+        for eos in [Eos::ideal(5.0 / 3.0), Eos::TaubMathews] {
+            for (recon, riemann) in schemes {
+                let scheme = Scheme {
+                    eos,
+                    recon,
+                    riemann,
+                    ..Scheme::default_with_gamma(5.0 / 3.0)
+                };
+                for geom in hostile_geoms(recon.ghost()) {
+                    let mut prim = Field::new(geom, NCOMP);
+                    let rest = [1.0 + 0.5 * rng.unit(), 0.0, 0.0, 0.0, 1.0];
+                    for cell in 0..geom.len() {
+                        let w = hostile_cell(&mut rng, rest);
+                        for (c, v) in w.into_iter().enumerate() {
+                            prim.raw_mut()[c * geom.len() + cell] = v;
+                        }
+                    }
+                    let region = Region::interior(&geom);
+                    for d in (0..3).filter(|&d| geom.active(d)) {
+                        let npencils = region.len() / (region.hi[d] - region.lo[d]);
+                        for lanes in [1, 3, RECON_BLOCK] {
+                            for first in (0..npencils).step_by(lanes) {
+                                let pencils = first..npencils.min(first + lanes);
+                                let sweep_at = |level: &str| {
+                                    let mut rhs = Field::cons(geom);
+                                    let scan = WaveScan::new();
+                                    let mut s = PencilScratch::default();
+                                    // SAFETY: one slab on this thread;
+                                    // `rhs` outlives the call.
+                                    let hold = unsafe { SlabRhs::new(&mut rhs) };
+                                    at!(level, slab_arms, slab_lanes;
+                                        &scheme, &prim, d, &region, pencils.clone(), hold,
+                                        Some(&scan), &mut s);
+                                    (rhs, scan.max_rate())
+                                };
+                                let (want, want_rate) = sweep_at("baseline");
+                                for &level in &levels {
+                                    let (got, rate) = sweep_at(level);
+                                    let cells = got.raw().iter().zip(want.raw());
+                                    for (i, (&g, &w)) in cells.enumerate() {
+                                        assert!(
+                                            same(g, w),
+                                            "{level} {eos:?} {} {} {}D, d = {d}, \
+                                             pencils {pencils:?}: rhs slot {i}: {g:e}, \
+                                             baseline {w:e}",
+                                            recon.name(),
+                                            riemann.name(),
+                                            geom.ndim()
+                                        );
+                                    }
+                                    assert!(same(rate, want_rate), "{level}: scanned rate");
+                                }
+                                slabs += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(slabs > 500, "{slabs} slabs");
+    }
+
     /// The conserved state of density `rho`, temperature `p/ρ = theta` and
     /// Lorentz factor `w` moving along `dir`.
     fn moving(eos: &Eos, rho: f64, theta: f64, w: f64, dir: [f64; 3]) -> Cons {

@@ -5,14 +5,15 @@
 //! [`RECON_BLOCK`] (limited slope, face interpolant and monotonised edge
 //! pair once each) instead of interface by interface,
 //! `step::prepare_side` sanitises a side's interface states in a
-//! straight-line lane loop whose superluminal clamp is a select, and the
+//! straight-line lane loop from the unclamped velocity, and recomputes
+//! only the lanes the superluminal clamp clamps in a fix-up pass, and the
 //! Riemann combines take their exits by selects. None of it may show:
 //! (a) pins the staged schemes against the per-interface loops they
 //! replaced, spelled here, over hostile pencils and every window, and the
 //! strided form of every scheme against each pencil of its slab alone;
 //! (b) pins `compute_rhs` against a residual assembled here from the
-//! public AoS pieces on fields that take every select both ways and leave
-//! HLLC through each of its exits; (c) pins `accumulate_rhs_region` over
+//! public AoS pieces on fields that take every select and the clamp both
+//! ways and leave HLLC through each of its exits; (c) pins `accumulate_rhs_region` over
 //! every pencil extent and offset, and `compute_rhs` over lane slabs and
 //! shell stubs, against `compute_rhs`, against one kernel call per pencil
 //! and, on slabs of 1, 3 and 7 lanes, against the AoS residual. A NaN

@@ -341,11 +341,12 @@ fn lane_block(eos: Eos, params: &Con2PrimParams, rows: [&[f64]; NCOMP]) -> PrimL
     const L: usize = C2P_LANES;
     let len = rows[0].len();
     assert!(len <= L && rows.iter().all(|r| r.len() == len));
-    let rows = rows.map(|r| &r[..len]);
+    let [r0, r1, r2, r3, r4] = rows;
+    let rows = [&r0[..len], &r1[..len], &r2[..len], &r3[..len], &r4[..len]];
     // Lanes without a state to iterate (padding, non-finite, atmosphere)
     // hold D = τ = p = 1, S = 0: finite arithmetic nobody reads.
     const IDLE: [f64; NCOMP] = [1.0, 0.0, 0.0, 0.0, 1.0];
-    // `u` and the per-lane loads below are spelled out, not written with
+    // `rows`, `u` and the per-lane loads are spelled out, not written with
     // `[T; N]::map`: whether the inliner kept those generic calls in the
     // row kernel hung on how the solver crate happened to be split into
     // codegen units, and calls left out of line slowed whole solves by up
