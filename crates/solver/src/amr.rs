@@ -65,11 +65,11 @@
 //! (`amr.regrid`, `amr.reflux`) thread through the PR 2/PR 4 layers via
 //! [`AmrSolver::set_metrics`] / [`AmrSolver::set_trace`].
 
-use crate::integrate::{land_dt, lincomb, RkOrder};
+use crate::integrate::{land_dt, RkOrder};
 use crate::refine::{ghost_stencils, prolong_ghosts_from, prolong_span, restrict_onto, rk_tables};
 use crate::scheme::{
-    apply_conserved_floors, init_cons, max_dt, prim_at, recover_prims, Geometry, Scheme,
-    SolverError, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
+    apply_conserved_floors, combine_floors, init_cons, max_dt, prim_at, recover_prims, Geometry,
+    Scheme, SolverError, PRIM_P, PRIM_RHO, PRIM_VX, PRIM_VY, PRIM_VZ,
 };
 use crate::step::{reconstruct_and_flux, with_pencil_scratch};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
@@ -814,8 +814,8 @@ impl AmrSolver {
                 }
                 // Stage combine + floors. The `a = 0` stage term is passed
                 // at stage 0 too: one expression tree for every stage.
-                lincomb(&mut p.u, b, Some((&p.base, a)), &p.rhs, cw * dt);
-                apply_conserved_floors(&mut p.u, &self.scheme.c2p);
+                let (u0, r) = (Some((&p.base, a)), Some((&p.rhs, cw * dt)));
+                combine_floors(&mut p.u, b, u0, r, &self.scheme.c2p);
                 self.updates[l] += p.n as u64;
             }
         }

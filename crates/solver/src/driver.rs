@@ -1730,6 +1730,42 @@ mod tests {
         }
     }
 
+    /// Under overlap the first axis is stored over the deep tile and the
+    /// shells: a block whose `rhs` is NaN before every step steps as its
+    /// twin does, bit for bit, split along x or along y.
+    #[test]
+    fn overlapped_blocks_store_every_residual_cell() {
+        let ic = |x: [f64; 3]| Prim {
+            rho: 1.0 + 0.3 * (6.0 * x[0]).sin() * (4.0 * x[1]).cos(),
+            vel: [0.3, -0.2, 0.0],
+            p: 1.0,
+        };
+        for dims in [[2, 1, 1], [1, 2, 1]] {
+            let cfg = DistConfig {
+                global_n: [20, 16, 1],
+                decomp: CartDecomp {
+                    dims,
+                    periodic: [true; 3],
+                },
+                bcs: bc::uniform(Bc::Periodic),
+                ..sod_cfg(2, ExchangeMode::Overlap)
+            };
+            let states = |poison: bool| {
+                run(2, NetworkModel::ideal(), |rank| {
+                    let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+                    for _ in 0..3 {
+                        if poison {
+                            solver.patch.rhs.raw_mut().fill(f64::NAN);
+                        }
+                        solver.step(rank, &mut u, 2e-3).unwrap();
+                    }
+                    u.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                })
+            };
+            assert_eq!(states(true), states(false), "{dims:?}");
+        }
+    }
+
     #[test]
     fn overlap_with_latency_still_correct() {
         let cfg = sod_cfg(4, ExchangeMode::Overlap);

@@ -6,14 +6,13 @@
 
 use crate::refine::rk_tables;
 use crate::scheme::{
-    apply_conserved_floors, max_dt, recover_prims, recover_region, recover_region_resilient,
-    RecoveryStats, Scheme, SolverError, WaveScan,
+    combine_floors, max_dt, recover_prims, recover_region, recover_region_resilient, RecoveryStats,
+    Scheme, SolverError, WaveScan,
 };
 use crate::step::{sweep_axes, Region};
 use rhrsc_grid::{fill_ghosts, BcSet, Field, PatchGeom};
 use rhrsc_runtime::metrics::Histogram;
 use rhrsc_runtime::WorkStealingPool;
-use rhrsc_srhd::NCOMP;
 use std::ops::Range;
 
 /// Strong-stability-preserving Runge–Kutta order.
@@ -100,11 +99,15 @@ impl Eval<'_> {
         Ok(())
     }
 
-    /// Accumulate the residual along `axes` over `regions`.
+    /// Sweep the residual along `axes` over `regions`. The sweep along
+    /// the patch's first active axis stores into the cells it covers, and
+    /// the later axes add to them: an evaluation's regions along that axis
+    /// must cover the interior once, as the overlap's deep tile and shells
+    /// or the whole interior do.
     pub(crate) fn sweep(&mut self, regions: &[Region], axes: Range<usize>) {
         for r in regions {
-            let (scheme, scan, pool) = (self.scheme, self.scan, self.pool);
-            sweep_axes(scheme, self.prim, self.rhs, r, axes.clone(), scan, pool);
+            let (scheme, axes, scan, pool) = (self.scheme, axes.clone(), self.scan, self.pool);
+            sweep_axes(scheme, self.prim, self.rhs, r, axes, true, scan, pool);
         }
     }
 }
@@ -170,7 +173,8 @@ pub struct PatchSolver {
     /// Primitives: of the interior, recovered each stage, and of the
     /// ghosts, filled by the coupling.
     pub(crate) prim: Field,
-    rhs: Field,
+    /// The residual of the last evaluation, stored by its first sweep.
+    pub(crate) rhs: Field,
     u_stage: Field,
     /// Running maximum of the CFL rate over the last stage-0 sweep.
     pub(crate) scan: WaveScan,
@@ -229,7 +233,10 @@ impl PatchSolver {
     }
 
     /// Evaluate `rhs = L(u)` through `link`, with the wave-speed scan
-    /// riding on the sweeps when `scan` is set.
+    /// riding on the sweeps when `scan` is set. No cell of the residual
+    /// depends on what `rhs` held before: the first sweep stores it, and
+    /// an evaluation that fails zeroes it, so that a stage the ladder's
+    /// attempt runs on after a failure combines no stale residual.
     pub(crate) fn eval_rhs<C: Coupling>(
         &mut self,
         link: &mut C,
@@ -237,11 +244,10 @@ impl PatchSolver {
         scan: bool,
         pool: Option<&WorkStealingPool>,
     ) -> Result<(), SolverError> {
-        self.rhs.raw_mut().fill(0.0);
         if scan {
             self.scan.reset();
         }
-        link.evaluate(&mut Eval {
+        let out = link.evaluate(&mut Eval {
             bcs: &self.bcs,
             u,
             prim: &mut self.prim,
@@ -249,7 +255,11 @@ impl PatchSolver {
             rhs: &mut self.rhs,
             scan: scan.then_some(&self.scan),
             pool,
-        })
+        });
+        if out.is_err() {
+            self.rhs.raw_mut().fill(0.0);
+        }
+        out
     }
 
     /// The one stage loop, of the patch and the block front-ends alike:
@@ -303,8 +313,7 @@ impl PatchSolver {
             // u0 term.
             let u0 = (si > 0).then_some((&self.u_stage, a));
             let floored = link.section("phase.rk.combine", || {
-                lincomb(u, b, u0, &self.rhs, c * dt);
-                apply_conserved_floors(u, &self.scheme.c2p)
+                combine_floors(u, b, u0, Some((&self.rhs, c * dt)), &self.scheme.c2p)
             });
             self.stats.floored_cells += floored as u64;
             self.stats.stages += 1;
@@ -382,50 +391,12 @@ pub(crate) fn land_dt(dt: f64, limit: Option<(f64, f64)>) -> Result<f64, SolverE
     })
 }
 
-/// RK stage combine over interior cells: `u = b*u0 + a*u + c*r`, or
-/// `u = a*u + c*r` without a `u0`. Shared by [`PatchSolver`]'s stage loop
-/// and the AMR level step, which guarantees bit-identity between them —
-/// floating-point addition is not associative.
-pub(crate) fn lincomb(u: &mut Field, a: f64, u0: Option<(&Field, f64)>, r: &Field, c: f64) {
-    // Component-major over contiguous interior x-runs: per element the
-    // expression is `(f0*b) + (u*a) + (r*c)` with left-associated adds,
-    // exactly the per-component parse of the historical `Cons`-vector
-    // form (scalar·vector then componentwise adds).
-    let geom = *u.geom();
-    let n = geom.len();
-    let (ngx, ngy, ngz) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
-    let nx = geom.n[0];
-    let ur = u.raw_mut();
-    let rr = r.raw();
-    for k in ngz..ngz + geom.n[2] {
-        for j in ngy..ngy + geom.n[1] {
-            let base = geom.idx(ngx, j, k);
-            for comp in 0..NCOMP {
-                let o = comp * n + base;
-                match u0 {
-                    Some((f0, b)) => {
-                        let fr = f0.raw();
-                        for x in 0..nx {
-                            ur[o + x] = fr[o + x] * b + ur[o + x] * a + rr[o + x] * c;
-                        }
-                    }
-                    None => {
-                        for x in 0..nx {
-                            ur[o + x] = ur[o + x] * a + rr[o + x] * c;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::init_cons;
     use rhrsc_grid::{bc::uniform, Bc, PatchGeom};
-    use rhrsc_srhd::Prim;
+    use rhrsc_srhd::{Prim, NCOMP};
 
     fn scheme() -> Scheme {
         Scheme::default_with_gamma(5.0 / 3.0)
@@ -547,6 +518,74 @@ mod tests {
         assert_eq!(st.steps, 2);
         assert_eq!(st.stages, 6);
         assert_eq!(st.zone_updates, 6 * 16);
+    }
+
+    /// The ladder's attempt at an evaluation that sweeps and then fails,
+    /// as one whose halo fails after its deep tile has been swept.
+    struct SweepThenFail;
+
+    impl Coupling for SweepThenFail {
+        fn evaluate(&mut self, e: &mut Eval) -> Result<(), SolverError> {
+            Serial.evaluate(e)?;
+            Err(SolverError::TimestepCollapse { dt: 0.0 })
+        }
+
+        fn keep_going(&self) -> bool {
+            true
+        }
+    }
+
+    fn wavy(x: [f64; 3]) -> Prim {
+        Prim {
+            rho: 1.0 + 0.4 * (5.0 * x[0]).sin() * (3.0 * x[1]).cos(),
+            vel: [0.4 * (2.0 * x[1]).sin(), -0.3 * (4.0 * x[2]).cos(), 0.2],
+            p: 1.0 + 0.3 * (4.0 * x[0]).cos(),
+        }
+    }
+
+    /// The first sweep stores the residual: a solver whose `rhs` is NaN
+    /// before every step steps as its twin does, bit for bit.
+    #[test]
+    fn no_residual_depends_on_what_rhs_held() {
+        let s = scheme();
+        for geom in [
+            PatchGeom::line(20, 0.0, 1.0, 3),
+            PatchGeom::rect([10, 8], [0.0; 2], [1.0; 2], 3),
+            PatchGeom::cube([6, 5, 4], [0.0; 3], [1.0; 3], 3),
+        ] {
+            let new = || PatchSolver::new(s, uniform(Bc::Periodic), RkOrder::Rk3, geom);
+            let (mut twin, mut poisoned) = (new(), new());
+            let mut u_twin = init_cons(geom, &s.eos, &wavy);
+            let mut u = u_twin.clone();
+            for _ in 0..3 {
+                poisoned.rhs.raw_mut().fill(f64::NAN);
+                let dt_twin = twin.step_cfl(&mut u_twin, 0.0, 1.0, 0.4, None).unwrap();
+                let dt = poisoned.step_cfl(&mut u, 0.0, 1.0, 0.4, None).unwrap();
+                assert_eq!(dt.to_bits(), dt_twin.to_bits(), "{}D: Δt", geom.ndim());
+                let bits = |f: &Field| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&u), bits(&u_twin), "{}D: state", geom.ndim());
+            }
+        }
+    }
+
+    /// A failed evaluation zeroes the residual, so a stage the ladder's
+    /// attempt runs on combines no stale one.
+    #[test]
+    fn a_failed_evaluation_leaves_rhs_zeroed() {
+        let s = scheme();
+        let geom = PatchGeom::rect([10, 8], [0.0; 2], [1.0; 2], 3);
+        let mut u = init_cons(geom, &s.eos, &wavy);
+        let before = u.clone();
+        let mut solver = PatchSolver::new(s, uniform(Bc::Periodic), RkOrder::Rk3, geom);
+        solver.rhs.raw_mut().fill(f64::NAN);
+        let err = solver
+            .step_sized(&mut SweepThenFail, &mut u, StepSize::Fixed(1e-3), None)
+            .unwrap_err();
+        assert!(matches!(err, SolverError::TimestepCollapse { .. }), "{err}");
+        assert!(solver.rhs.raw().iter().all(|v| v.to_bits() == 0));
+        assert_eq!(solver.stats().stages, 3, "every stage ran on");
+        let d = before.interior_l2_distance(&u);
+        assert!(d < 1e-12, "stages combined a stale residual: {d}");
     }
 
     #[test]

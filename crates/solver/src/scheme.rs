@@ -610,57 +610,138 @@ fn neighbor_average(
 ///
 /// Returns the number of cells touched (a diagnostic: nonzero counts mean
 /// the scheme is running at its robustness margin, and conservation is
-/// locally violated by the floors).
+/// locally violated by the floors). The limiter of [`combine_floors`]
+/// with no combine.
 pub fn apply_conserved_floors(u: &mut Field, params: &Con2PrimParams) -> usize {
+    combine_floors(u, 1.0, None, None, params)
+}
+
+vector_width! {
+    /// The tail of an RK stage over the interior of `u`, one contiguous
+    /// x-row at a time at the host's vector width: the stage combine, then
+    /// [`apply_conserved_floors`]' limiter on the row while it is in L1.
+    ///
+    /// With `r = Some((r, c))` the combine is `u = (u0·b) + (u·a) + (r·c)`
+    /// for `u0 = Some((u0, b))` and `u = (u·a) + (r·c)` without one, per
+    /// element with left-associated adds: the per-component parse of the
+    /// historical `Cons`-vector form, which the patch, block, device and
+    /// AMR stage loops all take from here (floating-point addition is not
+    /// associative). Without `r` there is no combine.
+    ///
+    /// A row is tested in one vector or-reduction of [`floor_cell`]'s
+    /// flag, the expression the limiter itself runs, so the test is exact,
+    /// and only a row whose test fires runs the scalar [`floor_row`].
+    /// Returns the number of cells the limiter touched.
+    pub fn combine_floors(
+        u: &mut Field,
+        a: f64,
+        u0: Option<(&Field, f64)>,
+        r: Option<(&Field, f64)>,
+        params: &Con2PrimParams,
+    ) -> usize = tail_lanes in tail_arms;
+}
+
+/// The body of [`combine_floors`], built once per vector level.
+#[inline(always)]
+pub(crate) fn tail_lanes(
+    u: &mut Field,
+    a: f64,
+    u0: Option<(&Field, f64)>,
+    r: Option<(&Field, f64)>,
+    params: &Con2PrimParams,
+) -> usize {
     let geom = *u.geom();
-    let n = geom.len();
-    let (ngx, ngy, ngz) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
-    let nx = geom.n[0];
-    // Admissibility (p ≥ 0, |v| < 1) requires |S|² ≤ τ(τ+2D); but
-    // rescaling exactly onto that boundary leaves |v| → 1 states
-    // (W can reach (τ+D)/D ≫ 1) that destabilize their neighbors.
-    // Cap the recovered Lorentz factor instead: with p ≥ 0,
-    // |v| = |S|/(τ+D+p) ≤ |S|/(τ+D), so |S| ≤ v_cap (τ+D) bounds W.
-    let v_cap2 = 1.0 - 1.0 / (params.w_cap * params.w_cap);
+    let (n, nx, cells) = (geom.len(), geom.n[0], Region::interior(&geom));
     let ur = u.raw_mut();
     let mut touched = 0;
-    // Contiguous interior x-rows of the raw component slices.
-    for k in ngz..ngz + geom.n[2] {
-        for j in ngy..ngy + geom.n[1] {
-            let base = geom.idx(ngx, j, k);
-            for ix in base..base + nx {
-                let mut c = cons_at(ur, n, ix);
-                if !c.is_finite() {
-                    // Let the recovery report non-finite states; flooring
-                    // NaNs would mask genuine scheme failures.
-                    continue;
-                }
-                let mut dirty = false;
-                if c.d < params.rho_floor {
-                    c.d = params.rho_floor;
-                    dirty = true;
-                }
-                if c.tau < params.p_floor {
-                    c.tau = params.p_floor;
-                    dirty = true;
-                }
-                let e0 = c.tau + c.d;
-                let s2_max = ((1.0 - 1e-12) * c.tau * (c.tau + 2.0 * c.d)).min(v_cap2 * e0 * e0);
-                let s2 = c.ssq();
-                if s2 > s2_max {
-                    let scale = (s2_max / s2).sqrt();
-                    for sc in &mut c.s {
-                        *sc *= scale;
+    for k in cells.lo[2]..cells.hi[2] {
+        for j in cells.lo[1]..cells.hi[1] {
+            let at = geom.idx(cells.lo[0], j, k);
+            for comp in 0..NCOMP {
+                let Some((r, c)) = r else { break };
+                let row = comp * n + at..comp * n + at + nx;
+                let (ur, r) = (&mut ur[row.clone()], &r.raw()[row.clone()]);
+                match u0 {
+                    Some((f0, b)) => {
+                        let f0 = &f0.raw()[row];
+                        for x in 0..nx {
+                            ur[x] = f0[x] * b + ur[x] * a + r[x] * c;
+                        }
                     }
-                    dirty = true;
-                }
-                if dirty {
-                    for (comp, v) in c.to_array().into_iter().enumerate() {
-                        ur[comp * n + ix] = v;
+                    None => {
+                        for x in 0..nx {
+                            ur[x] = ur[x] * a + r[x] * c;
+                        }
                     }
-                    touched += 1;
                 }
             }
+            let row = |comp: usize| &ur[comp * n + at..][..nx];
+            if floors_fire([row(0), row(1), row(2), row(3), row(4)], params) {
+                touched += floor_row(ur, n, at, nx, params);
+            }
+        }
+    }
+    touched
+}
+
+/// The limiter on one cell `(D, Sx, Sy, Sz, τ)`: the floored cell, and
+/// whether the limiter touches `c` — never a non-finite one, which the
+/// recovery reports (flooring NaNs would mask genuine scheme failures).
+///
+/// Admissibility (p ≥ 0, |v| < 1) requires |S|² ≤ τ(τ+2D); but rescaling
+/// exactly onto that boundary leaves |v| → 1 states (W can reach (τ+D)/D
+/// ≫ 1) that destabilize their neighbors. The Lorentz factor is capped
+/// instead: with p ≥ 0, |v| = |S|/(τ+D+p) ≤ |S|/(τ+D), so |S| ≤ v_cap
+/// (τ+D) bounds W. The clamps are selects rather than `max`, so that the
+/// flag alone — all [`floors_fire`] keeps, the rescale's divide and root
+/// dropped — is exact.
+#[inline(always)]
+fn floor_cell(c: [f64; NCOMP], params: &Con2PrimParams) -> ([f64; NCOMP], bool) {
+    let [d, sx, sy, sz, tau] = c;
+    let (rf, pf) = (params.rho_floor, params.p_floor);
+    let v_cap2 = 1.0 - 1.0 / (params.w_cap * params.w_cap);
+    let finite = c.iter().fold(true, |all, v| all & v.is_finite());
+    let (fd, ft) = (if d < rf { rf } else { d }, if tau < pf { pf } else { tau });
+    let e0 = ft + fd;
+    let s2_max = ((1.0 - 1e-12) * ft * (ft + 2.0 * fd)).min(v_cap2 * e0 * e0);
+    let s2 = sx * sx + sy * sy + sz * sz;
+    let scale = if s2 > s2_max {
+        (s2_max / s2).sqrt()
+    } else {
+        1.0
+    };
+    let fix = finite & ((d < rf) | (tau < pf) | (s2 > s2_max));
+    ([fd, sx * scale, sy * scale, sz * scale, ft], fix)
+}
+
+/// Whether [`floor_cell`] fixes a cell of the row `(D, S, τ)`: one
+/// or-reduction over the row.
+#[inline(always)]
+fn floors_fire([d, sx, sy, sz, tau]: [&[f64]; NCOMP], params: &Con2PrimParams) -> bool {
+    let len = d.len();
+    let (sx, sy, sz, tau) = (&sx[..len], &sy[..len], &sz[..len], &tau[..len]);
+    let mut fire = false;
+    for x in 0..len {
+        fire |= floor_cell([d[x], sx[x], sy[x], sz[x], tau[x]], params).1;
+    }
+    fire
+}
+
+/// [`floor_cell`] on the `nx` cells from storage offset `at` of the raw
+/// conserved storage `ur` (`n` cells a component); returns the cells it
+/// fixed. Out of line at baseline width: it runs only on a row whose
+/// [`floors_fire`] test fired, and one copy serves every arm.
+#[cold]
+#[inline(never)]
+fn floor_row(ur: &mut [f64], n: usize, at: usize, nx: usize, params: &Con2PrimParams) -> usize {
+    let mut touched = 0;
+    for ix in at..at + nx {
+        let (c, fix) = floor_cell(cons_at(ur, n, ix).to_array(), params);
+        if fix {
+            for (comp, v) in c.into_iter().enumerate() {
+                ur[comp * n + ix] = v;
+            }
+            touched += 1;
         }
     }
     touched

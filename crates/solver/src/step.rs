@@ -162,7 +162,7 @@ pub fn accumulate_rhs_region_scan(
     scan: Option<&WaveScan>,
     pool: Option<&WorkStealingPool>,
 ) {
-    sweep_axes(scheme, prim, rhs, region, 0..3, scan, pool);
+    sweep_axes(scheme, prim, rhs, region, 0..3, false, scan, pool);
 }
 
 /// [`accumulate_rhs_region_scan`] along the axes `axes` only. Sweeping
@@ -170,12 +170,19 @@ pub fn accumulate_rhs_region_scan(
 /// interior adds x, then y, then z into every cell, as one full sweep
 /// does, bit for bit. The scan rides on the sweep along the first active
 /// dimension, and the geometric sources on the sweeps that end at z.
+///
+/// With `store` the sweep along the first active dimension writes `0.0 −
+/// ΔF/Δx` into its cells instead of adding to them: the value a zeroed
+/// cell takes (a plain negation would turn `+0.0` into `−0.0`), without
+/// the zeroing pass.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_axes(
     scheme: &Scheme,
     prim: &Field,
     rhs: &mut Field,
     region: &Region,
     axes: Range<usize>,
+    store: bool,
     scan: Option<&WaveScan>,
     pool: Option<&WorkStealingPool>,
 ) {
@@ -200,7 +207,7 @@ pub(crate) fn sweep_axes(
     let raw = unsafe { SlabRhs::new(rhs) };
     let first = (0..3).find(|&d| geom.active(d));
     for d in axes.clone().filter(|&d| geom.active(d)) {
-        let scan = scan.filter(|_| Some(d) == first);
+        let (scan, store) = (scan.filter(|_| Some(d) == first), store && Some(d) == first);
         let extent = region.hi[d] - region.lo[d];
         let npencils = region.len() / extent;
         let lanes = (SLAB_CELLS / (extent + 2 * g)).clamp(1, RECON_BLOCK);
@@ -208,7 +215,7 @@ pub(crate) fn sweep_axes(
             let pencils = batch * lanes..npencils.min((batch + 1) * lanes);
             SCRATCH.with(|cell| {
                 let s = &mut *cell.borrow_mut();
-                sweep_slab(scheme, prim, d, region, pencils, raw, scan, s);
+                sweep_slab(scheme, prim, d, region, pencils, raw, store, scan, s);
             });
         };
         let nbatches = npencils.div_ceil(lanes);
@@ -824,8 +831,8 @@ vector_width! {
     /// sits at the `p`-th transverse position, the lower transverse
     /// dimension fastest) on this thread's scratch `s`, at the host's
     /// vector width: load, reconstruct, solve Riemann problems and
-    /// accumulate flux differences into `rhs`, plus the optional fused
-    /// wave-speed scan.
+    /// accumulate flux differences into `rhs` — or, with `store`, write
+    /// `0.0` minus them — plus the optional fused wave-speed scan.
     ///
     /// With `L = pencils.len()` lanes, the slab holds the stencil rows
     /// `lo - g .. hi + g` along `d` (`g = recon.ghost()`), pencil `i`'s
@@ -849,6 +856,7 @@ vector_width! {
         region: &Region,
         pencils: Range<usize>,
         rhs: SlabRhs,
+        store: bool,
         scan: Option<&WaveScan>,
         s: &mut PencilScratch,
     ) = slab_lanes in slab_arms;
@@ -865,6 +873,7 @@ pub(crate) fn slab_lanes(
     region: &Region,
     pencils: Range<usize>,
     mut rhs: SlabRhs,
+    store: bool,
     scan: Option<&WaveScan>,
     s: &mut PencilScratch,
 ) {
@@ -930,9 +939,11 @@ pub(crate) fn slab_lanes(
 
     reconstruct_and_flux(scheme, s, Dir::ALL[d], g * lanes, (n + g + 1) * lanes);
 
-    // Accumulate -dF/dx into rhs: cell row `g + k` of lane `i` lies
-    // between interfaces `(g + k)·L + i` and `(g + k + 1)·L + i`.
+    // Accumulate -dF/dx into rhs (or store it, onto `0.0`): cell row
+    // `g + k` of lane `i` lies between interfaces `(g + k)·L + i` and
+    // `(g + k + 1)·L + i`.
     let faces = cut(&s.flux, g * lanes, (n + g + 1) * lanes);
+    let put = |u: &mut f64, df: f64| *u = pick(store, 0.0, *u) - df;
     if d == 0 {
         for (i, p) in pencils.clone().enumerate() {
             let at = at(p);
@@ -940,7 +951,7 @@ pub(crate) fn slab_lanes(
                 if lanes == 1 {
                     for ((u, &f0), &f1) in rhs.row(c, at, n).iter_mut().zip(*faces).zip(&faces[1..])
                     {
-                        *u -= (f1 - f0) * inv_dx;
+                        put(u, (f1 - f0) * inv_dx);
                     }
                     continue;
                 }
@@ -951,7 +962,7 @@ pub(crate) fn slab_lanes(
                     .zip(column.clone())
                     .zip(column.skip(1))
                 {
-                    *u -= (f1[0] - f0[0]) * inv_dx;
+                    put(u, (f1[0] - f0[0]) * inv_dx);
                 }
             }
         }
@@ -965,7 +976,7 @@ pub(crate) fn slab_lanes(
                     for ((u, &f0), &f1) in
                         rhs.row(c, at + k * step, count).iter_mut().zip(f0).zip(f1)
                     {
-                        *u -= (f1 - f0) * inv_dx;
+                        put(u, (f1 - f0) * inv_dx);
                     }
                 }
             }

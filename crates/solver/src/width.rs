@@ -332,8 +332,9 @@ mod tests {
     }
 
     /// `sweep_slab` at every level equals the baseline body on fields of
-    /// hostile cells (ghosts included): the residual every slab adds, bit
-    /// for bit, and the rate it scans, for every EOS × three schemes ×
+    /// hostile cells (ghosts included): the residual every slab adds or
+    /// stores, bit for bit, and the rate it scans — and a stored cell is
+    /// the one added onto a zeroed `rhs` —, for every EOS × three schemes ×
     /// patches of 1, 2 and 3 active axes × every direction × slabs of 1,
     /// 3 and 64 lanes (runs that cross a row of the slab's transverse
     /// plane included).
@@ -373,8 +374,10 @@ mod tests {
                         for lanes in [1, 3, RECON_BLOCK] {
                             for first in (0..npencils).step_by(lanes) {
                                 let pencils = first..npencils.min(first + lanes);
-                                let sweep_at = |level: &str| {
+                                // A storing slab sweeps onto NaN.
+                                let sweep_at = |level: &str, store: bool| {
                                     let mut rhs = Field::cons(geom);
+                                    rhs.raw_mut().fill(if store { f64::NAN } else { 0.0 });
                                     let scan = WaveScan::new();
                                     let mut s = PencilScratch::default();
                                     // SAFETY: one slab on this thread;
@@ -382,25 +385,38 @@ mod tests {
                                     let hold = unsafe { SlabRhs::new(&mut rhs) };
                                     at!(level, slab_arms, slab_lanes;
                                         &scheme, &prim, d, &region, pencils.clone(), hold,
-                                        Some(&scan), &mut s);
+                                        store, Some(&scan), &mut s);
                                     (rhs, scan.max_rate())
                                 };
-                                let (want, want_rate) = sweep_at("baseline");
-                                for &level in &levels {
-                                    let (got, rate) = sweep_at(level);
-                                    let cells = got.raw().iter().zip(want.raw());
-                                    for (i, (&g, &w)) in cells.enumerate() {
+                                let added = sweep_at("baseline", false).0;
+                                for store in [false, true] {
+                                    let (want, want_rate) = sweep_at("baseline", store);
+                                    for &level in &levels {
+                                        let (got, rate) = sweep_at(level, store);
+                                        let cells = got.raw().iter().zip(want.raw());
+                                        for (i, (&g, &w)) in cells.enumerate() {
+                                            assert!(
+                                                same(g, w),
+                                                "{level} {eos:?} {} {} {}D, d = {d}, \
+                                                 pencils {pencils:?}, store {store}: rhs \
+                                                 slot {i}: {g:e}, baseline {w:e}",
+                                                recon.name(),
+                                                riemann.name(),
+                                                geom.ndim()
+                                            );
+                                        }
+                                        assert!(same(rate, want_rate), "{level}: scanned rate");
+                                    }
+                                    // A stored cell is the sum onto +0.0; a
+                                    // cell left NaN is one the slab skips.
+                                    let cells = want.raw().iter().zip(added.raw());
+                                    for (i, (&w, &a)) in cells.enumerate() {
+                                        let skipped = w.is_nan() && a.to_bits() == 0;
                                         assert!(
-                                            same(g, w),
-                                            "{level} {eos:?} {} {} {}D, d = {d}, \
-                                             pencils {pencils:?}: rhs slot {i}: {g:e}, \
-                                             baseline {w:e}",
-                                            recon.name(),
-                                            riemann.name(),
-                                            geom.ndim()
+                                            same(w, a) || skipped,
+                                            "stored slot {i}: {w:e}, added {a:e}"
                                         );
                                     }
-                                    assert!(same(rate, want_rate), "{level}: scanned rate");
                                 }
                                 slabs += 1;
                             }
@@ -410,6 +426,85 @@ mod tests {
             }
         }
         assert!(slabs > 500, "{slabs} slabs");
+    }
+
+    /// One conserved cell `(D, Sx, Sy, Sz, τ)` of a stage tail: healthy,
+    /// or — unless `clean` — with a sub-floor `D`, a negative `τ`, a
+    /// super-admissible `|S|`, all three at once, or a NaN, an infinity or
+    /// a ±0 in one slot.
+    fn hostile_cons(rng: &mut Rng, clean: bool) -> [f64; NCOMP] {
+        let mut v = || 0.3 * rng.unit();
+        let mut c = [1.0 + v(), v(), v(), v(), 1.0 + v()];
+        match rng.below(if clean { 1 } else { 10 }) {
+            1 => c[0] = [1e-20, -1.0, rng.zero()][rng.below(3)],
+            2 => c[4] = [-0.5, 1e-20, rng.zero()][rng.below(3)],
+            3 => c[1 + rng.below(3)] = 50.0 * rng.unit(),
+            4 => c = [-1.0, 3.0, 4.0, 5.0, -2.0],
+            5 => c[rng.below(NCOMP)] = [f64::NAN, f64::INFINITY, rng.zero()][rng.below(3)],
+            _ => {}
+        }
+        c
+    }
+
+    /// `combine_floors` at every level equals the baseline body — every
+    /// bit of the state and the touched count — on patches of 1, 2 and 3
+    /// active axes of hostile conserved cells, a third of the rows clean
+    /// (rows the floor test skips beside rows it fires on), in the
+    /// three-term, the two-term and the no-combine form.
+    #[test]
+    fn every_level_combines_and_floors_as_the_baseline() {
+        use crate::scheme::{tail_arms, tail_lanes};
+        let levels = host_levels();
+        let params = Scheme::default_with_gamma(5.0 / 3.0).c2p;
+        let mut rng = Rng(43);
+        let (mut touched, mut calls) = (0, 0);
+        for geom in hostile_geoms(3) {
+            for _ in 0..20 {
+                let nrows = geom.len() / geom.ntot(0);
+                let clean: Vec<bool> = (0..nrows).map(|_| rng.below(3) == 0).collect();
+                let mut field = |scale: f64| {
+                    let mut f = Field::cons(geom);
+                    for cell in 0..geom.len() {
+                        let c = hostile_cons(&mut rng, clean[cell / geom.ntot(0)]);
+                        for (comp, v) in c.into_iter().enumerate() {
+                            f.raw_mut()[comp * geom.len() + cell] = v * scale;
+                        }
+                    }
+                    f
+                };
+                let (u, u0, r) = (field(1.0), field(1.0), field(0.1));
+                let forms = [
+                    (0.25, Some((&u0, 0.75)), Some((&r, 2.5e-3))),
+                    (1.0, None, Some((&r, 1e-2))),
+                    (1.0, None, None),
+                ];
+                for (a, u0, r) in forms {
+                    let tail_at = |level: &str| {
+                        let mut u = u.clone();
+                        let n = at!(level, tail_arms, tail_lanes; &mut u, a, u0, r, &params);
+                        (u, n)
+                    };
+                    let (want, want_n) = tail_at("baseline");
+                    for &level in &levels {
+                        let (got, n) = tail_at(level);
+                        assert_eq!(n, want_n, "{level} {}D: touched count", geom.ndim());
+                        let cells = got.raw().iter().zip(want.raw());
+                        for (i, (&g, &w)) in cells.enumerate() {
+                            assert!(
+                                same(g, w),
+                                "{level} {}D, u0 {}, r {}: slot {i}: {g:e}, baseline {w:e}",
+                                geom.ndim(),
+                                u0.is_some(),
+                                r.is_some()
+                            );
+                        }
+                    }
+                    (touched, calls) = (touched + want_n, calls + 1);
+                }
+            }
+        }
+        assert_eq!(calls, 3 * 20 * 3);
+        assert!(touched > 1000, "the floors touched {touched} cells");
     }
 
     /// The conserved state of density `rho`, temperature `p/ρ = theta` and

@@ -6,13 +6,14 @@
 //! `stable_dt` + `step` loop exactly: every byte of the state (ghosts
 //! included), the Δt sequence, and the statistics. The row-walking
 //! conserved-variable floors are pinned the same way against a per-cell
-//! reference kept here.
+//! reference kept here, and the fused stage tail — combine and floors in
+//! one row kernel — against the combine spelled here followed by it.
 
 use rhrsc_grid::{bc, Bc, Field, PatchGeom};
 use rhrsc_runtime::WorkStealingPool;
-use rhrsc_solver::scheme::{apply_conserved_floors, init_cons};
+use rhrsc_solver::scheme::{apply_conserved_floors, combine_floors, init_cons};
 use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
-use rhrsc_srhd::{Con2PrimParams, Cons, Prim};
+use rhrsc_srhd::{Con2PrimParams, Cons, Prim, NCOMP};
 
 const CFL: f64 = 0.4;
 
@@ -251,5 +252,125 @@ fn row_walking_floors_match_the_per_cell_reference() {
         assert_eq!(bits(&u), bits(&by_cell), "{}D: bytes", geom.ndim());
         assert!(u.at(2, g0 + 3, g1, g2).is_nan(), "NaN must be left alone");
         assert_eq!(u.at(4, 0, 0, 0), -1.0, "ghosts must be left alone");
+    }
+}
+
+/// The stage combine spelled cell by cell: `(u0·b) + (u·a) + (r·c)` for
+/// `u0 = Some((u0, b))`, `(u·a) + (r·c)` without one.
+fn combine_per_cell(u: &mut Field, a: f64, u0: Option<(&Field, f64)>, r: &Field, c: f64) {
+    let geom = *u.geom();
+    for (i, j, k) in geom.interior_iter() {
+        for comp in 0..NCOMP {
+            let (v, rv) = (u.at(comp, i, j, k), r.at(comp, i, j, k));
+            let w = match u0 {
+                Some((f0, b)) => f0.at(comp, i, j, k) * b + v * a + rv * c,
+                None => v * a + rv * c,
+            };
+            u.set(comp, i, j, k, w);
+        }
+    }
+}
+
+/// The fused stage tail is the combine followed by the per-cell floors,
+/// bit for bit and in touched count, in both forms of the combine, on
+/// 1D, 2D and 3D patches whose rows hold a sub-floor `D`, a negative `τ`,
+/// a super-admissible `|S|`, all three at once, a NaN and signed zeros,
+/// beside rows that need no floor.
+#[test]
+fn the_stage_tail_is_the_combine_then_the_floors() {
+    let s = Scheme::default_with_gamma(5.0 / 3.0);
+    for geom in [
+        PatchGeom::line(12, 0.0, 1.0, 3),
+        PatchGeom::rect([9, 7], [0.0; 2], [1.0; 2], 3),
+        PatchGeom::cube([6, 5, 4], [0.0; 3], [1.0; 3], 2),
+    ] {
+        let u = init_cons(geom, &s.eos, &wavy);
+        let (g0, g1, g2) = (geom.ng_of(0), geom.ng_of(1), geom.ng_of(2));
+        let (j1, k1) = (g1 + geom.n[1] - 1, g2 + geom.n[2] - 1);
+        let healthy = u.get_cons(g0 + 2, g1, g2);
+        // The hostile cells, each put into `u` and `u0` alike, with `r`
+        // zero there, so that the combine keeps them hostile.
+        let hostile = [
+            (
+                (g0, g1, g2),
+                Cons {
+                    d: 1e-20,
+                    ..healthy
+                },
+            ),
+            (
+                (g0 + 5, g1, g2),
+                Cons {
+                    tau: -0.5,
+                    ..healthy
+                },
+            ),
+            (
+                (g0 + 1, j1, k1),
+                Cons {
+                    s: [50.0, -20.0, 10.0],
+                    ..healthy
+                },
+            ),
+            (
+                (g0 + 4, j1, k1),
+                Cons {
+                    d: -1.0,
+                    s: [3.0, 4.0, 5.0],
+                    tau: -2.0,
+                },
+            ),
+            (
+                (g0 + 3, j1, k1),
+                Cons {
+                    d: 0.0,
+                    s: [-0.0, 0.0, -0.0],
+                    tau: -0.0,
+                },
+            ),
+        ];
+        let mut r = init_cons(geom, &s.eos, &|x| wavy([x[1], x[2], x[0]]));
+        let (mut u, mut u0) = (u.clone(), u.clone());
+        for &((i, j, k), c) in &hostile {
+            u.set_cons(i, j, k, c);
+            u0.set_cons(i, j, k, c);
+            r.set_cons(i, j, k, Cons::ZERO);
+        }
+        // Signed zeros throughout a cell, a NaN in the residual, and an
+        // inadmissible ghost cell the tail must leave alone.
+        r.set_cons(
+            g0 + 3,
+            j1,
+            k1,
+            Cons {
+                d: -0.0,
+                s: [0.0, -0.0, -0.0],
+                tau: 0.0,
+            },
+        );
+        r.set(2, g0 + 2, j1, g2, f64::NAN);
+        u.set_cons(
+            0,
+            0,
+            0,
+            Cons {
+                tau: -1.0,
+                ..healthy
+            },
+        );
+
+        for (a, u0, c) in [(0.25, Some((&u0, 0.75)), 2.5e-3), (1.0, None, 1e-2)] {
+            let what = format!("{}D, u0 {}", geom.ndim(), u0.is_some());
+            let mut want = u.clone();
+            combine_per_cell(&mut want, a, u0, &r, c);
+            let want_touched = floors_per_cell(&mut want, &s.c2p);
+            let mut got = u.clone();
+            let touched = combine_floors(&mut got, a, u0, Some((&r, c)), &s.c2p);
+            assert_eq!(want_touched, 5, "{what}: reference touched count");
+            assert_eq!(touched, want_touched, "{what}: touched count");
+            assert_eq!(bits(&got), bits(&want), "{what}: bytes");
+            assert!(got.at(2, g0 + 2, j1, g2).is_nan(), "{what}: NaN left alone");
+            assert_eq!(got.at(4, 0, 0, 0), -1.0, "{what}: ghosts left alone");
+        }
     }
 }
