@@ -37,7 +37,7 @@ use rhrsc_bench::drill::{blast_2x2, fault_seed, l1_rel, reference_run, resilient
 use rhrsc_bench::{sci, BenchOpts, Table};
 use rhrsc_comm::FaultPlan;
 use rhrsc_io::checkpoint::{
-    decode_trusted, encode, BlockRecord, CheckpointSlots, GlobalCheckpoint,
+    decode_trusted, encode_trusted, BlockRecord, CheckpointSlots, GlobalCheckpoint,
 };
 use rhrsc_io::MemorySnapshot;
 use rhrsc_runtime::fault::SnapshotTarget;
@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Time the two restore paths over the same realistic-size global
-/// checkpoint: the memory tier (stamped-FNV verify + trusted decode +
+/// checkpoint: the memory tier (stamped lane-hash verify + trusted decode +
 /// span extraction — exactly what a memory-tier restore runs) against the
 /// disk tier (slot read + full CRC-armored decode + extraction). Returns
 /// `(mem_secs, disk_secs)` per restore.
@@ -70,7 +70,7 @@ fn restore_latency(n: usize, reps: usize) -> (f64, f64) {
             data,
         }],
     };
-    let snap = MemorySnapshot::new(gckp.step, gckp.time, encode(&gckp));
+    let snap = MemorySnapshot::new(gckp.step, gckp.time, encode_trusted(&gckp));
     let dir = Scratch::new("f14_multilevel_ckp");
     let slots = CheckpointSlots::new(dir.path()).expect("slot dir");
     slots.save(&gckp).expect("slot write");

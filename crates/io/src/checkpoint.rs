@@ -35,6 +35,14 @@
 //! bounded by the bytes that are left before anything is allocated), the
 //! record FNV (`Corrupt`).
 //!
+//! The memory tier writes the same envelope with [`encode_trusted`],
+//! whose footer is zeroed (same length, so every shipped byte count is
+//! the disk image's), and reads it with [`decode_trusted`], which parses
+//! without either integrity pass: those images live behind
+//! [`crate::MemorySnapshot`]'s stamp over every byte, the only armor they
+//! carry. The CRC-32 is computed slicing-by-8 from tables built at
+//! compile time; the record FNV stays bytewise, as the format defines it.
+//!
 //! Writes are atomic: the payload goes to a sibling temp file which is
 //! fsynced and renamed into place, so a crash mid-write can never leave a
 //! file that [`load_checkpoint`] accepts — at worst a stale `*.tmp`,
@@ -114,16 +122,43 @@ fn fnv1a(data: &[u8]) -> u64 {
 /// CRC-32 (IEEE, reflected) over a byte slice. Covers the whole file
 /// including the header, unlike the FNV data checksum — a bit flip in
 /// `time` or the geometry is as fatal to a restart as one in the data.
+/// Slicing-by-8: one lookup per byte, eight bytes per step, none of them
+/// waiting on the previous byte's table read.
 fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb88320 & mask);
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        // Byte `k` of the word, the CRC xored into the first four, is
+        // followed by `7 - k` more bytes before the word ends.
+        let x = u64::from_le_bytes(w.try_into().unwrap()) ^ crc as u64;
+        crc = (0..8).fold(0, |c, k| c ^ t[7 - k][(x >> (8 * k)) as usize & 0xff]);
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][(crc as u8 ^ b) as usize];
     }
     !crc
+}
+
+/// `CRC_TABLES[k][b]` is the CRC-32 register (no pre- or post-inversion)
+/// after byte `b` and then `k` zero bytes, each byte eight bitwise steps.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        let mut crc = if k == 0 { b as u32 } else { t[k - 1][b] };
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb88320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[k][b] = crc;
+        i += 1;
+    }
+    t
 }
 
 /// One block of a [`GlobalCheckpoint`]: an axis-aligned box of its
@@ -286,8 +321,23 @@ impl AmrCheckpoint {
     }
 }
 
-/// Serialize a checkpoint to bytes.
+/// Serialize a checkpoint to bytes, with the disk tier's armor: the
+/// record FNV and the whole-file CRC-32.
 pub fn encode(ckp: &GlobalCheckpoint) -> Vec<u8> {
+    encode_with(ckp, Checks::Full)
+}
+
+/// Like [`encode`] but with the 12-byte footer zeroed: the same bytes
+/// before it, and the same length. For an image that only
+/// [`decode_trusted`] reads, behind an external stamp over every byte
+/// ([`crate::MemorySnapshot`]): nothing would ever check its FNV or CRC,
+/// so neither pass is paid. [`decode`] refuses it as
+/// [`CheckpointError::Corrupt`].
+pub fn encode_trusted(ckp: &GlobalCheckpoint) -> Vec<u8> {
+    encode_with(ckp, Checks::Trusted)
+}
+
+fn encode_with(ckp: &GlobalCheckpoint, checks: Checks) -> Vec<u8> {
     let records_at = PREFIX_LEN + HEADER_LEN;
     let records: usize = ckp
         .blocks
@@ -307,9 +357,15 @@ pub fn encode(ckp: &GlobalCheckpoint) -> Vec<u8> {
         buf.put_u32_le(b.level);
         put_usize3(&mut buf, b.offset);
         put_usize3(&mut buf, b.size);
-        for &x in &b.data {
-            buf.put_f64_le(x);
+        let at = buf.len();
+        buf.resize(at + 8 * b.data.len(), 0);
+        for (word, x) in buf[at..].chunks_exact_mut(8).zip(&b.data) {
+            word.copy_from_slice(&x.to_le_bytes());
         }
+    }
+    if checks == Checks::Trusted {
+        buf.resize(buf.len() + FOOTER_LEN, 0);
+        return buf;
     }
     let fnv = fnv1a(&buf[records_at..]);
     buf.put_u64_le(fnv);
@@ -318,15 +374,17 @@ pub fn encode(ckp: &GlobalCheckpoint) -> Vec<u8> {
     buf
 }
 
-/// Integrity passes a decoder runs before trusting the bytes.
+/// Integrity passes an encoder writes and a decoder runs before trusting
+/// the bytes.
 ///
-/// * [`Checks::Full`] — bitwise whole-file CRC-32 plus the record FNV:
-///   the disk tier, where torn writes and media rot are real.
-/// * [`Checks::Trusted`] — pure parsing: the caller has just re-hashed
-///   the *entire* buffer against an external stamp (e.g.
-///   [`crate::MemorySnapshot::verify`], which covers every byte
-///   including the header — strictly stronger than the record FNV), so
-///   either armor pass would verify the same bits twice.
+/// * [`Checks::Full`] — whole-file CRC-32 plus the record FNV: the disk
+///   tier, where torn writes and media rot are real.
+/// * [`Checks::Trusted`] — a zeroed footer on write, pure parsing on
+///   read: the reader has just re-hashed the *entire* buffer against an
+///   external stamp (e.g. [`crate::MemorySnapshot::verify`], which
+///   covers every byte including the header — strictly stronger than
+///   the record FNV), so either armor pass would verify the same bits
+///   twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Checks {
     Full,
@@ -345,8 +403,9 @@ pub fn decode(bytes: &[u8]) -> Result<GlobalCheckpoint, CheckpointError> {
 /// [`crate::MemorySnapshot::verify`] covers every byte including the
 /// header, which is strictly stronger than the record FNV — so running
 /// either armor pass again would verify the same bits twice. This is
-/// what makes the diskless restore tier cheap: one FNV pass plus
-/// parsing, against the disk tier's read + FNV + bitwise CRC.
+/// what makes the diskless restore tier cheap: one lane-hash pass plus
+/// parsing, against the disk tier's read + bytewise FNV + CRC. The
+/// images it is meant for are written by [`encode_trusted`].
 pub fn decode_trusted(bytes: &[u8]) -> Result<GlobalCheckpoint, CheckpointError> {
     decode_with(bytes, Checks::Trusted)
 }
@@ -569,7 +628,19 @@ impl CheckpointSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::fnv1a_bytes;
+
+    /// Word-wise FNV-style hash over a byte slice, tail bytes zero-padded
+    /// into one final word: what the golden pins below were taken with.
+    fn fnv1a_bytes(data: &[u8]) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        for c in data.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..c.len()].copy_from_slice(c);
+            h ^= u64::from_le_bytes(w);
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
+    }
 
     /// A 2x2-block image over a 6x4 interior, 3 components, with data
     /// encoding the global cell coordinate so any re-tiling can be

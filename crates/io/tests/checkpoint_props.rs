@@ -5,10 +5,12 @@
 //! many randomized checkpoints through encode → decode, asserting exact
 //! IEEE-754 bit round-trips (including negative zero and NaN payloads),
 //! and that *every* single-byte flip and *every* truncation of an
-//! encoded image is rejected with the documented error class.
+//! encoded image is rejected with the documented error class. A memory
+//! image (`encode_trusted`) is the disk image with its footer zeroed.
 
 use rhrsc_io::checkpoint::{
-    decode, encode, AmrCheckpoint, AmrPatchRecord, BlockRecord, CheckpointError, GlobalCheckpoint,
+    decode, decode_trusted, encode, encode_trusted, AmrCheckpoint, AmrPatchRecord, BlockRecord,
+    CheckpointError, GlobalCheckpoint,
 };
 
 struct XorShift(u64);
@@ -273,5 +275,55 @@ fn foreign_magic_and_future_version_are_format_errors() {
 
         assert!(decode(&[]).is_err());
         assert!(decode(b"not a checkpoint at all").is_err());
+    }
+}
+
+/// The memory tier's pair reads back every bit: the trusted decoder's
+/// image re-encodes to the same bytes (NaN payloads and zero signs
+/// included), and a hierarchy comes back bit for bit.
+#[test]
+fn memory_images_roundtrip_every_bit() {
+    let mut rng = XorShift::new(0x6d65_6d0f);
+    for _ in 0..64 {
+        for ckp in arbitrary_images(&mut rng, false) {
+            let bytes = encode_trusted(&ckp);
+            let back = decode_trusted(&bytes).expect("a memory image must parse");
+            assert_eq!(encode_trusted(&back), bytes);
+        }
+        let amr = arbitrary_amr(&mut rng, false);
+        let img = decode_trusted(&encode_trusted(&amr.clone().into_image())).unwrap();
+        assert_bit_equal(&amr, &AmrCheckpoint::from_image(img).unwrap());
+    }
+}
+
+/// A memory image is the disk image with the 12-byte footer (record FNV
+/// and CRC-32) zeroed: every byte ahead of it and the length are the
+/// same, so every shipped byte count is the disk image's.
+#[test]
+fn memory_images_equal_disk_images_outside_the_footer() {
+    let mut rng = XorShift::new(0x00f0_07e2);
+    for _ in 0..64 {
+        for ckp in arbitrary_images(&mut rng, false) {
+            let (memory, disk) = (encode_trusted(&ckp), encode(&ckp));
+            assert_eq!(memory.len(), disk.len());
+            let body = memory.len() - 12;
+            assert_eq!(memory[..body], disk[..body]);
+            assert_eq!(memory[body..], [0u8; 12]);
+        }
+    }
+}
+
+/// The full decoder does not take a memory image for a disk one: its
+/// zeroed armor fails the CRC.
+#[test]
+fn full_decoder_refuses_memory_images() {
+    let mut rng = XorShift::new(0x00a2_3012);
+    for _ in 0..64 {
+        for ckp in arbitrary_images(&mut rng, false) {
+            assert!(matches!(
+                decode(&encode_trusted(&ckp)),
+                Err(CheckpointError::Corrupt)
+            ));
+        }
     }
 }

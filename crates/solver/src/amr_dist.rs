@@ -80,7 +80,7 @@ use rhrsc_comm::{
     Rank, AMR_DESCEND_TAG_BASE, AMR_REFLUX_TAG_BASE, AMR_REGRID_TAG, AMR_SYNC_TAG_BASE,
 };
 use rhrsc_grid::BcSet;
-use rhrsc_io::checkpoint::{decode_trusted, encode, AmrCheckpoint, CheckpointSlots};
+use rhrsc_io::checkpoint::{decode_trusted, encode_trusted, AmrCheckpoint, CheckpointSlots};
 use rhrsc_runtime::fault::{FaultInjector, RankSite};
 use rhrsc_runtime::Registry;
 use rhrsc_srhd::{Cons, Prim, NCOMP};
@@ -816,7 +816,7 @@ impl AmrLadder<'_> {
         }
         let (live, me) = live_blocks(rank)?;
         self.tiers
-            .refresh(rank, &live, me, d.inner.steps, t, encode(&img))?;
+            .refresh(rank, &live, me, d.inner.steps, t, encode_trusted(&img))?;
         self.stats.local_snapshots += 1;
         Ok(())
     }

@@ -55,7 +55,7 @@ use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
 use rhrsc_comm::{CommError, FaultInjector, Rank, TELEMETRY_TAG};
 use rhrsc_grid::{fill_face, BcSet, CartDecomp, Field, PatchGeom};
 use rhrsc_io::checkpoint::{
-    decode_trusted, encode, BlockRecord, CheckpointSlots, GlobalCheckpoint,
+    decode_trusted, encode_trusted, BlockRecord, CheckpointSlots, GlobalCheckpoint,
 };
 use rhrsc_io::snapshot::StateChecksum;
 use rhrsc_runtime::fault::RankSite;
@@ -798,7 +798,7 @@ impl BlockSolver {
     /// — which is exactly what the buddy-shrink path does.
     fn snapshot_bytes(&self, u: &Field, t: f64, step: u64) -> Vec<u8> {
         let block = self.record(self.my_rank, pack_interior(u));
-        encode(&self.image(t, step, vec![block]))
+        encode_trusted(&self.image(t, step, vec![block]))
     }
 
     /// Extract this block's span (and the checkpoint's time/step) without
@@ -836,7 +836,7 @@ impl BlockSolver {
                 .collect();
             blocks.sort_by_key(|r| r.id);
             blocks.dedup_by_key(|r| r.id);
-            encode(&self.image(time, round, blocks))
+            encode_trusted(&self.image(time, round, blocks))
         };
         let merged = tiers.gather_for_shrink(rank, &self.comm_ranks, self.my_rank, merge, |b| {
             decode_trusted(b).ok()
@@ -1807,24 +1807,30 @@ mod tests {
             dt_refresh_interval: 1,
         };
         let model = NetworkModel::virtual_cluster(Duration::from_micros(1), 10e9);
-        let mut makespans = Vec::new();
-        let mut fields = Vec::new();
-        for p in [1usize, 4] {
-            let cfg = make_cfg(p);
-            let outs = run(p, model, |rank| {
-                let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
-                let st = solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap();
-                (st, solver.gather_interior(rank, &u).unwrap())
-            });
-            let makespan = outs.iter().map(|(st, _)| st.vtime).fold(0.0, f64::max);
-            makespans.push(makespan);
-            fields.push(outs.into_iter().next().unwrap().1.unwrap());
+        // The virtual clock scales measured host wall time, so each side's
+        // makespan is the least of three universes: one whose threads
+        // shared the host with other tests does not decide the ratio.
+        let mut makespans = [f64::INFINITY; 2];
+        let mut reference = None;
+        for _ in 0..3 {
+            for (side, p) in [1usize, 4].into_iter().enumerate() {
+                let cfg = make_cfg(p);
+                let outs = run(p, model, |rank| {
+                    let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &ic);
+                    let st = solver.advance_to(rank, &mut u, 0.0, 0.05).unwrap();
+                    (st, solver.gather_interior(rank, &u).unwrap())
+                });
+                let makespan = outs.iter().map(|(st, _)| st.vtime).fold(0.0, f64::max);
+                makespans[side] = makespans[side].min(makespan);
+                let field = outs.into_iter().next().unwrap().1.unwrap();
+                let reference = reference.get_or_insert_with(|| field.clone());
+                assert_eq!(
+                    field.raw(),
+                    reference.raw(),
+                    "virtual time must not change results"
+                );
+            }
         }
-        assert_eq!(
-            fields[0].raw(),
-            fields[1].raw(),
-            "virtual time must not change results"
-        );
         assert!(
             makespans[1] < 0.7 * makespans[0],
             "4-rank virtual makespan {} vs 1-rank {}",

@@ -454,7 +454,7 @@ mod tests {
     /// bytes and stamp are exactly the sender's.
     #[test]
     fn no_single_word_change_yields_a_different_checkpoint() {
-        use rhrsc_io::checkpoint::{decode_trusted, encode, AmrCheckpoint, AmrPatchRecord};
+        use rhrsc_io::checkpoint::{decode_trusted, encode_trusted, AmrCheckpoint, AmrPatchRecord};
         let img = AmrCheckpoint {
             time: 0.625,
             step: 41,
@@ -468,7 +468,7 @@ mod tests {
             }],
         }
         .into_image();
-        let sent = MemorySnapshot::new(img.step, img.time, encode(&img));
+        let sent = MemorySnapshot::new(img.step, img.time, encode_trusted(&img));
         // An image is a whole number of 8-byte words (its 4-byte fields
         // come in pairs: version and CRC, each record's id and level), so
         // the message's last word carries no padding.
