@@ -9,15 +9,10 @@
 //! MC sharpest of the TVD limiters; PPM/CENO3 better than all PLM
 //! variants on these problems.
 
+use rhrsc_bench::accuracy::{Row, Runner};
 use rhrsc_bench::{sci, BenchOpts, Table};
-use rhrsc_grid::PatchGeom;
-use rhrsc_runtime::Registry;
-use rhrsc_solver::diag::l1_density_error;
 use rhrsc_solver::problems::Problem;
-use rhrsc_solver::scheme::init_cons;
-use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
 use rhrsc_srhd::recon::{Limiter, Recon};
-use std::time::Instant;
 
 /// Total-variation overshoot: TV(numerical) − TV(exact), positive when
 /// the scheme rings.
@@ -47,8 +42,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     let n = if opts.toy { 100 } else { 400 };
     println!("# A1: slope-limiter ablation, N = {n}, hllc + rk3");
-    let reg = Registry::new();
-    let bench_t0 = Instant::now();
+    let mut runner = Runner::start();
     let recons = [
         Recon::Plm(Limiter::Minmod),
         Recon::Plm(Limiter::VanLeer),
@@ -59,21 +53,9 @@ fn main() {
     let mut table = Table::new(&["problem", "recon", "L1(rho)", "TV_excess"]);
     for prob in [Problem::sod(), Problem::blast_wave_1()] {
         for recon in recons {
-            let scheme = Scheme {
-                recon,
-                ..Scheme::default_with_gamma(5.0 / 3.0)
-            };
-            let geom = PatchGeom::line(n, 0.0, 1.0, scheme.required_ghosts());
-            let mut u = init_cons(geom, &scheme.eos, &|x| (prob.ic)(x));
-            let mut solver = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
-            let t0 = Instant::now();
-            solver
-                .advance_to(&mut u, 0.0, prob.t_end, 0.4, None)
-                .unwrap();
-            reg.histogram("phase.advance")
-                .record(t0.elapsed().as_nanos() as u64);
-            let exact = prob.exact.clone().unwrap();
-            let (l1, prim) = l1_density_error(&scheme, &u, &exact, prob.t_end).unwrap();
+            let mut row = Row::new(&prob, n);
+            row.scheme.recon = recon;
+            let (l1, prim) = runner.run(row).solved().l1().unwrap();
             table.row(&[
                 prob.name.clone(),
                 recon.name().to_string(),
@@ -82,12 +64,9 @@ fn main() {
             ]);
         }
     }
-    let snap = reg.snapshot();
-    opts.finish(&table, "a1_limiter_ablation", "", &snap)
-        .config_str("problem", "sod + blast1, hllc + rk3")
-        .config_num("n", n as f64)
-        .config_num("configs", (2 * recons.len()) as f64)
-        .wall_time(bench_t0.elapsed().as_secs_f64())
-        .parallelism(1.0)
-        .write(&snap);
+    runner.finish(&opts, Some(&table), "a1_limiter_ablation", |r| {
+        r.config_str("problem", "sod + blast1, hllc + rk3")
+            .config_num("n", n as f64)
+            .config_num("configs", (2 * recons.len()) as f64);
+    });
 }

@@ -9,21 +9,16 @@
 //! nearly the same error (shock-limited), so RK2 is the cost-effective
 //! choice there.
 
+use rhrsc_bench::accuracy::{Row, Runner};
 use rhrsc_bench::{sci, BenchOpts, Table};
-use rhrsc_grid::PatchGeom;
-use rhrsc_runtime::Registry;
-use rhrsc_solver::diag::l1_density_error;
 use rhrsc_solver::problems::Problem;
-use rhrsc_solver::scheme::init_cons;
-use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
-use std::time::Instant;
+use rhrsc_solver::RkOrder;
 
 fn main() {
     let opts = BenchOpts::from_args();
     let n = if opts.toy { 64 } else { 256 };
     println!("# A2: Runge-Kutta order ablation, ppm + hllc, N = {n}");
-    let reg = Registry::new();
-    let bench_t0 = Instant::now();
+    let mut runner = Runner::start();
     let mut table = Table::new(&["problem", "rk", "cfl", "L1(rho)", "zone_updates"]);
     for (prob, t_end) in [
         (Problem::density_wave(0.5, 0.3), 0.8),
@@ -37,43 +32,27 @@ fn main() {
                 RkOrder::Rk2 => 0.4,
                 RkOrder::Rk3 => 0.4,
             };
-            let scheme = Scheme::default_with_gamma(5.0 / 3.0);
-            let geom = PatchGeom::line(n, 0.0, 1.0, scheme.required_ghosts());
-            let mut u = init_cons(geom, &scheme.eos, &|x| (prob.ic)(x));
-            let mut solver = PatchSolver::new(scheme, prob.bcs, rk, geom);
-            let t0 = Instant::now();
-            let outcome = solver.advance_to(&mut u, 0.0, t_end, cfl, None);
-            reg.histogram("phase.advance")
-                .record(t0.elapsed().as_nanos() as u64);
-            match outcome {
-                Ok(_) => {
-                    let exact = prob.exact.clone().unwrap();
-                    let (l1, _) = l1_density_error(&scheme, &u, &exact, t_end).unwrap();
-                    table.row(&[
-                        prob.name.clone(),
-                        format!("{rk:?}"),
-                        format!("{cfl}"),
-                        sci(l1),
-                        solver.stats().zone_updates.to_string(),
-                    ]);
-                }
-                Err(e) => {
-                    table.row(&[
-                        prob.name.clone(),
-                        format!("{rk:?}"),
-                        format!("{cfl}"),
-                        format!("unstable: {e}").chars().take(24).collect(),
-                        solver.stats().zone_updates.to_string(),
-                    ]);
-                }
-            }
+            let out = runner.run(Row {
+                rk,
+                t_end,
+                cfl,
+                ..Row::new(&prob, n)
+            });
+            let l1 = match &out.result {
+                Ok(_) => sci(out.l1().unwrap().0),
+                Err(e) => format!("unstable: {e}").chars().take(24).collect(),
+            };
+            table.row(&[
+                prob.name.clone(),
+                format!("{rk:?}"),
+                format!("{cfl}"),
+                l1,
+                out.zone_updates.to_string(),
+            ]);
         }
     }
-    let snap = reg.snapshot();
-    opts.finish(&table, "a2_rk_ablation", "", &snap)
-        .config_str("problem", "density-wave + sod, ppm + hllc")
-        .config_num("n", n as f64)
-        .wall_time(bench_t0.elapsed().as_secs_f64())
-        .parallelism(1.0)
-        .write(&snap);
+    runner.finish(&opts, Some(&table), "a2_rk_ablation", |r| {
+        r.config_str("problem", "density-wave + sod, ppm + hllc")
+            .config_num("n", n as f64);
+    });
 }

@@ -13,14 +13,11 @@
 //! argument for adaptivity that the authors' production codes are built
 //! on.
 
-use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
-use rhrsc_grid::PatchGeom;
-use rhrsc_runtime::Registry;
+use rhrsc_bench::accuracy::{Row, Runner};
+use rhrsc_bench::{f3, sci, BenchOpts, Table};
 use rhrsc_solver::amr::{AmrConfig, AmrSolver};
-use rhrsc_solver::diag::l1_density_error;
 use rhrsc_solver::problems::Problem;
-use rhrsc_solver::scheme::init_cons;
-use rhrsc_solver::{PatchSolver, RkOrder, Scheme};
+use rhrsc_solver::{RkOrder, Scheme};
 use std::time::Instant;
 
 fn main() {
@@ -32,23 +29,13 @@ fn main() {
     let prob = Problem::sod();
     let scheme = Scheme::default_with_gamma(5.0 / 3.0);
     let exact = prob.exact.clone().unwrap();
-    let reg = Registry::new();
-    let bench_t0 = Instant::now();
+    let mut runner = Runner::start();
 
     let mut table = Table::new(&["grid", "L1(rho)", "zone_updates", "err_vs_fine"]);
 
-    let uniform = |n: usize| -> (f64, u64) {
-        let geom = PatchGeom::line(n, 0.0, 1.0, scheme.required_ghosts());
-        let mut u = init_cons(geom, &scheme.eos, &|x| (prob.ic)(x));
-        let mut solver = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
-        let t0 = Instant::now();
-        solver
-            .advance_to(&mut u, 0.0, prob.t_end, 0.4, None)
-            .unwrap();
-        reg.histogram("phase.advance")
-            .record(t0.elapsed().as_nanos() as u64);
-        let (l1, _) = l1_density_error(&scheme, &u, &exact, prob.t_end).unwrap();
-        (l1, solver.stats().zone_updates)
+    let mut uniform = |n: usize| -> (f64, u64) {
+        let out = runner.run(Row::new(&prob, n)).solved();
+        (out.l1().unwrap().0, out.zone_updates)
     };
     let (e_coarse, z_coarse) = uniform(100);
     let (e_fine, z_fine) = uniform(200);
@@ -61,7 +48,7 @@ fn main() {
         max_levels: 2,
         ..AmrConfig::default()
     };
-    let run_amr = |cfg: AmrConfig, window: Option<(usize, usize)>| -> (f64, u64) {
+    let mut run_amr = |cfg: AmrConfig, window: Option<(usize, usize)>| -> (f64, u64) {
         let mut amr = AmrSolver::new(scheme, prob.bcs, RkOrder::Rk3, 100, 0.0, 1.0, cfg);
         let ic = |x| (prob.ic)(x);
         match window {
@@ -70,8 +57,7 @@ fn main() {
         }
         let t0 = Instant::now();
         amr.advance_to(0.0, prob.t_end, 0.4).unwrap();
-        reg.histogram("phase.advance")
-            .record(t0.elapsed().as_nanos() as u64);
+        runner.book(t0, amr.cell_updates());
         let l1 = amr.l1_density_error(&*exact, prob.t_end).unwrap();
         (l1, amr.cell_updates())
     };
@@ -90,8 +76,6 @@ fn main() {
     ] {
         table.row(&[name.to_string(), sci(e), z.to_string(), f3(e / e_fine)]);
     }
-    table.print();
-    table.save_csv("a5_smr_efficiency");
     assert!(
         e_sub < e_coarse,
         "static refinement must beat uniform-coarse"
@@ -101,20 +85,13 @@ fn main() {
         z_amr < z_sub,
         "adaptive patches must cost less than the static subcycled window"
     );
-    let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("a5_smr_efficiency", &snap);
-    }
-    RunReport::new("a5_smr_efficiency", &opts)
-        .config_str(
+    runner.finish(&opts, Some(&table), "a5_smr_efficiency", |r| {
+        r.config_str(
             "problem",
             "sod, uniform 100/200 vs static amr 100+2x vs amr 100+2lvl",
         )
         .config_num("n_coarse", 100.0)
         .config_num("n_fine", 200.0)
-        .config_num("l1_amr", e_amr)
-        .wall_time(bench_t0.elapsed().as_secs_f64())
-        .parallelism(1.0)
-        .zone_updates((z_coarse + z_fine + z_sub + z_amr) as f64)
-        .write(&snap);
+        .config_num("l1_amr", e_amr);
+    });
 }

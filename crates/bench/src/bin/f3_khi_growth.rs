@@ -10,15 +10,11 @@
 //! resolution (finer grids diffuse the thin layer less, so coarse grids
 //! under-predict the rate).
 
+use rhrsc_bench::accuracy::{Row, Runner};
 use rhrsc_bench::{f3, BenchOpts, Table};
-use rhrsc_grid::PatchGeom;
-use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::transverse_momentum_rms;
 use rhrsc_solver::problems::Problem;
-use rhrsc_solver::scheme::{init_cons, Scheme};
-use rhrsc_solver::{PatchSolver, RkOrder};
 use std::io::Write;
-use std::time::Instant;
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -27,41 +23,37 @@ fn main() {
     let t_end: f64 = if opts.toy { 2.0 } else { 4.0 };
     let n_out = if opts.toy { 16 } else { 32 };
     let resolutions: &[usize] = if opts.toy { &[32] } else { &[64, 128] };
-    let reg = Registry::new();
-    let bench_t0 = Instant::now();
-    let mut zone_updates = 0u64;
+    let mut runner = Runner::start();
 
     let mut table = Table::new(&["resolution", "growth_rate", "amplification"]);
     let dir = rhrsc_bench::results_dir();
     for &n in resolutions {
-        let scheme = Scheme {
-            eos: prob.eos,
-            ..Scheme::default_with_gamma(4.0 / 3.0)
+        let row = Row {
+            cells: [n, n, 1],
+            t_end,
+            ..Row::new(&prob, n)
         };
-        let geom = PatchGeom::rect([n, n], [0.0, 0.0], [1.0, 1.0], scheme.required_ghosts());
-        let mut u = init_cons(geom, &scheme.eos, &|x| (prob.ic)(x));
-        let mut solver = PatchSolver::new(scheme, prob.bcs, RkOrder::Rk3, geom);
 
         let path = dir.join(format!("f3_khi_n{n}.csv"));
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
         writeln!(f, "t,sy_rms").unwrap();
         let mut series = Vec::new();
-        let t0 = Instant::now();
-        for s in 0..=n_out {
-            let t_target = t_end * s as f64 / n_out as f64;
-            if s > 0 {
-                let t_prev = t_end * (s - 1) as f64 / n_out as f64;
-                solver
-                    .advance_to(&mut u, t_prev, t_target, 0.4, None)
-                    .expect("KHI run failed");
-            }
-            let rms = transverse_momentum_rms(&u);
-            series.push((t_target, rms));
-            writeln!(f, "{t_target},{rms}").unwrap();
-        }
-        reg.histogram("phase.advance")
-            .record(t0.elapsed().as_nanos() as u64);
-        zone_updates += solver.stats().zone_updates;
+        runner
+            .run_with(row, |u, solver| {
+                for s in 0..=n_out {
+                    let t_target = t_end * s as f64 / n_out as f64;
+                    if s > 0 {
+                        let t_prev = t_end * (s - 1) as f64 / n_out as f64;
+                        solver.advance_to(u, t_prev, t_target, row.cfl, None)?;
+                    }
+                    let rms = transverse_momentum_rms(u);
+                    series.push((t_target, rms));
+                    writeln!(f, "{t_target},{rms}").unwrap();
+                }
+                Ok(solver.stats().steps)
+            })
+            .solved();
+        f.flush().unwrap();
         println!("  -> wrote {}", path.display());
 
         // Least-squares fit of ln(rms) over the linear phase.
@@ -80,13 +72,9 @@ fn main() {
         let amp = series.last().unwrap().1 / series.first().unwrap().1.max(1e-300);
         table.row(&[format!("{n}x{n}"), f3(rate), format!("{amp:.1}")]);
     }
-    let snap = reg.snapshot();
-    opts.finish(&table, "f3_khi_growth", "", &snap)
-        .config_str("problem", "khi shear 0.5, single mode")
-        .config_num("t_end", t_end)
-        .config_num("resolutions", resolutions.len() as f64)
-        .wall_time(bench_t0.elapsed().as_secs_f64())
-        .parallelism(1.0)
-        .zone_updates(zone_updates as f64)
-        .write(&snap);
+    runner.finish(&opts, Some(&table), "f3_khi_growth", |r| {
+        r.config_str("problem", "khi shear 0.5, single mode")
+            .config_num("t_end", t_end)
+            .config_num("resolutions", resolutions.len() as f64);
+    });
 }

@@ -3,8 +3,10 @@
 //! against the committed baseline of the same name.
 //!
 //! * **Schema.** Every `BENCH_*.json` passes [`validate_report`], every
-//!   `TRACE_*.json` [`validate_trace`] and every `TELEMETRY_*.jsonl`
-//!   [`validate_telemetry_stream`]; a file that fails is a regression.
+//!   `TRACE_*.json` [`validate_trace`], every `TELEMETRY_*.jsonl`
+//!   [`validate_telemetry_stream`] and every `*.prom` OpenMetrics
+//!   textfile [`validate_openmetrics`]; a file that fails is a
+//!   regression.
 //! * **Pairing.** A report without a baseline and a baseline without a
 //!   report are regressions, and so is a `config` that differs from the
 //!   baseline's: a run of other work says nothing about this one.
@@ -27,7 +29,9 @@
 //! runs are long enough to time.
 
 use crate::json::Json;
-use crate::report::{validate_report, validate_telemetry_stream, validate_trace};
+use crate::report::{
+    validate_openmetrics, validate_report, validate_telemetry_stream, validate_trace,
+};
 use crate::Table;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -41,10 +45,10 @@ const RATE_FLOOR: f64 = 0.5;
 const EXACT_KEYS: &[&str] = &["zone_updates", "parallelism"];
 
 /// A kind of artifact file a run writes beside its report: the `config`
-/// key that names it, the prefix and extension of its file name, and the
-/// schema check it must pass.
+/// key that names it (if a report does), the prefix and extension of its
+/// file name, and the schema check it must pass.
 struct Artifact {
-    key: &'static str,
+    key: Option<&'static str>,
     prefix: &'static str,
     ext: &'static str,
     check: fn(&str) -> Result<(), String>,
@@ -52,16 +56,22 @@ struct Artifact {
 
 const ARTIFACTS: &[Artifact] = &[
     Artifact {
-        key: "trace",
+        key: Some("trace"),
         prefix: "TRACE_",
         ext: ".json",
         check: |text| validate_trace(&Json::parse(text)?),
     },
     Artifact {
-        key: "telemetry",
+        key: Some("telemetry"),
         prefix: "TELEMETRY_",
         ext: ".jsonl",
         check: validate_telemetry_stream,
+    },
+    Artifact {
+        key: None,
+        prefix: "",
+        ext: ".prom",
+        check: validate_openmetrics,
     },
 ];
 
@@ -269,8 +279,8 @@ pub fn compare_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<CompareRu
     }
     let files = file_names(current_dir)?;
     let mut run = CompareRun::default();
-    // Every flight record and telemetry stream is schema-checked by its
-    // file name, whether a report names it or not.
+    // Every flight record, telemetry stream and OpenMetrics textfile is
+    // schema-checked by its file name, whether a report names it or not.
     for name in &files {
         if let Some(kind) = ARTIFACTS.iter().find(|kind| is_artifact(kind, name)) {
             let verdict = read(&current_dir.join(name)).and_then(|text| (kind.check)(&text));
@@ -297,7 +307,8 @@ pub fn compare_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<CompareRu
         let Ok(current) = current else { continue };
         for kind in ARTIFACTS {
             let config = current.get("config");
-            let Some(name) = config.and_then(|c| c.get(kind.key)).and_then(Json::as_str) else {
+            let Some(key) = kind.key else { continue };
+            let Some(name) = config.and_then(|c| c.get(key)).and_then(Json::as_str) else {
                 continue;
             };
             let verdict = if !files.iter().any(|n| n == name) {
@@ -307,7 +318,7 @@ pub fn compare_dirs(baseline_dir: &Path, current_dir: &Path) -> Result<CompareRu
             } else {
                 Ok(())
             };
-            run.verdict(file, &format!("config.{} ({name})", kind.key), verdict);
+            run.verdict(file, &format!("config.{key} ({name})"), verdict);
         }
         if malformed {
             continue;

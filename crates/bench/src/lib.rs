@@ -7,6 +7,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+pub mod accuracy;
 pub mod compare;
 pub mod drill;
 pub mod json;

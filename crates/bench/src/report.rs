@@ -40,6 +40,7 @@
 use crate::json::{obj, Json};
 use crate::{f3, results_dir, Table};
 use rhrsc_runtime::metrics::Snapshot;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Command-line options shared by the bench binaries.
@@ -525,6 +526,52 @@ pub fn validate_telemetry_stream(text: &str) -> Result<(), String> {
     }
     if samples == 0 {
         return Err("stream contains no sample records".to_string());
+    }
+    Ok(())
+}
+
+/// Validate an OpenMetrics textfile (as written by
+/// `rhrsc_io::telemetry::FileSinks`): every family declared by a
+/// `# TYPE rhrsc_<name> counter|gauge` line before its sample, a
+/// counter's sample named `<family>_total` and a gauge's `<family>` (a
+/// sample of any other name is of no declared family), every value a
+/// finite number, every
+/// [`SERIES_FIELDS`](rhrsc_runtime::telemetry::SERIES_FIELDS) name
+/// sampled, and `# EOF` the last line and the only one.
+pub fn validate_openmetrics(text: &str) -> Result<(), String> {
+    let mut declared = BTreeMap::new();
+    let mut sampled = BTreeSet::new();
+    let lines: Vec<&str> = text.lines().collect();
+    if lines.last() != Some(&"# EOF") {
+        return Err("the last line must be `# EOF`".to_string());
+    }
+    for (i, line) in lines[..lines.len() - 1].iter().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let words: Vec<&str> = line.split_whitespace().collect();
+        match words[..] {
+            ["#", "EOF"] => return Err(at("`# EOF` before the last line".to_string())),
+            ["#", "HELP", ..] => {}
+            ["#", "TYPE", family, kind @ ("counter" | "gauge")] if family.starts_with("rhrsc_") => {
+                declared.insert(family, kind);
+            }
+            [name, value] if !name.starts_with('#') => {
+                let family = match name.strip_suffix("_total") {
+                    Some(family) if declared.get(family) == Some(&"counter") => family,
+                    _ if declared.get(name) == Some(&"gauge") => name,
+                    _ => return Err(at(format!("sample `{name}` of no declared family"))),
+                };
+                if !value.parse::<f64>().is_ok_and(f64::is_finite) {
+                    return Err(at(format!("`{name}` is `{value}`, not a finite number")));
+                }
+                sampled.insert(family);
+            }
+            _ => return Err(at(format!("malformed line `{line}`"))),
+        }
+    }
+    for f in rhrsc_runtime::telemetry::SERIES_FIELDS {
+        if !sampled.contains(format!("rhrsc_{}", f.name).as_str()) {
+            return Err(format!("no sample of field `{}`", f.name));
+        }
     }
     Ok(())
 }
