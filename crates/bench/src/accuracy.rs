@@ -6,7 +6,7 @@
 //! the `phase.advance` timing, the zone-update sum, the L1(ρ) against
 //! the exact solution, the profile CSV and the report tail.
 
-use crate::{print_phase_table, results_dir, BenchOpts, RunReport, Table};
+use crate::{results_dir, BenchOpts, RunReport, Table};
 use rhrsc_grid::{Field, PatchGeom};
 use rhrsc_runtime::Registry;
 use rhrsc_solver::diag::l1_density_error;
@@ -185,15 +185,7 @@ impl Runner {
         config: impl FnOnce(&mut RunReport),
     ) {
         let snap = self.reg.snapshot();
-        let mut report = match table {
-            Some(table) => opts.finish(table, id, "", &snap),
-            None => {
-                if opts.profile {
-                    print_phase_table(id, &snap);
-                }
-                RunReport::new(id, opts)
-            }
-        };
+        let mut report = opts.finish(table, id, "", &snap);
         config(&mut report);
         report
             .wall_time(self.t0.elapsed().as_secs_f64())

@@ -20,7 +20,7 @@
 //! their exact assertions — they are cheap and binary.
 
 use rhrsc_bench::drill::{flight_recorder, write_flight_record, Scratch};
-use rhrsc_bench::{f3, print_phase_table, sci, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, sci, BenchOpts, Table};
 use rhrsc_grid::PatchGeom;
 use rhrsc_io::checkpoint::{load_checkpoint, save_checkpoint, AmrCheckpoint};
 use rhrsc_runtime::Registry;
@@ -228,10 +228,7 @@ fn main() {
 
     write_flight_record(&opts, tracer.as_ref());
     let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f12_amr", &snap);
-    }
-    RunReport::new("f12_amr", &opts)
+    opts.finish(None, "f12_amr", "", &snap)
         .config_str("problem", &prob.name)
         .config_num("n_base", n_base as f64)
         .config_num("n_fine", n_fine as f64)

@@ -19,7 +19,7 @@
 //! prints the phase breakdown (per-tile kernel time). A machine-readable
 //! report is always written to `results/BENCH_f6_load_balance.json`.
 
-use rhrsc_bench::{f3, print_phase_table, BenchOpts, RunReport, Table};
+use rhrsc_bench::{f3, BenchOpts, Table};
 use rhrsc_grid::{bc, Bc, PatchGeom};
 use rhrsc_runtime::sched::{plan_static, plan_weighted};
 use rhrsc_runtime::Registry;
@@ -118,19 +118,18 @@ fn main() {
         reg.histogram(&format!("sched.makespan_us.{name}"))
             .record((m * 1e6) as u64);
     }
-    table.print();
-    table.save_csv("f6_load_balance");
-
+    let snap = reg.snapshot();
+    let mut report = opts.finish(
+        Some(&table),
+        "f6_load_balance",
+        "all policies pooled",
+        &snap,
+    );
     assert!(
         m_weighted < m_static,
         "weighted ({m_weighted}) must beat static ({m_static}) under heterogeneity"
     );
-
-    let snap = reg.snapshot();
-    if opts.profile {
-        print_phase_table("f6_load_balance (all policies pooled)", &snap);
-    }
-    RunReport::new("f6_load_balance", &opts)
+    report
         .config_str("workers", "2x cpu (speed 1) + 1x accel (speed 6)")
         .config_num("ntiles", ntiles as f64)
         .config_num("makespan_static_s", m_static)

@@ -186,14 +186,23 @@ pub fn write_flight_record(opts: &BenchOpts, tracer: Option<&Arc<Tracer>>) {
 }
 
 impl BenchOpts {
-    /// The tail most bench bins end with: print `table` and mirror it to
+    /// The tail every bench bin ends with: print `table` (if any; a bin
+    /// that prints its table mid-run passes `None`) and mirror it to
     /// `results/<id>.csv`, print the phase table of `snap` under
     /// `--profile` (titled `<id>`, or `<id> (<pooled>)` when `pooled` says
     /// what the snapshot pools), and start the `BENCH_<id>.json` report,
     /// its artifact files named, for the bin to fill in and write.
-    pub fn finish(&self, table: &Table, id: &str, pooled: &str, snap: &Snapshot) -> RunReport {
-        table.print();
-        table.save_csv(id);
+    pub fn finish<'a>(
+        &self,
+        table: impl Into<Option<&'a Table>>,
+        id: &str,
+        pooled: &str,
+        snap: &Snapshot,
+    ) -> RunReport {
+        if let Some(table) = table.into() {
+            table.print();
+            table.save_csv(id);
+        }
         if self.profile {
             let note = match pooled {
                 "" => String::new(),

@@ -56,11 +56,15 @@
 //! `driver.*` counter names; [`DistAmrStats`] keeps only the exchange and
 //! partition counters of this module. Per attempt every rank reaches the
 //! Δt reduction and the agreement round even if its local work failed
-//! (keeping collective tags aligned), and a confirmed death restores every
-//! survivor from the memory tier or the shared rank-count-independent
-//! checkpoint and re-partitions the SFC segment map over the shrunken live
-//! set. The hierarchy is replicated, so the memory tier needs no buddy:
-//! [`ResilienceConfig::buddy_offset`] is not read here. Regrids are
+//! (keeping collective tags aligned). The ladder's storage is the shared
+//! tier stack ([`crate::tiers`]); this module hands it the hierarchy's
+//! image (captured by one allgather) and installs an image back, re-
+//! partitioning the SFC segment map over the live set. The image is the
+//! whole replicated hierarchy, so the memory tier needs no buddy
+//! ([`ResilienceConfig::buddy_offset`] is not read here), a confirmed
+//! death is served from the memory tier or the shared
+//! rank-count-independent checkpoint like a restore, and one allgather
+//! serves a disk save and a memory save alike. Regrids are
 //! *comm-atomic*: a pre-mutation agreement barrier after the allgather
 //! ensures either every rank rebuilds the hierarchy or none does, so a
 //! rank killed mid-regrid (the [`RankSite::Regrid`] fault site) can never
@@ -70,20 +74,21 @@ use crate::amr::{AmrSolver, LevelCoupling};
 use crate::driver::comm_err;
 use crate::integrate::{land_dt, RkOrder};
 use crate::ladder::{
-    outcome_flag, resilient_advance, straggle, Recoverable, ResilienceConfig, ResilienceStats,
-    RestoreCause, Stopwatch,
+    count, outcome_flag, resilient_advance, straggle, Recoverable, ResilienceConfig,
+    ResilienceStats, RestoreCause, Stopwatch,
 };
 use crate::scheme::{Scheme, SolverError};
-use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
+use crate::tiers::{ck_err, Capture, TierStack, Tiered};
 use crate::AmrConfig;
 use rhrsc_comm::{
     Rank, AMR_DESCEND_TAG_BASE, AMR_REFLUX_TAG_BASE, AMR_REGRID_TAG, AMR_SYNC_TAG_BASE,
 };
 use rhrsc_grid::BcSet;
-use rhrsc_io::checkpoint::{decode_trusted, encode_trusted, AmrCheckpoint, CheckpointSlots};
+use rhrsc_io::checkpoint::{encode_trusted, AmrCheckpoint, GlobalCheckpoint};
 use rhrsc_runtime::fault::{FaultInjector, RankSite};
 use rhrsc_runtime::Registry;
 use rhrsc_srhd::{Cons, Prim, NCOMP};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -291,13 +296,6 @@ impl LevelCoupling for RankLink<'_> {
 }
 
 impl DistLink {
-    /// Add `n` to counter `name` when a registry is attached.
-    fn count(&self, name: &str, n: u64) {
-        if let Some(m) = &self.metrics {
-            m.counter(name).add(n);
-        }
-    }
-
     fn check_crash(&self, rank: &Rank, site: RankSite) -> Result<(), SolverError> {
         if let Some(inj) = &self.injector {
             if inj.should_crash_at(rank.rank(), self.cur_step, site) {
@@ -427,8 +425,8 @@ impl DistLink {
         };
         *slot += nmsgs;
         self.stats.halo_bytes += bytes;
-        self.count(counter, nmsgs);
-        self.count("amr.dist.halo_bytes", bytes);
+        count(self.metrics.as_deref(), counter, nmsgs);
+        count(self.metrics.as_deref(), "amr.dist.halo_bytes", bytes);
         straggle(rank, &sw);
         rank.trace_span(kind.span(), sw.ns(rank));
         for &(o, d, pl, i) in parcels {
@@ -615,7 +613,7 @@ impl DistAmrSolver {
         let imbalance = if ideal > 0.0 { maxc / ideal } else { 1.0 };
         let chosen = if imbalance > REBALANCE_THRESHOLD {
             self.link.stats.rebalances += 1;
-            self.link.count("amr.dist.rebalances", 1);
+            count(self.link.metrics.as_deref(), "amr.dist.rebalances", 1);
             assign_owners(&self.inner, live)
         } else {
             inherited.clone()
@@ -626,7 +624,7 @@ impl DistAmrSolver {
             .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x != y).count() as u64)
             .sum();
         self.link.stats.migrations += moved;
-        self.link.count("amr.dist.migrations", moved);
+        count(self.link.metrics.as_deref(), "amr.dist.migrations", moved);
         self.link.owners = chosen;
     }
 
@@ -757,103 +755,59 @@ impl DistAmrSolver {
         res: &ResilienceConfig,
     ) -> Result<(DistAmrStats, ResilienceStats), SolverError> {
         let mut ladder = AmrLadder {
-            tiers: MemoryTiers::new(
-                0,
-                rank.live_ranks().len(),
-                rank.fault_injector().cloned(),
-                self.link.metrics.clone(),
-            ),
+            stack: TierStack::new(res, res.checkpoint_dir.clone(), self.link.metrics.clone()),
             d: self,
-            res,
-            slots: None,
-            stats: ResilienceStats::default(),
             cfl,
         };
         resilient_advance(&mut ladder, rank, t0, t_end, res)?;
-        let stats = ladder.stats;
+        let stats = ladder.stack.stats;
         Ok((self.link.stats, stats))
+    }
+}
+
+/// The hierarchy as the tier stack sees it: after one allgather every rank
+/// holds the whole of it, so its image serves a disk save and a memory
+/// save alike, on every rank.
+impl Tiered for DistAmrSolver {
+    const WHOLE: bool = true;
+
+    /// One block per live rank, in live order.
+    fn blocks(&self, rank: &Rank) -> Result<(Cow<'_, [usize]>, usize), SolverError> {
+        let live = rank.live_ranks();
+        let me = live.iter().position(|&r| r == rank.rank());
+        me.map(|me| (Cow::Owned(live.to_vec()), me))
+            .ok_or(SolverError::RankFailed { step: 0 })
+    }
+
+    /// Allgather, then the hierarchy's image: serialized for the memory
+    /// tier, and whole on the first live rank, which writes the disk
+    /// slot.
+    fn capture(&mut self, rank: &mut Rank, at: (f64, u64), disk: bool, memory: bool) -> Capture {
+        if let Err(e) = self.allgather_state(rank, ExKind::Gather) {
+            return (Err(e), None);
+        }
+        let img = self.inner.to_checkpoint(at.0).into_image();
+        let bytes = memory.then(|| encode_trusted(&img));
+        let writes = disk && rank.rank() == rank.live_ranks()[0];
+        (Ok(writes.then_some(img)), bytes)
+    }
+
+    /// Rebuild the hierarchy and re-partition it over the live set.
+    fn install(&mut self, rank: &Rank, img: GlobalCheckpoint) -> Result<(f64, u64), SolverError> {
+        let ck = AmrCheckpoint::from_image(img).map_err(ck_err)?;
+        self.restore(rank, &ck)?;
+        self.link.cur_step = self.inner.steps;
+        Ok((ck.time, ck.step))
     }
 }
 
 /// One `advance_to` call seen from the recovery ladder.
 struct AmrLadder<'a> {
     d: &'a mut DistAmrSolver,
-    res: &'a ResilienceConfig,
-    /// Shared rank-count-independent disk slots, when configured.
-    slots: Option<CheckpointSlots>,
-    /// The diskless tier, with buddy offset 0: every rank freezes the
-    /// identical serialized hierarchy — the allgathered state is fully
-    /// replicated — so the tier is n-way redundant without a buddy
-    /// transfer, and a restore needs only the store's agreement rounds.
-    tiers: MemoryTiers,
-    stats: ResilienceStats,
+    /// The shared rank-count-independent disk slots in `<checkpoint_dir>/`
+    /// and the memory tier.
+    stack: TierStack<'a>,
     cfl: f64,
-}
-
-/// The memory tier's block space: one block per live rank, in live order.
-fn live_blocks(rank: &Rank) -> Result<(Vec<usize>, usize), SolverError> {
-    let live = rank.live_ranks().to_vec();
-    let me = live.iter().position(|&r| r == rank.rank());
-    me.map(|me| (live, me))
-        .ok_or(SolverError::RankFailed { step: 0 })
-}
-
-impl AmrLadder<'_> {
-    /// Allgather, have the first live rank write the hierarchy's image to
-    /// the shared slot when `to_disk` (rotating `latest` → `prev`), and
-    /// freeze the memory tier from the same image — which, the gather
-    /// done, costs only the serialization, no extra messages.
-    fn save(&mut self, rank: &mut Rank, t: f64, to_disk: bool) -> Result<(), SolverError> {
-        let d = &mut *self.d;
-        d.allgather_state(rank, ExKind::Gather)?;
-        let img = d.inner.to_checkpoint(t).into_image();
-        if let Some(slots) = self.slots.as_ref().filter(|_| to_disk) {
-            if rank.rank() == rank.live_ranks()[0] {
-                slots.save(&img).map_err(ck_err)?;
-            }
-            self.stats.checkpoints_saved += 1;
-            d.link.count("ckp.save.disk", 1);
-        }
-        let (live, me) = live_blocks(rank)?;
-        self.tiers
-            .refresh(rank, &live, me, d.inner.steps, t, encode_trusted(&img))?;
-        self.stats.local_snapshots += 1;
-        Ok(())
-    }
-
-    /// Memory tier first — every rank holds a full replicated checkpoint,
-    /// so neither a restore nor a shrink needs disk while it is valid
-    /// (whether it can serve is agreed inside [`MemoryTiers::fetch`]) —
-    /// then the shared disk slot; restore and re-partition over the
-    /// current live set either way.
-    fn tier_restore(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
-        let (live, me) = live_blocks(rank)?;
-        let served = self.tiers.fetch(rank, &live, me, |bytes| {
-            AmrCheckpoint::from_image(decode_trusted(bytes).ok()?).ok()
-        })?;
-        let ck = match served {
-            Some((ck, _)) => {
-                self.stats.local_restores += 1;
-                rank.trace_instant("amr.dist.memory_restore", ck.step as f64);
-                ck
-            }
-            None => {
-                let slots = self.slots.as_ref().ok_or_else(|| SolverError::Checkpoint {
-                    msg: "the memory tier cannot serve a restore and no checkpoint \
-                          directory is configured"
-                        .into(),
-                })?;
-                let (img, fell_back) = load_newest_agreed(rank, slots)?;
-                self.stats.disk_restores += 1;
-                self.stats.ckpt_fallbacks += u64::from(fell_back);
-                self.d.link.count("ckp.tier.disk.restore", 1);
-                AmrCheckpoint::from_image(img).map_err(ck_err)?
-            }
-        };
-        self.d.restore(rank, &ck)?;
-        self.d.link.cur_step = self.d.inner.steps;
-        Ok(ck.time)
-    }
 }
 
 impl Recoverable for AmrLadder<'_> {
@@ -865,17 +819,8 @@ impl Recoverable for AmrLadder<'_> {
         let d = &mut *self.d;
         d.link.injector = rank.fault_injector().cloned();
         d.link.cur_step = d.inner.steps;
-        if let Some(dir) = &self.res.checkpoint_dir {
-            // Always write an initial checkpoint so a shrink/restore
-            // target exists from the very first step (this also freezes
-            // the initial memory-tier snapshot).
-            self.slots = Some(CheckpointSlots::new(dir.clone()).map_err(ck_err)?);
-            self.save(rank, t, true)?;
-        } else if self.res.local_interval > 0 {
-            // Diskless runs still arm the memory tier from step 0.
-            self.save(rank, t, false)?;
-        }
-        Ok(())
+        let step = d.inner.steps;
+        self.stack.arm(d, rank, (t, step))
     }
 
     fn pre_step(&mut self, rank: &mut Rank, _t: f64) -> Result<bool, SolverError> {
@@ -908,47 +853,22 @@ impl Recoverable for AmrLadder<'_> {
         d.snapshot.clear();
         d.inner.flush_metrics();
         let steps = d.inner.steps;
-        let due = |interval: usize| interval > 0 && steps.is_multiple_of(interval as u64);
-        let (to_disk, to_memory, scrub) = (
-            self.slots.is_some() && due(self.res.checkpoint_interval),
-            due(self.res.local_interval),
-            due(self.res.scrub_interval),
-        );
-        // A disk save refreshes the memory tier for free (the allgather
-        // already replicated the state), so the standalone memory save
-        // runs only when the slower disk cadence is not also due.
-        if to_disk || to_memory {
-            match self.save(rank, t, to_disk) {
-                // A peer died mid-gather: the latched suspicion routes
-                // into the next step's consensus rung.
-                Ok(()) | Err(SolverError::PeerSuspect { .. }) => {}
-                // A damaged blob of the gather: this rank skips the save
-                // and its tiers keep the older round, which the restore's
-                // capture-round agreement already allows for. The next
-                // exchange's sequence check drops the gather's leftovers.
-                Err(SolverError::HaloCorrupt { .. } | SolverError::HaloMismatch { .. }) => {
-                    self.d.link.count("amr.dist.saves_skipped", 1);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if scrub {
-            self.stats.scrubs += 1;
-            self.stats.snapshots_rotted += self.tiers.scrub(rank);
-        }
+        self.stack.commit(d, rank, (t, steps))?;
+        // After the commit's saves, so step 0 does not count.
+        self.stack.scrub(rank, steps);
         Ok(())
     }
 
     fn restore(&mut self, rank: &mut Rank, _cause: RestoreCause) -> Result<f64, SolverError> {
-        self.tier_restore(rank)
+        self.stack.restore(self.d, rank).map(|(t, _)| t)
     }
 
     fn shrink(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
-        self.tier_restore(rank)
+        self.stack.shrink(self.d, rank).map(|(t, _)| t)
     }
 
     fn stats(&mut self) -> &mut ResilienceStats {
-        &mut self.stats
+        &mut self.stack.stats
     }
 
     fn metrics(&self) -> Option<&Registry> {
@@ -962,6 +882,7 @@ mod tests {
     use crate::problems::Problem;
     use rhrsc_comm::{run, run_with_faults, NetworkModel};
     use rhrsc_grid::{bc, Bc};
+    use rhrsc_io::checkpoint::CheckpointSlots;
     use rhrsc_runtime::fault::FaultPlan;
 
     fn scheme() -> Scheme {

@@ -39,30 +39,34 @@
 //!
 //! [`BlockSolver::advance_to_with_restart`] hands the block state to the
 //! recovery ladder ([`crate::ladder`]), which decides and books every
-//! rung; this module supplies the mechanics: the rollback copy, the
-//! memory tiers ([`MemoryTiers`], a single-block v3 image per rank plus a
-//! buddy replica) and one disk tier — the rank-count-independent global
-//! checkpoint in `<checkpoint_dir>/global/`, which serves a restore on the
-//! current decomposition and a shrink onto a re-cut one alike.
+//! rung over the shared tier stack ([`crate::tiers`]); this module
+//! supplies the state's side: the rollback copy, fault injection, the
+//! live-state stamp, the observers, and the block's image — a
+//! single-block image per rank for the memory tiers, the root gather of
+//! every block for the disk tier in `<checkpoint_dir>/global/` — which
+//! installs back onto the current decomposition, or onto one re-cut over
+//! the survivors after a shrink.
 
 use crate::health::{HealthConfig, HealthMonitor};
 use crate::integrate::{Coupling, Eval, PatchSolver, RkOrder, StepSize};
-use crate::ladder::{resilient_advance, straggle, Recoverable, RestoreCause, Stopwatch};
+use crate::ladder::{
+    count, phase_end, phase_start, resilient_advance, straggle, PhaseStart, Recoverable,
+    RestoreCause, Stopwatch,
+};
 pub use crate::ladder::{ResilienceConfig, ResilienceStats};
 use crate::scheme::{init_cons, max_dt, recover_region, RecoveryStats, Scheme, SolverError};
 use crate::step::Region;
-use crate::tiers::{ck_err, load_newest_agreed, MemoryTiers};
+use crate::tiers::{Capture, TierStack, Tiered};
 use rhrsc_comm::{CommError, FaultInjector, Rank, TELEMETRY_TAG};
 use rhrsc_grid::{fill_face, BcSet, CartDecomp, Field, PatchGeom};
-use rhrsc_io::checkpoint::{
-    decode_trusted, encode_trusted, BlockRecord, CheckpointSlots, GlobalCheckpoint,
-};
+use rhrsc_io::checkpoint::{encode_trusted, BlockRecord, GlobalCheckpoint};
 use rhrsc_io::snapshot::StateChecksum;
 use rhrsc_runtime::fault::RankSite;
 use rhrsc_runtime::metrics::{Histogram, Registry};
 use rhrsc_runtime::telemetry::{SampleInputs, SeriesSample, Telemetry, TelemetrySampler};
 use rhrsc_runtime::WorkStealingPool;
 use rhrsc_srhd::{Prim, NCOMP};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -265,33 +269,6 @@ impl DtCache {
     }
 }
 
-/// Start marker of an instrumented phase. `None` when neither a registry
-/// nor a tracer is attached, so the disabled path costs one `Option`
-/// check per phase.
-type PhaseStart = Option<Stopwatch>;
-
-fn phase_start(metrics: Option<&Registry>, rank: &Rank) -> PhaseStart {
-    (metrics.is_some() || rank.has_trace()).then(|| Stopwatch::start(rank))
-}
-
-/// Record the phase begun at `s` as histogram `name` and as a trace span.
-fn phase_end(metrics: Option<&Registry>, name: &'static str, rank: &Rank, s: PhaseStart) {
-    if let Some(s) = s {
-        let ns = s.ns(rank);
-        if let Some(m) = metrics {
-            m.histogram(name).record(ns);
-        }
-        rank.trace_span(name, ns);
-    }
-}
-
-/// Add `n` to counter `name` when a registry is attached.
-fn count(metrics: Option<&Registry>, name: &str, n: u64) {
-    if let Some(m) = metrics {
-        m.counter(name).add(n);
-    }
-}
-
 impl BlockSolver {
     /// Build the solver for `rank`'s block and initialize the conserved
     /// state from the pointwise IC.
@@ -385,10 +362,6 @@ impl BlockSolver {
         phase_end(self.metrics.as_deref(), name, rank, s);
     }
 
-    fn count(&self, name: &str, n: u64) {
-        count(self.metrics.as_deref(), name, n);
-    }
-
     /// Take a health observation if a monitor is attached and `step_no`
     /// is on its cadence. Emits the record as trace counters and bumps
     /// `health.*` metrics counters.
@@ -405,14 +378,14 @@ impl BlockSolver {
         rank.trace_counter("health.atmo_frac", record.atmo_frac);
         rank.trace_counter("health.limiter_frac", record.limiter_frac);
         rank.trace_counter("health.max_lorentz", record.max_w);
-        self.count("health.records", 1);
+        count(self.metrics.as_deref(), "health.records", 1);
         if drift_alarm {
             rank.trace_instant("health.alarm.drift", record.drift);
-            self.count("health.drift_alarms", 1);
+            count(self.metrics.as_deref(), "health.drift_alarms", 1);
         }
         if floor_alarm {
             rank.trace_instant("health.alarm.floor", record.atmo_frac);
-            self.count("health.floor_alarms", 1);
+            count(self.metrics.as_deref(), "health.floor_alarms", 1);
         }
     }
 
@@ -676,28 +649,26 @@ impl BlockSolver {
         Ok(stats)
     }
 
-    /// Collectively write a rank-count-independent global checkpoint:
+    /// Collectively gather the rank-count-independent global image:
     /// every block sends its interior to block rank 0, which assembles
-    /// the [`GlobalCheckpoint`] and saves it into the shared global
-    /// slots. Deadline receives keep the root from hanging on a rank
-    /// that died mid-interval.
-    fn save_global_distributed(
+    /// the [`GlobalCheckpoint`] (the others get `None`). Deadline receives
+    /// keep the root from hanging on a rank that died mid-interval.
+    fn global_image(
         &self,
         rank: &mut Rank,
-        gslots: &CheckpointSlots,
         u: &Field,
         t: f64,
         step: u64,
-    ) -> Result<(), SolverError> {
+    ) -> Result<Option<GlobalCheckpoint>, SolverError> {
         const GCKP_TAG: u64 = 1001;
         let Some(parts) = self.gather_to_root(rank, GCKP_TAG, pack_interior(u)) else {
-            return Ok(());
+            return Ok(None);
         };
         let blocks = parts
             .enumerate()
             .map(|(b, data)| Ok(self.record(b, data.map_err(comm_err)?)))
             .collect::<Result<_, SolverError>>()?;
-        gslots.save(&self.image(t, step, blocks)).map_err(ck_err)
+        Ok(Some(self.image(t, step, blocks)))
     }
 
     /// An image of this run's global grid at `(time, step)`.
@@ -747,48 +718,24 @@ impl BlockSolver {
     }
 
     /// Cut this block's span out of a global checkpoint and overwrite the
-    /// interior of `u` with it. Returns the checkpoint's `(time, step)`.
+    /// interior of `u` with it (a fresh field, ghosts zeroed, whichever
+    /// tier served the image). Returns the checkpoint's `(time, step)`.
     fn fill_from_global(
         &self,
         u: &mut Field,
         gckp: &GlobalCheckpoint,
     ) -> Result<(f64, u64), SolverError> {
-        let (data, time, step) =
-            self.fill_global_span(gckp)
-                .ok_or_else(|| SolverError::Checkpoint {
-                    msg: "global checkpoint does not match this run's grid or does not \
-                          cover this block's span"
-                        .into(),
-                })?;
+        let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, self.my_rank);
+        let data = (gckp.global_n == self.cfg.global_n && gckp.ncomp == NCOMP)
+            .then(|| gckp.extract_span(offset, size))
+            .flatten()
+            .ok_or_else(|| SolverError::Checkpoint {
+                msg: "global checkpoint does not match this run's grid or does not \
+                      cover this block's span"
+                    .into(),
+            })?;
         *u = unpack_interior(*self.geom(), &data);
-        Ok((time, step))
-    }
-
-    /// The disk tier, for a restore and for a shrink alike: every rank
-    /// loads the newest global checkpoint that all of them could read —
-    /// falling back to `prev` together past a torn `latest` — and cuts its
-    /// block's span out of it: the current decomposition's span, or the
-    /// re-cut one after [`BlockSolver::rebuild_for_survivors`]. The
-    /// filesystem is shared (ranks are threads), so nothing is shipped.
-    /// Returns the restored `(time, step)`.
-    fn restore_from_disk(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        slots: Option<&CheckpointSlots>,
-        rstats: &mut ResilienceStats,
-    ) -> Result<(f64, u64), SolverError> {
-        let slots = slots.ok_or_else(|| SolverError::Checkpoint {
-            msg: "no memory tier could serve and no checkpoint directory is \
-                  configured for the disk tier"
-                .into(),
-        })?;
-        let (gckp, fell_back) = load_newest_agreed(rank, slots)?;
-        let restored = self.fill_from_global(u, &gckp)?;
-        rstats.disk_restores += 1;
-        rstats.ckpt_fallbacks += u64::from(fell_back);
-        self.count("ckp.tier.disk.restore", 1);
-        Ok(restored)
+        Ok((gckp.time, gckp.step))
     }
 
     /// Serialize this block's interior as a single-block global checkpoint
@@ -799,98 +746,6 @@ impl BlockSolver {
     fn snapshot_bytes(&self, u: &Field, t: f64, step: u64) -> Vec<u8> {
         let block = self.record(self.my_rank, pack_interior(u));
         encode_trusted(&self.image(t, step, vec![block]))
-    }
-
-    /// Extract this block's span (and the checkpoint's time/step) without
-    /// committing it to the state — the validation half of
-    /// [`BlockSolver::fill_from_global`].
-    fn fill_global_span(&self, gckp: &GlobalCheckpoint) -> Option<(Vec<f64>, f64, u64)> {
-        if gckp.global_n != self.cfg.global_n || gckp.ncomp != NCOMP {
-            return None;
-        }
-        let (offset, size) = self.cfg.decomp.local_span(self.cfg.global_n, self.my_rank);
-        let data = gckp.extract_span(offset, size)?;
-        Some((data, gckp.time, gckp.step))
-    }
-
-    /// Collective shrink onto the survivors with the lost blocks restored
-    /// from buddy replicas ([`MemoryTiers::gather_for_shrink`]) — no disk
-    /// involved. Returns `Ok(None)` (state and decomposition untouched)
-    /// when the replicas cannot cover every dead block, so the caller
-    /// falls back to the disk shrink path. The first survivor merges the
-    /// single-block snapshots into one full [`GlobalCheckpoint`]; only
-    /// once every survivor holds it does each re-run the decomposition
-    /// and cut its new span out of the merged state.
-    fn shrink_from_buddies(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        tiers: &MemoryTiers,
-        rstats: &mut ResilienceStats,
-    ) -> Result<Option<(f64, u64)>, SolverError> {
-        let merge = |round, time, snapshots: &[&[u8]]| {
-            let mut blocks: Vec<BlockRecord> = snapshots
-                .iter()
-                .filter_map(|bytes| decode_trusted(bytes).ok())
-                .flat_map(|g| g.blocks)
-                .collect();
-            blocks.sort_by_key(|r| r.id);
-            blocks.dedup_by_key(|r| r.id);
-            encode_trusted(&self.image(time, round, blocks))
-        };
-        let merged = tiers.gather_for_shrink(rank, &self.comm_ranks, self.my_rank, merge, |b| {
-            decode_trusted(b).ok()
-        })?;
-        let Some(gckp) = merged else {
-            return Ok(None);
-        };
-        // Everyone holds the merged pre-shrink state: now it is safe to
-        // re-cut the domain over the survivors and fill from it.
-        self.rebuild_for_survivors(rank)?;
-        let restored = self.fill_from_global(u, &gckp)?;
-        rstats.buddy_shrinks += 1;
-        Ok(Some(restored))
-    }
-
-    /// The recovery ladder's restore rung: try the memory tiers (own L1
-    /// snapshot, then a buddy replica — [`MemoryTiers::fetch`]), and only
-    /// if they cannot serve a consistent state fall through to the disk
-    /// tier on the unchanged decomposition. Every branch decision is
-    /// collectively agreed, so all ranks walk the same rungs.
-    fn tier_restore(
-        &mut self,
-        rank: &mut Rank,
-        u: &mut Field,
-        tiers: &Option<MemoryTiers>,
-        slots: Option<&CheckpointSlots>,
-        rstats: &mut ResilienceStats,
-    ) -> Result<(f64, u64), SolverError> {
-        if let Some(tz) = tiers {
-            let s = self.pstart(rank);
-            let fetched = tz.fetch(rank, &self.comm_ranks, self.my_rank, |bytes| {
-                let gckp = decode_trusted(bytes).ok()?;
-                self.fill_global_span(&gckp)
-            })?;
-            let served = fetched.map(|((data, time, step), from_buddy)| {
-                // A fresh field, ghosts zeroed exactly as on the disk
-                // path — keeps the two tiers' restored runs bit-identical.
-                *u = unpack_interior(*self.geom(), &data);
-                if from_buddy {
-                    rstats.buddy_restores += 1;
-                } else {
-                    rstats.local_restores += 1;
-                }
-                (time, step)
-            });
-            self.pend("driver.tier_restore.memory", rank, s);
-            if let Some(restored) = served {
-                return Ok(restored);
-            }
-        }
-        let s = self.pstart(rank);
-        let restored = self.restore_from_disk(rank, u, slots, rstats)?;
-        self.pend("driver.tier_restore.disk", rank, s);
-        Ok(restored)
     }
 
     /// Gather the interior of every block onto block rank 0 as a global,
@@ -956,25 +811,22 @@ impl BlockSolver {
         let vtime0 = rank.vtime();
         let rec0 = self.rec_stats;
         self.dt_cache = DtCache::new();
+        let dir = res.checkpoint_dir.as_ref().map(|d| d.join("global"));
         let mut ladder = BlockLadder {
             backup: Field::cons(*self.geom()),
             injector: rank.fault_injector().cloned(),
-            s: self,
-            u,
+            stack: TierStack::new(res, dir, self.metrics.clone()),
+            img: BlockImage { s: self, u },
             res,
             stats: DistStats::default(),
-            rstats: ResilienceStats::default(),
-            slots: None,
-            tiers: None,
             stamp: None,
             step_no: 0,
         };
         resilient_advance(&mut ladder, rank, t0, t_end, res)?;
         let BlockLadder {
-            mut stats,
-            mut rstats,
-            ..
+            mut stats, stack, ..
         } = ladder;
+        let mut rstats = stack.stats;
         rstats.recovery = RecoveryStats {
             relaxed_tol: self.rec_stats.relaxed_tol - rec0.relaxed_tol,
             neighbor_avg: self.rec_stats.neighbor_avg - rec0.neighbor_avg,
@@ -1232,15 +1084,13 @@ fn unpack_face(prim: &mut Field, d: usize, side: usize, buf: &[f64]) -> Result<(
 /// One `advance_to_with_restart` call seen from the recovery ladder: the
 /// solver and its state plus everything the rungs keep between steps.
 struct BlockLadder<'a> {
-    s: &'a mut BlockSolver,
-    u: &'a mut Field,
+    /// The solver and its state.
+    img: BlockImage<'a>,
     res: &'a ResilienceConfig,
     stats: DistStats,
-    rstats: ResilienceStats,
-    /// The disk tier: the global (rank-count-independent) slot pair in
-    /// `<checkpoint_dir>/global/` — block rank 0 writes, every rank reads.
-    slots: Option<CheckpointSlots>,
-    tiers: Option<MemoryTiers>,
+    /// The disk tier — the global (rank-count-independent) slot pair in
+    /// `<checkpoint_dir>/global/` — and the memory tiers.
+    stack: TierStack<'a>,
     /// ABFT stamp of the last committed state.
     stamp: Option<StateChecksum>,
     /// Pre-attempt copy of the state for rollback.
@@ -1249,62 +1099,46 @@ struct BlockLadder<'a> {
     step_no: u64,
 }
 
-impl BlockLadder<'_> {
-    /// Collectively write the global checkpoint into the disk slots, if
-    /// armed, and count it once it stood.
-    fn save_disk(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
-        let Some(slots) = &self.slots else {
-            return Ok(());
-        };
-        let s = self.s.pstart(rank);
-        self.s
-            .save_global_distributed(rank, slots, self.u, t, self.step_no)?;
-        self.s.pend("phase.ckp.save", rank, s);
-        self.rstats.checkpoints_saved += 1;
-        self.s.count("ckp.save.disk", 1);
-        Ok(())
+/// The block state as the tier stack sees it: this rank's block of the
+/// global image.
+struct BlockImage<'a> {
+    s: &'a mut BlockSolver,
+    u: &'a mut Field,
+}
+
+impl Tiered for BlockImage<'_> {
+    const WHOLE: bool = false;
+
+    fn blocks(&self, _rank: &Rank) -> Result<(Cow<'_, [usize]>, usize), SolverError> {
+        Ok((Cow::Borrowed(&self.s.comm_ranks), self.s.my_rank))
     }
 
-    /// Freeze the state into the memory tiers, if armed.
-    fn save_tiers(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
-        let Some(tz) = &mut self.tiers else {
-            return Ok(());
-        };
-        let s = &*self.s;
-        let bytes = s.snapshot_bytes(self.u, t, self.step_no);
-        self.rstats.local_snapshots += 1;
-        if tz.refresh(rank, &s.comm_ranks, s.my_rank, self.step_no, t, bytes)? {
-            self.rstats.buddy_exchanges += 1;
+    /// Its own block image for the memory tier, and the root gather of
+    /// every block for the disk.
+    fn capture(&mut self, rank: &mut Rank, at: (f64, u64), disk: bool, memory: bool) -> Capture {
+        let (t, step) = at;
+        let image = disk.then(|| self.s.global_image(rank, self.u, t, step));
+        let bytes = memory.then(|| self.s.snapshot_bytes(self.u, t, step));
+        (image.unwrap_or(Ok(None)), bytes)
+    }
+
+    /// Cut this block's span; after a shrink, first re-cut the
+    /// decomposition over the survivors.
+    fn install(&mut self, rank: &Rank, img: GlobalCheckpoint) -> Result<(f64, u64), SolverError> {
+        if rank.live_ranks() != self.s.comm_ranks {
+            self.s.rebuild_for_survivors(rank)?;
         }
-        Ok(())
+        self.s.fill_from_global(self.u, &img)
     }
+}
 
-    /// Fresh (empty) memory tiers over the current decomposition.
-    fn new_tiers(&self) -> MemoryTiers {
-        MemoryTiers::new(
-            self.res.buddy_offset,
-            self.s.comm_ranks.len(),
-            self.injector.clone(),
-            self.s.metrics.clone(),
-        )
-    }
-
+impl BlockLadder<'_> {
     /// Re-stamp the state as the reference the next live scrub verifies
     /// against (armed together with either memory-tier cadence).
     fn restamp(&mut self) {
         if self.res.local_interval > 0 || self.res.scrub_interval > 0 {
-            self.stamp = Some(StateChecksum::stamp(self.u.raw(), NCOMP));
+            self.stamp = Some(StateChecksum::stamp(self.img.u.raw(), NCOMP));
         }
-    }
-}
-
-/// A peer that died mid-collective leaves its suspicion latched in the
-/// communicator; the next step's agreement round routes it into the
-/// consensus rung, so the save itself only has to not fail the run.
-fn unless_peer_suspect(r: Result<(), SolverError>) -> Result<(), SolverError> {
-    match r {
-        Err(SolverError::PeerSuspect { .. }) => Ok(()),
-        r => r,
     }
 }
 
@@ -1314,36 +1148,23 @@ impl Recoverable for BlockLadder<'_> {
     }
 
     fn arm(&mut self, rank: &mut Rank, t: f64) -> Result<(), SolverError> {
-        // Always write an initial checkpoint so a restore target exists
-        // from the very first step.
-        if let Some(dir) = &self.res.checkpoint_dir {
-            self.slots = Some(CheckpointSlots::new(dir.join("global")).map_err(ck_err)?);
-            self.save_disk(rank, t)?;
+        self.stack.arm(&mut self.img, rank, (t, self.step_no))?;
+        if let Some(mon) = &mut self.img.s.health {
+            mon.ensure_baseline(self.img.u);
         }
-        if let Some(mon) = &mut self.s.health {
-            mon.ensure_baseline(self.u);
-        }
-        // Arm the diskless tiers and the live-state ABFT stamp. The
-        // initial snapshot (and its buddy replica) is captured up front,
-        // mirroring the initial disk checkpoint.
-        if self.res.local_interval > 0 {
-            self.tiers = Some(self.new_tiers());
-            let s = self.s.pstart(rank);
-            self.save_tiers(rank, t)?;
-            self.s.pend("phase.ckp.memory", rank, s);
-        }
+        // Arm the live-state ABFT stamp.
         self.restamp();
         if self.stamp.is_some() {
             // Materialize the undetected-corruption counter at zero: its
             // *presence* (and staying zero) is the acceptance signal the
             // committed bench baselines pin.
-            self.s.count("sdc.undetected", 0);
+            count(self.img.s.metrics.as_deref(), "sdc.undetected", 0);
         }
         Ok(())
     }
 
     fn pre_step(&mut self, rank: &mut Rank, _t: f64) -> Result<bool, SolverError> {
-        let (s, u, step_no) = (&mut *self.s, &mut *self.u, self.step_no);
+        let (s, u, step_no) = (&mut *self.img.s, &mut *self.img.u, self.step_no);
         if let Some(inj) = &self.injector {
             // Rank-level crash injection: the victim stops participating
             // entirely (no farewell message — the survivors must detect
@@ -1365,7 +1186,7 @@ impl Recoverable for BlockLadder<'_> {
                 let v = u.at(c, i, j, k);
                 u.set(c, i, j, k, f64::from_bits(v.to_bits() ^ (1u64 << bit)));
                 rank.trace_instant("driver.bitflip_injected", step_no as f64);
-                s.count("sdc.injected", 1);
+                count(s.metrics.as_deref(), "sdc.injected", 1);
             }
         }
         // Live-state scrub against the last committed stamp — every
@@ -1377,24 +1198,19 @@ impl Recoverable for BlockLadder<'_> {
         let corrupt = self.stamp.as_ref().filter(|st| !st.verify(u.raw()));
         let sdc_hit = corrupt.is_some();
         if let Some(st) = corrupt {
-            self.rstats.sdc_detected += 1;
+            self.stack.stats.sdc_detected += 1;
             let comp = st.corrupted_component(u.raw());
             rank.trace_instant(
                 "driver.sdc_detected",
                 comp.map(|c| c as f64).unwrap_or(-1.0),
             );
-            s.count("sdc.detected", 1);
+            count(s.metrics.as_deref(), "sdc.detected", 1);
         }
         // Frozen-buffer scrub on its own (slower) cadence: re-hash the
         // idle local snapshot and buddy replica, dropping any that
-        // rotted so a restore never trusts them.
-        let scrub = self.res.scrub_interval as u64;
-        if scrub > 0 && step_no.is_multiple_of(scrub) {
-            if let Some(tz) = &mut self.tiers {
-                self.rstats.scrubs += 1;
-                self.rstats.snapshots_rotted += tz.scrub(rank);
-            }
-        }
+        // rotted so a restore never trusts them. Before the step, so
+        // step 0 counts.
+        self.stack.scrub(rank, step_no);
         // Deterministic state corruption, if the fault plan asks for it:
         // one interior conserved value becomes NaN, which the recovery
         // cascade must repair in-flight.
@@ -1421,8 +1237,8 @@ impl Recoverable for BlockLadder<'_> {
         t_end: f64,
         cfl_scale: f64,
     ) -> Result<f64, SolverError> {
-        self.backup.raw_mut().copy_from_slice(self.u.raw());
-        let s = &mut *self.s;
+        self.backup.raw_mut().copy_from_slice(self.img.u.raw());
+        let s = &mut *self.img.s;
         let (cfl, v0) = (s.cfg.cfl, s.dt_cache.violations);
         let limit = Some((t, t_end));
         let size = StepSize::Cfl {
@@ -1431,7 +1247,7 @@ impl Recoverable for BlockLadder<'_> {
             limit,
         };
         let attempt = Stopwatch::start(rank);
-        let outcome = s.run(rank, self.u, size, true).and_then(|dt| {
+        let outcome = s.run(rank, self.img.u, size, true).and_then(|dt| {
             if s.dt_cache.violations == v0 {
                 return Ok(dt);
             }
@@ -1448,107 +1264,63 @@ impl Recoverable for BlockLadder<'_> {
         // was computed from (or aged against) the discarded trajectory,
         // so it must not survive the rollback — every rank rolls back
         // together, so the invalidation stays in lockstep.
-        self.u.raw_mut().copy_from_slice(self.backup.raw());
-        self.s.dt_cache.invalidate();
+        self.img.u.raw_mut().copy_from_slice(self.backup.raw());
+        self.img.s.dt_cache.invalidate();
     }
 
     fn commit(&mut self, rank: &mut Rank, t: f64, dt: f64) -> Result<(), SolverError> {
         self.step_no += 1;
         self.stats.steps += 1;
-        self.stats.zone_updates += (self.s.geom().interior_len() * self.s.cfg.rk.stages()) as u64;
-        let interval = self.res.checkpoint_interval as u64;
-        if interval > 0 && self.step_no.is_multiple_of(interval) {
-            unless_peer_suspect(self.save_disk(rank, t))?;
-        }
-        // Re-stamp the committed state and, on the faster memory
-        // cadence, freeze it into the L1 snapshot + ship the buddy
-        // replica.
+        self.stats.zone_updates +=
+            (self.img.s.geom().interior_len() * self.img.s.cfg.rk.stages()) as u64;
+        self.stack.commit(&mut self.img, rank, (t, self.step_no))?;
         self.restamp();
-        let local = self.res.local_interval as u64;
-        if self.tiers.is_some() && self.step_no.is_multiple_of(local) {
-            let s = self.s.pstart(rank);
-            unless_peer_suspect(self.save_tiers(rank, t))?;
-            self.s.pend("phase.ckp.memory", rank, s);
-        }
-        self.s.health_observe(rank, self.u, t, self.step_no);
+        self.img.s.health_observe(rank, self.img.u, t, self.step_no);
         // Commits are collective (the outcome flag is agreed), so the
         // sampling cadence stays in lockstep across ranks even through
         // retries and restores.
-        self.s.telemetry_observe(rank, t, self.step_no, dt);
+        self.img.s.telemetry_observe(rank, t, self.step_no, dt);
         Ok(())
     }
 
     fn restore(&mut self, rank: &mut Rank, cause: RestoreCause) -> Result<f64, SolverError> {
-        let s = self.s.pstart(rank);
-        let (t, step) = self.s.tier_restore(
-            rank,
-            self.u,
-            &self.tiers,
-            self.slots.as_ref(),
-            &mut self.rstats,
-        )?;
+        let s = self.img.s.pstart(rank);
+        let (t, step) = self.stack.restore(&mut self.img, rank)?;
         self.step_no = step;
         self.restamp();
         // The state just jumped back in time: a Δt cached on the
         // abandoned trajectory is stale.
-        self.s.dt_cache.invalidate();
+        self.img.s.dt_cache.invalidate();
         let span = match cause {
             RestoreCause::Sdc => "driver.sdc_restore",
             RestoreCause::RetriesExhausted => "driver.restart_restore",
         };
-        self.s.pend(span, rank, s);
+        self.img.s.pend(span, rank, s);
         Ok(t)
     }
 
     fn shrink(&mut self, rank: &mut Rank) -> Result<f64, SolverError> {
-        let s = self.s.pstart(rank);
-        // Cheapest rung first: reassemble the dead blocks from their
-        // guardians' buddy replicas, entirely in memory. Only if the
-        // replicas cannot cover every lost block does the shrink touch
-        // disk.
-        let from_buddies = match &self.tiers {
-            Some(tz) => self
-                .s
-                .shrink_from_buddies(rank, self.u, tz, &mut self.rstats)?,
-            None => None,
-        };
-        let (t, step) = match from_buddies {
-            Some(restored) => restored,
-            None => {
-                self.s.rebuild_for_survivors(rank)?;
-                let slots = self.slots.as_ref();
-                self.s
-                    .restore_from_disk(rank, self.u, slots, &mut self.rstats)?
-            }
-        };
-        self.s.pend("driver.shrink_restore", rank, s);
+        let s = self.img.s.pstart(rank);
+        let (t, step) = self.stack.shrink(&mut self.img, rank)?;
+        self.img.s.pend("driver.shrink_restore", rank, s);
         self.step_no = step;
         // The local domain just changed: old conservation baselines are
         // meaningless.
-        if let Some(mon) = &mut self.s.health {
+        if let Some(mon) = &mut self.img.s.health {
             mon.rebaseline();
-            mon.ensure_baseline(self.u);
+            mon.ensure_baseline(self.img.u);
         }
-        self.backup = Field::cons(*self.s.geom());
-        // The decomposition changed: pre-shrink snapshots must never
-        // serve another restore. Rebuild the tier state for the new
-        // world and re-seed it immediately so the memory rungs stay
-        // armed. (The global disk slots are rank-count-independent and
-        // stay as they are.)
-        if self.tiers.is_some() {
-            self.tiers = Some(self.new_tiers());
-            unless_peer_suspect(self.save_tiers(rank, t))?;
-        }
+        self.backup = Field::cons(*self.img.s.geom());
         self.restamp();
         Ok(t)
     }
 
     fn stats(&mut self) -> &mut ResilienceStats {
-        &mut self.rstats
+        &mut self.stack.stats
     }
 
     fn metrics(&self) -> Option<&Registry> {
-        self.s.metrics.as_deref()
+        self.img.s.metrics.as_deref()
     }
 }
 

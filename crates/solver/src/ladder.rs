@@ -8,9 +8,13 @@
 //! a shrink — and it *books* every rung it climbs: the
 //! [`ResilienceStats`] field, the registry counter and the trace instant
 //! are spelled here once, under the same names for every driver. The
-//! *mechanics* of each rung (how a state is rolled back, which snapshot
-//! tiers exist, how a decomposition is re-cut) are the driver's, reached
-//! through the [`Recoverable`] hooks. The block driver
+//! *storage* of each rung — the disk slots and memory tiers, their save
+//! cadence, the restore and shrink order and the tier booking — is one
+//! [`TierStack`](crate::tiers::TierStack), also shared by both drivers.
+//! What stays the driver's, reached through the [`Recoverable`] hooks, is
+//! its *state*: how it is stepped and rolled back, what is injected into
+//! it and checked on it, and how it becomes an image and back
+//! ([`Tiered`](crate::tiers::Tiered)). The block driver
 //! ([`crate::driver::BlockSolver::advance_to_with_restart`]) and the
 //! distributed AMR driver ([`crate::amr_dist::DistAmrSolver::advance_to`])
 //! are the two implementations; both take a [`ResilienceConfig`] and
@@ -79,10 +83,12 @@ pub struct ResilienceConfig {
     /// disk tier.
     pub checkpoint_dir: Option<PathBuf>,
     /// Capture an in-memory (diskless) snapshot every this many committed
-    /// steps: the L1 tier each rank keeps of its own state, plus the L2
-    /// buddy replica it ships to its guardian. `0` disables the memory
-    /// tiers. Unlike the disk tier the memory tiers need no
-    /// `checkpoint_dir`.
+    /// steps, and once at the start: the L1 tier each rank keeps of its
+    /// image (the block driver's own block, distributed AMR's whole
+    /// hierarchy), plus the block driver's L2 buddy replica, shipped to its
+    /// guardian. `0` disables the memory tiers of both drivers: no snapshot
+    /// is frozen, not even beside a disk save. Unlike the disk tier the
+    /// memory tiers need no `checkpoint_dir`.
     pub local_interval: usize,
     /// Buddy pairing stride of the block driver: block `b`'s replica is
     /// guarded by block `(b + offset) mod nblocks`. An offset of `0` (or a
@@ -139,8 +145,10 @@ pub struct ResilienceStats {
     pub local_snapshots: u64,
     /// Buddy replica exchanges completed (one send + one receive each).
     pub buddy_exchanges: u64,
-    /// Restores served from this rank's own L1 snapshot (distributed
-    /// AMR's shrinks too: its replicated snapshot serves them alike).
+    /// Restores served from this rank's own L1 snapshot. A distributed-AMR
+    /// shrink served from memory counts here too: its snapshot is the
+    /// whole hierarchy, so it serves a shrink like a restore (a block
+    /// shrink from buddy replicas counts as `buddy_shrinks`).
     pub local_restores: u64,
     /// Restores served from a buddy replica (shipped back by the
     /// guardian because this rank's own tiers were dead or rotted).
@@ -242,6 +250,31 @@ impl Stopwatch {
     }
 }
 
+/// Start marker of an instrumented phase. `None` when neither a registry
+/// nor a tracer is attached, so the disabled path costs one `Option`
+/// check per phase.
+pub(crate) type PhaseStart = Option<Stopwatch>;
+
+pub(crate) fn phase_start(metrics: Option<&Registry>, rank: &Rank) -> PhaseStart {
+    (metrics.is_some() || rank.has_trace()).then(|| Stopwatch::start(rank))
+}
+
+/// Record the phase begun at `s` as histogram `name` and as a trace span.
+pub(crate) fn phase_end(
+    metrics: Option<&Registry>,
+    name: &'static str,
+    rank: &Rank,
+    s: PhaseStart,
+) {
+    if let Some(s) = s {
+        let ns = s.ns(rank);
+        if let Some(m) = metrics {
+            m.histogram(name).record(ns);
+        }
+        rank.trace_span(name, ns);
+    }
+}
+
 /// Straggler injection for both drivers: when the fault plan names this
 /// rank the straggler, stretch the section timed by `since` by its stall
 /// factor. The lag advances the straggler's virtual
@@ -276,9 +309,9 @@ pub(crate) fn outcome_flag<T>(rank: &Rank, outcome: &Result<T, SolverError>) -> 
     }
 }
 
-/// Add `n` to the registry counter `name`, if `state` has a registry.
-fn count<S: Recoverable>(state: &S, name: &str, n: u64) {
-    if let Some(m) = state.metrics() {
+/// Add `n` to counter `name` when a registry is attached.
+pub(crate) fn count(metrics: Option<&Registry>, name: &str, n: u64) {
+    if let Some(m) = metrics {
         m.counter(name).add(n);
     }
 }
@@ -356,8 +389,8 @@ fn climb<S: Recoverable>(
                     st.shrinks += 1;
                     st.ranks_lost += lost;
                     rank.trace_instant("driver.shrink", lost as f64);
-                    count(state, "driver.shrinks", 1);
-                    count(state, "driver.ranks_lost", lost);
+                    count(state.metrics(), "driver.shrinks", 1);
+                    count(state.metrics(), "driver.ranks_lost", lost);
                     // Resume cautiously on the smaller machine.
                     cfl_scale = RESTART_CFL_SCALE;
                     break;
@@ -365,12 +398,12 @@ fn climb<S: Recoverable>(
                 // False alarm: fall through to the ordinary retry path.
                 state.stats().false_suspicions += 1;
                 rank.trace_instant("driver.false_suspicion", state.step_no() as f64);
-                count(state, "driver.false_suspicions", 1);
+                count(state.metrics(), "driver.false_suspicions", 1);
             } else if agreed >= SDC_FLAG {
                 // Free of budget, and the deterministic fault streams
                 // cannot replay the same flip after the restore.
                 t = state.restore(rank, RestoreCause::Sdc)?;
-                count(state, "sdc.restores", 1);
+                count(state.metrics(), "sdc.restores", 1);
                 break;
             }
             match outcome {
@@ -393,7 +426,7 @@ fn climb<S: Recoverable>(
                         st.retries += 1;
                         st.retried_steps += u64::from(attempt == 1);
                         rank.trace_instant("driver.retry", attempt as f64);
-                        count(state, "driver.retries", 1);
+                        count(state.metrics(), "driver.retries", 1);
                         continue;
                     }
                     // Retries exhausted. The attempt and restore counters
@@ -408,7 +441,7 @@ fn climb<S: Recoverable>(
                     t = state.restore(rank, RestoreCause::RetriesExhausted)?;
                     restores_left -= 1;
                     state.stats().restarts += 1;
-                    count(state, "driver.restarts", 1);
+                    count(state.metrics(), "driver.restarts", 1);
                     cfl_scale = RESTART_CFL_SCALE;
                     break;
                 }

@@ -1,5 +1,16 @@
-//! The storage the recovery ladder climbs on: the diskless checkpoint
-//! tiers and the collective preludes of a disk restore.
+//! The storage the recovery ladder climbs on: one tier stack for both
+//! distributed drivers.
+//!
+//! [`TierStack`] owns the storage half of every rung: the disk slot pair
+//! and the memory tiers, the initial save and the save cadence, the
+//! failure rule of a save, the restore order (memory, then disk), the
+//! shrink order (buddy replicas, then the restore tiers) and every tier
+//! counter of the ledger. A driver supplies only its state's side through
+//! [`Tiered`]: its image at `(t, step)` and how an image becomes its state
+//! again. Both images are a [`GlobalCheckpoint`] — the block driver's own
+//! block of the global grid, distributed AMR's whole replicated hierarchy
+//! (one level-tagged block per patch) — and what differs between the two
+//! drivers follows from that one fact, [`Tiered::WHOLE`].
 //!
 //! [`MemoryTiers`] is one rank's share of the FTI/SCR-style memory
 //! hierarchy — its own frozen snapshot (L1) and, when a buddy offset is
@@ -7,13 +18,10 @@
 //! protocol that moves or trusts those buffers: the buddy exchange at
 //! capture time, injected rot and the scrub that finds it, the collective
 //! fetch that decides whether memory can serve a restore, and the gather
-//! that rebuilds dead ranks' blocks from their guardians' replicas. The
-//! store never looks inside a snapshot: what the image's blocks are (the
-//! rank's own block for the block driver, every patch of the hierarchy
-//! for distributed AMR) is the caller's, passed in as a decode closure.
-//! Both ladders ([`crate::driver`], [`crate::amr_dist`]) run on it; the
-//! AMR one with buddy offset 0, because its snapshot is the allgathered
-//! hierarchy and already sits on every rank.
+//! that rebuilds dead ranks' blocks from their guardians' replicas. A
+//! snapshot is a trusted-encoded image ([`encode_trusted`]); the store
+//! decodes it only to serve a restore, and folds single-block images into
+//! one at a buddy shrink.
 //!
 //! Every method that communicates is collective over the ranks in
 //! `comm_ranks` — block `b` of the current decomposition lives on
@@ -22,13 +30,20 @@
 //! same path.
 
 use crate::driver::comm_err;
+use crate::ladder::{count, phase_end, phase_start, PhaseStart, ResilienceConfig, ResilienceStats};
 use crate::scheme::SolverError;
-use rhrsc_comm::{FaultInjector, Rank, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG};
-use rhrsc_io::checkpoint::{CheckpointError, CheckpointSlots, GlobalCheckpoint};
+use rhrsc_comm::{Rank, BUDDY_CKP_TAG, BUDDY_RESTORE_TAG, BUDDY_SHRINK_TAG};
+use rhrsc_io::checkpoint::{
+    decode_trusted, encode_trusted, BlockRecord, CheckpointError, CheckpointSlots, GlobalCheckpoint,
+};
 use rhrsc_io::snapshot::MemorySnapshot;
 use rhrsc_runtime::fault::SnapshotTarget;
 use rhrsc_runtime::metrics::Registry;
+use std::borrow::Cow;
+use std::path::PathBuf;
 use std::sync::Arc;
+
+type Res<T = ()> = Result<T, SolverError>;
 
 pub(crate) fn ck_err(e: CheckpointError) -> SolverError {
     SolverError::Checkpoint { msg: e.to_string() }
@@ -38,7 +53,7 @@ pub(crate) fn ck_err(e: CheckpointError) -> SolverError {
 /// (falling back past a torn `latest`) and all agree that everyone
 /// succeeded, so a one-rank I/O failure cannot desynchronize the tiers.
 /// Returns the checkpoint and whether the `prev` slot served it.
-pub(crate) fn load_newest_agreed(
+fn load_newest_agreed(
     rank: &mut Rank,
     slots: &CheckpointSlots,
 ) -> Result<(GlobalCheckpoint, bool), SolverError> {
@@ -119,40 +134,27 @@ fn unpack_snapshot_msg(msg: &[f64]) -> Result<MemorySnapshot, SolverError> {
 /// dead or rotted rank never takes both copies of any block with it
 /// (for `0 < offset < n`). Offset 0 keeps the L1 tier alone.
 pub(crate) struct MemoryTiers {
-    /// Buddy pairing stride (already reduced mod the block count).
+    /// Buddy pairing stride, reduced mod the block count where used.
     offset: usize,
     /// This rank's own snapshot.
     local: Option<MemorySnapshot>,
     /// `(ward_block, replica)` — the partner snapshot this rank guards.
     replica: Option<(usize, MemorySnapshot)>,
-    injector: Option<Arc<FaultInjector>>,
     metrics: Option<Arc<Registry>>,
 }
 
 impl MemoryTiers {
-    /// Empty tiers over `nblocks` blocks. The store books its own
-    /// counters in `metrics` — saves as `ckp.save.{local,buddy}`, the
-    /// restores and replica-served shrinks it serves as
-    /// `ckp.tier.{local,buddy}.restore` / `ckp.tier.buddy.shrink`, and
-    /// `sdc.*`; the stats are the callers', fed from the return values.
-    pub(crate) fn new(
-        offset: usize,
-        nblocks: usize,
-        injector: Option<Arc<FaultInjector>>,
-        metrics: Option<Arc<Registry>>,
-    ) -> Self {
+    /// Empty tiers. The store books its own counters in `metrics` — saves
+    /// as `ckp.save.{local,buddy}`, the restores and replica-served
+    /// shrinks it serves as `ckp.tier.{local,buddy}.restore` /
+    /// `ckp.tier.buddy.shrink`, and `sdc.*`; the stats are the tier
+    /// stack's, fed from the return values.
+    pub(crate) fn new(offset: usize, metrics: Option<Arc<Registry>>) -> Self {
         MemoryTiers {
-            offset: if nblocks > 1 { offset % nblocks } else { 0 },
+            offset,
             local: None,
             replica: None,
-            injector,
             metrics,
-        }
-    }
-
-    fn count(&self, name: &str, n: u64) {
-        if let Some(m) = &self.metrics {
-            m.counter(name).add(n);
         }
     }
 
@@ -160,9 +162,8 @@ impl MemoryTiers {
     /// stateful draw: call it exactly where a buffer of that tier was
     /// just installed, or every seeded fault schedule shifts.
     fn rot(&self, rank: &Rank, tier: SnapshotTarget, snap: &mut MemorySnapshot) {
-        let flip = self
-            .injector
-            .as_ref()
+        let flip = rank
+            .fault_injector()
             .and_then(|inj| inj.should_flip_snapshot_bit(tier));
         if let Some(sel) = flip {
             snap.flip_bit(sel);
@@ -193,11 +194,12 @@ impl MemoryTiers {
         bytes: Vec<u8>,
     ) -> Result<bool, SolverError> {
         let mut snap = MemorySnapshot::new(step, time, bytes);
-        self.count("ckp.save.local", 1);
+        count(self.metrics.as_deref(), "ckp.save.local", 1);
         let n = comm_ranks.len();
-        let arrived = if self.offset != 0 {
-            let guardian = (me + self.offset) % n;
-            let ward = (me + n - self.offset) % n;
+        let offset = self.offset % n;
+        let arrived = if offset != 0 {
+            let guardian = (me + offset) % n;
+            let ward = (me + n - offset) % n;
             rank.send_vec(
                 comm_ranks[guardian],
                 BUDDY_CKP_TAG,
@@ -216,7 +218,7 @@ impl MemoryTiers {
             return Ok(false);
         };
         self.rot(rank, SnapshotTarget::Buddy, &mut rep);
-        self.count("ckp.save.buddy", 1);
+        count(self.metrics.as_deref(), "ckp.save.buddy", 1);
         self.replica = Some((ward, rep));
         Ok(true)
     }
@@ -227,7 +229,7 @@ impl MemoryTiers {
     /// just finds out *early*, while the disk tier is still fresh).
     /// Returns how many were dropped.
     pub(crate) fn scrub(&mut self, rank: &Rank) -> u64 {
-        self.count("sdc.scrubs", 1);
+        count(self.metrics.as_deref(), "sdc.scrubs", 1);
         let mut rotted = 0;
         if self.local.as_ref().is_some_and(|s| !s.verify()) {
             self.local = None;
@@ -240,7 +242,7 @@ impl MemoryTiers {
             rank.trace_instant("tiers.snapshot_rot_detected", 1.0);
         }
         if rotted > 0 {
-            self.count("sdc.snapshot_rot", rotted);
+            count(self.metrics.as_deref(), "sdc.snapshot_rot", rotted);
         }
         rotted
     }
@@ -267,19 +269,18 @@ impl MemoryTiers {
     /// Collective fetch for a restore (L1 local, then L2 buddy). Every
     /// block must be covered by a valid copy of one common capture round;
     /// a guardian ships its replica (on [`BUDDY_RESTORE_TAG`]) to a ward
-    /// whose own copy died; each rank runs `decode` on its verified
-    /// snapshot, and nobody gets a value unless every rank decoded — the
-    /// caller commits only then, because a half-restored universe is
-    /// worse than falling through to disk with clean state. `Ok(None)`
-    /// when memory cannot serve a consistent global state. On success
-    /// also returns whether the value came from the buddy replica.
-    pub(crate) fn fetch<T>(
+    /// whose own copy died; each rank decodes its verified snapshot, and
+    /// nobody gets an image unless every rank decoded — the caller commits
+    /// only then, because a half-restored universe is worse than falling
+    /// through to disk with clean state. `Ok(None)` when memory cannot
+    /// serve a consistent global state. On success also returns whether
+    /// the image came from the buddy replica.
+    pub(crate) fn fetch(
         &self,
         rank: &mut Rank,
         comm_ranks: &[usize],
         me: usize,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Result<Option<(T, bool)>, SolverError> {
+    ) -> Result<Option<(GlobalCheckpoint, bool)>, SolverError> {
         let n = comm_ranks.len();
         let (own_ok, rep_ok, flags) = self.coverage(rank, n, me);
         let covered = (0..n).all(|b| flags[b] > 0.5 || flags[n + b] > 0.5);
@@ -309,7 +310,7 @@ impl MemoryTiers {
             }
         };
         let decoded = ((own_ok || snap.verify()) && snap.step == round)
-            .then(|| decode(snap.bytes()))
+            .then(|| decode_trusted(snap.bytes()).ok())
             .flatten();
         let all_ok = rank.allreduce_min(if decoded.is_some() { 1.0 } else { 0.0 }) > 0.5;
         let Some(value) = decoded.filter(|_| all_ok) else {
@@ -320,7 +321,7 @@ impl MemoryTiers {
         } else {
             "ckp.tier.buddy.restore"
         };
-        self.count(served, 1);
+        count(self.metrics.as_deref(), served, 1);
         Ok(Some((value, !own_ok)))
     }
 
@@ -330,21 +331,20 @@ impl MemoryTiers {
     /// dead): they agree that every live block has its own snapshot and
     /// every dead one a live guardian with a valid replica, all of one
     /// capture round; ship those snapshots (on [`BUDDY_SHRINK_TAG`]) to
-    /// the first survivor, whose `merge(round, time, snapshots)` folds
-    /// them into one serialized checkpoint; and get that back, each
-    /// running `decode` on it. `Ok(None)` — nothing changed anywhere —
-    /// when the replicas cannot cover every dead block or some rank could
-    /// not decode, so the caller falls back to the disk shrink path.
-    pub(crate) fn gather_for_shrink<T>(
+    /// the first survivor, which folds them into one image of the old
+    /// grid ([`merge_blocks`]); and get that back, each decoding it.
+    /// `Ok(None)` — nothing changed anywhere — when the replicas cannot
+    /// cover every dead block or some rank could not decode, so the
+    /// caller falls back to the disk shrink path.
+    pub(crate) fn gather_for_shrink(
         &self,
         rank: &mut Rank,
         comm_ranks: &[usize],
         me: usize,
-        merge: impl FnOnce(u64, f64, &[&[u8]]) -> Vec<u8>,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Result<Option<T>, SolverError> {
+    ) -> Result<Option<GlobalCheckpoint>, SolverError> {
         let n = comm_ranks.len();
-        if self.offset == 0 {
+        let offset = self.offset % n;
+        if offset == 0 {
             return Ok(None);
         }
         let live = rank.live_ranks().to_vec();
@@ -377,7 +377,7 @@ impl MemoryTiers {
             // ward second.
             let mut received = Vec::new();
             for b in (0..n).filter(|&b| alive(b) && comm_ranks[b] != root) {
-                let ward = (b + n - self.offset) % n;
+                let ward = (b + n - offset) % n;
                 let guards_dead_ward = !alive(ward) && flags[n + ward] > 0.5;
                 for _ in 0..1 + guards_dead_ward as usize {
                     let raw = rank
@@ -391,7 +391,7 @@ impl MemoryTiers {
                 .map(|s| s.bytes())
                 .collect();
             let time = self.local.as_ref().map_or(f64::INFINITY, |s| s.time);
-            let merged = MemorySnapshot::new(round, time, merge(round, time, &parts));
+            let merged = MemorySnapshot::new(round, time, merge_blocks(round, time, &parts));
             let msg = pack_snapshot_msg(&merged);
             for &r in live.iter().filter(|&&r| r != root) {
                 rank.send(r, BUDDY_SHRINK_TAG, &msg);
@@ -399,13 +399,272 @@ impl MemoryTiers {
             msg
         };
         let merged = unpack_snapshot_msg(&merged_msg)?;
-        let decoded = (merged.verify()).then(|| decode(merged.bytes())).flatten();
+        let decoded = merged
+            .verify()
+            .then(|| decode_trusted(merged.bytes()).ok())
+            .flatten();
         let all_ok = rank.allreduce_min(if decoded.is_some() { 1.0 } else { 0.0 }) > 0.5;
         let Some(value) = decoded.filter(|_| all_ok) else {
             return Ok(None);
         };
-        self.count("ckp.tier.buddy.shrink", 1);
+        count(self.metrics.as_deref(), "ckp.tier.buddy.shrink", 1);
         Ok(Some(value))
+    }
+}
+
+/// Fold single-block images of one capture round into one image at
+/// `(round, time)`: every block once, in id order, on the grid the parts
+/// name. Empty (no image) when no part decodes.
+fn merge_blocks(round: u64, time: f64, parts: &[&[u8]]) -> Vec<u8> {
+    let images: Vec<GlobalCheckpoint> = parts
+        .iter()
+        .filter_map(|bytes| decode_trusted(bytes).ok())
+        .collect();
+    let Some((global_n, ncomp)) = images.first().map(|g| (g.global_n, g.ncomp)) else {
+        return Vec::new();
+    };
+    let mut blocks: Vec<BlockRecord> = images.into_iter().flat_map(|g| g.blocks).collect();
+    blocks.sort_by_key(|r| r.id);
+    blocks.dedup_by_key(|r| r.id);
+    encode_trusted(&GlobalCheckpoint {
+        time,
+        step: round,
+        global_n,
+        ncomp,
+        blocks,
+    })
+}
+
+/// A driver's state as the [`TierStack`] sees it: how it becomes an image
+/// and how an image becomes it again.
+pub(crate) trait Tiered {
+    /// Whether each rank's image is the whole state (distributed AMR's
+    /// replicated hierarchy) rather than its own block. A whole image
+    /// needs no buddy — every rank already holds every block — and it
+    /// outlives a shrink: the survivors' copies still describe the whole
+    /// state, so a shrink is served like a restore and the memory tier is
+    /// not re-seeded.
+    const WHOLE: bool;
+
+    /// The memory tier's block space: block `b` lives on communicator rank
+    /// `blocks[b]`, and this rank is block `me`.
+    fn blocks(&self, rank: &Rank) -> Result<(Cow<'_, [usize]>, usize), SolverError>;
+
+    /// The state at `(t, step)`, collectively: see [`Capture`].
+    fn capture(&mut self, rank: &mut Rank, at: (f64, u64), disk: bool, memory: bool) -> Capture;
+
+    /// Make `img` the state over the current live ranks (re-cut onto them
+    /// after a shrink). Returns the image's `(t, step)`.
+    fn install(&mut self, rank: &Rank, img: GlobalCheckpoint) -> Result<(f64, u64), SolverError>;
+}
+
+/// A capture: when the disk tier asked, its image on the rank that writes
+/// it (`None` on the others) or why the gather that builds it failed —
+/// which takes the memory bytes with it when one gather serves both
+/// tiers; and when the memory tier asked, its bytes (an image encoded by
+/// [`encode_trusted`]).
+pub(crate) type Capture = (
+    Result<Option<GlobalCheckpoint>, SolverError>,
+    Option<Vec<u8>>,
+);
+
+/// One rank's tier stack for one ladder run: the disk slots and the memory
+/// tiers that the [`ResilienceConfig`] asks for, and the tier half of the
+/// run's ledger.
+pub(crate) struct TierStack<'a> {
+    res: &'a ResilienceConfig,
+    /// Where the disk slots go, until [`TierStack::arm`] creates them.
+    dir: Option<PathBuf>,
+    /// The disk tier: one rotating slot pair of the rank-count-independent
+    /// image — the first live rank writes, every rank reads.
+    slots: Option<CheckpointSlots>,
+    memory: Option<MemoryTiers>,
+    metrics: Option<Arc<Registry>>,
+    /// The run's ledger: the stack books the tiers into it, the ladder its
+    /// rungs and the driver its own detections.
+    pub(crate) stats: ResilienceStats,
+}
+
+impl<'a> TierStack<'a> {
+    /// An unarmed stack whose disk slots, if any, go in `dir`.
+    pub(crate) fn new(
+        res: &'a ResilienceConfig,
+        dir: Option<PathBuf>,
+        metrics: Option<Arc<Registry>>,
+    ) -> Self {
+        TierStack {
+            res,
+            dir,
+            slots: None,
+            memory: None,
+            metrics,
+            stats: ResilienceStats::default(),
+        }
+    }
+
+    /// End the phase begun at `sw` as histogram and trace span `name`.
+    fn pend(&self, rank: &Rank, name: &'static str, sw: PhaseStart) {
+        phase_end(self.metrics.as_deref(), name, rank, sw);
+    }
+
+    /// Create the disk slots and the memory tiers, and save the state at
+    /// `at` to both, so that a restore target exists from the first step.
+    pub(crate) fn arm<S: Tiered>(&mut self, s: &mut S, rank: &mut Rank, at: (f64, u64)) -> Res {
+        if let Some(dir) = self.dir.take() {
+            self.slots = Some(CheckpointSlots::new(dir).map_err(ck_err)?);
+        }
+        self.reset_memory::<S>();
+        self.save(s, rank, at, true, true)
+    }
+
+    /// Fresh (empty) memory tiers, if snapshots are frozen at all.
+    fn reset_memory<S: Tiered>(&mut self) {
+        let offset = if S::WHOLE { 0 } else { self.res.buddy_offset };
+        self.memory =
+            (self.res.local_interval > 0).then(|| MemoryTiers::new(offset, self.metrics.clone()));
+    }
+
+    /// The cadenced saves after a commit at `at`: the disk tier every
+    /// `checkpoint_interval` steps, the memory tier every `local_interval`.
+    pub(crate) fn commit<S: Tiered>(&mut self, s: &mut S, rank: &mut Rank, at: (f64, u64)) -> Res {
+        let due = |every: usize| every > 0 && at.1.is_multiple_of(every as u64);
+        let disk = due(self.res.checkpoint_interval);
+        self.save(s, rank, at, disk, due(self.res.local_interval))
+    }
+
+    /// Save the state at `at` to the armed tiers among those asked for,
+    /// from one capture.
+    fn save<S: Tiered>(
+        &mut self,
+        s: &mut S,
+        rank: &mut Rank,
+        at: (f64, u64),
+        disk: bool,
+        memory: bool,
+    ) -> Res {
+        let disk = disk && self.slots.is_some();
+        let memory = memory && self.memory.is_some();
+        if !disk && !memory {
+            return Ok(());
+        }
+        let mut sw = phase_start(self.metrics.as_deref(), rank);
+        let (image, bytes) = s.capture(rank, at, disk, memory);
+        let written = image.and_then(|img| match (img, &self.slots) {
+            (Some(img), Some(slots)) => slots.save(&img).map_err(ck_err),
+            _ => Ok(()),
+        });
+        if disk && written.is_ok() {
+            self.pend(rank, "phase.ckp.save", sw);
+            sw = phase_start(self.metrics.as_deref(), rank);
+            self.stats.checkpoints_saved += 1;
+            count(self.metrics.as_deref(), "ckp.save.disk", 1);
+        }
+        self.settle(written)?;
+        let (Some(bytes), Some(tiers)) = (bytes, &mut self.memory) else {
+            return Ok(());
+        };
+        self.stats.local_snapshots += 1;
+        let (blocks, me) = s.blocks(rank)?;
+        let swapped = tiers.refresh(rank, &blocks, me, at.1, at.0, bytes);
+        self.stats.buddy_exchanges += u64::from(matches!(swapped, Ok(true)));
+        self.pend(rank, "phase.ckp.memory", sw);
+        self.settle(swapped.map(drop))
+    }
+
+    /// The failure rule of a save. A peer that died mid-save leaves its
+    /// suspicion latched in the communicator, and the next agreement round
+    /// routes it into the consensus rung, so the save passes. A damaged
+    /// gather (only distributed AMR's rides a halo-class tag) skips the
+    /// save: the tiers keep their older round, which a restore's
+    /// capture-round agreement allows for. Anything else ends the run.
+    fn settle(&self, saved: Res) -> Res {
+        match saved {
+            Err(SolverError::HaloCorrupt { .. } | SolverError::HaloMismatch { .. }) => {
+                count(self.metrics.as_deref(), "amr.dist.saves_skipped", 1)
+            }
+            Err(e) if !matches!(e, SolverError::PeerSuspect { .. }) => return Err(e),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Scrub the frozen memory tier when `step` is on the scrub cadence.
+    /// Each driver calls it at its own point of the step.
+    pub(crate) fn scrub(&mut self, rank: &Rank, step: u64) {
+        let every = self.res.scrub_interval as u64;
+        let due = every > 0 && step.is_multiple_of(every);
+        if let (true, Some(tiers)) = (due, &mut self.memory) {
+            self.stats.scrubs += 1;
+            self.stats.snapshots_rotted += tiers.scrub(rank);
+        }
+    }
+
+    /// Collective restore from the cheapest tier that can serve a globally
+    /// consistent state: memory (the own snapshot, else a buddy's replica —
+    /// [`MemoryTiers::fetch`]), then the disk. Returns the restored
+    /// `(t, step)`.
+    pub(crate) fn restore<S: Tiered>(&mut self, s: &mut S, rank: &mut Rank) -> Res<(f64, u64)> {
+        if let Some(tiers) = &self.memory {
+            let sw = phase_start(self.metrics.as_deref(), rank);
+            let (blocks, me) = s.blocks(rank)?;
+            let fetched = tiers.fetch(rank, &blocks, me)?;
+            self.pend(rank, "driver.tier_restore.memory", sw);
+            if let Some((img, from_buddy)) = fetched {
+                let restored = s.install(rank, img)?;
+                self.stats.buddy_restores += u64::from(from_buddy);
+                self.stats.local_restores += u64::from(!from_buddy);
+                return Ok(restored);
+            }
+        }
+        self.restore_disk(s, rank)
+    }
+
+    /// The disk tier, for a restore and a shrink alike: every rank loads
+    /// the newest slot all of them could read and installs it. The
+    /// filesystem is shared (ranks are threads), so nothing is shipped.
+    fn restore_disk<S: Tiered>(&mut self, s: &mut S, rank: &mut Rank) -> Res<(f64, u64)> {
+        let sw = phase_start(self.metrics.as_deref(), rank);
+        let slots = self.slots.as_ref().ok_or_else(|| SolverError::Checkpoint {
+            msg: "no memory tier could serve and no checkpoint directory is \
+                  configured for the disk tier"
+                .into(),
+        })?;
+        let (img, fell_back) = load_newest_agreed(rank, slots)?;
+        let restored = s.install(rank, img)?;
+        self.stats.disk_restores += 1;
+        self.stats.ckpt_fallbacks += u64::from(fell_back);
+        count(self.metrics.as_deref(), "ckp.tier.disk.restore", 1);
+        self.pend(rank, "driver.tier_restore.disk", sw);
+        Ok(restored)
+    }
+
+    /// A confirmed death: restore onto the live ranks. Cheapest first, the
+    /// dead blocks come from their guardians' replicas
+    /// ([`MemoryTiers::gather_for_shrink`]). Failing that, a whole image is
+    /// served like a restore; a part image from disk alone, since the
+    /// survivors' snapshots belong to the old cut. A part image then
+    /// re-seeds the memory tier on the new cut, so its rungs stay armed.
+    /// Returns the restored `(t, step)`.
+    pub(crate) fn shrink<S: Tiered>(&mut self, s: &mut S, rank: &mut Rank) -> Res<(f64, u64)> {
+        let (blocks, me) = s.blocks(rank)?;
+        let merged = match &self.memory {
+            Some(tiers) => tiers.gather_for_shrink(rank, &blocks, me)?,
+            None => None,
+        };
+        let at = match merged {
+            Some(img) => {
+                let at = s.install(rank, img)?;
+                self.stats.buddy_shrinks += 1;
+                at
+            }
+            None if S::WHOLE => return self.restore(s, rank),
+            None => self.restore_disk(s, rank)?,
+        };
+        if self.memory.is_some() {
+            self.reset_memory::<S>();
+            self.save(s, rank, at, false, true)?;
+        }
+        Ok(at)
     }
 }
 

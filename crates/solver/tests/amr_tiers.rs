@@ -144,6 +144,33 @@ fn rotted_memory_tier_falls_through_to_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// With the memory tier off (`local_interval: 0`) a disk tier freezes no
+/// snapshot beside its saves: every forced restore is served from disk.
+#[test]
+fn disk_only_tiers_freeze_no_snapshot() {
+    let dir = std::env::temp_dir().join("rhrsc-amr-tiers-disk-only");
+    let _ = std::fs::remove_dir_all(&dir);
+    let res = ResilienceConfig {
+        local_interval: 0,
+        ..tiered_res(dir.clone())
+    };
+    let plan = FaultPlan {
+        seed: 7,
+        msg_truncate_prob: 0.02,
+        ..FaultPlan::disabled()
+    };
+    let reg = Arc::new(Registry::new());
+    let outs = run_pulse(&res, plan, &reg);
+    for (stats, _, _) in &outs {
+        assert!(stats.restarts > 0, "faults must force a restore: {stats:?}");
+        assert_eq!(stats.local_snapshots, 0, "{stats:?}");
+        assert_eq!(stats.local_restores, 0, "{stats:?}");
+        assert_eq!(stats.restarts, stats.disk_restores, "{stats:?}");
+    }
+    assert_eq!(reg.counter("ckp.save.local").get(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A run driven past its restore budget must leave a flight-recorder
 /// dump behind, like the block driver's. CFL 0 collapses Δt on every
 /// attempt, deterministically and on every rank: each step burns its
@@ -236,4 +263,47 @@ fn damaged_checkpoint_gather_skips_the_save() {
     }
     let skipped = reg.counter("amr.dist.saves_skipped").get();
     assert!(skipped > 0, "no gather was damaged");
+}
+
+/// The tier booking of a fault-free 2-rank run over 15 steps, pinned: the
+/// initial save and one every fourth step on disk, the initial snapshot
+/// and one every second step in memory (no buddy: the image is the whole
+/// hierarchy), and a scrub after every commit whose step is a multiple of
+/// five — one fewer than `ckp_tiers.rs`'s twin, whose block driver scrubs
+/// before a step and so counts step 0.
+#[test]
+fn fault_free_tier_booking_is_pinned() {
+    let dir = std::env::temp_dir().join("rhrsc-amr-tiers-booking");
+    let _ = std::fs::remove_dir_all(&dir);
+    let res = ResilienceConfig {
+        checkpoint_interval: 4,
+        local_interval: 2,
+        scrub_interval: 5,
+        ..tiered_res(dir.clone())
+    };
+    let reg = Arc::new(Registry::new());
+    for (s, _, _) in run_pulse(&res, FaultPlan::disabled(), &reg) {
+        assert_eq!(
+            (
+                s.checkpoints_saved,
+                s.local_snapshots,
+                s.buddy_exchanges,
+                s.scrubs
+            ),
+            (4, 8, 0, 3),
+            "{s:?}"
+        );
+    }
+    let count = |name| reg.counter(name).get();
+    assert_eq!(
+        [
+            "ckp.save.disk",
+            "ckp.save.local",
+            "ckp.save.buddy",
+            "sdc.scrubs"
+        ]
+        .map(count),
+        [8, 16, 0, 6]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

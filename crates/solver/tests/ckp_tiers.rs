@@ -454,3 +454,58 @@ fn plain_advance_after_the_ladder_fails_fast() {
         "a poisoned cell must fail the plain advance"
     );
 }
+
+/// The tier booking of a fault-free 2-rank run, pinned to the counts the
+/// block driver books on these cadences over its 28 steps: the initial
+/// save and one every fourth step on disk; the initial snapshot and one
+/// every second step in memory, each with its buddy exchange; and a scrub
+/// before every step whose number is a multiple of five. The block driver
+/// scrubs in `pre_step`, so step 0 counts; `amr_tiers.rs`'s twin scrubs
+/// after a commit and so counts one fewer on the same cadence.
+#[test]
+fn fault_free_tier_booking_is_pinned() {
+    let cfg = sod_cfg(2);
+    let dir = std::env::temp_dir().join("rhrsc-tiers-booking");
+    let _ = std::fs::remove_dir_all(&dir);
+    let res = ResilienceConfig {
+        checkpoint_interval: 4,
+        checkpoint_dir: Some(dir.clone()),
+        local_interval: 2,
+        scrub_interval: 5,
+        ..ResilienceConfig::default()
+    };
+    let reg = Arc::new(Registry::new());
+    let outs = run(2, NetworkModel::ideal(), |rank| {
+        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &sod_ic);
+        solver.set_metrics(Arc::clone(&reg));
+        let (dist, stats) = solver
+            .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res)
+            .unwrap();
+        (dist.steps, stats)
+    });
+    for (steps, s) in &outs {
+        assert_eq!(*steps, 28);
+        assert_eq!(
+            (
+                s.checkpoints_saved,
+                s.local_snapshots,
+                s.buddy_exchanges,
+                s.scrubs
+            ),
+            (8, 15, 15, 6),
+            "{s:?}"
+        );
+    }
+    let count = |name| reg.counter(name).get();
+    assert_eq!(
+        [
+            "ckp.save.disk",
+            "ckp.save.local",
+            "ckp.save.buddy",
+            "sdc.scrubs"
+        ]
+        .map(count),
+        [16, 30, 30, 12]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
