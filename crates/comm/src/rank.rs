@@ -34,6 +34,7 @@
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use rhrsc_runtime::fault::{FaultInjector, FaultPlan, FaultStats};
+use rhrsc_runtime::hash::crc32_f64s;
 use rhrsc_runtime::metrics::{Counter, Histogram, Registry};
 use rhrsc_runtime::trace::{Tracer, Track};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -273,40 +274,6 @@ impl NetworkModel {
         }
         t
     }
-}
-
-/// Table-driven CRC-32 (IEEE polynomial), built at compile time. The
-/// slow bitwise variant in `rhrsc-io` is fine for checkpoint files; this
-/// one runs on every halo payload, so it must be cheap.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 over the little-endian bytes of an `f64` payload.
-fn crc32_f64s(data: &[f64]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for x in data {
-        for b in x.to_le_bytes() {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-    }
-    !c
 }
 
 struct Envelope {

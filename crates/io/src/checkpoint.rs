@@ -40,8 +40,8 @@
 //! the disk image's), and reads it with [`decode_trusted`], which parses
 //! without either integrity pass: those images live behind
 //! [`crate::MemorySnapshot`]'s stamp over every byte, the only armor they
-//! carry. The CRC-32 is computed slicing-by-8 from tables built at
-//! compile time; the record FNV stays bytewise, as the format defines it.
+//! carry. Both hashes are `rhrsc_runtime::hash`'s: the CRC-32 runs
+//! slicing-by-8, the record FNV stays bytewise, as the format defines it.
 //!
 //! Writes are atomic: the payload goes to a sibling temp file which is
 //! fsynced and renamed into place, so a crash mid-write can never leave a
@@ -51,6 +51,7 @@
 //! valid restart point.
 
 use bytes::{Buf, BufMut};
+use rhrsc_runtime::hash::{crc32, fnv1a};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -107,58 +108,6 @@ impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
     }
-}
-
-/// FNV-1a over a byte slice (cheap integrity check, not cryptographic).
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// CRC-32 (IEEE, reflected) over a byte slice. Covers the whole file
-/// including the header, unlike the FNV data checksum — a bit flip in
-/// `time` or the geometry is as fatal to a restart as one in the data.
-/// Slicing-by-8: one lookup per byte, eight bytes per step, none of them
-/// waiting on the previous byte's table read.
-fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        // Byte `k` of the word, the CRC xored into the first four, is
-        // followed by `7 - k` more bytes before the word ends.
-        let x = u64::from_le_bytes(w.try_into().unwrap()) ^ crc as u64;
-        crc = (0..8).fold(0, |c, k| c ^ t[7 - k][(x >> (8 * k)) as usize & 0xff]);
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][(crc as u8 ^ b) as usize];
-    }
-    !crc
-}
-
-/// `CRC_TABLES[k][b]` is the CRC-32 register (no pre- or post-inversion)
-/// after byte `b` and then `k` zero bytes, each byte eight bitwise steps.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 8 * 256 {
-        let (k, b) = (i / 256, i % 256);
-        let mut crc = if k == 0 { b as u32 } else { t[k - 1][b] };
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (0xedb88320 & (crc & 1).wrapping_neg());
-            bit += 1;
-        }
-        t[k][b] = crc;
-        i += 1;
-    }
-    t
 }
 
 /// One block of a [`GlobalCheckpoint`]: an axis-aligned box of its

@@ -33,10 +33,8 @@
 //! saves and restores an order of magnitude cheaper than disk ones of the
 //! same state.
 
-/// FNV-1a's 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a's 64-bit prime; odd, so multiplying by it is a bijection.
-const FNV_PRIME: u64 = 0x100000001b3;
+use rhrsc_runtime::hash::{fnv_round, FNV_OFFSET};
+
 /// Independent chains of [`LaneHash`].
 const LANES: usize = 8;
 
@@ -48,13 +46,6 @@ fn add(sums: &mut [f64; LANES], round: &[f64]) {
     }
 }
 
-/// One xor-then-multiply round: a bijection in `h` for a fixed `w`, and
-/// injective in `w` for a fixed `h`.
-#[inline(always)]
-fn round(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(FNV_PRIME)
-}
-
 /// Word-wise FNV-style hash over the raw bit patterns of an f64 slice.
 ///
 /// Classic FNV-1a absorbs one byte per xor-multiply round; here each
@@ -63,11 +54,11 @@ fn round(h: u64, w: u64) -> u64 {
 /// chain, and the golden state digests are taken with it; the in-memory
 /// stamps use the eight-lane form of the same round.
 pub fn fnv1a_f64(data: &[f64]) -> u64 {
-    data.iter().fold(FNV_OFFSET, |h, v| round(h, v.to_bits()))
+    data.iter().map(|v| v.to_bits()).fold(FNV_OFFSET, fnv_round)
 }
 
 /// The in-memory stamps' hash. Word `i` goes into lane `i mod 8` with
-/// [`round`]; [`LaneHash::finish`] folds the lanes in order, then the
+/// [`fnv_round`]; [`LaneHash::finish`] folds the lanes in order, then the
 /// length, with the same round. A changed word changes its own lane, and
 /// the fold is a bijection in each lane for the others fixed, so any
 /// single changed word still changes the hash deterministically — the
@@ -90,7 +81,7 @@ impl LaneHash {
         let first = at % LANES;
         for (j, (h, s)) in self.0.iter_mut().zip(sums.iter_mut()).enumerate() {
             if let Some(&v) = j.checked_sub(first).and_then(|k| words.get(k)) {
-                *h = round(*h, v.to_bits());
+                *h = fnv_round(*h, v.to_bits());
                 if SUM {
                     *s += v;
                 }
@@ -119,7 +110,7 @@ impl LaneHash {
         for r in 0..n {
             let b = &body[r * LANES..r * LANES + LANES];
             for (h, v) in self.0.iter_mut().zip(b) {
-                *h = round(*h, v.to_bits());
+                *h = fnv_round(*h, v.to_bits());
             }
             if SUM && r > 0 {
                 add(sums, &body[(r - 1) * LANES..r * LANES]);
@@ -133,8 +124,8 @@ impl LaneHash {
 
     /// Fold the lanes, then the length `len`, into one word.
     fn finish(&self, len: usize) -> u64 {
-        let lanes = self.0.iter().fold(FNV_OFFSET, |h, &l| round(h, l));
-        round(lanes, len as u64)
+        let lanes = self.0.iter().fold(FNV_OFFSET, |h, &l| fnv_round(h, l));
+        fnv_round(lanes, len as u64)
     }
 
     /// The hash of a byte slice read as little-endian words, the tail
@@ -146,13 +137,13 @@ impl LaneHash {
         for b in &mut rounds {
             for j in 0..LANES {
                 let w = u64::from_le_bytes(b[8 * j..8 * j + 8].try_into().unwrap());
-                h.0[j] = round(h.0[j], w);
+                h.0[j] = fnv_round(h.0[j], w);
             }
         }
         for (l, c) in h.0.iter_mut().zip(rounds.remainder().chunks(8)) {
             let mut w = [0u8; 8];
             w[..c.len()].copy_from_slice(c);
-            *l = round(*l, u64::from_le_bytes(w));
+            *l = fnv_round(*l, u64::from_le_bytes(w));
         }
         h.finish(data.len())
     }

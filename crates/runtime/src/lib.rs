@@ -17,6 +17,10 @@
 //! * [`metrics`] — dependency-free counters, log-bucketed histograms and
 //!   RAII phase timers shared across the stack for phase-resolved
 //!   profiling (see DESIGN.md "Observability"),
+//! * [`hash`] — the integrity hashes every layer shares: CRC-32 for the
+//!   halo trailers and the disk checkpoint footer, FNV-1a for the
+//!   checkpoint records, the state digests and stamps and the serve cache
+//!   keys,
 //! * [`trace`] — a span-based flight recorder (fixed-capacity per-track
 //!   ring buffers) with Chrome/Perfetto `trace.json` export (see
 //!   DESIGN.md "Tracing & flight recorder"),
@@ -28,6 +32,7 @@
 pub mod device;
 pub mod fault;
 pub mod future;
+pub mod hash;
 pub mod metrics;
 pub mod pool;
 pub mod sched;

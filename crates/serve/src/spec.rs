@@ -14,6 +14,7 @@
 //! solver would see them). Nothing run-dependent (tenant, priority,
 //! deadline, fault plan) enters the hash.
 
+use rhrsc_runtime::hash::Fnv1a;
 use rhrsc_solver::problems::Problem;
 use rhrsc_solver::{RkOrder, Scheme};
 use rhrsc_srhd::recon::Recon;
@@ -136,7 +137,7 @@ impl ScenarioSpec {
     /// once per distinct setup and warm-starts the rest (bit-identical:
     /// the shared state is exactly what each job would have built).
     pub fn setup_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write_str("rhrsc-setup-v1");
         self.problem.write_canonical(&mut h);
         h.write_u64(self.nx as u64);
@@ -147,7 +148,7 @@ impl ScenarioSpec {
     /// Content address of this spec: equal results ⇔ equal hash. Stable
     /// within a build; not a cross-version wire format.
     pub fn canonical_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write_str("rhrsc-scenario-v1");
         self.problem.write_canonical(&mut h);
         h.write_u64(self.nx as u64);
@@ -167,42 +168,6 @@ impl ScenarioSpec {
         }
         h.write_u64(self.max_steps);
         h.finish()
-    }
-}
-
-/// 64-bit FNV-1a over a canonical byte stream. Dependency-free and
-/// deterministic across runs (unlike `DefaultHasher`, which is
-/// randomly keyed per process).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-        // Length-delimit so ("ab","c") != ("a","bc").
-        self.write_u64(s.len() as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -304,5 +269,32 @@ mod tests {
             let p = k.build();
             assert!(p.t_end > 0.0, "{} has no t_end", p.name);
         }
+    }
+
+    /// The cache keys of two specs, pinned to the values this encoding has
+    /// always produced: inequality alone would let a changed hash or byte
+    /// stream through, and with it every stored key would silently miss.
+    #[test]
+    fn hashes_are_pinned() {
+        let sod = ScenarioSpec::new(ProblemKind::Sod, 64);
+        let wave = ScenarioSpec {
+            t_end: Some(0.25),
+            max_steps: 500,
+            ..ScenarioSpec::new(
+                ProblemKind::DensityWave {
+                    v: 0.3,
+                    amplitude: 0.5,
+                },
+                128,
+            )
+        };
+        let keys = [sod, wave].map(|s| (s.canonical_hash(), s.setup_hash()));
+        assert_eq!(
+            keys,
+            [
+                (0x73da_9840_1ad2_7e55, 0xb00f_9c99_8ff9_b3af),
+                (0xd23e_f3a8_9b73_0b3c, 0xc96d_7573_ce1b_1603),
+            ]
+        );
     }
 }

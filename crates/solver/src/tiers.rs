@@ -267,19 +267,21 @@ impl MemoryTiers {
     }
 
     /// Collective fetch for a restore (L1 local, then L2 buddy). Every
-    /// block must be covered by a valid copy of one common capture round;
-    /// a guardian ships its replica (on [`BUDDY_RESTORE_TAG`]) to a ward
-    /// whose own copy died; each rank decodes its verified snapshot, and
-    /// nobody gets an image unless every rank decoded — the caller commits
-    /// only then, because a half-restored universe is worse than falling
-    /// through to disk with clean state. `Ok(None)` when memory cannot
-    /// serve a consistent global state. On success also returns whether
-    /// the image came from the buddy replica.
+    /// block must be covered by a valid copy of one common capture round,
+    /// no older than step `floor`; a guardian ships its replica (on
+    /// [`BUDDY_RESTORE_TAG`]) to a ward whose own copy died; each rank
+    /// decodes its verified snapshot, and nobody gets an image unless
+    /// every rank decoded — the caller commits only then, because a
+    /// half-restored universe is worse than falling through to disk with
+    /// clean state. `Ok(None)` when memory cannot serve a consistent
+    /// global state of that age. On success also returns whether the
+    /// image came from the buddy replica.
     pub(crate) fn fetch(
         &self,
         rank: &mut Rank,
         comm_ranks: &[usize],
         me: usize,
+        floor: u64,
     ) -> Result<Option<(GlobalCheckpoint, bool)>, SolverError> {
         let n = comm_ranks.len();
         let (own_ok, rep_ok, flags) = self.coverage(rank, n, me);
@@ -309,7 +311,9 @@ impl MemoryTiers {
                 &shipped
             }
         };
-        let decoded = ((own_ok || snap.verify()) && snap.step == round)
+        // A rank's own floor enters the agreement below: one rank that
+        // holds a newer disk image sends every rank there.
+        let decoded = ((own_ok || snap.verify()) && snap.step == round && round >= floor)
             .then(|| decode_trusted(snap.bytes()).ok())
             .flatten();
         let all_ok = rank.allreduce_min(if decoded.is_some() { 1.0 } else { 0.0 }) > 0.5;
@@ -478,6 +482,10 @@ pub(crate) struct TierStack<'a> {
     /// The disk tier: one rotating slot pair of the rank-count-independent
     /// image — the first live rank writes, every rank reads.
     slots: Option<CheckpointSlots>,
+    /// The step of the newest image the disk slots hold, as this rank
+    /// knows it: its last disk save that succeeded, or the image a disk
+    /// restore installed.
+    disk_step: u64,
     memory: Option<MemoryTiers>,
     metrics: Option<Arc<Registry>>,
     /// The run's ledger: the stack books the tiers into it, the ladder its
@@ -496,6 +504,7 @@ impl<'a> TierStack<'a> {
             res,
             dir,
             slots: None,
+            disk_step: 0,
             memory: None,
             metrics,
             stats: ResilienceStats::default(),
@@ -557,6 +566,7 @@ impl<'a> TierStack<'a> {
             self.pend(rank, "phase.ckp.save", sw);
             sw = phase_start(self.metrics.as_deref(), rank);
             self.stats.checkpoints_saved += 1;
+            self.disk_step = at.1;
             count(self.metrics.as_deref(), "ckp.save.disk", 1);
         }
         self.settle(written)?;
@@ -599,15 +609,17 @@ impl<'a> TierStack<'a> {
         }
     }
 
-    /// Collective restore from the cheapest tier that can serve a globally
-    /// consistent state: memory (the own snapshot, else a buddy's replica —
-    /// [`MemoryTiers::fetch`]), then the disk. Returns the restored
-    /// `(t, step)`.
+    /// Collective restore from the cheapest tier that can serve the newest
+    /// globally consistent state: memory (the own snapshot, else a buddy's
+    /// replica — [`MemoryTiers::fetch`]) when its round is no older than
+    /// the disk's newest image, else the disk. With cadences that do not
+    /// nest, memory can lag the disk, and serving it would roll back
+    /// further than the disk does. Returns the restored `(t, step)`.
     pub(crate) fn restore<S: Tiered>(&mut self, s: &mut S, rank: &mut Rank) -> Res<(f64, u64)> {
         if let Some(tiers) = &self.memory {
             let sw = phase_start(self.metrics.as_deref(), rank);
             let (blocks, me) = s.blocks(rank)?;
-            let fetched = tiers.fetch(rank, &blocks, me)?;
+            let fetched = tiers.fetch(rank, &blocks, me, self.disk_step)?;
             self.pend(rank, "driver.tier_restore.memory", sw);
             if let Some((img, from_buddy)) = fetched {
                 let restored = s.install(rank, img)?;
@@ -631,6 +643,7 @@ impl<'a> TierStack<'a> {
         })?;
         let (img, fell_back) = load_newest_agreed(rank, slots)?;
         let restored = s.install(rank, img)?;
+        self.disk_step = restored.1;
         self.stats.disk_restores += 1;
         self.stats.ckpt_fallbacks += u64::from(fell_back);
         count(self.metrics.as_deref(), "ckp.tier.disk.restore", 1);

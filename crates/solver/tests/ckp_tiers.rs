@@ -23,7 +23,7 @@ use rhrsc_solver::integrate::RkOrder;
 use rhrsc_solver::scheme::{Scheme, SolverError};
 use rhrsc_srhd::Prim;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn sod_cfg(nranks: usize) -> DistConfig {
     DistConfig {
@@ -430,6 +430,64 @@ fn torn_global_latest_falls_back_to_prev_on_every_rank() {
         pairs.all(|(a, b)| a.to_bits() == b.to_bits()),
         "not bit-identical"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records the step of every sample, in order.
+struct SampledSteps(Arc<Mutex<Vec<u64>>>);
+
+impl TelemetrySink for SampledSteps {
+    fn on_sample(&mut self, s: &SeriesSample, _: &[TelemetryEvent], _: &[f64], _: u32) {
+        self.0.lock().unwrap().push(s.step);
+    }
+}
+
+/// With cadences that do not nest — the disk every second step, memory
+/// every third — a restore after the commit of step `s` installs the
+/// newer of the two tiers' rounds, `max(2⌊s/2⌋, 3⌊s/3⌋)`: memory serves
+/// only when it is no older than the disk. A sample every step shows each
+/// restore as the step the next commit follows.
+#[test]
+fn restores_come_from_the_newer_tier() {
+    let cfg = sod_cfg(2);
+    let dir = std::env::temp_dir().join("rhrsc-tiers-newer-tier");
+    let _ = std::fs::remove_dir_all(&dir);
+    let res = ResilienceConfig {
+        checkpoint_interval: 2,
+        local_interval: 3,
+        ..tiered_res(Some(dir.clone()))
+    };
+    let plan = FaultPlan {
+        seed: 11,
+        msg_truncate_prob: 0.02,
+        ..FaultPlan::disabled()
+    };
+    let steps = Arc::new(Mutex::new(Vec::new()));
+    let hub = Arc::new(Telemetry::new(TelemetryConfig::default()));
+    hub.set_sink(Box::new(SampledSteps(Arc::clone(&steps))));
+    let outs = run_with_faults(2, NetworkModel::ideal(), Some(plan), |rank| {
+        let (mut solver, mut u) = BlockSolver::new(cfg.clone(), rank.rank(), &sod_ic);
+        solver.set_metrics(Arc::new(Registry::new()));
+        solver.set_telemetry(hub.clone());
+        let (_, r) = solver
+            .advance_to_with_restart(rank, &mut u, 0.0, 0.1, &res)
+            .unwrap();
+        r
+    });
+    let steps = steps.lock().unwrap();
+    let mut disk_ahead = 0;
+    for w in steps.windows(2) {
+        let (s, restored) = (w[0], w[1] - 1);
+        if restored != s {
+            let (disk, memory) = (s / 2 * 2, s / 3 * 3);
+            assert_eq!(restored, disk.max(memory), "restore after step {s}");
+            disk_ahead += u64::from(disk > memory);
+        }
+    }
+    assert!(disk_ahead > 0, "no restore found the disk ahead: {steps:?}");
+    for r in &outs {
+        assert!(r.local_restores > 0 && r.disk_restores > 0, "{r:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
